@@ -4,6 +4,21 @@
 #include <cassert>
 
 namespace bayescrowd {
+namespace {
+
+// Row-major strides of a scope: how far the flat index moves when
+// variable i moves by one (the last variable varies fastest).
+std::vector<std::size_t> Strides(const std::vector<Level>& cards) {
+  std::vector<std::size_t> strides(cards.size());
+  std::size_t stride = 1;
+  for (std::size_t i = cards.size(); i-- > 0;) {
+    strides[i] = stride;
+    stride *= static_cast<std::size_t>(cards[i]);
+  }
+  return strides;
+}
+
+}  // namespace
 
 Factor::Factor(std::vector<std::size_t> variables,
                std::vector<Level> cardinalities)
@@ -40,9 +55,13 @@ bool Factor::ContainsVariable(std::size_t variable) const {
 }
 
 Factor Factor::Product(const Factor& a, const Factor& b) {
-  // Union scope, sorted.
+  // Union scope, sorted; the odometer tracks the matching entries of a
+  // (index0) and b (index1) as the output is filled in flat order.
+  const std::vector<std::size_t> a_strides = Strides(a.cards_);
+  const std::vector<std::size_t> b_strides = Strides(b.cards_);
   std::vector<std::size_t> vars;
   std::vector<Level> cards;
+  ScopeOdometer walk;
   std::size_t ia = 0;
   std::size_t ib = 0;
   while (ia < a.variables_.size() || ib < b.variables_.size()) {
@@ -50,50 +69,27 @@ Factor Factor::Product(const Factor& a, const Factor& b) {
         (ia < a.variables_.size() && a.variables_[ia] < b.variables_[ib])) {
       vars.push_back(a.variables_[ia]);
       cards.push_back(a.cards_[ia]);
+      walk.AddVariable(a.cards_[ia], a_strides[ia], 0);
       ++ia;
     } else if (ia == a.variables_.size() ||
                b.variables_[ib] < a.variables_[ia]) {
       vars.push_back(b.variables_[ib]);
       cards.push_back(b.cards_[ib]);
+      walk.AddVariable(b.cards_[ib], 0, b_strides[ib]);
       ++ib;
     } else {
       assert(a.cards_[ia] == b.cards_[ib]);
       vars.push_back(a.variables_[ia]);
       cards.push_back(a.cards_[ia]);
+      walk.AddVariable(a.cards_[ia], a_strides[ia], b_strides[ib]);
       ++ia;
       ++ib;
     }
   }
-  Factor out(vars, cards);
-
-  // Position of each output variable inside a's and b's scopes (or npos).
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> a_pos(vars.size(), kNone);
-  std::vector<std::size_t> b_pos(vars.size(), kNone);
-  for (std::size_t i = 0; i < vars.size(); ++i) {
-    const auto ait =
-        std::lower_bound(a.variables_.begin(), a.variables_.end(), vars[i]);
-    if (ait != a.variables_.end() && *ait == vars[i]) {
-      a_pos[i] = static_cast<std::size_t>(ait - a.variables_.begin());
-    }
-    const auto bit =
-        std::lower_bound(b.variables_.begin(), b.variables_.end(), vars[i]);
-    if (bit != b.variables_.end() && *bit == vars[i]) {
-      b_pos[i] = static_cast<std::size_t>(bit - b.variables_.begin());
-    }
-  }
-
-  std::vector<Level> assignment(vars.size(), 0);
-  std::vector<Level> a_assign(a.variables_.size());
-  std::vector<Level> b_assign(b.variables_.size());
-  for (std::size_t flat = 0; flat < out.values_.size(); ++flat) {
-    const std::vector<Level> asg = out.AssignmentOf(flat);
-    for (std::size_t i = 0; i < vars.size(); ++i) {
-      if (a_pos[i] != kNone) a_assign[a_pos[i]] = asg[i];
-      if (b_pos[i] != kNone) b_assign[b_pos[i]] = asg[i];
-    }
-    out.values_[flat] = a.values_[a.IndexOf(a_assign)] *
-                        b.values_[b.IndexOf(b_assign)];
+  Factor out(std::move(vars), std::move(cards));
+  for (double& value : out.values_) {
+    value = a.values_[walk.index0()] * b.values_[walk.index1()];
+    walk.Next();
   }
   return out;
 }
@@ -108,12 +104,20 @@ Factor Factor::Marginalize(std::size_t variable) const {
   std::vector<Level> cards = cards_;
   vars.erase(vars.begin() + static_cast<std::ptrdiff_t>(pos));
   cards.erase(cards.begin() + static_cast<std::ptrdiff_t>(pos));
-  Factor out(vars, cards);
+  Factor out(std::move(vars), std::move(cards));
 
-  for (std::size_t flat = 0; flat < values_.size(); ++flat) {
-    std::vector<Level> asg = AssignmentOf(flat);
-    asg.erase(asg.begin() + static_cast<std::ptrdiff_t>(pos));
-    out.values_[out.IndexOf(asg)] += values_[flat];
+  // Walk this factor in flat order; index0 is the output entry the
+  // current one sums into (the summed-out variable does not move it), so
+  // each output entry accumulates its terms in ascending flat order.
+  const std::vector<std::size_t> out_strides = Strides(out.cards_);
+  ScopeOdometer walk;
+  for (std::size_t i = 0; i < variables_.size(); ++i) {
+    walk.AddVariable(cards_[i],
+                     i == pos ? 0 : out_strides[i < pos ? i : i - 1]);
+  }
+  for (double value : values_) {
+    out.values_[walk.index0()] += value;
+    walk.Next();
   }
   return out;
 }
@@ -128,12 +132,17 @@ Factor Factor::Reduce(std::size_t variable, Level value) const {
   std::vector<Level> cards = cards_;
   vars.erase(vars.begin() + static_cast<std::ptrdiff_t>(pos));
   cards.erase(cards.begin() + static_cast<std::ptrdiff_t>(pos));
-  Factor out(vars, cards);
+  Factor out(std::move(vars), std::move(cards));
 
-  for (std::size_t flat = 0; flat < out.values_.size(); ++flat) {
-    std::vector<Level> asg = out.AssignmentOf(flat);
-    asg.insert(asg.begin() + static_cast<std::ptrdiff_t>(pos), value);
-    out.values_[flat] = values_[IndexOf(asg)];
+  // index0 walks the entries of this factor that have `variable` fixed.
+  const std::vector<std::size_t> strides = Strides(cards_);
+  ScopeOdometer walk(static_cast<std::size_t>(value) * strides[pos]);
+  for (std::size_t i = 0; i < variables_.size(); ++i) {
+    if (i != pos) walk.AddVariable(cards_[i], strides[i]);
+  }
+  for (double& entry : out.values_) {
+    entry = values_[walk.index0()];
+    walk.Next();
   }
   return out;
 }

@@ -11,6 +11,53 @@
 
 namespace bayescrowd {
 
+/// Visits every assignment of a scope in flat order (the last variable
+/// varying fastest) while keeping two flat indices into other row-major
+/// tables in step: when variable i moves by one, index k moves by that
+/// variable's stride in table k (0 if table k does not depend on it).
+/// The factor kernels walk their scopes with it instead of decoding an
+/// assignment per entry.
+class ScopeOdometer {
+ public:
+  explicit ScopeOdometer(std::size_t start0 = 0, std::size_t start1 = 0)
+      : index0_(start0), index1_(start1) {}
+
+  /// Appends the next variable of the walked scope (in scope order).
+  void AddVariable(Level cardinality, std::size_t stride0,
+                   std::size_t stride1 = 0) {
+    dims_.push_back({static_cast<std::size_t>(cardinality), 0, stride0,
+                     stride1});
+  }
+
+  std::size_t index0() const { return index0_; }
+  std::size_t index1() const { return index1_; }
+
+  /// Moves to the next assignment; after the last one every digit wraps
+  /// back to zero and the indices return to their start.
+  void Next() {
+    for (std::size_t i = dims_.size(); i-- > 0;) {
+      Dim& d = dims_[i];
+      index0_ += d.stride0;
+      index1_ += d.stride1;
+      if (++d.digit < d.card) return;
+      d.digit = 0;
+      index0_ -= d.stride0 * d.card;
+      index1_ -= d.stride1 * d.card;
+    }
+  }
+
+ private:
+  struct Dim {
+    std::size_t card;
+    std::size_t digit;
+    std::size_t stride0;
+    std::size_t stride1;
+  };
+  std::vector<Dim> dims_;
+  std::size_t index0_;
+  std::size_t index1_;
+};
+
 /// Dense tabular factor. Variables are identified by node index and kept
 /// sorted ascending; values are stored with the *last* variable varying
 /// fastest (row-major in variable order).

@@ -32,48 +32,56 @@ obs::Counter* VeQueries() {
   return counter;
 }
 
-obs::Counter* LwSamples() {
-  static obs::Counter* const counter =
-      obs::MetricsRegistry::Default().GetCounter("bayesnet.lw_samples");
-  return counter;
-}
-
-obs::Counter* GibbsSweeps() {
-  static obs::Counter* const counter =
-      obs::MetricsRegistry::Default().GetCounter("bayesnet.gibbs_sweeps");
-  return counter;
-}
-
-// Builds the CPT of `node` as a factor over {node} ∪ parents(node).
-Factor CptFactor(const BayesianNetwork& net, std::size_t node) {
+// Builds the CPT of `node` as a factor over the unobserved members of
+// {node} ∪ parents(node), already reduced to the row's evidence
+// (`levels[v]` is v's observed level, or kMissingLevel). The CPT is a
+// row-major table over the parents in stored order (the configuration
+// index, walked as index0) and the node itself (its level, index1).
+Factor CptFactor(const BayesianNetwork& net, std::size_t node,
+                 const std::vector<Level>& levels) {
   const Cpt& cpt = net.cpt(node);
-  std::vector<std::size_t> vars = cpt.parents();
-  vars.push_back(node);
-  std::sort(vars.begin(), vars.end());
-  std::vector<Level> cards;
-  cards.reserve(vars.size());
-  for (std::size_t v : vars) cards.push_back(net.schema().domain_size(v));
-  Factor factor(vars, cards);
+  const std::vector<std::size_t>& parents = cpt.parents();
+  struct Member {
+    std::size_t var;
+    std::size_t config_stride;
+  };
+  std::vector<Member> family;
+  family.reserve(parents.size() + 1);
+  std::size_t stride = 1;
+  for (std::size_t p = parents.size(); p-- > 0;) {
+    family.push_back({parents[p], stride});
+    stride *= static_cast<std::size_t>(net.schema().domain_size(parents[p]));
+  }
+  family.push_back({node, 0});
+  std::sort(family.begin(), family.end(),
+            [](const Member& x, const Member& y) { return x.var < y.var; });
 
-  // Enumerate all assignments of the factor scope and fill from the CPT.
-  std::vector<Level> parent_values(cpt.parents().size());
-  for (std::size_t flat = 0; flat < factor.size(); ++flat) {
-    const std::vector<Level> asg = factor.AssignmentOf(flat);
-    Level node_value = 0;
-    for (std::size_t i = 0; i < vars.size(); ++i) {
-      if (vars[i] == node) {
-        node_value = asg[i];
-        continue;
-      }
-      // Position of vars[i] in the CPT's parent order.
-      for (std::size_t p = 0; p < cpt.parents().size(); ++p) {
-        if (cpt.parents()[p] == vars[i]) {
-          parent_values[p] = asg[i];
-          break;
-        }
-      }
+  std::size_t config = 0;
+  std::size_t value = 0;
+  for (const Member& m : family) {
+    if (IsMissingLevel(levels[m.var])) continue;
+    const auto level = static_cast<std::size_t>(levels[m.var]);
+    if (m.var == node) {
+      value = level;
+    } else {
+      config += level * m.config_stride;
     }
-    factor.At(flat) = cpt.Prob(node_value, cpt.ConfigIndex(parent_values));
+  }
+  std::vector<std::size_t> vars;
+  std::vector<Level> cards;
+  ScopeOdometer walk(config, value);
+  for (const Member& m : family) {
+    if (!IsMissingLevel(levels[m.var])) continue;
+    const Level card = net.schema().domain_size(m.var);
+    vars.push_back(m.var);
+    cards.push_back(card);
+    walk.AddVariable(card, m.config_stride, m.var == node ? 1 : 0);
+  }
+  Factor factor(std::move(vars), std::move(cards));
+  for (std::size_t flat = 0; flat < factor.size(); ++flat) {
+    factor.At(flat) =
+        cpt.Prob(static_cast<Level>(walk.index1()), walk.index0());
+    walk.Next();
   }
   return factor;
 }
@@ -105,22 +113,46 @@ Result<std::vector<double>> VariableElimination(const BayesianNetwork& net,
                                                 std::size_t query) {
   BAYESCROWD_RETURN_NOT_OK(ValidateQuery(net, evidence, query));
   VeQueries()->Increment();
+  const std::size_t n = net.num_nodes();
+  const Dag& dag = net.structure();
+  std::vector<Level> levels(n, kMissingLevel);
+  for (const auto& [node, value] : evidence) levels[node] = value;
 
-  // Build reduced CPT factors.
-  std::vector<Factor> factors;
-  factors.reserve(net.num_nodes());
-  for (std::size_t node = 0; node < net.num_nodes(); ++node) {
-    Factor f = CptFactor(net, node);
-    for (const auto& [ev_node, ev_value] : evidence) {
-      if (f.ContainsVariable(ev_node)) f = f.Reduce(ev_node, ev_value);
+  // Relevant set: the query plus the unobserved nodes it reaches in the
+  // moral graph (edges undirected, co-parents linked) without crossing an
+  // observed node. A CPT factor outside it touches only observed nodes
+  // and nodes cut off from the query by them, so eliminating it yields a
+  // constant the final normalization divides out; it is never built.
+  std::vector<char> relevant(n, 0);
+  std::vector<std::size_t> frontier = {query};
+  relevant[query] = 1;
+  const auto reach = [&](std::size_t v) {
+    if (relevant[v] || !IsMissingLevel(levels[v])) return;
+    relevant[v] = 1;
+    frontier.push_back(v);
+  };
+  while (!frontier.empty()) {
+    const std::size_t v = frontier.back();
+    frontier.pop_back();
+    for (std::size_t parent : dag.parents(v)) reach(parent);
+    for (std::size_t child : dag.children(v)) {
+      reach(child);
+      for (std::size_t co_parent : dag.parents(child)) reach(co_parent);
     }
-    factors.push_back(std::move(f));
   }
 
-  // Hidden variables to eliminate (everything but query and evidence).
-  std::set<std::size_t> hidden;
-  for (std::size_t v = 0; v < net.num_nodes(); ++v) {
-    if (v != query && evidence.count(v) == 0) hidden.insert(v);
+  // The CPT factors touching the relevant set, reduced to the evidence,
+  // in node order. The unobserved members of a family are pairwise
+  // linked in the moral graph, so such a factor lies inside the set.
+  std::vector<Factor> factors;
+  std::set<std::size_t> hidden;  // Relevant nodes to eliminate.
+  for (std::size_t node = 0; node < n; ++node) {
+    bool touches = relevant[node] != 0;
+    for (std::size_t parent : dag.parents(node)) {
+      touches = touches || relevant[parent] != 0;
+    }
+    if (touches) factors.push_back(CptFactor(net, node, levels));
+    if (relevant[node] && node != query) hidden.insert(node);
   }
 
   while (!hidden.empty()) {
@@ -170,7 +202,7 @@ Result<std::vector<double>> VariableElimination(const BayesianNetwork& net,
   Factor result({query}, {net.schema().domain_size(query)});
   for (std::size_t i = 0; i < result.size(); ++i) result.At(i) = 1.0;
   for (const Factor& f : factors) {
-    if (f.variables().empty()) continue;  // Constant from evidence.
+    if (f.variables().empty()) continue;  // Normalization divides it out.
     result = Factor::Product(result, f);
     FactorProducts()->Increment();
   }
@@ -182,124 +214,6 @@ Result<std::vector<double>> VariableElimination(const BayesianNetwork& net,
     out[v] = result.At(v);
   }
   return out;
-}
-
-Result<std::vector<double>> LikelihoodWeighting(const BayesianNetwork& net,
-                                                const Evidence& evidence,
-                                                std::size_t query,
-                                                std::size_t num_samples,
-                                                Rng& rng) {
-  BAYESCROWD_RETURN_NOT_OK(ValidateQuery(net, evidence, query));
-  if (num_samples == 0) {
-    return Status::InvalidArgument("num_samples must be > 0");
-  }
-  LwSamples()->Increment(num_samples);
-
-  const auto order = net.structure().TopologicalOrder();
-  std::vector<double> accum(
-      static_cast<std::size_t>(net.schema().domain_size(query)), 0.0);
-  std::vector<Level> row(net.num_nodes(), kMissingLevel);
-  std::vector<Level> parent_values;
-  for (std::size_t s = 0; s < num_samples; ++s) {
-    double weight = 1.0;
-    for (std::size_t node : order) {
-      const Cpt& cpt = net.cpt(node);
-      parent_values.clear();
-      for (std::size_t p : cpt.parents()) parent_values.push_back(row[p]);
-      const std::size_t config = cpt.ConfigIndex(parent_values);
-      const auto ev = evidence.find(node);
-      if (ev != evidence.end()) {
-        row[node] = ev->second;
-        weight *= cpt.Prob(ev->second, config);
-      } else {
-        row[node] = cpt.Sample(config, rng);
-      }
-    }
-    accum[static_cast<std::size_t>(row[query])] += weight;
-  }
-  double total = 0.0;
-  for (double v : accum) total += v;
-  if (total <= 0.0) {
-    const double uniform = 1.0 / static_cast<double>(accum.size());
-    for (double& v : accum) v = uniform;
-    return accum;
-  }
-  for (double& v : accum) v /= total;
-  return accum;
-}
-
-Result<std::vector<double>> GibbsSampling(const BayesianNetwork& net,
-                                          const Evidence& evidence,
-                                          std::size_t query,
-                                          std::size_t num_samples,
-                                          std::size_t burn_in, Rng& rng) {
-  BAYESCROWD_RETURN_NOT_OK(ValidateQuery(net, evidence, query));
-  if (num_samples == 0) {
-    return Status::InvalidArgument("num_samples must be > 0");
-  }
-  GibbsSweeps()->Increment(burn_in + num_samples);
-
-  const std::size_t d = net.num_nodes();
-  std::vector<std::size_t> hidden;
-  for (std::size_t v = 0; v < d; ++v) {
-    if (evidence.count(v) == 0) hidden.push_back(v);
-  }
-
-  // Initialize: evidence fixed, hidden variables forward-sampled.
-  std::vector<Level> row(d, kMissingLevel);
-  std::vector<Level> parent_values;
-  for (std::size_t node : net.structure().TopologicalOrder()) {
-    const auto ev = evidence.find(node);
-    if (ev != evidence.end()) {
-      row[node] = ev->second;
-      continue;
-    }
-    const Cpt& cpt = net.cpt(node);
-    parent_values.clear();
-    for (std::size_t p : cpt.parents()) parent_values.push_back(row[p]);
-    row[node] = cpt.Sample(cpt.ConfigIndex(parent_values), rng);
-  }
-
-  // Full conditional of `node`: P(node = v | rest) ∝
-  // P(node = v | parents) * Π_{children c} P(c | parents(c) with node=v).
-  const auto resample = [&](std::size_t node) {
-    const Cpt& cpt = net.cpt(node);
-    const auto card = static_cast<std::size_t>(cpt.cardinality());
-    std::vector<double> weights(card, 1.0);
-    parent_values.clear();
-    for (std::size_t p : cpt.parents()) parent_values.push_back(row[p]);
-    const std::size_t config = cpt.ConfigIndex(parent_values);
-    for (std::size_t v = 0; v < card; ++v) {
-      weights[v] = cpt.Prob(static_cast<Level>(v), config);
-    }
-    for (std::size_t child : net.structure().children(node)) {
-      const Cpt& child_cpt = net.cpt(child);
-      const Level saved = row[node];
-      for (std::size_t v = 0; v < card; ++v) {
-        row[node] = static_cast<Level>(v);
-        std::vector<Level> child_parents;
-        child_parents.reserve(child_cpt.parents().size());
-        for (std::size_t p : child_cpt.parents()) {
-          child_parents.push_back(row[p]);
-        }
-        weights[v] *= child_cpt.Prob(
-            row[child], child_cpt.ConfigIndex(child_parents));
-      }
-      row[node] = saved;
-    }
-    row[node] = static_cast<Level>(rng.NextDiscrete(weights));
-  };
-
-  std::vector<double> accum(
-      static_cast<std::size_t>(net.schema().domain_size(query)), 0.0);
-  for (std::size_t sweep = 0; sweep < burn_in + num_samples; ++sweep) {
-    for (std::size_t node : hidden) resample(node);
-    if (sweep >= burn_in) {
-      accum[static_cast<std::size_t>(row[query])] += 1.0;
-    }
-  }
-  for (double& p : accum) p /= static_cast<double>(num_samples);
-  return accum;
 }
 
 }  // namespace bayescrowd

@@ -3,9 +3,7 @@
 // The BayesCrowd preprocessing step "learns the probability distributions
 // of missing values leveraging Bayes rules"; concretely this is
 // P(X_j | observed attributes of the row), computed exactly by variable
-// elimination (the network is over at most ~11 attributes). A
-// likelihood-weighting sampler is provided as an approximate fallback
-// for larger networks.
+// elimination (the network is over at most ~11 attributes).
 
 #ifndef BAYESCROWD_BAYESNET_INFERENCE_H_
 #define BAYESCROWD_BAYESNET_INFERENCE_H_
@@ -14,7 +12,6 @@
 #include <vector>
 
 #include "bayesnet/network.h"
-#include "common/random.h"
 #include "common/result.h"
 
 namespace bayescrowd {
@@ -23,29 +20,12 @@ namespace bayescrowd {
 using Evidence = std::map<std::size_t, Level>;
 
 /// Exact posterior P(query | evidence) via variable elimination with a
-/// min-degree elimination order. Returns a normalized distribution of
-/// length domain_size(query).
+/// min-degree elimination order, over only the part of the network the
+/// evidence leaves connected to the query (see docs/algorithms.md).
+/// Returns a normalized distribution of length domain_size(query).
 Result<std::vector<double>> VariableElimination(const BayesianNetwork& net,
                                                 const Evidence& evidence,
                                                 std::size_t query);
-
-/// Approximate posterior via likelihood weighting with `num_samples`
-/// weighted forward samples.
-Result<std::vector<double>> LikelihoodWeighting(const BayesianNetwork& net,
-                                                const Evidence& evidence,
-                                                std::size_t query,
-                                                std::size_t num_samples,
-                                                Rng& rng);
-
-/// Approximate posterior via Gibbs sampling: `num_samples` sweeps over
-/// the hidden variables after `burn_in` discarded sweeps, resampling
-/// each hidden variable from its full conditional (its Markov blanket).
-/// More robust than likelihood weighting under unlikely evidence.
-Result<std::vector<double>> GibbsSampling(const BayesianNetwork& net,
-                                          const Evidence& evidence,
-                                          std::size_t query,
-                                          std::size_t num_samples,
-                                          std::size_t burn_in, Rng& rng);
 
 }  // namespace bayescrowd
 

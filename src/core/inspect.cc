@@ -91,7 +91,8 @@ bool SkipKey(const std::string& key) {
   // Wall-clock fields and the one wall-clock-dependent solver count are
   // machine-dependent; simulated clocks (deterministic) stay in. Lane
   // usage is scheduling-dependent even on identical seeds, so it is
-  // skipped the same way `normalize --strip-lanes` drops it.
+  // skipped the same way `normalize` drops it (and the pool size the way
+  // `normalize --strip-lanes` does).
   const bool is_seconds =
       key.size() >= 7 && key.compare(key.size() - 7, 7, "seconds") == 0;
   if (is_seconds && key.find("sim") == std::string::npos) return true;

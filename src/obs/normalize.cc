@@ -28,11 +28,8 @@ JsonValue Normalize(const JsonValue& v, const std::string& key,
     case JsonValue::Kind::kObject: {
       JsonValue out = JsonValue::Object();
       for (const auto& [k, member] : v.members()) {
-        if (options.strip_lane_usage &&
-            (k == "lanes" || k == "threads" ||
-             StartsWith(k, "pool.lane"))) {
-          continue;
-        }
+        if (k == "lanes" || StartsWith(k, "pool.lane")) continue;
+        if (options.strip_lane_usage && k == "threads") continue;
         // "recovery." only matches dotted metric names; the payload's
         // "recovery" object (deterministic totals) is kept.
         if (options.strip_resume_markers && StartsWith(k, "recovery.")) {

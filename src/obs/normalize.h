@@ -2,10 +2,14 @@
 // that legitimately differ between two runs of the same query so
 // everything else can be compared byte-for-byte.
 //
-// Three classes of noise, each behind its own switch:
+// Thread-pool lane tallies (the "lanes" array and "pool.lane*" metric
+// keys) are always dropped: which lane ran which task depends on the
+// scheduler, so two runs of one query on a multi-core host disagree
+// there even at the same thread count, and a resumed process only
+// worked the post-resume rounds. Three more classes of noise each sit
+// behind their own switch:
 //   - wall-clock durations (machine-dependent),
-//   - thread-pool lane usage (scheduling-dependent, and a resumed
-//     process only worked the post-resume rounds),
+//   - the pool size ("threads"), for diffing runs of different widths,
 //   - resume markers (a recovered run says so; the reference doesn't).
 // Simulated clocks ("*_sim_seconds") are deterministic and always
 // survive untouched.
@@ -24,11 +28,8 @@ struct NormalizeOptions {
   /// cap fired is machine-dependent; what it degraded *to* is not).
   bool zero_wall_clock = true;
 
-  /// Drop the "lanes" array, "pool.lane*" metric keys, and the
-  /// "threads" option: per-lane task counts depend on scheduling and on
-  /// where a resumed process picked up, not on the query, and stripping
-  /// the pool size too lets a 1-thread run diff byte-for-byte against
-  /// an 8-thread run of the same query.
+  /// Drop the "threads" option, so a 1-thread run diffs byte-for-byte
+  /// against an 8-thread run of the same query.
   bool strip_lane_usage = false;
 
   /// Zero the "resumed" flag and drop "recovery."-prefixed metric keys

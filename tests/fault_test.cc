@@ -258,13 +258,12 @@ TEST(FaultRecoveryTest, DeadlineCapsAttemptsPerRound) {
 // ------------------------------------------------------------------ //
 
 // Telemetry normalization lives in obs/normalize.h; the default
-// options zero exactly the wall-clock durations (keys ending in
-// "seconds" without "sim" in the name). Simulated clocks are
-// deterministic and survive the diff untouched.
+// options zero the wall-clock durations (keys ending in "seconds"
+// without "sim" in the name) and drop the per-lane pool tallies.
+// Simulated clocks are deterministic and survive the diff untouched.
 
 TEST(FaultRecoveryTest, GoldenReplayReproducesRecoveryPathAndTelemetry) {
-  // Record a faulted run. threads = 1 keeps the lane bookkeeping (the
-  // only thread-count-dependent telemetry) identical across runs.
+  // Record a faulted run.
   const Table incomplete = FaultDataset();
   const BayesCrowdOptions options = FaultRunOptions(1);
   UniformPosteriorProvider posteriors(incomplete.schema());

@@ -1,11 +1,13 @@
 // Property tests for Bayesian-network inference: on random small
 // networks, variable elimination must match brute-force enumeration
-// exactly, and the samplers must converge to it.
+// exactly, and must read no evidence beyond the query's observed
+// moral-graph boundary.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <functional>
+#include <set>
 
 #include "bayesnet/inference.h"
 #include "bayesnet/network.h"
@@ -102,39 +104,124 @@ TEST_P(RandomNetworkTest, VariableEliminationIsExact) {
   }
 }
 
-TEST_P(RandomNetworkTest, SamplersConvergeToExact) {
-  const BayesianNetwork net = RandomNetwork(4, GetParam());
-  const std::size_t query = 0;
-  Evidence evidence;
-  evidence[net.num_nodes() - 1] = 0;
-  const auto exact = VariableElimination(net, evidence, query);
-  ASSERT_TRUE(exact.ok());
-
-  Rng lw_rng(GetParam() ^ 0xAA);
-  const auto lw =
-      LikelihoodWeighting(net, evidence, query, 40000, lw_rng);
-  ASSERT_TRUE(lw.ok());
-  Rng gibbs_rng(GetParam() ^ 0xBB);
-  const auto gibbs =
-      GibbsSampling(net, evidence, query, 40000, 2000, gibbs_rng);
-  ASSERT_TRUE(gibbs.ok());
-  for (std::size_t v = 0; v < exact->size(); ++v) {
-    EXPECT_NEAR(lw.value()[v], exact.value()[v], 0.03) << "lw v=" << v;
-    EXPECT_NEAR(gibbs.value()[v], exact.value()[v], 0.03)
-        << "gibbs v=" << v;
+// Moral-graph neighbours of `node`: its parents, children and
+// children's other parents.
+std::set<std::size_t> MoralNeighbours(const Dag& dag, std::size_t node) {
+  std::set<std::size_t> out(dag.parents(node).begin(),
+                            dag.parents(node).end());
+  for (std::size_t child : dag.children(node)) {
+    out.insert(child);
+    out.insert(dag.parents(child).begin(), dag.parents(child).end());
   }
+  out.erase(node);
+  return out;
+}
+
+// The query's connected component among unobserved nodes of the moral
+// graph, and the observed nodes adjacent to it. The posterior depends on
+// the evidence on the boundary only.
+struct Region {
+  std::set<std::size_t> component;
+  std::set<std::size_t> boundary;
+};
+
+Region RegionOf(const Dag& dag, const Evidence& evidence, std::size_t query) {
+  Region region;
+  region.component.insert(query);
+  std::vector<std::size_t> stack = {query};
+  while (!stack.empty()) {
+    const std::size_t v = stack.back();
+    stack.pop_back();
+    for (std::size_t u : MoralNeighbours(dag, v)) {
+      if (evidence.count(u) > 0) {
+        region.boundary.insert(u);
+      } else if (region.component.insert(u).second) {
+        stack.push_back(u);
+      }
+    }
+  }
+  return region;
+}
+
+TEST_P(RandomNetworkTest, EvidenceBeyondTheBoundaryLeavesBitsUnchanged) {
+  const BayesianNetwork net = RandomNetwork(7, GetParam());
+  const Dag& dag = net.structure();
+  const std::size_t d = net.num_nodes();
+  Rng rng(GetParam() ^ 0x5151);
+  const auto random_level = [&](std::size_t v) {
+    return static_cast<Level>(rng.NextBelow(
+        static_cast<std::uint64_t>(net.schema().domain_size(v))));
+  };
+  bool saw_observed_blanket = false;
+  bool saw_wide_component = false;
+  for (int round = 0; round < 6; ++round) {
+    const std::size_t query = rng.NextBelow(d);
+    // Evidence patterns: every other node observed (a fully observed
+    // Markov blanket); the query's two-hop neighbourhood left open (an
+    // unobserved component of several nodes); a random half observed.
+    for (int pattern = 0; pattern < 3; ++pattern) {
+      std::set<std::size_t> open = {query};
+      if (pattern == 1) {
+        for (std::size_t u : MoralNeighbours(dag, query)) {
+          open.insert(u);
+          const std::set<std::size_t> second = MoralNeighbours(dag, u);
+          open.insert(second.begin(), second.end());
+        }
+      }
+      Evidence evidence;
+      for (std::size_t v = 0; v < d; ++v) {
+        if (open.count(v) > 0 || (pattern == 2 && rng.NextBool(0.5))) {
+          continue;
+        }
+        evidence[v] = random_level(v);
+      }
+      const Region region = RegionOf(dag, evidence, query);
+      saw_observed_blanket |= region.component.size() == 1 &&
+                              !region.boundary.empty();
+      saw_wide_component |= region.component.size() >= 3;
+
+      const auto base = VariableElimination(net, evidence, query);
+      ASSERT_TRUE(base.ok()) << base.status();
+      const auto brute = BruteForce(net, evidence, query);
+      for (std::size_t v = 0; v < brute.size(); ++v) {
+        EXPECT_NEAR(base.value()[v], brute[v], 1e-9);
+      }
+
+      // Add, remove or change evidence everywhere outside the component
+      // and its boundary: the output must not move by a single bit.
+      for (int trial = 0; trial < 4; ++trial) {
+        Evidence moved = evidence;
+        for (std::size_t v = 0; v < d; ++v) {
+          if (region.component.count(v) > 0 || region.boundary.count(v) > 0) {
+            continue;
+          }
+          switch (rng.NextBelow(3)) {
+            case 0:
+              moved.erase(v);
+              break;
+            case 1:
+              moved[v] = random_level(v);
+              break;
+            default:
+              break;
+          }
+        }
+        const auto again = VariableElimination(net, moved, query);
+        ASSERT_TRUE(again.ok()) << again.status();
+        for (std::size_t v = 0; v < brute.size(); ++v) {
+          EXPECT_EQ(again.value()[v], base.value()[v])
+              << "seed=" << GetParam() << " round=" << round
+              << " pattern=" << pattern << " v=" << v;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_observed_blanket);
+  EXPECT_TRUE(saw_wide_component);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomNetworkTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
-
-TEST(GibbsTest, ValidatesInput) {
-  const BayesianNetwork net = RandomNetwork(3, 9);
-  Rng rng(1);
-  EXPECT_FALSE(GibbsSampling(net, {}, 99, 10, 0, rng).ok());
-  EXPECT_FALSE(GibbsSampling(net, {{0, 0}}, 0, 10, 0, rng).ok());
-  EXPECT_FALSE(GibbsSampling(net, {{0, 0}}, 1, 0, 0, rng).ok());
-}
 
 // ------------------------------------------------------------------ //
 // Divide-and-conquer skyline cross-check (three algorithms agree).

@@ -25,6 +25,7 @@
 #include "data/missing.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/normalize.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 
@@ -387,6 +388,32 @@ TEST(TelemetryTest, RunTelemetryJsonRoundTripsResultFields) {
   EXPECT_EQ(static_cast<std::uint64_t>(
                 counters->Find("evaluator.cache.hits")->AsInt()),
             result.cache_hits);
+}
+
+TEST(TelemetryTest, NormalizeAlwaysDropsLaneTallies) {
+  // Which lane ran which task is scheduler noise at any pool width, so
+  // the default normalization drops it; --strip-lanes only adds the
+  // pool size.
+  BayesCrowdOptions options;
+  options.threads = 2;
+  const JsonValue doc =
+      RunTelemetryJson("unit-test", options, RunPipeline(2, nullptr));
+  ASSERT_NE(doc.Find("payload")->Find("lanes"), nullptr);
+  ASSERT_NE(doc.Dump().find("pool.lane"), std::string::npos);
+
+  const JsonValue plain = obs::NormalizeTelemetry(doc);
+  EXPECT_EQ(plain.Find("payload")->Find("lanes"), nullptr);
+  EXPECT_EQ(plain.Dump().find("pool.lane"), std::string::npos);
+  ASSERT_NE(plain.Find("payload")->Find("options")->Find("threads"),
+            nullptr);
+
+  obs::NormalizeOptions strip;
+  strip.strip_lane_usage = true;
+  const JsonValue stripped = obs::NormalizeTelemetry(doc, strip);
+  EXPECT_EQ(stripped.Find("payload")->Find("options")->Find("threads"),
+            nullptr);
+  EXPECT_EQ(stripped.Find("payload")->Find("result")->Dump(),
+            plain.Find("payload")->Find("result")->Dump());
 }
 
 TEST(TelemetryTest, WriteBenchArtifactProducesParseableFile) {

@@ -336,7 +336,9 @@ head -1 "$SMOKE/recover_out.jsonl" | grep -q '"sessions_resumed":3'
 grep -q '"id":"r1".*"exact":true' "$SMOKE/recover_out.jsonl"
 grep -q 'serve_recovery_sessions_resumed 3' "$SMOKE/recover.prom"
 
-echo "== tier-1: crash-safety tests under ASan+UBSan =="
+echo "== tier-1: crash-safety and factor-kernel tests under ASan+UBSan =="
+# The Bayes-net factor kernels step flat indices by raw strides, so their
+# tests ride along with the recovery-path tests.
 cmake -B "$ROOT/build-asan" -S "$ROOT" \
   -DBC_SANITIZE=address,undefined \
   -DBAYESCROWD_BUILD_BENCHMARKS=OFF \
@@ -346,9 +348,10 @@ cmake --build "$ROOT/build-asan" -j "$JOBS" --target checkpoint_test \
   --target governor_test --target compile_test --target obs_test \
   --target attribution_test --target serve_test \
   --target serve_killpoint_test --target quality_test \
-  --target marketplace_test
+  --target marketplace_test --target bayesnet_test \
+  --target inference_property_test
 ctest --test-dir "$ROOT/build-asan" --output-on-failure \
-  -R '(checkpoint_test|killpoint_test|fault_test|differential_test|governor_test|compile_test|obs_test|attribution_test|serve_test|serve_killpoint_test|quality_test|marketplace_test)'
+  -R '(checkpoint_test|killpoint_test|fault_test|differential_test|governor_test|compile_test|obs_test|attribution_test|serve_test|serve_killpoint_test|quality_test|marketplace_test|bayesnet_test|inference_property_test)'
 
 echo "== tier-1: concurrency tests under ThreadSanitizer =="
 cmake -B "$ROOT/build-tsan" -S "$ROOT" \
