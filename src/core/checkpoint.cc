@@ -325,20 +325,13 @@ void SerializeSessionState(const SessionState& state, std::string* out) {
   w.WriteU64(state.answer_log_offset);
   w.WriteString(state.network_blob);
   w.WriteU64(state.config_fingerprint);
-  // v2 fields. v1 payloads ended at the config fingerprint.
   w.WriteU64(state.solver_breakers.size());
   for (const SolverBreakerRecord& b : state.solver_breakers) {
     WriteBreakerRecord(&w, b);
   }
 }
 
-Status DeserializeSessionState(BinReader* reader, SessionState* out,
-                               std::uint32_t version) {
-  if (version == 0 || version > kCheckpointVersion) {
-    return Status::InvalidArgument(StrFormat(
-        "checkpoint: unsupported payload version %u",
-        static_cast<unsigned>(version)));
-  }
+Status DeserializeSessionState(BinReader* reader, SessionState* out) {
   BAYESCROWD_RETURN_NOT_OK(reader->ReadDouble(&out->budget_left));
   BAYESCROWD_RETURN_NOT_OK(ReadSize(reader, &out->consecutive_barren));
   BAYESCROWD_RETURN_NOT_OK(ReadSize(reader, &out->rounds));
@@ -375,25 +368,17 @@ Status DeserializeSessionState(BinReader* reader, SessionState* out,
   BAYESCROWD_RETURN_NOT_OK(ReadSize(reader, &out->answer_log_offset));
   BAYESCROWD_RETURN_NOT_OK(reader->ReadString(&out->network_blob));
   BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&out->config_fingerprint));
-  if (version >= 2) {
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&count, kMinBreakerBytes));
-    out->solver_breakers.resize(count);
-    std::size_t last_object = 0;
-    for (std::size_t i = 0; i < out->solver_breakers.size(); ++i) {
-      SolverBreakerRecord& b = out->solver_breakers[i];
-      BAYESCROWD_RETURN_NOT_OK(ReadBreakerRecord(reader, &b));
-      if (i > 0 && b.object <= last_object) {
-        return Status::OutOfRange(
-            "checkpoint: breaker records not ascending by object");
-      }
-      last_object = b.object;
+  BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&count, kMinBreakerBytes));
+  out->solver_breakers.resize(count);
+  std::size_t last_object = 0;
+  for (std::size_t i = 0; i < out->solver_breakers.size(); ++i) {
+    SolverBreakerRecord& b = out->solver_breakers[i];
+    BAYESCROWD_RETURN_NOT_OK(ReadBreakerRecord(reader, &b));
+    if (i > 0 && b.object <= last_object) {
+      return Status::OutOfRange(
+          "checkpoint: breaker records not ascending by object");
     }
-    // v2 envelopes predate compiled-circuit artifacts; their blobs are
-    // format 2 (graded intervals, no artifact appendix).
-    out->evaluator_blob_format = version == 2 ? 2 : kMemoStateFormat;
-  } else {
-    out->solver_breakers.clear();
-    out->evaluator_blob_format = 1;  // Pre-governor point-probability blobs.
+    last_object = b.object;
   }
   if (!reader->AtEnd()) {
     return Status::OutOfRange(
@@ -414,8 +399,7 @@ std::string WrapCheckpoint(const std::string& payload) {
   return out;
 }
 
-Result<std::string> UnwrapCheckpoint(const std::string& file_bytes,
-                                     std::uint32_t* version_out) {
+Result<std::string> UnwrapCheckpoint(const std::string& file_bytes) {
   constexpr std::size_t kHeaderBytes = 4 + 4 + 8;  // magic+version+size.
   if (file_bytes.size() < kHeaderBytes + 4) {
     return Status::IOError("checkpoint corrupt: file too short");
@@ -428,14 +412,13 @@ Result<std::string> UnwrapCheckpoint(const std::string& file_bytes,
   std::uint64_t payload_size = 0;
   BAYESCROWD_RETURN_NOT_OK(r.ReadU32(&version));
   BAYESCROWD_RETURN_NOT_OK(r.ReadU64(&payload_size));
-  if (version == 0 || version > kCheckpointVersion) {
+  if (version != kCheckpointVersion) {
     return Status::InvalidArgument(StrFormat(
         "checkpoint version %u is %s than this build supports (%u)",
         static_cast<unsigned>(version),
         version > kCheckpointVersion ? "newer" : "older",
         static_cast<unsigned>(kCheckpointVersion)));
   }
-  if (version_out != nullptr) *version_out = version;
   if (file_bytes.size() != kHeaderBytes + payload_size + 4) {
     return Status::IOError("checkpoint corrupt: truncated payload");
   }
@@ -523,13 +506,11 @@ Result<SessionState> CheckpointStore::LoadLatest(
     const auto attempt = [&]() -> Result<SessionState> {
       BAYESCROWD_ASSIGN_OR_RETURN(const std::string bytes,
                                   options_.io->ReadFile(path));
-      std::uint32_t version = 0;
       BAYESCROWD_ASSIGN_OR_RETURN(const std::string payload,
-                                  UnwrapCheckpoint(bytes, &version));
+                                  UnwrapCheckpoint(bytes));
       SessionState state;
       BinReader reader(payload);
-      BAYESCROWD_RETURN_NOT_OK(
-          DeserializeSessionState(&reader, &state, version));
+      BAYESCROWD_RETURN_NOT_OK(DeserializeSessionState(&reader, &state));
       if (state.answer_log_offset > max_valid_log_entries) {
         return Status::FailedPrecondition(StrFormat(
             "checkpoint %s references %zu answer-log entries but only "

@@ -4,8 +4,8 @@
 //
 // A checkpoint captures everything Run() needs to continue a session
 // bit-identically: per-object conditions, the knowledge base's facts,
-// the evaluator's memo cache and RNG stream, budget/refund and retry
-// accumulators, per-round logs, the metrics snapshot, and the crowd
+// the evaluator's memo cache and compiled circuits, budget/refund and
+// retry accumulators, per-round logs, the metrics snapshot, and the crowd
 // platform's own serialized state (simulator RNG, fault injector,
 // worker-quality counters). The answer-log offset ties each snapshot to
 // the durable answer log: recovery replays the log tail past the
@@ -16,7 +16,7 @@
 // of several resident sessions — numbered by round count):
 //
 //   "BCKP"  magic, 4 bytes
-//   u32     format version (little-endian); currently 1
+//   u32     format version (little-endian); currently 4
 //   u64     payload size in bytes
 //   payload SerializeSessionState bytes
 //   u32     CRC-32 (IEEE 802.3) of the payload
@@ -45,14 +45,11 @@
 
 namespace bayescrowd {
 
-/// Checkpoint format version written by this build. Readers accept
-/// this version and every older one (v1 files load with governor-era
-/// fields defaulted); a newer file fails with a clear error instead of
-/// a misparse. Version history:
-///   1  pre-governor sessions (point-probability memo blobs)
-///   2  + solver circuit-breaker records, interval memo blobs
-///   3  memo blobs carry compiled-circuit artifacts (format 3)
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+/// Checkpoint format version written by this build, and the only one
+/// it reads: any other version fails with a clear "older"/"newer"
+/// error instead of a misparse. Versions 1–3 were pre-release layouts;
+/// change the payload or the memo blob only by bumping this.
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 /// Everything Run() snapshots at a round boundary. Field order here is
 /// the serialization order; extend only by bumping kCheckpointVersion.
@@ -102,33 +99,22 @@ struct SessionState {
   /// Resume refuses a checkpoint whose fingerprint mismatches.
   std::uint64_t config_fingerprint = 0;
 
-  // -- v2 fields ---------------------------------------------------- //
   /// Per-object solver circuit breakers, ascending object id (empty on
-  /// ungoverned runs and in every v1 checkpoint).
+  /// ungoverned runs).
   std::vector<SolverBreakerRecord> solver_breakers;
-
-  /// Layout of `evaluator_blob`. Not serialized: the loader derives it
-  /// from the envelope version (v1 payloads carry format-1 blobs), and
-  /// Run() passes it to ProbabilityEvaluator::RestoreMemoState.
-  std::uint32_t evaluator_blob_format = kMemoStateFormat;
 };
 
 /// Payload (de)serialization. Deserialize validates counts and enum
 /// ranges, returning OutOfRange/InvalidArgument on anything truncated
-/// or out of domain. `version` is the envelope version the payload was
-/// written under; v1 payloads stop before the v2 fields and load with
-/// them defaulted (no breakers, format-1 evaluator blob).
+/// or out of domain.
 void SerializeSessionState(const SessionState& state, std::string* out);
-Status DeserializeSessionState(BinReader* reader, SessionState* out,
-                               std::uint32_t version = kCheckpointVersion);
+Status DeserializeSessionState(BinReader* reader, SessionState* out);
 
 /// Wraps a payload in the checksummed envelope / validates and strips
 /// it. Unwrap fails with IOError on magic/CRC/truncation damage and
-/// InvalidArgument on version 0 or one newer than kCheckpointVersion;
-/// the accepted version is reported through `version` (may be null).
+/// InvalidArgument on any version other than kCheckpointVersion.
 std::string WrapCheckpoint(const std::string& payload);
-Result<std::string> UnwrapCheckpoint(const std::string& file_bytes,
-                                     std::uint32_t* version = nullptr);
+Result<std::string> UnwrapCheckpoint(const std::string& file_bytes);
 
 /// Where Run() hands finished round boundaries. Implementations
 /// persist the state; a failed Write fails the run (the round itself is

@@ -121,10 +121,6 @@ struct BayesCrowdOptions {
   /// Pr(φ(o)) > answer_threshold (paper: 0.5).
   double answer_threshold = 0.5;
 
-  /// When exact ADPLL exhausts its recursion budget on a pathological
-  /// condition, fall back to sampling instead of failing the query.
-  bool sampling_fallback = true;
-
   /// Per-object solver circuit breaker (active only with a governed
   /// evaluator, `probability.governor`): after this many consecutive
   /// degraded (non-exact) Pr(φ) solves of one object, the round loop
@@ -235,9 +231,9 @@ struct RoundLog {
 };
 
 /// One object's solver circuit-breaker state at a round boundary (see
-/// BayesCrowdOptions::breaker_threshold). Snapshotted into v2
-/// checkpoints so a resumed session skips exactly the solves the
-/// uninterrupted run would have skipped.
+/// BayesCrowdOptions::breaker_threshold). Snapshotted into checkpoints
+/// so a resumed session skips exactly the solves the uninterrupted run
+/// would have skipped.
 struct SolverBreakerRecord {
   std::size_t object = 0;
   /// Condition fingerprint the breaker state refers to; a mismatch at

@@ -62,13 +62,8 @@ Status QueryRunner::Init(const Table& incomplete,
   BAYESCROWD_ASSIGN_OR_RETURN(ctable_,
                               BuildCTable(incomplete, options_.ctable));
 
-  // Attach distributions for every variable the c-table mentions. The
-  // framework-level fallback switch feeds every probability call,
-  // including the marginal-utility computations inside task selection.
-  ProbabilityOptions probability_options = options_.probability;
-  probability_options.sampling_fallback =
-      probability_options.sampling_fallback || options_.sampling_fallback;
-  evaluator_.emplace(probability_options);
+  // Attach distributions for every variable the c-table mentions.
+  evaluator_.emplace(options_.probability);
   ProbabilityEvaluator& evaluator = *evaluator_;
   // Context before binding: BindMetrics resolves the labeled cost
   // instruments, and resolving under the default (s0, adhoc) context
@@ -178,8 +173,7 @@ Status QueryRunner::Init(const Table& incomplete,
           var, knowledge.ConditionDistribution(var, raw)));
     }
     BinReader memo_reader(st.evaluator_blob);
-    BAYESCROWD_RETURN_NOT_OK(evaluator.RestoreMemoState(
-        &memo_reader, st.evaluator_blob_format));
+    BAYESCROWD_RETURN_NOT_OK(evaluator.RestoreMemoState(&memo_reader));
     for (const SolverBreakerRecord& b : st.solver_breakers) {
       breakers_[b.object] = b;
     }
@@ -201,9 +195,8 @@ Status QueryRunner::Init(const Table& incomplete,
     out_.cost_spent = st.cost_spent;
     out_.cost_refunded = st.cost_refunded;
     out_.tasks_unanswered = st.tasks_unanswered;
-    // Not a SessionState field (the envelope is byte-pinned by the v2
-    // golden): the restored metrics snapshot carries the labeled
-    // cost.extra_votes counter, which is the same total.
+    // Not a SessionState field: the restored metrics snapshot carries
+    // the labeled cost.extra_votes counter, which is the same total.
     out_.extra_votes =
         static_cast<std::size_t>(cost_extra_votes_->value());
     out_.retries = st.retries;

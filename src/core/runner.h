@@ -99,8 +99,8 @@ class QueryRunner {
   Result<std::string> ExportMemoState() const;
 
   /// Warm-starts the evaluator from a donated SerializeMemoState blob
-  /// (ProbabilityEvaluator::MergeMemoState semantics: local RNG/epochs
-  /// and existing entries untouched; mismatched stamps are dead weight,
+  /// (ProbabilityEvaluator::MergeMemoState semantics: local epochs and
+  /// existing entries untouched; mismatched stamps are dead weight,
   /// never wrong answers). Returns entries imported. FailedPrecondition
   /// before Init / after stepping began (a mid-session merge would
   /// change the hit/miss sequence checkpoints promise to replay).

@@ -23,18 +23,15 @@ std::uint64_t ConfigFingerprint(const BayesCrowdOptions& options,
   // (never reorder it) when options grow.
   std::string canon = StrFormat(
       "v1|budget=%zu|latency=%zu|threshold=%.17g|confidence=%.17g|"
-      "sampling_fallback=%d|strategy=%d|m=%zu|alpha=%.17g|fastdom=%d|"
-      "method=%d|memoize=%d|pmfallback=%d|fbsamples=%zu|sseed=%llu|"
+      "strategy=%d|m=%zu|alpha=%.17g|fastdom=%d|"
+      "method=%d|memoize=%d|sseed=%llu|"
       "retry=%zu,%.17g,%.17g,%.17g,%.17g,%zu",
       options.budget, options.latency, options.answer_threshold,
       options.confidence_stop_entropy,
-      options.sampling_fallback ? 1 : 0,
       static_cast<int>(options.strategy.kind), options.strategy.m,
       options.ctable.alpha, options.ctable.use_fast_dominators ? 1 : 0,
       static_cast<int>(options.probability.method),
       options.probability.memoize ? 1 : 0,
-      options.probability.sampling_fallback ? 1 : 0,
-      options.probability.fallback_samples,
       static_cast<unsigned long long>(options.probability.sampling_seed),
       options.retry.max_attempts, options.retry.attempt_seconds,
       options.retry.backoff_initial_seconds,

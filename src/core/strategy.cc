@@ -14,6 +14,13 @@ namespace {
 using FrequencyMap =
     std::unordered_map<PackedExpr, std::size_t, PackedExprHash>;
 
+// HHS scores candidates in waves of this many (two counterfactuals
+// each). A constant, not the pool width: the wave decides how far past
+// the m-window stop point scoring runs, so sizing it to the pool would
+// make cache traffic, ADPLL calls and cost units depend on the thread
+// count.
+constexpr std::size_t kHhsWave = 4;
+
 // Distinct expressions of a condition, first-appearance order.
 std::vector<Expression> DistinctExpressions(const Condition& condition) {
   std::vector<Expression> out;
@@ -153,21 +160,17 @@ Result<std::vector<Task>> SelectTasks(const CTable& ctable,
       case StrategyKind::kHhs: {
         // Algorithm 4, lines 10-22: frequency order, stop after m
         // consecutive expressions without utility improvement. Gains are
-        // computed in waves sized to the evaluator's pool; the stopping
-        // scan replays in order, so the selection matches the sequential
-        // code exactly (a wave may merely score a few candidates past
-        // the stop point).
+        // computed in kHhsWave-sized waves; the stopping scan replays in
+        // order, so the selection matches the sequential code exactly (a
+        // wave may merely score a few candidates past the stop point).
         const std::vector<Expression> eligible =
             ConflictFreeCandidates(candidates, batch);
-        ThreadPool* pool = evaluator.thread_pool();
-        const std::size_t wave =
-            std::max<std::size_t>(pool == nullptr ? 1 : pool->size(), 1);
         double best_gain = -1.0;
         std::size_t since_improvement = 0;
         for (std::size_t start = 0; start < eligible.size();
-             start += wave) {
+             start += kHhsWave) {
           const std::size_t end =
-              std::min(start + wave, eligible.size());
+              std::min(start + kHhsWave, eligible.size());
           const std::vector<Expression> chunk(
               eligible.begin() + static_cast<std::ptrdiff_t>(start),
               eligible.begin() + static_cast<std::ptrdiff_t>(end));

@@ -26,19 +26,10 @@ Result<double> MarginalUtility(const Condition& condition, double p_o,
                                const Expression& e,
                                ProbabilityEvaluator& evaluator,
                                bool pessimistic) {
-  BAYESCROWD_ASSIGN_OR_RETURN(const double p_e, evaluator.Probability(e));
-
-  const Condition if_true = FixExpression(condition, e, true);
-  const Condition if_false = FixExpression(condition, e, false);
-  BAYESCROWD_ASSIGN_OR_RETURN(const ProbInterval p_true,
-                              evaluator.ProbabilityInterval(if_true));
-  BAYESCROWD_ASSIGN_OR_RETURN(const ProbInterval p_false,
-                              evaluator.ProbabilityInterval(if_false));
-
-  const double expected =
-      p_e * BinaryEntropy(EntropyPoint(p_true, pessimistic)) +
-      (1.0 - p_e) * BinaryEntropy(EntropyPoint(p_false, pessimistic));
-  return BinaryEntropy(p_o) - expected;
+  BAYESCROWD_ASSIGN_OR_RETURN(
+      const std::vector<double> gains,
+      MarginalUtilities(condition, p_o, {e}, evaluator, pessimistic));
+  return gains.front();
 }
 
 Result<std::vector<double>> MarginalUtilities(

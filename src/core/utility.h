@@ -28,7 +28,7 @@ Condition FixExpression(const Condition& condition, const Expression& e,
 /// intervals; entropies are taken at the midpoint, or — when
 /// `pessimistic` — at the interval's point nearest 1/2 (see
 /// PessimisticPoint), making poorly-solved counterfactuals look
-/// maximally uncertain.
+/// maximally uncertain. A one-candidate MarginalUtilities call.
 Result<double> MarginalUtility(const Condition& condition, double p_o,
                                const Expression& e,
                                ProbabilityEvaluator& evaluator,
@@ -37,8 +37,8 @@ Result<double> MarginalUtility(const Condition& condition, double p_o,
 /// G(o, e) for every candidate expression at once: the 2·n
 /// counterfactual conditions (e fixed true / fixed false) go through the
 /// evaluator's batch API, so they are memoized across rounds and fanned
-/// over its thread pool. gains[i] aligns with candidates[i]; identical
-/// to calling MarginalUtility per candidate, for any thread count.
+/// over its thread pool. gains[i] aligns with candidates[i], for any
+/// thread count.
 Result<std::vector<double>> MarginalUtilities(
     const Condition& condition, double p_o,
     const std::vector<Expression>& candidates,

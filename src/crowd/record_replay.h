@@ -46,9 +46,9 @@ struct AnswerLogEntry {
   Ordering relation = Ordering::kEqual;
   std::size_t round = 0;  // 1-based round the event arrived in.
 
-  /// Per-vote provenance (log format v3): worker id, raw answer, and
-  /// work time for every vote bought on the task. Empty for platforms
-  /// that only report aggregates and for v1/v2 logs.
+  /// Per-vote provenance: worker id, raw answer, and work time for
+  /// every vote bought on the task. Empty for platforms that only
+  /// report aggregates.
   std::vector<VoteRecord> votes;
 };
 
@@ -62,11 +62,11 @@ struct AnswerLog {
 ///   vv <obj> <attr> <op> <obj2> <attr2> <relation> <round> [vote...]
 ///   fail <round>
 /// Relation `a` marks an abstained (unanswered) task; a `fail` line
-/// marks a transient whole-batch failure. Each optional vote token (log
-/// format v3) is `<worker>:<relation: l|e|g>:<work_ms>` — the raw
-/// per-worker vote and its integer-millisecond work time, in the order
-/// the votes were bought. v1 logs (answers only) and v2 logs (no vote
-/// tokens) parse unchanged.
+/// marks a transient whole-batch failure. Each optional vote token is
+/// `<worker>:<relation: l|e|g>:<work_ms>` — the raw per-worker vote and
+/// its integer-millisecond work time, in the order the votes were
+/// bought. The file starts with a `# bayescrowd answer log v3` comment
+/// line; `#` lines are skipped on read.
 std::string SerializeAnswerLogEntry(const AnswerLogEntry& entry);
 std::string SerializeAnswerLog(const AnswerLog& log);
 Result<AnswerLog> ParseAnswerLog(const std::string& text);
@@ -91,7 +91,7 @@ class AnswerLogSink {
   virtual Status Append(const std::vector<AnswerLogEntry>& entries) = 0;
 };
 
-/// Appends entries to a v3 answer-log file, fflush+fsync per batch. The
+/// Appends entries to an answer-log file, fflush+fsync per batch. The
 /// first `already_durable` entries offered are skipped — on resume the
 /// recorder re-records the replayed transcript, which is already in the
 /// file.

@@ -4,7 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "common/string_util.h"
 #include "obs/trace.h"
 
 namespace bayescrowd {
@@ -253,8 +252,6 @@ void ProbabilityEvaluator::Insert(const ConditionFingerprint& fingerprint,
 
 void ProbabilityEvaluator::SerializeMemoState(std::string* out) const {
   BinWriter w(out);
-  for (const std::uint64_t word : rng_.SaveState()) w.WriteU64(word);
-
   // Sort every map before writing so the blob is canonical: two
   // processes that reached the same logical state emit identical bytes
   // regardless of hash-table iteration order.
@@ -296,8 +293,8 @@ void ProbabilityEvaluator::SerializeMemoState(std::string* out) const {
     w.WriteU64(epoch);
   }
 
-  // Format-3 appendix: compiled artifacts and the compile-refusal set,
-  // both fingerprint-sorted for canonical bytes. A resumed session then
+  // Compiled artifacts and the compile-refusal set, both
+  // fingerprint-sorted for canonical bytes. A resumed session then
   // re-evaluates circuits immediately instead of re-solving (and
   // re-compiling) every condition once per resume.
   std::vector<std::pair<ConditionFingerprint, const CompiledCircuit*>>
@@ -329,212 +326,134 @@ void ProbabilityEvaluator::SerializeMemoState(std::string* out) const {
   }
 }
 
-Status ProbabilityEvaluator::RestoreMemoState(BinReader* reader,
-                                              std::uint32_t format) {
-  if (format == 0 || format > kMemoStateFormat) {
-    return Status::InvalidArgument(
-        StrFormat("unsupported memo-state format %u",
-                  static_cast<unsigned>(format)));
-  }
-  std::array<std::uint64_t, 4> rng_state{};
-  for (std::uint64_t& word : rng_state) {
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&word));
-  }
-  rng_.LoadState(rng_state);
+// Every section keeps the blob's (sorted) order.
+struct ProbabilityEvaluator::MemoBlob {
+  std::vector<std::pair<ConditionFingerprint, CacheEntry>> entries;
+  std::vector<std::pair<PackedVar, std::vector<ConditionFingerprint>>> index;
+  std::vector<std::pair<PackedVar, std::uint64_t>> epochs;
+  std::uint64_t circuit_store_tag = 0;
+  std::vector<
+      std::pair<ConditionFingerprint, std::unique_ptr<const CompiledCircuit>>>
+      circuits;
+  std::vector<ConditionFingerprint> circuit_failed;
+};
 
-  cache_.clear();
-  var_index_.clear();
-  var_epoch_.clear();
-  circuits_.clear();
-  circuit_failed_.clear();
-  circuit_store_tag_ = 0;
-
+Status ProbabilityEvaluator::DecodeMemoState(BinReader* reader,
+                                             MemoBlob* out) {
+  const auto read_fingerprint = [reader](ConditionFingerprint* fingerprint) {
+    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint->first));
+    return reader->ReadU64(&fingerprint->second);
+  };
   std::uint64_t n = 0;
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&n, 32));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    ConditionFingerprint fingerprint;
-    CacheEntry entry;
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.first));
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.second));
-    if (format == 1) {
-      // Pre-governor blobs hold exact point probabilities under tag-0
-      // stamps; the inert governor's tag is also 0, so they stay live.
-      double probability = 0.0;
-      BAYESCROWD_RETURN_NOT_OK(reader->ReadDouble(&probability));
-      entry.interval = ProbInterval::Exact(probability);
-    } else {
-      std::uint8_t quality = 0;
-      BAYESCROWD_RETURN_NOT_OK(reader->ReadDouble(&entry.interval.lo));
-      BAYESCROWD_RETURN_NOT_OK(reader->ReadDouble(&entry.interval.hi));
-      BAYESCROWD_RETURN_NOT_OK(reader->ReadU8(&quality));
-      if (quality > static_cast<std::uint8_t>(ProbQuality::kUnknown)) {
-        return Status::InvalidArgument("memo state: bad ProbQuality");
-      }
-      entry.interval.quality = static_cast<ProbQuality>(quality);
+  // Entry: fingerprint 16 + lo 8 + hi 8 + grade 1 + stamp 8 bytes.
+  BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&n, 41));
+  out->entries.resize(n);
+  for (auto& [fingerprint, entry] : out->entries) {
+    std::uint8_t quality = 0;
+    BAYESCROWD_RETURN_NOT_OK(read_fingerprint(&fingerprint));
+    BAYESCROWD_RETURN_NOT_OK(reader->ReadDouble(&entry.interval.lo));
+    BAYESCROWD_RETURN_NOT_OK(reader->ReadDouble(&entry.interval.hi));
+    BAYESCROWD_RETURN_NOT_OK(reader->ReadU8(&quality));
+    if (quality > static_cast<std::uint8_t>(ProbQuality::kUnknown)) {
+      return Status::InvalidArgument("memo state: bad ProbQuality");
     }
+    entry.interval.quality = static_cast<ProbQuality>(quality);
     BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&entry.stamp));
-    cache_.emplace(fingerprint, entry);
   }
 
   BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&n, 16));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::uint64_t var = 0;
+  out->index.resize(n);
+  for (auto& [var, fingerprints] : out->index) {
     std::uint64_t count = 0;
     BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&var));
     BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&count, 16));
-    std::vector<ConditionFingerprint> fingerprints;
-    fingerprints.reserve(count);
-    for (std::uint64_t k = 0; k < count; ++k) {
-      ConditionFingerprint fingerprint;
-      BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.first));
-      BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.second));
-      fingerprints.push_back(fingerprint);
+    fingerprints.resize(count);
+    for (ConditionFingerprint& fingerprint : fingerprints) {
+      BAYESCROWD_RETURN_NOT_OK(read_fingerprint(&fingerprint));
     }
-    var_index_.emplace(var, std::move(fingerprints));
   }
 
   BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&n, 16));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::uint64_t var = 0;
-    std::uint64_t epoch = 0;
+  out->epochs.resize(n);
+  for (auto& [var, epoch] : out->epochs) {
     BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&var));
     BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&epoch));
-    var_epoch_.emplace(var, epoch);
   }
-  if (format < 3) return Status::OK();
 
-  CircuitStats restored;
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&circuit_store_tag_));
+  BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&out->circuit_store_tag));
   BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&n, 24));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    ConditionFingerprint fingerprint;
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.first));
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.second));
+  out->circuits.resize(n);
+  for (auto& [fingerprint, circuit] : out->circuits) {
+    BAYESCROWD_RETURN_NOT_OK(read_fingerprint(&fingerprint));
     std::string blob;
     BAYESCROWD_RETURN_NOT_OK(reader->ReadString(&blob));
-    auto circuit = std::make_unique<CompiledCircuit>();
+    auto decoded = std::make_unique<CompiledCircuit>();
     BinReader cr(blob);
-    BAYESCROWD_RETURN_NOT_OK(CompiledCircuit::Deserialize(&cr, circuit.get()));
-    circuits_.emplace(fingerprint, std::move(circuit));
-    ++restored.restored;
+    BAYESCROWD_RETURN_NOT_OK(CompiledCircuit::Deserialize(&cr, decoded.get()));
+    circuit = std::move(decoded);
   }
 
   BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&n, 16));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    ConditionFingerprint fingerprint;
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.first));
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.second));
-    circuit_failed_.insert(fingerprint);
+  out->circuit_failed.resize(n);
+  for (ConditionFingerprint& fingerprint : out->circuit_failed) {
+    BAYESCROWD_RETURN_NOT_OK(read_fingerprint(&fingerprint));
   }
-  AddCircuitStats(restored);
   return Status::OK();
 }
 
-Result<std::size_t> ProbabilityEvaluator::MergeMemoState(
-    BinReader* reader, std::uint32_t format) {
-  if (format == 0 || format > kMemoStateFormat) {
-    return Status::InvalidArgument(
-        StrFormat("unsupported memo-state format %u",
-                  static_cast<unsigned>(format)));
-  }
-  // The donor's RNG position belongs to the donor's sampling stream;
-  // read past it, keep our own.
-  std::array<std::uint64_t, 4> rng_state{};
-  for (std::uint64_t& word : rng_state) {
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&word));
-  }
+Status ProbabilityEvaluator::RestoreMemoState(BinReader* reader) {
+  MemoBlob blob;
+  BAYESCROWD_RETURN_NOT_OK(DecodeMemoState(reader, &blob));
+  cache_.clear();
+  var_index_.clear();
+  circuits_.clear();
+  circuit_failed_.clear();
+  var_epoch_.clear();
+  var_epoch_.insert(blob.epochs.begin(), blob.epochs.end());
+  MergeMemoBlob(&blob);
+  return Status::OK();
+}
 
+Result<std::size_t> ProbabilityEvaluator::MergeMemoState(BinReader* reader) {
+  MemoBlob blob;
+  BAYESCROWD_RETURN_NOT_OK(DecodeMemoState(reader, &blob));
+  return MergeMemoBlob(&blob);
+}
+
+std::size_t ProbabilityEvaluator::MergeMemoBlob(MemoBlob* blob) {
   std::size_t imported = 0;
-  std::uint64_t n = 0;
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&n, 32));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    ConditionFingerprint fingerprint;
-    CacheEntry entry;
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.first));
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.second));
-    if (format == 1) {
-      double probability = 0.0;
-      BAYESCROWD_RETURN_NOT_OK(reader->ReadDouble(&probability));
-      entry.interval = ProbInterval::Exact(probability);
-    } else {
-      std::uint8_t quality = 0;
-      BAYESCROWD_RETURN_NOT_OK(reader->ReadDouble(&entry.interval.lo));
-      BAYESCROWD_RETURN_NOT_OK(reader->ReadDouble(&entry.interval.hi));
-      BAYESCROWD_RETURN_NOT_OK(reader->ReadU8(&quality));
-      if (quality > static_cast<std::uint8_t>(ProbQuality::kUnknown)) {
-        return Status::InvalidArgument("memo state: bad ProbQuality");
-      }
-      entry.interval.quality = static_cast<ProbQuality>(quality);
-    }
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&entry.stamp));
+  for (const auto& [fingerprint, entry] : blob->entries) {
     if (cache_.emplace(fingerprint, entry).second) ++imported;
   }
 
-  // Variable index: append the donor's fingerprints so imported
-  // entries still evict when one of their variables re-conditions.
-  // Duplicates are tolerated by eviction (and bounded — one merge per
-  // session create).
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&n, 16));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::uint64_t var = 0;
-    std::uint64_t count = 0;
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&var));
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&count, 16));
+  // Variable index: append the blob's fingerprints so imported entries
+  // still evict when one of their variables re-conditions. Duplicates
+  // are tolerated by eviction (and bounded — one merge per session
+  // create).
+  for (const auto& [var, fingerprints] : blob->index) {
     std::vector<ConditionFingerprint>& slot = var_index_[var];
-    for (std::uint64_t k = 0; k < count; ++k) {
-      ConditionFingerprint fingerprint;
-      BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.first));
-      BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.second));
-      slot.push_back(fingerprint);
-    }
+    slot.insert(slot.end(), fingerprints.begin(), fingerprints.end());
   }
 
-  // Donor epochs are *not* adopted: stamps validate against the local
-  // epochs, so entries the donor computed under moved epochs simply
-  // never hit. Read past the section.
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&n, 16));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::uint64_t var = 0;
-    std::uint64_t epoch = 0;
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&var));
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&epoch));
-  }
-  if (format < 3) return imported;
-
-  // Circuits carry the donor's store tag. An empty local store adopts
-  // the donor's tag wholesale; a populated store only accepts a
-  // matching tag. Either way the first governed evaluation re-checks
-  // the tag (SyncCircuitStore) and drops a mismatched store, so an
+  // Circuits carry the blob's store tag. An empty local store adopts
+  // the tag wholesale; a populated store only accepts a matching tag.
+  // Either way the first governed evaluation re-checks the tag
+  // (SyncCircuitStore) and drops a mismatched store, so an
   // adopted-but-wrong tag costs the artifacts, never correctness.
-  std::uint64_t donor_tag = 0;
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&donor_tag));
   const bool adopt = circuits_.empty() && circuit_failed_.empty();
-  const bool accept = adopt || donor_tag == circuit_store_tag_;
+  if (!adopt && blob->circuit_store_tag != circuit_store_tag_) {
+    return imported;
+  }
+  circuit_store_tag_ = blob->circuit_store_tag;
   CircuitStats restored;
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&n, 24));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    ConditionFingerprint fingerprint;
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.first));
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.second));
-    std::string blob;
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadString(&blob));
-    if (!accept || circuits_.size() >= kMaxCircuits) continue;
-    auto circuit = std::make_unique<CompiledCircuit>();
-    BinReader cr(blob);
-    BAYESCROWD_RETURN_NOT_OK(
-        CompiledCircuit::Deserialize(&cr, circuit.get()));
+  for (auto& [fingerprint, circuit] : blob->circuits) {
+    if (circuits_.size() >= kMaxCircuits) break;
     if (circuits_.emplace(fingerprint, std::move(circuit)).second) {
       ++restored.restored;
     }
   }
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&n, 16));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    ConditionFingerprint fingerprint;
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.first));
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&fingerprint.second));
-    if (accept) circuit_failed_.insert(fingerprint);
-  }
-  if (adopt && accept) circuit_store_tag_ = donor_tag;
+  circuit_failed_.insert(blob->circuit_failed.begin(),
+                         blob->circuit_failed.end());
   AddCircuitStats(restored);
   return imported;
 }
@@ -542,38 +461,28 @@ Result<std::size_t> ProbabilityEvaluator::MergeMemoState(
 Result<double> ProbabilityEvaluator::Compute(const Condition& condition,
                                              Rng& rng, AdpllStats* stats,
                                              AdpllScratch* scratch) {
-  Result<double> result = Status::Internal("unknown probability method");
   switch (options_.method) {
     case ProbabilityMethod::kAdpll: {
       BAYESCROWD_TRACE_SPAN("adpll.solve");
-      result = AdpllProbability(condition, dists_, options_.adpll, stats,
-                                scratch);
-      break;
+      return AdpllProbability(condition, dists_, options_.adpll, stats,
+                              scratch);
     }
     case ProbabilityMethod::kNaive:
-      result = NaiveProbability(condition, dists_, options_.naive);
-      break;
+      return NaiveProbability(condition, dists_, options_.naive);
     case ProbabilityMethod::kSampled:
       return SampledProbability(condition, dists_, options_.sampling, rng);
     case ProbabilityMethod::kSampledRaoBlackwell:
       return SampledProbabilityRaoBlackwell(condition, dists_,
                                             options_.sampling, rng);
   }
-  if (!result.ok() && options_.sampling_fallback &&
-      result.status().code() == StatusCode::kResourceExhausted) {
-    SamplingOptions fallback;
-    fallback.num_samples = options_.fallback_samples;
-    return SampledProbability(condition, dists_, fallback, rng);
-  }
-  return result;
+  return Status::Internal("unknown probability method");
 }
 
 Result<ProbInterval> ProbabilityEvaluator::ComputeInterval(
     const Condition& condition, Rng& rng, AdpllStats* stats,
     GovernorTally* tally, AdpllScratch* scratch) {
   if (!options_.governor.enabled()) {
-    // Inert governor: the legacy point-valued path, byte for byte
-    // (including the sampling_fallback behavior), graded kExact.
+    // Inert governor: the plain point-valued method, graded kExact.
     BAYESCROWD_ASSIGN_OR_RETURN(const double p,
                                 Compute(condition, rng, stats, scratch));
     return ProbInterval::Exact(p);
@@ -676,106 +585,9 @@ Result<double> ProbabilityEvaluator::Probability(const Condition& condition) {
 
 Result<ProbInterval> ProbabilityEvaluator::ProbabilityInterval(
     const Condition& condition) {
-  if (condition.IsTrue()) return ProbInterval::Exact(1.0);
-  if (condition.IsFalse()) return ProbInterval::Exact(0.0);
-  ReserveScratch(1);
-  AdpllStats stats;
-  GovernorTally tally;
-  const bool governed = options_.governor.enabled();
-  if (!Memoizable()) {
-    // Governed sampling tiers draw from the per-condition stream so the
-    // sequential and batch paths agree; the legacy path keeps the
-    // shared stream for bit-compatibility.
-    Rng cond_rng =
-        governed ? ConditionRng(condition.Fingerprint()) : Rng(0);
-    Result<ProbInterval> p =
-        ComputeInterval(condition, governed ? cond_rng : rng_, &stats,
-                        &tally, &adpll_scratch_[0]);
-    AddAdpllStats(stats);
-    AddSolverTally(tally);
-    if (p.ok()) {
-      cost_.adpll_nodes[TierIndex(p.value().quality)]->Increment(stats.calls);
-    }
-    return p;
-  }
-
-  const ConditionFingerprint fingerprint = condition.Fingerprint();
-  const auto it = cache_.find(fingerprint);
-  if (it != cache_.end() &&
-      it->second.stamp == (DistStamp(condition) ^ BudgetTag() ^
-                           CompileTag() ^ ScopeTag())) {
-    ins_.cache_hits->Increment();
-    cost_.cache_hits[TierIndex(it->second.interval.quality)]->Increment();
-    return it->second.interval;
-  }
-  ins_.cache_misses->Increment();
-
-  // Compiled fast path: a memo miss whose condition already holds an
-  // artifact replays it under the current posteriors instead of
-  // re-running the solver. The replayed value is bit-identical to what
-  // ADPLL would compute (see circuit.h), so it is graded kExact.
-  const bool compiling = CompileActive();
-  CircuitStats circuit_stats;
-  if (compiling) {
-    SyncCircuitStore(&circuit_stats);
-    const auto cit = circuits_.find(fingerprint);
-    if (cit != circuits_.end()) {
-      Result<double> replay = 0.0;
-      {
-        BAYESCROWD_TRACE_SPAN("circuit.eval");
-        replay = cit->second->Evaluate(dists_, &circuit_scratch_[0]);
-      }
-      if (replay.ok()) {
-        ++circuit_stats.reuses;
-        AddCircuitStats(circuit_stats);
-        if (governed) {
-          ++tally.tier_exact;
-          AddSolverTally(tally);
-        }
-        cost_.replay_ops->Increment(cit->second->nodes.size());
-        cost_.cache_misses[TierIndex(ProbQuality::kExact)]->Increment();
-        const ProbInterval interval = ProbInterval::Exact(replay.value());
-        Insert(fingerprint, condition, interval);
-        return interval;
-      }
-      // Stale artifact (a referenced distribution vanished or changed
-      // arity): drop it, pin the refusal, and use the solver.
-      circuits_.erase(cit);
-      circuit_failed_.insert(fingerprint);
-      ++circuit_stats.fallbacks;
-    }
-  }
-
-  Rng cond_rng = governed ? ConditionRng(fingerprint) : Rng(0);
-  Result<ProbInterval> computed =
-      ComputeInterval(condition, governed ? cond_rng : rng_, &stats,
-                      &tally, &adpll_scratch_[0]);
-  AddAdpllStats(stats);
-  AddSolverTally(tally);
-  if (!computed.ok()) {
-    AddCircuitStats(circuit_stats);
-    return computed.status();
-  }
-  const ProbInterval interval = computed.value();
-  cost_.adpll_nodes[TierIndex(interval.quality)]->Increment(stats.calls);
-  cost_.cache_misses[TierIndex(interval.quality)]->Increment();
-  // Compile after the first exact solve only: a degraded first answer
-  // means the formula is past the governed budget, and its circuit
-  // would disagree with the ladder's graded interval.
-  if (compiling && interval.quality == ProbQuality::kExact &&
-      circuits_.find(fingerprint) == circuits_.end() &&
-      circuit_failed_.find(fingerprint) == circuit_failed_.end()) {
-    std::unique_ptr<const CompiledCircuit> circuit =
-        BuildCircuit(condition, &circuit_stats);
-    if (circuit != nullptr) {
-      StoreCircuit(fingerprint, std::move(circuit), &circuit_stats);
-    } else {
-      circuit_failed_.insert(fingerprint);
-    }
-  }
-  AddCircuitStats(circuit_stats);
-  Insert(fingerprint, condition, interval);
-  return interval;
+  BAYESCROWD_ASSIGN_OR_RETURN(const std::vector<ProbInterval> intervals,
+                              EvaluateBatchIntervals({&condition}));
+  return intervals.front();
 }
 
 Result<std::vector<double>> ProbabilityEvaluator::EvaluateBatch(

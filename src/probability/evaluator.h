@@ -10,11 +10,13 @@
 //    distribution, so SetDistribution() evicts exactly the cached
 //    conditions that mention it (variable-indexed invalidation) and
 //    every other entry keeps serving hits across rounds;
-//  * a batch API (EvaluateAll / EvaluateBatch) that fans the independent
-//    model-counting calls of one round across an optional ThreadPool,
-//    with per-lane AdpllStats merged after the barrier. Results are
-//    written into per-index slots and sampling draws use per-condition
-//    seeds, so outputs are bit-identical for any thread count;
+//  * one evaluation path, EvaluateBatchIntervals, that fans the
+//    independent model-counting calls of one round across an optional
+//    ThreadPool, with per-lane AdpllStats merged after the barrier.
+//    Results are written into per-index slots and sampling draws use
+//    per-condition seeds, so outputs are bit-identical for any thread
+//    count. Every other Pr(φ) entry point (Probability,
+//    ProbabilityInterval, EvaluateBatch, EvaluateAll*) delegates to it;
 //  * a knowledge-compilation layer (circuit.h / compiler.h): the first
 //    exact solve of a condition also compiles its ADPLL trace into a
 //    CompiledCircuit, and later memo misses for the same formula under
@@ -28,11 +30,10 @@
 #define BAYESCROWD_PROBABILITY_EVALUATOR_H_
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
-
-#include <memory>
 
 #include "common/binio.h"
 #include "common/random.h"
@@ -68,21 +69,16 @@ struct ProbabilityOptions {
   SamplingOptions sampling;
   std::uint64_t sampling_seed = 1234;
 
-  /// When an exact method exhausts its resource budget on a
-  /// pathological condition, estimate by Monte-Carlo sampling instead
-  /// of failing.
-  bool sampling_fallback = false;
-  std::size_t fallback_samples = 20'000;
-
   /// Memoize Pr(φ) per condition fingerprint (exact methods only;
   /// sampled estimates are never cached). Disable for ablations.
   bool memoize = true;
 
   /// Resource budgets + degradation ladder for every evaluation (see
   /// governor.h). Inert by default: all solver paths then behave
-  /// byte-identically to a build without the governor. When enabled it
-  /// supersedes `sampling_fallback` for the governed methods — the
-  /// ladder's sampling tier plays that role with an explicit grade.
+  /// byte-identically to a build without the governor, and an exact
+  /// method that exhausts its own limits fails with ResourceExhausted.
+  /// The ladder's partial-bound and sampling tiers are the only way an
+  /// exhausted solve survives, each with an explicit grade.
   GovernorOptions governor;
 
   /// Knowledge compilation of memoized ADPLL solves (see compiler.h).
@@ -105,13 +101,6 @@ struct ProbabilityOptions {
   std::uint64_t cache_scope = 0;
 };
 
-/// Current on-disk format of SerializeMemoState blobs. Format 1 (point
-/// probabilities, pre-governor) and format 2 (graded intervals, no
-/// compile artifacts) are still readable; pass the version recorded
-/// alongside the blob to RestoreMemoState. Format 3 appends the
-/// compiled-circuit artifacts and the compile-refusal set.
-inline constexpr std::uint32_t kMemoStateFormat = 3;
-
 /// Cumulative memo-cache counters (never reset by the evaluator; take
 /// before/after snapshots for per-phase rates).
 struct EvaluatorCacheStats {
@@ -124,7 +113,7 @@ struct EvaluatorCacheStats {
 class ProbabilityEvaluator {
  public:
   explicit ProbabilityEvaluator(ProbabilityOptions options = {})
-      : options_(std::move(options)), rng_(options_.sampling_seed) {
+      : options_(std::move(options)) {
     BindMetrics(nullptr);
   }
 
@@ -147,7 +136,6 @@ class ProbabilityEvaluator {
   /// Optional worker pool for the batch APIs (non-owning; nullptr means
   /// evaluate sequentially on the calling thread).
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
-  ThreadPool* thread_pool() const { return pool_; }
 
   /// Pr(φ) by the configured method (memoized). With a governor
   /// enabled this is the midpoint of ProbabilityInterval().
@@ -155,7 +143,8 @@ class ProbabilityEvaluator {
 
   /// Governed Pr(φ): exact when the budget suffices (lo == hi), a
   /// graded interval otherwise. With the governor inert the result is
-  /// always kExact and numerically identical to Probability().
+  /// always kExact and numerically identical to Probability(). A
+  /// one-element EvaluateBatchIntervals call.
   Result<ProbInterval> ProbabilityInterval(const Condition& condition);
 
   /// Pr(φ) for a batch of conditions, fanned across the thread pool.
@@ -164,10 +153,10 @@ class ProbabilityEvaluator {
   Result<std::vector<double>> EvaluateBatch(
       const std::vector<const Condition*>& conditions);
 
-  /// Interval-valued batch evaluation (the governed primitive the
-  /// double-valued APIs delegate to). Deterministic for any pool size:
-  /// per-index result slots, per-lane stat tallies, per-condition
-  /// sampling streams.
+  /// Interval-valued batch evaluation: the one Pr(φ) path every other
+  /// API delegates to. Deterministic for any pool size: per-index
+  /// result slots, per-lane stat tallies, per-condition sampling
+  /// streams.
   Result<std::vector<ProbInterval>> EvaluateBatchIntervals(
       const std::vector<const Condition*>& conditions);
 
@@ -248,43 +237,55 @@ class ProbabilityEvaluator {
   }
   const GovernorOptions& governor() const { return options_.governor; }
 
-  /// Appends the memo state (sampling RNG position, cache entries with
-  /// their stamps, variable index, distribution epochs) to `out` in a
-  /// canonical binary form, so a resumed session replays the exact
-  /// hit/miss sequence of the uninterrupted run. Distributions are NOT
-  /// included — the caller re-derives them from checkpointed knowledge.
+  /// Appends the memo state (cache entries with their stamps, variable
+  /// index, distribution epochs, compiled artifacts and the
+  /// compile-refusal set) to `out` in a canonical binary form, so a
+  /// resumed session replays the exact hit/miss sequence of the
+  /// uninterrupted run. Distributions are NOT included — the caller
+  /// re-derives them from checkpointed knowledge. There is one layout;
+  /// the checkpoint envelope version pins it.
   void SerializeMemoState(std::string* out) const;
 
-  /// Restores state written by SerializeMemoState. Call after the
-  /// post-resume SetDistribution pass: the imported epochs overwrite the
-  /// setup-time ones, keeping the saved stamps valid. `format` selects
-  /// the blob layout: format-1 blobs (pre-governor checkpoints) load as
-  /// exact point entries.
-  Status RestoreMemoState(BinReader* reader,
-                          std::uint32_t format = kMemoStateFormat);
+  /// Restores state written by SerializeMemoState, replacing the
+  /// current memo state. Call after the post-resume SetDistribution
+  /// pass: the imported epochs overwrite the setup-time ones, keeping
+  /// the saved stamps valid.
+  Status RestoreMemoState(BinReader* reader);
 
   /// Warm-start merge for a shared cross-session cache: imports the
   /// memo entries, variable index, compiled artifacts and refusal set
   /// of a SerializeMemoState blob WITHOUT touching this evaluator's
-  /// RNG stream, distribution epochs, or existing entries (existing
-  /// entries win on fingerprint collisions; RestoreMemoState, by
-  /// contrast, clears everything and adopts the blob's epochs). An
-  /// imported entry only ever serves a hit when its stamp validates
-  /// against the *local* epochs and scope/budget/compile tags — the
-  /// standard lookup check — so merging a foreign blob is always
-  /// sound; mismatched entries are dead weight, never wrong answers.
+  /// distribution epochs or existing entries (existing entries win on
+  /// fingerprint collisions; RestoreMemoState, by contrast, clears
+  /// everything and adopts the blob's epochs). An imported entry only
+  /// ever serves a hit when its stamp validates against the *local*
+  /// epochs and scope/budget/compile tags — the standard lookup check —
+  /// so merging a foreign blob is always sound; mismatched entries are
+  /// dead weight, never wrong answers.
   /// Circuits merge only when the blob's store tag matches the active
   /// one (adopted wholesale when the local store is empty; a mismatch
   /// at the next evaluation drops them, the SyncCircuitStore rule).
   /// Returns the number of memo entries imported.
-  Result<std::size_t> MergeMemoState(BinReader* reader,
-                                     std::uint32_t format = kMemoStateFormat);
+  Result<std::size_t> MergeMemoState(BinReader* reader);
 
  private:
   struct CacheEntry {
     ProbInterval interval;    // Exact entries have lo == hi.
     std::uint64_t stamp = 0;  // Distribution-epoch stamp at insertion.
   };
+
+  /// A SerializeMemoState blob, decoded (defined in evaluator.cc).
+  struct MemoBlob;
+
+  /// The one memo-blob decoder behind RestoreMemoState and
+  /// MergeMemoState. Validates every count and enum before applying
+  /// anything, so a corrupt blob leaves the evaluator untouched.
+  static Status DecodeMemoState(BinReader* reader, MemoBlob* out);
+
+  /// Unions a decoded blob into the memo state (MergeMemoState's
+  /// semantics; RestoreMemoState clears first and adopts the epochs).
+  /// Consumes the blob's circuits. Returns the entries imported.
+  std::size_t MergeMemoBlob(MemoBlob* blob);
 
   /// Order-insensitive digest of the distribution epochs of every
   /// variable occurrence in `condition`; changes whenever any mentioned
@@ -327,8 +328,8 @@ class ProbabilityEvaluator {
              options_.governor.ladder == LadderMode::kStrict);
   }
 
-  /// One uncached evaluation. `rng` supplies sampling draws (batch mode
-  /// passes a per-condition generator so parallel order cannot leak into
+  /// One uncached evaluation. `rng` supplies sampling draws (a
+  /// per-condition generator, so parallel order cannot leak into
   /// results); `stats` receives ADPLL counters; `scratch` holds the
   /// solver's reusable per-lane buffers (nullptr: per-call buffers).
   Result<double> Compute(const Condition& condition, Rng& rng,
@@ -380,7 +381,6 @@ class ProbabilityEvaluator {
 
   ProbabilityOptions options_;
   DistributionMap dists_;
-  Rng rng_;
 
   ThreadPool* pool_ = nullptr;
 
@@ -410,8 +410,8 @@ class ProbabilityEvaluator {
   /// deterministic policy — LRU would depend on evaluation order).
   static constexpr std::size_t kMaxCircuits = 8192;
 
-  /// Per-lane solver scratch (element 0 serves the sequential paths);
-  /// grown to the pool width before a parallel batch pass.
+  /// Per-lane solver scratch (element 0 serves a sequential pass);
+  /// grown to the pool width before each batch pass.
   std::vector<AdpllScratch> adpll_scratch_;
   std::vector<CircuitScratch> circuit_scratch_;
   /// Fingerprints of cached conditions per mentioned variable (may hold

@@ -306,16 +306,16 @@ Table AttributionDataset() {
   return InjectMissingUniform(MakeNbaLike(120, /*seed=*/9), 0.15, rng);
 }
 
-BayesCrowdResult RunLabeledPipeline(std::size_t threads,
-                                    obs::MetricsRegistry* metrics,
-                                    obs::FlightRecorder* flight) {
+BayesCrowdResult RunLabeledPipeline(
+    std::size_t threads, obs::MetricsRegistry* metrics,
+    obs::FlightRecorder* flight, StrategyKind kind = StrategyKind::kHhs) {
   const Table incomplete = AttributionDataset();
   BayesCrowdOptions options;
   options.ctable.alpha = 0.01;
   options.budget = 24;
   options.latency = 4;
-  options.strategy.kind = StrategyKind::kHhs;
-  options.strategy.m = 5;
+  options.strategy.kind = kind;
+  options.strategy.m = 2;
   options.threads = threads;
   options.metrics = metrics;
   options.session = "attr";
@@ -341,37 +341,45 @@ std::map<std::string, std::uint64_t> CostSeries(
   return out;
 }
 
-TEST(AttributionTest, CostUnitsAreIdenticalAt1And8Threads) {
-  obs::MetricsRegistry reg1;
-  obs::FlightRecorder flight1;
-  const BayesCrowdResult r1 = RunLabeledPipeline(1, &reg1, &flight1);
+TEST(AttributionTest, CostUnitsAreIdenticalAtEveryThreadCount) {
+  for (const StrategyKind kind :
+       {StrategyKind::kFbs, StrategyKind::kUbs, StrategyKind::kHhs}) {
+    SCOPED_TRACE(StrategyKindToString(kind));
+    obs::MetricsRegistry reg1;
+    obs::FlightRecorder flight1;
+    const BayesCrowdResult r1 = RunLabeledPipeline(1, &reg1, &flight1, kind);
+    const auto cost1 = CostSeries(reg1.Snapshot());
+    ASSERT_FALSE(cost1.empty());
+    const auto events1 = flight1.Events();
 
-  obs::MetricsRegistry reg8;
-  obs::FlightRecorder flight8;
-  const BayesCrowdResult r8 = RunLabeledPipeline(8, &reg8, &flight8);
+    for (const std::size_t threads : {2, 4, 8}) {
+      SCOPED_TRACE(threads);
+      obs::MetricsRegistry reg;
+      obs::FlightRecorder flight;
+      const BayesCrowdResult r =
+          RunLabeledPipeline(threads, &reg, &flight, kind);
 
-  // Results are bit-identical (the obs-on/off contract, with labels and
-  // the flight recorder enabled this time)...
-  EXPECT_EQ(r1.result_objects, r8.result_objects);
-  ASSERT_EQ(r1.probabilities.size(), r8.probabilities.size());
-  for (std::size_t i = 0; i < r1.probabilities.size(); ++i) {
-    EXPECT_EQ(r1.probabilities[i], r8.probabilities[i]) << "object " << i;
-  }
+      // Results are bit-identical (the obs-on/off contract, with labels
+      // and the flight recorder enabled this time)...
+      EXPECT_EQ(r1.result_objects, r.result_objects);
+      ASSERT_EQ(r1.probabilities.size(), r.probabilities.size());
+      for (std::size_t i = 0; i < r1.probabilities.size(); ++i) {
+        EXPECT_EQ(r1.probabilities[i], r.probabilities[i]) << "object " << i;
+      }
 
-  // ...and so is every deterministic cost series, series by series.
-  const auto cost1 = CostSeries(reg1.Snapshot());
-  const auto cost8 = CostSeries(reg8.Snapshot());
-  ASSERT_FALSE(cost1.empty());
-  EXPECT_EQ(cost1, cost8);
+      // ...and so is every deterministic cost series, series by series:
+      // no strategy may size its work to the pool.
+      EXPECT_EQ(cost1, CostSeries(reg.Snapshot()));
 
-  // The flight recorders saw the same deterministic event stream.
-  const auto events1 = flight1.Events();
-  const auto events8 = flight8.Events();
-  ASSERT_EQ(events1.size(), events8.size());
-  for (std::size_t i = 0; i < events1.size(); ++i) {
-    EXPECT_EQ(events1[i].kind, events8[i].kind) << "event " << i;
-    EXPECT_EQ(events1[i].round, events8[i].round) << "event " << i;
-    EXPECT_EQ(events1[i].detail, events8[i].detail) << "event " << i;
+      // The flight recorders saw the same deterministic event stream.
+      const auto events = flight.Events();
+      ASSERT_EQ(events1.size(), events.size());
+      for (std::size_t i = 0; i < events1.size(); ++i) {
+        EXPECT_EQ(events1[i].kind, events[i].kind) << "event " << i;
+        EXPECT_EQ(events1[i].round, events[i].round) << "event " << i;
+        EXPECT_EQ(events1[i].detail, events[i].detail) << "event " << i;
+      }
+    }
   }
 }
 

@@ -1,6 +1,6 @@
 // Checkpoint format and store tests: envelope integrity, payload
 // round-trips, generation management, corruption fallback, and the
-// committed v1 golden fixture (forward-compat contract).
+// committed v4 golden fixture (format-drift contract).
 
 #include "core/checkpoint.h"
 
@@ -18,6 +18,7 @@
 #include "core/session.h"
 #include "crowd/record_replay.h"
 #include "obs/metrics.h"
+#include "probability/evaluator.h"
 
 namespace bayescrowd {
 namespace {
@@ -44,10 +45,27 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
+/// A real SerializeMemoState blob: one memo entry, its variable index
+/// and epochs, and the compiled circuit of its first exact solve.
+std::string GoldenMemoBlob() {
+  ProbabilityEvaluator evaluator;
+  BAYESCROWD_CHECK_OK(evaluator.SetDistribution(
+      V(2, 0), std::vector<double>{0.25, 0.25, 0.5}));
+  BAYESCROWD_CHECK_OK(evaluator.SetDistribution(
+      V(2, 1), std::vector<double>{0.5, 0.125, 0.375}));
+  const Condition condition = Condition::Cnf(
+      {{Expression::VarConst(V(2, 0), CmpOp::kGreater, 0),
+        Expression::VarConst(V(2, 1), CmpOp::kLess, 1)}});
+  BAYESCROWD_CHECK_OK(evaluator.Probability(condition).status());
+  std::string blob;
+  evaluator.SerializeMemoState(&blob);
+  return blob;
+}
+
 /// A deterministic, richly-populated state: every field class exercised
 /// (decided + CNF conditions, round logs with recovery data, metrics of
 /// all three kinds, binary blobs, session-layer stamps). Also the
-/// generator of the committed golden fixture — see GoldenV1Fixture.
+/// generator of the committed golden fixture — see GoldenV4FixtureTest.
 SessionState MakeGoldenState() {
   SessionState state;
   state.budget_left = 12.5;
@@ -90,7 +108,7 @@ SessionState MakeGoldenState() {
         Expression::VarConst(V(2, 1), CmpOp::kLess, 7)}}));
 
   state.knowledge_blob = std::string("kb\x00\x01\x7f", 5);
-  state.evaluator_blob = std::string("memo\xff", 5);
+  state.evaluator_blob = GoldenMemoBlob();
 
   obs::MetricsRegistry registry;
   registry.GetCounter("framework.tasks_posted")->Increment(9);
@@ -105,7 +123,7 @@ SessionState MakeGoldenState() {
   state.network_blob = "bayesnet v1\n";
   state.config_fingerprint = 0x1234abcd5678ef90ULL;
 
-  // v2 fields: one open and one counting breaker, ascending object id.
+  // One open and one counting breaker, ascending object id.
   SolverBreakerRecord open_breaker;
   open_breaker.object = 2;
   open_breaker.fingerprint = {0xfeedbeefULL, 0x12345678ULL};
@@ -518,56 +536,13 @@ TEST(CheckpointStoreTest, TornTmpWritePromotedByRenameFallsBack) {
 }
 
 // ------------------------------------------------------------------- //
-// Golden fixtures. golden_v1.ckpt is a frozen pre-governor checkpoint:
-// HEAD must load it forever through the versioned path (it cannot be
-// regenerated — no v1 writer exists anymore). golden_v2.ckpt matches
-// today's writer byte-for-byte; regenerate with:
+// Golden fixture. golden_v4.ckpt matches today's writer byte-for-byte,
+// envelope and memo blob included; regenerate with:
 //   BC_REGEN_GOLDEN=1 ./checkpoint_test
 // ------------------------------------------------------------------- //
 
-TEST(GoldenV1FixtureTest, CommittedFixtureLoadsOnHead) {
-  const std::string path = std::string(BC_TESTDATA_DIR) + "/golden_v1.ckpt";
-  const std::string bytes = ReadFileBytes(path);
-  ASSERT_FALSE(bytes.empty()) << "missing fixture " << path;
-
-  std::uint32_t version = 0;
-  const auto payload = UnwrapCheckpoint(bytes, &version);
-  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
-  EXPECT_EQ(version, 1u);
-  BinReader reader(payload.value());
-  SessionState restored;
-  ASSERT_TRUE(
-      DeserializeSessionState(&reader, &restored, version).ok());
-
-  // A v1 payload loads with the governor-era fields defaulted: no
-  // breaker records, and the evaluator blob marked as the format-1
-  // (point-probability) layout so RestoreMemoState parses it right.
-  EXPECT_TRUE(restored.solver_breakers.empty());
-  EXPECT_EQ(restored.evaluator_blob_format, 1u);
-
-  const SessionState expected = MakeGoldenState();
-  EXPECT_EQ(restored.rounds, 3u);
-  EXPECT_EQ(restored.budget_left, expected.budget_left);
-  EXPECT_EQ(restored.answer_log_offset, 7u);
-  EXPECT_EQ(restored.config_fingerprint, 0x1234abcd5678ef90ULL);
-  ASSERT_EQ(restored.conditions.size(), 3u);
-  EXPECT_TRUE(restored.conditions[0].IsTrue());
-  EXPECT_FALSE(restored.conditions[2].IsDecided());
-  EXPECT_EQ(restored.knowledge_blob, expected.knowledge_blob);
-  EXPECT_EQ(restored.evaluator_blob, expected.evaluator_blob);
-  ASSERT_EQ(restored.round_logs.size(), 1u);
-  EXPECT_EQ(restored.round_logs[0].cache_hits, 17u);
-
-  // And a v1 state re-serialized today round-trips as v2.
-  const std::string reserialized = SerializeState(restored);
-  BinReader again(reserialized);
-  SessionState v2;
-  ASSERT_TRUE(DeserializeSessionState(&again, &v2).ok());
-  EXPECT_EQ(SerializeState(v2), reserialized);
-}
-
-TEST(GoldenV2FixtureTest, CommittedFixtureMatchesHeadBytes) {
-  const std::string path = std::string(BC_TESTDATA_DIR) + "/golden_v2.ckpt";
+TEST(GoldenV4FixtureTest, CommittedFixtureMatchesHeadBytes) {
+  const std::string path = std::string(BC_TESTDATA_DIR) + "/golden_v4.ckpt";
   const SessionState expected = MakeGoldenState();
   if (std::getenv("BC_REGEN_GOLDEN") != nullptr) {
     WriteFileBytes(path, WrapCheckpoint(SerializeState(expected)));
@@ -575,21 +550,15 @@ TEST(GoldenV2FixtureTest, CommittedFixtureMatchesHeadBytes) {
   const std::string bytes = ReadFileBytes(path);
   ASSERT_FALSE(bytes.empty()) << "missing fixture " << path;
 
-  std::uint32_t version = 0;
-  const auto payload = UnwrapCheckpoint(bytes, &version);
+  // Any drift in the envelope, the payload or the memo blob fails here:
+  // a writer change needs a kCheckpointVersion bump and a regenerated
+  // fixture.
+  EXPECT_EQ(bytes, WrapCheckpoint(SerializeState(expected)));
+  const auto payload = UnwrapCheckpoint(bytes);
   ASSERT_TRUE(payload.ok()) << payload.status().ToString();
-  // The committed fixture is a frozen v2 envelope (BC_REGEN_GOLDEN
-  // would stamp today's version; the pin below catches that so the
-  // fixture is never silently upgraded).
-  EXPECT_EQ(version, 2u);
   BinReader reader(payload.value());
   SessionState restored;
-  ASSERT_TRUE(
-      DeserializeSessionState(&reader, &restored, version).ok());
-
-  // The fixture must match today's serialization of the same state
-  // byte-for-byte — any drift means v2 files no longer parse as v2.
-  EXPECT_EQ(payload.value(), SerializeState(expected));
+  ASSERT_TRUE(DeserializeSessionState(&reader, &restored).ok());
   ASSERT_EQ(restored.solver_breakers.size(), 2u);
   EXPECT_EQ(restored.solver_breakers[0].object, 2u);
   EXPECT_TRUE(restored.solver_breakers[0].open);
@@ -597,23 +566,50 @@ TEST(GoldenV2FixtureTest, CommittedFixtureMatchesHeadBytes) {
             ProbQuality::kPartialBound);
   EXPECT_EQ(restored.solver_breakers[1].object, 5u);
   EXPECT_FALSE(restored.solver_breakers[1].open);
-  // v2 envelopes predate compiled-circuit artifacts: their evaluator
-  // blobs must load as format 2, never as the current format.
-  EXPECT_EQ(restored.evaluator_blob_format, 2u);
+
+  // The pinned memo blob decodes: one entry and one compiled circuit.
+  ProbabilityEvaluator evaluator;
+  BinReader memo(restored.evaluator_blob);
+  ASSERT_TRUE(evaluator.RestoreMemoState(&memo).ok());
+  EXPECT_TRUE(memo.AtEnd());
+  EXPECT_EQ(evaluator.CacheSize(), 1u);
+  EXPECT_EQ(evaluator.CircuitCount(), 1u);
 }
 
-TEST(CheckpointEnvelopeTest, AcceptsOlderVersionRejectsZero) {
-  // Re-stamp a fresh envelope as v1: the CRC covers only the payload,
-  // so the version byte may be edited in place.
+TEST(MemoBlobTest, TruncatedBlobIsRefusedAndLeavesEvaluatorUntouched) {
+  // Restore and merge share one decoder that validates the whole blob
+  // before applying any of it.
+  const std::string blob = GoldenMemoBlob();
+  ProbabilityEvaluator evaluator;
+  BinReader whole(blob);
+  ASSERT_TRUE(evaluator.RestoreMemoState(&whole).ok());
+  for (std::size_t len = 0; len < blob.size(); ++len) {
+    const std::string cut = blob.substr(0, len);
+    BinReader restore(cut);
+    EXPECT_FALSE(evaluator.RestoreMemoState(&restore).ok()) << len;
+    BinReader merge(cut);
+    EXPECT_FALSE(evaluator.MergeMemoState(&merge).ok()) << len;
+    ASSERT_EQ(evaluator.CacheSize(), 1u) << len;
+    ASSERT_EQ(evaluator.CircuitCount(), 1u) << len;
+  }
+}
+
+TEST(CheckpointEnvelopeTest, RefusesEveryOtherVersion) {
+  // The CRC covers only the payload, so the version byte may be edited
+  // in place: only kCheckpointVersion itself unwraps.
   std::string wrapped = WrapCheckpoint("payload");
-  wrapped[4] = 1;
-  std::uint32_t version = 0;
-  ASSERT_TRUE(UnwrapCheckpoint(wrapped, &version).ok());
-  EXPECT_EQ(version, 1u);
-  wrapped[4] = 0;
-  const auto zero = UnwrapCheckpoint(wrapped);
-  ASSERT_FALSE(zero.ok());
-  EXPECT_TRUE(zero.status().IsInvalidArgument()) << zero.status().ToString();
+  ASSERT_EQ(kCheckpointVersion, 4u);
+  for (const std::uint32_t version : {0u, 1u, 2u, 3u, 5u}) {
+    wrapped[4] = static_cast<char>(version);
+    const auto refused = UnwrapCheckpoint(wrapped);
+    ASSERT_FALSE(refused.ok()) << "version " << version;
+    EXPECT_TRUE(refused.status().IsInvalidArgument())
+        << refused.status().ToString();
+    EXPECT_NE(refused.status().message().find(
+                  version < kCheckpointVersion ? "older" : "newer"),
+              std::string::npos)
+        << refused.status().message();
+  }
 }
 
 // ------------------------------------------------------------------- //

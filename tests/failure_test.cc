@@ -126,7 +126,7 @@ TEST(FailureTest, AdversarialWorkersDegradeButDoNotCrash) {
   EXPECT_EQ(result->final_ctable.condition(2).IsTrue(), true);
 }
 
-TEST(FailureTest, SamplingFallbackRescuesExhaustedAdpll) {
+TEST(FailureTest, GovernedLadderRescuesExhaustedAdpll) {
   const Table complete = MakeNbaLike(150, 31, 8);
   Rng rng(32);
   const Table incomplete = InjectMissingUniform(complete, 0.12, rng);
@@ -135,27 +135,29 @@ TEST(FailureTest, SamplingFallbackRescuesExhaustedAdpll) {
   options.ctable.alpha = 0.1;
   options.budget = 20;
   options.latency = 2;
-  // Cripple exact search so the fallback must kick in.
+  // Cripple exact search so some solves must exhaust it.
   options.probability.adpll.max_calls = 2;
   options.probability.adpll.star_fast_path = false;
   options.probability.adpll.component_decomposition = false;
-  options.sampling_fallback = true;
 
+  // Ungoverned, an exhausted exact solve fails the run.
   UniformPosteriorProvider posteriors(incomplete.schema());
   SimulatedCrowdPlatform platform(complete, {});
-  BayesCrowd framework(options);
-  const auto result = framework.Run(incomplete, posteriors, platform);
-  ASSERT_TRUE(result.ok()) << result.status();
+  BayesCrowd strict_framework(options);
+  const auto strict = strict_framework.Run(incomplete, posteriors, platform);
+  ASSERT_FALSE(strict.ok());
+  EXPECT_EQ(strict.status().code(), StatusCode::kResourceExhausted);
 
-  // Without the fallback the same configuration must fail.
-  options.sampling_fallback = false;
+  // The full governed ladder degrades the same solves to graded
+  // intervals instead, and the run finishes.
+  options.probability.governor.max_nodes = options.probability.adpll.max_calls;
+  options.probability.governor.ladder = LadderMode::kFull;
   UniformPosteriorProvider posteriors2(incomplete.schema());
   SimulatedCrowdPlatform platform2(complete, {});
-  BayesCrowd strict_framework(options);
-  const auto strict =
-      strict_framework.Run(incomplete, posteriors2, platform2);
-  EXPECT_FALSE(strict.ok());
-  EXPECT_EQ(strict.status().code(), StatusCode::kResourceExhausted);
+  BayesCrowd framework(options);
+  const auto result = framework.Run(incomplete, posteriors2, platform2);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_GT(result->solver.budget_exhausted, 0u);
 }
 
 TEST(FailureTest, PosteriorProviderErrorPropagates) {

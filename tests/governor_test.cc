@@ -292,10 +292,6 @@ BayesCrowdResult RunGoverned(std::uint64_t max_nodes,
   options.ctable.alpha = -1.0;  // Keep undecided objects alive.
   options.budget = 16;
   options.latency = 4;
-  // UBS scores every eligible candidate in one batch, so solver tallies
-  // are thread-count invariant (HHS's pool-sized scoring waves evaluate
-  // a few extra candidates past the stop point on wider pools — results
-  // stay bit-identical but the solve *counts* differ).
   options.strategy.kind = StrategyKind::kUbs;
   options.threads = threads;
   options.probability.governor.max_nodes = max_nodes;

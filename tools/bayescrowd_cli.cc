@@ -65,6 +65,70 @@ namespace {
 /// knob — it seeds the simulated workers, not the data.
 constexpr int kDefaultDataSeed = 42;
 
+/// Every integer flag, with the least value it accepts. Main rejects a
+/// non-numeric or too-small value before any command runs: a negative
+/// count would otherwise wrap around when cast to size_t, and a typo
+/// would silently become the default. `hint` (may be empty) follows the
+/// bound in the diagnostic.
+struct IntFlagRule {
+  const char* name;
+  int min;
+  const char* hint;
+};
+constexpr IntFlagRule kIntFlags[] = {
+    {"n", 1, ""},
+    {"d", 1, ""},
+    {"levels", 2, ""},
+    {"seed", 0, ""},
+    {"budget", 0, ""},
+    {"latency", 1, ""},
+    {"tasks-per-round", 1, ""},
+    {"m", 0, ""},
+    {"max-retries", 0, ""},
+    {"threads", 0, " (0 = hardware concurrency)"},
+    {"solver-node-budget", 1, " (omit the flag for unlimited)"},
+    {"solver-component-budget", 1, " (omit the flag for unlimited)"},
+    {"solver-deadline-ms", 1, " (omit the flag for no deadline)"},
+    {"breaker-threshold", 0, " (0 disables the breaker)"},
+    {"compile-node-budget", 1, " (use --compile off to disable compilation)"},
+    {"marketplace", 3, " (the worker pool size)"},
+    {"adaptive-votes", 0, ""},
+    {"fault-seed", 0, ""},
+    {"keep-checkpoints", 1, ""},
+    {"checkpoint-every", 1, ""},
+};
+
+/// Every floating-point flag; Main rejects a non-numeric value. Range
+/// checks that depend on the command stay with the command.
+constexpr const char* kDoubleFlags[] = {
+    "rate",      "alpha",      "round-deadline", "accuracy",
+    "spam-rate", "fault-rate", "answer-noise",   "threshold",
+};
+
+/// The one-line diagnostic for a malformed numeric flag, or "" when
+/// `value` is acceptable (or `name` is not a numeric flag).
+std::string NumericFlagError(const std::string& name,
+                             const std::string& value) {
+  for (const IntFlagRule& rule : kIntFlags) {
+    if (name != rule.name) continue;
+    int v = 0;
+    if (ParseInt(value, &v) && v >= rule.min) return "";
+    return StrFormat("--%s must be an integer >= %d%s, got '%s'",
+                     rule.name, rule.min, rule.hint, value.c_str());
+  }
+  for (const char* double_flag : kDoubleFlags) {
+    if (name != double_flag) continue;
+    double v = 0.0;
+    if (ParseDouble(value, &v)) return "";
+    return StrFormat("--%s must be a number, got '%s'", double_flag,
+                     value.c_str());
+  }
+  return "";
+}
+
+/// Parsed `--key value` / `--key=value` / `--flag` arguments. Numeric
+/// values were validated by NumericFlagError, so the typed getters
+/// never see a malformed one.
 struct Flags {
   std::map<std::string, std::string> values;
 
@@ -370,10 +434,6 @@ int CmdRun(const Flags& flags) {
     // adapts to the answers of each batch.
     const auto per_round = static_cast<std::size_t>(
         flags.GetInt("tasks-per-round", 5));
-    if (per_round == 0) {
-      std::fprintf(stderr, "--tasks-per-round must be >= 1\n");
-      return 2;
-    }
     options.latency =
         std::max<std::size_t>(1, (options.budget + per_round - 1) /
                                       per_round);
@@ -381,17 +441,12 @@ int CmdRun(const Flags& flags) {
   options.strategy.m = static_cast<std::size_t>(flags.GetInt("m", 15));
   // Recovery policy: --max-retries counts retries after the first
   // attempt; --round-deadline is in simulated seconds (see DESIGN.md §8).
-  const int max_retries = flags.GetInt("max-retries", 2);
-  if (max_retries < 0) {
-    std::fprintf(stderr, "--max-retries must be >= 0\n");
-    return 2;
-  }
-  options.retry.max_attempts = static_cast<std::size_t>(max_retries) + 1;
+  options.retry.max_attempts =
+      static_cast<std::size_t>(flags.GetInt("max-retries", 2)) + 1;
   options.retry.round_deadline_seconds =
       flags.GetDouble("round-deadline", 0.0);
   // Evaluation lanes: 0 (default) resolves to the hardware concurrency.
-  options.threads =
-      static_cast<std::size_t>(std::max(0, flags.GetInt("threads", 0)));
+  options.threads = static_cast<std::size_t>(flags.GetInt("threads", 0));
   if (flags.Has("no-cache")) options.probability.memoize = false;
 
   // Cost-attribution session label. It lands verbatim inside canonical
@@ -409,41 +464,16 @@ int CmdRun(const Flags& flags) {
     return 2;
   }
 
-  // Resource governor. Budgets given explicitly must be meaningful:
-  // a zero or negative budget is almost certainly a typo'd attempt at
-  // "unlimited" (spelled by omitting the flag), so it is rejected
-  // instead of silently disabling the governor.
+  // Resource governor. Explicit budgets are >= 1 (kIntFlags): a zero
+  // budget is almost certainly a typo'd attempt at "unlimited" (spelled
+  // by omitting the flag), so it is rejected instead of silently
+  // disabling the governor.
   GovernorOptions& governor = options.probability.governor;
-  if (flags.Has("solver-node-budget")) {
-    const int nodes = flags.GetInt("solver-node-budget", 0);
-    if (nodes <= 0) {
-      std::fprintf(stderr,
-                   "--solver-node-budget must be >= 1 (omit the flag for "
-                   "unlimited)\n");
-      return 2;
-    }
-    governor.max_nodes = static_cast<std::uint64_t>(nodes);
-  }
-  if (flags.Has("solver-component-budget")) {
-    const int components = flags.GetInt("solver-component-budget", 0);
-    if (components <= 0) {
-      std::fprintf(stderr,
-                   "--solver-component-budget must be >= 1 (omit the flag "
-                   "for unlimited)\n");
-      return 2;
-    }
-    governor.max_components = static_cast<std::uint64_t>(components);
-  }
-  if (flags.Has("solver-deadline-ms")) {
-    const int deadline = flags.GetInt("solver-deadline-ms", 0);
-    if (deadline <= 0) {
-      std::fprintf(stderr,
-                   "--solver-deadline-ms must be >= 1 (omit the flag for "
-                   "no deadline)\n");
-      return 2;
-    }
-    governor.deadline_ms = deadline;
-  }
+  governor.max_nodes =
+      static_cast<std::uint64_t>(flags.GetInt("solver-node-budget", 0));
+  governor.max_components =
+      static_cast<std::uint64_t>(flags.GetInt("solver-component-budget", 0));
+  governor.deadline_ms = flags.GetInt("solver-deadline-ms", 0);
   if (flags.Has("solver-ladder")) {
     if (!ParseLadderMode(flags.Get("solver-ladder", ""),
                          &governor.ladder)) {
@@ -454,16 +484,8 @@ int CmdRun(const Flags& flags) {
       return 2;
     }
   }
-  if (flags.Has("breaker-threshold")) {
-    const int threshold = flags.GetInt("breaker-threshold", 3);
-    if (threshold < 0) {
-      std::fprintf(stderr,
-                   "--breaker-threshold must be >= 0 (0 disables the "
-                   "breaker)\n");
-      return 2;
-    }
-    options.breaker_threshold = static_cast<std::size_t>(threshold);
-  }
+  options.breaker_threshold =
+      static_cast<std::size_t>(flags.GetInt("breaker-threshold", 3));
   if (flags.Has("pessimistic")) options.strategy.pessimistic = true;
 
   // Knowledge compilation. `auto` (the default) silently skips
@@ -479,14 +501,8 @@ int CmdRun(const Flags& flags) {
     }
   }
   if (flags.Has("compile-node-budget")) {
-    const int nodes = flags.GetInt("compile-node-budget", 0);
-    if (nodes <= 0) {
-      std::fprintf(stderr,
-                   "--compile-node-budget must be >= 1 (use --compile off "
-                   "to disable compilation)\n");
-      return 2;
-    }
-    compile.max_nodes = static_cast<std::uint64_t>(nodes);
+    compile.max_nodes =
+        static_cast<std::uint64_t>(flags.GetInt("compile-node-budget", 0));
   }
   if (compile.mode == CompileMode::kOn) {
     if (governor.enabled() && governor.ladder == LadderMode::kStrict) {
@@ -520,13 +536,8 @@ int CmdRun(const Flags& flags) {
   const bool use_market = flags.Has("marketplace");
   MarketplaceOptions market_options;
   if (use_market) {
-    const int pool = flags.GetInt("marketplace", 12);
-    if (pool < 3) {
-      std::fprintf(stderr,
-                   "--marketplace needs a pool of >= 3 workers\n");
-      return 2;
-    }
-    market_options.pool_size = static_cast<std::size_t>(pool);
+    market_options.pool_size =
+        static_cast<std::size_t>(flags.GetInt("marketplace", 12));
     market_options.seed =
         static_cast<std::uint64_t>(flags.GetInt("seed", 99));
     market_options.spam_rate = flags.GetDouble("spam-rate", 0.0);
@@ -669,12 +680,6 @@ int CmdRun(const Flags& flags) {
     }
     const int keep = flags.GetInt("keep-checkpoints", 3);
     const int every = flags.GetInt("checkpoint-every", 1);
-    if (keep < 1 || every < 1) {
-      std::fprintf(stderr,
-                   "--keep-checkpoints and --checkpoint-every must be "
-                   ">= 1\n");
-      return 2;
-    }
     // The fingerprint binds a checkpoint to the query it belongs to:
     // behavior-relevant options, dataset bytes, and the platform setup
     // (worker seeds and fault profile). Resuming under any other
@@ -1004,6 +1009,13 @@ int Main(int argc, char** argv) {
       flags.values[arg] = argv[++i];
     } else {
       flags.values[arg] = "";  // Boolean flag.
+    }
+  }
+  for (const auto& [name, value] : flags.values) {
+    const std::string error = NumericFlagError(name, value);
+    if (!error.empty()) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      return 2;
     }
   }
   if (flags.Has("log-level")) {

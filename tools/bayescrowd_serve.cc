@@ -54,6 +54,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/fileio.h"
@@ -110,15 +111,34 @@ JsonValue OkLine(const std::string& op) {
   return out;
 }
 
-std::int64_t FindInt(const JsonValue& doc, const char* key,
-                     std::int64_t fallback) {
+/// Reads integer `key` of `doc` into `*out`, leaving it untouched when
+/// the key is absent. A non-integer value, or one below `min`, is an
+/// InvalidArgument naming the key: a negative count would otherwise
+/// wrap around when cast to an unsigned size.
+template <typename T>
+Status ReadInt(const JsonValue& doc, const char* key, std::int64_t min,
+               T* out) {
   const JsonValue* v = doc.Find(key);
-  return v == nullptr ? fallback : v->AsInt();
+  if (v == nullptr) return Status::OK();
+  if (v->kind() != JsonValue::Kind::kInt || v->AsInt() < min) {
+    return Status::InvalidArgument(
+        StrFormat("'%s' must be an integer >= %lld", key,
+                  static_cast<long long>(min)));
+  }
+  *out = static_cast<T>(v->AsInt());
+  return Status::OK();
 }
 
-double FindDouble(const JsonValue& doc, const char* key, double fallback) {
+/// Reads number `key` of `doc` like ReadInt; any JSON number passes.
+Status ReadDouble(const JsonValue& doc, const char* key, double* out) {
   const JsonValue* v = doc.Find(key);
-  return v == nullptr ? fallback : v->AsDouble();
+  if (v == nullptr) return Status::OK();
+  if (!v->is_number()) {
+    return Status::InvalidArgument(
+        StrFormat("'%s' must be a number", key));
+  }
+  *out = v->AsDouble();
+  return Status::OK();
 }
 
 std::string FindString(const JsonValue& doc, const char* key,
@@ -138,13 +158,18 @@ bool FindBool(const JsonValue& doc, const char* key, bool fallback) {
 Status BuildDataset(const JsonValue& spec, Table* truth, Table* incomplete,
                     std::string* descriptor) {
   const std::string kind = FindString(spec, "kind", "indep");
-  const auto n = static_cast<std::size_t>(FindInt(spec, "n", 40));
-  const auto d = static_cast<std::size_t>(FindInt(spec, "d", 3));
-  const auto levels = static_cast<Level>(FindInt(spec, "levels", 4));
-  const auto seed = static_cast<std::uint64_t>(FindInt(spec, "seed", 7));
-  const double rate = FindDouble(spec, "missing_rate", 0.2);
-  const auto miss_seed =
-      static_cast<std::uint64_t>(FindInt(spec, "missing_seed", 5));
+  std::size_t n = 40;
+  std::size_t d = 3;
+  Level levels = 4;
+  std::uint64_t seed = 7;
+  double rate = 0.2;
+  std::uint64_t miss_seed = 5;
+  BAYESCROWD_RETURN_NOT_OK(ReadInt(spec, "n", 1, &n));
+  BAYESCROWD_RETURN_NOT_OK(ReadInt(spec, "d", 1, &d));
+  BAYESCROWD_RETURN_NOT_OK(ReadInt(spec, "levels", 2, &levels));
+  BAYESCROWD_RETURN_NOT_OK(ReadInt(spec, "seed", 0, &seed));
+  BAYESCROWD_RETURN_NOT_OK(ReadDouble(spec, "missing_rate", &rate));
+  BAYESCROWD_RETURN_NOT_OK(ReadInt(spec, "missing_seed", 0, &miss_seed));
   if (kind == "indep") {
     *truth = MakeIndependent(n, d, levels, seed);
   } else if (kind == "corr") {
@@ -201,27 +226,25 @@ Status SpecFromJson(const JsonValue& doc,
                    &spec->ground_truth, &spec->incomplete, &descriptor));
   spec->cache_key = FindString(doc, "cache_key", descriptor);
 
-  spec->options.ctable.alpha =
-      FindDouble(doc, "alpha", spec->options.ctable.alpha);
-  spec->options.budget =
-      static_cast<std::size_t>(FindInt(doc, "budget", 12));
-  spec->options.latency =
-      static_cast<std::size_t>(FindInt(doc, "latency", 3));
-  spec->options.strategy.m =
-      static_cast<std::size_t>(FindInt(doc, "m", 3));
-  spec->options.checkpoint_every =
-      static_cast<std::size_t>(FindInt(doc, "checkpoint_every", 0));
-  const auto max_nodes =
-      static_cast<std::uint64_t>(FindInt(doc, "governor_max_nodes", 0));
-  if (max_nodes > 0) {
-    spec->options.probability.governor.max_nodes = max_nodes;
-  }
+  BayesCrowdOptions& options = spec->options;
+  options.budget = 12;
+  options.latency = 3;
+  options.strategy.m = 3;
+  BAYESCROWD_RETURN_NOT_OK(ReadDouble(doc, "alpha", &options.ctable.alpha));
+  BAYESCROWD_RETURN_NOT_OK(ReadInt(doc, "budget", 0, &options.budget));
+  BAYESCROWD_RETURN_NOT_OK(ReadInt(doc, "latency", 1, &options.latency));
+  BAYESCROWD_RETURN_NOT_OK(ReadInt(doc, "m", 0, &options.strategy.m));
+  BAYESCROWD_RETURN_NOT_OK(
+      ReadInt(doc, "checkpoint_every", 0, &options.checkpoint_every));
+  BAYESCROWD_RETURN_NOT_OK(ReadInt(doc, "governor_max_nodes", 0,
+                                   &options.probability.governor.max_nodes));
 
-  spec->platform.worker_accuracy = FindDouble(doc, "accuracy", 1.0);
-  spec->platform.seed =
-      static_cast<std::uint64_t>(FindInt(doc, "platform_seed", 99));
-  spec->platform.workers_per_task =
-      static_cast<int>(FindInt(doc, "workers_per_task", 3));
+  BAYESCROWD_RETURN_NOT_OK(
+      ReadDouble(doc, "accuracy", &spec->platform.worker_accuracy));
+  BAYESCROWD_RETURN_NOT_OK(
+      ReadInt(doc, "platform_seed", 0, &spec->platform.seed));
+  BAYESCROWD_RETURN_NOT_OK(ReadInt(doc, "workers_per_task", 1,
+                                   &spec->platform.workers_per_task));
 
   // "marketplace": {...} swaps the flat simulated crowd for the
   // adversarial worker marketplace. Parsed here so --recover rebuilds
@@ -230,29 +253,21 @@ Status SpecFromJson(const JsonValue& doc,
       market != nullptr) {
     spec->use_marketplace = true;
     MarketplaceOptions& mo = spec->marketplace;
-    mo.pool_size =
-        static_cast<std::size_t>(FindInt(*market, "pool_size", 12));
-    if (mo.pool_size < 3) {
-      return Status::InvalidArgument(
-          "marketplace.pool_size must be >= 3");
-    }
-    mo.spam_rate = FindDouble(*market, "spam_rate", 0.0);
+    BAYESCROWD_RETURN_NOT_OK(ReadInt(*market, "pool_size", 3, &mo.pool_size));
+    BAYESCROWD_RETURN_NOT_OK(ReadDouble(*market, "spam_rate", &mo.spam_rate));
     if (mo.spam_rate < 0.0 || mo.spam_rate > 1.0) {
       return Status::InvalidArgument(
           "marketplace.spam_rate must be in [0, 1]");
     }
-    mo.base_votes = static_cast<int>(FindInt(*market, "base_votes", 3));
-    mo.max_votes = static_cast<int>(
-        FindInt(*market, "max_votes", mo.base_votes));
-    if (mo.base_votes < 1 || mo.max_votes < mo.base_votes) {
-      return Status::InvalidArgument(
-          "marketplace votes: need base_votes >= 1 and "
-          "max_votes >= base_votes");
-    }
-    mo.churn_rate = FindDouble(*market, "churn_rate", mo.churn_rate);
+    BAYESCROWD_RETURN_NOT_OK(
+        ReadInt(*market, "base_votes", 1, &mo.base_votes));
+    mo.max_votes = mo.base_votes;
+    BAYESCROWD_RETURN_NOT_OK(
+        ReadInt(*market, "max_votes", mo.base_votes, &mo.max_votes));
+    BAYESCROWD_RETURN_NOT_OK(
+        ReadDouble(*market, "churn_rate", &mo.churn_rate));
     mo.defend = FindBool(*market, "defend", true);
-    mo.seed = static_cast<std::uint64_t>(
-        FindInt(*market, "seed", static_cast<std::int64_t>(mo.seed)));
+    BAYESCROWD_RETURN_NOT_OK(ReadInt(*market, "seed", 0, &mo.seed));
     if (mo.max_votes > mo.base_votes) {
       spec->options.adaptive.enabled = true;
       spec->options.adaptive.base_votes =
@@ -289,8 +304,11 @@ JsonValue HandleCreate(SessionManager* manager, const JsonValue& doc,
 
 JsonValue HandleAdvance(SessionManager* manager, const JsonValue& doc) {
   const std::string id = FindString(doc, "id", "");
-  const auto rounds = static_cast<std::size_t>(FindInt(doc, "rounds", 1));
-  const std::int64_t deadline_ms = FindInt(doc, "deadline_ms", 0);
+  std::size_t rounds = 1;
+  std::int64_t deadline_ms = 0;
+  Status read = ReadInt(doc, "rounds", 0, &rounds);
+  if (read.ok()) read = ReadInt(doc, "deadline_ms", 0, &deadline_ms);
+  if (!read.ok()) return ErrorLine(read.ToString());
   Result<AdvanceOutcome> advanced =
       manager->Advance(id, rounds, deadline_ms);
   if (!advanced.ok()) return StatusLine(advanced.status());
@@ -487,21 +505,25 @@ int ServeMain(int argc, char** argv) {
     auto next = [&]() -> std::string {
       return i + 1 < argc ? argv[++i] : std::string();
     };
+    // Integer flags: a malformed or too-small value is a usage error,
+    // never a silent default.
+    const auto int_flag = [&](int min, auto* out) {
+      const std::string text = next();
+      int v = 0;
+      if (!ParseInt(text, &v) || v < min) {
+        std::fprintf(stderr, "%s must be an integer >= %d, got '%s'\n",
+                     arg.c_str(), min, text.c_str());
+        return false;
+      }
+      *out = static_cast<std::remove_pointer_t<decltype(out)>>(v);
+      return true;
+    };
     if (arg == "--threads") {
-      int v = 0;
-      if (ParseInt(next(), &v) && v >= 0) {
-        options.threads = static_cast<std::size_t>(v);
-      }
+      if (!int_flag(0, &options.threads)) return 2;
     } else if (arg == "--max-resident") {
-      int v = 0;
-      if (ParseInt(next(), &v) && v > 0) {
-        options.max_resident_sessions = static_cast<std::size_t>(v);
-      }
+      if (!int_flag(1, &options.max_resident_sessions)) return 2;
     } else if (arg == "--max-per-tenant") {
-      int v = 0;
-      if (ParseInt(next(), &v) && v > 0) {
-        options.max_sessions_per_tenant = static_cast<std::size_t>(v);
-      }
+      if (!int_flag(1, &options.max_sessions_per_tenant)) return 2;
     } else if (arg == "--qos") {
       if (!ParseQosSpec(next(), &options.qos)) {
         std::fprintf(stderr, "bad --qos spec\n");
@@ -516,15 +538,9 @@ int ServeMain(int argc, char** argv) {
     } else if (arg == "--recover") {
       recover = true;
     } else if (arg == "--max-queue") {
-      int v = 0;
-      if (ParseInt(next(), &v) && v >= 0) {
-        options.max_queued_requests = static_cast<std::size_t>(v);
-      }
+      if (!int_flag(0, &options.max_queued_requests)) return 2;
     } else if (arg == "--retry-after-ms") {
-      int v = 0;
-      if (ParseInt(next(), &v) && v >= 0) {
-        options.retry_after_ms = v;
-      }
+      if (!int_flag(0, &options.retry_after_ms)) return 2;
     } else if (arg == "--chaos") {
       chaos_spec = next();
     } else {

@@ -56,6 +56,27 @@ cmp -s "${WORK}/inj_default.csv" "${WORK}/inj_7.csv" \
   && fail "inject --seed 7 must differ from the default seed"
 
 # ------------------------------------------------------------------ #
+# Bad numbers are usage errors: a non-numeric value, a negative integer
+# or a size below its minimum exits 2 with a one-line diagnostic —
+# never an abort (generate --n -1 used to throw std::length_error) or a
+# silent default (--n abc used to write 1000 rows).
+# ------------------------------------------------------------------ #
+for bad in "--n -1" "--n abc" "--n 0" "--d 0" "--levels 1" "--seed -3"; do
+  rc=0
+  # shellcheck disable=SC2086
+  "${CLI}" generate --dataset indep ${bad} --out "${WORK}/bad.csv" \
+    >/dev/null 2>"${WORK}/bad.err" || rc=$?
+  [ "${rc}" -eq 2 ] || fail "generate ${bad} must exit 2, got ${rc}"
+  [ "$(wc -l < "${WORK}/bad.err")" -eq 1 ] \
+    || fail "generate ${bad} must print exactly one diagnostic line"
+done
+[ ! -e "${WORK}/bad.csv" ] || fail "a rejected generate must write nothing"
+rc=0
+"${CLI}" inject --in "${WORK}/gen_42.csv" --rate abc \
+  --out "${WORK}/bad.csv" >/dev/null 2>&1 || rc=$?
+[ "${rc}" -eq 2 ] || fail "inject --rate abc must exit 2, got ${rc}"
+
+# ------------------------------------------------------------------ #
 # run: fault flags validate, and a faulted run is seed-reproducible.
 # ------------------------------------------------------------------ #
 if "${CLI}" run --data "${WORK}/inj_42.csv" --truth "${WORK}/gen_42.csv" \
@@ -116,6 +137,12 @@ fi
 if run_base --breaker-threshold -1 >/dev/null 2>&1; then
   fail "run must reject a negative --breaker-threshold"
 fi
+for bad in "--budget -3" "--latency 0" "--m x" "--threads -2"; do
+  rc=0
+  # shellcheck disable=SC2086
+  run_base ${bad} >/dev/null 2>&1 || rc=$?
+  [ "${rc}" -eq 2 ] || fail "run ${bad} must exit 2, got ${rc}"
+done
 if run_base --no-cache --resume --checkpoint-dir "${WORK}/ck" >/dev/null 2>&1; then
   fail "run must reject --no-cache combined with --resume"
 fi
@@ -289,9 +316,26 @@ printf '{"op":"frobnicate"}\n{"op":"shutdown"}\n' \
 head -n 1 "${WORK}/serve_unknown.jsonl" | grep -q "unknown op 'frobnicate'" \
   || fail "unknown op must produce a structured error line"
 
+# serve: bad numbers in a request get an ok:false line and the
+# connection survives (a negative n used to abort the server with
+# std::length_error; a negative budget wrapped around to 1.8e19).
+printf '%s\n' \
+  '{"op":"create","id":"x","tenant":"t","dataset":{"kind":"indep","n":-1}}' \
+  '{"op":"create","id":"y","tenant":"t","budget":-3}' \
+  '{"op":"create","id":"z","tenant":"t","dataset":{"kind":"indep","n":"abc"}}' \
+  '{"op":"create","id":"w","tenant":"t","latency":0}' \
+  '{"op":"list"}' '{"op":"shutdown"}' \
+  | "${SERVE}" > "${WORK}/serve_numbers.jsonl"
+[ "$(grep -c '"ok":false' "${WORK}/serve_numbers.jsonl")" -eq 4 ] \
+  || fail "serve must answer each bad-number create with ok:false"
+sed -n 5p "${WORK}/serve_numbers.jsonl" | grep -q '"op":"list","sessions":\[\]' \
+  || fail "serve must keep serving, with no session admitted, after bad numbers"
+
 # serve: bad flags exit 2 before the request loop starts.
 rc=0; "${SERVE}" --no-such-flag </dev/null >/dev/null 2>&1 || rc=$?
 [ "${rc}" -eq 2 ] || fail "serve must exit 2 on an unknown flag, got ${rc}"
+rc=0; "${SERVE}" --threads abc </dev/null >/dev/null 2>&1 || rc=$?
+[ "${rc}" -eq 2 ] || fail "serve must exit 2 on a non-numeric --threads, got ${rc}"
 rc=0; "${SERVE}" --qos "heavy=bogus" </dev/null >/dev/null 2>&1 || rc=$?
 [ "${rc}" -eq 2 ] || fail "serve must exit 2 on a bad --qos spec, got ${rc}"
 

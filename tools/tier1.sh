@@ -338,7 +338,9 @@ grep -q 'serve_recovery_sessions_resumed 3' "$SMOKE/recover.prom"
 
 echo "== tier-1: crash-safety and factor-kernel tests under ASan+UBSan =="
 # The Bayes-net factor kernels step flat indices by raw strides, so their
-# tests ride along with the recovery-path tests.
+# tests ride along with the recovery-path tests. So do the suites whose
+# single-condition evaluator calls all run through the batch path's
+# per-miss slot vectors (probability, core, failure).
 cmake -B "$ROOT/build-asan" -S "$ROOT" \
   -DBC_SANITIZE=address,undefined \
   -DBAYESCROWD_BUILD_BENCHMARKS=OFF \
@@ -349,9 +351,10 @@ cmake --build "$ROOT/build-asan" -j "$JOBS" --target checkpoint_test \
   --target attribution_test --target serve_test \
   --target serve_killpoint_test --target quality_test \
   --target marketplace_test --target bayesnet_test \
-  --target inference_property_test
+  --target inference_property_test --target probability_test \
+  --target core_test --target failure_test
 ctest --test-dir "$ROOT/build-asan" --output-on-failure \
-  -R '(checkpoint_test|killpoint_test|fault_test|differential_test|governor_test|compile_test|obs_test|attribution_test|serve_test|serve_killpoint_test|quality_test|marketplace_test|bayesnet_test|inference_property_test)'
+  -R '(checkpoint_test|killpoint_test|fault_test|differential_test|governor_test|compile_test|obs_test|attribution_test|serve_test|serve_killpoint_test|quality_test|marketplace_test|bayesnet_test|inference_property_test|probability_test|core_test|failure_test)'
 
 echo "== tier-1: concurrency tests under ThreadSanitizer =="
 cmake -B "$ROOT/build-tsan" -S "$ROOT" \
