@@ -11,7 +11,9 @@
 //   round-loop     a fixed workload of branch-heavy zigzag conditions,
 //                  posterior-shift rounds through the evaluator:
 //                  exact ADPLL vs. governed ADPLL vs. compiled replay
-//                  (speedups + bit-identity in the compiled row);
+//                  (speedups + bit-identity in the compiled row), each
+//                  after an untimed two-round warm-up whose seconds
+//                  every row reports;
 //   scratch        satellite: ADPLL's per-call scratch allocations vs.
 //                  the reusable per-lane scratch, same workload;
 //   pipeline       a full BayesCrowd run on a hostile c-table with
@@ -130,6 +132,7 @@ double Seconds(std::chrono::steady_clock::time_point start) {
 
 struct RoundLoopOutcome {
   double seconds = 0.0;
+  double warmup_seconds = 0.0;  // First solves and builds; not in `seconds`.
   std::vector<double> values;  // Concatenated rounds, for bit-compare.
   std::uint64_t adpll_calls = 0;
   CircuitStats compile;
@@ -163,11 +166,22 @@ RoundLoopOutcome RunRoundLoop(std::int64_t config) {
   for (const Condition& condition : w.conditions) {
     batch.push_back(&condition);
   }
-  // Warm-up round: first solves and, when compiling, the builds — the
-  // one-time cost the loop amortizes.
-  BAYESCROWD_CHECK_OK(evaluator.EvaluateBatch(batch).status());
-
+  // Warm-up, two rounds: the first solves, then one shifted round whose
+  // second solves, when compiling, also build the circuits — the
+  // one-time cost the loop amortizes. The warm-up shift draws from its
+  // own stream, so the timed shift stream is the same for every config.
   RoundLoopOutcome out;
+  const auto warmup_start = std::chrono::steady_clock::now();
+  BAYESCROWD_CHECK_OK(evaluator.EvaluateBatch(batch).status());
+  Rng warmup_rng(0x3A6E);
+  for (std::size_t chain = 0; chain < kChains; ++chain) {
+    const CellRef var{chain * 100 + kChainDepth, 0};
+    BAYESCROWD_CHECK_OK(evaluator.SetDistribution(
+        var, RandomDist(kChainLevels, warmup_rng)));
+  }
+  BAYESCROWD_CHECK_OK(evaluator.EvaluateBatch(batch).status());
+  out.warmup_seconds = Seconds(warmup_start);
+
   Rng rng(0x5EED);  // Same shift stream for every config.
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t round = 0; round < kRounds; ++round) {
@@ -217,6 +231,7 @@ void BM_CompileRoundLoop(benchmark::State& state) {
   run_config["conditions"] = kChains;
   obs::JsonValue row = obs::JsonValue::Object();
   row["seconds_per_round"] = outcome.seconds / static_cast<double>(kRounds);
+  row["warmup_seconds"] = outcome.warmup_seconds;
   row["adpll_calls"] = outcome.adpll_calls;
   row["bit_identical_to_exact"] = bit_identical;
   obs::JsonValue compile = obs::JsonValue::Object();

@@ -119,8 +119,10 @@ Status ThreadPool::ParallelFor(
   // body outlives every Submit because Wait() below is a barrier. Each
   // lane accounts its item count and body wall-clock once per call. A
   // throwing body poisons the loop: the exception becomes the returned
-  // Status and the remaining unclaimed indices are skipped.
-  std::atomic<std::size_t> next{0};
+  // Status and the remaining unclaimed indices are skipped. Index 0 is
+  // claimed for the caller before any worker is woken, so lane 0 always
+  // runs an item even when the workers could drain the rest first.
+  std::atomic<std::size_t> next{1};
   std::atomic<bool> poisoned{false};
   // The error slot is local to this call, not the pool: a co-resident
   // caller's failure (a different serve session sharing the pool) must
@@ -135,10 +137,10 @@ Status ThreadPool::ParallelFor(
     if (call_error.ok()) call_error = std::move(error);
   };
   const auto body = [this, &next, &poisoned, &record_call_error, count,
-                     &fn](std::size_t lane) {
+                     &fn](std::size_t lane, std::size_t first) {
     const auto start = std::chrono::steady_clock::now();
     std::uint64_t executed = 0;
-    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+    for (std::size_t i = first;
          i < count && !poisoned.load(std::memory_order_relaxed);
          i = next.fetch_add(1, std::memory_order_relaxed)) {
       try {
@@ -158,15 +160,17 @@ Status ThreadPool::ParallelFor(
         std::memory_order_relaxed);
   };
   if (lanes <= 1) {
-    body(0);
+    body(0, 0);
     return call_error;
   }
   for (std::size_t lane = 1; lane < lanes; ++lane) {
     // body() catches everything itself, so these wrappers never throw
     // and never touch the pool-global error slot.
-    Submit([&body, lane] { body(lane); });
+    Submit([&body, &next, lane] {
+      body(lane, next.fetch_add(1, std::memory_order_relaxed));
+    });
   }
-  body(0);
+  body(0, 0);
   Wait();
   return call_error;
 }

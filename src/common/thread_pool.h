@@ -63,12 +63,13 @@ class ThreadPool {
   /// Runs fn(lane, index) for every index in [0, count), spreading
   /// indices over the lanes via a shared atomic counter, and returns
   /// after all indices completed. lane is in [0, size()); the caller
-  /// executes as one of the lanes. If any invocation throws, the first
-  /// exception *of this call* is converted to an Internal Status
-  /// (remaining unclaimed indices are skipped); OK otherwise. Errors
-  /// never cross calls: concurrent or later ParallelFor callers on the
-  /// same pool are unaffected, and exceptions recorded by raw Submit()
-  /// tasks are never returned here.
+  /// executes as lane 0 and index 0 is always claimed for it, so lane 0
+  /// takes part in every call however fast the workers drain the rest.
+  /// If any invocation throws, the first exception *of this call* is
+  /// converted to an Internal Status (remaining unclaimed indices are
+  /// skipped); OK otherwise. Errors never cross calls: concurrent or
+  /// later ParallelFor callers on the same pool are unaffected, and
+  /// exceptions recorded by raw Submit() tasks are never returned here.
   Status ParallelFor(std::size_t count,
                      const std::function<void(std::size_t lane,
                                               std::size_t index)>& fn);

@@ -47,9 +47,9 @@ namespace bayescrowd {
 
 /// Checkpoint format version written by this build, and the only one
 /// it reads: any other version fails with a clear "older"/"newer"
-/// error instead of a misparse. Versions 1–3 were pre-release layouts;
+/// error instead of a misparse. Versions 1–4 were earlier layouts;
 /// change the payload or the memo blob only by bumping this.
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 /// Everything Run() snapshots at a round boundary. Field order here is
 /// the serialization order; extend only by bumping kCheckpointVersion.

@@ -182,8 +182,8 @@ obs::JsonValue RunTelemetryJson(const std::string& name,
   payload["solver"] = std::move(solver);
 
   // Knowledge-compilation outcome. Every count is deterministic for a
-  // fixed configuration (builds happen on first exact solves, reuses on
-  // later memo misses, both independent of thread count).
+  // fixed configuration (builds happen on second exact solves, reuses
+  // on later memo misses, both independent of thread count).
   obs::JsonValue compile = obs::JsonValue::Object();
   compile["builds"] = result.compile.builds;
   compile["fallbacks"] = result.compile.fallbacks;

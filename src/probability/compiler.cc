@@ -276,8 +276,6 @@ const char* CompileModeToString(CompileMode mode) {
       return "off";
     case CompileMode::kAuto:
       return "auto";
-    case CompileMode::kOn:
-      return "on";
   }
   return "?";
 }
@@ -287,8 +285,6 @@ bool ParseCompileMode(const std::string& name, CompileMode* mode) {
     *mode = CompileMode::kOff;
   } else if (name == "auto") {
     *mode = CompileMode::kAuto;
-  } else if (name == "on") {
-    *mode = CompileMode::kOn;
   } else {
     return false;
   }

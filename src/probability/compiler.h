@@ -28,8 +28,6 @@ namespace bayescrowd {
 enum class CompileMode : std::uint8_t {
   kOff = 0,   // Never compile; every evaluation re-runs the solver.
   kAuto = 1,  // Compile when the configuration is eligible (default).
-  kOn = 2,    // Same in-library behavior as kAuto; the CLI additionally
-              // rejects configurations that cannot compile.
 };
 
 const char* CompileModeToString(CompileMode mode);

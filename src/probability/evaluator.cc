@@ -269,13 +269,26 @@ void ProbabilityEvaluator::SerializeMemoState(std::string* out) const {
     w.WriteU64(entry.stamp);
   }
 
-  std::vector<std::pair<PackedVar, std::vector<ConditionFingerprint>>> index(
-      var_index_.begin(), var_index_.end());
+  // Only the live part of the variable index: InvalidateVariable counts
+  // what it actually erases, so stale and repeated fingerprints change
+  // nothing a resumed session observes. Every live entry is still
+  // listed under all of its variables (Insert lists it under each, and
+  // a variable's list is only dropped together with its entries).
+  std::vector<std::pair<PackedVar, std::vector<ConditionFingerprint>>> index;
+  for (const auto& [var, listed] : var_index_) {
+    std::vector<ConditionFingerprint> live;
+    for (const ConditionFingerprint& fingerprint : listed) {
+      if (cache_.count(fingerprint) != 0) live.push_back(fingerprint);
+    }
+    if (live.empty()) continue;
+    std::sort(live.begin(), live.end());
+    live.erase(std::unique(live.begin(), live.end()), live.end());
+    index.emplace_back(var, std::move(live));
+  }
   std::sort(index.begin(), index.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   w.WriteU64(index.size());
-  for (auto& [var, fingerprints] : index) {
-    std::sort(fingerprints.begin(), fingerprints.end());
+  for (const auto& [var, fingerprints] : index) {
     w.WriteU64(var);
     w.WriteU64(fingerprints.size());
     for (const ConditionFingerprint& fingerprint : fingerprints) {
@@ -293,10 +306,10 @@ void ProbabilityEvaluator::SerializeMemoState(std::string* out) const {
     w.WriteU64(epoch);
   }
 
-  // Compiled artifacts and the compile-refusal set, both
-  // fingerprint-sorted for canonical bytes. A resumed session then
-  // re-evaluates circuits immediately instead of re-solving (and
-  // re-compiling) every condition once per resume.
+  // Compiled artifacts and the compile marks, both fingerprint-sorted
+  // for canonical bytes. A resumed session then replays circuits
+  // immediately instead of re-solving, and compiles on the same miss
+  // as the uninterrupted run.
   std::vector<std::pair<ConditionFingerprint, const CompiledCircuit*>>
       circuits;
   circuits.reserve(circuits_.size());
@@ -316,13 +329,14 @@ void ProbabilityEvaluator::SerializeMemoState(std::string* out) const {
     w.WriteString(blob);
   }
 
-  std::vector<ConditionFingerprint> failed(circuit_failed_.begin(),
-                                           circuit_failed_.end());
-  std::sort(failed.begin(), failed.end());
-  w.WriteU64(failed.size());
-  for (const ConditionFingerprint& fingerprint : failed) {
+  std::vector<std::pair<ConditionFingerprint, CompileMark>> marks(
+      compile_marks_.begin(), compile_marks_.end());
+  std::sort(marks.begin(), marks.end());
+  w.WriteU64(marks.size());
+  for (const auto& [fingerprint, mark] : marks) {
     w.WriteU64(fingerprint.first);
     w.WriteU64(fingerprint.second);
+    w.WriteU8(static_cast<std::uint8_t>(mark));
   }
 }
 
@@ -335,7 +349,7 @@ struct ProbabilityEvaluator::MemoBlob {
   std::vector<
       std::pair<ConditionFingerprint, std::unique_ptr<const CompiledCircuit>>>
       circuits;
-  std::vector<ConditionFingerprint> circuit_failed;
+  std::vector<std::pair<ConditionFingerprint, CompileMark>> marks;
 };
 
 Status ProbabilityEvaluator::DecodeMemoState(BinReader* reader,
@@ -393,10 +407,18 @@ Status ProbabilityEvaluator::DecodeMemoState(BinReader* reader,
     circuit = std::move(decoded);
   }
 
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&n, 16));
-  out->circuit_failed.resize(n);
-  for (ConditionFingerprint& fingerprint : out->circuit_failed) {
+  // Mark: fingerprint 16 + mark 1 byte.
+  BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&n, 17));
+  out->marks.resize(n);
+  for (auto& [fingerprint, mark] : out->marks) {
+    std::uint8_t value = 0;
     BAYESCROWD_RETURN_NOT_OK(read_fingerprint(&fingerprint));
+    BAYESCROWD_RETURN_NOT_OK(reader->ReadU8(&value));
+    if (value != static_cast<std::uint8_t>(CompileMark::kSeen) &&
+        value != static_cast<std::uint8_t>(CompileMark::kRefused)) {
+      return Status::InvalidArgument("memo state: bad compile mark");
+    }
+    mark = static_cast<CompileMark>(value);
   }
   return Status::OK();
 }
@@ -407,7 +429,7 @@ Status ProbabilityEvaluator::RestoreMemoState(BinReader* reader) {
   cache_.clear();
   var_index_.clear();
   circuits_.clear();
-  circuit_failed_.clear();
+  compile_marks_.clear();
   var_epoch_.clear();
   var_epoch_.insert(blob.epochs.begin(), blob.epochs.end());
   MergeMemoBlob(&blob);
@@ -435,12 +457,12 @@ std::size_t ProbabilityEvaluator::MergeMemoBlob(MemoBlob* blob) {
     slot.insert(slot.end(), fingerprints.begin(), fingerprints.end());
   }
 
-  // Circuits carry the blob's store tag. An empty local store adopts
-  // the tag wholesale; a populated store only accepts a matching tag.
-  // Either way the first governed evaluation re-checks the tag
+  // Circuits and marks carry the blob's store tag. An empty local store
+  // adopts the tag wholesale; a populated store only accepts a matching
+  // tag. Either way the first governed evaluation re-checks the tag
   // (SyncCircuitStore) and drops a mismatched store, so an
   // adopted-but-wrong tag costs the artifacts, never correctness.
-  const bool adopt = circuits_.empty() && circuit_failed_.empty();
+  const bool adopt = circuits_.empty() && compile_marks_.empty();
   if (!adopt && blob->circuit_store_tag != circuit_store_tag_) {
     return imported;
   }
@@ -452,8 +474,13 @@ std::size_t ProbabilityEvaluator::MergeMemoBlob(MemoBlob* blob) {
       ++restored.restored;
     }
   }
-  circuit_failed_.insert(blob->circuit_failed.begin(),
-                         blob->circuit_failed.end());
+  // A stored artifact supersedes any mark; existing marks win.
+  for (const auto& [fingerprint, mark] : blob->marks) {
+    if (compile_marks_.size() >= kMaxCircuits) break;
+    if (circuits_.count(fingerprint) == 0) {
+      compile_marks_.emplace(fingerprint, mark);
+    }
+  }
   AddCircuitStats(restored);
   return imported;
 }
@@ -558,9 +585,18 @@ void ProbabilityEvaluator::StoreCircuit(
   if (circuits_.size() >= kMaxCircuits) {
     stats->evictions += circuits_.size();
     circuits_.clear();
-    circuit_failed_.clear();
   }
   circuits_.emplace(fingerprint, std::move(circuit));
+  compile_marks_.erase(fingerprint);
+}
+
+void ProbabilityEvaluator::SetCompileMark(
+    const ConditionFingerprint& fingerprint, CompileMark mark) {
+  if (compile_marks_.size() >= kMaxCircuits &&
+      compile_marks_.count(fingerprint) == 0) {
+    compile_marks_.clear();
+  }
+  compile_marks_[fingerprint] = mark;
 }
 
 void ProbabilityEvaluator::ReserveScratch(std::size_t lanes) {
@@ -573,7 +609,7 @@ void ProbabilityEvaluator::SyncCircuitStore(CircuitStats* stats) {
   if (tag == circuit_store_tag_) return;
   stats->evictions += circuits_.size();
   circuits_.clear();
-  circuit_failed_.clear();
+  compile_marks_.clear();
   circuit_store_tag_ = tag;
 }
 
@@ -640,25 +676,33 @@ ProbabilityEvaluator::EvaluateBatchIntervals(
   ins_.batch_misses->Observe(static_cast<double>(misses.size()));
 
   // Artifact lookups happen on this thread too (the maps are not
-  // lane-safe): each miss resolves to either a shared circuit pointer
-  // to replay, or a flag to compile after an exact first solve.
+  // lane-safe): each miss resolves to a shared circuit pointer to
+  // replay, a flag to compile after an exact solve (its second), or a
+  // flag to mark it seen after an exact solve (its first). A condition
+  // twice in one batch reads the same mark for both copies.
   const bool compiling = CompileActive();
   const bool governed = options_.governor.enabled();
   std::vector<const CompiledCircuit*> miss_circuit;
   std::vector<char> want_compile;
+  std::vector<char> want_mark;
   if (compiling) {
     CircuitStats sync_stats;
     SyncCircuitStore(&sync_stats);
     AddCircuitStats(sync_stats);
     miss_circuit.assign(misses.size(), nullptr);
     want_compile.assign(misses.size(), 0);
+    want_mark.assign(misses.size(), 0);
     for (std::size_t m = 0; m < misses.size(); ++m) {
       const ConditionFingerprint& fingerprint = fingerprints[misses[m]];
       const auto cit = circuits_.find(fingerprint);
       if (cit != circuits_.end()) {
         miss_circuit[m] = cit->second.get();
-      } else if (circuit_failed_.find(fingerprint) ==
-                 circuit_failed_.end()) {
+        continue;
+      }
+      const auto mark = compile_marks_.find(fingerprint);
+      if (mark == compile_marks_.end()) {
+        want_mark[m] = 1;
+      } else if (mark->second == CompileMark::kSeen) {
         want_compile[m] = 1;
       }
     }
@@ -760,15 +804,16 @@ ProbabilityEvaluator::EvaluateBatchIntervals(
   if (compiling) {
     CircuitStats circuit_stats;
     for (std::size_t m = 0; m < misses.size(); ++m) {
-      const ConditionFingerprint& fingerprint = fingerprints[misses[m]];
+      const std::size_t i = misses[m];
+      const ConditionFingerprint& fingerprint = fingerprints[i];
       if (circuit_served[m] != 0) ++circuit_stats.reuses;
       if (circuit_stale[m] != 0) {
         circuits_.erase(fingerprint);
-        circuit_failed_.insert(fingerprint);
+        SetCompileMark(fingerprint, CompileMark::kRefused);
         ++circuit_stats.fallbacks;
       }
       if (compile_refused[m] != 0) {
-        circuit_failed_.insert(fingerprint);
+        SetCompileMark(fingerprint, CompileMark::kRefused);
         ++circuit_stats.fallbacks;
       }
       if (built[m] != nullptr &&
@@ -778,6 +823,12 @@ ProbabilityEvaluator::EvaluateBatchIntervals(
         ++circuit_stats.builds;
         circuit_stats.nodes += built[m]->nodes.size();
         StoreCircuit(fingerprint, std::move(built[m]), &circuit_stats);
+      }
+      // Only an exact solve arms the trigger: a degraded answer says
+      // nothing about whether the next solve will be exact.
+      if (want_mark[m] != 0 &&
+          intervals[i].quality == ProbQuality::kExact) {
+        SetCompileMark(fingerprint, CompileMark::kSeen);
       }
     }
     AddCircuitStats(circuit_stats);

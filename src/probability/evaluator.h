@@ -17,14 +17,16 @@
 //    per-condition seeds, so outputs are bit-identical for any thread
 //    count. Every other Pr(φ) entry point (Probability,
 //    ProbabilityInterval, EvaluateBatch, EvaluateAll*) delegates to it;
-//  * a knowledge-compilation layer (circuit.h / compiler.h): the first
-//    exact solve of a condition also compiles its ADPLL trace into a
-//    CompiledCircuit, and later memo misses for the same formula under
-//    shifted posteriors — the round loop's entire hot path — replay the
-//    circuit in one arena pass instead of re-running the search. The
-//    circuit reproduces ADPLL bit for bit, compile failures fall back
-//    to the governed ladder, and artifacts ride checkpoints so a
-//    resumed session keeps its compiled state.
+//  * a knowledge-compilation layer (circuit.h / compiler.h): a
+//    condition's second exact solve also compiles its ADPLL trace into
+//    a CompiledCircuit (most counterfactual formulas are solved once
+//    and never again, so the first solve only marks the condition as
+//    seen), and later memo misses for the same formula under shifted
+//    posteriors — the round loop's hot path — replay the circuit in
+//    one arena pass instead of re-running the search. The circuit
+//    reproduces ADPLL bit for bit, compile failures fall back to the
+//    governed ladder, and artifacts and seen marks ride checkpoints so
+//    a resumed session makes the uninterrupted run's compile decisions.
 
 #ifndef BAYESCROWD_PROBABILITY_EVALUATOR_H_
 #define BAYESCROWD_PROBABILITY_EVALUATOR_H_
@@ -32,7 +34,6 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/binio.h"
@@ -237,13 +238,13 @@ class ProbabilityEvaluator {
   }
   const GovernorOptions& governor() const { return options_.governor; }
 
-  /// Appends the memo state (cache entries with their stamps, variable
-  /// index, distribution epochs, compiled artifacts and the
-  /// compile-refusal set) to `out` in a canonical binary form, so a
-  /// resumed session replays the exact hit/miss sequence of the
-  /// uninterrupted run. Distributions are NOT included — the caller
-  /// re-derives them from checkpointed knowledge. There is one layout;
-  /// the checkpoint envelope version pins it.
+  /// Appends the memo state (cache entries with their stamps, the live
+  /// part of the variable index, distribution epochs, compiled
+  /// artifacts and the compile marks) to `out` in a canonical binary
+  /// form, so a resumed session replays the exact hit/miss and compile
+  /// sequence of the uninterrupted run. Distributions are NOT included
+  /// — the caller re-derives them from checkpointed knowledge. There is
+  /// one layout; the checkpoint envelope version pins it.
   void SerializeMemoState(std::string* out) const;
 
   /// Restores state written by SerializeMemoState, replacing the
@@ -253,7 +254,7 @@ class ProbabilityEvaluator {
   Status RestoreMemoState(BinReader* reader);
 
   /// Warm-start merge for a shared cross-session cache: imports the
-  /// memo entries, variable index, compiled artifacts and refusal set
+  /// memo entries, variable index, compiled artifacts and compile marks
   /// of a SerializeMemoState blob WITHOUT touching this evaluator's
   /// distribution epochs or existing entries (existing entries win on
   /// fingerprint collisions; RestoreMemoState, by contrast, clears
@@ -262,10 +263,12 @@ class ProbabilityEvaluator {
   /// epochs and scope/budget/compile tags — the standard lookup check —
   /// so merging a foreign blob is always sound; mismatched entries are
   /// dead weight, never wrong answers.
-  /// Circuits merge only when the blob's store tag matches the active
-  /// one (adopted wholesale when the local store is empty; a mismatch
-  /// at the next evaluation drops them, the SyncCircuitStore rule).
-  /// Returns the number of memo entries imported.
+  /// Circuits and marks merge only when the blob's store tag matches
+  /// the active one (adopted wholesale when the local store is empty; a
+  /// mismatch at the next evaluation drops them, the SyncCircuitStore
+  /// rule). An imported seen mark arms the local trigger, so a
+  /// warm-started session compiles a condition an earlier session
+  /// already solved once. Returns the number of memo entries imported.
   Result<std::size_t> MergeMemoState(BinReader* reader);
 
  private:
@@ -343,18 +346,30 @@ class ProbabilityEvaluator {
                                        GovernorTally* tally,
                                        AdpllScratch* scratch);
 
-  /// Compiles `condition` after its first exact evaluation. Returns the
-  /// artifact, or nullptr when the compile refused (budget/structure) —
-  /// the caller then records the refusal so the condition never
-  /// retries. Counts into `stats`.
+  /// Compiles `condition` after its second exact evaluation. Returns
+  /// the artifact, or nullptr when the compile refused
+  /// (budget/structure) — the caller then records the refusal so the
+  /// condition never retries. Counts into `stats`.
   std::unique_ptr<const CompiledCircuit> BuildCircuit(
       const Condition& condition, CircuitStats* stats);
 
   /// Stores one compiled artifact under the (deterministic, miss-order)
-  /// cache-cap policy. Counts into `stats`.
+  /// cache-cap policy and drops its seen mark. Counts into `stats`.
   void StoreCircuit(const ConditionFingerprint& fingerprint,
                     std::unique_ptr<const CompiledCircuit> circuit,
                     CircuitStats* stats);
+
+  /// Compile-trigger state of a condition without a stored artifact.
+  /// No mark: it has not missed exactly since the marks were last
+  /// cleared. kSeen: one exact miss, so the next exact miss compiles.
+  /// kRefused: its compile refused or its circuit failed to replay, so
+  /// it never compiles again.
+  enum class CompileMark : std::uint8_t { kSeen = 1, kRefused = 2 };
+
+  /// Sets one mark under the same cap policy as the artifact store:
+  /// a new fingerprint arriving at kMaxCircuits marks clears them all.
+  void SetCompileMark(const ConditionFingerprint& fingerprint,
+                      CompileMark mark);
 
   /// Ensures the per-lane solver scratch vectors cover `lanes` lanes.
   void ReserveScratch(std::size_t lanes);
@@ -396,26 +411,30 @@ class ProbabilityEvaluator {
                      std::unique_ptr<const CompiledCircuit>,
                      ConditionFingerprintHash>
       circuits_;
-  /// Conditions whose compile refused (budget/structure) or whose
-  /// circuit failed to evaluate — never retried.
-  std::unordered_set<ConditionFingerprint, ConditionFingerprintHash>
-      circuit_failed_;
-  /// BudgetTag ^ CompileTag the artifact store was populated under. A
-  /// governed lookup must never replay a circuit from another budget
-  /// configuration (a fresh run under that budget may degrade where
-  /// the circuit is exact), so a tag change drops the store — the same
-  /// rule the memo stamps enforce, applied store-wide.
+  /// Compile-trigger marks (see CompileMark). Written only by the
+  /// sequential post-barrier fold, so every lane count makes the same
+  /// compile decisions.
+  std::unordered_map<ConditionFingerprint, CompileMark,
+                     ConditionFingerprintHash>
+      compile_marks_;
+  /// BudgetTag ^ CompileTag the artifact store (and the marks) were
+  /// populated under. A governed lookup must never replay a circuit
+  /// from another budget configuration (a fresh run under that budget
+  /// may degrade where the circuit is exact), so a tag change drops the
+  /// store — the same rule the memo stamps enforce, applied store-wide.
   std::uint64_t circuit_store_tag_ = 0;
-  /// Artifact-cache cap: reaching it clears the whole map (a
-  /// deterministic policy — LRU would depend on evaluation order).
+  /// Cap of the artifact store and of the marks: reaching it clears the
+  /// whole map (a deterministic policy — LRU would depend on
+  /// evaluation order).
   static constexpr std::size_t kMaxCircuits = 8192;
 
   /// Per-lane solver scratch (element 0 serves a sequential pass);
   /// grown to the pool width before each batch pass.
   std::vector<AdpllScratch> adpll_scratch_;
   std::vector<CircuitScratch> circuit_scratch_;
-  /// Fingerprints of cached conditions per mentioned variable (may hold
-  /// stale fingerprints; eviction tolerates them).
+  /// Fingerprints of cached conditions per mentioned variable. May hold
+  /// stale and repeated fingerprints: eviction counts only what it
+  /// actually erases, so checkpoints keep just the live ones.
   std::unordered_map<PackedVar, std::vector<ConditionFingerprint>>
       var_index_;
   /// Times each variable's distribution has been replaced.

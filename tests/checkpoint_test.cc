@@ -1,6 +1,6 @@
 // Checkpoint format and store tests: envelope integrity, payload
 // round-trips, generation management, corruption fallback, and the
-// committed v4 golden fixture (format-drift contract).
+// committed v5 golden fixture (format-drift contract).
 
 #include "core/checkpoint.h"
 
@@ -45,18 +45,34 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
+/// The condition GoldenMemoBlob leaves marked seen once (uncompiled).
+Condition GoldenSeenCondition() {
+  return Condition::Cnf({{Expression::VarConst(V(3, 0), CmpOp::kGreater, 1)}});
+}
+
 /// A real SerializeMemoState blob: one memo entry, its variable index
-/// and epochs, and the compiled circuit of its first exact solve.
+/// and epochs, the circuit its second exact solve compiled, and the
+/// seen mark of a second condition whose only entry was evicted (so its
+/// variable is absent from the live-only index).
 std::string GoldenMemoBlob() {
   ProbabilityEvaluator evaluator;
   BAYESCROWD_CHECK_OK(evaluator.SetDistribution(
       V(2, 0), std::vector<double>{0.25, 0.25, 0.5}));
   BAYESCROWD_CHECK_OK(evaluator.SetDistribution(
       V(2, 1), std::vector<double>{0.5, 0.125, 0.375}));
+  BAYESCROWD_CHECK_OK(evaluator.SetDistribution(
+      V(3, 0), std::vector<double>{0.25, 0.5, 0.25}));
   const Condition condition = Condition::Cnf(
       {{Expression::VarConst(V(2, 0), CmpOp::kGreater, 0),
         Expression::VarConst(V(2, 1), CmpOp::kLess, 1)}});
   BAYESCROWD_CHECK_OK(evaluator.Probability(condition).status());
+  BAYESCROWD_CHECK_OK(evaluator.SetDistribution(
+      V(2, 0), std::vector<double>{0.5, 0.25, 0.25}));
+  BAYESCROWD_CHECK_OK(evaluator.Probability(condition).status());
+  BAYESCROWD_CHECK_OK(
+      evaluator.Probability(GoldenSeenCondition()).status());
+  BAYESCROWD_CHECK_OK(evaluator.SetDistribution(
+      V(3, 0), std::vector<double>{0.125, 0.5, 0.375}));
   std::string blob;
   evaluator.SerializeMemoState(&blob);
   return blob;
@@ -65,7 +81,7 @@ std::string GoldenMemoBlob() {
 /// A deterministic, richly-populated state: every field class exercised
 /// (decided + CNF conditions, round logs with recovery data, metrics of
 /// all three kinds, binary blobs, session-layer stamps). Also the
-/// generator of the committed golden fixture — see GoldenV4FixtureTest.
+/// generator of the committed golden fixture — see GoldenV5FixtureTest.
 SessionState MakeGoldenState() {
   SessionState state;
   state.budget_left = 12.5;
@@ -536,13 +552,13 @@ TEST(CheckpointStoreTest, TornTmpWritePromotedByRenameFallsBack) {
 }
 
 // ------------------------------------------------------------------- //
-// Golden fixture. golden_v4.ckpt matches today's writer byte-for-byte,
+// Golden fixture. golden_v5.ckpt matches today's writer byte-for-byte,
 // envelope and memo blob included; regenerate with:
 //   BC_REGEN_GOLDEN=1 ./checkpoint_test
 // ------------------------------------------------------------------- //
 
-TEST(GoldenV4FixtureTest, CommittedFixtureMatchesHeadBytes) {
-  const std::string path = std::string(BC_TESTDATA_DIR) + "/golden_v4.ckpt";
+TEST(GoldenV5FixtureTest, CommittedFixtureMatchesHeadBytes) {
+  const std::string path = std::string(BC_TESTDATA_DIR) + "/golden_v5.ckpt";
   const SessionState expected = MakeGoldenState();
   if (std::getenv("BC_REGEN_GOLDEN") != nullptr) {
     WriteFileBytes(path, WrapCheckpoint(SerializeState(expected)));
@@ -574,6 +590,14 @@ TEST(GoldenV4FixtureTest, CommittedFixtureMatchesHeadBytes) {
   EXPECT_TRUE(memo.AtEnd());
   EXPECT_EQ(evaluator.CacheSize(), 1u);
   EXPECT_EQ(evaluator.CircuitCount(), 1u);
+
+  // ...and one seen mark: the marked condition's next exact solve is
+  // its second, so it compiles.
+  BAYESCROWD_CHECK_OK(evaluator.SetDistribution(
+      V(3, 0), std::vector<double>{0.25, 0.25, 0.5}));
+  ASSERT_TRUE(evaluator.Probability(GoldenSeenCondition()).ok());
+  EXPECT_EQ(evaluator.compile_stats().builds, 1u);
+  EXPECT_EQ(evaluator.CircuitCount(), 2u);
 }
 
 TEST(MemoBlobTest, TruncatedBlobIsRefusedAndLeavesEvaluatorUntouched) {
@@ -598,8 +622,8 @@ TEST(CheckpointEnvelopeTest, RefusesEveryOtherVersion) {
   // The CRC covers only the payload, so the version byte may be edited
   // in place: only kCheckpointVersion itself unwraps.
   std::string wrapped = WrapCheckpoint("payload");
-  ASSERT_EQ(kCheckpointVersion, 4u);
-  for (const std::uint32_t version : {0u, 1u, 2u, 3u, 5u}) {
+  ASSERT_EQ(kCheckpointVersion, 5u);
+  for (const std::uint32_t version : {0u, 1u, 2u, 3u, 4u, 6u}) {
     wrapped[4] = static_cast<char>(version);
     const auto refused = UnwrapCheckpoint(wrapped);
     ASSERT_FALSE(refused.ok()) << "version " << version;

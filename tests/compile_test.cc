@@ -3,10 +3,14 @@
 // bit for bit under shifted posteriors, refuse oversized instances
 // through the governed fallback instead of mis-answering, survive
 // serialization (including the checkpoint memo blob), and never leak
-// artifacts across budget or compile configurations.
+// artifacts across budget or compile configurations. The evaluator
+// compiles a condition on its second exact miss, and that trigger must
+// be the same at every lane count and across checkpoint restore and
+// warm-start merge.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -18,6 +22,7 @@
 #include "common/binio.h"
 #include "common/random.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "ctable/builder.h"
 #include "ctable/ctable.h"
 #include "data/generators.h"
@@ -382,8 +387,15 @@ TEST(EvaluatorCompileTest, CompileRefusalFallsBackAndNeverRetries) {
   ProbabilityEvaluator evaluator(options);
   evaluator.distributions() = inst.dists;
 
+  // The first miss only marks the condition seen; the second attempts
+  // the compile, which refuses.
   const auto p = evaluator.Probability(inst.condition);
   ASSERT_TRUE(p.ok());
+  EXPECT_EQ(evaluator.compile_stats().fallbacks, 0u);
+  evaluator.InvalidateVariable(CellRef{0, 0});
+  const auto second = evaluator.Probability(inst.condition);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(p.value(), second.value());
   EXPECT_NEAR(p.value(), inst.exact_probability, 1e-9);
   EXPECT_EQ(evaluator.compile_stats().builds, 0u);
   EXPECT_EQ(evaluator.compile_stats().fallbacks, 1u);
@@ -396,7 +408,7 @@ TEST(EvaluatorCompileTest, CompileRefusalFallsBackAndNeverRetries) {
   ASSERT_TRUE(q.ok());
   EXPECT_EQ(p.value(), q.value());
   EXPECT_EQ(evaluator.compile_stats().fallbacks, 1u);
-  EXPECT_EQ(evaluator.cache_stats().misses, 2u);
+  EXPECT_EQ(evaluator.cache_stats().misses, 3u);
 }
 
 TEST(EvaluatorCompileTest, GovernedReplayKeepsGradesAndBudgetsSound) {
@@ -412,6 +424,8 @@ TEST(EvaluatorCompileTest, GovernedReplayKeepsGradesAndBudgetsSound) {
     options.governor.ladder = LadderMode::kFull;
     ProbabilityEvaluator evaluator(options);
     evaluator.distributions() = inst.dists;
+    ASSERT_TRUE(evaluator.ProbabilityInterval(inst.condition).ok());
+    evaluator.InvalidateVariable(CellRef{0, 0});
     const auto r = evaluator.ProbabilityInterval(inst.condition);
     ASSERT_TRUE(r.ok());
     EXPECT_FALSE(r->exact());
@@ -422,8 +436,9 @@ TEST(EvaluatorCompileTest, GovernedReplayKeepsGradesAndBudgetsSound) {
     EXPECT_GE(evaluator.solver_stats().budget_exhausted, 1u);
   }
 
-  // An ample governed budget solves exactly, compiles, and a replay
-  // ticks the same exact tier the search would have.
+  // An ample governed budget solves exactly, compiles on the second
+  // solve, and a replay ticks the same exact tier the search would
+  // have.
   {
     ProbabilityOptions options;
     options.compile.mode = CompileMode::kAuto;
@@ -432,11 +447,17 @@ TEST(EvaluatorCompileTest, GovernedReplayKeepsGradesAndBudgetsSound) {
     options.governor.ladder = LadderMode::kFull;
     ProbabilityEvaluator evaluator(options);
     evaluator.distributions() = inst.dists;
+    const auto seen = evaluator.ProbabilityInterval(inst.condition);
+    ASSERT_TRUE(seen.ok());
+    EXPECT_TRUE(seen->exact());
+    EXPECT_EQ(evaluator.compile_stats().builds, 0u);
+    evaluator.InvalidateVariable(CellRef{0, 0});
     const auto first = evaluator.ProbabilityInterval(inst.condition);
     ASSERT_TRUE(first.ok());
     EXPECT_TRUE(first->exact());
+    EXPECT_EQ(first->lo, seen->lo);
     EXPECT_EQ(evaluator.compile_stats().builds, 1u);
-    EXPECT_EQ(evaluator.solver_stats().tier_exact, 1u);
+    EXPECT_EQ(evaluator.solver_stats().tier_exact, 2u);
 
     evaluator.InvalidateVariable(CellRef{0, 0});
     const auto second = evaluator.ProbabilityInterval(inst.condition);
@@ -444,7 +465,7 @@ TEST(EvaluatorCompileTest, GovernedReplayKeepsGradesAndBudgetsSound) {
     EXPECT_TRUE(second->exact());
     EXPECT_EQ(second->lo, first->lo);
     EXPECT_EQ(evaluator.compile_stats().reuses, 1u);
-    EXPECT_EQ(evaluator.solver_stats().tier_exact, 2u);
+    EXPECT_EQ(evaluator.solver_stats().tier_exact, 3u);
   }
 
   // The strict ladder is ineligible by contract: budget-exhausted
@@ -456,6 +477,8 @@ TEST(EvaluatorCompileTest, GovernedReplayKeepsGradesAndBudgetsSound) {
     options.governor.ladder = LadderMode::kStrict;
     ProbabilityEvaluator evaluator(options);
     evaluator.distributions() = inst.dists;
+    ASSERT_TRUE(evaluator.ProbabilityInterval(inst.condition).ok());
+    evaluator.InvalidateVariable(CellRef{0, 0});
     const auto r = evaluator.ProbabilityInterval(inst.condition);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(evaluator.compile_stats().builds, 0u);
@@ -473,6 +496,8 @@ TEST(EvaluatorCompileTest, GovernorChangeDropsTheArtifactStore) {
   evaluator.distributions() = inst.dists;
 
   ASSERT_TRUE(evaluator.Probability(inst.condition).ok());
+  evaluator.InvalidateVariable(CellRef{0, 0});
+  ASSERT_TRUE(evaluator.Probability(inst.condition).ok());
   ASSERT_EQ(evaluator.CircuitCount(), 1u);
 
   // Enable a biting budget on the same evaluator: the store was
@@ -489,8 +514,11 @@ TEST(EvaluatorCompileTest, GovernorChangeDropsTheArtifactStore) {
   EXPECT_EQ(evaluator.compile_stats().reuses, 0u);
 
   // Returning to the inert configuration rebuilds from scratch rather
-  // than trusting any stale store.
+  // than trusting any stale store (or the marks that went with it).
   evaluator.options().governor = GovernorOptions{};
+  ASSERT_TRUE(evaluator.Probability(inst.condition).ok());
+  EXPECT_EQ(evaluator.compile_stats().builds, 1u);
+  evaluator.InvalidateVariable(CellRef{0, 0});
   const auto exact = evaluator.Probability(inst.condition);
   ASSERT_TRUE(exact.ok());
   EXPECT_NEAR(exact.value(), inst.exact_probability, 1e-9);
@@ -513,16 +541,30 @@ TEST(EvaluatorCompileTest, CheckpointedArtifactsReplayAfterRestore) {
     }
   };
 
+  // One shifted round after the first solves, so the second solves
+  // compile.
+  auto shift = [&](ProbabilityEvaluator& evaluator) {
+    Rng rng(0xBEEF);
+    for (const CellRef& var : c.ctable.AllVariables()) {
+      BAYESCROWD_CHECK_OK(
+          evaluator.SetDistribution(var, RandomDist(kLevels, rng)));
+    }
+  };
+
   ProbabilityEvaluator warm(options);
   setup(warm);
   auto baseline = warm.EvaluateAll(c.ctable, c.objects);
   BAYESCROWD_CHECK_OK(baseline.status());
+  shift(warm);
+  auto compiled = warm.EvaluateAll(c.ctable, c.objects);
+  BAYESCROWD_CHECK_OK(compiled.status());
   ASSERT_GT(warm.CircuitCount(), 0u);
   std::string blob;
   warm.SerializeMemoState(&blob);
 
   ProbabilityEvaluator resumed(options);
   setup(resumed);
+  shift(resumed);
   BinReader reader(blob);
   ASSERT_TRUE(resumed.RestoreMemoState(&reader).ok());
   EXPECT_EQ(resumed.CircuitCount(), warm.CircuitCount());
@@ -545,6 +587,287 @@ TEST(EvaluatorCompileTest, CheckpointedArtifactsReplayAfterRestore) {
   }
   EXPECT_EQ(resumed.compile_stats().builds, 0u);
   EXPECT_GT(resumed.compile_stats().reuses, 0u);
+}
+
+// The trigger: a condition's first exact miss builds nothing, its
+// second builds, its third replays. Marks are read before the fan-out
+// and written after the barrier, so every counter matches at any lane
+// count; the duplicate copy of a condition in one batch reads the same
+// mark as the first copy, so neither copy compiles on the first pass.
+TEST(EvaluatorCompileTest, SecondExactMissCompilesAtEveryLaneCount) {
+  const AdversarialInstance chain = MakeDeepChainInstance(3, 4);
+  const AdversarialInstance wide = MakeWideChainConjunctInstance(2, 4);
+  const std::vector<const Condition*> batch{
+      &chain.condition, &wide.condition, &chain.condition};
+
+  auto run = [&](std::size_t threads, std::vector<CircuitStats>* rounds) {
+    ThreadPool pool(threads);
+    ProbabilityEvaluator evaluator;
+    evaluator.distributions() = chain.dists;  // Covers both instances.
+    evaluator.set_thread_pool(&pool);
+    Rng rng(0x5EC0);
+    std::vector<double> all;
+    for (int round = 0; round < 3; ++round) {
+      if (round > 0) {
+        BAYESCROWD_CHECK_OK(
+            evaluator.SetDistribution(CellRef{1, 0}, RandomDist(4, rng)));
+      }
+      auto values = evaluator.EvaluateBatch(batch);
+      BAYESCROWD_CHECK_OK(values.status());
+      all.insert(all.end(), values->begin(), values->end());
+      rounds->push_back(evaluator.compile_stats());
+    }
+    return all;
+  };
+
+  std::vector<CircuitStats> one;
+  const std::vector<double> base = run(1, &one);
+  ASSERT_EQ(one.size(), 3u);
+  EXPECT_EQ(one[0].builds, 0u);
+  EXPECT_EQ(one[0].reuses, 0u);
+  EXPECT_EQ(one[1].builds, 2u);  // The duplicate does not double-build.
+  EXPECT_EQ(one[1].reuses, 0u);
+  EXPECT_EQ(one[2].builds, 2u);
+  EXPECT_EQ(one[2].reuses, 3u);  // Both chain copies and the wide one.
+  for (const CircuitStats& stats : one) {
+    EXPECT_EQ(stats.fallbacks, 0u);
+    EXPECT_EQ(stats.evictions, 0u);
+  }
+
+  std::vector<CircuitStats> eight;
+  const std::vector<double> wide_pool = run(8, &eight);
+  ASSERT_EQ(base.size(), wide_pool.size());
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    EXPECT_EQ(base[i], wide_pool[i]) << "slot " << i;
+  }
+  ASSERT_EQ(eight.size(), one.size());
+  for (std::size_t r = 0; r < one.size(); ++r) {
+    EXPECT_EQ(eight[r].builds, one[r].builds) << "round " << r;
+    EXPECT_EQ(eight[r].reuses, one[r].reuses) << "round " << r;
+    EXPECT_EQ(eight[r].nodes, one[r].nodes) << "round " << r;
+    EXPECT_EQ(eight[r].fallbacks, one[r].fallbacks) << "round " << r;
+  }
+
+  // A degraded answer never arms the trigger. The deep chain exhausts
+  // a 32-node budget under uniform posteriors, but pinned posteriors
+  // leave ADPLL one branch per variable, so the same budget then
+  // solves it exactly: that exact solve is its first, not its second.
+  const AdversarialInstance deep = MakeDeepChainInstance(7, 6);
+  ProbabilityOptions options;
+  options.compile.max_nodes = 1ull << 20;
+  options.governor.max_nodes = 32;
+  options.governor.ladder = LadderMode::kInterval;
+  ProbabilityEvaluator governed(options);
+  governed.distributions() = deep.dists;
+  const auto degraded = governed.ProbabilityInterval(deep.condition);
+  ASSERT_TRUE(degraded.ok());
+  EXPECT_FALSE(degraded->exact());
+  auto pin = [&](Level offset) {
+    for (std::size_t i = 0; i <= 7; ++i) {
+      std::vector<double> point(6, 0.0);
+      point[(i + offset) % 6] = 1.0;
+      BAYESCROWD_CHECK_OK(governed.SetDistribution(CellRef{i, 0}, point));
+    }
+  };
+  pin(0);
+  const auto first_exact = governed.ProbabilityInterval(deep.condition);
+  ASSERT_TRUE(first_exact.ok());
+  EXPECT_TRUE(first_exact->exact());
+  EXPECT_EQ(governed.compile_stats().builds, 0u);
+  pin(1);
+  const auto second_exact = governed.ProbabilityInterval(deep.condition);
+  ASSERT_TRUE(second_exact.ok());
+  EXPECT_TRUE(second_exact->exact());
+  EXPECT_EQ(governed.compile_stats().builds, 1u);
+}
+
+// Marks ride the memo blob: an evaluator restored from a blob taken
+// after the first miss compiles on the same (second) miss as the
+// uninterrupted evaluator, and so does one that merges the blob into
+// its own fresh state. Without the blob the same miss is a first one.
+TEST(EvaluatorCompileTest, RestoredAndMergedMarksCompileOnTheSameMiss) {
+  const CompileCase c = MakeCompileCase(5);
+  ASSERT_FALSE(c.objects.empty());
+  auto setup = [&](ProbabilityEvaluator& evaluator) {
+    for (const CellRef& var : c.ctable.AllVariables()) {
+      auto dist = c.dists.Get(var);
+      BAYESCROWD_CHECK_OK(dist.status());
+      BAYESCROWD_CHECK_OK(
+          evaluator.SetDistribution(var, std::move(dist).value()));
+    }
+  };
+
+  ProbabilityEvaluator uninterrupted;
+  setup(uninterrupted);
+  BAYESCROWD_CHECK_OK(
+      uninterrupted.EvaluateAll(c.ctable, c.objects).status());
+  ASSERT_EQ(uninterrupted.compile_stats().builds, 0u);
+  std::string blob;
+  uninterrupted.SerializeMemoState(&blob);
+
+  ProbabilityEvaluator restored;
+  setup(restored);
+  BinReader restore_reader(blob);
+  ASSERT_TRUE(restored.RestoreMemoState(&restore_reader).ok());
+  ProbabilityEvaluator merged;
+  setup(merged);
+  BinReader merge_reader(blob);
+  ASSERT_TRUE(merged.MergeMemoState(&merge_reader).ok());
+  ProbabilityEvaluator cold;
+  setup(cold);
+
+  std::vector<ProbabilityEvaluator*> all{&uninterrupted, &restored, &merged,
+                                         &cold};
+  Rng rng(0xA11);
+  for (int round = 0; round < 2; ++round) {
+    for (const CellRef& var : c.ctable.AllVariables()) {
+      const std::vector<double> dist = RandomDist(kLevels, rng);
+      for (ProbabilityEvaluator* evaluator : all) {
+        BAYESCROWD_CHECK_OK(evaluator->SetDistribution(var, dist));
+      }
+    }
+    std::vector<std::vector<double>> values;
+    for (ProbabilityEvaluator* evaluator : all) {
+      auto next = evaluator->EvaluateAll(c.ctable, c.objects);
+      BAYESCROWD_CHECK_OK(next.status());
+      values.push_back(std::move(next).value());
+    }
+    for (std::size_t e = 1; e < values.size(); ++e) {
+      EXPECT_EQ(values[e], values[0]) << "evaluator " << e;
+    }
+    const CircuitStats reference = uninterrupted.compile_stats();
+    if (round == 0) {
+      EXPECT_GT(reference.builds, 0u);
+      EXPECT_EQ(reference.reuses, 0u);
+      EXPECT_EQ(cold.compile_stats().builds, 0u);
+    } else {
+      EXPECT_GT(reference.reuses, 0u);
+      EXPECT_EQ(cold.compile_stats().reuses, 0u);
+    }
+    for (const ProbabilityEvaluator* evaluator : {&restored, &merged}) {
+      EXPECT_EQ(evaluator->compile_stats().builds, reference.builds)
+          << "round " << round;
+      EXPECT_EQ(evaluator->compile_stats().reuses, reference.reuses)
+          << "round " << round;
+    }
+  }
+}
+
+// Reads the variable-index section of a SerializeMemoState blob: the
+// live fingerprints first, then per variable its listed fingerprints.
+void ReadMemoIndex(
+    const std::string& blob, std::vector<ConditionFingerprint>* live,
+    std::vector<std::vector<ConditionFingerprint>>* listed) {
+  BinReader reader(blob);
+  std::uint64_t n = 0;
+  BAYESCROWD_CHECK_OK(reader.ReadU64(&n));
+  for (std::uint64_t e = 0; e < n; ++e) {
+    ConditionFingerprint fingerprint;
+    double bound = 0.0;
+    std::uint8_t grade = 0;
+    std::uint64_t stamp = 0;
+    BAYESCROWD_CHECK_OK(reader.ReadU64(&fingerprint.first));
+    BAYESCROWD_CHECK_OK(reader.ReadU64(&fingerprint.second));
+    BAYESCROWD_CHECK_OK(reader.ReadDouble(&bound));
+    BAYESCROWD_CHECK_OK(reader.ReadDouble(&bound));
+    BAYESCROWD_CHECK_OK(reader.ReadU8(&grade));
+    BAYESCROWD_CHECK_OK(reader.ReadU64(&stamp));
+    live->push_back(fingerprint);
+  }
+  BAYESCROWD_CHECK_OK(reader.ReadU64(&n));
+  for (std::uint64_t v = 0; v < n; ++v) {
+    std::uint64_t var = 0;
+    std::uint64_t count = 0;
+    BAYESCROWD_CHECK_OK(reader.ReadU64(&var));
+    BAYESCROWD_CHECK_OK(reader.ReadU64(&count));
+    listed->emplace_back(count);
+    for (ConditionFingerprint& fingerprint : listed->back()) {
+      BAYESCROWD_CHECK_OK(reader.ReadU64(&fingerprint.first));
+      BAYESCROWD_CHECK_OK(reader.ReadU64(&fingerprint.second));
+    }
+  }
+}
+
+// The in-memory variable index keeps stale and repeated fingerprints;
+// a checkpoint keeps only the live ones, once each. Eviction counts
+// only what it erases, so a restored evaluator counts the same
+// evictions as the one that wrote the blob.
+TEST(EvaluatorCompileTest, CheckpointKeepsOnlyLiveIndexEntries) {
+  const CellRef x{0, 0}, y{1, 0}, z{2, 0}, w{3, 0};
+  const Condition a =
+      Condition::Cnf({{Expression::VarConst(x, CmpOp::kGreater, 0)},
+                      {Expression::VarConst(y, CmpOp::kLess, 2)}});
+  const Condition b =
+      Condition::Cnf({{Expression::VarConst(y, CmpOp::kGreater, 0)},
+                      {Expression::VarConst(z, CmpOp::kLess, 2)}});
+  const Condition d =
+      Condition::Cnf({{Expression::VarConst(w, CmpOp::kGreater, 1)}});
+  Rng rng(0x11DE);
+  std::vector<std::pair<CellRef, std::vector<double>>> dists;
+  for (const CellRef& var : {x, y, z, w}) {
+    dists.emplace_back(var, RandomDist(3, rng));
+  }
+
+  ProbabilityEvaluator writer;
+  for (const auto& [var, dist] : dists) {
+    BAYESCROWD_CHECK_OK(writer.SetDistribution(var, dist));
+  }
+  BAYESCROWD_CHECK_OK(writer.EvaluateBatch({&a, &b, &d}).status());
+  // Evicting a leaves it listed (stale) under y; re-solving it lists it
+  // under y a second time. Evicting b leaves it stale under y too.
+  dists[0].second = RandomDist(3, rng);
+  BAYESCROWD_CHECK_OK(writer.SetDistribution(x, dists[0].second));
+  BAYESCROWD_CHECK_OK(writer.Probability(a).status());
+  dists[2].second = RandomDist(3, rng);
+  BAYESCROWD_CHECK_OK(writer.SetDistribution(z, dists[2].second));
+  ASSERT_EQ(writer.cache_stats().evictions, 2u);
+  ASSERT_EQ(writer.CacheSize(), 2u);  // a and d.
+
+  std::string blob;
+  writer.SerializeMemoState(&blob);
+  std::vector<ConditionFingerprint> live;
+  std::vector<std::vector<ConditionFingerprint>> listed;
+  ReadMemoIndex(blob, &live, &listed);
+  ASSERT_EQ(live.size(), 2u);
+  std::size_t total = 0;
+  for (const std::vector<ConditionFingerprint>& fingerprints : listed) {
+    EXPECT_FALSE(fingerprints.empty());
+    for (std::size_t f = 0; f < fingerprints.size(); ++f) {
+      EXPECT_NE(std::find(live.begin(), live.end(), fingerprints[f]),
+                live.end());
+      if (f > 0) {
+        EXPECT_LT(fingerprints[f - 1], fingerprints[f]);
+      }
+    }
+    total += fingerprints.size();
+  }
+  EXPECT_EQ(listed.size(), 3u);  // x: {a}, y: {a}, w: {d}.
+  EXPECT_EQ(total, 3u);
+
+  ProbabilityEvaluator reader;
+  for (const auto& [var, dist] : dists) {
+    BAYESCROWD_CHECK_OK(reader.SetDistribution(var, dist));
+  }
+  BinReader in(blob);
+  ASSERT_TRUE(reader.RestoreMemoState(&in).ok());
+  std::string again;
+  reader.SerializeMemoState(&again);
+  EXPECT_EQ(again, blob);
+
+  // Re-condition every variable, y (one live, one stale and one
+  // repeated fingerprint) first.
+  const std::uint64_t writer_base = writer.cache_stats().evictions;
+  const std::uint64_t reader_base = reader.cache_stats().evictions;
+  for (const CellRef& var : {y, x, z, w}) {
+    const std::vector<double> dist = RandomDist(3, rng);
+    BAYESCROWD_CHECK_OK(writer.SetDistribution(var, dist));
+    BAYESCROWD_CHECK_OK(reader.SetDistribution(var, dist));
+    EXPECT_EQ(writer.cache_stats().evictions - writer_base,
+              reader.cache_stats().evictions - reader_base)
+        << "after " << var.object;
+    EXPECT_EQ(writer.CacheSize(), reader.CacheSize());
+  }
+  EXPECT_EQ(writer.cache_stats().evictions - writer_base, 2u);
 }
 
 }  // namespace

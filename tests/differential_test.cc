@@ -266,6 +266,10 @@ TEST(DifferentialTest, CompiledPathFallsBackSoundlyOnAdversarialInstances) {
   for (std::size_t round = 0; round < 6; ++round) {
     const AdversarialInstance inst = MakeRandomAdversarialInstance(sweep);
 
+    // The second exact solve is the one that attempts a compile, so
+    // every evaluator below misses twice.
+    const CellRef shifted = inst.condition.Variables().front();
+
     // Inert governor: the compile refusal must leave the exact answer
     // untouched.
     {
@@ -274,6 +278,9 @@ TEST(DifferentialTest, CompiledPathFallsBackSoundlyOnAdversarialInstances) {
       options.compile.max_nodes = 256;  // Refuses every instance family.
       ProbabilityEvaluator evaluator(options);
       evaluator.distributions() = inst.dists;
+      ASSERT_TRUE(evaluator.Probability(inst.condition).ok())
+          << "round " << round;
+      evaluator.InvalidateVariable(shifted);
       const auto p = evaluator.Probability(inst.condition);
       ASSERT_TRUE(p.ok()) << "round " << round;
       EXPECT_NEAR(p.value(), inst.exact_probability, 1e-9)
@@ -293,6 +300,9 @@ TEST(DifferentialTest, CompiledPathFallsBackSoundlyOnAdversarialInstances) {
       options.governor.ladder = LadderMode::kFull;
       ProbabilityEvaluator evaluator(options);
       evaluator.distributions() = inst.dists;
+      ASSERT_TRUE(evaluator.ProbabilityInterval(inst.condition).ok())
+          << "round " << round;
+      evaluator.InvalidateVariable(shifted);
       const auto r = evaluator.ProbabilityInterval(inst.condition);
       ASSERT_TRUE(r.ok()) << "round " << round;
       EXPECT_FALSE(r->exact()) << "round " << round;

@@ -14,11 +14,13 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/framework.h"
+#include "core/telemetry.h"
 #include "crowd/platform.h"
 #include "crowd/record_replay.h"
 #include "ctable/builder.h"
 #include "data/generators.h"
 #include "data/missing.h"
+#include "obs/normalize.h"
 #include "probability/evaluator.h"
 
 namespace bayescrowd {
@@ -168,17 +170,34 @@ Table DeterminismDataset() {
   return InjectMissingUniform(MakeNbaLike(120, /*seed=*/5), 0.15, rng);
 }
 
-BayesCrowdResult RunWithThreads(std::size_t threads, AnswerLog* log,
-                                bool memoize = true) {
-  const Table incomplete = DeterminismDataset();
+// One query over the determinism dataset: strategy, budget shape and
+// pruning threshold.
+struct DeterminismQuery {
+  StrategyKind kind = StrategyKind::kHhs;
+  std::size_t budget = 24;
+  std::size_t latency = 4;
+  double alpha = 0.01;
+};
+
+BayesCrowdOptions DeterminismOptions(std::size_t threads, bool memoize,
+                                     const DeterminismQuery& query) {
   BayesCrowdOptions options;
-  options.ctable.alpha = 0.01;
-  options.budget = 24;
-  options.latency = 4;
-  options.strategy.kind = StrategyKind::kHhs;
+  options.ctable.alpha = query.alpha;
+  options.budget = query.budget;
+  options.latency = query.latency;
+  options.strategy.kind = query.kind;
   options.strategy.m = 5;
   options.threads = threads;
   options.probability.memoize = memoize;
+  return options;
+}
+
+BayesCrowdResult RunWithThreads(std::size_t threads, AnswerLog* log,
+                                bool memoize = true,
+                                const DeterminismQuery& query = {}) {
+  const Table incomplete = DeterminismDataset();
+  const BayesCrowdOptions options =
+      DeterminismOptions(threads, memoize, query);
   BayesCrowd framework(options);
   UniformPosteriorProvider posteriors(incomplete.schema());
   const Table truth = MakeNbaLike(120, /*seed=*/5);
@@ -190,29 +209,74 @@ BayesCrowdResult RunWithThreads(std::size_t threads, AnswerLog* log,
   return std::move(result).value();
 }
 
+// The whole run document minus wall clock and the pool width: every
+// count in it (cost units, cache traffic, compile counters, labeled
+// metrics) must be the same at any thread count.
+std::string NormalizedTelemetry(std::size_t threads,
+                                const DeterminismQuery& query,
+                                const BayesCrowdResult& result) {
+  obs::NormalizeOptions normalize;
+  normalize.strip_lane_usage = true;
+  return obs::NormalizeTelemetry(
+             RunTelemetryJson("determinism",
+                              DeterminismOptions(threads, true, query),
+                              result),
+             normalize)
+      .Dump(2);
+}
+
 TEST(ParallelDeterminismTest, OneVsEightThreadsBitIdentical) {
-  AnswerLog log1, log8;
-  const BayesCrowdResult r1 = RunWithThreads(1, &log1);
-  const BayesCrowdResult r8 = RunWithThreads(8, &log8);
+  // The suite's HHS query, plus UBS and HHS queries without pruning
+  // that run long enough for conditions to compile on their second
+  // exact solve and replay after that. Compilation is on (the
+  // default), so the compile decisions made around the fan-out are
+  // part of what must not depend on the pool.
+  const DeterminismQuery queries[] = {
+      {StrategyKind::kHhs, 24, 4},
+      {StrategyKind::kUbs, 24, 12, -1.0},
+      {StrategyKind::kHhs, 24, 12, -1.0},
+  };
+  std::uint64_t builds = 0, reuses = 0;
+  for (const DeterminismQuery& query : queries) {
+    AnswerLog log1;
+    const BayesCrowdResult r1 = RunWithThreads(1, &log1, true, query);
+    const std::string telemetry1 = NormalizedTelemetry(1, query, r1);
+    builds += r1.compile.builds;
+    reuses += r1.compile.reuses;
+    ASSERT_GT(log1.entries.size(), 0u);
+    for (const std::size_t threads : {2u, 4u, 8u}) {
+      AnswerLog logn;
+      const BayesCrowdResult rn =
+          RunWithThreads(threads, &logn, true, query);
 
-  // Same crowdsourcing transcript: every selected task, in order.
-  ASSERT_EQ(log1.entries.size(), log8.entries.size());
-  ASSERT_GT(log1.entries.size(), 0u);
-  for (std::size_t i = 0; i < log1.entries.size(); ++i) {
-    EXPECT_TRUE(log1.entries[i].expression == log8.entries[i].expression)
-        << "task " << i;
-    EXPECT_EQ(log1.entries[i].relation, log8.entries[i].relation);
-    EXPECT_EQ(log1.entries[i].round, log8.entries[i].round);
-  }
+      // Same crowdsourcing transcript: every selected task, in order.
+      ASSERT_EQ(log1.entries.size(), logn.entries.size())
+          << "threads " << threads;
+      for (std::size_t i = 0; i < log1.entries.size(); ++i) {
+        EXPECT_TRUE(log1.entries[i].expression == logn.entries[i].expression)
+            << "threads " << threads << " task " << i;
+        EXPECT_EQ(log1.entries[i].relation, logn.entries[i].relation);
+        EXPECT_EQ(log1.entries[i].round, logn.entries[i].round);
+      }
 
-  // Same result set and bit-identical probabilities.
-  EXPECT_EQ(r1.result_objects, r8.result_objects);
-  ASSERT_EQ(r1.probabilities.size(), r8.probabilities.size());
-  for (std::size_t i = 0; i < r1.probabilities.size(); ++i) {
-    EXPECT_EQ(r1.probabilities[i], r8.probabilities[i]) << "object " << i;
+      // Same result set and bit-identical probabilities.
+      EXPECT_EQ(r1.result_objects, rn.result_objects);
+      ASSERT_EQ(r1.probabilities.size(), rn.probabilities.size());
+      for (std::size_t i = 0; i < r1.probabilities.size(); ++i) {
+        EXPECT_EQ(r1.probabilities[i], rn.probabilities[i])
+            << "threads " << threads << " object " << i;
+      }
+      EXPECT_EQ(r1.rounds, rn.rounds);
+      EXPECT_EQ(r1.tasks_posted, rn.tasks_posted);
+
+      // Same normalized telemetry, byte for byte.
+      EXPECT_EQ(telemetry1, NormalizedTelemetry(threads, query, rn))
+          << "threads " << threads;
+    }
   }
-  EXPECT_EQ(r1.rounds, r8.rounds);
-  EXPECT_EQ(r1.tasks_posted, r8.tasks_posted);
+  // The compiled path must actually have been exercised.
+  EXPECT_GT(builds, 0u);
+  EXPECT_GT(reuses, 0u);
 }
 
 TEST(ParallelDeterminismTest, CacheOnOffBitIdentical) {
@@ -440,7 +504,7 @@ TEST(GovernedBatchTest, BatchIntervalsBitIdenticalAcrossPoolSizes) {
 // The compiled batch path — artifact resolution before the fan-out,
 // per-lane replay, post-barrier fold — must be invisible: identical
 // bits to the plain batch at every pool size, with replays actually
-// happening on the post-shift pass (duplicates included).
+// happening on the last post-shift pass (duplicates included).
 TEST(GovernedBatchTest, CompiledBatchBitIdenticalAtEveryPoolSize) {
   const AdversarialInstance chain = MakeDeepChainInstance(3, 4);
   const AdversarialInstance wide = MakeWideChainConjunctInstance(2, 4);
@@ -459,13 +523,19 @@ TEST(GovernedBatchTest, CompiledBatchBitIdenticalAtEveryPoolSize) {
     auto first = evaluator.EvaluateBatch(batch);
     BAYESCROWD_CHECK_OK(first.status());
     all.insert(all.end(), first->begin(), first->end());
-    // Shift one shared posterior: both conditions miss, and a compiled
-    // evaluator serves the misses by circuit replay.
+    // Shift one shared posterior: both conditions miss again, and a
+    // compiled evaluator compiles them on this second exact solve.
     BAYESCROWD_CHECK_OK(evaluator.SetDistribution(
         V(1, 0), std::vector<double>{0.1, 0.2, 0.3, 0.4}));
     auto second = evaluator.EvaluateBatch(batch);
     BAYESCROWD_CHECK_OK(second.status());
     all.insert(all.end(), second->begin(), second->end());
+    // Shift again: now the misses are served by circuit replay.
+    BAYESCROWD_CHECK_OK(evaluator.SetDistribution(
+        V(1, 0), std::vector<double>{0.4, 0.3, 0.2, 0.1}));
+    auto third = evaluator.EvaluateBatch(batch);
+    BAYESCROWD_CHECK_OK(third.status());
+    all.insert(all.end(), third->begin(), third->end());
     if (stats != nullptr) *stats = evaluator.compile_stats();
     return all;
   };
@@ -480,7 +550,7 @@ TEST(GovernedBatchTest, CompiledBatchBitIdenticalAtEveryPoolSize) {
       EXPECT_EQ(base[i], compiled[i]) << "threads " << threads << " " << i;
     }
     // Two distinct conditions compiled once each (the duplicate does
-    // not double-build), then replayed after the shift.
+    // not double-build), then replayed after the second shift.
     EXPECT_EQ(stats.builds, 2u) << "threads " << threads;
     EXPECT_GE(stats.reuses, 2u) << "threads " << threads;
   }

@@ -435,6 +435,9 @@ TEST(GovernedScalarCacheTest, CompileTagKeepsConfigurationsApart) {
   ProbabilityEvaluator evaluator(options);
   evaluator.distributions() = inst.dists;
 
+  // The first exact solve marks the condition; the second compiles it.
+  ASSERT_TRUE(evaluator.Probability(inst.condition).ok());
+  evaluator.InvalidateVariable(CellRef{0, 0});
   const auto compiled = evaluator.Probability(inst.condition);
   ASSERT_TRUE(compiled.ok());
   EXPECT_TRUE(evaluator.IsCached(inst.condition));

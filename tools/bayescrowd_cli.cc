@@ -180,7 +180,7 @@ int Usage() {
       "           [--solver-deadline-ms N]\n"
       "           [--solver-ladder full|interval|sample|strict]\n"
       "           [--breaker-threshold N] [--pessimistic]\n"
-      "           [--compile off|auto|on] [--compile-node-budget N]\n"
+      "           [--compile off|auto] [--compile-node-budget N]\n"
       "           [--verbose]\n"
       "           [--metrics-out F] [--trace-out F] [--telemetry-out F]\n"
       "           [--session S] [--flight-out F]\n"
@@ -221,10 +221,10 @@ int Usage() {
       "  this many consecutive degraded solves (0 disables);\n"
       "  --pessimistic ranks on the most-uncertain point of each\n"
       "  interval instead of its midpoint\n"
-      "  --compile: knowledge-compile each condition's first exact ADPLL\n"
-      "  solve into a reusable arithmetic circuit; later rounds replay\n"
-      "  it bit-identically instead of re-solving (auto: when eligible,\n"
-      "  the default; on: also reject ineligible flag combinations).\n"
+      "  --compile: knowledge-compile a condition into a reusable\n"
+      "  arithmetic circuit on its second exact ADPLL solve; later rounds\n"
+      "  replay it bit-identically instead of re-solving (auto, the\n"
+      "  default: whenever the configuration is eligible; off: never).\n"
       "  --compile-node-budget caps circuit size; oversized conditions\n"
       "  fall back to the governed solver ladder\n"
       "  normalize: strip machine-dependent fields (wall-clock times,\n"
@@ -489,13 +489,12 @@ int CmdRun(const Flags& flags) {
   if (flags.Has("pessimistic")) options.strategy.pessimistic = true;
 
   // Knowledge compilation. `auto` (the default) silently skips
-  // ineligible configurations; `on` is a promise that compilation will
-  // engage, so combinations that cannot compile are rejected here.
+  // ineligible configurations (strict ladder, --no-cache).
   CompileOptions& compile = options.probability.compile;
   if (flags.Has("compile")) {
     if (!ParseCompileMode(flags.Get("compile", ""), &compile.mode)) {
       std::fprintf(stderr,
-                   "unknown --compile '%s' (expected off, auto, or on)\n",
+                   "unknown --compile '%s' (expected off or auto)\n",
                    flags.Get("compile", "").c_str());
       return 2;
     }
@@ -503,20 +502,6 @@ int CmdRun(const Flags& flags) {
   if (flags.Has("compile-node-budget")) {
     compile.max_nodes =
         static_cast<std::uint64_t>(flags.GetInt("compile-node-budget", 0));
-  }
-  if (compile.mode == CompileMode::kOn) {
-    if (governor.enabled() && governor.ladder == LadderMode::kStrict) {
-      std::fprintf(stderr,
-                   "--compile on cannot be combined with --solver-ladder "
-                   "strict (strict runs must stay budget-exact)\n");
-      return 2;
-    }
-    if (!options.probability.memoize) {
-      std::fprintf(stderr,
-                   "--compile on cannot be combined with --no-cache "
-                   "(artifacts are keyed by the memo cache)\n");
-      return 2;
-    }
   }
 
   const std::string strategy = flags.Get("strategy", "hhs");

@@ -164,24 +164,21 @@ fi
 if run_base --compile-node-budget -64 >/dev/null 2>&1; then
   fail "run must reject a negative --compile-node-budget"
 fi
-if run_base --compile on --solver-node-budget 4 --solver-ladder strict \
-    >/dev/null 2>&1; then
-  fail "run must reject --compile on combined with --solver-ladder strict"
-fi
-if run_base --compile on --no-cache >/dev/null 2>&1; then
-  fail "run must reject --compile on combined with --no-cache"
-fi
-# `auto` tolerates the same configurations `on` rejects: it just skips
-# compilation, so these must run to completion.
+# `on` is not a mode: `auto` already compiles whenever it can.
+rc=0
+run_base --compile on >/dev/null 2>&1 || rc=$?
+[ "${rc}" -eq 2 ] || fail "run --compile on must exit 2, got ${rc}"
+lines="$( (run_base --compile on 2>&1 >/dev/null || true) | wc -l)"
+[ "${lines}" -eq 1 ] \
+  || fail "--compile on rejection must print exactly one line, got ${lines}"
+# `auto` skips compilation for ineligible configurations, so these must
+# run to completion.
 run_base --compile auto --solver-node-budget 4 --solver-ladder strict \
   --budget 4 --latency 2 >/dev/null \
   || fail "--compile auto must tolerate a strict-ladder run"
 lines="$( (run_base --compile sometimes 2>&1 >/dev/null || true) | wc -l)"
 [ "${lines}" -eq 1 ] \
   || fail "--compile rejection must print exactly one line, got ${lines}"
-lines="$( (run_base --compile on --no-cache 2>&1 >/dev/null || true) | wc -l)"
-[ "${lines}" -eq 1 ] \
-  || fail "--compile on/--no-cache rejection must print one line, got ${lines}"
 
 # ------------------------------------------------------------------ #
 # run: marketplace flags validate.

@@ -157,17 +157,18 @@ EOF
 cmp "$SMOKE/telemetry_gov1_norm.json" "$SMOKE/telemetry_gov8_norm.json"
 
 echo "== tier-1: compiled-path smoke run =="
-# The first smoke dataset again, with knowledge compilation forced on
-# and the solver ungoverned so every first solve completes exactly (and
-# so compiles). Compiled replay must be thread-count invariant down to
-# the byte, and the telemetry must prove the circuits actually engaged
-# (builds and replays > 0) rather than silently falling back to the
-# search. (The hostile instance is the wrong vehicle here: exact solves
-# on it take minutes; this stage pins the replay path, not endurance.)
+# The first smoke dataset again, with knowledge compilation in its
+# default mode and the solver ungoverned so every solve completes
+# exactly (and so a condition's second solve compiles). Twenty rounds
+# give compiled conditions rounds to replay in. Compiled replay must be
+# thread-count invariant down to the byte, and the telemetry must prove
+# the circuits actually engaged (builds and replays > 0) rather than
+# silently falling back to the search. (The hostile instance is the
+# wrong vehicle here: exact solves on it take minutes; this stage pins
+# the replay path, not endurance.)
 run_compiled() {
   "$CLI" run --data "$SMOKE/holes.csv" --truth "$SMOKE/complete.csv" \
-    --strategy ubs --budget 20 --latency 4 --threads "$1" --alpha -1 \
-    --compile on \
+    --strategy ubs --budget 20 --latency 20 --threads "$1" --alpha -1 \
     --log-level warning \
     --telemetry-out "$2" > /dev/null
 }
