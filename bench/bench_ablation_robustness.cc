@@ -1,8 +1,7 @@
 // Ablation: robustness extensions beyond the paper's protocol.
+// (Vote aggregation — flat majority vs the defended, accuracy-weighted
+// marketplace — is measured by bench_crowd_quality_frontier.)
 //
-//  * Vote aggregation (worker pool with mixed 0.45-0.98 accuracies):
-//    majority vs true-accuracy-weighted vs gold-estimated-weighted
-//    voting. Expected: weighted > estimated > majority in F1.
 //  * Missingness mechanism at a fixed 10% rate: MCAR (the paper's
 //    protocol) vs MAR (observed-driver) vs MNAR (self-censoring).
 //    Expected: F1 degrades from MCAR to MNAR — available-case BN
@@ -13,60 +12,11 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
-#include "bayesnet/imputation.h"
 #include "common/random.h"
-#include "crowd/platform.h"
 #include "data/missing.h"
-#include "skyline/metrics.h"
 
 namespace bayescrowd::bench {
 namespace {
-
-// ------------------------------------------------------------------ //
-// Aggregation methods.
-// ------------------------------------------------------------------ //
-
-void RunAggregation(benchmark::State& state, AggregationMethod method) {
-  const Table& complete = NbaComplete();
-  const Table incomplete = WithMissingRate(complete, 0.1);
-  const auto& net = LearnedNetwork(incomplete, "nba@0.1");
-
-  BayesCrowdOptions options = NbaDefaults();
-  options.budget = 100;
-
-  double f1_total = 0.0;
-  int samples = 0;
-  for (auto _ : state) {
-    for (std::uint64_t seed : {1u, 2u, 3u}) {
-      BayesCrowd framework(options);
-      BnPosteriorProvider posteriors(net, incomplete);
-      SimulatedPlatformOptions platform_options;
-      platform_options.worker_pool_size = 24;
-      platform_options.accuracy_pool = {0.98, 0.85, 0.65, 0.45};
-      platform_options.aggregation = method;
-      platform_options.gold_fraction = 0.25;
-      platform_options.seed = seed * 104729;
-      SimulatedCrowdPlatform platform(complete, platform_options);
-      auto result = framework.Run(incomplete, posteriors, platform);
-      BAYESCROWD_CHECK_OK(result.status());
-      f1_total += EvaluateResultSet(result->result_objects,
-                                    GroundTruthSkyline(complete))
-                      .f1;
-      ++samples;
-    }
-  }
-  state.counters["f1"] = f1_total / static_cast<double>(samples);
-}
-
-void BM_Aggregation_Majority(benchmark::State& state) {
-  RunAggregation(state, AggregationMethod::kMajority);
-}
-void BM_Aggregation_WeightedTrue(benchmark::State& state) {
-  RunAggregation(state, AggregationMethod::kWeightedTrue);
-}
-void BM_Aggregation_WeightedEstimated(benchmark::State& state) {
-  RunAggregation(state, AggregationMethod::kWeightedEstimated);
-}
 
 // ------------------------------------------------------------------ //
 // Missingness mechanisms.
@@ -153,9 +103,6 @@ void Unit(benchmark::internal::Benchmark* bench) {
   bench->Unit(benchmark::kMillisecond)->Iterations(1);
 }
 
-BENCHMARK(BM_Aggregation_Majority)->Apply(Unit);
-BENCHMARK(BM_Aggregation_WeightedTrue)->Apply(Unit);
-BENCHMARK(BM_Aggregation_WeightedEstimated)->Apply(Unit);
 BENCHMARK(BM_Missingness_MCAR)->Apply(Unit);
 BENCHMARK(BM_Missingness_MAR)->Apply(Unit);
 BENCHMARK(BM_Missingness_MNAR)->Apply(Unit);

@@ -47,9 +47,10 @@ namespace bayescrowd {
 
 /// Checkpoint format version written by this build, and the only one
 /// it reads: any other version fails with a clear "older"/"newer"
-/// error instead of a misparse. Versions 1–4 were earlier layouts;
-/// change the payload or the memo blob only by bumping this.
-inline constexpr std::uint32_t kCheckpointVersion = 5;
+/// error instead of a misparse. Versions 1–5 were earlier layouts;
+/// change the payload, the memo blob or a platform chunk only by
+/// bumping this.
+inline constexpr std::uint32_t kCheckpointVersion = 6;
 
 /// Everything Run() snapshots at a round boundary. Field order here is
 /// the serialization order; extend only by bumping kCheckpointVersion.

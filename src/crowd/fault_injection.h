@@ -29,6 +29,7 @@
 #include "common/random.h"
 #include "common/result.h"
 #include "crowd/platform.h"
+#include "crowd/quality.h"
 #include "crowd/task.h"
 #include "obs/metrics.h"
 

@@ -10,18 +10,7 @@ SimulatedCrowdPlatform::SimulatedCrowdPlatform(
     Table ground_truth, SimulatedPlatformOptions options)
     : ground_truth_(std::move(ground_truth)),
       options_(options),
-      rng_(options.seed) {
-  if (options_.worker_pool_size > 0) {
-    pool_accuracies_.resize(options_.worker_pool_size);
-    for (std::size_t w = 0; w < options_.worker_pool_size; ++w) {
-      pool_accuracies_[w] =
-          options_.accuracy_pool.empty()
-              ? options_.worker_accuracy
-              : options_.accuracy_pool[w % options_.accuracy_pool.size()];
-    }
-    tracker_.emplace(options_.worker_pool_size);
-  }
-}
+      rng_(options.seed) {}
 
 void SimulatedCrowdPlatform::SaveState(std::string* out) const {
   BinWriter w(out);
@@ -29,12 +18,6 @@ void SimulatedCrowdPlatform::SaveState(std::string* out) const {
   for (const std::uint64_t word : rng_.SaveState()) w.WriteU64(word);
   w.WriteU64(total_tasks_);
   w.WriteU64(total_rounds_);
-  w.WriteBool(tracker_.has_value());
-  if (tracker_.has_value()) {
-    w.WriteU64(tracker_->num_workers());
-    for (const double h : tracker_->hits()) w.WriteDouble(h);
-    for (const double t : tracker_->totals()) w.WriteDouble(t);
-  }
 }
 
 Status SimulatedCrowdPlatform::LoadState(BinReader* reader) {
@@ -50,32 +33,8 @@ Status SimulatedCrowdPlatform::LoadState(BinReader* reader) {
   }
   std::uint64_t tasks = 0;
   std::uint64_t rounds = 0;
-  bool has_tracker = false;
   BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&tasks));
   BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&rounds));
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadBool(&has_tracker));
-  if (has_tracker != tracker_.has_value()) {
-    return Status::InvalidArgument(
-        "platform state: worker-pool configuration changed since the "
-        "checkpoint was written");
-  }
-  if (has_tracker) {
-    std::uint64_t workers = 0;
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&workers, 16));
-    if (workers != tracker_->num_workers()) {
-      return Status::InvalidArgument(
-          "platform state: worker pool size changed since the checkpoint "
-          "was written");
-    }
-    std::vector<double> hits(workers);
-    std::vector<double> totals(workers);
-    for (double& h : hits) BAYESCROWD_RETURN_NOT_OK(reader->ReadDouble(&h));
-    for (double& t : totals) {
-      BAYESCROWD_RETURN_NOT_OK(reader->ReadDouble(&t));
-    }
-    BAYESCROWD_RETURN_NOT_OK(
-        tracker_->RestoreCounts(std::move(hits), std::move(totals)));
-  }
   rng_.LoadState(rng_state);
   total_tasks_ = static_cast<std::size_t>(tasks);
   total_rounds_ = static_cast<std::size_t>(rounds);
@@ -104,8 +63,12 @@ Result<Ordering> SimulatedCrowdPlatform::TrueRelation(
   return Ordering::kEqual;
 }
 
-Ordering SimulatedCrowdPlatform::VoteWithAccuracy(Ordering truth,
-                                                  double accuracy) {
+Ordering SimulatedCrowdPlatform::WorkerVote(Ordering truth) {
+  const double accuracy =
+      options_.accuracy_pool.empty()
+          ? options_.worker_accuracy
+          : options_.accuracy_pool[rng_.NextBelow(
+                options_.accuracy_pool.size())];
   if (rng_.NextBool(accuracy)) return truth;
   // Uniform over the two wrong choices.
   constexpr Ordering kAll[] = {Ordering::kLess, Ordering::kEqual,
@@ -118,87 +81,18 @@ Ordering SimulatedCrowdPlatform::VoteWithAccuracy(Ordering truth,
   return wrong[rng_.NextBelow(2)];
 }
 
-Ordering SimulatedCrowdPlatform::WorkerVote(Ordering truth) {
-  double accuracy = options_.worker_accuracy;
-  if (!options_.accuracy_pool.empty()) {
-    accuracy = options_.accuracy_pool[rng_.NextBelow(
-        options_.accuracy_pool.size())];
-  }
-  return VoteWithAccuracy(truth, accuracy);
-}
-
-Result<Ordering> SimulatedCrowdPlatform::PoolAnswer(Ordering truth) {
-  // Draw distinct workers for this task.
-  const std::size_t pool = pool_accuracies_.size();
-  const auto k = std::min<std::size_t>(
-      static_cast<std::size_t>(options_.workers_per_task), pool);
-  std::vector<std::size_t> chosen;
-  chosen.reserve(k);
-  while (chosen.size() < k) {
-    const std::size_t w = rng_.NextBelow(pool);
-    bool duplicate = false;
-    for (std::size_t c : chosen) duplicate |= (c == w);
-    if (!duplicate) chosen.push_back(w);
-  }
-
-  std::vector<Ordering> votes(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    votes[i] = VoteWithAccuracy(truth, pool_accuracies_[chosen[i]]);
-  }
-
-  // Gold bookkeeping for the estimated-weight mode.
-  if (options_.aggregation == AggregationMethod::kWeightedEstimated &&
-      rng_.NextBool(options_.gold_fraction)) {
-    for (std::size_t i = 0; i < k; ++i) {
-      tracker_->Record(chosen[i], votes[i] == truth);
-    }
-  }
-
-  switch (options_.aggregation) {
-    case AggregationMethod::kMajority:
-      return MajorityVote(votes);
-    case AggregationMethod::kWeightedTrue: {
-      std::vector<double> weights(k);
-      for (std::size_t i = 0; i < k; ++i) {
-        weights[i] = pool_accuracies_[chosen[i]];
-      }
-      return WeightedVote(votes, weights);
-    }
-    case AggregationMethod::kWeightedEstimated: {
-      std::vector<double> weights(k);
-      for (std::size_t i = 0; i < k; ++i) {
-        weights[i] = tracker_->Accuracy(chosen[i]);
-      }
-      return WeightedVote(votes, weights);
-    }
-  }
-  return Status::Internal("unknown aggregation method");
-}
-
 Result<std::vector<TaskAnswer>> SimulatedCrowdPlatform::PostBatch(
     const std::vector<Task>& tasks) {
   if (tasks.empty()) {
     return Status::InvalidArgument("empty batch");
-  }
-  if (options_.worker_pool_size == 0 &&
-      options_.aggregation != AggregationMethod::kMajority) {
-    return Status::FailedPrecondition(
-        "weighted aggregation needs a persistent worker pool");
   }
   std::vector<TaskAnswer> answers;
   answers.reserve(tasks.size());
   for (const Task& task : tasks) {
     BAYESCROWD_ASSIGN_OR_RETURN(const Ordering truth,
                                 TrueRelation(task.expression));
-    if (options_.worker_pool_size > 0) {
-      BAYESCROWD_ASSIGN_OR_RETURN(const Ordering answer, PoolAnswer(truth));
-      answers.push_back({answer});
-      continue;
-    }
-    // Anonymous mode: majority vote, ties broken toward the
-    // first-listed tied option — the same deterministic rule as
-    // quality.h's MajorityVote, so the two aggregation paths can never
-    // disagree on identical votes.
+    // Majority vote, ties broken toward the first-listed tied option —
+    // the same deterministic rule as quality.h's MajorityVote.
     int votes[3] = {0, 0, 0};
     for (int w = 0; w < options_.workers_per_task; ++w) {
       votes[static_cast<int>(WorkerVote(truth))] += 1;

@@ -9,12 +9,9 @@
 #include <cstdint>
 #include <vector>
 
-#include <optional>
-
 #include "common/binio.h"
 #include "common/random.h"
 #include "common/result.h"
-#include "crowd/quality.h"
 #include "crowd/task.h"
 #include "ctable/knowledge.h"
 #include "data/table.h"
@@ -38,7 +35,7 @@ class CrowdPlatform {
   virtual std::size_t total_rounds() const = 0;
 
   /// Appends the platform's internal state (RNG position, totals,
-  /// quality trackers) to `out` for checkpointing. Decorators append
+  /// worker reputations) to `out` for checkpointing. Decorators append
   /// their own chunk and forward. Default: stateless, writes nothing.
   virtual void SaveState(std::string* out) const { (void)out; }
 
@@ -61,15 +58,6 @@ class CrowdPlatform {
   }
 };
 
-/// How the per-task votes are combined into one answer.
-enum class AggregationMethod : std::uint8_t {
-  kMajority,           // Plain majority; ties break deterministically
-                       // toward the first-listed tied option (matching
-                       // quality.h's MajorityVote).
-  kWeightedTrue,       // Accuracy-weighted vote with true accuracies.
-  kWeightedEstimated,  // Weighted with gold-task accuracy estimates.
-};
-
 struct SimulatedPlatformOptions {
   /// Probability that an individual worker returns the true relation;
   /// wrong answers are uniform over the other two choices.
@@ -79,23 +67,12 @@ struct SimulatedPlatformOptions {
   /// three workers).
   int workers_per_task = 3;
 
-  /// When non-empty, worker accuracies are drawn from this pool
-  /// (uniformly per vote in anonymous mode, round-robin per worker in
-  /// pool mode), overriding `worker_accuracy`. Models a heterogeneous
-  /// marketplace (the Table 6 "live AMT" simulation).
+  /// When non-empty, every vote comes from a fresh worker whose
+  /// accuracy is drawn uniformly from this pool, overriding
+  /// `worker_accuracy`. Models a heterogeneous anonymous crowd (the
+  /// Table 6 "live AMT" simulation); per-worker quality lives in
+  /// crowd/marketplace.h.
   std::vector<double> accuracy_pool;
-
-  /// 0 = anonymous mode: every vote comes from a fresh worker. >0 = a
-  /// persistent pool of this many workers with fixed (hidden)
-  /// accuracies, enabling the weighted aggregation methods.
-  std::size_t worker_pool_size = 0;
-
-  /// Vote aggregation. The weighted methods require a worker pool.
-  AggregationMethod aggregation = AggregationMethod::kMajority;
-
-  /// kWeightedEstimated: fraction of tasks doubling as gold checks that
-  /// update the per-worker accuracy tracker.
-  double gold_fraction = 0.15;
 
   std::uint64_t seed = 99;
 };
@@ -129,28 +106,15 @@ class SimulatedCrowdPlatform : public CrowdPlatform {
   /// The true relation of a task's operands (exposed for tests).
   Result<Ordering> TrueRelation(const Expression& expression) const;
 
-  /// True accuracy of a pooled worker (pool mode only; for tests).
-  double pool_accuracy(std::size_t worker) const {
-    return pool_accuracies_[worker];
-  }
-
  private:
-  // One vote with the given accuracy.
-  Ordering VoteWithAccuracy(Ordering truth, double accuracy);
-  // Anonymous-mode vote (fresh worker, accuracy per options).
+  // One fresh worker's vote (accuracy per options).
   Ordering WorkerVote(Ordering truth);
-  // Aggregates one task in pool mode.
-  Result<Ordering> PoolAnswer(Ordering truth);
 
   const Table ground_truth_;
   SimulatedPlatformOptions options_;
   Rng rng_;
   std::size_t total_tasks_ = 0;
   std::size_t total_rounds_ = 0;
-
-  // Pool mode state.
-  std::vector<double> pool_accuracies_;
-  std::optional<WorkerQualityTracker> tracker_;
 };
 
 }  // namespace bayescrowd

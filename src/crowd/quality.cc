@@ -4,8 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "obs/metrics.h"
-
 namespace bayescrowd {
 namespace {
 
@@ -49,39 +47,6 @@ Result<Ordering> WeightedVote(const std::vector<Ordering>& votes,
     if (scores[o] > scores[best]) best = o;
   }
   return static_cast<Ordering>(best);
-}
-
-void WorkerQualityTracker::Record(std::size_t worker, bool correct) {
-  if (worker >= hits_.size()) {
-    bad_worker_events_ += 1;
-    if (bad_worker_counter_ != nullptr) bad_worker_counter_->Increment();
-    return;
-  }
-  hits_[worker] += correct ? 1.0 : 0.0;
-  totals_[worker] += 1.0;
-}
-
-double WorkerQualityTracker::Accuracy(std::size_t worker) const {
-  if (worker >= hits_.size()) {
-    bad_worker_events_ += 1;
-    if (bad_worker_counter_ != nullptr) bad_worker_counter_->Increment();
-    return 2.0 / 3.0;  // The prior mean: no evidence either way.
-  }
-  // Beta(2, 1) prior: mean (hits + 2) / (total + 3).
-  return (hits_[worker] + 2.0) / (totals_[worker] + 3.0);
-}
-
-void WorkerQualityTracker::BindMetrics(obs::MetricsRegistry* registry) {
-  bad_worker_counter_ =
-      registry == nullptr
-          ? nullptr
-          : registry->GetCounter("crowd.quality.bad_worker_id");
-}
-
-std::vector<double> WorkerQualityTracker::Accuracies() const {
-  std::vector<double> out(hits_.size());
-  for (std::size_t w = 0; w < hits_.size(); ++w) out[w] = Accuracy(w);
-  return out;
 }
 
 Result<std::vector<double>> EstimateAccuraciesByConsensus(

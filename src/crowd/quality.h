@@ -3,8 +3,9 @@
 // The paper aggregates with plain 3-worker majority voting and notes
 // that real marketplaces support recruiting workers above an accuracy
 // bar. This module provides the quality toolkit such a deployment
-// needs: accuracy-weighted voting, gold-task accuracy tracking, and an
-// unsupervised consensus (Dawid-Skene-style EM) estimator.
+// needs: accuracy-weighted voting, an unsupervised consensus
+// (Dawid-Skene-style EM) estimator, and the joint quality model the
+// marketplace's spam defense runs on.
 
 #ifndef BAYESCROWD_CROWD_QUALITY_H_
 #define BAYESCROWD_CROWD_QUALITY_H_
@@ -19,11 +20,6 @@
 
 namespace bayescrowd {
 
-namespace obs {
-class Counter;
-class MetricsRegistry;
-}  // namespace obs
-
 /// Plain majority over triple-choice votes; ties broken toward the
 /// first-listed tied option (deterministic).
 Ordering MajorityVote(const std::vector<Ordering>& votes);
@@ -34,58 +30,6 @@ Ordering MajorityVote(const std::vector<Ordering>& votes);
 /// [0.34, 0.999]; weights and votes must align.
 Result<Ordering> WeightedVote(const std::vector<Ordering>& votes,
                               const std::vector<double>& accuracies);
-
-/// Tracks per-worker accuracy from gold tasks (tasks with known
-/// answers), with a Beta(2, 1) prior so new workers start optimistic but
-/// uncertain.
-class WorkerQualityTracker {
- public:
-  explicit WorkerQualityTracker(std::size_t num_workers)
-      : hits_(num_workers, 0.0), totals_(num_workers, 0.0) {}
-
-  std::size_t num_workers() const { return hits_.size(); }
-
-  /// Records one gold observation for `worker`. An out-of-range worker
-  /// index is ignored (counted, never UB).
-  void Record(std::size_t worker, bool correct);
-
-  /// Posterior-mean accuracy estimate of `worker`. An out-of-range
-  /// worker index returns the prior mean (counted, never UB).
-  double Accuracy(std::size_t worker) const;
-
-  /// Out-of-range worker indices seen by Record/Accuracy. Mirrored into
-  /// the `crowd.quality.bad_worker_id` counter when bound.
-  std::uint64_t bad_worker_events() const { return bad_worker_events_; }
-
-  /// Mirrors bad-worker-id events into `crowd.quality.bad_worker_id` in
-  /// `registry` (pass nullptr to unbind).
-  void BindMetrics(obs::MetricsRegistry* registry);
-
-  /// Estimates for all workers.
-  std::vector<double> Accuracies() const;
-
-  /// Raw gold counters, for checkpointing.
-  const std::vector<double>& hits() const { return hits_; }
-  const std::vector<double>& totals() const { return totals_; }
-
-  /// Overwrites the counters with checkpointed values.
-  Status RestoreCounts(std::vector<double> hits,
-                       std::vector<double> totals) {
-    if (hits.size() != hits_.size() || totals.size() != totals_.size()) {
-      return Status::InvalidArgument(
-          "quality tracker: checkpointed worker count mismatch");
-    }
-    hits_ = std::move(hits);
-    totals_ = std::move(totals);
-    return Status::OK();
-  }
-
- private:
-  std::vector<double> hits_;
-  std::vector<double> totals_;
-  mutable std::uint64_t bad_worker_events_ = 0;
-  obs::Counter* bad_worker_counter_ = nullptr;
-};
 
 /// One worker's vote on one task.
 struct Vote {

@@ -207,4 +207,28 @@ Table MakeAnticorrelated(std::size_t n, std::size_t d, Level levels,
   return std::move(result).value();
 }
 
+Result<Table> MakeDataset(const std::string& kind, std::size_t n,
+                          std::size_t d, Level levels, std::uint64_t seed) {
+  std::size_t attributes = d;
+  if (kind == "nba") {
+    attributes = 11;
+  } else if (kind == "adult") {
+    attributes = 9;
+  } else if (kind != "indep" && kind != "corr" && kind != "anti") {
+    return Status::InvalidArgument(
+        StrFormat("unknown dataset kind '%s'", kind.c_str()));
+  }
+  if (attributes > 0 && n > kMaxDatasetCells / attributes) {
+    return Status::InvalidArgument(StrFormat(
+        "%s dataset of n=%zu rows x %zu attributes exceeds the %zu-cell "
+        "limit",
+        kind.c_str(), n, attributes, kMaxDatasetCells));
+  }
+  if (kind == "nba") return MakeNbaLike(n, seed);
+  if (kind == "adult") return MakeAdultLike(n, seed);
+  if (kind == "indep") return MakeIndependent(n, d, levels, seed);
+  if (kind == "corr") return MakeCorrelated(n, d, levels, seed);
+  return MakeAnticorrelated(n, d, levels, seed);
+}
+
 }  // namespace bayescrowd

@@ -14,8 +14,10 @@
 #define BAYESCROWD_DATA_GENERATORS_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "common/result.h"
 #include "data/table.h"
 
 namespace bayescrowd {
@@ -63,6 +65,20 @@ Table MakeCorrelated(std::size_t n, std::size_t d, Level levels,
 /// (many skyline points).
 Table MakeAnticorrelated(std::size_t n, std::size_t d, Level levels,
                          std::uint64_t seed);
+
+/// Limits on a generated table, which every frontend applies to outside
+/// input before anything is allocated: attributes (`d`), levels per
+/// attribute, and total cells (rows × attributes).
+inline constexpr std::size_t kMaxDatasetAttributes = 64;
+inline constexpr Level kMaxDatasetLevels = 32;
+inline constexpr std::size_t kMaxDatasetCells = 10'000'000;
+
+/// The complete table of generator `kind`: "nba" and "adult" (fixed
+/// attributes; `d` and `levels` are ignored), or "indep", "corr" and
+/// "anti" (`d` attributes of `levels` levels). InvalidArgument on an
+/// unknown kind, or when the table would exceed kMaxDatasetCells.
+Result<Table> MakeDataset(const std::string& kind, std::size_t n,
+                          std::size_t d, Level levels, std::uint64_t seed);
 
 }  // namespace bayescrowd
 

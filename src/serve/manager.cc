@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/string_util.h"
+#include "core/query_spec.h"
 #include "core/session.h"
 
 namespace bayescrowd::serve {
@@ -174,16 +175,9 @@ Status SessionManager::CreateImpl(SessionSpec spec, bool journal) {
 
   auto session = std::make_unique<Session>();
   session->scope = CacheScope(spec.tenant, spec.cache_key);
-  if (spec.use_marketplace) {
-    auto market = std::make_unique<MarketplaceCrowdPlatform>(
-        spec.ground_truth, spec.marketplace);
-    market->BindMetrics(&session->metrics);
-    market->SetFlightRecorder(flight_);
-    session->platform = std::move(market);
-  } else {
-    session->platform = std::make_unique<SimulatedCrowdPlatform>(
-        spec.ground_truth, spec.platform);
-  }
+  session->platform = MakeSimulatedCrowd(
+      spec.ground_truth, spec.use_marketplace, spec.platform,
+      spec.marketplace, &session->metrics, flight_);
   session->posteriors =
       spec.posteriors != nullptr
           ? spec.posteriors

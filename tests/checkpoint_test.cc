@@ -81,7 +81,7 @@ std::string GoldenMemoBlob() {
 /// A deterministic, richly-populated state: every field class exercised
 /// (decided + CNF conditions, round logs with recovery data, metrics of
 /// all three kinds, binary blobs, session-layer stamps). Also the
-/// generator of the committed golden fixture — see GoldenV5FixtureTest.
+/// generator of the committed golden fixture — see GoldenV6FixtureTest.
 SessionState MakeGoldenState() {
   SessionState state;
   state.budget_left = 12.5;
@@ -552,13 +552,13 @@ TEST(CheckpointStoreTest, TornTmpWritePromotedByRenameFallsBack) {
 }
 
 // ------------------------------------------------------------------- //
-// Golden fixture. golden_v5.ckpt matches today's writer byte-for-byte,
+// Golden fixture. golden_v6.ckpt matches today's writer byte-for-byte,
 // envelope and memo blob included; regenerate with:
 //   BC_REGEN_GOLDEN=1 ./checkpoint_test
 // ------------------------------------------------------------------- //
 
-TEST(GoldenV5FixtureTest, CommittedFixtureMatchesHeadBytes) {
-  const std::string path = std::string(BC_TESTDATA_DIR) + "/golden_v5.ckpt";
+TEST(GoldenV6FixtureTest, CommittedFixtureMatchesHeadBytes) {
+  const std::string path = std::string(BC_TESTDATA_DIR) + "/golden_v6.ckpt";
   const SessionState expected = MakeGoldenState();
   if (std::getenv("BC_REGEN_GOLDEN") != nullptr) {
     WriteFileBytes(path, WrapCheckpoint(SerializeState(expected)));
@@ -622,8 +622,8 @@ TEST(CheckpointEnvelopeTest, RefusesEveryOtherVersion) {
   // The CRC covers only the payload, so the version byte may be edited
   // in place: only kCheckpointVersion itself unwraps.
   std::string wrapped = WrapCheckpoint("payload");
-  ASSERT_EQ(kCheckpointVersion, 5u);
-  for (const std::uint32_t version : {0u, 1u, 2u, 3u, 4u, 6u}) {
+  ASSERT_EQ(kCheckpointVersion, 6u);
+  for (const std::uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 7u}) {
     wrapped[4] = static_cast<char>(version);
     const auto refused = UnwrapCheckpoint(wrapped);
     ASSERT_FALSE(refused.ok()) << "version " << version;

@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bayesnet/serialization.h"
 #include "common/csv.h"
 #include "common/random.h"
+#include "core/query_spec.h"
 #include "data/dataset_io.h"
 #include "data/generators.h"
 #include "data/missing.h"
@@ -192,6 +196,159 @@ TEST(FuzzTest, InjectorsTolerateExtremeRates) {
   (void)InjectMissingMnar(complete, 0.0, rng);
   (void)InjectMissingMnar(complete, 0.99, rng);
   (void)InjectMissingMar(complete, 0.99, 0, rng);
+}
+
+// ------------------------------------------------------------------ //
+// The query-spec reader: mutated create requests either parse or fail
+// with InvalidArgument, and whatever parses dumps canonically.
+// ------------------------------------------------------------------ //
+
+using Members = std::vector<std::pair<std::string, std::string>>;
+
+std::string ObjectText(const Members& members) {
+  std::string out = "{";
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (i > 0) out += ",";
+    out += "\"" + members[i].first + "\":" + members[i].second;
+  }
+  return out + "}";
+}
+
+TEST(FuzzTest, QuerySpecReaderRejectsOrRoundTripsMutatedRequests) {
+  // The serve tool's create request: its own keys plus the query keys.
+  constexpr KeyDef kCreateKeys[] = {
+      {"op", KeyKind::kString},      {"id", KeyKind::kString},
+      {"tenant", KeyKind::kString},  {"dataset", KeyKind::kObject},
+      {"warm_start", KeyKind::kBool},
+  };
+  const std::vector<Members> seeds = {
+      {{"op", "\"create\""},
+       {"id", "\"s1\""},
+       {"tenant", "\"acme\""},
+       {"dataset", R"({"kind":"nba","n":120,"seed":9})"},
+       {"alpha", "0.01"},
+       {"budget", "24"},
+       {"latency", "4"},
+       {"m", "5"},
+       {"structure", "\"none\""}},
+      {{"strategy", "\"ubs\""},
+       {"budget", "20"},
+       {"solver_node_budget", "4"},
+       {"solver_ladder", "\"full\""},
+       {"breaker_threshold", "2"},
+       {"compile", "\"off\""},
+       {"compile_node_budget", "100"},
+       {"pessimistic", "true"}},
+      {{"marketplace", "20"},
+       {"spam_rate", "0.3"},
+       {"adaptive_votes", "5"},
+       {"seed", "11"},
+       {"no_defense", "true"}},
+      {{"tasks_per_round", "3"}, {"budget", "12"}, {"accuracy", "0.9"}},
+  };
+  const std::vector<std::string> values = {
+      "0", "-1", "1", "3", "0.5", "1e308", "-0", "4294967298",
+      "9223372036854775807", "-9223372036854775808",
+      "18446744073709551616", "true", "false", "null", "\"hhs\"",
+      "\"none\"", "\"\"", "[1,[2,{}]]", R"({"x":{"y":[[[]]]}})", "{}",
+  };
+  std::vector<std::string> keys;
+  for (const KeyDef& def : QueryKeys()) keys.push_back(def.name);
+  for (const KeyDef& def : kCreateKeys) keys.push_back(def.name);
+  keys.push_back("budegt");
+
+  Rng rng(0x5bec);
+  std::size_t accepted = 0;
+  for (int round = 0; round < 3000; ++round) {
+    Members members = seeds[rng.NextBelow(seeds.size())];
+    const std::size_t mutations = 1 + rng.NextBelow(3);
+    for (std::size_t m = 0; m < mutations; ++m) {
+      const std::size_t at =
+          members.empty() ? 0 : rng.NextBelow(members.size());
+      switch (rng.NextBelow(5)) {
+        case 0:  // Drop a key.
+          if (!members.empty()) members.erase(members.begin() + at);
+          break;
+        case 1:  // Duplicate a key, possibly with another value.
+          if (!members.empty()) {
+            const std::string value =
+                rng.NextBool(0.5) ? members[at].second
+                                  : values[rng.NextBelow(values.size())];
+            members.push_back({members[at].first, value});
+          }
+          break;
+        case 2:  // Retype or stretch a value.
+          if (!members.empty()) {
+            members[at].second = values[rng.NextBelow(values.size())];
+          }
+          break;
+        case 3:  // Add any known (or misspelled) key.
+          members.push_back({keys[rng.NextBelow(keys.size())],
+                             values[rng.NextBelow(values.size())]});
+          break;
+        default:  // Nest garbage under a key.
+          if (!members.empty()) {
+            members[at].second =
+                "{\"" + members[at].first + "\":" + members[at].second + "}";
+          }
+          break;
+      }
+    }
+    const std::string text = ObjectText(members);
+    const auto doc = obs::JsonValue::Parse(text);
+    ASSERT_TRUE(doc.ok()) << text;
+    const auto spec = ParseQuerySpec(*doc, {kCreateKeys});
+    if (!spec.ok()) {
+      ASSERT_TRUE(spec.status().IsInvalidArgument())
+          << text << " -> " << spec.status().ToString();
+      continue;
+    }
+    ++accepted;
+    const std::string dump = QuerySpecToJson(*spec).Dump();
+    const auto reparsed = obs::JsonValue::Parse(dump);
+    ASSERT_TRUE(reparsed.ok()) << dump;
+    const auto again = ParseQuerySpec(*reparsed);
+    ASSERT_TRUE(again.ok()) << dump << " -> " << again.status().ToString();
+    ASSERT_EQ(QuerySpecToJson(*again).Dump(), dump) << text;
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_LT(accepted, 2900u);
+}
+
+TEST(FuzzTest, QuerySpecFlagsNeverCrash) {
+  // Random command lines of query flags: the CLI's conversion plus the
+  // reader accept or refuse with InvalidArgument, never anything else.
+  const std::vector<std::string> texts = {
+      "",  "0", "-1", "5", "2.5", "nan", "inf", "1e400", "abc", "true",
+      "false", "hhs", "full", "off", "none", "99999999999999999999",
+      "-9223372036854775808", " 7", "0x10",
+  };
+  std::vector<std::string> flags;
+  for (const KeyDef& def : QueryKeys()) {
+    std::string flag = def.name;
+    for (char& c : flag) {
+      if (c == '_') c = '-';
+    }
+    flags.push_back(flag);
+  }
+  flags.push_back("budegt");
+  Rng rng(0xf1a9);
+  for (int round = 0; round < 2000; ++round) {
+    std::map<std::string, std::string> raw;
+    const std::size_t count = rng.NextBelow(5);
+    for (std::size_t i = 0; i < count; ++i) {
+      raw[flags[rng.NextBelow(flags.size())]] =
+          texts[rng.NextBelow(texts.size())];
+    }
+    const auto doc = FlagsToJson(raw, {QueryKeys()});
+    if (!doc.ok()) {
+      ASSERT_TRUE(doc.status().IsInvalidArgument());
+      continue;
+    }
+    const auto spec = ParseQuerySpec(*doc, {}, KeyStyle::kFlag);
+    if (!spec.ok()) ASSERT_TRUE(spec.status().IsInvalidArgument());
+  }
 }
 
 }  // namespace

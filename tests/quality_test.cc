@@ -12,14 +12,11 @@
 #include "crowd/quality.h"
 #include "data/generators.h"
 #include "data/missing.h"
-#include "obs/metrics.h"
 #include "skyline/algorithms.h"
 #include "skyline/metrics.h"
 
 namespace bayescrowd {
 namespace {
-
-CellRef V(std::size_t o, std::size_t a) { return {o, a}; }
 
 // ------------------------------------------------------------------ //
 // Voting rules
@@ -94,45 +91,6 @@ TEST(VotingTest, WeightedVoteClampEdges) {
                                    {0.999, 0.34});
   ASSERT_TRUE(bounds.ok());
   EXPECT_EQ(bounds.value(), Ordering::kEqual);
-}
-
-// ------------------------------------------------------------------ //
-// WorkerQualityTracker
-// ------------------------------------------------------------------ //
-
-TEST(TrackerTest, PriorIsOptimisticButUncertain) {
-  WorkerQualityTracker tracker(2);
-  EXPECT_NEAR(tracker.Accuracy(0), 2.0 / 3.0, 1e-12);
-}
-
-TEST(TrackerTest, ConvergesToObservedRate) {
-  WorkerQualityTracker tracker(1);
-  for (int i = 0; i < 90; ++i) tracker.Record(0, true);
-  for (int i = 0; i < 10; ++i) tracker.Record(0, false);
-  EXPECT_NEAR(tracker.Accuracy(0), 0.9, 0.02);
-  EXPECT_EQ(tracker.Accuracies().size(), 1u);
-}
-
-TEST(TrackerTest, OutOfRangeWorkerIsCountedNeverUB) {
-  // A corrupt or adversarial worker id must not index past the table:
-  // Record drops the observation, Accuracy answers the prior, and both
-  // bump the bad-id event count (mirrored into the
-  // crowd.quality.bad_worker_id counter when bound).
-  obs::MetricsRegistry registry;
-  WorkerQualityTracker tracker(2);
-  tracker.BindMetrics(&registry);
-
-  tracker.Record(2, true);   // One past the end.
-  tracker.Record(9999, false);
-  EXPECT_NEAR(tracker.Accuracy(7), 2.0 / 3.0, 1e-12);
-  EXPECT_EQ(tracker.bad_worker_events(), 3u);
-  EXPECT_EQ(registry.GetCounter("crowd.quality.bad_worker_id")->value(),
-            3u);
-
-  // In-range workers are untouched by the bad traffic.
-  tracker.Record(0, true);
-  EXPECT_GT(tracker.Accuracy(0), 2.0 / 3.0);
-  EXPECT_EQ(tracker.bad_worker_events(), 3u);
 }
 
 // ------------------------------------------------------------------ //
@@ -366,89 +324,6 @@ TEST(JointQualityTest, SaveLoadRoundTrip) {
     BinReader bad(std::string_view(blob).substr(0, cut));
     EXPECT_FALSE(corrupt.Load(&bad).ok());
   }
-}
-
-// ------------------------------------------------------------------ //
-// Pooled platform modes
-// ------------------------------------------------------------------ //
-
-std::vector<Task> OneTask() {
-  std::vector<Task> tasks(1);
-  tasks[0].expression = Expression::VarConst(V(4, 3), CmpOp::kLess, 4);
-  return tasks;
-}
-
-double AnswerAccuracy(SimulatedPlatformOptions options, int trials) {
-  const Table gt = MakeSampleMovieGroundTruth();
-  SimulatedCrowdPlatform platform(gt, options);
-  int correct = 0;
-  for (int i = 0; i < trials; ++i) {
-    const auto answers = platform.PostBatch(OneTask());
-    BAYESCROWD_CHECK_OK(answers.status());
-    correct += answers.value()[0].relation == Ordering::kLess ? 1 : 0;
-  }
-  return static_cast<double>(correct) / trials;
-}
-
-TEST(PooledPlatformTest, WeightedAggregationNeedsPool) {
-  const Table gt = MakeSampleMovieGroundTruth();
-  SimulatedPlatformOptions options;
-  options.aggregation = AggregationMethod::kWeightedTrue;
-  SimulatedCrowdPlatform platform(gt, options);
-  EXPECT_TRUE(platform.PostBatch(OneTask()).status().code() ==
-              StatusCode::kFailedPrecondition);
-}
-
-TEST(PooledPlatformTest, PoolAccuraciesAssignedRoundRobin) {
-  const Table gt = MakeSampleMovieGroundTruth();
-  SimulatedPlatformOptions options;
-  options.worker_pool_size = 4;
-  options.accuracy_pool = {0.6, 0.9};
-  SimulatedCrowdPlatform platform(gt, options);
-  EXPECT_DOUBLE_EQ(platform.pool_accuracy(0), 0.6);
-  EXPECT_DOUBLE_EQ(platform.pool_accuracy(1), 0.9);
-  EXPECT_DOUBLE_EQ(platform.pool_accuracy(2), 0.6);
-  EXPECT_DOUBLE_EQ(platform.pool_accuracy(3), 0.9);
-}
-
-TEST(PooledPlatformTest, WeightedTrueBeatsMajorityWithMixedPool) {
-  // Pool: one excellent worker among mediocre ones. Weighted voting
-  // should exploit the good worker; majority cannot.
-  SimulatedPlatformOptions base;
-  base.worker_pool_size = 3;
-  base.accuracy_pool = {0.98, 0.45, 0.45};
-  base.workers_per_task = 3;
-  base.seed = 77;
-
-  SimulatedPlatformOptions majority = base;
-  majority.aggregation = AggregationMethod::kMajority;
-  SimulatedPlatformOptions weighted = base;
-  weighted.aggregation = AggregationMethod::kWeightedTrue;
-
-  const double acc_majority = AnswerAccuracy(majority, 3000);
-  const double acc_weighted = AnswerAccuracy(weighted, 3000);
-  EXPECT_GT(acc_weighted, acc_majority + 0.05);
-  EXPECT_GT(acc_weighted, 0.9);
-}
-
-TEST(PooledPlatformTest, EstimatedWeightsApproachTrueWeights) {
-  SimulatedPlatformOptions base;
-  base.worker_pool_size = 3;
-  base.accuracy_pool = {0.98, 0.45, 0.45};
-  base.workers_per_task = 3;
-  base.gold_fraction = 0.3;
-  base.seed = 99;
-
-  SimulatedPlatformOptions estimated = base;
-  estimated.aggregation = AggregationMethod::kWeightedEstimated;
-  SimulatedPlatformOptions majority = base;
-  majority.aggregation = AggregationMethod::kMajority;
-
-  // After enough gold observations the estimated weights should clearly
-  // beat majority voting.
-  const double acc_estimated = AnswerAccuracy(estimated, 4000);
-  const double acc_majority = AnswerAccuracy(majority, 4000);
-  EXPECT_GT(acc_estimated, acc_majority + 0.03);
 }
 
 // ------------------------------------------------------------------ //

@@ -2,14 +2,20 @@
 //
 // Speaks a line-delimited JSON protocol on stdin/stdout: one request
 // object per line in, exactly one response object per line out (always
-// `{"ok":true,...}` or `{"ok":false,"error":"..."}`). A malformed line
-// yields a one-line diagnostic and the connection survives — the
-// server never exits on bad input, only on `shutdown` or EOF.
+// `{"ok":true,...}` or `{"ok":false,"error":"..."}`). A malformed line,
+// an unknown key or an out-of-range value yields a one-line diagnostic
+// naming the key and the connection survives — the server never exits
+// on bad input, only on `shutdown` or EOF.
+//
+// A create request is a query (core/query_spec.h: the same keys as the
+// CLI's `run` flags, with the same defaults) plus the session's own
+// keys: id, tenant, the generated "dataset" block, cache_key,
+// warm_start, checkpoint_dir, checkpoint_every and resume.
 //
 //   {"op":"create","id":"s1","tenant":"acme",
 //    "dataset":{"kind":"indep","n":40,"d":3,"levels":4,"seed":7,
 //               "missing_rate":0.2,"missing_seed":5},
-//    "budget":12,"latency":3}
+//    "budget":12,"latency":3,"m":3,"structure":"none"}
 //   {"op":"advance","id":"s1","rounds":2}
 //   {"op":"checkpoint","id":"s1"}   (needs "checkpoint_dir" at create)
 //   {"op":"info","id":"s1"}    {"op":"list"}    {"op":"metrics"}
@@ -54,13 +60,13 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "common/fileio.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/string_util.h"
+#include "core/query_spec.h"
 #include "data/generators.h"
 #include "data/missing.h"
 #include "obs/export.h"
@@ -111,88 +117,38 @@ JsonValue OkLine(const std::string& op) {
   return out;
 }
 
-/// Reads integer `key` of `doc` into `*out`, leaving it untouched when
-/// the key is absent. A non-integer value, or one below `min`, is an
-/// InvalidArgument naming the key: a negative count would otherwise
-/// wrap around when cast to an unsigned size.
-template <typename T>
-Status ReadInt(const JsonValue& doc, const char* key, std::int64_t min,
-               T* out) {
-  const JsonValue* v = doc.Find(key);
-  if (v == nullptr) return Status::OK();
-  if (v->kind() != JsonValue::Kind::kInt || v->AsInt() < min) {
-    return Status::InvalidArgument(
-        StrFormat("'%s' must be an integer >= %lld", key,
-                  static_cast<long long>(min)));
-  }
-  *out = static_cast<T>(v->AsInt());
-  return Status::OK();
-}
+/// The create request's own keys; its query keys are QueryKeys().
+constexpr KeyDef kCreateKeys[] = {
+    {"op", KeyKind::kString},
+    {"id", KeyKind::kString},
+    {"tenant", KeyKind::kString},
+    {"dataset", KeyKind::kObject},
+    {"cache_key", KeyKind::kString},
+    {"warm_start", KeyKind::kBool},
+    {"checkpoint_dir", KeyKind::kString},
+    {"checkpoint_every", KeyKind::kInt, 0, kUnbounded},
+    {"resume", KeyKind::kBool},
+};
 
-/// Reads number `key` of `doc` like ReadInt; any JSON number passes.
-Status ReadDouble(const JsonValue& doc, const char* key, double* out) {
-  const JsonValue* v = doc.Find(key);
-  if (v == nullptr) return Status::OK();
-  if (!v->is_number()) {
-    return Status::InvalidArgument(
-        StrFormat("'%s' must be a number", key));
-  }
-  *out = v->AsDouble();
-  return Status::OK();
-}
+/// The "dataset" block of a create request: a generated table with
+/// uniformly injected missing cells.
+constexpr KeyDef kDatasetKeys[] = {
+    {"kind", KeyKind::kString},
+    {"n", KeyKind::kInt, 1, kMaxDatasetCells},
+    {"d", KeyKind::kInt, 1, kMaxDatasetAttributes},
+    {"levels", KeyKind::kInt, 2, kMaxDatasetLevels},
+    {"seed", KeyKind::kInt, 0, kUnbounded},
+    {"missing_rate", KeyKind::kNumber, 0, 1},
+    {"missing_seed", KeyKind::kInt, 0, kUnbounded},
+};
 
-std::string FindString(const JsonValue& doc, const char* key,
-                       const std::string& fallback) {
-  const JsonValue* v = doc.Find(key);
-  return v == nullptr ? fallback : v->AsString();
-}
-
-bool FindBool(const JsonValue& doc, const char* key, bool fallback) {
-  const JsonValue* v = doc.Find(key);
-  return v == nullptr ? fallback : v->AsBool();
-}
-
-/// Builds (truth, incomplete, canonical descriptor) from a "dataset"
-/// object. The descriptor doubles as the default shared-cache key, so
-/// two sessions over the same generated data share warm starts.
-Status BuildDataset(const JsonValue& spec, Table* truth, Table* incomplete,
-                    std::string* descriptor) {
-  const std::string kind = FindString(spec, "kind", "indep");
-  std::size_t n = 40;
-  std::size_t d = 3;
-  Level levels = 4;
-  std::uint64_t seed = 7;
-  double rate = 0.2;
-  std::uint64_t miss_seed = 5;
-  BAYESCROWD_RETURN_NOT_OK(ReadInt(spec, "n", 1, &n));
-  BAYESCROWD_RETURN_NOT_OK(ReadInt(spec, "d", 1, &d));
-  BAYESCROWD_RETURN_NOT_OK(ReadInt(spec, "levels", 2, &levels));
-  BAYESCROWD_RETURN_NOT_OK(ReadInt(spec, "seed", 0, &seed));
-  BAYESCROWD_RETURN_NOT_OK(ReadDouble(spec, "missing_rate", &rate));
-  BAYESCROWD_RETURN_NOT_OK(ReadInt(spec, "missing_seed", 0, &miss_seed));
-  if (kind == "indep") {
-    *truth = MakeIndependent(n, d, levels, seed);
-  } else if (kind == "corr") {
-    *truth = MakeCorrelated(n, d, levels, seed);
-  } else if (kind == "anti") {
-    *truth = MakeAnticorrelated(n, d, levels, seed);
-  } else if (kind == "nba") {
-    *truth = MakeNbaLike(n, seed);
-  } else if (kind == "adult") {
-    *truth = MakeAdultLike(n, seed);
-  } else {
-    return Status::InvalidArgument(
-        StrFormat("unknown dataset kind '%s'", kind.c_str()));
-  }
-  Rng rng(miss_seed);
-  *incomplete = InjectMissingUniform(*truth, rate, rng);
-  *descriptor = StrFormat("%s:n=%zu:d=%zu:levels=%d:seed=%llu:rate=%.6f:"
-                          "mseed=%llu",
-                          kind.c_str(), n, d, static_cast<int>(levels),
-                          static_cast<unsigned long long>(seed), rate,
-                          static_cast<unsigned long long>(miss_seed));
-  return Status::OK();
-}
+/// Every other op's keys ("rounds" and "deadline_ms" are advance's).
+constexpr KeyDef kRequestKeys[] = {
+    {"op", KeyKind::kString},
+    {"id", KeyKind::kString},
+    {"rounds", KeyKind::kInt, 0, kUnbounded},
+    {"deadline_ms", KeyKind::kInt, 0, kUnbounded},
+};
 
 JsonValue InfoJson(const SessionInfo& info) {
   JsonValue out = JsonValue::Object();
@@ -208,81 +164,62 @@ JsonValue InfoJson(const SessionInfo& info) {
   return out;
 }
 
-/// Builds the full SessionSpec a "create" request describes. Shared by
-/// the create verb and --recover's resolver (which re-parses the
-/// request journaled in the manifest's spec_blob), so a recovered
-/// session is admitted through the identical code path. The canonical
-/// re-dump of the request is stored as the spec's manifest_blob.
-Status SpecFromJson(const JsonValue& doc,
-                    const std::string& default_checkpoint_dir,
-                    SessionSpec* spec) {
-  spec->id = FindString(doc, "id", "");
-  spec->tenant = FindString(doc, "tenant", "");
-  const JsonValue* dataset = doc.Find("dataset");
-  const JsonValue empty = JsonValue::Object();
-  std::string descriptor;
+/// Builds the full SessionSpec a "create" request describes: the query
+/// through ParseQuerySpec, the dataset from its block, and the posterior
+/// model the query names, learned on the session's table. Shared by the
+/// create verb and --recover's resolver (which re-parses the request
+/// journaled in the manifest's spec_blob), so a recovered session is
+/// admitted through the identical code path. The canonical re-dump of
+/// the request is stored as the spec's manifest_blob.
+Status BuildSessionSpec(const JsonValue& doc,
+                        const std::string& default_checkpoint_dir,
+                        SessionSpec* spec) {
+  BAYESCROWD_ASSIGN_OR_RETURN(const QuerySpec query,
+                              ParseQuerySpec(doc, {kCreateKeys}));
+  const JsonValue* block = doc.Find("dataset");
+  const JsonValue dataset = block != nullptr ? *block : JsonValue::Object();
   BAYESCROWD_RETURN_NOT_OK(
-      BuildDataset(dataset != nullptr ? *dataset : empty,
-                   &spec->ground_truth, &spec->incomplete, &descriptor));
-  spec->cache_key = FindString(doc, "cache_key", descriptor);
+      CheckKeys(dataset, {kDatasetKeys}, KeyStyle::kJson, "dataset."));
+  const auto kind = KeyValue<std::string>(dataset, "kind", "indep");
+  const auto n = KeyValue<std::size_t>(dataset, "n", 40);
+  const auto d = KeyValue<std::size_t>(dataset, "d", 3);
+  const auto levels = KeyValue<Level>(dataset, "levels", 4);
+  const auto seed = KeyValue<std::uint64_t>(dataset, "seed", 7);
+  const auto rate = KeyValue<double>(dataset, "missing_rate", 0.2);
+  const auto miss_seed = KeyValue<std::uint64_t>(dataset, "missing_seed", 5);
+  BAYESCROWD_ASSIGN_OR_RETURN(spec->ground_truth,
+                              MakeDataset(kind, n, d, levels, seed));
+  Rng rng(miss_seed);
+  spec->incomplete = InjectMissingUniform(spec->ground_truth, rate, rng);
+  BAYESCROWD_ASSIGN_OR_RETURN(
+      spec->posteriors, PosteriorModel::Learn(query.structure,
+                                              spec->incomplete));
 
-  BayesCrowdOptions& options = spec->options;
-  options.budget = 12;
-  options.latency = 3;
-  options.strategy.m = 3;
-  BAYESCROWD_RETURN_NOT_OK(ReadDouble(doc, "alpha", &options.ctable.alpha));
-  BAYESCROWD_RETURN_NOT_OK(ReadInt(doc, "budget", 0, &options.budget));
-  BAYESCROWD_RETURN_NOT_OK(ReadInt(doc, "latency", 1, &options.latency));
-  BAYESCROWD_RETURN_NOT_OK(ReadInt(doc, "m", 0, &options.strategy.m));
-  BAYESCROWD_RETURN_NOT_OK(
-      ReadInt(doc, "checkpoint_every", 0, &options.checkpoint_every));
-  BAYESCROWD_RETURN_NOT_OK(ReadInt(doc, "governor_max_nodes", 0,
-                                   &options.probability.governor.max_nodes));
-
-  BAYESCROWD_RETURN_NOT_OK(
-      ReadDouble(doc, "accuracy", &spec->platform.worker_accuracy));
-  BAYESCROWD_RETURN_NOT_OK(
-      ReadInt(doc, "platform_seed", 0, &spec->platform.seed));
-  BAYESCROWD_RETURN_NOT_OK(ReadInt(doc, "workers_per_task", 1,
-                                   &spec->platform.workers_per_task));
-
-  // "marketplace": {...} swaps the flat simulated crowd for the
-  // adversarial worker marketplace. Parsed here so --recover rebuilds
-  // the same platform from the journaled request.
-  if (const JsonValue* market = doc.Find("marketplace");
-      market != nullptr) {
-    spec->use_marketplace = true;
-    MarketplaceOptions& mo = spec->marketplace;
-    BAYESCROWD_RETURN_NOT_OK(ReadInt(*market, "pool_size", 3, &mo.pool_size));
-    BAYESCROWD_RETURN_NOT_OK(ReadDouble(*market, "spam_rate", &mo.spam_rate));
-    if (mo.spam_rate < 0.0 || mo.spam_rate > 1.0) {
-      return Status::InvalidArgument(
-          "marketplace.spam_rate must be in [0, 1]");
-    }
-    BAYESCROWD_RETURN_NOT_OK(
-        ReadInt(*market, "base_votes", 1, &mo.base_votes));
-    mo.max_votes = mo.base_votes;
-    BAYESCROWD_RETURN_NOT_OK(
-        ReadInt(*market, "max_votes", mo.base_votes, &mo.max_votes));
-    BAYESCROWD_RETURN_NOT_OK(
-        ReadDouble(*market, "churn_rate", &mo.churn_rate));
-    mo.defend = FindBool(*market, "defend", true);
-    BAYESCROWD_RETURN_NOT_OK(ReadInt(*market, "seed", 0, &mo.seed));
-    if (mo.max_votes > mo.base_votes) {
-      spec->options.adaptive.enabled = true;
-      spec->options.adaptive.base_votes =
-          static_cast<std::size_t>(mo.base_votes);
-      spec->options.adaptive.max_votes =
-          static_cast<std::size_t>(mo.max_votes);
-    }
-  }
-
-  spec->warm_start = FindBool(doc, "warm_start", false);
-  spec->checkpoint_dir = FindString(doc, "checkpoint_dir", "");
+  spec->options = query.options;
+  spec->options.checkpoint_every =
+      KeyValue<std::size_t>(doc, "checkpoint_every", 0);
+  spec->platform = query.flat;
+  spec->use_marketplace = query.use_marketplace;
+  spec->marketplace = query.market;
+  spec->id = KeyValue<std::string>(doc, "id", "");
+  spec->tenant = KeyValue<std::string>(doc, "tenant", "");
+  // The default shared-cache key names the data and the posterior model,
+  // so warm starts are shared only by sessions over the same generated
+  // table and the same network.
+  spec->cache_key = KeyValue<std::string>(
+      doc, "cache_key",
+      StrFormat("%s:n=%zu:d=%zu:levels=%d:seed=%llu:rate=%.6f:mseed=%llu:"
+                "structure=%s",
+                kind.c_str(), n, d, static_cast<int>(levels),
+                static_cast<unsigned long long>(seed), rate,
+                static_cast<unsigned long long>(miss_seed),
+                PosteriorStructureToString(query.structure)));
+  spec->warm_start = KeyValue(doc, "warm_start", false);
+  spec->checkpoint_dir = KeyValue<std::string>(doc, "checkpoint_dir", "");
   if (spec->checkpoint_dir.empty()) {
     spec->checkpoint_dir = default_checkpoint_dir;
   }
-  spec->resume = FindBool(doc, "resume", false);
+  spec->resume = KeyValue(doc, "resume", false);
   spec->manifest_blob = doc.Dump();
   return Status::OK();
 }
@@ -290,7 +227,7 @@ Status SpecFromJson(const JsonValue& doc,
 JsonValue HandleCreate(SessionManager* manager, const JsonValue& doc,
                        const std::string& default_checkpoint_dir) {
   SessionSpec spec;
-  const Status built = SpecFromJson(doc, default_checkpoint_dir, &spec);
+  const Status built = BuildSessionSpec(doc, default_checkpoint_dir, &spec);
   if (!built.ok()) return ErrorLine(built.ToString());
   const std::string id = spec.id;
   const Status created = manager->Create(std::move(spec));
@@ -303,14 +240,10 @@ JsonValue HandleCreate(SessionManager* manager, const JsonValue& doc,
 }
 
 JsonValue HandleAdvance(SessionManager* manager, const JsonValue& doc) {
-  const std::string id = FindString(doc, "id", "");
-  std::size_t rounds = 1;
-  std::int64_t deadline_ms = 0;
-  Status read = ReadInt(doc, "rounds", 0, &rounds);
-  if (read.ok()) read = ReadInt(doc, "deadline_ms", 0, &deadline_ms);
-  if (!read.ok()) return ErrorLine(read.ToString());
-  Result<AdvanceOutcome> advanced =
-      manager->Advance(id, rounds, deadline_ms);
+  const auto id = KeyValue<std::string>(doc, "id", "");
+  const auto deadline_ms = KeyValue<std::int64_t>(doc, "deadline_ms", 0);
+  Result<AdvanceOutcome> advanced = manager->Advance(
+      id, KeyValue<std::size_t>(doc, "rounds", 1), deadline_ms);
   if (!advanced.ok()) return StatusLine(advanced.status());
   JsonValue out = OkLine("advance");
   out["id"] = id;
@@ -323,8 +256,7 @@ JsonValue HandleAdvance(SessionManager* manager, const JsonValue& doc) {
   return out;
 }
 
-JsonValue HandleFinish(SessionManager* manager, const JsonValue& doc) {
-  const std::string id = FindString(doc, "id", "");
+JsonValue HandleFinish(SessionManager* manager, const std::string& id) {
   Result<BayesCrowdResult> finished = manager->Finish(id);
   if (!finished.ok()) return StatusLine(finished.status());
   const BayesCrowdResult& result = finished.value();
@@ -347,14 +279,16 @@ JsonValue HandleFinish(SessionManager* manager, const JsonValue& doc) {
 
 JsonValue HandleOne(SessionManager* manager, const JsonValue& doc,
                     const std::string& default_checkpoint_dir) {
-  const std::string op = FindString(doc, "op", "");
+  const auto op = KeyValue<std::string>(doc, "op", "");
   if (op == "create") {
     return HandleCreate(manager, doc, default_checkpoint_dir);
   }
+  const Status checked = CheckKeys(doc, {kRequestKeys}, KeyStyle::kJson);
+  if (!checked.ok()) return ErrorLine(checked.ToString());
+  const std::string id = KeyValue<std::string>(doc, "id", "");
   if (op == "advance") return HandleAdvance(manager, doc);
-  if (op == "finish") return HandleFinish(manager, doc);
+  if (op == "finish") return HandleFinish(manager, id);
   if (op == "checkpoint") {
-    const std::string id = FindString(doc, "id", "");
     const Status st = manager->Checkpoint(id);
     if (!st.ok()) return StatusLine(st);
     JsonValue out = OkLine("checkpoint");
@@ -362,7 +296,6 @@ JsonValue HandleOne(SessionManager* manager, const JsonValue& doc,
     return out;
   }
   if (op == "evict") {
-    const std::string id = FindString(doc, "id", "");
     const Status st = manager->Evict(id);
     if (!st.ok()) return ErrorLine(st.ToString());
     JsonValue out = OkLine("evict");
@@ -370,7 +303,7 @@ JsonValue HandleOne(SessionManager* manager, const JsonValue& doc,
     return out;
   }
   if (op == "info") {
-    Result<SessionInfo> info = manager->Info(FindString(doc, "id", ""));
+    Result<SessionInfo> info = manager->Info(id);
     if (!info.ok()) return ErrorLine(info.status().ToString());
     JsonValue out = OkLine("info");
     out["session"] = InfoJson(info.value());
@@ -427,126 +360,105 @@ bool ParseQosSpec(const std::string& text,
   return !out->empty();
 }
 
+/// The --chaos spec's keys.
+constexpr KeyDef kChaosKeys[] = {
+    {"write_fail", KeyKind::kNumber, 0, 1},
+    {"sync_fail", KeyKind::kNumber, 0, 1},
+    {"read_corrupt", KeyKind::kNumber, 0, 1},
+    {"seed", KeyKind::kInt, 0, kUnbounded},
+    {"match", KeyKind::kString},
+    {"shed_every", KeyKind::kInt, 0, kUnbounded},
+};
+
 /// "--chaos write_fail=0.1,sync_fail=0.05,read_corrupt=0.1,seed=7,
 /// match=ckpt,shed_every=3" → fault plan + shed cadence. Any subset of
 /// keys; unknown keys are an error.
-bool ParseChaosSpec(const std::string& text, FaultPlan* plan,
-                    std::size_t* shed_every) {
+Status ParseChaosSpec(const std::string& text, FaultPlan* plan,
+                      std::size_t* shed_every) {
+  std::map<std::string, std::string> fields;
   for (const std::string& field : Split(text, ',')) {
     if (field.empty()) continue;
     const auto eq = field.find('=');
-    if (eq == std::string::npos || eq == 0) return false;
-    const std::string key = field.substr(0, eq);
-    const std::string value = field.substr(eq + 1);
-    if (key == "match") {
-      plan->path_match = value;
-      continue;
+    if (eq == std::string::npos || eq == 0) {
+      return Status::InvalidArgument("expected key=value, got '" + field +
+                                     "'");
     }
-    if (key == "seed" || key == "shed_every") {
-      int v = 0;
-      if (!ParseInt(value, &v) || v < 0) return false;
-      if (key == "seed") {
-        plan->seed = static_cast<std::uint64_t>(v);
-      } else {
-        *shed_every = static_cast<std::size_t>(v);
-      }
-      continue;
-    }
-    double rate = 0.0;
-    if (!ParseDouble(value, &rate) || rate < 0.0 || rate > 1.0) {
-      return false;
-    }
-    if (key == "write_fail") {
-      plan->write_fail_rate = rate;
-    } else if (key == "sync_fail") {
-      plan->sync_fail_rate = rate;
-    } else if (key == "read_corrupt") {
-      plan->read_corrupt_rate = rate;
-    } else {
-      return false;
-    }
+    fields[field.substr(0, eq)] = field.substr(eq + 1);
   }
-  return true;
+  BAYESCROWD_ASSIGN_OR_RETURN(const JsonValue doc,
+                              FlagsToJson(fields, {kChaosKeys}));
+  BAYESCROWD_RETURN_NOT_OK(CheckKeys(doc, {kChaosKeys}, KeyStyle::kJson));
+  plan->write_fail_rate = KeyValue(doc, "write_fail", 0.0);
+  plan->sync_fail_rate = KeyValue(doc, "sync_fail", 0.0);
+  plan->read_corrupt_rate = KeyValue(doc, "read_corrupt", 0.0);
+  plan->seed = KeyValue(doc, "seed", plan->seed);
+  plan->path_match = KeyValue<std::string>(doc, "match", "");
+  *shed_every = KeyValue<std::size_t>(doc, "shed_every", 0);
+  return Status::OK();
 }
 
 JsonValue RecoveryJson(const RecoveryReport& report) {
   JsonValue out = OkLine("recover");
-  out["sessions_resumed"] =
-      static_cast<std::int64_t>(report.sessions_resumed);
-  out["sessions_fresh"] = static_cast<std::int64_t>(report.sessions_fresh);
-  out["sessions_failed"] =
-      static_cast<std::int64_t>(report.sessions_failed);
-  out["checkpoint_fallbacks"] =
-      static_cast<std::int64_t>(report.checkpoint_fallbacks);
-  out["fingerprint_mismatches"] =
-      static_cast<std::int64_t>(report.fingerprint_mismatches);
-  out["events_replayed"] =
-      static_cast<std::int64_t>(report.events_replayed);
-  out["torn_tail_records"] =
-      static_cast<std::int64_t>(report.torn_tail_records);
-  out["unknown_event_records"] =
-      static_cast<std::int64_t>(report.unknown_event_records);
+  const std::pair<const char*, std::size_t> counts[] = {
+      {"sessions_resumed", report.sessions_resumed},
+      {"sessions_fresh", report.sessions_fresh},
+      {"sessions_failed", report.sessions_failed},
+      {"checkpoint_fallbacks", report.checkpoint_fallbacks},
+      {"fingerprint_mismatches", report.fingerprint_mismatches},
+      {"events_replayed", report.events_replayed},
+      {"torn_tail_records", report.torn_tail_records},
+      {"unknown_event_records", report.unknown_event_records},
+  };
+  for (const auto& [key, count] : counts) out[key] = count;
   JsonValue quarantined = JsonValue::Array();
-  for (const std::string& id : report.quarantined) {
-    quarantined.Append(JsonValue(id));
-  }
+  for (const std::string& id : report.quarantined) quarantined.Append(id);
   out["quarantined"] = std::move(quarantined);
   return out;
 }
 
+/// The server process's own flags.
+constexpr KeyDef kServeFlags[] = {
+    {"threads", KeyKind::kInt, 0, 1024},
+    {"max_resident", KeyKind::kInt, 1, kUnbounded},
+    {"max_per_tenant", KeyKind::kInt, 1, kUnbounded},
+    {"qos", KeyKind::kString},
+    {"metrics_prom", KeyKind::kString},
+    {"flight_out", KeyKind::kString},
+    {"state_dir", KeyKind::kString},
+    {"recover", KeyKind::kBool},
+    {"max_queue", KeyKind::kInt, 0, kUnbounded},
+    {"retry_after_ms", KeyKind::kInt, 0, kUnbounded},
+    {"chaos", KeyKind::kString},
+};
+
 int ServeMain(int argc, char** argv) {
+  // A malformed, out-of-range or unknown flag is a usage error, never a
+  // silent default.
+  const Result<JsonValue> read =
+      ReadFlags(argc - 1, argv + 1, {kServeFlags});
+  if (!read.ok()) {
+    std::fprintf(stderr, "%s\n", read.status().message().c_str());
+    return 2;
+  }
+  const JsonValue& flags = read.value();
   SessionManager::Options options;
-  std::string metrics_prom;
-  std::string flight_out;
-  std::string chaos_spec;
-  bool recover = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      return i + 1 < argc ? argv[++i] : std::string();
-    };
-    // Integer flags: a malformed or too-small value is a usage error,
-    // never a silent default.
-    const auto int_flag = [&](int min, auto* out) {
-      const std::string text = next();
-      int v = 0;
-      if (!ParseInt(text, &v) || v < min) {
-        std::fprintf(stderr, "%s must be an integer >= %d, got '%s'\n",
-                     arg.c_str(), min, text.c_str());
-        return false;
-      }
-      *out = static_cast<std::remove_pointer_t<decltype(out)>>(v);
-      return true;
-    };
-    if (arg == "--threads") {
-      if (!int_flag(0, &options.threads)) return 2;
-    } else if (arg == "--max-resident") {
-      if (!int_flag(1, &options.max_resident_sessions)) return 2;
-    } else if (arg == "--max-per-tenant") {
-      if (!int_flag(1, &options.max_sessions_per_tenant)) return 2;
-    } else if (arg == "--qos") {
-      if (!ParseQosSpec(next(), &options.qos)) {
-        std::fprintf(stderr, "bad --qos spec\n");
-        return 2;
-      }
-    } else if (arg == "--metrics-prom") {
-      metrics_prom = next();
-    } else if (arg == "--flight-out") {
-      flight_out = next();
-    } else if (arg == "--state-dir") {
-      options.state_dir = next();
-    } else if (arg == "--recover") {
-      recover = true;
-    } else if (arg == "--max-queue") {
-      if (!int_flag(0, &options.max_queued_requests)) return 2;
-    } else if (arg == "--retry-after-ms") {
-      if (!int_flag(0, &options.retry_after_ms)) return 2;
-    } else if (arg == "--chaos") {
-      chaos_spec = next();
-    } else {
-      std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
-      return 2;
-    }
+  options.threads = KeyValue(flags, "threads", options.threads);
+  options.max_resident_sessions =
+      KeyValue(flags, "max_resident", options.max_resident_sessions);
+  options.max_sessions_per_tenant =
+      KeyValue(flags, "max_per_tenant", options.max_sessions_per_tenant);
+  options.max_queued_requests =
+      KeyValue(flags, "max_queue", options.max_queued_requests);
+  options.retry_after_ms =
+      KeyValue(flags, "retry_after_ms", options.retry_after_ms);
+  options.state_dir = KeyValue<std::string>(flags, "state_dir", "");
+  const auto metrics_prom = KeyValue<std::string>(flags, "metrics_prom", "");
+  const auto flight_out = KeyValue<std::string>(flags, "flight_out", "");
+  const bool recover = KeyValue(flags, "recover", false);
+  if (flags.Find("qos") != nullptr &&
+      !ParseQosSpec(KeyValue<std::string>(flags, "qos", ""), &options.qos)) {
+    std::fprintf(stderr, "bad --qos spec\n");
+    return 2;
   }
   if (recover && options.state_dir.empty()) {
     std::fprintf(stderr, "--recover requires --state-dir\n");
@@ -555,10 +467,13 @@ int ServeMain(int argc, char** argv) {
 
   FaultPlan chaos_plan;
   std::unique_ptr<FaultInjectingFileIo> chaos_io;
-  if (!chaos_spec.empty()) {
+  if (const auto chaos = KeyValue<std::string>(flags, "chaos", "");
+      !chaos.empty()) {
     std::size_t shed_every = 0;
-    if (!ParseChaosSpec(chaos_spec, &chaos_plan, &shed_every)) {
-      std::fprintf(stderr, "bad --chaos spec\n");
+    const Status parsed = ParseChaosSpec(chaos, &chaos_plan, &shed_every);
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "bad --chaos spec: %s\n",
+                   parsed.message().c_str());
       return 2;
     }
     options.debug_shed_every = shed_every;
@@ -579,7 +494,7 @@ int ServeMain(int argc, char** argv) {
                                   JsonValue::Parse(event.spec_blob));
       SessionSpec spec;
       BAYESCROWD_RETURN_NOT_OK(
-          SpecFromJson(doc, default_checkpoint_dir, &spec));
+          BuildSessionSpec(doc, default_checkpoint_dir, &spec));
       return spec;
     };
     Result<RecoveryReport> recovered = manager.Recover(resolver);
@@ -605,7 +520,7 @@ int ServeMain(int argc, char** argv) {
     } else {
       response = HandleOne(&manager, parsed.value(),
                            default_checkpoint_dir);
-      const JsonValue* op = parsed.value().Find("op");
+      const JsonValue* op = response.Find("op");
       shutdown = op != nullptr && op->AsString() == "shutdown";
     }
     std::cout << response.Dump() << "\n" << std::flush;

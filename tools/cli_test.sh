@@ -10,10 +10,17 @@
 # flag validation (--marketplace / --spam-rate / --adaptive-votes /
 # --no-defense).
 #
+# Every command reads its flags through a key table, so a flag the
+# command does not take (a typo included) exits 2 with one line.
+#
 # Also pins the bayescrowd_serve JSONL protocol against committed golden
 # fixtures (tests/testdata/serve_golden_*.jsonl) and its bad-input
-# behavior: a malformed request line gets a one-line diagnostic and the
-# connection survives; bad flags exit 2 without starting the loop. The
+# behavior: a malformed request line, an unknown key or an out-of-range
+# value gets a one-line diagnostic naming the key and the connection
+# survives; bad flags exit 2 without starting the loop. `run` and serve
+# `create` read one query spec: the same query through either gives the
+# same answer, and a create that leaves the budget out gets the CLI's
+# default of 50. The
 # crash-only serving wire formats ride along: the deadline_ms echo on
 # advance, the overloaded/retry_after_ms shed response, --recover's
 # leading op:recover report line after a kill, and the --recover /
@@ -75,6 +82,27 @@ rc=0
 "${CLI}" inject --in "${WORK}/gen_42.csv" --rate abc \
   --out "${WORK}/bad.csv" >/dev/null 2>&1 || rc=$?
 [ "${rc}" -eq 2 ] || fail "inject --rate abc must exit 2, got ${rc}"
+
+# A flag the command does not read is a usage error, not a silent
+# default: `run --budegt 5 --stratgy fbs` used to run as B=50 HHS, and a
+# value past its destination type used to wrap (--levels 4294967298
+# became 2).
+expect_usage_error() {
+  local rc=0
+  "${CLI}" "$@" >/dev/null 2>"${WORK}/usage.err" || rc=$?
+  [ "${rc}" -eq 2 ] || fail "$* must exit 2, got ${rc}"
+  [ "$(wc -l < "${WORK}/usage.err")" -eq 1 ] \
+    || fail "$* must print exactly one diagnostic line"
+}
+expect_usage_error generate --dataset indep --budget 5 --out "${WORK}/bad.csv"
+expect_usage_error run --data "${WORK}/inj_42.csv" --truth "${WORK}/gen_42.csv" \
+  --budegt 5 --stratgy fbs
+expect_usage_error generate --dataset indep --levels 4294967298 \
+  --out "${WORK}/bad.csv"
+expect_usage_error generate --dataset indep --n 10000000 --d 64 \
+  --out "${WORK}/bad.csv"
+expect_usage_error generate --dataset plasma --out "${WORK}/bad.csv"
+[ ! -e "${WORK}/bad.csv" ] || fail "a rejected generate must write nothing"
 
 # ------------------------------------------------------------------ #
 # run: fault flags validate, and a faulted run is seed-reproducible.
@@ -276,6 +304,7 @@ rc=0
   || fail "inspect --diff across drifted runs must exit 1, got ${rc}"
 rc=0; "${CLI}" inspect >/dev/null 2>&1 || rc=$?
 [ "${rc}" -eq 2 ] || fail "inspect without --run must exit 2, got ${rc}"
+expect_usage_error inspect --run "${WORK}/attr_a.json" --threshhold 0.1
 rc=0; "${CLI}" inspect --run /nonexistent-dir/x.json >/dev/null 2>&1 || rc=$?
 [ "${rc}" -ne 0 ] || fail "inspect on a missing telemetry file must fail"
 
@@ -327,6 +356,93 @@ printf '%s\n' \
   || fail "serve must answer each bad-number create with ok:false"
 sed -n 5p "${WORK}/serve_numbers.jsonl" | grep -q '"op":"list","sessions":\[\]' \
   || fail "serve must keep serving, with no session admitted, after bad numbers"
+
+# serve: a create the reader does not understand is refused with one
+# ok:false line naming the key — never silently defaulted (a typo'd
+# budget, a dataset that is not a block, the retired nested marketplace
+# block), never wrapped (levels past 32 bits), never an abort (a table
+# too large to allocate) — and the server keeps serving.
+bad_creates=(
+  '{"op":"create","id":"x","tenant":"t","budegt":40}|budegt'
+  '{"op":"create","id":"x","tenant":"t","dataset":"nba"}|dataset'
+  '{"op":"create","id":"x","tenant":"t","marketplace":{"pool_size":20,"defend":1}}|marketplace'
+  '{"op":"create","id":"x","tenant":"t","dataset":{"kind":"indep","levels":4294967298}}|dataset.levels'
+  '{"op":"create","id":"x","tenant":"t","dataset":{"kind":"indep","n":2000000000,"d":1000}}|dataset.n'
+  '{"op":"create","id":"x","tenant":"t","dataset":{"kind":"indep","n":1000000,"d":64}}|n=1000000'
+  '{"op":"create","id":"x","tenant":"t","seed":18446744073709551616}|seed'
+  '{"op":"create","id":"x","tenant":"t","budget":4294967296000}|budget'
+)
+for entry in "${bad_creates[@]}"; do
+  request="${entry%|*}"
+  key="${entry##*|}"
+  printf '%s\n' "${request}" '{"op":"list"}' '{"op":"shutdown"}' \
+    | "${SERVE}" > "${WORK}/serve_bad_create.jsonl"
+  [ "$(wc -l < "${WORK}/serve_bad_create.jsonl")" -eq 3 ] \
+    || fail "serve must answer every line after ${request}"
+  head -n 1 "${WORK}/serve_bad_create.jsonl" | grep -q '"ok":false' \
+    || fail "serve must refuse ${request}"
+  head -n 1 "${WORK}/serve_bad_create.jsonl" | grep -qF "${key}" \
+    || fail "the refusal of ${request} must name ${key}"
+  sed -n 2p "${WORK}/serve_bad_create.jsonl" \
+    | grep -q '"op":"list","sessions":\[\]' \
+    || fail "serve must keep serving after ${request}"
+done
+
+# serve: the query defaults are the CLI's (B=50, L=5, m=15), not a
+# second set of serve-only defaults.
+printf '%s\n' '{"op":"create","id":"u1","tenant":"t"}' '{"op":"shutdown"}' \
+  | "${SERVE}" > "${WORK}/serve_defaults.jsonl"
+head -n 1 "${WORK}/serve_defaults.jsonl" | grep -q '"budget_left":50.0' \
+  || fail "a create without a budget must get the default budget of 50"
+
+# One query, one answer: golden s1 through generate + inject + run and
+# through serve create agrees on the answer set and the tasks bought,
+# with the default Bayesian network and with uniform posteriors.
+"${CLI}" generate --dataset nba --n 120 --seed 9 --out "${WORK}/s1.csv" >/dev/null
+"${CLI}" inject --in "${WORK}/s1.csv" --rate 0.15 --seed 5 \
+  --out "${WORK}/s1_miss.csv" >/dev/null
+S1_QUERY='"dataset":{"kind":"nba","n":120,"seed":9,"missing_rate":0.15,"missing_seed":5},"alpha":0.01,"budget":24,"latency":4,"m":5'
+for structure in hillclimb none; do
+  "${CLI}" run --data "${WORK}/s1_miss.csv" --truth "${WORK}/s1.csv" \
+    --budget 24 --latency 4 --m 5 --alpha 0.01 --structure "${structure}" \
+    --telemetry-out "${WORK}/s1_run_${structure}.json" >/dev/null
+  printf '%s\n' \
+    '{"op":"create","id":"s1","tenant":"acme",'"${S1_QUERY}"',"structure":"'"${structure}"'"}' \
+    '{"op":"advance","id":"s1","rounds":100}' \
+    '{"op":"finish","id":"s1"}' '{"op":"shutdown"}' \
+    | "${SERVE}" > "${WORK}/s1_serve_${structure}.jsonl"
+  python3 - "${WORK}/s1_run_${structure}.json" \
+    "${WORK}/s1_serve_${structure}.jsonl" <<'EOF' \
+    || fail "run and serve disagree on golden s1 (structure ${structure})"
+import json, sys
+run = json.load(open(sys.argv[1]))["payload"]["result"]
+served = json.loads(open(sys.argv[2]).read().splitlines()[2])
+assert served["ok"], served
+assert run["result_objects"] == served["result_objects"], (run, served)
+assert run["tasks_posted"] == served["tasks_posted"], (run, served)
+EOF
+done
+
+# serve: warm starts never cross posterior models. A session with the
+# default network, warm-started after a "structure":"none" session on
+# the same tenant and dataset, must miss the shared cache and finish
+# exactly as the same request does cold.
+WARM='{"op":"create","id":"w2","tenant":"acme",'"${S1_QUERY}"',"warm_start":true}'
+printf '%s\n' \
+  '{"op":"create","id":"w1","tenant":"acme",'"${S1_QUERY}"',"structure":"none"}' \
+  '{"op":"advance","id":"w1","rounds":100}' '{"op":"finish","id":"w1"}' \
+  "${WARM}" '{"op":"advance","id":"w2","rounds":100}' \
+  '{"op":"finish","id":"w2"}' '{"op":"metrics"}' '{"op":"shutdown"}' \
+  | "${SERVE}" > "${WORK}/serve_warm.jsonl"
+printf '%s\n' "${WARM}" '{"op":"advance","id":"w2","rounds":100}' \
+  '{"op":"finish","id":"w2"}' '{"op":"shutdown"}' \
+  | "${SERVE}" > "${WORK}/serve_cold.jsonl"
+sed -n 7p "${WORK}/serve_warm.jsonl" | grep -q 'serve.cache.warm_start.miss' \
+  || fail "a warm start across posterior models must miss the cache"
+sed -n 7p "${WORK}/serve_warm.jsonl" | grep -q 'serve.cache.warm_start.hit' \
+  && fail "a warm start across posterior models must not hit the cache"
+[ "$(sed -n 6p "${WORK}/serve_warm.jsonl")" = "$(sed -n 3p "${WORK}/serve_cold.jsonl")" ] \
+  || fail "the warm-started session must finish exactly as the cold one"
 
 # serve: bad flags exit 2 before the request loop starts.
 rc=0; "${SERVE}" --no-such-flag </dev/null >/dev/null 2>&1 || rc=$?

@@ -236,9 +236,9 @@ echo "== tier-1: multi-session serve smoke =="
 # tenant=/session= labels the fleet dashboards key on.
 SERVE="$ROOT/build/tools/bayescrowd_serve"
 printf '%s\n' \
-  '{"op":"create","id":"a1","tenant":"acme","dataset":{"kind":"nba","n":120,"seed":9,"missing_rate":0.15,"missing_seed":5},"alpha":0.01,"budget":24,"latency":4,"m":5}' \
-  '{"op":"create","id":"b1","tenant":"bravo","dataset":{"kind":"nba","n":100,"seed":10,"missing_rate":0.18,"missing_seed":7},"alpha":0.01,"budget":12,"latency":3}' \
-  '{"op":"create","id":"h1","tenant":"heavy","dataset":{"kind":"nba","n":60,"seed":9,"missing_rate":0.2,"missing_seed":5},"alpha":-1,"budget":4,"latency":4,"m":5}' \
+  '{"op":"create","id":"a1","tenant":"acme","dataset":{"kind":"nba","n":120,"seed":9,"missing_rate":0.15,"missing_seed":5},"alpha":0.01,"budget":24,"latency":4,"m":5,"structure":"none"}' \
+  '{"op":"create","id":"b1","tenant":"bravo","dataset":{"kind":"nba","n":100,"seed":10,"missing_rate":0.18,"missing_seed":7},"alpha":0.01,"budget":12,"latency":3,"m":3,"structure":"none"}' \
+  '{"op":"create","id":"h1","tenant":"heavy","dataset":{"kind":"nba","n":60,"seed":9,"missing_rate":0.2,"missing_seed":5},"alpha":-1,"budget":4,"latency":4,"m":5,"structure":"none"}' \
   '{"op":"advance","id":"a1","rounds":1}' \
   '{"op":"advance","id":"b1","rounds":1}' \
   '{"op":"advance","id":"h1","rounds":1}' \
@@ -269,8 +269,8 @@ echo "== tier-1: serve chaos smoke (quarantine, shed, kill -9, recover) =="
 # "overloaded" with a retry hint, and the healthy tenant must still
 # finish exact — one tenant's broken disk is not another's outage.
 printf '%s\n' \
-  '{"op":"create","id":"p1","tenant":"poison","dataset":{"kind":"nba","n":120,"seed":9,"missing_rate":0.15,"missing_seed":5},"alpha":0.01,"budget":12,"latency":4,"m":5,"checkpoint_dir":"'"$SMOKE"'/poison-ckpt","checkpoint_every":1}' \
-  '{"op":"create","id":"g1","tenant":"good","dataset":{"kind":"nba","n":100,"seed":10,"missing_rate":0.18,"missing_seed":7},"alpha":0.01,"budget":12,"latency":3}' \
+  '{"op":"create","id":"p1","tenant":"poison","dataset":{"kind":"nba","n":120,"seed":9,"missing_rate":0.15,"missing_seed":5},"alpha":0.01,"budget":12,"latency":4,"m":5,"structure":"none","checkpoint_dir":"'"$SMOKE"'/poison-ckpt","checkpoint_every":1}' \
+  '{"op":"create","id":"g1","tenant":"good","dataset":{"kind":"nba","n":100,"seed":10,"missing_rate":0.18,"missing_seed":7},"alpha":0.01,"budget":12,"latency":3,"m":3,"structure":"none"}' \
   '{"op":"advance","id":"p1","rounds":1}' \
   '{"op":"advance","id":"p1","rounds":1}' \
   '{"op":"advance","id":"p1","rounds":1}' \
@@ -304,9 +304,9 @@ mkfifo "$FIFO"
 SERVE_PID=$!
 exec 3>"$FIFO"
 printf '%s\n' \
-  '{"op":"create","id":"r1","tenant":"acme","dataset":{"kind":"nba","n":120,"seed":9,"missing_rate":0.15,"missing_seed":5},"alpha":0.01,"budget":24,"latency":4,"m":5,"checkpoint_every":1}' \
-  '{"op":"create","id":"r2","tenant":"bravo","dataset":{"kind":"nba","n":100,"seed":10,"missing_rate":0.18,"missing_seed":7},"alpha":0.01,"budget":12,"latency":3,"checkpoint_every":1}' \
-  '{"op":"create","id":"r3","tenant":"acme","dataset":{"kind":"nba","n":120,"seed":11,"missing_rate":0.15,"missing_seed":5},"alpha":0.01,"budget":12,"latency":4,"m":5,"checkpoint_every":1}' \
+  '{"op":"create","id":"r1","tenant":"acme","dataset":{"kind":"nba","n":120,"seed":9,"missing_rate":0.15,"missing_seed":5},"alpha":0.01,"budget":24,"latency":4,"m":5,"structure":"none","checkpoint_every":1}' \
+  '{"op":"create","id":"r2","tenant":"bravo","dataset":{"kind":"nba","n":100,"seed":10,"missing_rate":0.18,"missing_seed":7},"alpha":0.01,"budget":12,"latency":3,"m":3,"structure":"none","checkpoint_every":1}' \
+  '{"op":"create","id":"r3","tenant":"acme","dataset":{"kind":"nba","n":120,"seed":11,"missing_rate":0.15,"missing_seed":5},"alpha":0.01,"budget":12,"latency":4,"m":5,"structure":"none","checkpoint_every":1}' \
   '{"op":"advance","id":"r1","rounds":2}' \
   '{"op":"advance","id":"r2","rounds":1}' \
   '{"op":"advance","id":"r3","rounds":1}' >&3
@@ -341,7 +341,9 @@ echo "== tier-1: crash-safety and factor-kernel tests under ASan+UBSan =="
 # The Bayes-net factor kernels step flat indices by raw strides, so their
 # tests ride along with the recovery-path tests. So do the suites whose
 # single-condition evaluator calls all run through the batch path's
-# per-miss slot vectors (probability, core, failure).
+# per-miss slot vectors (probability, core, failure), and the readers of
+# outside input (fuzz: CSV, network and query-spec fuzzing; the query
+# spec's own tests).
 cmake -B "$ROOT/build-asan" -S "$ROOT" \
   -DBC_SANITIZE=address,undefined \
   -DBAYESCROWD_BUILD_BENCHMARKS=OFF \
@@ -353,9 +355,10 @@ cmake --build "$ROOT/build-asan" -j "$JOBS" --target checkpoint_test \
   --target serve_killpoint_test --target quality_test \
   --target marketplace_test --target bayesnet_test \
   --target inference_property_test --target probability_test \
-  --target core_test --target failure_test
+  --target core_test --target failure_test --target fuzz_test \
+  --target query_spec_test
 ctest --test-dir "$ROOT/build-asan" --output-on-failure \
-  -R '(checkpoint_test|killpoint_test|fault_test|differential_test|governor_test|compile_test|obs_test|attribution_test|serve_test|serve_killpoint_test|quality_test|marketplace_test|bayesnet_test|inference_property_test|probability_test|core_test|failure_test)'
+  -R '(checkpoint_test|killpoint_test|fault_test|differential_test|governor_test|compile_test|obs_test|attribution_test|serve_test|serve_killpoint_test|quality_test|marketplace_test|bayesnet_test|inference_property_test|probability_test|core_test|failure_test|fuzz_test|query_spec_test)'
 
 echo "== tier-1: concurrency tests under ThreadSanitizer =="
 cmake -B "$ROOT/build-tsan" -S "$ROOT" \
