@@ -1,6 +1,7 @@
 #include "core/strategy.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <unordered_map>
 #include <unordered_set>
@@ -88,6 +89,19 @@ void SortByFrequency(std::vector<Expression>* expressions,
 
 }  // namespace
 
+bool GainScan::Offer(std::size_t index, double gain) {
+  const double margin =
+      kGainTieTolerance * std::max(1.0, std::abs(best_gain_));
+  if (gain > best_gain_ + margin) {
+    best_gain_ = gain;
+    best_index_ = index;
+    selected_ = true;
+    since_improvement_ = 0;
+    return true;
+  }
+  return ++since_improvement_ < m_;
+}
+
 const char* StrategyKindToString(StrategyKind kind) {
   switch (kind) {
     case StrategyKind::kFbs:
@@ -147,13 +161,13 @@ Result<std::vector<Task>> SelectTasks(const CTable& ctable,
             const std::vector<double> gains,
             MarginalUtilities(cond, entry.probability, eligible,
                               evaluator, options.pessimistic));
-        double best_gain = -1.0;
+        GainScan scan;
         for (std::size_t i = 0; i < eligible.size(); ++i) {
-          if (gains[i] > best_gain) {
-            best_gain = gains[i];
-            task.expression = eligible[i];
-            selected = true;
-          }
+          scan.Offer(i, gains[i]);
+        }
+        if (scan.selected()) {
+          task.expression = eligible[scan.best_index()];
+          selected = true;
         }
         break;
       }
@@ -165,9 +179,9 @@ Result<std::vector<Task>> SelectTasks(const CTable& ctable,
         // wave may merely score a few candidates past the stop point).
         const std::vector<Expression> eligible =
             ConflictFreeCandidates(candidates, batch);
-        double best_gain = -1.0;
-        std::size_t since_improvement = 0;
-        for (std::size_t start = 0; start < eligible.size();
+        GainScan scan(options.m);
+        bool open = true;
+        for (std::size_t start = 0; open && start < eligible.size();
              start += kHhsWave) {
           const std::size_t end =
               std::min(start + kHhsWave, eligible.size());
@@ -178,22 +192,13 @@ Result<std::vector<Task>> SelectTasks(const CTable& ctable,
               const std::vector<double> gains,
               MarginalUtilities(cond, entry.probability, chunk,
                                 evaluator, options.pessimistic));
-          bool stopped = false;
-          for (std::size_t i = 0; i < chunk.size(); ++i) {
-            if (gains[i] > best_gain) {
-              best_gain = gains[i];
-              task.expression = chunk[i];
-              selected = true;
-              since_improvement = 0;
-            } else {
-              ++since_improvement;
-              if (since_improvement >= options.m) {
-                stopped = true;
-                break;
-              }
-            }
+          for (std::size_t i = 0; open && i < chunk.size(); ++i) {
+            open = scan.Offer(start + i, gains[i]);
           }
-          if (stopped) break;
+        }
+        if (scan.selected()) {
+          task.expression = eligible[scan.best_index()];
+          selected = true;
         }
         break;
       }

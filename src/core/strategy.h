@@ -10,6 +10,7 @@
 #define BAYESCROWD_CORE_STRATEGY_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -45,6 +46,39 @@ struct StrategyOptions {
   /// toward the objects the solver understands least. No effect on
   /// exact results, hence none while the governor is inert.
   bool pessimistic = false;
+};
+
+/// Relative width of the gain tie rule (see GainScan).
+inline constexpr double kGainTieTolerance = 1e-12;
+
+/// The sequential scan behind UBS's argmax and HHS's m-window
+/// (Algorithm 4, lines 10-22), fed one gain at a time in candidate
+/// (frequency) order. A gain improves on the best so far only when it
+/// exceeds it by more than kGainTieTolerance·max(1, |best|); anything
+/// closer is a tie and the earlier candidate keeps the slot, so
+/// rounding noise neither picks the winner nor resets HHS's window.
+class GainScan {
+ public:
+  /// `m`: stop after this many consecutive candidates without an
+  /// improvement (HHS). The default never stops (UBS).
+  explicit GainScan(
+      std::size_t m = std::numeric_limits<std::size_t>::max())
+      : m_(m) {}
+
+  /// Offers candidate `index`'s gain. Returns false once the window
+  /// has closed; later candidates would not be looked at.
+  bool Offer(std::size_t index, double gain);
+
+  bool selected() const { return selected_; }
+  /// The winning candidate's index; meaningful when selected().
+  std::size_t best_index() const { return best_index_; }
+
+ private:
+  std::size_t m_;
+  double best_gain_ = -1.0;
+  std::size_t best_index_ = 0;
+  std::size_t since_improvement_ = 0;
+  bool selected_ = false;
 };
 
 /// Selects up to `k` conflict-free tasks for one round. `ranked` must be

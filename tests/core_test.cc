@@ -299,6 +299,35 @@ TEST(StrategyTest, RespectsBatchSizeK) {
   EXPECT_TRUE(zero->empty());
 }
 
+TEST(StrategyTest, NearTieNeitherDisplacesEarlierCandidateNorResetsWindow) {
+  // UBS: a later gain within 1e-12 of the best is a tie, and the earlier
+  // candidate (frequency order) keeps the slot; a real improvement wins.
+  GainScan ubs;
+  ubs.Offer(0, 0.25);
+  ubs.Offer(1, 0.25 + 1e-13);
+  ASSERT_TRUE(ubs.selected());
+  EXPECT_EQ(ubs.best_index(), 0u);
+  ubs.Offer(2, 0.25 + 1e-9);
+  EXPECT_EQ(ubs.best_index(), 2u);
+
+  // HHS with m = 2: near-ties count toward the window instead of
+  // resetting it, so the scan closes two candidates after the best.
+  GainScan hhs(2);
+  EXPECT_TRUE(hhs.Offer(0, 0.5));
+  EXPECT_TRUE(hhs.Offer(1, 0.5 + 5e-13));
+  EXPECT_FALSE(hhs.Offer(2, 0.5 + 9e-13));
+  EXPECT_EQ(hhs.best_index(), 0u);
+
+  // A strict improvement still resets the window.
+  GainScan reset(2);
+  EXPECT_TRUE(reset.Offer(0, 0.5));
+  EXPECT_TRUE(reset.Offer(1, 0.4));
+  EXPECT_TRUE(reset.Offer(2, 0.6));
+  EXPECT_TRUE(reset.Offer(3, 0.6));
+  EXPECT_FALSE(reset.Offer(4, 0.1));
+  EXPECT_EQ(reset.best_index(), 2u);
+}
+
 TEST(StrategyTest, HhsWithLargeMEqualsUbsChoice) {
   CTable ctable = SampleCTable();
   ProbabilityEvaluator evaluator = SampleEvaluator();
