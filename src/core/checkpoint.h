@@ -16,7 +16,7 @@
 // of several resident sessions — numbered by round count):
 //
 //   "BCKP"  magic, 4 bytes
-//   u32     format version (little-endian); currently 4
+//   u32     format version (little-endian); currently 6 (kCheckpointVersion)
 //   u64     payload size in bytes
 //   payload SerializeSessionState bytes
 //   u32     CRC-32 (IEEE 802.3) of the payload

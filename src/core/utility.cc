@@ -1,5 +1,7 @@
 #include "core/utility.h"
 
+#include <cstdint>
+
 #include "core/entropy.h"
 
 namespace bayescrowd {
@@ -18,6 +20,17 @@ namespace {
 // or under pessimism the consistent probability nearest 1/2.
 double EntropyPoint(const ProbInterval& interval, bool pessimistic) {
   return pessimistic ? PessimisticPoint(interval) : interval.midpoint();
+}
+
+// G(o, e) from H(o), Pr(e) and the two counterfactual probabilities.
+double Gain(double h_o, double p_e, double p_true, double p_false) {
+  return h_o - (p_e * BinaryEntropy(p_true) +
+                (1.0 - p_e) * BinaryEntropy(p_false));
+}
+
+void Count(ProbabilityEvaluator& evaluator, const char* name,
+           std::uint64_t amount) {
+  if (amount > 0) evaluator.metrics()->GetCounter(name)->Increment(amount);
 }
 
 }  // namespace
@@ -49,19 +62,50 @@ Result<std::vector<double>> MarginalUtilities(
   BAYESCROWD_ASSIGN_OR_RETURN(const std::vector<ProbInterval> probabilities,
                               evaluator.EvaluateBatchIntervals(pointers));
 
+  Count(evaluator, "utility.fallback_candidates", n);
+
   const double h_o = BinaryEntropy(p_o);
   std::vector<double> gains(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     BAYESCROWD_ASSIGN_OR_RETURN(const double p_e,
                                 evaluator.Probability(candidates[i]));
-    gains[i] =
-        h_o -
-        (p_e * BinaryEntropy(EntropyPoint(probabilities[2 * i], pessimistic)) +
-         (1.0 - p_e) *
-             BinaryEntropy(EntropyPoint(probabilities[2 * i + 1],
-                                        pessimistic)));
+    gains[i] = Gain(h_o, p_e, EntropyPoint(probabilities[2 * i], pessimistic),
+                    EntropyPoint(probabilities[2 * i + 1], pessimistic));
   }
   return gains;
+}
+
+Result<std::vector<std::optional<std::vector<double>>>> StarPassUtilities(
+    const std::vector<UtilityQuery>& queries,
+    ProbabilityEvaluator& evaluator) {
+  std::vector<CounterfactualRequest> requests;
+  requests.reserve(queries.size());
+  for (const UtilityQuery& query : queries) {
+    requests.push_back({query.condition, query.candidates});
+  }
+  BAYESCROWD_ASSIGN_OR_RETURN(const std::vector<Counterfactuals> passes,
+                              evaluator.EvaluateCounterfactuals(requests));
+
+  std::vector<std::optional<std::vector<double>>> out(queries.size());
+  std::uint64_t served = 0;
+  std::uint64_t scored = 0;
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    if (!passes[q].served) continue;
+    const std::vector<Expression>& candidates = *queries[q].candidates;
+    const double h_o = BinaryEntropy(queries[q].p_o);
+    std::vector<double> gains(candidates.size(), 0.0);
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      BAYESCROWD_ASSIGN_OR_RETURN(const double p_e,
+                                  evaluator.Probability(candidates[i]));
+      gains[i] = Gain(h_o, p_e, passes[q].if_true[i], passes[q].if_false[i]);
+    }
+    out[q] = std::move(gains);
+    ++served;
+    scored += candidates.size();
+  }
+  Count(evaluator, "utility.star_passes", served);
+  Count(evaluator, "utility.star_candidates", scored);
+  return out;
 }
 
 }  // namespace bayescrowd

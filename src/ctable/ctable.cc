@@ -1,6 +1,6 @@
 #include "ctable/ctable.h"
 
-#include <algorithm>
+#include <unordered_set>
 
 namespace bayescrowd {
 
@@ -22,11 +22,15 @@ std::size_t CTable::NumUndecided() const {
 
 std::vector<CellRef> CTable::AllVariables() const {
   std::vector<CellRef> out;
+  std::unordered_set<PackedVar> seen;
   for (const auto& c : conditions_) {
     if (c.IsDecided()) continue;
-    for (const CellRef& var : c.Variables()) {
-      if (std::find(out.begin(), out.end(), var) == out.end()) {
-        out.push_back(var);
+    for (const Conjunct& conj : c.conjuncts()) {
+      for (const Expression& e : conj) {
+        if (seen.insert(PackVar(e.lhs)).second) out.push_back(e.lhs);
+        if (e.rhs_is_var && seen.insert(PackVar(e.rhs_var)).second) {
+          out.push_back(e.rhs_var);
+        }
       }
     }
   }

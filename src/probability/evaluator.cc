@@ -842,6 +842,46 @@ ProbabilityEvaluator::EvaluateBatchIntervals(
   return intervals;
 }
 
+Result<std::vector<Counterfactuals>>
+ProbabilityEvaluator::EvaluateCounterfactuals(
+    const std::vector<CounterfactualRequest>& requests) {
+  std::vector<Counterfactuals> out(requests.size());
+  if (options_.method != ProbabilityMethod::kAdpll ||
+      !options_.adpll.star_fast_path || options_.governor.enabled()) {
+    return out;
+  }
+  BAYESCROWD_TRACE_SPAN("evaluator.counterfactuals");
+  const std::size_t lanes = pool_ == nullptr ? 1 : pool_->size();
+  ReserveScratch(std::max<std::size_t>(lanes, 1));
+  const auto pass_one = [this, &requests, &out](std::size_t lane,
+                                                std::size_t i) {
+    const Condition& condition = *requests[i].condition;
+    if (condition.IsDecided()) return;
+    AdpllScratch& scratch = adpll_scratch_[lane];
+    Status status = Status::OK();
+    if (!BuildStarPlan(condition, dists_, options_.adpll.max_hub_space,
+                       &scratch.star_plan, &scratch.star, &status) ||
+        !status.ok()) {
+      return;
+    }
+    out[i].served =
+        EvalStarCounterfactuals(condition, scratch.star_plan, dists_,
+                                *requests[i].atoms, &scratch.star,
+                                &out[i].if_true, &out[i].if_false)
+            .ok();
+    if (!out[i].served) {
+      out[i].if_true.clear();
+      out[i].if_false.clear();
+    }
+  };
+  if (pool_ != nullptr && requests.size() > 1) {
+    BAYESCROWD_RETURN_NOT_OK(pool_->ParallelFor(requests.size(), pass_one));
+  } else {
+    for (std::size_t i = 0; i < requests.size(); ++i) pass_one(0, i);
+  }
+  return out;
+}
+
 Result<std::vector<double>> ProbabilityEvaluator::EvaluateAll(
     const CTable& ctable, const std::vector<std::size_t>& ids) {
   std::vector<const Condition*> conditions;

@@ -1,8 +1,8 @@
 // ProbabilityEvaluator: a method-dispatching facade over the exact and
 // approximate Pr(φ) algorithms, holding the variable distributions.
 //
-// Beyond dispatch, the evaluator owns the two optimizations that carry
-// the crowdsourcing loop (see DESIGN.md, "Concurrency & caching model"):
+// Beyond dispatch, the evaluator owns the optimizations that carry the
+// crowdsourcing loop (see DESIGN.md, "Concurrency & caching model"):
 //
 //  * a memo cache keyed by condition fingerprint, stamped with the
 //    distribution epochs of the variables the condition mentions.
@@ -17,11 +17,17 @@
 //    per-condition seeds, so outputs are bit-identical for any thread
 //    count. Every other Pr(φ) entry point (Probability,
 //    ProbabilityInterval, EvaluateBatch, EvaluateAll*) delegates to it;
+//  * the counterfactual star pass, EvaluateCounterfactuals: task
+//    scoring's Pr(φ[e:=true]) and Pr(φ[e:=false]) for every atom e of
+//    many conditions, one hub enumeration per condition, fanned over
+//    the same pool. It serves exact ungoverned ADPLL on star-shaped
+//    conditions and bypasses the memo, which therefore holds ranking
+//    conditions and the per-candidate fallback's counterfactuals only;
 //  * a knowledge-compilation layer (circuit.h / compiler.h): a
 //    condition's second exact solve also compiles its ADPLL trace into
-//    a CompiledCircuit (most counterfactual formulas are solved once
-//    and never again, so the first solve only marks the condition as
-//    seen), and later memo misses for the same formula under shifted
+//    a CompiledCircuit (most formulas solved per candidate are solved
+//    once and never again, so the first solve only marks the condition
+//    as seen), and later memo misses for the same formula under shifted
 //    posteriors — the round loop's hot path — replay the circuit in
 //    one arena pass instead of re-running the search. The circuit
 //    reproduces ADPLL bit for bit, compile failures fall back to the
@@ -102,6 +108,21 @@ struct ProbabilityOptions {
   std::uint64_t cache_scope = 0;
 };
 
+/// One condition and the atoms to score in it
+/// (ProbabilityEvaluator::EvaluateCounterfactuals).
+struct CounterfactualRequest {
+  const Condition* condition = nullptr;
+  const std::vector<Expression>* atoms = nullptr;
+};
+
+/// Pr(φ[a:=true]) and Pr(φ[a:=false]) for every requested atom, aligned
+/// with the request's atoms; empty unless `served`.
+struct Counterfactuals {
+  bool served = false;
+  std::vector<double> if_true;
+  std::vector<double> if_false;
+};
+
 /// Cumulative memo-cache counters (never reset by the evaluator; take
 /// before/after snapshots for per-phase rates).
 struct EvaluatorCacheStats {
@@ -160,6 +181,21 @@ class ProbabilityEvaluator {
   /// streams.
   Result<std::vector<ProbInterval>> EvaluateBatchIntervals(
       const std::vector<const Condition*>& conditions);
+
+  /// The counterfactual star pass (star.h, EvalStarCounterfactuals)
+  /// for many conditions in one ParallelFor with per-lane scratch:
+  /// out[i] holds both counterfactuals of every atom of requests[i],
+  /// read off one enumeration of its hub. The pass serves exact,
+  /// ungoverned ADPLL with star_fast_path. A request it cannot serve
+  /// (any other configuration, a decided condition, a hub of more than
+  /// 16 variables or adpll.max_hub_space values, a missing
+  /// distribution, atoms that are not distinct expressions of the
+  /// condition) comes back with served == false, and the caller
+  /// solves FixExpression copies through EvaluateBatchIntervals
+  /// instead. Counterfactuals bypass the memo (they are read once) and
+  /// charge no ADPLL or cache counters. Deterministic for any pool size.
+  Result<std::vector<Counterfactuals>> EvaluateCounterfactuals(
+      const std::vector<CounterfactualRequest>& requests);
 
   /// Pr(φ(o)) for every object id in `ids` (batch over a c-table).
   Result<std::vector<double>> EvaluateAll(const CTable& ctable,

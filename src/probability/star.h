@@ -10,12 +10,15 @@
 // tables indexed by one hub value.
 //
 // ADPLL historically built and evaluated this in one shot, allocating
-// the hub maps and tables on every call. The split serves two masters:
+// the hub maps and tables on every call. The split serves three masters:
 //  * AdpllScratch reuses the buffers across solves (hot-path fix);
 //  * the compiled-circuit evaluator stores the plan in its artifact and
-//    refills constants/tables from the *current* posteriors each round.
-// Both run the same EvalStarPlan, so a circuit-evaluated star is
-// bit-identical to the ADPLL fast path by construction.
+//    refills constants/tables from the *current* posteriors each round;
+//  * the counterfactual pass (EvalStarCounterfactuals) reads both
+//    counterfactuals Pr(φ[e:=true]) and Pr(φ[e:=false]) of every atom
+//    e off one enumeration of the same plan.
+// All of them fill the plan with the same code, so a circuit-evaluated
+// star is bit-identical to the ADPLL fast path by construction.
 
 #ifndef BAYESCROWD_PROBABILITY_STAR_H_
 #define BAYESCROWD_PROBABILITY_STAR_H_
@@ -77,25 +80,77 @@ struct StarScratch {
   std::vector<double> const_probs;  // Per-expr, kConstant entries only.
   std::vector<double> tables;       // Flat kTablePrime table arena.
   std::vector<Level> h;             // Odometer.
+  // Counterfactual-pass state (EvalStarCounterfactuals).
+  struct Atom {
+    bool decided = false;     // Hub operands only: h decides it.
+    std::uint32_t expr = 0;   // First occurrence (flat plan index).
+    std::uint32_t begin = 0;  // S_a: [begin, end) of in_conjunct.
+    std::uint32_t end = 0;
+    bool fix_true_decides = false;   // a is in every conjunct.
+    bool fix_false_decides = false;  // Some conjunct holds only a.
+  };
+  std::unordered_map<PackedExpr, std::uint32_t, PackedExprHash> atom_index;
+  std::vector<Atom> atoms;
+  std::vector<std::int64_t> expr_atom;   // Per-expr atom, -1: none.
+  std::vector<std::uint32_t> in_conjunct;  // Flat S_a: conjunct ids.
+  std::vector<std::uint32_t> in_count;     // a's occurrences there.
+  std::vector<double> keep;     // Per-expr 1 - Pr(e | h), probabilistic.
+  std::vector<char> truth;      // Per-expr truth under h, kDecided.
+  std::vector<std::uint32_t> sat;  // Per-conjunct decided-true count.
+  std::vector<double> miss;     // Per-conjunct Π keep.
+  std::vector<double> factor;   // Per-conjunct f_j(h).
+  std::vector<double> prefix;   // prefix[j] = Π_{i<j} f_i(h).
+  std::vector<double> suffix;   // suffix[j] = Π_{i≥j} f_i(h).
 };
 
 /// Builds the star decomposition of `condition`. Returns false when the
-/// decomposition does not apply (no hub, more than 16 hub variables, or
-/// joint domain above `max_hub_space`) — the caller then branches
-/// normally, which shrinks the hub by one. Returns true when it applies;
+/// decomposition does not apply (more than 16 hub variables, or joint
+/// domain above `max_hub_space`) — the caller then branches normally,
+/// which shrinks the hub by one. A condition without repeated variables
+/// gets the space-1 plan (ADPLL and the compiler multiply such
+/// conditions directly and never ask). Returns true when it applies;
 /// `*status` reports any error discovered while sizing the hub (missing
 /// hub distribution), mirroring ADPLL's "applicable but errored" case.
 bool BuildStarPlan(const Condition& condition, const DistributionMap& dists,
                    std::size_t max_hub_space, StarPlan* plan,
                    StarScratch* scratch, Status* status);
 
-/// Fills the plan's per-expression constants and tables from `dists`,
-/// then enumerates the hub joint domain. The arithmetic (fill loops,
-/// odometer order, short-circuits) is the ADPLL star fast path verbatim,
-/// so evaluating a stored plan under any posterior matches what ADPLL
-/// would compute on the same condition.
+/// Fills the plan's per-expression constants and tables from `dists`
+/// (the fill step EvalStarCounterfactuals shares), then enumerates the
+/// hub joint domain. The arithmetic (fill loops, odometer order,
+/// short-circuits) is the ADPLL star fast path verbatim, so evaluating a
+/// stored plan under any posterior matches what ADPLL would compute on
+/// the same condition.
 Result<double> EvalStarPlan(const StarPlan& plan, const DistributionMap& dists,
                             StarScratch* scratch);
+
+/// The counterfactual star pass: for every atom in `atoms`, the two
+/// probabilities the marginal utility needs, Pr(φ[a:=true]) into
+/// (*if_true)[i] and Pr(φ[a:=false]) into (*if_false)[i], where φ[a:=v]
+/// is `condition` with every occurrence of `atoms[i]` (operator==, so
+/// either var-var orientation) fixed to v and re-simplified — the
+/// FixExpression reading. `plan` must be BuildStarPlan's plan of
+/// `condition`. One enumeration of the hub serves every atom: with
+/// f_j(h) the probability of conjunct j given h and S_a the conjuncts
+/// holding a,
+///   Pr(φ[a:=T]) = Σ_h p(h) Π_{j∉S_a} f_j(h),
+///   Pr(φ[a:=F]) = Σ_h p(h) Π_{j∉S_a} f_j(h) Π_{j∈S_a} f_j^{-a}(h),
+/// with f_j^{-a} conjunct j without a. Prefix/suffix products across
+/// conjuncts give the product without one conjunct. Cost
+/// O(space × (J + Σ_a cost(a))), J the conjunct count: an atom on a
+/// single-occurrence variable costs its conjunct's width, an atom
+/// decided by h its conjuncts (and, where it is false, the span they
+/// cover). A fix that decides φ gives exactly 1 or 0. `atoms` must be
+/// distinct expressions of `condition` (InvalidArgument otherwise).
+/// Matches solving the fixed conditions to rounding (~1e-15 relative),
+/// not bit for bit.
+Status EvalStarCounterfactuals(const Condition& condition,
+                               const StarPlan& plan,
+                               const DistributionMap& dists,
+                               const std::vector<Expression>& atoms,
+                               StarScratch* scratch,
+                               std::vector<double>* if_true,
+                               std::vector<double>* if_false);
 
 }  // namespace bayescrowd
 

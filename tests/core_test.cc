@@ -99,6 +99,18 @@ TEST(Example4Test, MarginalUtilitiesMatchPaper) {
               2e-3);
   EXPECT_NEAR(MarginalUtility(phi1, p1, e3, evaluator).value(), 0.322,
               2e-3);
+
+  // The star pass scores all three from one hub enumeration and agrees
+  // with the per-candidate values to rounding.
+  const std::vector<Expression> candidates = {e1, e2, e3};
+  const auto pass =
+      StarPassUtilities({{&phi1, p1, &candidates}}, evaluator).value();
+  ASSERT_TRUE(pass.front().has_value());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    EXPECT_NEAR((*pass.front())[i],
+                MarginalUtility(phi1, p1, candidates[i], evaluator).value(),
+                1e-12);
+  }
 }
 
 TEST(Example4Test, FixExpressionSimplifies) {

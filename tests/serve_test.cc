@@ -301,10 +301,14 @@ TEST(SessionManagerTest, ConcurrentClientsMatchSequentialBaseline) {
 
 TEST(SessionManagerTest, WarmStartHitsOwnScopeOnlyAndKeepsAnswers) {
   SessionManager manager({.threads = 2});
+  // A budget that stops with undecided objects: the donated memo then
+  // holds their final-inference conditions. (Counterfactuals never enter
+  // the memo, so a run that decides everything donates nothing.)
+  constexpr std::size_t kBudget = 8;
 
   // Cold run; Finish donates its memo state for scope (acme, nba-9).
   {
-    SessionSpec spec = MakeSpec("cold", "acme", 9);
+    SessionSpec spec = MakeSpec("cold", "acme", 9, kBudget);
     ASSERT_TRUE(manager.Create(std::move(spec)).ok());
     ASSERT_TRUE(manager.Advance("cold", 100000).ok());
     ASSERT_TRUE(manager.Finish("cold").ok());
@@ -318,7 +322,7 @@ TEST(SessionManagerTest, WarmStartHitsOwnScopeOnlyAndKeepsAnswers) {
   std::vector<std::size_t> reference_objects;
   std::vector<double> reference_probabilities;
   {
-    SessionSpec spec = MakeSpec("ref", "acme", 9);
+    SessionSpec spec = MakeSpec("ref", "acme", 9, kBudget);
     spec.warm_start = false;
     ASSERT_TRUE(manager.Create(std::move(spec)).ok());
     ASSERT_TRUE(manager.Advance("ref", 100000).ok());
@@ -332,7 +336,7 @@ TEST(SessionManagerTest, WarmStartHitsOwnScopeOnlyAndKeepsAnswers) {
   // Same tenant + dataset warm-starts from the donated blob, and the
   // answers are unchanged — imported entries are just early hits.
   {
-    SessionSpec spec = MakeSpec("warm", "acme", 9);
+    SessionSpec spec = MakeSpec("warm", "acme", 9, kBudget);
     spec.warm_start = true;
     ASSERT_TRUE(manager.Create(std::move(spec)).ok());
     ASSERT_TRUE(manager.Advance("warm", 100000).ok());
@@ -346,7 +350,7 @@ TEST(SessionManagerTest, WarmStartHitsOwnScopeOnlyAndKeepsAnswers) {
   // A different tenant over the same dataset must MISS: the scope key
   // partitions the shared cache per tenant.
   {
-    SessionSpec spec = MakeSpec("other", "bravo", 9);
+    SessionSpec spec = MakeSpec("other", "bravo", 9, kBudget);
     spec.warm_start = true;
     ASSERT_TRUE(manager.Create(std::move(spec)).ok());
   }

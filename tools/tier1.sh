@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the regular build + full ctest suite, an
 # end-to-end observability smoke run of the CLI (metrics / trace /
-# telemetry artifacts must all be valid JSON), then the concurrency
-# tests rebuilt and re-run under ThreadSanitizer (BC_SANITIZE=thread)
-# to catch data races the plain build cannot see.
+# telemetry artifacts must all be valid JSON), the perfbench smoke run
+# of every workload, then the crash-safety tests under ASan+UBSan and
+# the concurrency tests rebuilt and re-run under ThreadSanitizer
+# (BC_SANITIZE=thread) to catch data races the plain build cannot see.
 #
 # Usage: tools/tier1.sh [jobs]   (run from the repo root)
 
@@ -336,6 +337,15 @@ head -1 "$SMOKE/recover_out.jsonl" | grep -q '"sessions_resumed":3'
 ! grep -q '"ok":false' "$SMOKE/recover_out.jsonl"
 grep -q '"id":"r1".*"exact":true' "$SMOKE/recover_out.jsonl"
 grep -q 'serve_recovery_sessions_resumed 3' "$SMOKE/recover.prom"
+
+echo "== tier-1: perfbench smoke (all workloads) =="
+# Builds the benchmark's own Release tree (.bench_build/) and runs every
+# workload at reduced size. run.py exits non-zero when a correctness
+# check fails: answers at 1 and 4 lanes must match, every query's F1
+# against the complete-data skyline must clear the floor, and no public
+# call may fail. That guards the round-wide parallel scoring pass on
+# all three workloads.
+python3 "$ROOT/perfbench/run.py" --workload all --smoke --seconds 1 --trace 0
 
 echo "== tier-1: crash-safety and factor-kernel tests under ASan+UBSan =="
 # The Bayes-net factor kernels step flat indices by raw strides, so their
