@@ -5,7 +5,7 @@
 // operator-facing MTTR number); (ii) steady-state journaling — the
 // rounds/sec drain throughput with the serve manifest on vs off, whose
 // ratio is the durability overhead (budgeted at <= 2% in DESIGN.md
-// §14).
+// §13).
 //
 // Writes BENCH_serve_recovery.json via the shared artifact schema: one
 // row per session count for the recovery sweep plus one row per

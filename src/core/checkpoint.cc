@@ -323,7 +323,6 @@ void SerializeSessionState(const SessionState& state, std::string* out) {
   w.WriteU64(state.platform_tasks);
   w.WriteU64(state.platform_rounds);
   w.WriteU64(state.answer_log_offset);
-  w.WriteString(state.network_blob);
   w.WriteU64(state.config_fingerprint);
   w.WriteU64(state.solver_breakers.size());
   for (const SolverBreakerRecord& b : state.solver_breakers) {
@@ -366,7 +365,6 @@ Status DeserializeSessionState(BinReader* reader, SessionState* out) {
   BAYESCROWD_RETURN_NOT_OK(ReadSize(reader, &out->platform_tasks));
   BAYESCROWD_RETURN_NOT_OK(ReadSize(reader, &out->platform_rounds));
   BAYESCROWD_RETURN_NOT_OK(ReadSize(reader, &out->answer_log_offset));
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadString(&out->network_blob));
   BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&out->config_fingerprint));
   BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&count, kMinBreakerBytes));
   out->solver_breakers.resize(count);

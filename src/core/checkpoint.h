@@ -4,19 +4,20 @@
 //
 // A checkpoint captures everything Run() needs to continue a session
 // bit-identically: per-object conditions, the knowledge base's facts,
-// the evaluator's memo cache and compiled circuits, budget/refund and
-// retry accumulators, per-round logs, the metrics snapshot, and the crowd
-// platform's own serialized state (simulator RNG, fault injector,
-// worker-quality counters). The answer-log offset ties each snapshot to
-// the durable answer log: recovery replays the log tail past the
-// snapshot to rebuild any rounds that ran after the last checkpoint.
+// the evaluator's memo state (entries, live variable index, epochs),
+// budget/refund and retry accumulators, per-round logs, the metrics
+// snapshot, and the crowd platform's own serialized state (simulator
+// RNG, fault injector, marketplace reputations). The answer-log offset
+// ties each snapshot to the durable answer log: recovery replays the
+// log tail past the snapshot to rebuild any rounds that ran after the
+// last checkpoint.
 //
 // File format (one generation per file, `ckpt-NNNNNNNN.bin` — or
 // `ckpt-<session_id>-NNNNNNNN.bin` for a namespaced store hosting one
 // of several resident sessions — numbered by round count):
 //
 //   "BCKP"  magic, 4 bytes
-//   u32     format version (little-endian); currently 6 (kCheckpointVersion)
+//   u32     format version (little-endian); currently 7 (kCheckpointVersion)
 //   u64     payload size in bytes
 //   payload SerializeSessionState bytes
 //   u32     CRC-32 (IEEE 802.3) of the payload
@@ -47,10 +48,10 @@ namespace bayescrowd {
 
 /// Checkpoint format version written by this build, and the only one
 /// it reads: any other version fails with a clear "older"/"newer"
-/// error instead of a misparse. Versions 1–5 were earlier layouts;
+/// error instead of a misparse. Versions 1–6 were earlier layouts;
 /// change the payload, the memo blob or a platform chunk only by
 /// bumping this.
-inline constexpr std::uint32_t kCheckpointVersion = 6;
+inline constexpr std::uint32_t kCheckpointVersion = 7;
 
 /// Everything Run() snapshots at a round boundary. Field order here is
 /// the serialization order; extend only by bumping kCheckpointVersion.
@@ -93,9 +94,6 @@ struct SessionState {
   /// Durable answer-log entries at the boundary; recovery replays the
   /// log tail past this offset.
   std::size_t answer_log_offset = 0;
-  /// Serialized Bayes net (or empty when posteriors come from
-  /// elsewhere); informational for tooling, not consumed by Run.
-  std::string network_blob;
   /// Hash of options + dataset + platform config (threads excluded).
   /// Resume refuses a checkpoint whose fingerprint mismatches.
   std::uint64_t config_fingerprint = 0;

@@ -171,15 +171,14 @@ struct BayesCrowdOptions {
   obs::MetricsRegistry* metrics = nullptr;
 
   /// Session label for cost attribution: every deterministic cost unit
-  /// ("cost.*" series) is charged to {session, phase, solver_tier,
-  /// compile_state}. One label value per run today; ROADMAP item 1's
-  /// multi-tenant server makes this the per-tenant dimension.
+  /// ("cost.*" series) is charged to {session, phase, solver_tier}. A
+  /// serving process sets it per session.
   std::string session = "s0";
 
   /// Flight recorder for structured runtime events (degradations,
-  /// breaker trips, compile refusals, retries, checkpoint writes,
-  /// budget exhaustion). Non-owning; nullptr disables. Purely
-  /// observational — recording never feeds back into the query.
+  /// breaker trips, retries, checkpoint writes, budget exhaustion).
+  /// Non-owning; nullptr disables. Purely observational — recording
+  /// never feeds back into the query.
   obs::FlightRecorder* flight = nullptr;
 
   /// Live export: receives the full metrics snapshot after every round
@@ -326,9 +325,14 @@ struct BayesCrowdResult {
   /// Governor counters for the whole run (all zero when inert).
   GovernorTally solver;
 
-  /// Knowledge-compilation counters for the whole run (all zero when
-  /// compilation is off or the configuration is ineligible).
-  CircuitStats compile;
+  /// Always zero: knowledge compilation is gone, but the end-to-end
+  /// benchmark still reads these three fields. Removed with ROADMAP
+  /// items 1 and 5, once the benchmark reads counters from `metrics`.
+  struct {
+    std::uint64_t builds = 0;
+    std::uint64_t reuses = 0;
+    std::uint64_t evictions = 0;
+  } compile;
 
   /// Circuit-breaker activity: breakers opened, and round-loop solves
   /// skipped by an open breaker.

@@ -43,7 +43,6 @@ struct AttributionRow {
   std::string session;
   std::string phase;
   std::string solver_tier;
-  std::string compile_state;
   std::uint64_t units = 0;
 };
 
@@ -60,7 +59,6 @@ std::vector<AttributionRow> AttributionRows(const obs::JsonValue& payload) {
     row.session = StringOr(entry.Find("session"), "");
     row.phase = StringOr(entry.Find("phase"), "");
     row.solver_tier = StringOr(entry.Find("solver_tier"), "");
-    row.compile_state = StringOr(entry.Find("compile_state"), "");
     row.units =
         static_cast<std::uint64_t>(NumberOr(entry.Find("units"), 0.0));
     rows.push_back(std::move(row));

@@ -27,8 +27,6 @@ constexpr KeyDef kQueryKeys[] = {
     {"solver_component_budget", KeyKind::kInt, 1, kUnbounded},
     {"solver_deadline_ms", KeyKind::kInt, 1, kUnbounded},
     {"solver_ladder", KeyKind::kString, 0, 0, "full|interval|sample|strict"},
-    {"compile", KeyKind::kString, 0, 0, "off|auto"},
-    {"compile_node_budget", KeyKind::kInt, 1, kUnbounded},
     {"structure", KeyKind::kString, 0, 0, "hillclimb|chowliu|none"},
     {"accuracy", KeyKind::kNumber, 0, 1},
     {"seed", KeyKind::kInt, 0, kUnbounded},
@@ -228,7 +226,6 @@ Result<QuerySpec> ParseQuerySpec(const JsonValue& doc,
   QuerySpec spec;
   BayesCrowdOptions& options = spec.options;
   GovernorOptions& governor = options.probability.governor;
-  CompileOptions& compile = options.probability.compile;
   options.strategy.kind = static_cast<StrategyKind>(IndexOf(
       kStrategyNames, KeyValue<std::string>(doc, "strategy", "hhs")));
   options.budget = KeyValue(doc, "budget", options.budget);
@@ -251,9 +248,6 @@ Result<QuerySpec> ParseQuerySpec(const JsonValue& doc,
       KeyValue(doc, "solver_deadline_ms", governor.deadline_ms);
   ParseLadderMode(KeyValue<std::string>(doc, "solver_ladder", "full"),
                   &governor.ladder);
-  ParseCompileMode(KeyValue<std::string>(doc, "compile", "auto"),
-                   &compile.mode);
-  compile.max_nodes = KeyValue(doc, "compile_node_budget", compile.max_nodes);
   spec.structure = static_cast<PosteriorStructure>(IndexOf(
       kStructureNames, KeyValue<std::string>(doc, "structure", "hillclimb")));
 
@@ -298,7 +292,6 @@ JsonValue CrowdToJson(const QuerySpec& spec) {
 JsonValue QuerySpecToJson(const QuerySpec& spec) {
   const BayesCrowdOptions& options = spec.options;
   const GovernorOptions& governor = options.probability.governor;
-  const CompileOptions& compile = options.probability.compile;
   JsonValue out = JsonValue::Object();
   out["strategy"] =
       kStrategyNames[static_cast<std::size_t>(options.strategy.kind)];
@@ -317,8 +310,6 @@ JsonValue QuerySpecToJson(const QuerySpec& spec) {
     out["solver_deadline_ms"] = governor.deadline_ms;
   }
   out["solver_ladder"] = LadderModeToString(governor.ladder);
-  out["compile"] = CompileModeToString(compile.mode);
-  out["compile_node_budget"] = compile.max_nodes;
   out["structure"] = PosteriorStructureToString(spec.structure);
   const JsonValue crowd = CrowdToJson(spec);
   for (const auto& [name, value] : crowd.members()) out[name] = value;

@@ -3,9 +3,9 @@
 // The paper defines a query by its budget B, latency L, task-selection
 // strategy (FBS / UBS / HHS) with α and m, answered over Bayesian-network
 // posteriors for the missing cells, by a crowd. QuerySpec is that
-// definition, plus the governed solver's and the compiler's knobs, and
-// ParseQuerySpec is the one reader of it: the CLI's `run` converts its
-// query flags into the same JSON keys (`--solver-node-budget 4` is
+// definition, plus the governed solver's knobs, and ParseQuerySpec is
+// the one reader of it: the CLI's `run` converts its query flags into
+// the same JSON keys (`--solver-node-budget 4` is
 // `"solver_node_budget":4`) and the serve tool's `create` request is
 // such an object. Every default is the library struct's default.
 //
@@ -121,7 +121,7 @@ const char* PosteriorStructureToString(PosteriorStructure structure);
 /// A BayesCrowd query.
 struct QuerySpec {
   /// Strategy, budget, latency, α, m, pessimism, breaker threshold,
-  /// governor, compile and adaptive-vote charging. The fields no query
+  /// governor and adaptive-vote charging. The fields no query
   /// key sets (pool, sinks, metrics, threads, ...) keep their defaults
   /// for the frontend to fill in.
   BayesCrowdOptions options;

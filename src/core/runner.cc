@@ -96,12 +96,11 @@ Status QueryRunner::Init(const Table& incomplete,
   breaker_skips_counter_ = metrics->GetCounter("framework.breaker.skips");
 
   // Crowd-side deterministic cost units, labeled like the evaluator's:
-  // the "crowd" phase has no solver tier or compile state.
+  // the "crowd" phase has no solver tier.
   const auto crowd_cost = [&](const char* name) {
     return metrics->GetCounter(name, {{"session", options_.session},
                                       {"phase", "crowd"},
-                                      {"solver_tier", "none"},
-                                      {"compile_state", "none"}});
+                                      {"solver_tier", "none"}});
   };
   cost_crowd_tasks_ = crowd_cost("cost.crowd_tasks");
   cost_retry_refunds_ = crowd_cost("cost.retry_refunds");
@@ -109,7 +108,6 @@ Status QueryRunner::Init(const Table& incomplete,
 
   flight_ = options_.flight;
   solver_before_ = evaluator.solver_stats();
-  compile_before_ = evaluator.compile_stats();
 
   // ---------------------------------------------------------------- //
   // Crowdsourcing-phase setup (Algorithm 4).
@@ -183,7 +181,6 @@ Status QueryRunner::Init(const Table& incomplete,
     }
     metrics->Restore(st.metrics);
     solver_before_ = evaluator.solver_stats();
-    compile_before_ = evaluator.compile_stats();
     obs::RecordFlight(flight_, obs::FlightEventKind::kResume, st.rounds, -1,
                       st.simulated_seconds,
                       static_cast<double>(st.rounds),
@@ -311,13 +308,12 @@ Result<std::size_t> QueryRunner::ImportMemoState(const std::string& blob) {
   return evaluator_->MergeMemoState(&reader);
 }
 
-// Per-round deltas of the governed/compiled counters drive the
-// degradation and compile-refusal flight events (one summary event per
-// round, not one per solve — the ring is for triage, not volume).
+// Per-round deltas of the governor counters drive the degradation
+// flight event (one summary event per round, not one per solve — the
+// ring is for triage, not volume).
 void QueryRunner::FlightRoundSummary() {
   if (flight_ == nullptr) return;
   const GovernorTally solver_now = evaluator_->solver_stats();
-  const CircuitStats compile_now = evaluator_->compile_stats();
   const std::uint64_t degraded =
       solver_now.budget_exhausted - solver_before_.budget_exhausted;
   if (degraded > 0) {
@@ -325,15 +321,7 @@ void QueryRunner::FlightRoundSummary() {
                     out_.simulated_seconds, static_cast<double>(degraded),
                     "solver budget exhausted below the exact tier");
   }
-  const std::uint64_t refused =
-      compile_now.fallbacks - compile_before_.fallbacks;
-  if (refused > 0) {
-    flight_->Record(obs::FlightEventKind::kCompileRefusal, out_.rounds, -1,
-                    out_.simulated_seconds, static_cast<double>(refused),
-                    "knowledge compilation refused or fell back");
-  }
   solver_before_ = solver_now;
-  compile_before_ = compile_now;
 }
 
 Status QueryRunner::RoundExports() {
@@ -786,7 +774,6 @@ Status QueryRunner::Finish() {
     }
   }
   out_.solver = evaluator.solver_stats();
-  out_.compile = evaluator.compile_stats();
   out_.breaker_trips = breaker_trips_counter_->value();
   out_.breaker_skips = breaker_skips_counter_->value();
   const EvaluatorCacheStats cache_stats = evaluator.cache_stats();

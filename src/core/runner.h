@@ -94,7 +94,7 @@ class QueryRunner {
   Status ApplyGovernor(const GovernorOptions& governor);
 
   /// Serializes the evaluator's memo state (cache entries, variable
-  /// index, compiled circuits) for donation to a cross-session cache.
+  /// index, epochs) for donation to a cross-session cache.
   /// FailedPrecondition before Init.
   Result<std::string> ExportMemoState() const;
 
@@ -154,7 +154,6 @@ class QueryRunner {
 
   obs::FlightRecorder* flight_ = nullptr;
   GovernorTally solver_before_;
-  CircuitStats compile_before_;
 
   UniformCostModel unit_cost_;
   const TaskCostModel* cost_model_ = nullptr;

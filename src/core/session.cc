@@ -53,16 +53,6 @@ std::uint64_t ConfigFingerprint(const BayesCrowdOptions& options,
         governor.confidence_z, options.breaker_threshold,
         options.strategy.pessimistic ? 1 : 0);
   }
-  // Compiling runs append the compile configuration: artifacts ride the
-  // checkpoint, so a resume under a different compile budget would
-  // inherit circuits the new config could not have built. kOff appends
-  // nothing, keeping pre-compile fingerprints.
-  const CompileOptions& compile = options.probability.compile;
-  if (compile.mode != CompileMode::kOff) {
-    canon += StrFormat("|compile=%d,%llu,%u", static_cast<int>(compile.mode),
-                       static_cast<unsigned long long>(compile.max_nodes),
-                       static_cast<unsigned>(kCircuitFormatVersion));
-  }
   std::uint64_t hash = HashBytes(canon);
   hash = HashBytes(dataset_bytes, hash);
   hash = HashBytes(platform_config, hash);
@@ -75,7 +65,6 @@ Status SessionCheckpointSink::Write(const SessionState& state) {
   stamped.answer_log_offset =
       base_log_offset_ +
       (recorder_ != nullptr ? recorder_->log().entries.size() : 0);
-  stamped.network_blob = network_blob_;
   stamped.config_fingerprint = config_fingerprint_;
   return store_->Write(stamped);
 }

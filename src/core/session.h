@@ -37,23 +37,21 @@ std::uint64_t ConfigFingerprint(const BayesCrowdOptions& options,
                                 std::string_view platform_config);
 
 /// The CheckpointSink Run() writes to: stamps each snapshot with the
-/// session-layer fields (answer-log offset, network blob, config
-/// fingerprint) before handing it to the store. The recorder is where
-/// the durable-entry count comes from: every entry it has recorded this
-/// process is durable by the time a round boundary is reached (the file
-/// sink flushes per batch), and `base_log_offset` adds the entries a
+/// session-layer fields (answer-log offset, config fingerprint) before
+/// handing it to the store. The recorder is where the durable-entry
+/// count comes from: every entry it has recorded this process is
+/// durable by the time a round boundary is reached (the file sink
+/// flushes per batch), and `base_log_offset` adds the entries a
 /// previous process already persisted (0 for a fresh session).
 class SessionCheckpointSink : public CheckpointSink {
  public:
   SessionCheckpointSink(CheckpointSink* store,
                         const RecordingPlatform* recorder,
                         std::size_t base_log_offset,
-                        std::string network_blob,
                         std::uint64_t config_fingerprint)
       : store_(store),
         recorder_(recorder),
         base_log_offset_(base_log_offset),
-        network_blob_(std::move(network_blob)),
         config_fingerprint_(config_fingerprint) {}
 
   Status Write(const SessionState& state) override;
@@ -62,7 +60,6 @@ class SessionCheckpointSink : public CheckpointSink {
   CheckpointSink* store_;               // Non-owning.
   const RecordingPlatform* recorder_;   // Non-owning; may be null.
   std::size_t base_log_offset_;
-  std::string network_blob_;
   std::uint64_t config_fingerprint_;
 };
 

@@ -12,10 +12,10 @@ namespace bayescrowd {
 namespace {
 
 // Deterministic cost-unit attribution: every `cost.*` labeled counter
-// in the snapshot, grouped as one row per (session, phase, solver_tier,
-// compile_state) label set. Unit counts are thread-count independent
-// (charged at sequential fold points), so this section participates in
-// the byte-identity contracts like every other normalized count.
+// in the snapshot, grouped as one row per (session, phase, solver_tier)
+// label set. Unit counts are thread-count independent (charged at
+// sequential fold points), so this section participates in the
+// byte-identity contracts like every other normalized count.
 obs::JsonValue AttributionJson(const obs::MetricsSnapshot& snapshot,
                                double answer_seconds) {
   obs::JsonValue rows = obs::JsonValue::Array();
@@ -69,11 +69,6 @@ obs::JsonValue OptionsJson(const BayesCrowdOptions& options) {
   governor["breaker_threshold"] = options.breaker_threshold;
   governor["pessimistic"] = options.strategy.pessimistic;
   out["governor"] = std::move(governor);
-  const CompileOptions& c = options.probability.compile;
-  obs::JsonValue compile = obs::JsonValue::Object();
-  compile["mode"] = CompileModeToString(c.mode);
-  compile["node_budget"] = c.max_nodes;
-  out["compile"] = std::move(compile);
   return out;
 }
 
@@ -180,18 +175,6 @@ obs::JsonValue RunTelemetryJson(const std::string& name,
   }
   solver["intervals"] = std::move(intervals);
   payload["solver"] = std::move(solver);
-
-  // Knowledge-compilation outcome. Every count is deterministic for a
-  // fixed configuration (builds happen on second exact solves, reuses
-  // on later memo misses, both independent of thread count).
-  obs::JsonValue compile = obs::JsonValue::Object();
-  compile["builds"] = result.compile.builds;
-  compile["fallbacks"] = result.compile.fallbacks;
-  compile["reuses"] = result.compile.reuses;
-  compile["nodes"] = result.compile.nodes;
-  compile["restored"] = result.compile.restored;
-  compile["evictions"] = result.compile.evictions;
-  payload["compile"] = std::move(compile);
 
   // Recovery totals. Simulated clocks (backoff/platform time) are
   // deterministic given the fault seed, unlike the wall-clock fields.

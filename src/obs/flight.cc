@@ -16,7 +16,6 @@ const char* FlightEventKindToString(FlightEventKind kind) {
   switch (kind) {
     case FlightEventKind::kDegradation: return "degradation";
     case FlightEventKind::kBreakerTrip: return "breaker_trip";
-    case FlightEventKind::kCompileRefusal: return "compile_refusal";
     case FlightEventKind::kRetry: return "retry";
     case FlightEventKind::kRoundAbandoned: return "round_abandoned";
     case FlightEventKind::kCheckpointWrite: return "checkpoint_write";
@@ -36,6 +35,7 @@ const char* FlightEventKindToString(FlightEventKind kind) {
 }
 
 bool ParseFlightEventKind(const std::string& name, FlightEventKind* out) {
+  if (name == "unknown") return false;  // The unassigned values' name.
   for (int i = 0;
        i <= static_cast<int>(FlightEventKind::kWorkerQuarantine); ++i) {
     const auto kind = static_cast<FlightEventKind>(i);

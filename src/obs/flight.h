@@ -1,8 +1,7 @@
 // FlightRecorder: a fixed-capacity ring buffer of structured runtime
-// events (degradations, breaker trips, compile refusals, retries,
-// checkpoint writes, budget exhaustion) that survives to a JSONL
-// artifact when a run ends — cleanly, by budget exhaustion, or by
-// crash. Unlike metrics (aggregates) and traces (timing), the flight
+// events (degradations, breaker trips, retries, checkpoint writes,
+// budget exhaustion) that survives to a JSONL artifact when a run
+// ends — cleanly, by budget exhaustion, or by crash. Unlike metrics (aggregates) and traces (timing), the flight
 // recorder answers "what happened, in order, just before the end".
 //
 // Recording takes a mutex; every producer site is on the framework's
@@ -24,10 +23,10 @@
 
 namespace bayescrowd::obs {
 
+// Values are stable: 2 was a retired kind and stays unassigned.
 enum class FlightEventKind : std::uint8_t {
   kDegradation = 0,     // Solver budget exhausted below exact tier.
   kBreakerTrip = 1,     // Per-object circuit breaker opened.
-  kCompileRefusal = 2,  // Knowledge compilation refused (budget).
   kRetry = 3,           // Crowd batch retried after a transient failure.
   kRoundAbandoned = 4,  // Retries exhausted; round degraded.
   kCheckpointWrite = 5, // Session snapshot persisted.

@@ -105,7 +105,7 @@ struct HistogramSnapshot {
 };
 
 /// One dimension of a labeled series. Keys come from a small fixed
-/// vocabulary (session / phase / solver_tier / compile_state); values
+/// vocabulary (session / phase / solver_tier); values
 /// must be low-cardinality — the registry caps distinct values per key
 /// and collapses the overflow into "_other" (see kMaxLabelValuesPerKey).
 struct Label {

@@ -5,40 +5,7 @@
 #include "common/string_util.h"
 
 namespace bayescrowd {
-
-Status DistributionMap::Set(const CellRef& var,
-                            std::vector<double> distribution) {
-  if (distribution.empty()) {
-    return Status::InvalidArgument("empty distribution");
-  }
-  double total = 0.0;
-  for (double p : distribution) {
-    if (p < 0.0 || std::isnan(p)) {
-      return Status::InvalidArgument("negative or NaN probability");
-    }
-    total += p;
-  }
-  if (std::abs(total - 1.0) > 1e-6) {
-    return Status::InvalidArgument(
-        StrFormat("distribution sums to %f, expected 1", total));
-  }
-  map_[var] = std::move(distribution);
-  return Status::OK();
-}
-
-Result<std::vector<double>> DistributionMap::Get(const CellRef& var) const {
-  const auto it = map_.find(var);
-  if (it == map_.end()) {
-    return Status::NotFound(StrFormat("no distribution for Var(%zu,%zu)",
-                                      var.object, var.attribute));
-  }
-  return it->second;
-}
-
-const std::vector<double>* DistributionMap::Find(const CellRef& var) const {
-  const auto it = map_.find(var);
-  return it == map_.end() ? nullptr : &it->second;
-}
+namespace {
 
 double TailMassGreater(const double* dist, std::size_t size, Level bound) {
   double p = 0.0;
@@ -77,6 +44,42 @@ double CrossMass(const double* lhs, std::size_t lhs_size, const double* rhs,
     }
   }
   return p;
+}
+
+}  // namespace
+
+Status DistributionMap::Set(const CellRef& var,
+                            std::vector<double> distribution) {
+  if (distribution.empty()) {
+    return Status::InvalidArgument("empty distribution");
+  }
+  double total = 0.0;
+  for (double p : distribution) {
+    if (p < 0.0 || std::isnan(p)) {
+      return Status::InvalidArgument("negative or NaN probability");
+    }
+    total += p;
+  }
+  if (std::abs(total - 1.0) > 1e-6) {
+    return Status::InvalidArgument(
+        StrFormat("distribution sums to %f, expected 1", total));
+  }
+  map_[PackVar(var)] = std::move(distribution);
+  return Status::OK();
+}
+
+Result<std::vector<double>> DistributionMap::Get(const CellRef& var) const {
+  const auto it = map_.find(PackVar(var));
+  if (it == map_.end()) {
+    return Status::NotFound(StrFormat("no distribution for Var(%zu,%zu)",
+                                      var.object, var.attribute));
+  }
+  return it->second;
+}
+
+const std::vector<double>* DistributionMap::Find(const CellRef& var) const {
+  const auto it = map_.find(PackVar(var));
+  return it == map_.end() ? nullptr : &it->second;
 }
 
 Result<double> DistributionMap::ProbGreater(const CellRef& var,

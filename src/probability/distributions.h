@@ -9,7 +9,7 @@
 #ifndef BAYESCROWD_PROBABILITY_DISTRIBUTIONS_H_
 #define BAYESCROWD_PROBABILITY_DISTRIBUTIONS_H_
 
-#include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -19,6 +19,9 @@
 namespace bayescrowd {
 
 /// Maps variables (missing cells) to normalized value distributions.
+/// Hash-keyed by PackVar: there is no iteration API, so the table's
+/// order never reaches a result, and Find's pointers survive rehashing
+/// (node-based storage).
 class DistributionMap {
  public:
   DistributionMap() = default;
@@ -28,7 +31,7 @@ class DistributionMap {
   Status Set(const CellRef& var, std::vector<double> distribution);
 
   bool Contains(const CellRef& var) const {
-    return map_.find(var) != map_.end();
+    return map_.find(PackVar(var)) != map_.end();
   }
 
   /// Distribution of `var`; NotFound if unregistered.
@@ -44,7 +47,7 @@ class DistributionMap {
   Result<double> ProbLess(const CellRef& var, Level bound) const;
 
  private:
-  std::map<CellRef, std::vector<double>> map_;
+  std::unordered_map<PackedVar, std::vector<double>> map_;
 };
 
 /// P(e) for a single expression, assuming distinct variables are
@@ -52,16 +55,6 @@ class DistributionMap {
 /// distribution).
 Result<double> ExpressionProbability(const Expression& expression,
                                      const DistributionMap& dists);
-
-/// Span-based primitives behind ProbGreater / ProbLess /
-/// ExpressionProbability. The compiled-circuit evaluator reads its
-/// distributions out of a contiguous SoA copy, so these take raw spans;
-/// DistributionMap delegates to them, keeping both paths one arithmetic
-/// source (and therefore bit-identical).
-double TailMassGreater(const double* dist, std::size_t size, Level bound);
-double HeadMassLess(const double* dist, std::size_t size, Level bound);
-double CrossMass(const double* lhs, std::size_t lhs_size, const double* rhs,
-                 std::size_t rhs_size, CmpOp op);
 
 }  // namespace bayescrowd
 

@@ -59,12 +59,6 @@ void ProbabilityEvaluator::BindMetrics(obs::MetricsRegistry* registry) {
       registry->GetCounter("solver.ladder_tier.sampled");
   ins_.solver_tier_unknown =
       registry->GetCounter("solver.ladder_tier.unknown");
-  ins_.compile_builds = registry->GetCounter("compile.builds");
-  ins_.compile_fallbacks = registry->GetCounter("compile.fallbacks");
-  ins_.compile_reuses = registry->GetCounter("compile.reuses");
-  ins_.compile_nodes = registry->GetCounter("compile.nodes");
-  ins_.compile_restored = registry->GetCounter("compile.restored");
-  ins_.compile_evictions = registry->GetCounter("compile.evictions");
   ins_.batch_size = registry->GetHistogram(
       "evaluator.batch.size", {1.0, 4.0, 16.0, 64.0, 256.0, 1024.0});
   ins_.batch_misses = registry->GetHistogram(
@@ -73,23 +67,18 @@ void ProbabilityEvaluator::BindMetrics(obs::MetricsRegistry* registry) {
 }
 
 void ProbabilityEvaluator::ResolveCostInstruments() {
-  const auto labeled = [this](const char* name, std::size_t tier,
-                              const char* compile_state) {
+  const auto labeled = [this](const char* name, std::size_t tier) {
     return metrics_->GetCounter(
         name, {{"session", cost_session_},
                {"phase", cost_phase_},
                {"solver_tier",
-                ProbQualityToString(static_cast<ProbQuality>(tier))},
-               {"compile_state", compile_state}});
+                ProbQualityToString(static_cast<ProbQuality>(tier))}});
   };
   for (std::size_t tier = 0; tier < kTierCount; ++tier) {
-    cost_.adpll_nodes[tier] = labeled("cost.adpll_nodes", tier, "search");
-    cost_.cache_hits[tier] = labeled("cost.cache_hits", tier, "memo");
-    cost_.cache_misses[tier] = labeled("cost.cache_misses", tier, "memo");
+    cost_.adpll_nodes[tier] = labeled("cost.adpll_nodes", tier);
+    cost_.cache_hits[tier] = labeled("cost.cache_hits", tier);
+    cost_.cache_misses[tier] = labeled("cost.cache_misses", tier);
   }
-  cost_.replay_ops = labeled(
-      "cost.replay_ops", static_cast<std::size_t>(ProbQuality::kExact),
-      "replay");
 }
 
 void ProbabilityEvaluator::SetCostContext(const std::string& session,
@@ -144,34 +133,6 @@ void ProbabilityEvaluator::AddSolverTally(const GovernorTally& tally) {
   ins_.solver_tier_partial->Increment(tally.tier_partial);
   ins_.solver_tier_sampled->Increment(tally.tier_sampled);
   ins_.solver_tier_unknown->Increment(tally.tier_unknown);
-}
-
-CircuitStats ProbabilityEvaluator::compile_stats() const {
-  CircuitStats out;
-  out.builds = ins_.compile_builds->value();
-  out.fallbacks = ins_.compile_fallbacks->value();
-  out.reuses = ins_.compile_reuses->value();
-  out.nodes = ins_.compile_nodes->value();
-  out.restored = ins_.compile_restored->value();
-  out.evictions = ins_.compile_evictions->value();
-  return out;
-}
-
-void ProbabilityEvaluator::AddCircuitStats(const CircuitStats& stats) {
-  ins_.compile_builds->Increment(stats.builds);
-  ins_.compile_fallbacks->Increment(stats.fallbacks);
-  ins_.compile_reuses->Increment(stats.reuses);
-  ins_.compile_nodes->Increment(stats.nodes);
-  ins_.compile_restored->Increment(stats.restored);
-  ins_.compile_evictions->Increment(stats.evictions);
-}
-
-std::uint64_t ProbabilityEvaluator::CompileTag() const {
-  if (!CompileActive()) return 0;
-  std::uint64_t h = SplitMix64(0xC1DC1ULL);
-  h = SplitMix64(h ^ options_.compile.max_nodes);
-  h = SplitMix64(h ^ kCircuitFormatVersion);
-  return h == 0 ? 1 : h;
 }
 
 std::uint64_t ProbabilityEvaluator::ScopeTag() const {
@@ -229,8 +190,7 @@ bool ProbabilityEvaluator::IsCached(const Condition& condition) const {
   if (condition.IsDecided()) return false;
   const auto it = cache_.find(condition.Fingerprint());
   return it != cache_.end() &&
-         it->second.stamp == (DistStamp(condition) ^ BudgetTag() ^
-                              CompileTag() ^ ScopeTag());
+         it->second.stamp == (DistStamp(condition) ^ BudgetTag() ^ ScopeTag());
 }
 
 Rng ProbabilityEvaluator::ConditionRng(
@@ -242,9 +202,8 @@ Rng ProbabilityEvaluator::ConditionRng(
 void ProbabilityEvaluator::Insert(const ConditionFingerprint& fingerprint,
                                   const Condition& condition,
                                   const ProbInterval& interval) {
-  cache_[fingerprint] = CacheEntry{
-      interval,
-      DistStamp(condition) ^ BudgetTag() ^ CompileTag() ^ ScopeTag()};
+  cache_[fingerprint] =
+      CacheEntry{interval, DistStamp(condition) ^ BudgetTag() ^ ScopeTag()};
   for (const CellRef& var : condition.Variables()) {
     var_index_[PackVar(var)].push_back(fingerprint);
   }
@@ -305,39 +264,6 @@ void ProbabilityEvaluator::SerializeMemoState(std::string* out) const {
     w.WriteU64(var);
     w.WriteU64(epoch);
   }
-
-  // Compiled artifacts and the compile marks, both fingerprint-sorted
-  // for canonical bytes. A resumed session then replays circuits
-  // immediately instead of re-solving, and compiles on the same miss
-  // as the uninterrupted run.
-  std::vector<std::pair<ConditionFingerprint, const CompiledCircuit*>>
-      circuits;
-  circuits.reserve(circuits_.size());
-  for (const auto& [fingerprint, circuit] : circuits_) {
-    circuits.emplace_back(fingerprint, circuit.get());
-  }
-  std::sort(circuits.begin(), circuits.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  w.WriteU64(circuit_store_tag_);
-  w.WriteU64(circuits.size());
-  for (const auto& [fingerprint, circuit] : circuits) {
-    w.WriteU64(fingerprint.first);
-    w.WriteU64(fingerprint.second);
-    std::string blob;
-    BinWriter cw(&blob);
-    circuit->Serialize(&cw);
-    w.WriteString(blob);
-  }
-
-  std::vector<std::pair<ConditionFingerprint, CompileMark>> marks(
-      compile_marks_.begin(), compile_marks_.end());
-  std::sort(marks.begin(), marks.end());
-  w.WriteU64(marks.size());
-  for (const auto& [fingerprint, mark] : marks) {
-    w.WriteU64(fingerprint.first);
-    w.WriteU64(fingerprint.second);
-    w.WriteU8(static_cast<std::uint8_t>(mark));
-  }
 }
 
 // Every section keeps the blob's (sorted) order.
@@ -345,11 +271,6 @@ struct ProbabilityEvaluator::MemoBlob {
   std::vector<std::pair<ConditionFingerprint, CacheEntry>> entries;
   std::vector<std::pair<PackedVar, std::vector<ConditionFingerprint>>> index;
   std::vector<std::pair<PackedVar, std::uint64_t>> epochs;
-  std::uint64_t circuit_store_tag = 0;
-  std::vector<
-      std::pair<ConditionFingerprint, std::unique_ptr<const CompiledCircuit>>>
-      circuits;
-  std::vector<std::pair<ConditionFingerprint, CompileMark>> marks;
 };
 
 Status ProbabilityEvaluator::DecodeMemoState(BinReader* reader,
@@ -393,33 +314,6 @@ Status ProbabilityEvaluator::DecodeMemoState(BinReader* reader,
     BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&var));
     BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&epoch));
   }
-
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&out->circuit_store_tag));
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&n, 24));
-  out->circuits.resize(n);
-  for (auto& [fingerprint, circuit] : out->circuits) {
-    BAYESCROWD_RETURN_NOT_OK(read_fingerprint(&fingerprint));
-    std::string blob;
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadString(&blob));
-    auto decoded = std::make_unique<CompiledCircuit>();
-    BinReader cr(blob);
-    BAYESCROWD_RETURN_NOT_OK(CompiledCircuit::Deserialize(&cr, decoded.get()));
-    circuit = std::move(decoded);
-  }
-
-  // Mark: fingerprint 16 + mark 1 byte.
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&n, 17));
-  out->marks.resize(n);
-  for (auto& [fingerprint, mark] : out->marks) {
-    std::uint8_t value = 0;
-    BAYESCROWD_RETURN_NOT_OK(read_fingerprint(&fingerprint));
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU8(&value));
-    if (value != static_cast<std::uint8_t>(CompileMark::kSeen) &&
-        value != static_cast<std::uint8_t>(CompileMark::kRefused)) {
-      return Status::InvalidArgument("memo state: bad compile mark");
-    }
-    mark = static_cast<CompileMark>(value);
-  }
   return Status::OK();
 }
 
@@ -428,23 +322,21 @@ Status ProbabilityEvaluator::RestoreMemoState(BinReader* reader) {
   BAYESCROWD_RETURN_NOT_OK(DecodeMemoState(reader, &blob));
   cache_.clear();
   var_index_.clear();
-  circuits_.clear();
-  compile_marks_.clear();
   var_epoch_.clear();
   var_epoch_.insert(blob.epochs.begin(), blob.epochs.end());
-  MergeMemoBlob(&blob);
+  MergeMemoBlob(blob);
   return Status::OK();
 }
 
 Result<std::size_t> ProbabilityEvaluator::MergeMemoState(BinReader* reader) {
   MemoBlob blob;
   BAYESCROWD_RETURN_NOT_OK(DecodeMemoState(reader, &blob));
-  return MergeMemoBlob(&blob);
+  return MergeMemoBlob(blob);
 }
 
-std::size_t ProbabilityEvaluator::MergeMemoBlob(MemoBlob* blob) {
+std::size_t ProbabilityEvaluator::MergeMemoBlob(const MemoBlob& blob) {
   std::size_t imported = 0;
-  for (const auto& [fingerprint, entry] : blob->entries) {
+  for (const auto& [fingerprint, entry] : blob.entries) {
     if (cache_.emplace(fingerprint, entry).second) ++imported;
   }
 
@@ -452,39 +344,12 @@ std::size_t ProbabilityEvaluator::MergeMemoBlob(MemoBlob* blob) {
   // still evict when one of their variables re-conditions. Duplicates
   // are tolerated by eviction (and bounded — one merge per session
   // create).
-  for (const auto& [var, fingerprints] : blob->index) {
+  for (const auto& [var, fingerprints] : blob.index) {
     std::vector<ConditionFingerprint>& slot = var_index_[var];
     slot.insert(slot.end(), fingerprints.begin(), fingerprints.end());
   }
-
-  // Circuits and marks carry the blob's store tag. An empty local store
-  // adopts the tag wholesale; a populated store only accepts a matching
-  // tag. Either way the first governed evaluation re-checks the tag
-  // (SyncCircuitStore) and drops a mismatched store, so an
-  // adopted-but-wrong tag costs the artifacts, never correctness.
-  const bool adopt = circuits_.empty() && compile_marks_.empty();
-  if (!adopt && blob->circuit_store_tag != circuit_store_tag_) {
-    return imported;
-  }
-  circuit_store_tag_ = blob->circuit_store_tag;
-  CircuitStats restored;
-  for (auto& [fingerprint, circuit] : blob->circuits) {
-    if (circuits_.size() >= kMaxCircuits) break;
-    if (circuits_.emplace(fingerprint, std::move(circuit)).second) {
-      ++restored.restored;
-    }
-  }
-  // A stored artifact supersedes any mark; existing marks win.
-  for (const auto& [fingerprint, mark] : blob->marks) {
-    if (compile_marks_.size() >= kMaxCircuits) break;
-    if (circuits_.count(fingerprint) == 0) {
-      compile_marks_.emplace(fingerprint, mark);
-    }
-  }
-  AddCircuitStats(restored);
   return imported;
 }
-
 Result<double> ProbabilityEvaluator::Compute(const Condition& condition,
                                              Rng& rng, AdpllStats* stats,
                                              AdpllScratch* scratch) {
@@ -560,57 +425,8 @@ Result<ProbInterval> ProbabilityEvaluator::ComputeInterval(
   return Status::Internal("unknown probability method");
 }
 
-std::unique_ptr<const CompiledCircuit> ProbabilityEvaluator::BuildCircuit(
-    const Condition& condition, CircuitStats* stats) {
-  BAYESCROWD_TRACE_SPAN("circuit.compile");
-  Result<CompiledCircuit> compiled = CompileCondition(
-      condition, dists_, options_.adpll, options_.compile);
-  if (!compiled.ok()) {
-    // Budget or structural refusal: the condition stays on the ADPLL
-    // ladder (the refusal is recorded by the caller so it never
-    // retries). Compile errors are never surfaced — the exact answer
-    // was already computed.
-    ++stats->fallbacks;
-    return nullptr;
-  }
-  ++stats->builds;
-  stats->nodes += compiled.value().nodes.size();
-  return std::make_unique<const CompiledCircuit>(
-      std::move(compiled).value());
-}
-
-void ProbabilityEvaluator::StoreCircuit(
-    const ConditionFingerprint& fingerprint,
-    std::unique_ptr<const CompiledCircuit> circuit, CircuitStats* stats) {
-  if (circuits_.size() >= kMaxCircuits) {
-    stats->evictions += circuits_.size();
-    circuits_.clear();
-  }
-  circuits_.emplace(fingerprint, std::move(circuit));
-  compile_marks_.erase(fingerprint);
-}
-
-void ProbabilityEvaluator::SetCompileMark(
-    const ConditionFingerprint& fingerprint, CompileMark mark) {
-  if (compile_marks_.size() >= kMaxCircuits &&
-      compile_marks_.count(fingerprint) == 0) {
-    compile_marks_.clear();
-  }
-  compile_marks_[fingerprint] = mark;
-}
-
 void ProbabilityEvaluator::ReserveScratch(std::size_t lanes) {
   if (adpll_scratch_.size() < lanes) adpll_scratch_.resize(lanes);
-  if (circuit_scratch_.size() < lanes) circuit_scratch_.resize(lanes);
-}
-
-void ProbabilityEvaluator::SyncCircuitStore(CircuitStats* stats) {
-  const std::uint64_t tag = BudgetTag() ^ CompileTag() ^ ScopeTag();
-  if (tag == circuit_store_tag_) return;
-  stats->evictions += circuits_.size();
-  circuits_.clear();
-  compile_marks_.clear();
-  circuit_store_tag_ = tag;
 }
 
 Result<double> ProbabilityEvaluator::Probability(const Condition& condition) {
@@ -648,7 +464,7 @@ ProbabilityEvaluator::EvaluateBatchIntervals(
   // Sequential pass: constants and memo hits; collect the rest. The
   // cache maps are touched on this thread only.
   const bool memoizable = Memoizable();
-  const std::uint64_t tag = BudgetTag() ^ CompileTag() ^ ScopeTag();
+  const std::uint64_t tag = BudgetTag() ^ ScopeTag();
   std::vector<std::size_t> misses;
   std::vector<ConditionFingerprint> fingerprints(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -675,80 +491,25 @@ ProbabilityEvaluator::EvaluateBatchIntervals(
   }
   ins_.batch_misses->Observe(static_cast<double>(misses.size()));
 
-  // Artifact lookups happen on this thread too (the maps are not
-  // lane-safe): each miss resolves to a shared circuit pointer to
-  // replay, a flag to compile after an exact solve (its second), or a
-  // flag to mark it seen after an exact solve (its first). A condition
-  // twice in one batch reads the same mark for both copies.
-  const bool compiling = CompileActive();
-  const bool governed = options_.governor.enabled();
-  std::vector<const CompiledCircuit*> miss_circuit;
-  std::vector<char> want_compile;
-  std::vector<char> want_mark;
-  if (compiling) {
-    CircuitStats sync_stats;
-    SyncCircuitStore(&sync_stats);
-    AddCircuitStats(sync_stats);
-    miss_circuit.assign(misses.size(), nullptr);
-    want_compile.assign(misses.size(), 0);
-    want_mark.assign(misses.size(), 0);
-    for (std::size_t m = 0; m < misses.size(); ++m) {
-      const ConditionFingerprint& fingerprint = fingerprints[misses[m]];
-      const auto cit = circuits_.find(fingerprint);
-      if (cit != circuits_.end()) {
-        miss_circuit[m] = cit->second.get();
-        continue;
-      }
-      const auto mark = compile_marks_.find(fingerprint);
-      if (mark == compile_marks_.end()) {
-        want_mark[m] = 1;
-      } else if (mark->second == CompileMark::kSeen) {
-        want_compile[m] = 1;
-      }
-    }
-  }
-
   // Parallel pass: each miss is an independent model-counting call that
-  // only reads dists_ (and shared, immutable circuits). Results land in
-  // per-index slots, ADPLL and governor counters in per-lane
-  // accumulators, sampling draws come from per-condition generators,
-  // and compiled artifacts go to per-miss slots — so any lane count
-  // computes the same numbers and the same cache state.
+  // only reads dists_. Results land in per-index slots, ADPLL and
+  // governor counters in per-lane accumulators, and sampling draws come
+  // from per-condition generators — so any lane count computes the same
+  // numbers and the same cache state.
   const std::size_t lanes = pool_ == nullptr ? 1 : pool_->size();
   std::vector<AdpllStats> lane_stats(std::max<std::size_t>(lanes, 1));
   std::vector<GovernorTally> lane_tallies(lane_stats.size());
   ReserveScratch(lane_stats.size());
   std::vector<Status> errors(misses.size(), Status::OK());
-  std::vector<char> circuit_served(misses.size(), 0);
-  std::vector<char> circuit_stale(misses.size(), 0);
-  std::vector<char> compile_refused(misses.size(), 0);
-  std::vector<std::unique_ptr<const CompiledCircuit>> built(misses.size());
   // Per-miss ADPLL node counts, charged to the labeled cost series
   // after the barrier: the delta each miss adds to its lane's tally is
   // schedule-independent, so the per-tier totals are too.
   std::vector<std::uint64_t> miss_nodes(misses.size(), 0);
   const auto evaluate_one = [this, &conditions, &fingerprints, &misses,
                              &intervals, &errors, &lane_stats,
-                             &lane_tallies, &miss_circuit, &want_compile,
-                             &circuit_served, &circuit_stale,
-                             &compile_refused, &built, &miss_nodes,
-                             compiling,
-                             governed](std::size_t lane, std::size_t m) {
+                             &lane_tallies, &miss_nodes](std::size_t lane,
+                                                         std::size_t m) {
     const std::size_t i = misses[m];
-    if (compiling && miss_circuit[m] != nullptr) {
-      Result<double> replay = 0.0;
-      {
-        BAYESCROWD_TRACE_SPAN("circuit.eval");
-        replay = miss_circuit[m]->Evaluate(dists_, &circuit_scratch_[lane]);
-      }
-      if (replay.ok()) {
-        intervals[i] = ProbInterval::Exact(replay.value());
-        circuit_served[m] = 1;
-        if (governed) ++lane_tallies[lane].tier_exact;
-        return;
-      }
-      circuit_stale[m] = 1;
-    }
     Rng rng = ConditionRng(fingerprints[i]);
     const std::uint64_t calls_before = lane_stats[lane].calls;
     Result<ProbInterval> p = ComputeInterval(
@@ -760,12 +521,6 @@ ProbabilityEvaluator::EvaluateBatchIntervals(
       return;
     }
     intervals[i] = p.value();
-    if (compiling && want_compile[m] != 0 &&
-        p.value().quality == ProbQuality::kExact) {
-      CircuitStats ignored;  // Recounted deterministically post-barrier.
-      built[m] = BuildCircuit(*conditions[i], &ignored);
-      if (built[m] == nullptr) compile_refused[m] = 1;
-    }
   };
   Status pool_status = Status::OK();
   if (pool_ != nullptr && misses.size() > 1) {
@@ -788,50 +543,11 @@ ProbabilityEvaluator::EvaluateBatchIntervals(
   }
 
   // Charge the labeled cost units in miss order on this thread: the
-  // resulting tier grades the charge, replays bill their arena size.
+  // resulting tier grades the charge.
   for (std::size_t m = 0; m < misses.size(); ++m) {
     const std::size_t tier = TierIndex(intervals[misses[m]].quality);
-    if (circuit_served[m] != 0) {
-      cost_.replay_ops->Increment(miss_circuit[m]->nodes.size());
-    } else if (miss_nodes[m] > 0) {
-      cost_.adpll_nodes[tier]->Increment(miss_nodes[m]);
-    }
+    if (miss_nodes[m] > 0) cost_.adpll_nodes[tier]->Increment(miss_nodes[m]);
     if (memoizable) cost_.cache_misses[tier]->Increment();
-  }
-
-  // Fold the per-miss circuit outcomes into the shared maps in miss
-  // order, on this thread — identical state for every lane count.
-  if (compiling) {
-    CircuitStats circuit_stats;
-    for (std::size_t m = 0; m < misses.size(); ++m) {
-      const std::size_t i = misses[m];
-      const ConditionFingerprint& fingerprint = fingerprints[i];
-      if (circuit_served[m] != 0) ++circuit_stats.reuses;
-      if (circuit_stale[m] != 0) {
-        circuits_.erase(fingerprint);
-        SetCompileMark(fingerprint, CompileMark::kRefused);
-        ++circuit_stats.fallbacks;
-      }
-      if (compile_refused[m] != 0) {
-        SetCompileMark(fingerprint, CompileMark::kRefused);
-        ++circuit_stats.fallbacks;
-      }
-      if (built[m] != nullptr &&
-          circuits_.find(fingerprint) == circuits_.end()) {
-        // A duplicate condition in one batch builds twice; the second
-        // (identical) artifact is dropped so counters stay put.
-        ++circuit_stats.builds;
-        circuit_stats.nodes += built[m]->nodes.size();
-        StoreCircuit(fingerprint, std::move(built[m]), &circuit_stats);
-      }
-      // Only an exact solve arms the trigger: a degraded answer says
-      // nothing about whether the next solve will be exact.
-      if (want_mark[m] != 0 &&
-          intervals[i].quality == ProbQuality::kExact) {
-        SetCompileMark(fingerprint, CompileMark::kSeen);
-      }
-    }
-    AddCircuitStats(circuit_stats);
   }
 
   if (memoizable) {

@@ -22,17 +22,11 @@
 //    many conditions, one hub enumeration per condition, fanned over
 //    the same pool. It serves exact ungoverned ADPLL on star-shaped
 //    conditions and bypasses the memo, which therefore holds ranking
-//    conditions and the per-candidate fallback's counterfactuals only;
-//  * a knowledge-compilation layer (circuit.h / compiler.h): a
-//    condition's second exact solve also compiles its ADPLL trace into
-//    a CompiledCircuit (most formulas solved per candidate are solved
-//    once and never again, so the first solve only marks the condition
-//    as seen), and later memo misses for the same formula under shifted
-//    posteriors — the round loop's hot path — replay the circuit in
-//    one arena pass instead of re-running the search. The circuit
-//    reproduces ADPLL bit for bit, compile failures fall back to the
-//    governed ladder, and artifacts and seen marks ride checkpoints so
-//    a resumed session makes the uninterrupted run's compile decisions.
+//    conditions and the per-candidate fallback's counterfactuals only.
+//
+// The memo state (entries, the live variable index, epochs) rides
+// session checkpoints, so a resumed session replays the uninterrupted
+// run's hit/miss sequence.
 
 #ifndef BAYESCROWD_PROBABILITY_EVALUATOR_H_
 #define BAYESCROWD_PROBABILITY_EVALUATOR_H_
@@ -50,8 +44,6 @@
 #include "ctable/ctable.h"
 #include "obs/metrics.h"
 #include "probability/adpll.h"
-#include "probability/circuit.h"
-#include "probability/compiler.h"
 #include "probability/distributions.h"
 #include "probability/governor.h"
 #include "probability/interval.h"
@@ -88,23 +80,15 @@ struct ProbabilityOptions {
   /// exhausted solve survives, each with an explicit grade.
   GovernorOptions governor;
 
-  /// Knowledge compilation of memoized ADPLL solves (see compiler.h).
-  /// Only engages for eligible configurations — memoized kAdpll with a
-  /// deterministic branch heuristic, and not under the strict ladder
-  /// (whose budget-exhausted evaluations must stay budget-exhausted).
-  CompileOptions compile;
-
-  /// Tenant-safe cache scope. Folded into every memo stamp and into
-  /// the circuit-store tag (alongside BudgetTag/CompileTag), so two
-  /// sessions over *different* datasets or tenants can exchange memo
-  /// blobs through a shared cache without aliasing: DistStamp digests
-  /// distribution *epochs*, not values, and two fresh sessions start
-  /// at identical epochs — without a scope key, dataset A's cached
-  /// Pr(φ) could validate against dataset B's equal-fingerprint
-  /// condition. A serving layer derives this from the tenant id plus
-  /// the dataset/options fingerprint (see serve/cache.h). 0 (the
-  /// default) contributes nothing, keeping every pre-scope stamp and
-  /// checkpoint blob valid.
+  /// Tenant-safe cache scope. Folded into every memo stamp (alongside
+  /// BudgetTag), so two sessions over *different* datasets or tenants
+  /// can exchange memo blobs through a shared cache without aliasing:
+  /// DistStamp digests distribution *epochs*, not values, and two fresh
+  /// sessions start at identical epochs — without a scope key, dataset
+  /// A's cached Pr(φ) could validate against dataset B's
+  /// equal-fingerprint condition. A serving layer derives this from the
+  /// tenant id plus the dataset/options fingerprint (see
+  /// serve/cache.h). 0 (the default) contributes nothing.
   std::uint64_t cache_scope = 0;
 };
 
@@ -231,13 +215,6 @@ class ProbabilityEvaluator {
   /// while the governor is inert.
   GovernorTally solver_stats() const;
 
-  /// Compile-layer counters ("compile.*"), read back the same way. All
-  /// zero while compilation is off or ineligible.
-  CircuitStats compile_stats() const;
-
-  /// Number of compiled artifacts currently cached.
-  std::size_t CircuitCount() const { return circuits_.size(); }
-
   /// Points the evaluator's instruments ("evaluator.cache.*",
   /// "adpll.*", "evaluator.batch.*") at `registry`. nullptr (the
   /// constructor default) binds a private registry, so fresh evaluators
@@ -247,11 +224,10 @@ class ProbabilityEvaluator {
   obs::MetricsRegistry* metrics() const { return metrics_; }
 
   /// Cost-attribution context. Every deterministic cost unit the
-  /// evaluator produces (cost.adpll_nodes, cost.replay_ops,
-  /// cost.cache_hits / cost.cache_misses) is charged to a labeled
-  /// series {session, phase, solver_tier, compile_state}; the framework
-  /// switches the phase at each round-loop boundary ("select",
-  /// "update", "answer"). Handles re-resolve only when the context
+  /// evaluator produces (cost.adpll_nodes, cost.cache_hits /
+  /// cost.cache_misses) is charged to a labeled series {session, phase,
+  /// solver_tier}; the framework switches the phase at each round-loop
+  /// boundary ("select", "update", "answer"). Handles re-resolve only when the context
   /// actually changes — a few mutexed map lookups per phase switch, and
   /// the per-evaluation charges stay lock-free relaxed adds. Charging
   /// happens at the deterministic fold points (sequential cache pass,
@@ -275,12 +251,11 @@ class ProbabilityEvaluator {
   const GovernorOptions& governor() const { return options_.governor; }
 
   /// Appends the memo state (cache entries with their stamps, the live
-  /// part of the variable index, distribution epochs, compiled
-  /// artifacts and the compile marks) to `out` in a canonical binary
-  /// form, so a resumed session replays the exact hit/miss and compile
-  /// sequence of the uninterrupted run. Distributions are NOT included
-  /// — the caller re-derives them from checkpointed knowledge. There is
-  /// one layout; the checkpoint envelope version pins it.
+  /// part of the variable index, distribution epochs) to `out` in a
+  /// canonical binary form, so a resumed session replays the exact
+  /// hit/miss sequence of the uninterrupted run. Distributions are NOT
+  /// included — the caller re-derives them from checkpointed knowledge.
+  /// There is one layout; the checkpoint envelope version pins it.
   void SerializeMemoState(std::string* out) const;
 
   /// Restores state written by SerializeMemoState, replacing the
@@ -290,21 +265,16 @@ class ProbabilityEvaluator {
   Status RestoreMemoState(BinReader* reader);
 
   /// Warm-start merge for a shared cross-session cache: imports the
-  /// memo entries, variable index, compiled artifacts and compile marks
-  /// of a SerializeMemoState blob WITHOUT touching this evaluator's
-  /// distribution epochs or existing entries (existing entries win on
-  /// fingerprint collisions; RestoreMemoState, by contrast, clears
-  /// everything and adopts the blob's epochs). An imported entry only
+  /// memo entries and variable index of a SerializeMemoState blob
+  /// WITHOUT touching this evaluator's distribution epochs or existing
+  /// entries (existing entries win on fingerprint collisions;
+  /// RestoreMemoState, by contrast, clears everything and adopts the
+  /// blob's epochs). An imported entry only
   /// ever serves a hit when its stamp validates against the *local*
-  /// epochs and scope/budget/compile tags — the standard lookup check —
-  /// so merging a foreign blob is always sound; mismatched entries are
-  /// dead weight, never wrong answers.
-  /// Circuits and marks merge only when the blob's store tag matches
-  /// the active one (adopted wholesale when the local store is empty; a
-  /// mismatch at the next evaluation drops them, the SyncCircuitStore
-  /// rule). An imported seen mark arms the local trigger, so a
-  /// warm-started session compiles a condition an earlier session
-  /// already solved once. Returns the number of memo entries imported.
+  /// epochs and scope/budget tags — the standard lookup check — so
+  /// merging a foreign blob is always sound; mismatched entries are
+  /// dead weight, never wrong answers. Returns the number of memo
+  /// entries imported.
   Result<std::size_t> MergeMemoState(BinReader* reader);
 
  private:
@@ -323,8 +293,8 @@ class ProbabilityEvaluator {
 
   /// Unions a decoded blob into the memo state (MergeMemoState's
   /// semantics; RestoreMemoState clears first and adopts the epochs).
-  /// Consumes the blob's circuits. Returns the entries imported.
-  std::size_t MergeMemoBlob(MemoBlob* blob);
+  /// Returns the entries imported.
+  std::size_t MergeMemoBlob(const MemoBlob& blob);
 
   /// Order-insensitive digest of the distribution epochs of every
   /// variable occurrence in `condition`; changes whenever any mentioned
@@ -337,13 +307,6 @@ class ProbabilityEvaluator {
   /// exact value was asked for). 0 — the v1 stamp — when inert.
   std::uint64_t BudgetTag() const { return options_.governor.Fingerprint(); }
 
-  /// Compile-artifact component of cache stamps, mirroring BudgetTag():
-  /// entries (and on-disk artifacts) produced under one compile
-  /// configuration or circuit format never alias another. 0 — the
-  /// legacy stamp — whenever compilation is inactive, which keeps
-  /// pre-compile cache blobs valid.
-  std::uint64_t CompileTag() const;
-
   /// Tenant-scope component of cache stamps (see
   /// ProbabilityOptions::cache_scope). 0 — the legacy stamp — for the
   /// default scope.
@@ -353,18 +316,6 @@ class ProbabilityEvaluator {
     return options_.memoize &&
            (options_.method == ProbabilityMethod::kAdpll ||
             options_.method == ProbabilityMethod::kNaive);
-  }
-
-  /// True when this configuration compiles circuits: memoized kAdpll
-  /// with a value-independent branch heuristic, and not under the
-  /// strict ladder (strict mode's contract is "exact within budget or
-  /// [0,1]" — serving compiled exact answers would change which).
-  bool CompileActive() const {
-    return options_.compile.mode != CompileMode::kOff && Memoizable() &&
-           options_.method == ProbabilityMethod::kAdpll &&
-           options_.adpll.heuristic != BranchHeuristic::kRandom &&
-           !(options_.governor.enabled() &&
-             options_.governor.ladder == LadderMode::kStrict);
   }
 
   /// One uncached evaluation. `rng` supplies sampling draws (a
@@ -382,41 +333,8 @@ class ProbabilityEvaluator {
                                        GovernorTally* tally,
                                        AdpllScratch* scratch);
 
-  /// Compiles `condition` after its second exact evaluation. Returns
-  /// the artifact, or nullptr when the compile refused
-  /// (budget/structure) — the caller then records the refusal so the
-  /// condition never retries. Counts into `stats`.
-  std::unique_ptr<const CompiledCircuit> BuildCircuit(
-      const Condition& condition, CircuitStats* stats);
-
-  /// Stores one compiled artifact under the (deterministic, miss-order)
-  /// cache-cap policy and drops its seen mark. Counts into `stats`.
-  void StoreCircuit(const ConditionFingerprint& fingerprint,
-                    std::unique_ptr<const CompiledCircuit> circuit,
-                    CircuitStats* stats);
-
-  /// Compile-trigger state of a condition without a stored artifact.
-  /// No mark: it has not missed exactly since the marks were last
-  /// cleared. kSeen: one exact miss, so the next exact miss compiles.
-  /// kRefused: its compile refused or its circuit failed to replay, so
-  /// it never compiles again.
-  enum class CompileMark : std::uint8_t { kSeen = 1, kRefused = 2 };
-
-  /// Sets one mark under the same cap policy as the artifact store:
-  /// a new fingerprint arriving at kMaxCircuits marks clears them all.
-  void SetCompileMark(const ConditionFingerprint& fingerprint,
-                      CompileMark mark);
-
-  /// Ensures the per-lane solver scratch vectors cover `lanes` lanes.
+  /// Ensures the per-lane solver scratch covers `lanes` lanes.
   void ReserveScratch(std::size_t lanes);
-
-  /// Drops the artifact store when the active budget/compile tag no
-  /// longer matches the one it was populated under. Counts into
-  /// `stats`.
-  void SyncCircuitStore(CircuitStats* stats);
-
-  /// Folds one compile-layer tally into the counters.
-  void AddCircuitStats(const CircuitStats& stats);
 
   /// Deterministic per-condition sampling stream.
   Rng ConditionRng(const ConditionFingerprint& fingerprint) const;
@@ -439,35 +357,9 @@ class ProbabilityEvaluator {
                      ConditionFingerprintHash>
       cache_;
 
-  /// Compiled artifacts by condition fingerprint. Value-independent:
-  /// entries survive distribution updates (only an arity change stales
-  /// one, detected at evaluation). unique_ptr keeps the arenas stable
-  /// while lanes share them during a batch.
-  std::unordered_map<ConditionFingerprint,
-                     std::unique_ptr<const CompiledCircuit>,
-                     ConditionFingerprintHash>
-      circuits_;
-  /// Compile-trigger marks (see CompileMark). Written only by the
-  /// sequential post-barrier fold, so every lane count makes the same
-  /// compile decisions.
-  std::unordered_map<ConditionFingerprint, CompileMark,
-                     ConditionFingerprintHash>
-      compile_marks_;
-  /// BudgetTag ^ CompileTag the artifact store (and the marks) were
-  /// populated under. A governed lookup must never replay a circuit
-  /// from another budget configuration (a fresh run under that budget
-  /// may degrade where the circuit is exact), so a tag change drops the
-  /// store — the same rule the memo stamps enforce, applied store-wide.
-  std::uint64_t circuit_store_tag_ = 0;
-  /// Cap of the artifact store and of the marks: reaching it clears the
-  /// whole map (a deterministic policy — LRU would depend on
-  /// evaluation order).
-  static constexpr std::size_t kMaxCircuits = 8192;
-
   /// Per-lane solver scratch (element 0 serves a sequential pass);
   /// grown to the pool width before each batch pass.
   std::vector<AdpllScratch> adpll_scratch_;
-  std::vector<CircuitScratch> circuit_scratch_;
   /// Fingerprints of cached conditions per mentioned variable. May hold
   /// stale and repeated fingerprints: eviction counts only what it
   /// actually erases, so checkpoints keep just the live ones.
@@ -495,12 +387,6 @@ class ProbabilityEvaluator {
     obs::Counter* solver_tier_partial = nullptr;
     obs::Counter* solver_tier_sampled = nullptr;
     obs::Counter* solver_tier_unknown = nullptr;
-    obs::Counter* compile_builds = nullptr;
-    obs::Counter* compile_fallbacks = nullptr;
-    obs::Counter* compile_reuses = nullptr;
-    obs::Counter* compile_nodes = nullptr;
-    obs::Counter* compile_restored = nullptr;
-    obs::Counter* compile_evictions = nullptr;
     obs::Histogram* batch_size = nullptr;
     obs::Histogram* batch_misses = nullptr;
   } ins_;
@@ -520,7 +406,6 @@ class ProbabilityEvaluator {
     obs::Counter* adpll_nodes[kTierCount] = {};
     obs::Counter* cache_hits[kTierCount] = {};
     obs::Counter* cache_misses[kTierCount] = {};
-    obs::Counter* replay_ops = nullptr;  // Circuit replay: always exact.
   } cost_;
 };
 

@@ -144,8 +144,7 @@ void NextHubAssignment(const StarPlan& plan, StarScratch* scratch) {
 // constants and tables from `dists` into `scratch`.
 Status FillStarPlan(const StarPlan& plan, const DistributionMap& dists,
                     StarScratch* scratch) {
-  // Hub distributions. A plan can outlive the posteriors it was built
-  // under (circuit reuse), so re-resolve and re-check the arity.
+  // Hub distributions, re-resolved and arity-checked against the plan.
   scratch->hub_dists.resize(plan.hub.size());
   for (std::size_t i = 0; i < plan.hub.size(); ++i) {
     scratch->hub_dists[i] = dists.Find(plan.hub[i]);
@@ -160,9 +159,8 @@ Status FillStarPlan(const StarPlan& plan, const DistributionMap& dists,
     }
   }
 
-  // Fill constants and tables from the current distributions, in the
-  // same expression order (and with the same arithmetic) as the fused
-  // ADPLL compile loop.
+  // Fill constants and tables from the current distributions, in plan
+  // expression order.
   scratch->const_probs.resize(plan.exprs.size());
   scratch->tables.resize(plan.table_slots);
   for (std::size_t idx = 0; idx < plan.exprs.size(); ++idx) {

@@ -10,15 +10,13 @@
 // tables indexed by one hub value.
 //
 // ADPLL historically built and evaluated this in one shot, allocating
-// the hub maps and tables on every call. The split serves three masters:
+// the hub maps and tables on every call. The split serves two masters:
 //  * AdpllScratch reuses the buffers across solves (hot-path fix);
-//  * the compiled-circuit evaluator stores the plan in its artifact and
-//    refills constants/tables from the *current* posteriors each round;
 //  * the counterfactual pass (EvalStarCounterfactuals) reads both
 //    counterfactuals Pr(φ[e:=true]) and Pr(φ[e:=false]) of every atom
 //    e off one enumeration of the same plan.
-// All of them fill the plan with the same code, so a circuit-evaluated
-// star is bit-identical to the ADPLL fast path by construction.
+// Both fill the plan with the same code (FillStarPlan), so the pass
+// reads the same per-expression numbers as the ADPLL fast path.
 
 #ifndef BAYESCROWD_PROBABILITY_STAR_H_
 #define BAYESCROWD_PROBABILITY_STAR_H_
@@ -107,20 +105,17 @@ struct StarScratch {
 /// decomposition does not apply (more than 16 hub variables, or joint
 /// domain above `max_hub_space`) — the caller then branches normally,
 /// which shrinks the hub by one. A condition without repeated variables
-/// gets the space-1 plan (ADPLL and the compiler multiply such
-/// conditions directly and never ask). Returns true when it applies;
-/// `*status` reports any error discovered while sizing the hub (missing
-/// hub distribution), mirroring ADPLL's "applicable but errored" case.
+/// gets the space-1 plan (ADPLL multiplies such conditions directly and
+/// never asks). Returns true when it applies; `*status` reports any
+/// error discovered while sizing the hub (missing hub distribution),
+/// mirroring ADPLL's "applicable but errored" case.
 bool BuildStarPlan(const Condition& condition, const DistributionMap& dists,
                    std::size_t max_hub_space, StarPlan* plan,
                    StarScratch* scratch, Status* status);
 
-/// Fills the plan's per-expression constants and tables from `dists`
-/// (the fill step EvalStarCounterfactuals shares), then enumerates the
-/// hub joint domain. The arithmetic (fill loops, odometer order,
-/// short-circuits) is the ADPLL star fast path verbatim, so evaluating a
-/// stored plan under any posterior matches what ADPLL would compute on
-/// the same condition.
+/// ADPLL's star fast path: fills the plan's per-expression constants and
+/// tables from `dists` (the fill step EvalStarCounterfactuals shares),
+/// then enumerates the hub joint domain.
 Result<double> EvalStarPlan(const StarPlan& plan, const DistributionMap& dists,
                             StarScratch* scratch);
 

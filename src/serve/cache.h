@@ -1,19 +1,18 @@
-// SharedQueryCache: the serving layer's cross-session Pr(φ) memo and
-// compiled-circuit cache.
+// SharedQueryCache: the serving layer's cross-session Pr(φ) memo.
 //
 // A resident server answers many queries over the same few datasets;
-// the expensive part of each — exact #SAT solves and knowledge-compiled
-// circuits — is embarrassingly reusable across sessions of the same
-// tenant over the same data. This cache holds SerializeMemoState blobs
-// keyed by a tenant-safe scope key (see SessionManager's scope
-// derivation and ProbabilityOptions::cache_scope): a finished session
-// donates its memo state here, and a later warm-started session of the
-// same scope imports it via ProbabilityEvaluator::MergeMemoState.
+// the expensive part of each — exact #SAT solves — is embarrassingly
+// reusable across sessions of the same tenant over the same data. This
+// cache holds SerializeMemoState blobs keyed by a tenant-safe scope key
+// (see SessionManager's scope derivation and
+// ProbabilityOptions::cache_scope): a finished session donates its memo
+// state here, and a later warm-started session of the same scope
+// imports it via ProbabilityEvaluator::MergeMemoState.
 //
 // Safety is delegated to the evaluator's stamp discipline: an imported
-// entry only serves a hit when its DistStamp ^ BudgetTag ^ CompileTag ^
-// ScopeTag validates against the importing evaluator, so a stale or
-// foreign blob is dead weight, never a wrong answer. The cache itself
+// entry only serves a hit when its DistStamp ^ BudgetTag ^ ScopeTag
+// validates against the importing evaluator, so a stale or foreign blob
+// is dead weight, never a wrong answer. The cache itself
 // only bounds memory: least-recently-used scopes are evicted when the
 // byte or entry budget is exceeded.
 

@@ -39,7 +39,7 @@
 // 1 + max_queued_requests in-flight stepping requests, new ones shed
 // with Unavailable + a retry hint instead of queueing without bound.
 //
-// Crash-only serving (DESIGN.md §14): with a state_dir configured,
+// Crash-only serving (DESIGN.md §13): with a state_dir configured,
 // every lifecycle verb journals a CRC-framed record to the serve
 // manifest, and Recover() mass-resumes the resident set after a process
 // death. Sessions that fail repeatedly are quarantined out of the pool

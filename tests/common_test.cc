@@ -1,11 +1,15 @@
 // Tests for the common substrate: Status/Result, string utilities, RNG,
-// dynamic bitset and CSV.
+// dynamic bitset, CSV and CRC-32.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <string>
 
 #include "common/bitset.h"
+#include "common/crc32.h"
 #include "common/csv.h"
 #include "common/random.h"
 #include "common/result.h"
@@ -322,6 +326,62 @@ TEST(StopwatchTest, MeasuresNonNegativeTime) {
   EXPECT_GE(watch.ElapsedSeconds(), 0.0);
   watch.Restart();
   EXPECT_GE(watch.ElapsedMicros(), 0.0);
+}
+
+// ------------------------------------------------------------------ //
+// CRC-32
+// ------------------------------------------------------------------ //
+
+// The bytewise table loop the slicing-by-8 implementation replaced,
+// kept as the reference.
+std::uint32_t ReferenceCrc32(std::uint32_t crc, const unsigned char* bytes,
+                             std::size_t size) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    table[i] = c;
+  }
+  crc ^= 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc = table[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, CheckValue) {
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32(""), 0u);
+}
+
+TEST(Crc32Test, MatchesBytewiseLoopAtEveryLengthOffsetAndSplit) {
+  Rng rng(0xC4C32);
+  std::string buffer(1024 + 8, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng.NextInt(0, 255));
+  const auto* bytes = reinterpret_cast<const unsigned char*>(buffer.data());
+  for (int trial = 0; trial < 400; ++trial) {
+    // Lengths cover the tail-only, exact-block and mixed cases; offsets
+    // leave the start unaligned.
+    const std::size_t offset = static_cast<std::size_t>(rng.NextInt(0, 7));
+    const std::size_t size = trial < 64 ? static_cast<std::size_t>(trial)
+                                        : static_cast<std::size_t>(
+                                              rng.NextInt(0, 1024));
+    const unsigned char* start = bytes + offset;
+    const std::uint32_t expected = ReferenceCrc32(0, start, size);
+    ASSERT_EQ(Crc32Update(0, start, size), expected)
+        << "size " << size << " offset " << offset;
+    // Chained updates over any split equal the one-shot value, and a
+    // non-zero running CRC extends like the reference.
+    const std::size_t split =
+        static_cast<std::size_t>(rng.NextInt(0, static_cast<int>(size)));
+    const std::uint32_t head = Crc32Update(0, start, split);
+    EXPECT_EQ(Crc32Update(head, start + split, size - split), expected)
+        << "size " << size << " split " << split;
+    EXPECT_EQ(Crc32Update(head, start + split, size - split),
+              ReferenceCrc32(head, start + split, size - split));
+  }
 }
 
 }  // namespace

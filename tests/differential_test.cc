@@ -191,136 +191,37 @@ TEST(DifferentialTest, AdpllBitIdenticalAcrossThreadsAndCache) {
   }
 }
 
-// ------------------------------------------------------------------ //
-// Compiled sweep: circuit replay vs. the engines it must mirror
-// ------------------------------------------------------------------ //
-
-// Evaluates every selected condition of a case across several
-// posterior-shift rounds — the compiled layer's hot path — and returns
-// the concatenated per-round probabilities.
-std::vector<double> EvaluateCaseRounds(const DifferentialCase& c,
-                                       std::uint64_t seed,
-                                       std::size_t threads,
-                                       CompileMode mode,
-                                       CircuitStats* stats) {
-  ProbabilityOptions options;
-  options.method = ProbabilityMethod::kAdpll;
-  options.compile.mode = mode;
-  ProbabilityEvaluator evaluator(options);
-  for (const CellRef& var : c.ctable.AllVariables()) {
-    auto dist = c.dists.Get(var);
-    BAYESCROWD_CHECK_OK(dist.status());
-    BAYESCROWD_CHECK_OK(
-        evaluator.SetDistribution(var, std::move(dist).value()));
-  }
-  ThreadPool pool(threads);
-  evaluator.set_thread_pool(&pool);
-  std::vector<double> all;
-  Rng shift_rng(6100 + seed);
-  for (std::size_t round = 0; round < 3; ++round) {
-    auto values = evaluator.EvaluateAll(c.ctable, c.objects);
-    BAYESCROWD_CHECK_OK(values.status());
-    all.insert(all.end(), values->begin(), values->end());
-    for (const CellRef& var : c.ctable.AllVariables()) {
-      std::vector<double> weights(kLevels);
-      double total = 0.0;
-      for (double& w : weights) {
-        w = 0.05 + shift_rng.NextDouble();
-        total += w;
-      }
-      for (double& w : weights) w /= total;
-      BAYESCROWD_CHECK_OK(
-          evaluator.SetDistribution(var, std::move(weights)));
-    }
-  }
-  if (stats != nullptr) *stats = evaluator.compile_stats();
-  return all;
-}
-
-// The compiled evaluator must be indistinguishable from the plain
-// ADPLL evaluator — same bits at every thread count, on the same
-// seeded population that pins the engines against each other.
-TEST(DifferentialTest, CompiledReplayBitIdenticalToAdpllAcrossRounds) {
-  std::uint64_t total_reuses = 0;
-  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+// A reused AdpllScratch is invisible: the same bits as per-call buffers
+// on the seeded population, and on a star instance that exercises the
+// plan and table buffers (the partial solver accepts the same scratch).
+TEST(AdpllScratchTest, ReusedScratchIsBitIdenticalToPerCallBuffers) {
+  AdpllScratch scratch;
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
     const DifferentialCase c = MakeCase(seed);
-    if (c.objects.empty()) continue;
-    const std::vector<double> base =
-        EvaluateCaseRounds(c, seed, 1, CompileMode::kOff, nullptr);
-    for (const std::size_t threads : {1u, 8u}) {
-      CircuitStats stats;
-      const std::vector<double> compiled =
-          EvaluateCaseRounds(c, seed, threads, CompileMode::kAuto, &stats);
-      ASSERT_EQ(base.size(), compiled.size());
-      for (std::size_t i = 0; i < base.size(); ++i) {
-        EXPECT_EQ(base[i], compiled[i])
-            << "seed " << seed << " threads " << threads << " slot " << i;
-      }
-      EXPECT_GT(stats.builds, 0u) << "seed " << seed;
-      total_reuses += stats.reuses;
+    for (const std::size_t object : c.objects) {
+      const Condition& condition = c.ctable.condition(object);
+      const auto bare = AdpllProbability(condition, c.dists);
+      const auto reused =
+          AdpllProbability(condition, c.dists, {}, nullptr, &scratch);
+      ASSERT_TRUE(bare.ok());
+      ASSERT_TRUE(reused.ok());
+      EXPECT_EQ(bare.value(), reused.value())
+          << "seed " << seed << " object " << object;
     }
   }
-  // The shifted rounds must actually run through circuit replay, or
-  // the sweep proves nothing about the compiled path.
-  EXPECT_GT(total_reuses, 0u);
-}
 
-// On instances engineered to blow the compile budget, the evaluator
-// must degrade through the governed fallback — exact ADPLL when the
-// governor is inert, a sound graded interval when a budget bites —
-// and never through a wrong compiled answer.
-TEST(DifferentialTest, CompiledPathFallsBackSoundlyOnAdversarialInstances) {
-  Rng sweep(0x5EEDC0DE);
-  for (std::size_t round = 0; round < 6; ++round) {
-    const AdversarialInstance inst = MakeRandomAdversarialInstance(sweep);
-
-    // The second exact solve is the one that attempts a compile, so
-    // every evaluator below misses twice.
-    const CellRef shifted = inst.condition.Variables().front();
-
-    // Inert governor: the compile refusal must leave the exact answer
-    // untouched.
-    {
-      ProbabilityOptions options;
-      options.compile.mode = CompileMode::kAuto;
-      options.compile.max_nodes = 256;  // Refuses every instance family.
-      ProbabilityEvaluator evaluator(options);
-      evaluator.distributions() = inst.dists;
-      ASSERT_TRUE(evaluator.Probability(inst.condition).ok())
-          << "round " << round;
-      evaluator.InvalidateVariable(shifted);
-      const auto p = evaluator.Probability(inst.condition);
-      ASSERT_TRUE(p.ok()) << "round " << round;
-      EXPECT_NEAR(p.value(), inst.exact_probability, 1e-9)
-          << "round " << round;
-      EXPECT_EQ(evaluator.compile_stats().builds, 0u) << "round " << round;
-      EXPECT_GE(evaluator.compile_stats().fallbacks, 1u)
-          << "round " << round;
-    }
-
-    // Biting node budget: compilation must not change the grade — the
-    // interval stays sound and the budget still registers as exhausted.
-    {
-      ProbabilityOptions options;
-      options.compile.mode = CompileMode::kAuto;
-      options.compile.max_nodes = 256;
-      options.governor.max_nodes = 32;
-      options.governor.ladder = LadderMode::kFull;
-      ProbabilityEvaluator evaluator(options);
-      evaluator.distributions() = inst.dists;
-      ASSERT_TRUE(evaluator.ProbabilityInterval(inst.condition).ok())
-          << "round " << round;
-      evaluator.InvalidateVariable(shifted);
-      const auto r = evaluator.ProbabilityInterval(inst.condition);
-      ASSERT_TRUE(r.ok()) << "round " << round;
-      EXPECT_FALSE(r->exact()) << "round " << round;
-      EXPECT_LE(r->lo, inst.exact_probability + 1e-9) << "round " << round;
-      EXPECT_GE(r->hi, inst.exact_probability - 1e-9) << "round " << round;
-      EXPECT_GE(evaluator.solver_stats().budget_exhausted, 1u)
-          << "round " << round;
-      EXPECT_EQ(evaluator.CircuitCount(), 0u) << "round " << round;
-    }
-  }
+  const AdversarialInstance star = MakeDeepChainInstance(3, 4);
+  const auto bare = AdpllProbability(star.condition, star.dists);
+  const auto reused =
+      AdpllProbability(star.condition, star.dists, {}, nullptr, &scratch);
+  ASSERT_TRUE(bare.ok());
+  ASSERT_TRUE(reused.ok());
+  EXPECT_EQ(bare.value(), reused.value());
+  const auto partial = AdpllPartialProbability(star.condition, star.dists,
+                                               {}, nullptr, nullptr, &scratch);
+  ASSERT_TRUE(partial.ok());
+  EXPECT_EQ(partial->lo, bare.value());
+  EXPECT_TRUE(partial->exact());
 }
 
 // ------------------------------------------------------------------ //

@@ -236,8 +236,6 @@ TEST(FuzzTest, QuerySpecReaderRejectsOrRoundTripsMutatedRequests) {
        {"solver_node_budget", "4"},
        {"solver_ladder", "\"full\""},
        {"breaker_threshold", "2"},
-       {"compile", "\"off\""},
-       {"compile_node_budget", "100"},
        {"pessimistic", "true"}},
       {{"marketplace", "20"},
        {"spam_rate", "0.3"},

@@ -198,7 +198,7 @@ Status RunSession(std::size_t threads, const std::string& dir,
 
   SessionCheckpointSink session_sink(
       sink_override != nullptr ? sink_override : store, &recorder,
-      base_log_offset, /*network_blob=*/"", Fingerprint(options));
+      base_log_offset, Fingerprint(options));
   options.checkpoint_sink = &session_sink;
 
   BayesCrowd framework(options);

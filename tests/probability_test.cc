@@ -424,46 +424,5 @@ TEST(GovernedScalarCacheTest, ExactEntryNeverServedToBudgetedConfig) {
   EXPECT_EQ(evaluator.cache_stats().hits, 1u);
 }
 
-// The compile tag mirrors the budget tag: entries written under one
-// compile configuration never satisfy lookups under another, while the
-// numbers themselves stay bit-identical (compilation is a replay of
-// the exact search, never a different answer).
-TEST(GovernedScalarCacheTest, CompileTagKeepsConfigurationsApart) {
-  const AdversarialInstance inst = MakeDeepChainInstance(3, 4);
-  ProbabilityOptions options;
-  options.compile.mode = CompileMode::kAuto;
-  ProbabilityEvaluator evaluator(options);
-  evaluator.distributions() = inst.dists;
-
-  // The first exact solve marks the condition; the second compiles it.
-  ASSERT_TRUE(evaluator.Probability(inst.condition).ok());
-  evaluator.InvalidateVariable(CellRef{0, 0});
-  const auto compiled = evaluator.Probability(inst.condition);
-  ASSERT_TRUE(compiled.ok());
-  EXPECT_TRUE(evaluator.IsCached(inst.condition));
-  EXPECT_EQ(evaluator.compile_stats().builds, 1u);
-
-  // Turning compilation off changes the stamp, so the compiled-era
-  // entry misses and the plain path recomputes — to the same bits.
-  evaluator.options().compile.mode = CompileMode::kOff;
-  EXPECT_FALSE(evaluator.IsCached(inst.condition));
-  const auto plain = evaluator.Probability(inst.condition);
-  ASSERT_TRUE(plain.ok());
-  EXPECT_EQ(compiled.value(), plain.value());
-
-  // Back under the original configuration the artifact store still
-  // holds the circuit, so the (again missing) lookup replays it.
-  evaluator.options().compile.mode = CompileMode::kAuto;
-  EXPECT_FALSE(evaluator.IsCached(inst.condition));
-  const auto replayed = evaluator.Probability(inst.condition);
-  ASSERT_TRUE(replayed.ok());
-  EXPECT_EQ(compiled.value(), replayed.value());
-  EXPECT_EQ(evaluator.compile_stats().reuses, 1u);
-
-  // A different compile budget is a different artifact universe.
-  evaluator.options().compile.max_nodes = 512;
-  EXPECT_FALSE(evaluator.IsCached(inst.condition));
-}
-
 }  // namespace
 }  // namespace bayescrowd

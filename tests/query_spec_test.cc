@@ -44,10 +44,6 @@ TEST(QuerySpecTest, DefaultsAreTheLibraryDefaults) {
   EXPECT_EQ(options.breaker_threshold, library.breaker_threshold);
   EXPECT_EQ(options.probability.governor.Fingerprint(),
             library.probability.governor.Fingerprint());
-  EXPECT_EQ(options.probability.compile.mode,
-            library.probability.compile.mode);
-  EXPECT_EQ(options.probability.compile.max_nodes,
-            library.probability.compile.max_nodes);
   EXPECT_FALSE(options.adaptive.enabled);
   EXPECT_EQ(spec->structure, PosteriorStructure::kHillClimb);
   EXPECT_FALSE(spec->use_marketplace);
@@ -62,7 +58,7 @@ TEST(QuerySpecTest, EveryKeyReachesItsField) {
       R"({"strategy":"ubs","budget":24,"latency":4,"alpha":-1,"m":5,)"
       R"("pessimistic":true,"breaker_threshold":2,"solver_node_budget":4,)"
       R"("solver_component_budget":9,"solver_deadline_ms":30,)"
-      R"("solver_ladder":"strict","compile":"off","compile_node_budget":64,)"
+      R"("solver_ladder":"strict",)"
       R"("structure":"chowliu","seed":11,"marketplace":20,)"
       R"("spam_rate":0.3,"adaptive_votes":5,"no_defense":true})"));
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
@@ -78,8 +74,6 @@ TEST(QuerySpecTest, EveryKeyReachesItsField) {
   EXPECT_EQ(options.probability.governor.max_components, 9u);
   EXPECT_EQ(options.probability.governor.deadline_ms, 30);
   EXPECT_EQ(options.probability.governor.ladder, LadderMode::kStrict);
-  EXPECT_EQ(options.probability.compile.mode, CompileMode::kOff);
-  EXPECT_EQ(options.probability.compile.max_nodes, 64u);
   EXPECT_EQ(spec->structure, PosteriorStructure::kChowLiu);
   ASSERT_TRUE(spec->use_marketplace);
   EXPECT_EQ(spec->market.pool_size, 20u);
@@ -108,6 +102,11 @@ TEST(QuerySpecTest, RejectionsNameTheKeyInEitherSpelling) {
   };
   const Case cases[] = {
       {R"({"budegt":40})", "unknown key 'budegt'", "unknown flag --budegt"},
+      // Retired keys are unknown like any other.
+      {R"({"compile":"auto"})", "unknown key 'compile'",
+       "unknown flag --compile"},
+      {R"({"compile_node_budget":64})", "unknown key 'compile_node_budget'",
+       "unknown flag --compile-node-budget"},
       {R"({"budget":-3})", "'budget' must be an integer in [0, 1000000000]",
        "--budget must be an integer in [0, 1000000000]"},
       {R"({"latency":2.5})", "'latency' must be an integer",

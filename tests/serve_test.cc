@@ -384,9 +384,7 @@ TEST(SessionManagerTest, HeavyTenantDegradesDownLadderLightStaysExact) {
   SessionManager manager(options);
 
   // A small crowd budget leaves conditions undecided at Finish, so the
-  // governed solver actually answers them; compilation is off because
-  // circuit replays are exact at any node budget and would (soundly)
-  // hide the degradation this test needs to observe.
+  // governed solver actually answers them.
   const auto spec_for = [](const std::string& id, const std::string& tenant) {
     SessionSpec spec;
     spec.id = id;
@@ -404,7 +402,6 @@ TEST(SessionManagerTest, HeavyTenantDegradesDownLadderLightStaysExact) {
     spec.options.budget = 4;
     spec.options.latency = 4;
     spec.options.strategy.m = 5;
-    spec.options.probability.compile.mode = CompileMode::kOff;
     return spec;
   };
   ASSERT_TRUE(manager.Create(spec_for("h1", "heavy")).ok());

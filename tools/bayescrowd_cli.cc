@@ -550,13 +550,8 @@ int CmdRun(const Flags& flags) {
                                                    log_sink.get());
     effective = recorder.get();
 
-    const std::string network_blob =
-        posteriors->network() != nullptr
-            ? SerializeNetwork(*posteriors->network())
-            : std::string();
     session_sink = std::make_unique<SessionCheckpointSink>(
-        ckpt_store.get(), recorder.get(), base_log_offset, network_blob,
-        fingerprint);
+        ckpt_store.get(), recorder.get(), base_log_offset, fingerprint);
     options.checkpoint_sink = session_sink.get();
     options.checkpoint_every =
         flags.Value<std::size_t>("checkpoint_every", 1);

@@ -5,10 +5,9 @@
 # default to --seed 42 (historically generate used 42 but inject used
 # 7), and the seed flag actually steers the output. Also checks the
 # fault-flag validation the run command grew with the retry layer, the
-# solver-governor flag validation, the knowledge-compilation flag
-# validation (--compile / --compile-node-budget), and the marketplace
-# flag validation (--marketplace / --spam-rate / --adaptive-votes /
-# --no-defense).
+# solver-governor flag validation, the marketplace flag validation
+# (--marketplace / --spam-rate / --adaptive-votes / --no-defense), and
+# that the retired knowledge-compilation flags are unknown flags.
 #
 # Every command reads its flags through a key table, so a flag the
 # command does not take (a typo included) exits 2 with one line.
@@ -23,8 +22,9 @@
 # default of 50. The
 # crash-only serving wire formats ride along: the deadline_ms echo on
 # advance, the overloaded/retry_after_ms shed response, --recover's
-# leading op:recover report line after a kill, and the --recover /
-# --chaos flag validation.
+# leading op:recover report line after a kill, the --recover /
+# --chaos flag validation, and that a journaled create carrying a
+# retired key fails re-admission.
 #
 # Usage: cli_test.sh <path-to-bayescrowd_cli> <path-to-bayescrowd_serve>
 
@@ -181,32 +181,18 @@ lines="$( (run_base --solver-ladder bogus 2>&1 >/dev/null || true) | wc -l)"
   || fail "--solver-ladder rejection must print exactly one line, got ${lines}"
 
 # ------------------------------------------------------------------ #
-# run: knowledge-compilation flags validate.
+# run: the retired knowledge-compilation flags are unknown flags.
 # ------------------------------------------------------------------ #
-if run_base --compile sometimes >/dev/null 2>&1; then
-  fail "run must reject an unknown --compile mode"
-fi
-if run_base --compile-node-budget 0 >/dev/null 2>&1; then
-  fail "run must reject --compile-node-budget 0"
-fi
-if run_base --compile-node-budget -64 >/dev/null 2>&1; then
-  fail "run must reject a negative --compile-node-budget"
-fi
-# `on` is not a mode: `auto` already compiles whenever it can.
-rc=0
-run_base --compile on >/dev/null 2>&1 || rc=$?
-[ "${rc}" -eq 2 ] || fail "run --compile on must exit 2, got ${rc}"
-lines="$( (run_base --compile on 2>&1 >/dev/null || true) | wc -l)"
-[ "${lines}" -eq 1 ] \
-  || fail "--compile on rejection must print exactly one line, got ${lines}"
-# `auto` skips compilation for ineligible configurations, so these must
-# run to completion.
-run_base --compile auto --solver-node-budget 4 --solver-ladder strict \
-  --budget 4 --latency 2 >/dev/null \
-  || fail "--compile auto must tolerate a strict-ladder run"
-lines="$( (run_base --compile sometimes 2>&1 >/dev/null || true) | wc -l)"
-[ "${lines}" -eq 1 ] \
-  || fail "--compile rejection must print exactly one line, got ${lines}"
+for retired in "--compile auto" "--compile-node-budget 64"; do
+  rc=0
+  # shellcheck disable=SC2086  # Split the flag from its value.
+  run_base ${retired} >/dev/null 2>&1 || rc=$?
+  [ "${rc}" -eq 2 ] || fail "run ${retired} must exit 2, got ${rc}"
+  # shellcheck disable=SC2086
+  lines="$( (run_base ${retired} 2>&1 >/dev/null || true) | wc -l)"
+  [ "${lines}" -eq 1 ] \
+    || fail "run ${retired} rejection must print exactly one line, got ${lines}"
+done
 
 # ------------------------------------------------------------------ #
 # run: marketplace flags validate.
@@ -509,5 +495,57 @@ head -n 1 "${WORK}/serve_recover.jsonl" \
   || fail "--recover must lead with the recovery report line"
 ! grep -q '"ok":false' "${WORK}/serve_recover.jsonl" \
   || fail "post-recovery requests must all succeed"
+
+# serve: a create journaled with a key this build retired (a manifest
+# written before the knowledge-compilation keys were deleted) fails
+# re-admission and counts in sessions_failed. The journal is rewritten
+# in place: r1's create gains "compile", r2's "compile_node_budget".
+STATE="${WORK}/serve-retired"
+mkdir -p "${STATE}"
+printf '%s\n' \
+  '{"op":"create","id":"r1","tenant":"t","dataset":{"kind":"nba","n":60,"seed":9},"budget":8,"latency":4,"structure":"none"}' \
+  '{"op":"create","id":"r2","tenant":"t","dataset":{"kind":"nba","n":60,"seed":9},"budget":8,"latency":4,"structure":"none"}' \
+  | "${SERVE}" --state-dir "${STATE}" > /dev/null
+python3 - "${STATE}/serve-manifest.bin" <<'EOF'
+import struct, sys, zlib
+
+path = sys.argv[1]
+data = open(path, "rb").read()
+retired = {b"r1": b'"compile":"auto",', b"r2": b'"compile_node_budget":64,'}
+
+
+def take_string(buf, pos):
+    (size,) = struct.unpack_from("<Q", buf, pos)
+    return buf[pos + 8:pos + 8 + size], pos + 8 + size
+
+
+# "BSMN" u32 | (u32 len | payload | u32 crc32)*; a payload is u8 kind,
+# id, tenant, 3 x u64, checkpoint dir, u64, spec blob, detail.
+out, pos, patched = bytearray(data[:8]), 8, 0
+while pos < len(data):
+    (size,) = struct.unpack_from("<I", data, pos)
+    payload = data[pos + 4:pos + 4 + size]
+    pos += size + 8
+    session, at = take_string(payload, 1)
+    _, at = take_string(payload, at)
+    _, at = take_string(payload, at + 24)
+    blob, end = take_string(payload, at + 8)
+    if payload[0] == 0 and session in retired:
+        blob = b"{" + retired[session] + blob[1:]
+        payload = (payload[:at + 8] + struct.pack("<Q", len(blob)) + blob
+                   + payload[end:])
+        patched += 1
+    out += struct.pack("<I", len(payload)) + payload
+    out += struct.pack("<I", zlib.crc32(payload))
+assert patched == 2, patched
+open(path, "wb").write(out)
+EOF
+printf '%s\n' '{"op":"list"}' '{"op":"shutdown"}' \
+  | "${SERVE}" --state-dir "${STATE}" --recover > "${WORK}/serve_retired.jsonl"
+head -n 1 "${WORK}/serve_retired.jsonl" \
+  | grep -q '"op":"recover".*"sessions_failed":2' \
+  || fail "a journaled create with a retired key must fail re-admission"
+sed -n 2p "${WORK}/serve_retired.jsonl" | grep -q '"sessions":\[\]' \
+  || fail "no session may be admitted from a retired-key create"
 
 echo "cli_test: all checks passed"

@@ -157,35 +157,33 @@ EOF
   --out "$SMOKE/telemetry_gov8_norm.json"
 cmp "$SMOKE/telemetry_gov1_norm.json" "$SMOKE/telemetry_gov8_norm.json"
 
-echo "== tier-1: compiled-path smoke run =="
-# The first smoke dataset again, with knowledge compilation in its
-# default mode and the solver ungoverned so every solve completes
-# exactly (and so a condition's second solve compiles). Twenty rounds
-# give compiled conditions rounds to replay in. Compiled replay must be
+echo "== tier-1: ungoverned smoke run =="
+# The first smoke dataset again with the solver ungoverned, so every
+# solve completes exactly and UBS scores its candidates through the
+# counterfactual star pass (which only serves ungoverned evaluators;
+# the governed smoke above never runs it). Twenty rounds of UBS must be
 # thread-count invariant down to the byte, and the telemetry must prove
-# the circuits actually engaged (builds and replays > 0) rather than
-# silently falling back to the search. (The hostile instance is the
-# wrong vehicle here: exact solves on it take minutes; this stage pins
-# the replay path, not endurance.)
-run_compiled() {
+# the pass actually scored candidates. (The hostile instance is the
+# wrong vehicle here: exact solves on it take minutes.)
+run_ungoverned() {
   "$CLI" run --data "$SMOKE/holes.csv" --truth "$SMOKE/complete.csv" \
     --strategy ubs --budget 20 --latency 20 --threads "$1" --alpha -1 \
     --log-level warning \
     --telemetry-out "$2" > /dev/null
 }
-run_compiled 1 "$SMOKE/telemetry_comp1.json"
-run_compiled 8 "$SMOKE/telemetry_comp8.json"
-python3 - "$SMOKE/telemetry_comp1.json" <<'EOF'
+run_ungoverned 1 "$SMOKE/telemetry_ungov1.json"
+run_ungoverned 8 "$SMOKE/telemetry_ungov8.json"
+python3 - "$SMOKE/telemetry_ungov1.json" <<'EOF'
 import json, sys
-compile_stats = json.load(open(sys.argv[1]))["payload"]["compile"]
-assert compile_stats["builds"] > 0, "no circuits were ever compiled"
-assert compile_stats["reuses"] > 0, "compiled circuits were never replayed"
+counters = json.load(open(sys.argv[1]))["payload"]["metrics"]["counters"]
+assert counters.get("utility.star_candidates", 0) > 0, \
+    "the counterfactual star pass never scored a candidate"
 EOF
-"$CLI" normalize --in "$SMOKE/telemetry_comp1.json" --strip-lanes \
-  --out "$SMOKE/telemetry_comp1_norm.json"
-"$CLI" normalize --in "$SMOKE/telemetry_comp8.json" --strip-lanes \
-  --out "$SMOKE/telemetry_comp8_norm.json"
-cmp "$SMOKE/telemetry_comp1_norm.json" "$SMOKE/telemetry_comp8_norm.json"
+"$CLI" normalize --in "$SMOKE/telemetry_ungov1.json" --strip-lanes \
+  --out "$SMOKE/telemetry_ungov1_norm.json"
+"$CLI" normalize --in "$SMOKE/telemetry_ungov8.json" --strip-lanes \
+  --out "$SMOKE/telemetry_ungov8_norm.json"
+cmp "$SMOKE/telemetry_ungov1_norm.json" "$SMOKE/telemetry_ungov8_norm.json"
 
 echo "== tier-1: cost attribution & inspection smoke =="
 # Labeled-cost run with the flight recorder and both live exporters on.
@@ -360,7 +358,7 @@ cmake -B "$ROOT/build-asan" -S "$ROOT" \
   -DBAYESCROWD_BUILD_EXAMPLES=OFF
 cmake --build "$ROOT/build-asan" -j "$JOBS" --target checkpoint_test \
   --target killpoint_test --target fault_test --target differential_test \
-  --target governor_test --target compile_test --target obs_test \
+  --target governor_test --target obs_test \
   --target attribution_test --target serve_test \
   --target serve_killpoint_test --target quality_test \
   --target marketplace_test --target bayesnet_test \
@@ -368,7 +366,7 @@ cmake --build "$ROOT/build-asan" -j "$JOBS" --target checkpoint_test \
   --target core_test --target failure_test --target fuzz_test \
   --target query_spec_test
 ctest --test-dir "$ROOT/build-asan" --output-on-failure \
-  -R '(checkpoint_test|killpoint_test|fault_test|differential_test|governor_test|compile_test|obs_test|attribution_test|serve_test|serve_killpoint_test|quality_test|marketplace_test|bayesnet_test|inference_property_test|probability_test|core_test|failure_test|fuzz_test|query_spec_test)'
+  -R '(checkpoint_test|killpoint_test|fault_test|differential_test|governor_test|obs_test|attribution_test|serve_test|serve_killpoint_test|quality_test|marketplace_test|bayesnet_test|inference_property_test|probability_test|core_test|failure_test|fuzz_test|query_spec_test)'
 
 echo "== tier-1: concurrency tests under ThreadSanitizer =="
 cmake -B "$ROOT/build-tsan" -S "$ROOT" \
@@ -378,9 +376,9 @@ cmake -B "$ROOT/build-tsan" -S "$ROOT" \
 cmake --build "$ROOT/build-tsan" -j "$JOBS" --target parallel_test \
   --target obs_test --target attribution_test --target differential_test \
   --target fault_test --target record_replay_test --target governor_test \
-  --target compile_test --target serve_test \
+  --target serve_test \
   --target serve_killpoint_test --target marketplace_test
 ctest --test-dir "$ROOT/build-tsan" --output-on-failure \
-  -R '(parallel_test|obs_test|attribution_test|differential_test|fault_test|record_replay_test|governor_test|compile_test|serve_test|serve_killpoint_test|marketplace_test)'
+  -R '(parallel_test|obs_test|attribution_test|differential_test|fault_test|record_replay_test|governor_test|serve_test|serve_killpoint_test|marketplace_test)'
 
 echo "tier-1 OK"
