@@ -5,11 +5,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "adversarial_ctables.h"
 #include "bayesnet/imputation.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "core/framework.h"
 #include "crowd/platform.h"
 #include "ctable/condition.h"
@@ -220,6 +229,168 @@ TEST(GovernedLadderTest, PessimisticPointIsTheLeastInformative) {
   EXPECT_EQ(PessimisticPoint(ProbInterval{0.2, 0.8, ProbQuality::kPartialBound}),
             0.5);
   EXPECT_EQ(PessimisticPoint(ProbInterval::Exact(0.7)), 0.7);
+}
+
+// ------------------------------------------------------------------ //
+// Golden ladder: every tier's value, grade and counters, pinned byte
+// for byte in testdata/governed_ladder.golden; regenerate with:
+//   BC_REGEN_GOLDEN=1 ./governor_test
+// ------------------------------------------------------------------ //
+
+// One golden line: the outcome (status, or lo/hi in %a plus the grade)
+// followed by the five AdpllStats and the six GovernorTally counters.
+std::string LadderLine(const std::string& label,
+                       const Result<ProbInterval>& result,
+                       const AdpllStats& stats, const GovernorTally& tally) {
+  using ull = unsigned long long;
+  std::string line = label;
+  if (result.ok()) {
+    line += StrFormat(" lo=%a hi=%a %s", result->lo, result->hi,
+                      ProbQualityToString(result->quality));
+  } else {
+    line += " status=" + result.status().ToString();
+  }
+  line += StrFormat(
+      " | calls=%llu branches=%llu direct=%llu splits=%llu star=%llu",
+      static_cast<ull>(stats.calls), static_cast<ull>(stats.branches),
+      static_cast<ull>(stats.direct_evals),
+      static_cast<ull>(stats.component_splits),
+      static_cast<ull>(stats.star_evals));
+  line += StrFormat(
+      " | exhausted=%llu deadline=%llu exact=%llu partial=%llu"
+      " sampled=%llu unknown=%llu\n",
+      static_cast<ull>(tally.budget_exhausted),
+      static_cast<ull>(tally.deadline_hits),
+      static_cast<ull>(tally.tier_exact), static_cast<ull>(tally.tier_partial),
+      static_cast<ull>(tally.tier_sampled),
+      static_cast<ull>(tally.tier_unknown));
+  return line;
+}
+
+// The ladder's whole observable surface on the adversarial instances:
+// both governed methods over every ladder mode and a node/component
+// budget grid, then the two ADPLL entry points under each of their
+// budgets directly. No deadline, so every line is deterministic.
+std::string GoldenLadderText() {
+  std::vector<std::pair<std::string, AdversarialInstance>> instances;
+  // Eight increasing values over six levels cannot exist, so the first
+  // chain is exactly 0; the second has a nonzero answer to bound. In
+  // the third, twenty uniform branch weights sum past 1 in floating
+  // point, so the anytime clamp and the [0, 1] fall-through show.
+  instances.emplace_back("chain_d7_l6", MakeDeepChainInstance(7, 6));
+  instances.emplace_back("chain_d6_l10", MakeDeepChainInstance(6, 10));
+  instances.emplace_back("chain_d5_l20", MakeDeepChainInstance(5, 20));
+  instances.emplace_back("wide_s6_l6", MakeWideChainConjunctInstance(6, 6));
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    instances.emplace_back(StrFormat("random%llu",
+                                     static_cast<unsigned long long>(seed)),
+                           MakeRandomAdversarialInstance(rng));
+  }
+  const LadderMode modes[] = {LadderMode::kFull, LadderMode::kInterval,
+                              LadderMode::kSample, LadderMode::kStrict};
+  std::string text;
+  for (const auto& [name, inst] : instances) {
+    for (const LadderMode mode : modes) {
+      for (const std::uint64_t nodes : {1, 4, 16, 64}) {
+        for (const std::uint64_t comps : {0, 1}) {
+          GovernorOptions options;
+          options.ladder = mode;
+          options.max_nodes = nodes;
+          options.max_components = comps;
+          const SolverGovernor governor(options);
+          const std::string tag = StrFormat(
+              " %s ladder=%s nodes=%llu comps=%llu", name.c_str(),
+              LadderModeToString(mode), static_cast<unsigned long long>(nodes),
+              static_cast<unsigned long long>(comps));
+          {
+            Rng rng(17);
+            AdpllStats stats;
+            GovernorTally tally;
+            const auto r = governor.Evaluate(inst.condition, inst.dists, {},
+                                             {}, rng, &stats, &tally);
+            text += LadderLine("governed adpll" + tag, r, stats, tally);
+          }
+          {
+            Rng rng(17);
+            GovernorTally tally;
+            const auto r = governor.EvaluateNaive(inst.condition, inst.dists,
+                                                  {}, {}, rng, &tally);
+            text += LadderLine("governed naive" + tag, r, {}, tally);
+          }
+        }
+      }
+    }
+    // Every call/split budget pair under a 16-assignment conjunct cap,
+    // then one cap a six-span wide conjunct's enumeration fits in.
+    // max_calls 0 keeps the default call budget.
+    std::vector<std::array<std::uint64_t, 3>> budgets;
+    for (const std::uint64_t calls : {1, 4, 16, 64, 0}) {
+      for (const std::uint64_t splits : {0, 1, 2}) {
+        budgets.push_back({calls, splits, 16});
+      }
+    }
+    budgets.push_back({0, 0, 300'000});
+    for (const auto& [calls, splits, conj] : budgets) {
+      AdpllOptions options;
+      if (calls > 0) options.max_calls = calls;
+      options.max_component_splits = splits;
+      options.max_conjunct_assignments = conj;
+      const std::string tag = StrFormat(
+          " %s calls=%llu splits=%llu conj=%llu", name.c_str(),
+          static_cast<unsigned long long>(calls),
+          static_cast<unsigned long long>(splits),
+          static_cast<unsigned long long>(conj));
+      {
+        AdpllStats stats;
+        const Result<double> exact =
+            AdpllProbability(inst.condition, inst.dists, options, &stats);
+        const Result<ProbInterval> r =
+            exact.ok()
+                ? Result<ProbInterval>(ProbInterval::Exact(exact.value()))
+                : Result<ProbInterval>(exact.status());
+        text += LadderLine("direct exact" + tag, r, stats, {});
+      }
+      {
+        AdpllStats stats;
+        const auto r = AdpllPartialProbability(inst.condition, inst.dists,
+                                               options, &stats);
+        text += LadderLine("direct partial" + tag, r, stats, {});
+      }
+    }
+  }
+  return text;
+}
+
+std::vector<std::string> SplitLines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+TEST(GoldenLadderTest, CommittedFixtureMatchesTheLadder) {
+  const std::string path =
+      std::string(BC_TESTDATA_DIR) + "/governed_ladder.golden";
+  const std::string text = GoldenLadderText();
+  if (std::getenv("BC_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+    ASSERT_TRUE(out.good()) << path;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing fixture " << path;
+  const std::string golden((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  if (golden == text) return;
+  // Report the first drifted line, not two multi-kilobyte blobs.
+  const std::vector<std::string> want = SplitLines(golden);
+  const std::vector<std::string> got = SplitLines(text);
+  for (std::size_t i = 0; i < std::min(want.size(), got.size()); ++i) {
+    ASSERT_EQ(want[i], got[i]) << "first drift at line " << i + 1;
+  }
+  ASSERT_EQ(want.size(), got.size()) << "line count drifted";
+  FAIL() << "fixture bytes differ outside the line text";
 }
 
 // ------------------------------------------------------------------ //
