@@ -56,7 +56,7 @@ struct AdpllOptions {
   std::uint64_t seed = 7;
 
   /// Recursion budget: computation aborts with ResourceExhausted after
-  /// this many recursive calls (worst case degrades to Naive).
+  /// this many recursive calls.
   std::uint64_t max_calls = 50'000'000;
 
   /// Budget for the *inner* Naive enumerations a correlated conjunct
@@ -114,19 +114,21 @@ Result<double> AdpllProbability(const Condition& condition,
                                 AdpllStats* stats = nullptr,
                                 AdpllScratch* scratch = nullptr);
 
-/// Anytime variant: the same search, but budget exhaustion *closes* a
-/// subtree into the sound bound [0, 1] instead of aborting the solve.
-/// Value branches combine as Σ p_v · [lo_v, hi_v] and independent
-/// components multiply, so the returned interval always contains the
-/// exact probability. Runs within the same budgets as AdpllProbability
-/// (max_calls, max_conjunct_assignments, max_component_splits,
-/// control); with no budget pressure the result is exact (lo == hi ==
-/// AdpllProbability, quality kExact). `truncations`, if non-null, is
-/// incremented once per closed subtree.
+/// Anytime variant: the same search with a different stopping rule.
+/// Budget exhaustion *closes* a subtree into the sound bound [0, 1]
+/// instead of aborting the solve, a correlated conjunct takes the
+/// bounded Naive scan's interval, and an exhausted component-split
+/// budget branches instead of aborting. Value branches combine as
+/// Σ p_v · [lo_v, hi_v] and independent components multiply, so the
+/// returned interval always contains the exact probability. Runs within
+/// the same budgets as AdpllProbability (max_calls,
+/// max_conjunct_assignments, max_component_splits, control); with no
+/// budget pressure the result is exact (quality kExact, lo == hi ==
+/// AdpllProbability up to the final clamp of a branch sum into [0, 1]).
 Result<ProbInterval> AdpllPartialProbability(
     const Condition& condition, const DistributionMap& dists,
     const AdpllOptions& options = {}, AdpllStats* stats = nullptr,
-    std::uint64_t* truncations = nullptr, AdpllScratch* scratch = nullptr);
+    AdpllScratch* scratch = nullptr);
 
 }  // namespace bayescrowd
 

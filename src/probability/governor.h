@@ -8,11 +8,16 @@
 // weaker-but-sound answers instead of hanging:
 //
 //   tier 1  exact ADPLL within the node budget            → kExact
-//   tier 2  partial ADPLL, unexplored subtrees closed
-//           into a sound [lo, hi] interval                → kPartialBound
+//   tier 2  the same search with the anytime stopping
+//           rule: unexplored subtrees close into a sound
+//           [lo, hi] interval                             → kPartialBound
 //   tier 3  generalized-ApproxCount sampling with a
 //           normal-approximation confidence interval      → kSampledCI
 //   tier 4  the uninformative [0, 1]                      → kUnknown
+//
+// Evaluate (ADPLL) and EvaluateNaive (full enumeration, whose anytime
+// tier is the bounded scan) walk this one ladder; a LadderMode drops
+// tiers 2 and/or 3.
 //
 // Determinism contract: the node and component budgets are counted in
 // solver decisions, so which tier answers — and the answer itself — is
@@ -123,10 +128,11 @@ class SolverGovernor {
   const GovernorOptions& options() const { return options_; }
   bool enabled() const { return options_.enabled(); }
 
-  /// Governed evaluation with ADPLL as the exact tier. `base` carries
-  /// the caller's solver configuration; the governor clamps its budgets
-  /// and installs cancellation. `rng` feeds the sampling tier only;
-  /// `scratch` holds the solver's reusable buffers (see AdpllScratch).
+  /// Governed evaluation with ADPLL as the exact tier and partial ADPLL
+  /// as the anytime tier. `base` carries the caller's solver
+  /// configuration; the governor clamps its budgets and installs
+  /// cancellation. `rng` feeds the sampling tier only; `scratch` holds
+  /// the solver's reusable buffers (see AdpllScratch).
   Result<ProbInterval> Evaluate(const Condition& condition,
                                 const DistributionMap& dists,
                                 const AdpllOptions& base,
@@ -134,7 +140,8 @@ class SolverGovernor {
                                 AdpllStats* stats, GovernorTally* tally,
                                 AdpllScratch* scratch = nullptr) const;
 
-  /// Governed evaluation with full Naive enumeration as the exact tier.
+  /// The same ladder with full Naive enumeration as the exact tier and
+  /// the bounded Naive scan as the anytime tier.
   Result<ProbInterval> EvaluateNaive(const Condition& condition,
                                      const DistributionMap& dists,
                                      const NaiveOptions& base,
@@ -142,12 +149,6 @@ class SolverGovernor {
                                      Rng& rng, GovernorTally* tally) const;
 
  private:
-  Result<ProbInterval> SampleTier(const Condition& condition,
-                                  const DistributionMap& dists,
-                                  const SamplingOptions& sampling,
-                                  SolverControl* control, Rng& rng,
-                                  GovernorTally* tally) const;
-
   GovernorOptions options_;
 };
 

@@ -218,7 +218,7 @@ TEST(AdpllScratchTest, ReusedScratchIsBitIdenticalToPerCallBuffers) {
   ASSERT_TRUE(reused.ok());
   EXPECT_EQ(bare.value(), reused.value());
   const auto partial = AdpllPartialProbability(star.condition, star.dists,
-                                               {}, nullptr, nullptr, &scratch);
+                                               {}, nullptr, &scratch);
   ASSERT_TRUE(partial.ok());
   EXPECT_EQ(partial->lo, bare.value());
   EXPECT_TRUE(partial->exact());
