@@ -442,17 +442,6 @@ Result<ProbInterval> ProbabilityEvaluator::ProbabilityInterval(
   return intervals.front();
 }
 
-Result<std::vector<double>> ProbabilityEvaluator::EvaluateBatch(
-    const std::vector<const Condition*>& conditions) {
-  BAYESCROWD_ASSIGN_OR_RETURN(const std::vector<ProbInterval> intervals,
-                              EvaluateBatchIntervals(conditions));
-  std::vector<double> probabilities(intervals.size(), 0.0);
-  for (std::size_t i = 0; i < intervals.size(); ++i) {
-    probabilities[i] = intervals[i].midpoint();
-  }
-  return probabilities;
-}
-
 Result<std::vector<ProbInterval>>
 ProbabilityEvaluator::EvaluateBatchIntervals(
     const std::vector<const Condition*>& conditions) {
@@ -596,16 +585,6 @@ ProbabilityEvaluator::EvaluateCounterfactuals(
     for (std::size_t i = 0; i < requests.size(); ++i) pass_one(0, i);
   }
   return out;
-}
-
-Result<std::vector<double>> ProbabilityEvaluator::EvaluateAll(
-    const CTable& ctable, const std::vector<std::size_t>& ids) {
-  std::vector<const Condition*> conditions;
-  conditions.reserve(ids.size());
-  for (const std::size_t id : ids) {
-    conditions.push_back(&ctable.condition(id));
-  }
-  return EvaluateBatch(conditions);
 }
 
 Result<std::vector<ProbInterval>> ProbabilityEvaluator::EvaluateAllIntervals(

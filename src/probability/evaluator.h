@@ -16,7 +16,7 @@
 //    Results are written into per-index slots and sampling draws use
 //    per-condition seeds, so outputs are bit-identical for any thread
 //    count. Every other Pr(φ) entry point (Probability,
-//    ProbabilityInterval, EvaluateBatch, EvaluateAll*) delegates to it;
+//    ProbabilityInterval, EvaluateAllIntervals) delegates to it;
 //  * the counterfactual star pass, EvaluateCounterfactuals: task
 //    scoring's Pr(φ[e:=true]) and Pr(φ[e:=false]) for every atom e of
 //    many conditions, one hub enumeration per condition, fanned over
@@ -153,16 +153,11 @@ class ProbabilityEvaluator {
   /// one-element EvaluateBatchIntervals call.
   Result<ProbInterval> ProbabilityInterval(const Condition& condition);
 
-  /// Pr(φ) for a batch of conditions, fanned across the thread pool.
-  /// results[i] corresponds to conditions[i]; decided conditions cost
-  /// nothing. Deterministic for any pool size.
-  Result<std::vector<double>> EvaluateBatch(
-      const std::vector<const Condition*>& conditions);
-
-  /// Interval-valued batch evaluation: the one Pr(φ) path every other
-  /// API delegates to. Deterministic for any pool size: per-index
-  /// result slots, per-lane stat tallies, per-condition sampling
-  /// streams.
+  /// Pr(φ) for a batch of conditions, fanned across the thread pool:
+  /// the one Pr(φ) path every other API delegates to. results[i]
+  /// corresponds to conditions[i]; decided conditions cost nothing.
+  /// Deterministic for any pool size: per-index result slots, per-lane
+  /// stat tallies, per-condition sampling streams.
   Result<std::vector<ProbInterval>> EvaluateBatchIntervals(
       const std::vector<const Condition*>& conditions);
 
@@ -182,10 +177,6 @@ class ProbabilityEvaluator {
       const std::vector<CounterfactualRequest>& requests);
 
   /// Pr(φ(o)) for every object id in `ids` (batch over a c-table).
-  Result<std::vector<double>> EvaluateAll(const CTable& ctable,
-                                          const std::vector<std::size_t>& ids);
-
-  /// Interval-valued EvaluateAll.
   Result<std::vector<ProbInterval>> EvaluateAllIntervals(
       const CTable& ctable, const std::vector<std::size_t>& ids);
 

@@ -687,7 +687,7 @@ TEST(MemoBlobTest, CheckpointKeepsOnlyLiveIndexEntries) {
   for (const auto& [var, dist] : dists) {
     BAYESCROWD_CHECK_OK(writer.SetDistribution(var, dist));
   }
-  BAYESCROWD_CHECK_OK(writer.EvaluateBatch({&a, &b, &d}).status());
+  BAYESCROWD_CHECK_OK(writer.EvaluateBatchIntervals({&a, &b, &d}).status());
   // Evicting a leaves it listed (stale) under y; re-solving it lists it
   // under y a second time. Evicting b leaves it stale under y too.
   dists[0].second = RandomDist(3, rng);

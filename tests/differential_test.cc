@@ -146,8 +146,8 @@ TEST(DifferentialTest, NaiveAdpllAndSamplerAgreeOnSeededCTables) {
 
 // Evaluates every selected condition of a case through the evaluator's
 // batch path with the given pool size and cache setting.
-std::vector<double> EvaluateCase(const DifferentialCase& c,
-                                 std::size_t threads, bool memoize) {
+std::vector<ProbInterval> EvaluateCase(const DifferentialCase& c,
+                                       std::size_t threads, bool memoize) {
   ProbabilityOptions options;
   options.method = ProbabilityMethod::kAdpll;
   options.memoize = memoize;
@@ -162,9 +162,9 @@ std::vector<double> EvaluateCase(const DifferentialCase& c,
   evaluator.set_thread_pool(&pool);
   // Evaluate twice: the second pass hits the cache when enabled, and
   // must not change a single bit.
-  auto first = evaluator.EvaluateAll(c.ctable, c.objects);
+  auto first = evaluator.EvaluateAllIntervals(c.ctable, c.objects);
   BAYESCROWD_CHECK_OK(first.status());
-  auto second = evaluator.EvaluateAll(c.ctable, c.objects);
+  auto second = evaluator.EvaluateAllIntervals(c.ctable, c.objects);
   BAYESCROWD_CHECK_OK(second.status());
   for (std::size_t i = 0; i < first->size(); ++i) {
     EXPECT_EQ(first.value()[i], second.value()[i]);
@@ -176,10 +176,12 @@ TEST(DifferentialTest, AdpllBitIdenticalAcrossThreadsAndCache) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     const DifferentialCase c = MakeCase(seed);
     if (c.objects.empty()) continue;
-    const std::vector<double> base = EvaluateCase(c, 1, /*memoize=*/true);
+    const std::vector<ProbInterval> base =
+        EvaluateCase(c, 1, /*memoize=*/true);
     for (const std::size_t threads : {1u, 8u}) {
       for (const bool memoize : {true, false}) {
-        const std::vector<double> got = EvaluateCase(c, threads, memoize);
+        const std::vector<ProbInterval> got =
+            EvaluateCase(c, threads, memoize);
         ASSERT_EQ(base.size(), got.size());
         for (std::size_t i = 0; i < base.size(); ++i) {
           EXPECT_EQ(base[i], got[i])

@@ -381,12 +381,12 @@ TEST(EvaluatorCacheTest, BatchServesHitsWithoutRecomputing) {
   const Condition a = SingleVarCondition(V(0, 0));
   const Condition b = SingleVarCondition(V(1, 0));
   const std::vector<const Condition*> batch{&a, &b, &a};
-  const auto first = evaluator.EvaluateBatch(batch);
+  const auto first = evaluator.EvaluateBatchIntervals(batch);
   ASSERT_TRUE(first.ok());
   // Duplicate within the batch misses twice (parallel lanes do not
   // share in-flight work) but both land on one cache entry.
   EXPECT_EQ(evaluator.CacheSize(), 2u);
-  const auto second = evaluator.EvaluateBatch(batch);
+  const auto second = evaluator.EvaluateBatchIntervals(batch);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first.value(), second.value());
   EXPECT_EQ(evaluator.cache_stats().hits, 3u);
