@@ -90,14 +90,4 @@ Status Cpt::SetDistribution(std::size_t config,
   return Status::OK();
 }
 
-Level Cpt::Sample(std::size_t config, Rng& rng) const {
-  const auto card = static_cast<std::size_t>(cardinality_);
-  double target = rng.NextDouble();
-  for (std::size_t v = 0; v < card; ++v) {
-    target -= probs_[config * card + v];
-    if (target < 0.0) return static_cast<Level>(v);
-  }
-  return cardinality_ - 1;
-}
-
 }  // namespace bayescrowd

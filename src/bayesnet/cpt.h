@@ -7,7 +7,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/random.h"
 #include "common/status.h"
 #include "data/value.h"
 
@@ -58,9 +57,6 @@ class Cpt {
   /// normalized; used by deserialization).
   Status SetDistribution(std::size_t config,
                          const std::vector<double>& probabilities);
-
-  /// Draws a value given a parent configuration.
-  Level Sample(std::size_t config, Rng& rng) const;
 
  private:
   std::size_t node_ = 0;

@@ -27,7 +27,6 @@ Result<BayesianNetwork> BayesianNetwork::Create(const Schema& schema,
     net.cpts_.emplace_back(node, schema.domain_size(node), parents,
                            std::move(parent_cards));
   }
-  net.topo_order_ = structure.TopologicalOrder();
   return net;
 }
 
@@ -74,28 +73,6 @@ double BayesianNetwork::LogJointProbability(
         std::log(cpt.Prob(row[cpt.node()], cpt.ConfigIndex(parent_values)));
   }
   return log_prob;
-}
-
-std::vector<Level> BayesianNetwork::SampleRow(Rng& rng) const {
-  std::vector<Level> row(num_nodes(), kMissingLevel);
-  std::vector<Level> parent_values;
-  for (std::size_t node : topo_order_) {
-    const Cpt& cpt = cpts_[node];
-    parent_values.clear();
-    for (std::size_t p : cpt.parents()) parent_values.push_back(row[p]);
-    row[node] = cpt.Sample(cpt.ConfigIndex(parent_values), rng);
-  }
-  return row;
-}
-
-Table BayesianNetwork::SampleTable(std::size_t n, Rng& rng) const {
-  Table table(schema_);
-  table.Reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    BAYESCROWD_CHECK_OK(
-        table.AppendRow(StrFormat("s%zu", i + 1), SampleRow(rng)));
-  }
-  return table;
 }
 
 }  // namespace bayescrowd

@@ -13,7 +13,6 @@
 
 #include "bayesnet/cpt.h"
 #include "bayesnet/dag.h"
-#include "common/random.h"
 #include "common/result.h"
 #include "data/table.h"
 
@@ -43,17 +42,10 @@ class BayesianNetwork {
   /// log P(row) for a complete assignment (one level per attribute).
   double LogJointProbability(const std::vector<Level>& row) const;
 
-  /// Draws one complete row in topological order.
-  std::vector<Level> SampleRow(Rng& rng) const;
-
-  /// Materializes `n` sampled rows into a complete table.
-  Table SampleTable(std::size_t n, Rng& rng) const;
-
  private:
   Schema schema_;
   Dag dag_;
   std::vector<Cpt> cpts_;
-  std::vector<std::size_t> topo_order_;
 };
 
 }  // namespace bayescrowd

@@ -235,58 +235,6 @@ Result<Dag> HillClimbStructure(const Table& data,
   return best;
 }
 
-Result<Dag> K2Structure(const Table& data,
-                        const std::vector<std::size_t>& ordering,
-                        std::size_t max_parents) {
-  const std::size_t d = data.num_attributes();
-  if (data.num_objects() == 0 || d == 0) {
-    return Status::InvalidArgument("empty table");
-  }
-  if (ordering.size() != d) {
-    return Status::InvalidArgument("ordering must cover every attribute");
-  }
-  std::vector<bool> seen(d, false);
-  for (std::size_t v : ordering) {
-    if (v >= d || seen[v]) {
-      return Status::InvalidArgument("ordering is not a permutation");
-    }
-    seen[v] = true;
-  }
-
-  Dag dag(d);
-  for (std::size_t pos = 0; pos < d; ++pos) {
-    const std::size_t node = ordering[pos];
-    std::vector<std::size_t> parents;
-    double best = FamilyScore(data, node, parents);
-    while (parents.size() < max_parents) {
-      double candidate_score = best;
-      std::size_t candidate = d;
-      for (std::size_t prev = 0; prev < pos; ++prev) {
-        const std::size_t p = ordering[prev];
-        if (std::find(parents.begin(), parents.end(), p) !=
-            parents.end()) {
-          continue;
-        }
-        std::vector<std::size_t> trial = parents;
-        trial.push_back(p);
-        std::sort(trial.begin(), trial.end());
-        const double score = FamilyScore(data, node, trial);
-        if (score > candidate_score) {
-          candidate_score = score;
-          candidate = p;
-        }
-      }
-      if (candidate == d) break;  // No improving parent.
-      parents.push_back(candidate);
-      best = candidate_score;
-    }
-    for (std::size_t p : parents) {
-      BAYESCROWD_RETURN_NOT_OK(dag.AddEdge(p, node));
-    }
-  }
-  return dag;
-}
-
 Result<Dag> ChowLiuStructure(const Table& data) {
   const std::size_t d = data.num_attributes();
   if (data.num_objects() == 0 || d == 0) {

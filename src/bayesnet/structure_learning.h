@@ -38,14 +38,6 @@ Result<Dag> HillClimbStructure(const Table& data,
 /// rooted at node 0, edges directed away from the root.
 Result<Dag> ChowLiuStructure(const Table& data);
 
-/// K2 (Cooper & Herskovits): greedy parent selection under a fixed
-/// variable ordering — each node greedily adds the predecessor that
-/// most improves its BIC family score, up to `max_parents`. Fast and
-/// deterministic; quality depends on the ordering.
-Result<Dag> K2Structure(const Table& data,
-                        const std::vector<std::size_t>& ordering,
-                        std::size_t max_parents = 3);
-
 }  // namespace bayescrowd
 
 #endif  // BAYESCROWD_BAYESNET_STRUCTURE_LEARNING_H_

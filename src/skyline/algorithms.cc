@@ -16,19 +16,6 @@ Status RequireComplete(const Table& table) {
   return Status::OK();
 }
 
-// Dominance restricted to an attribute subset.
-bool DominatesOn(const Table& table, std::size_t a, std::size_t b,
-                 const std::vector<std::size_t>& attrs) {
-  bool strictly_better = false;
-  for (std::size_t j : attrs) {
-    const Level av = table.At(a, j);
-    const Level bv = table.At(b, j);
-    if (av < bv) return false;
-    if (av > bv) strictly_better = true;
-  }
-  return strictly_better;
-}
-
 }  // namespace
 
 Result<std::vector<std::size_t>> SkylineBnl(const Table& table) {
@@ -84,123 +71,6 @@ Result<std::vector<std::size_t>> SkylineSfs(const Table& table) {
   }
   std::sort(skyline.begin(), skyline.end());
   return skyline;
-}
-
-namespace {
-
-// Recursive worker for SkylineDivideConquer over the object-id slice
-// `ids`. Returns the slice's skyline ids.
-std::vector<std::size_t> DivideConquer(const Table& table,
-                                       std::vector<std::size_t> ids) {
-  if (ids.size() <= 16) {
-    // Base case: window scan.
-    std::vector<std::size_t> skyline;
-    for (std::size_t candidate : ids) {
-      bool dominated = false;
-      for (std::size_t other : ids) {
-        if (other != candidate && Dominates(table, other, candidate)) {
-          dominated = true;
-          break;
-        }
-      }
-      if (!dominated) skyline.push_back(candidate);
-    }
-    return skyline;
-  }
-
-  // Split at the median of attribute 0 (ties resolved by id to keep the
-  // halves balanced even on tie-heavy data).
-  std::vector<std::size_t> order = ids;
-  std::sort(order.begin(), order.end(),
-            [&table](std::size_t a, std::size_t b) {
-              const Level av = table.At(a, 0);
-              const Level bv = table.At(b, 0);
-              return av != bv ? av > bv : a < b;
-            });
-  const std::size_t half = order.size() / 2;
-  std::vector<std::size_t> high(order.begin(),
-                                order.begin() +
-                                    static_cast<std::ptrdiff_t>(half));
-  std::vector<std::size_t> low(order.begin() +
-                                   static_cast<std::ptrdiff_t>(half),
-                               order.end());
-
-  std::vector<std::size_t> high_skyline =
-      DivideConquer(table, std::move(high));
-  const std::vector<std::size_t> low_skyline =
-      DivideConquer(table, std::move(low));
-
-  // Merge: each half's survivors must also escape the other half's
-  // survivors. (Attribute-0 ties can straddle the split, so the check
-  // runs in both directions; transitivity makes checking against
-  // survivors sufficient.)
-  std::vector<std::size_t> merged;
-  const auto survives = [&table](std::size_t candidate,
-                                 const std::vector<std::size_t>& rivals) {
-    for (std::size_t rival : rivals) {
-      if (Dominates(table, rival, candidate)) return false;
-    }
-    return true;
-  };
-  for (std::size_t h : high_skyline) {
-    if (survives(h, low_skyline)) merged.push_back(h);
-  }
-  for (std::size_t l : low_skyline) {
-    if (survives(l, high_skyline)) merged.push_back(l);
-  }
-  return merged;
-}
-
-}  // namespace
-
-Result<std::vector<std::size_t>> SkylineDivideConquer(const Table& table) {
-  BAYESCROWD_RETURN_NOT_OK(RequireComplete(table));
-  std::vector<std::size_t> ids(table.num_objects());
-  std::iota(ids.begin(), ids.end(), std::size_t{0});
-  std::vector<std::size_t> skyline = DivideConquer(table, std::move(ids));
-  std::sort(skyline.begin(), skyline.end());
-  return skyline;
-}
-
-Result<std::vector<std::vector<std::size_t>>> SkylineLayers(
-    const Table& table, const std::vector<std::size_t>& attributes) {
-  if (attributes.empty()) {
-    return Status::InvalidArgument("attribute subset is empty");
-  }
-  for (std::size_t j : attributes) {
-    if (j >= table.num_attributes()) {
-      return Status::OutOfRange("attribute index outside schema");
-    }
-    for (std::size_t i = 0; i < table.num_objects(); ++i) {
-      if (table.IsMissing(i, j)) {
-        return Status::FailedPrecondition(
-            "layer computation needs complete values on chosen attributes");
-      }
-    }
-  }
-
-  std::vector<std::vector<std::size_t>> layers;
-  std::vector<bool> assigned(table.num_objects(), false);
-  std::size_t remaining = table.num_objects();
-  while (remaining > 0) {
-    std::vector<std::size_t> layer;
-    for (std::size_t i = 0; i < table.num_objects(); ++i) {
-      if (assigned[i]) continue;
-      bool dominated = false;
-      for (std::size_t p = 0; p < table.num_objects(); ++p) {
-        if (p == i || assigned[p]) continue;
-        if (DominatesOn(table, p, i, attributes)) {
-          dominated = true;
-          break;
-        }
-      }
-      if (!dominated) layer.push_back(i);
-    }
-    for (std::size_t i : layer) assigned[i] = true;
-    remaining -= layer.size();
-    layers.push_back(std::move(layer));
-  }
-  return layers;
 }
 
 }  // namespace bayescrowd

@@ -1,7 +1,6 @@
 // Complete-data skyline algorithms. Used to compute the ground truth
 // the paper evaluates F1 against ("the query result derived based on the
-// corresponding complete data is regarded as the ground truth"), and as
-// reusable skyline building blocks.
+// corresponding complete data is regarded as the ground truth").
 
 #ifndef BAYESCROWD_SKYLINE_ALGORITHMS_H_
 #define BAYESCROWD_SKYLINE_ALGORITHMS_H_
@@ -21,18 +20,6 @@ Result<std::vector<std::size_t>> SkylineBnl(const Table& table);
 /// sum so that no later object can dominate an earlier one; a single
 /// window pass suffices. Same output as SkylineBnl, usually faster.
 Result<std::vector<std::size_t>> SkylineSfs(const Table& table);
-
-/// Divide-and-conquer skyline (Borzsonyi et al.): split on the median of
-/// the first attribute, recurse, then eliminate members of the low half
-/// dominated by the high half. Same output as SkylineBnl.
-Result<std::vector<std::size_t>> SkylineDivideConquer(const Table& table);
-
-/// Skyline layers ("onion peeling"): layer k is the skyline of the data
-/// with layers < k removed. Used by the CrowdSky baseline.
-/// The table must be complete on the designated attributes only; pass
-/// the attribute subset to restrict comparison.
-Result<std::vector<std::vector<std::size_t>>> SkylineLayers(
-    const Table& table, const std::vector<std::size_t>& attributes);
 
 }  // namespace bayescrowd
 

@@ -83,18 +83,6 @@ TEST(CptTest, FitNormalizesWithPrior) {
   EXPECT_NEAR(cpt.Prob(1, 0), 2.0 / 6.0, 1e-12);
 }
 
-TEST(CptTest, SampleFollowsDistribution) {
-  Cpt cpt(0, 2, {}, {});
-  cpt.ClearCounts();
-  cpt.AddCount(0, 0, 9.0);
-  cpt.AddCount(1, 0, 1.0);
-  cpt.NormalizeWithPrior(1e-9);
-  Rng rng(5);
-  int ones = 0;
-  for (int i = 0; i < 10000; ++i) ones += cpt.Sample(0, rng) == 1 ? 1 : 0;
-  EXPECT_NEAR(ones / 10000.0, 0.1, 0.02);
-}
-
 // ------------------------------------------------------------------ //
 // Factor
 // ------------------------------------------------------------------ //
@@ -309,17 +297,6 @@ TEST(NetworkTest, FittedParametersCloseToGenerator) {
   EXPECT_NEAR(net.cpt(2).Prob(1, 0), 0.4, 0.02);
 }
 
-TEST(NetworkTest, SampleTableMatchesMarginals) {
-  const BayesianNetwork net = ChainNetwork();
-  Rng rng(77);
-  const Table sample = net.SampleTable(20000, rng);
-  double a1 = 0;
-  for (std::size_t i = 0; i < sample.num_objects(); ++i) {
-    a1 += sample.At(i, 0);
-  }
-  EXPECT_NEAR(a1 / 20000.0, 0.3, 0.02);
-}
-
 TEST(InferenceTest, VariableEliminationMatchesBruteForce) {
   const BayesianNetwork net = ChainNetwork();
   for (std::size_t query = 0; query < 3; ++query) {
@@ -418,71 +395,19 @@ TEST(StructureLearningTest, WorksOnIncompleteData) {
   EXPECT_TRUE(net->FitParameters(data).ok());
 }
 
-
-TEST(StructureLearningTest, K2RecoversChainUnderTrueOrdering) {
-  Rng rng(15);
-  Schema schema;
-  schema.AddAttribute("A", 2);
-  schema.AddAttribute("B", 2);
-  schema.AddAttribute("C", 2);
-  Table data(schema);
-  for (int i = 0; i < 5000; ++i) {
-    const Level a = rng.NextBool(0.5) ? 1 : 0;
-    const Level b = rng.NextBool(a == 1 ? 0.95 : 0.05) ? 1 : 0;
-    const Level c = rng.NextBool(b == 1 ? 0.9 : 0.1) ? 1 : 0;
-    BAYESCROWD_CHECK_OK(data.AppendRow("r", {a, b, c}));
-  }
-  const auto dag = K2Structure(data, {0, 1, 2});
-  ASSERT_TRUE(dag.ok());
-  EXPECT_TRUE(dag->HasEdge(0, 1));
-  EXPECT_TRUE(dag->HasEdge(1, 2));
-}
-
-TEST(StructureLearningTest, K2RespectsMaxParentsAndOrdering) {
-  const Table data = MakeAdultLike(1500, 16);
-  std::vector<std::size_t> ordering(data.num_attributes());
-  for (std::size_t i = 0; i < ordering.size(); ++i) ordering[i] = i;
-  const auto dag = K2Structure(data, ordering, 2);
-  ASSERT_TRUE(dag.ok());
-  std::vector<std::size_t> position(ordering.size());
-  for (std::size_t i = 0; i < ordering.size(); ++i) {
-    position[ordering[i]] = i;
-  }
-  for (std::size_t v = 0; v < data.num_attributes(); ++v) {
-    EXPECT_LE(dag->parents(v).size(), 2u);
-    for (std::size_t p : dag->parents(v)) {
-      EXPECT_LT(position[p], position[v]);  // Parents precede children.
-    }
-  }
-}
-
-TEST(StructureLearningTest, K2ValidatesOrdering) {
-  const Table data = MakeAdultLike(100, 17);
-  EXPECT_FALSE(K2Structure(data, {0, 1}).ok());           // Too short.
-  EXPECT_FALSE(K2Structure(data, {0, 0, 1, 2, 3, 4, 5, 6, 7}).ok());
-  EXPECT_FALSE(K2Structure(data, {0, 1, 2, 3, 4, 5, 6, 7, 99}).ok());
-}
-
-
 TEST(StructureLearningTest, AllLearnersBeatTheEmptyGraph) {
-  // Greedy searches carry no dominance guarantees among each other
-  // (K2 with the generator's own causal ordering can legitimately beat
-  // hill-climbing), but on dependency-rich data every learner must
-  // improve on independence.
+  // Greedy searches carry no dominance guarantees among each other,
+  // but on dependency-rich data every learner must improve on
+  // independence.
   const Table data = MakeAdultLike(3000, 18);
   const auto hc = HillClimbStructure(data);
   const auto cl = ChowLiuStructure(data);
-  std::vector<std::size_t> ordering(data.num_attributes());
-  for (std::size_t i = 0; i < ordering.size(); ++i) ordering[i] = i;
-  const auto k2 = K2Structure(data, ordering);
   ASSERT_TRUE(hc.ok());
   ASSERT_TRUE(cl.ok());
-  ASSERT_TRUE(k2.ok());
   const double s_empty =
       BicScore(data, Dag(data.num_attributes())).value();
   EXPECT_GT(BicScore(data, *hc).value(), s_empty);
   EXPECT_GT(BicScore(data, *cl).value(), s_empty);
-  EXPECT_GT(BicScore(data, *k2).value(), s_empty);
 }
 
 // ------------------------------------------------------------------ //

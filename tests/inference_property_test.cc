@@ -13,8 +13,6 @@
 #include "bayesnet/network.h"
 #include "bayesnet/structure_learning.h"
 #include "common/random.h"
-#include "data/generators.h"
-#include "skyline/algorithms.h"
 
 namespace bayescrowd {
 namespace {
@@ -222,48 +220,6 @@ TEST_P(RandomNetworkTest, EvidenceBeyondTheBoundaryLeavesBitsUnchanged) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomNetworkTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
-
-// ------------------------------------------------------------------ //
-// Divide-and-conquer skyline cross-check (three algorithms agree).
-// ------------------------------------------------------------------ //
-
-TEST(DivideConquerTest, AgreesWithBnlAcrossWorkloads) {
-  for (int round = 0; round < 6; ++round) {
-    for (const Table& t :
-         {MakeIndependent(500, 4, 8, 400 + round),
-          MakeCorrelated(500, 4, 8, 500 + round),
-          MakeAnticorrelated(500, 4, 8, 600 + round)}) {
-      const auto bnl = SkylineBnl(t);
-      const auto dc = SkylineDivideConquer(t);
-      ASSERT_TRUE(bnl.ok());
-      ASSERT_TRUE(dc.ok()) << dc.status();
-      EXPECT_EQ(bnl.value(), dc.value());
-    }
-  }
-}
-
-TEST(DivideConquerTest, HandlesTieHeavyData) {
-  // Constant first attribute: the split degenerates to id order.
-  Schema schema;
-  schema.AddAttribute("a", 4);
-  schema.AddAttribute("b", 4);
-  Table t(schema);
-  Rng rng(12);
-  for (int i = 0; i < 100; ++i) {
-    BAYESCROWD_CHECK_OK(t.AppendRow(
-        "o" + std::to_string(i),
-        {1, static_cast<Level>(rng.NextBelow(4))}));
-  }
-  const auto bnl = SkylineBnl(t);
-  const auto dc = SkylineDivideConquer(t);
-  ASSERT_TRUE(bnl.ok());
-  ASSERT_TRUE(dc.ok());
-  EXPECT_EQ(bnl.value(), dc.value());
-}
-
-TEST(DivideConquerTest, RejectsIncompleteTable) {
-  EXPECT_FALSE(SkylineDivideConquer(MakeSampleMovieDataset()).ok());
-}
 
 }  // namespace
 }  // namespace bayescrowd

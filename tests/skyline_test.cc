@@ -95,33 +95,6 @@ TEST(SkylineTest, RejectsIncompleteTable) {
   EXPECT_FALSE(SkylineSfs(MakeSampleMovieDataset()).ok());
 }
 
-TEST(SkylineLayersTest, LayersPartitionAndPeel) {
-  const Table t = MakeIndependent(200, 3, 8, 21);
-  std::vector<std::size_t> attrs = {0, 1, 2};
-  const auto layers = SkylineLayers(t, attrs);
-  ASSERT_TRUE(layers.ok());
-  // Layer 0 is the skyline.
-  const auto skyline = SkylineBnl(t);
-  ASSERT_TRUE(skyline.ok());
-  auto layer0 = layers.value()[0];
-  std::sort(layer0.begin(), layer0.end());
-  EXPECT_EQ(layer0, skyline.value());
-  // Layers partition all objects.
-  std::size_t total = 0;
-  for (const auto& layer : layers.value()) total += layer.size();
-  EXPECT_EQ(total, t.num_objects());
-}
-
-TEST(SkylineLayersTest, SubsetAttributesOnly) {
-  const Table t = MoviesExample();
-  const auto layers = SkylineLayers(t, {0});
-  ASSERT_TRUE(layers.ok());
-  // On attribute r1 alone: m2 (4) > m1 (3) > m3 (2).
-  EXPECT_EQ(layers.value()[0], (std::vector<std::size_t>{1}));
-  EXPECT_EQ(layers.value()[1], (std::vector<std::size_t>{0}));
-  EXPECT_EQ(layers.value()[2], (std::vector<std::size_t>{2}));
-}
-
 TEST(MetricsTest, PerfectMatch) {
   const auto m = EvaluateResultSet({1, 2, 3}, {3, 2, 1});
   EXPECT_DOUBLE_EQ(m.f1, 1.0);
