@@ -129,7 +129,8 @@ echo "== tier-1: hostile-instance governed smoke run =="
 # making the solver tier tallies — not just the answers — thread-count
 # invariant; the 1-thread and 8-thread runs must then produce
 # byte-identical telemetry once lane/thread configuration noise is
-# stripped.
+# stripped. The same pair under the strict ladder pins the path that
+# skips tiers 2 and 3: every exhausted solve must land on [0, 1].
 "$CLI" generate --dataset corr --n 40 --d 8 --levels 16 --seed 3 \
   --out "$SMOKE/hostile_complete.csv"
 "$CLI" inject --in "$SMOKE/hostile_complete.csv" --rate 0.35 --seed 3 \
@@ -138,12 +139,16 @@ run_governed() {
   "$CLI" run --data "$SMOKE/hostile_holes.csv" \
     --truth "$SMOKE/hostile_complete.csv" \
     --strategy ubs --budget 20 --latency 4 --threads "$1" --alpha -1 \
-    --solver-node-budget 4 --solver-ladder full --breaker-threshold 2 \
+    --solver-node-budget 4 --solver-ladder "$4" --breaker-threshold 2 \
     --log-level warning \
     --telemetry-out "$2" > "$3"
 }
-run_governed 1 "$SMOKE/telemetry_gov1.json" "$SMOKE/report_gov1.txt"
-run_governed 8 "$SMOKE/telemetry_gov8.json" "$SMOKE/report_gov8.txt"
+run_governed 1 "$SMOKE/telemetry_gov1.json" "$SMOKE/report_gov1.txt" full
+run_governed 8 "$SMOKE/telemetry_gov8.json" "$SMOKE/report_gov8.txt" full
+run_governed 1 "$SMOKE/telemetry_strict1.json" "$SMOKE/report_strict1.txt" \
+  strict
+run_governed 8 "$SMOKE/telemetry_strict8.json" "$SMOKE/report_strict8.txt" \
+  strict
 grep -q 'solver:' "$SMOKE/report_gov1.txt"         # Ladder reported.
 grep -q '"solver"' "$SMOKE/telemetry_gov1.json"
 python3 - "$SMOKE/telemetry_gov1.json" <<'EOF'
@@ -151,11 +156,18 @@ import json, sys
 solver = json.load(open(sys.argv[1]))["payload"]["solver"]
 assert solver["budget_exhausted"] > 0, "hostile budget never fired"
 EOF
-"$CLI" normalize --in "$SMOKE/telemetry_gov1.json" --strip-lanes \
-  --out "$SMOKE/telemetry_gov1_norm.json"
-"$CLI" normalize --in "$SMOKE/telemetry_gov8.json" --strip-lanes \
-  --out "$SMOKE/telemetry_gov8_norm.json"
+python3 - "$SMOKE/telemetry_strict1.json" <<'EOF'
+import json, sys
+solver = json.load(open(sys.argv[1]))["payload"]["solver"]
+assert solver["tier_unknown"] > 0, "strict ladder never degraded"
+assert solver["tier_partial"] == 0, "strict ladder ran the partial tier"
+EOF
+for run in gov1 gov8 strict1 strict8; do
+  "$CLI" normalize --in "$SMOKE/telemetry_$run.json" --strip-lanes \
+    --out "$SMOKE/telemetry_${run}_norm.json"
+done
 cmp "$SMOKE/telemetry_gov1_norm.json" "$SMOKE/telemetry_gov8_norm.json"
+cmp "$SMOKE/telemetry_strict1_norm.json" "$SMOKE/telemetry_strict8_norm.json"
 
 echo "== tier-1: ungoverned smoke run =="
 # The first smoke dataset again with the solver ungoverned, so every
