@@ -33,10 +33,10 @@ void MultiplyInto(ProbInterval* product, const ProbInterval& factor) {
 //  4. Branch sums come back unclamped in the exact tier and clamped to
 //     [0, 1] in the anytime tier.
 // An exact-tier interval always has lo == hi, so its endpoint sums and
-// products are the scalar search's arithmetic. The anytime bound is
-// sound because a branch is Σ p_v · [lo_v, hi_v] and independent
-// components multiply endpoint-wise, so the final interval always
-// contains the exact probability.
+// products are plain scalar arithmetic. The anytime bound is sound
+// because a branch is Σ p_v · [lo_v, hi_v] and independent components
+// multiply endpoint-wise, so the final interval always contains the
+// exact probability.
 class AdpllSearch {
  public:
   AdpllSearch(const DistributionMap& dists, const AdpllOptions& options,
@@ -47,6 +47,7 @@ class AdpllSearch {
 
   Result<ProbInterval> Recurse(const Condition& condition) {
     if (stats_ != nullptr) ++stats_->calls;
+    // Mode difference 1: out of calls or cancelled.
     const bool out_of_calls = ++calls_ > options_.max_calls;
     if (out_of_calls ||
         (options_.control != nullptr && options_.control->ShouldStop())) {
@@ -81,8 +82,8 @@ class AdpllSearch {
       }
     }
 
-    // Refinement: split variable-disjoint *groups* of conjuncts. Out of
-    // splits, the anytime tier skips the split and branches.
+    // Refinement: split variable-disjoint *groups* of conjuncts. Mode
+    // difference 3: out of splits, the anytime tier branches instead.
     const bool splits_left =
         options_.max_component_splits == 0 ||
         component_splits_ < options_.max_component_splits;
@@ -133,7 +134,7 @@ class AdpllSearch {
       total.hi += p * sub.hi;
       if (!sub.exact()) total.quality = ProbQuality::kPartialBound;
     }
-    if (anytime_) {
+    if (anytime_) {  // Mode difference 4.
       total.lo = std::min(1.0, std::max(0.0, total.lo));
       total.hi = std::min(1.0, std::max(total.lo, total.hi));
     }
@@ -176,7 +177,7 @@ class AdpllSearch {
       return ProbInterval::Exact(1.0 - miss_all);
     }
     const Condition correlated = Condition::Cnf({conjunct});
-    if (anytime_) {
+    if (anytime_) {  // Mode difference 2.
       return NaiveBoundedProbability(correlated, dists_, InnerNaiveOptions());
     }
     BAYESCROWD_ASSIGN_OR_RETURN(

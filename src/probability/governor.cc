@@ -63,7 +63,11 @@ Result<ProbInterval> WalkLadder(const GovernorOptions& options,
     BAYESCROWD_ASSIGN_OR_RETURN(const ProbInterval partial, anytime());
     if (partial.width() < 1.0) {
       if (tally != nullptr) {
-        ++(partial.exact() ? tally->tier_exact : tally->tier_partial);
+        if (partial.exact()) {
+          ++tally->tier_exact;
+        } else {
+          ++tally->tier_partial;
+        }
       }
       return partial;
     }
