@@ -17,7 +17,7 @@
 // of several resident sessions — numbered by round count):
 //
 //   "BCKP"  magic, 4 bytes
-//   u32     format version (little-endian); currently 7 (kCheckpointVersion)
+//   u32     format version (little-endian); currently 8 (kCheckpointVersion)
 //   u64     payload size in bytes
 //   payload SerializeSessionState bytes
 //   u32     CRC-32 (IEEE 802.3) of the payload
@@ -48,10 +48,10 @@ namespace bayescrowd {
 
 /// Checkpoint format version written by this build, and the only one
 /// it reads: any other version fails with a clear "older"/"newer"
-/// error instead of a misparse. Versions 1–6 were earlier layouts;
+/// error instead of a misparse. Versions 1–7 were earlier layouts;
 /// change the payload, the memo blob or a platform chunk only by
 /// bumping this.
-inline constexpr std::uint32_t kCheckpointVersion = 7;
+inline constexpr std::uint32_t kCheckpointVersion = 8;
 
 /// Everything Run() snapshots at a round boundary. Field order here is
 /// the serialization order; extend only by bumping kCheckpointVersion.

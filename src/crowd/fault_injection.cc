@@ -29,57 +29,6 @@ void FaultInjectingPlatform::BindMetrics(obs::MetricsRegistry* registry) {
   ins_.partial_batches = registry->GetCounter("fault.partial_batches");
   ins_.dropped_tail_tasks =
       registry->GetCounter("fault.dropped_tail_tasks");
-  ins_.flipped_votes = registry->GetCounter("fault.flipped_votes");
-  ins_.noisy_answers_changed =
-      registry->GetCounter("fault.noisy_answers_changed");
-}
-
-void FaultInjectingPlatform::ApplyAnswerNoise(
-    std::vector<TaskAnswer>* answers) {
-  // Each delivered answer is re-voted by three virtual workers, each of
-  // whom reports the aggregate relation but flips to a uniform wrong
-  // choice with probability answer_noise. Votes re-aggregate through
-  // the accuracy-weighted vote (expected per-vote accuracy
-  // 1 - answer_noise) and feed the consensus accuracy estimator.
-  const std::vector<double> weights(kNoiseWorkers,
-                                    1.0 - options_.answer_noise);
-  constexpr Ordering kAll[] = {Ordering::kLess, Ordering::kEqual,
-                               Ordering::kGreater};
-  for (TaskAnswer& answer : *answers) {
-    std::vector<Ordering> votes(kNoiseWorkers);
-    std::vector<Vote> recorded(kNoiseWorkers);
-    for (std::size_t w = 0; w < kNoiseWorkers; ++w) {
-      Ordering vote = answer.relation;
-      if (rng_.NextBool(options_.answer_noise)) {
-        Ordering wrong[2];
-        int k = 0;
-        for (const Ordering o : kAll) {
-          if (o != answer.relation) wrong[k++] = o;
-        }
-        vote = wrong[rng_.NextBelow(2)];
-        ++stats_.flipped_votes;
-        if (ins_.flipped_votes != nullptr) ins_.flipped_votes->Increment();
-      }
-      votes[w] = vote;
-      recorded[w] = Vote{w, vote};
-    }
-    task_votes_.push_back(std::move(recorded));
-    const Result<Ordering> aggregated = WeightedVote(votes, weights);
-    if (aggregated.ok() && aggregated.value() != answer.relation) {
-      answer.relation = aggregated.value();
-      ++stats_.noisy_answers_changed;
-      if (ins_.noisy_answers_changed != nullptr) {
-        ins_.noisy_answers_changed->Increment();
-      }
-    }
-  }
-}
-
-Result<std::vector<double>>
-FaultInjectingPlatform::EstimateVirtualWorkerAccuracies(
-    int iterations) const {
-  return EstimateAccuraciesByConsensus(task_votes_, kNoiseWorkers,
-                                       iterations);
 }
 
 void FaultInjectingPlatform::SaveState(std::string* out) const {
@@ -93,16 +42,6 @@ void FaultInjectingPlatform::SaveState(std::string* out) const {
   w.WriteU64(stats_.dropped_tail_tasks);
   w.WriteU64(stats_.batches_attempted);
   w.WriteU64(stats_.batches_delivered);
-  w.WriteU64(stats_.flipped_votes);
-  w.WriteU64(stats_.noisy_answers_changed);
-  w.WriteU64(task_votes_.size());
-  for (const std::vector<Vote>& votes : task_votes_) {
-    w.WriteU64(votes.size());
-    for (const Vote& vote : votes) {
-      w.WriteU64(vote.worker);
-      w.WriteU8(static_cast<std::uint8_t>(vote.answer));
-    }
-  }
   inner_.SaveState(out);
 }
 
@@ -125,44 +64,23 @@ Status FaultInjectingPlatform::LoadState(BinReader* reader) {
   BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&stats.dropped_tail_tasks));
   BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&stats.batches_attempted));
   BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&stats.batches_delivered));
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&stats.flipped_votes));
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&stats.noisy_answers_changed));
-  std::uint64_t tasks = 0;
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&tasks, 8));
-  std::vector<std::vector<Vote>> task_votes;
-  task_votes.reserve(tasks);
-  for (std::uint64_t t = 0; t < tasks; ++t) {
-    std::uint64_t count = 0;
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&count, 9));
-    std::vector<Vote> votes(count);
-    for (Vote& vote : votes) {
-      std::uint64_t worker = 0;
-      std::uint8_t answer = 0;
-      BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&worker));
-      BAYESCROWD_RETURN_NOT_OK(reader->ReadU8(&answer));
-      if (answer > static_cast<std::uint8_t>(Ordering::kGreater)) {
-        return Status::OutOfRange("platform state: bad vote ordering");
-      }
-      vote.worker = static_cast<std::size_t>(worker);
-      vote.answer = static_cast<Ordering>(answer);
-    }
-    task_votes.push_back(std::move(votes));
-  }
   rng_.LoadState(rng_state);
   stats_ = stats;
-  task_votes_ = std::move(task_votes);
   return inner_.LoadState(reader);
 }
 
 Result<std::vector<TaskAnswer>> FaultInjectingPlatform::PostBatch(
     const std::vector<Task>& tasks) {
   ++stats_.batches_attempted;
+  // Share of injected failures reported as batch timeouts (a distinct
+  // counter, the same retry handling downstream).
+  constexpr double kTimeoutFraction = 0.25;
 
   // The draw order is fixed (failure, timeout split, partial, then one
   // abstain draw per task) so the schedule depends only on the seed and
   // the sequence of batch sizes, never on answer content.
   if (rng_.NextBool(options_.transient_failure_rate)) {
-    if (rng_.NextBool(options_.timeout_fraction)) {
+    if (rng_.NextBool(kTimeoutFraction)) {
       ++stats_.timeouts;
       if (ins_.timeouts != nullptr) ins_.timeouts->Increment();
       return Status::Unavailable("injected batch timeout");
@@ -177,8 +95,6 @@ Result<std::vector<TaskAnswer>> FaultInjectingPlatform::PostBatch(
   BAYESCROWD_ASSIGN_OR_RETURN(std::vector<TaskAnswer> answers,
                               inner_.PostBatch(tasks));
   ++stats_.batches_delivered;
-
-  if (options_.answer_noise > 0.0) ApplyAnswerNoise(&answers);
 
   if (rng_.NextBool(options_.partial_batch_rate) && answers.size() > 1) {
     // Drop a non-empty proper tail: the platform returned the round

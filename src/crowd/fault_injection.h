@@ -8,7 +8,9 @@
 // round is dropped). The schedule depends only on the fault seed and
 // the sequence of PostBatch calls — never on wall clock or thread
 // count — so a faulted run reproduces bit-identically and the
-// framework's retry/degradation path can be pinned by tests.
+// framework's retry/degradation path can be pinned by tests. The
+// injector models delivery faults only: what an answer says is the
+// inner platform's business (its error model is crowd/quality.h's).
 //
 // Failed attempts never reach the inner platform (the batch never made
 // it to the marketplace), so the inner platform's own random stream
@@ -29,7 +31,6 @@
 #include "common/random.h"
 #include "common/result.h"
 #include "crowd/platform.h"
-#include "crowd/quality.h"
 #include "crowd/task.h"
 #include "obs/metrics.h"
 
@@ -40,10 +41,6 @@ struct FaultOptions {
   /// Status::Unavailable before reaching the inner platform.
   double transient_failure_rate = 0.0;
 
-  /// Fraction of injected transient failures reported as batch
-  /// timeouts (distinct counter, same retry handling downstream).
-  double timeout_fraction = 0.25;
-
   /// Per-task probability that an answer comes back abstained
   /// (`answered = false`).
   double abstain_rate = 0.0;
@@ -51,13 +48,6 @@ struct FaultOptions {
   /// Per-batch probability that the round comes back partial: a
   /// uniformly-drawn non-empty tail of the batch is dropped.
   double partial_batch_rate = 0.0;
-
-  /// Per-vote probability that a virtual worker reports a wrong
-  /// relation (uniform over the two wrong choices). When > 0, every
-  /// delivered answer is re-voted by three virtual workers and
-  /// re-aggregated through WeightedVote, so the content itself becomes
-  /// noisy — not just the delivery.
-  double answer_noise = 0.0;
 
   /// Drives the entire schedule; same seed = same faults.
   std::uint64_t seed = 42;
@@ -78,8 +68,6 @@ struct FaultStats {
   std::uint64_t dropped_tail_tasks = 0;  // Tasks lost to partial batches.
   std::uint64_t batches_attempted = 0;   // Every PostBatch call seen.
   std::uint64_t batches_delivered = 0;   // Calls that returned answers.
-  std::uint64_t flipped_votes = 0;       // Wrong virtual-worker votes.
-  std::uint64_t noisy_answers_changed = 0;  // Aggregates that flipped.
 };
 
 /// The decorator. Non-owning: `inner` must outlive it.
@@ -103,13 +91,12 @@ class FaultInjectingPlatform : public CrowdPlatform {
   /// detaches). Non-owning; must outlive the platform.
   void BindMetrics(obs::MetricsRegistry* registry);
 
-  /// Chunk: own RNG + stats + virtual-worker votes, then the inner
-  /// platform's chunk.
+  /// Chunk: own RNG + stats, then the inner platform's chunk.
   void SaveState(std::string* out) const override;
   Status LoadState(BinReader* reader) override;
 
   /// Replay sync = post and discard: reproduces this layer's entire
-  /// draw schedule (failure/noise/partial/abstain) plus the inner
+  /// draw schedule (failure/partial/abstain) plus the inner
   /// platform's, keeping both streams aligned with the recorded run.
   void SyncReplayed(const std::vector<Task>& tasks,
                     bool delivered) override {
@@ -118,27 +105,11 @@ class FaultInjectingPlatform : public CrowdPlatform {
     (void)PostBatch(tasks);
   }
 
-  /// Unsupervised (Dawid-Skene-style) accuracy estimates for the three
-  /// virtual noise workers, from the votes accumulated so far. Only
-  /// meaningful when answer_noise > 0 and batches were delivered.
-  Result<std::vector<double>> EstimateVirtualWorkerAccuracies(
-      int iterations = 10) const;
-
-  /// Virtual workers re-voting each answer when answer_noise > 0.
-  static constexpr std::size_t kNoiseWorkers = 3;
-
  private:
-  /// Re-votes every answer through the virtual noise workers and
-  /// re-aggregates with WeightedVote.
-  void ApplyAnswerNoise(std::vector<TaskAnswer>* answers);
-
   CrowdPlatform& inner_;
   FaultOptions options_;
   Rng rng_;
   FaultStats stats_;
-  /// Votes per delivered task (answer_noise > 0 only), consumed by the
-  /// consensus accuracy estimator.
-  std::vector<std::vector<Vote>> task_votes_;
 
   struct Instruments {
     obs::Counter* transient_failures = nullptr;
@@ -146,8 +117,6 @@ class FaultInjectingPlatform : public CrowdPlatform {
     obs::Counter* abstained_tasks = nullptr;
     obs::Counter* partial_batches = nullptr;
     obs::Counter* dropped_tail_tasks = nullptr;
-    obs::Counter* flipped_votes = nullptr;
-    obs::Counter* noisy_answers_changed = nullptr;
   } ins_;
 };
 

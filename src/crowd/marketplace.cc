@@ -10,14 +10,6 @@ namespace {
 
 constexpr int kNumChoices = 3;
 
-// Same symmetric 3-choice log-odds weight as quality.cc's WeightedVote,
-// reproduced here for the confidence softmax (the vote itself goes
-// through WeightedVote so the two can never disagree).
-double LogOddsWeight(double accuracy) {
-  const double p = std::clamp(accuracy, 0.34, 0.999);
-  return std::log(p / ((1.0 - p) / 2.0));
-}
-
 double QuantizeToMs(double seconds) {
   return static_cast<double>(std::llround(seconds * 1000.0)) / 1000.0;
 }
@@ -47,7 +39,6 @@ MarketplaceCrowdPlatform::MarketplaceCrowdPlatform(
     : ground_truth_(std::move(ground_truth)),
       options_(options),
       rng_(options.seed),
-      quality_(options.defense),
       // Paranoid opening: with no votes observed yet the defense has no
       // reputations to lean on, so the first round runs as if agreement
       // had already collapsed — widest fan-out, unconvincing tasks
@@ -58,34 +49,19 @@ MarketplaceCrowdPlatform::MarketplaceCrowdPlatform(
   for (std::size_t i = 0; i < options_.pool_size; ++i) Recruit();
 }
 
-Result<Ordering> MarketplaceCrowdPlatform::TrueRelation(
-    const Expression& expression) const {
-  const Level lhs =
-      ground_truth_.At(expression.lhs.object, expression.lhs.attribute);
-  if (IsMissingLevel(lhs)) {
-    return Status::FailedPrecondition(
-        "ground-truth table is missing the asked cell");
-  }
-  Level rhs = expression.rhs_const;
-  if (expression.rhs_is_var) {
-    rhs = ground_truth_.At(expression.rhs_var.object,
-                           expression.rhs_var.attribute);
-    if (IsMissingLevel(rhs)) {
-      return Status::FailedPrecondition(
-          "ground-truth table is missing the asked cell");
-    }
-  }
-  if (lhs < rhs) return Ordering::kLess;
-  if (lhs > rhs) return Ordering::kGreater;
-  return Ordering::kEqual;
-}
-
 void MarketplaceCrowdPlatform::Recruit() {
+  // An arrival joins the premium pricing tier (higher skill floor;
+  // preferred when widening the vote fan-out) with kPremiumFraction.
+  // An adversarial arrival colludes with kCollusionFraction, else it
+  // spams; a non-adversarial one is sloppy with kSloppyFraction.
+  constexpr double kPremiumFraction = 0.25;
+  constexpr double kCollusionFraction = 0.4;
+  constexpr double kSloppyFraction = 0.25;
   Worker worker;
   worker.id = next_worker_id_++;
-  worker.premium = rng_.NextBool(options_.premium_fraction) ? 1 : 0;
+  worker.premium = rng_.NextBool(kPremiumFraction) ? 1 : 0;
   if (rng_.NextBool(options_.spam_rate)) {
-    if (rng_.NextBool(options_.collusion_fraction)) {
+    if (rng_.NextBool(kCollusionFraction)) {
       worker.profile = WorkerProfile::kColluder;
       // Colluders mimic honest work habits: only the answers betray them.
       worker.skill = 0.0;
@@ -93,10 +69,10 @@ void MarketplaceCrowdPlatform::Recruit() {
     } else {
       worker.profile = WorkerProfile::kSpammer;
       worker.skill = 0.0;
-      // Click-through fast: well under the min-work-seconds gate.
+      // Click-through fast: well under the kMinWorkSeconds gate.
       worker.base_work_seconds = 0.8 + 2.2 * rng_.NextDouble();
     }
-  } else if (rng_.NextBool(options_.sloppy_fraction)) {
+  } else if (rng_.NextBool(kSloppyFraction)) {
     worker.profile = WorkerProfile::kSloppy;
     worker.skill = 0.52 + 0.18 * rng_.NextDouble();
     worker.base_work_seconds = 12.0 + 20.0 * rng_.NextDouble();
@@ -113,23 +89,24 @@ void MarketplaceCrowdPlatform::Recruit() {
 }
 
 void MarketplaceCrowdPlatform::AdvanceClock() {
-  // Poisson arrivals (Knuth): deterministic given the RNG stream.
-  const double lambda = options_.arrival_rate;
-  if (lambda > 0.0) {
-    const double limit = std::exp(-lambda);
-    double p = 1.0;
-    int k = 0;
-    do {
-      ++k;
-      p *= rng_.NextDouble();
-    } while (p > limit);
-    for (int i = 0; i < k - 1; ++i) Recruit();
-  }
+  // Poisson arrivals (Knuth) with mean kArrivalRate per round:
+  // deterministic given the RNG stream.
+  constexpr double kArrivalRate = 0.5;
+  // Per-worker, per-round departure probability.
+  constexpr double kChurnRate = 0.02;
+  const double limit = std::exp(-kArrivalRate);
+  double p = 1.0;
+  int k = 0;
+  do {
+    ++k;
+    p *= rng_.NextDouble();
+  } while (p > limit);
+  for (int i = 0; i < k - 1; ++i) Recruit();
   // Churn: every active worker flips the same seeded coin, in roster
   // order, so the stream is stable under pool growth.
   for (Worker& worker : workers_) {
     if (worker.active == 0) continue;
-    if (rng_.NextBool(options_.churn_rate)) {
+    if (rng_.NextBool(kChurnRate)) {
       worker.active = 0;
       stats_.departures += 1;
       Bump(ins_.departures);
@@ -158,23 +135,11 @@ VoteRecord MarketplaceCrowdPlatform::CastVote(const Worker& worker,
                                               Ordering truth) {
   VoteRecord vote;
   vote.worker = worker.id;
-  constexpr Ordering kAll[] = {Ordering::kLess, Ordering::kEqual,
-                               Ordering::kGreater};
   switch (worker.profile) {
     case WorkerProfile::kHonest:
-    case WorkerProfile::kSloppy: {
-      if (rng_.NextBool(worker.skill)) {
-        vote.answer = truth;
-      } else {
-        Ordering wrong[2];
-        int w = 0;
-        for (Ordering o : kAll) {
-          if (o != truth) wrong[w++] = o;
-        }
-        vote.answer = wrong[rng_.NextBelow(2)];
-      }
+    case WorkerProfile::kSloppy:
+      vote.answer = NoisyVote(truth, worker.skill, rng_);
       break;
-    }
     case WorkerProfile::kSpammer:
       vote.answer = static_cast<Ordering>(rng_.NextBelow(3));
       break;
@@ -228,6 +193,18 @@ Ordering MarketplaceCrowdPlatform::Aggregate(
 Result<std::vector<TaskAnswer>> MarketplaceCrowdPlatform::PostBatch(
     const std::vector<Task>& tasks) {
   if (tasks.empty()) return Status::InvalidArgument("empty batch");
+  // Stop buying extra votes (and, after two collapsed rounds, abstain)
+  // below this posterior confidence of the leading answer.
+  constexpr double kConfidenceThreshold = 0.85;
+  // Fraction of completed tasks the operator audits (learning their
+  // true answer after the fact). Audited tasks anchor the joint
+  // inference as gold: without an anchor, a coordinated colluder bloc
+  // can capture the Dawid-Skene consensus and invert every accuracy
+  // estimate.
+  constexpr double kGoldFraction = 0.12;
+  // A round whose Fleiss kappa falls below this counts as an agreement
+  // collapse (wide fan-out next round; two in a row enable abstention).
+  constexpr double kKappaCollapseThreshold = 0.30;
 
   AdvanceClock();
 
@@ -253,7 +230,7 @@ Result<std::vector<TaskAnswer>> MarketplaceCrowdPlatform::PostBatch(
 
   for (const Task& task : tasks) {
     BAYESCROWD_ASSIGN_OR_RETURN(const Ordering truth,
-                                TrueRelation(task.expression));
+                                TrueRelation(ground_truth_, task.expression));
     const std::vector<std::size_t> eligible = EligibleWorkers();
 
     // Opening fan-out: distinct workers, uniformly drawn.
@@ -280,7 +257,7 @@ Result<std::vector<TaskAnswer>> MarketplaceCrowdPlatform::PostBatch(
     // naive premium-first random draw.
     if (adaptive) {
       while (votes.size() < max_votes &&
-             LeaderConfidence(votes) < options_.confidence_threshold) {
+             LeaderConfidence(votes) < kConfidenceThreshold) {
         std::vector<std::size_t> pool;
         for (std::size_t idx : eligible) {
           bool used = false;
@@ -338,7 +315,7 @@ Result<std::vector<TaskAnswer>> MarketplaceCrowdPlatform::PostBatch(
     // Operator audit: the coin is drawn in both modes so the defended
     // and baseline arms see identical RNG streams; only the defense
     // learns the label.
-    const bool audited = rng_.NextBool(options_.gold_fraction);
+    const bool audited = rng_.NextBool(kGoldFraction);
     if (audited && options_.defend) {
       quality_.AddGoldTask(votes, truth);
       stats_.gold_tasks += 1;
@@ -353,7 +330,7 @@ Result<std::vector<TaskAnswer>> MarketplaceCrowdPlatform::PostBatch(
     TaskAnswer answer;
     answer.votes = votes;
     if (options_.defend && may_abstain &&
-        LeaderConfidence(votes) < options_.confidence_threshold) {
+        LeaderConfidence(votes) < kConfidenceThreshold) {
       // Two collapsed rounds and still no convincing leader even at the
       // widest fan-out: refuse to ingest a poisoned answer.
       answer.answered = false;
@@ -385,7 +362,7 @@ Result<std::vector<TaskAnswer>> MarketplaceCrowdPlatform::PostBatch(
   // Collapse detector: per-round Fleiss kappa over the raw vote sets.
   const double kappa = FleissKappa(round_votes);
   stats_.last_kappa = kappa;
-  if (kappa < options_.kappa_collapse_threshold) {
+  if (kappa < kKappaCollapseThreshold) {
     stats_.low_kappa_rounds += 1;
     low_kappa_streak_ += 1;
     Bump(ins_.kappa_collapses);
@@ -506,7 +483,7 @@ Status MarketplaceCrowdPlatform::LoadState(BinReader* reader) {
     }
     worker.profile = static_cast<WorkerProfile>(profile);
   }
-  JointQualityModel quality(options_.defense);
+  JointQualityModel quality;
   BAYESCROWD_RETURN_NOT_OK(quality.Load(reader));
   rng_.LoadState(rng_state);
   total_tasks_ = static_cast<std::size_t>(tasks);

@@ -73,23 +73,6 @@ struct MarketplaceOptions {
   /// colluder) rather than honest/sloppy.
   double spam_rate = 0.0;
 
-  /// Of adversarial arrivals: probability of colluding (vs uniform
-  /// spamming).
-  double collusion_fraction = 0.4;
-
-  /// Of non-adversarial arrivals: probability of being sloppy.
-  double sloppy_fraction = 0.25;
-
-  /// Poisson mean of new arrivals per round.
-  double arrival_rate = 0.5;
-
-  /// Per-worker, per-round departure probability.
-  double churn_rate = 0.02;
-
-  /// Probability that an arrival joins the premium pricing tier
-  /// (higher skill floor; preferred when widening the vote fan-out).
-  double premium_fraction = 0.25;
-
   /// Votes bought per task before the confidence check.
   int base_votes = 3;
 
@@ -97,29 +80,9 @@ struct MarketplaceOptions {
   /// fan-out (no adaptive spending).
   int max_votes = 3;
 
-  /// Stop buying extra votes once the leading answer's posterior
-  /// reaches this confidence.
-  double confidence_threshold = 0.85;
-
-  /// A round whose Fleiss kappa drops below this counts as an
-  /// agreement collapse (wide fan-out next round; two in a row enable
-  /// abstention).
-  double kappa_collapse_threshold = 0.30;
-
-  /// Fraction of completed tasks the operator audits (learning their
-  /// true answer after the fact). Audited tasks anchor the joint
-  /// inference as gold: without an anchor, a coordinated colluder bloc
-  /// can capture the Dawid-Skene consensus and invert every accuracy
-  /// estimate. The coin is drawn in both modes (stream stability);
-  /// only the defense consumes the label.
-  double gold_fraction = 0.12;
-
   /// Joint inference + gating + quarantine + weighted aggregation.
   /// Off = plain majority over the same worker stream (baseline).
   bool defend = true;
-
-  /// Gates for the defense (ignored when defend is false).
-  WorkerDefenseOptions defense;
 
   std::uint64_t seed = 99;
 };
@@ -200,8 +163,6 @@ class MarketplaceCrowdPlatform : public CrowdPlatform {
     std::uint8_t premium = 0;        // Pricing tier.
     std::uint8_t active = 1;         // Still in the pool.
   };
-
-  Result<Ordering> TrueRelation(const Expression& expression) const;
 
   /// Recruits one worker from the seeded arrival distribution.
   void Recruit();

@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "common/string_util.h"
+#include "crowd/quality.h"
 
 namespace bayescrowd {
 
@@ -41,46 +41,6 @@ Status SimulatedCrowdPlatform::LoadState(BinReader* reader) {
   return Status::OK();
 }
 
-Result<Ordering> SimulatedCrowdPlatform::TrueRelation(
-    const Expression& expression) const {
-  const Level lhs =
-      ground_truth_.At(expression.lhs.object, expression.lhs.attribute);
-  if (IsMissingLevel(lhs)) {
-    return Status::FailedPrecondition(
-        "ground-truth table is missing the asked cell");
-  }
-  Level rhs = expression.rhs_const;
-  if (expression.rhs_is_var) {
-    rhs = ground_truth_.At(expression.rhs_var.object,
-                           expression.rhs_var.attribute);
-    if (IsMissingLevel(rhs)) {
-      return Status::FailedPrecondition(
-          "ground-truth table is missing the asked cell");
-    }
-  }
-  if (lhs < rhs) return Ordering::kLess;
-  if (lhs > rhs) return Ordering::kGreater;
-  return Ordering::kEqual;
-}
-
-Ordering SimulatedCrowdPlatform::WorkerVote(Ordering truth) {
-  const double accuracy =
-      options_.accuracy_pool.empty()
-          ? options_.worker_accuracy
-          : options_.accuracy_pool[rng_.NextBelow(
-                options_.accuracy_pool.size())];
-  if (rng_.NextBool(accuracy)) return truth;
-  // Uniform over the two wrong choices.
-  constexpr Ordering kAll[] = {Ordering::kLess, Ordering::kEqual,
-                               Ordering::kGreater};
-  Ordering wrong[2];
-  int w = 0;
-  for (Ordering o : kAll) {
-    if (o != truth) wrong[w++] = o;
-  }
-  return wrong[rng_.NextBelow(2)];
-}
-
 Result<std::vector<TaskAnswer>> SimulatedCrowdPlatform::PostBatch(
     const std::vector<Task>& tasks) {
   if (tasks.empty()) {
@@ -88,20 +48,21 @@ Result<std::vector<TaskAnswer>> SimulatedCrowdPlatform::PostBatch(
   }
   std::vector<TaskAnswer> answers;
   answers.reserve(tasks.size());
+  std::vector<Ordering> votes;
   for (const Task& task : tasks) {
     BAYESCROWD_ASSIGN_OR_RETURN(const Ordering truth,
-                                TrueRelation(task.expression));
-    // Majority vote, ties broken toward the first-listed tied option —
-    // the same deterministic rule as quality.h's MajorityVote.
-    int votes[3] = {0, 0, 0};
+                                TrueRelation(ground_truth_, task.expression));
+    votes.clear();
     for (int w = 0; w < options_.workers_per_task; ++w) {
-      votes[static_cast<int>(WorkerVote(truth))] += 1;
+      // A fresh worker per vote: from the pool when there is one.
+      const double accuracy =
+          options_.accuracy_pool.empty()
+              ? options_.worker_accuracy
+              : options_.accuracy_pool[rng_.NextBelow(
+                    options_.accuracy_pool.size())];
+      votes.push_back(NoisyVote(truth, accuracy, rng_));
     }
-    int best = 0;
-    for (int o = 1; o < 3; ++o) {
-      if (votes[o] > votes[best]) best = o;
-    }
-    answers.push_back({static_cast<Ordering>(best)});
+    answers.emplace_back().relation = MajorityVote(votes);
   }
   total_tasks_ += tasks.size();
   ++total_rounds_;

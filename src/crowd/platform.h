@@ -60,7 +60,8 @@ class CrowdPlatform {
 
 struct SimulatedPlatformOptions {
   /// Probability that an individual worker returns the true relation;
-  /// wrong answers are uniform over the other two choices.
+  /// wrong answers are uniform over the other two choices (NoisyVote in
+  /// crowd/quality.h).
   double worker_accuracy = 1.0;
 
   /// Majority voting pool per task (the paper assigns each task to
@@ -103,13 +104,7 @@ class SimulatedCrowdPlatform : public CrowdPlatform {
     (void)PostBatch(tasks);
   }
 
-  /// The true relation of a task's operands (exposed for tests).
-  Result<Ordering> TrueRelation(const Expression& expression) const;
-
  private:
-  // One fresh worker's vote (accuracy per options).
-  Ordering WorkerVote(Ordering truth);
-
   const Table ground_truth_;
   SimulatedPlatformOptions options_;
   Rng rng_;

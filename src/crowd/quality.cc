@@ -9,18 +9,34 @@ namespace {
 
 constexpr int kNumChoices = 3;
 
-double ClampAccuracy(double accuracy) {
-  return std::clamp(accuracy, 0.34, 0.999);
-}
-
-// Log-odds weight of one worker under the symmetric 3-choice error
-// model: correct with probability p, each wrong option with (1-p)/2.
-double LogOddsWeight(double accuracy) {
-  const double p = ClampAccuracy(accuracy);
-  return std::log(p / ((1.0 - p) / 2.0));
-}
-
 }  // namespace
+
+Result<Ordering> TrueRelation(const Table& truth,
+                              const Expression& expression) {
+  const Level lhs = truth.At(expression.lhs.object, expression.lhs.attribute);
+  if (IsMissingLevel(lhs)) {
+    return Status::FailedPrecondition(
+        "ground-truth table is missing the asked cell");
+  }
+  Level rhs = expression.rhs_const;
+  if (expression.rhs_is_var) {
+    rhs = truth.At(expression.rhs_var.object, expression.rhs_var.attribute);
+    if (IsMissingLevel(rhs)) {
+      return Status::FailedPrecondition(
+          "ground-truth table is missing the asked cell");
+    }
+  }
+  if (lhs < rhs) return Ordering::kLess;
+  if (lhs > rhs) return Ordering::kGreater;
+  return Ordering::kEqual;
+}
+
+Ordering NoisyVote(Ordering truth, double accuracy, Rng& rng) {
+  if (rng.NextBool(accuracy)) return truth;
+  // The k-th wrong answer in kLess < kEqual < kGreater order.
+  const int k = static_cast<int>(rng.NextBelow(2));
+  return static_cast<Ordering>(k < static_cast<int>(truth) ? k : k + 1);
+}
 
 Ordering MajorityVote(const std::vector<Ordering>& votes) {
   int counts[kNumChoices] = {0, 0, 0};
@@ -30,6 +46,11 @@ Ordering MajorityVote(const std::vector<Ordering>& votes) {
     if (counts[o] > counts[best]) best = o;
   }
   return static_cast<Ordering>(best);
+}
+
+double LogOddsWeight(double accuracy) {
+  const double p = std::clamp(accuracy, 0.34, 0.999);
+  return std::log(p / ((1.0 - p) / 2.0));
 }
 
 Result<Ordering> WeightedVote(const std::vector<Ordering>& votes,
@@ -47,52 +68,6 @@ Result<Ordering> WeightedVote(const std::vector<Ordering>& votes,
     if (scores[o] > scores[best]) best = o;
   }
   return static_cast<Ordering>(best);
-}
-
-Result<std::vector<double>> EstimateAccuraciesByConsensus(
-    const std::vector<std::vector<Vote>>& task_votes,
-    std::size_t num_workers, int iterations) {
-  if (num_workers == 0) return Status::InvalidArgument("no workers");
-  if (iterations < 1) return Status::InvalidArgument("iterations < 1");
-  for (const auto& votes : task_votes) {
-    for (const Vote& vote : votes) {
-      if (vote.worker >= num_workers) {
-        return Status::OutOfRange("vote from unknown worker");
-      }
-    }
-  }
-
-  std::vector<double> accuracies(num_workers, 0.7);  // Neutral start.
-  std::vector<Ordering> consensus(task_votes.size(), Ordering::kEqual);
-  for (int iter = 0; iter < iterations; ++iter) {
-    // E-step: consensus via weighted voting.
-    for (std::size_t t = 0; t < task_votes.size(); ++t) {
-      if (task_votes[t].empty()) continue;
-      std::vector<Ordering> votes;
-      std::vector<double> weights;
-      votes.reserve(task_votes[t].size());
-      weights.reserve(task_votes[t].size());
-      for (const Vote& vote : task_votes[t]) {
-        votes.push_back(vote.answer);
-        weights.push_back(accuracies[vote.worker]);
-      }
-      BAYESCROWD_ASSIGN_OR_RETURN(consensus[t],
-                                  WeightedVote(votes, weights));
-    }
-    // M-step: accuracy = smoothed agreement with the consensus.
-    std::vector<double> agree(num_workers, 0.0);
-    std::vector<double> total(num_workers, 0.0);
-    for (std::size_t t = 0; t < task_votes.size(); ++t) {
-      for (const Vote& vote : task_votes[t]) {
-        agree[vote.worker] += vote.answer == consensus[t] ? 1.0 : 0.0;
-        total[vote.worker] += 1.0;
-      }
-    }
-    for (std::size_t w = 0; w < num_workers; ++w) {
-      accuracies[w] = (agree[w] + 1.0) / (total[w] + 2.0);
-    }
-  }
-  return accuracies;
 }
 
 double FleissKappa(const std::vector<std::vector<Ordering>>& task_votes) {
@@ -167,100 +142,78 @@ std::size_t JointQualityModel::gold_tasks() const {
   return n;
 }
 
+std::vector<double> JointQualityModel::SmoothedAgreement(
+    const std::vector<std::int8_t>& reference, double unseen) const {
+  std::vector<double> agree(accuracies_.size(), 0.0);
+  std::vector<double> total(accuracies_.size(), 0.0);
+  for (std::size_t t = 0; t < task_votes_.size(); ++t) {
+    if (reference[t] < 0) continue;
+    for (const Vote& v : task_votes_[t]) {
+      agree[v.worker] +=
+          static_cast<std::int8_t>(v.answer) == reference[t] ? 1.0 : 0.0;
+      total[v.worker] += 1.0;
+    }
+  }
+  std::vector<double> out(accuracies_.size(), unseen);
+  for (std::size_t w = 0; w < out.size(); ++w) {
+    if (total[w] > 0.0) out[w] = (agree[w] + 1.0) / (total[w] + 2.0);
+  }
+  return out;
+}
+
 std::size_t JointQualityModel::Refresh() {
   if (accuracies_.empty() || task_votes_.empty()) return 0;
+  constexpr int kEmIterations = 10;
 
   // Dawid-Skene EM, with gold tasks pinned at their known truth. The
   // pins are what keeps a coordinated colluder bloc (perfect mutual
   // agreement) from capturing the consensus: on gold tasks the bloc
   // *must* score as wrong, which drags its weights down everywhere.
-  std::vector<double> accuracies(accuracies_.size(), 0.7);
-
-  // Seed the starting weights from gold agreement alone. Pinning the
-  // gold tasks is not enough by itself: with flat initial weights a
-  // large-enough bloc wins every *unlabeled* task's first E-step, and
-  // 52 captured tasks outvote 8 pinned ones in the M-step. Scoring the
-  // audits first means the bloc enters the first E-step already
-  // discounted.
-  {
-    std::vector<double> agree(accuracies.size(), 0.0);
-    std::vector<double> total(accuracies.size(), 0.0);
+  //
+  // The starting weights are gold agreement alone (the 0.7 prior for a
+  // worker with no gold vote). Pinning the gold tasks is not enough by
+  // itself: with flat initial weights a large-enough bloc wins every
+  // *unlabeled* task's first E-step, and 52 captured tasks outvote 8
+  // pinned ones in the M-step. Scoring the audits first means the bloc
+  // enters the first E-step already discounted.
+  std::vector<double> accuracies = SmoothedAgreement(gold_, 0.7);
+  std::vector<std::int8_t> consensus = gold_;
+  std::vector<Ordering> answers;
+  std::vector<double> weights;
+  for (int iter = 0; iter < kEmIterations; ++iter) {
+    // E-step: weighted vote on every unlabeled task (never empty, so
+    // the vote cannot fail).
     for (std::size_t t = 0; t < task_votes_.size(); ++t) {
-      if (gold_[t] < 0) continue;
-      const auto truth = static_cast<Ordering>(gold_[t]);
-      for (const Vote& v : task_votes_[t]) {
-        agree[v.worker] += v.answer == truth ? 1.0 : 0.0;
-        total[v.worker] += 1.0;
-      }
-    }
-    for (std::size_t w = 0; w < accuracies.size(); ++w) {
-      if (total[w] > 0.0) {
-        accuracies[w] = (agree[w] + 1.0) / (total[w] + 2.0);
-      }
-    }
-  }
-
-  std::vector<Ordering> consensus(task_votes_.size(), Ordering::kEqual);
-  for (int iter = 0; iter < options_.inference_iterations; ++iter) {
-    for (std::size_t t = 0; t < task_votes_.size(); ++t) {
-      if (task_votes_[t].empty()) continue;
-      if (gold_[t] >= 0) {
-        consensus[t] = static_cast<Ordering>(gold_[t]);
-        continue;
-      }
-      std::vector<Ordering> answers;
-      std::vector<double> weights;
-      answers.reserve(task_votes_[t].size());
-      weights.reserve(task_votes_[t].size());
+      if (gold_[t] >= 0 || task_votes_[t].empty()) continue;
+      answers.clear();
+      weights.clear();
       for (const Vote& v : task_votes_[t]) {
         answers.push_back(v.answer);
         weights.push_back(accuracies[v.worker]);
       }
-      const auto voted = WeightedVote(answers, weights);
-      if (voted.ok()) consensus[t] = voted.value();
+      consensus[t] =
+          static_cast<std::int8_t>(WeightedVote(answers, weights).value());
     }
-    std::vector<double> agree(accuracies.size(), 0.0);
-    std::vector<double> total(accuracies.size(), 0.0);
-    for (std::size_t t = 0; t < task_votes_.size(); ++t) {
-      for (const Vote& v : task_votes_[t]) {
-        agree[v.worker] += v.answer == consensus[t] ? 1.0 : 0.0;
-        total[v.worker] += 1.0;
-      }
-    }
-    for (std::size_t w = 0; w < accuracies.size(); ++w) {
-      accuracies[w] = (agree[w] + 1.0) / (total[w] + 2.0);
-    }
+    // M-step: accuracy = smoothed agreement with the consensus (0.5 for
+    // a worker with no vote at all).
+    accuracies = SmoothedAgreement(consensus, 0.5);
   }
+  // Approval rate is smoothed agreement with the final consensus, which
+  // is exactly what the last M-step computed: a worker voting against
+  // every settled answer drifts toward zero.
+  approval_ = accuracies;
   accuracies_ = std::move(accuracies);
-
-  // Approval rate: smoothed agreement with the final consensus — a
-  // worker voting against every settled answer drifts toward zero even
-  // if the EM accuracy stays noncommittal.
-  std::vector<double> agree(accuracies_.size(), 0.0);
-  std::vector<double> total(accuracies_.size(), 0.0);
-  for (std::size_t t = 0; t < task_votes_.size(); ++t) {
-    for (const Vote& v : task_votes_[t]) {
-      agree[v.worker] += v.answer == consensus[t] ? 1.0 : 0.0;
-      total[v.worker] += 1.0;
-    }
-  }
-  for (std::size_t w = 0; w < accuracies_.size(); ++w) {
-    approval_[w] = (agree[w] + 1.0) / (total[w] + 2.0);
-  }
 
   // Defense gates, latched: once quarantined, always quarantined.
   std::size_t newly_flagged = 0;
   for (std::size_t w = 0; w < accuracies_.size(); ++w) {
     if (quarantined_[w] != 0) continue;
-    if (vote_counts_[w] <
-        static_cast<double>(options_.min_observations)) {
-      continue;
-    }
+    if (vote_counts_[w] < static_cast<double>(kMinObservations)) continue;
     const double mean_work = work_sum_[w] / vote_counts_[w];
-    const bool flag = approval_[w] < options_.min_approval_rate ||
-                      mean_work < options_.min_work_seconds ||
-                      mean_work > options_.max_work_seconds ||
-                      accuracies_[w] < options_.min_accuracy;
+    const bool flag = approval_[w] < kMinApprovalRate ||
+                      mean_work < kMinWorkSeconds ||
+                      mean_work > kMaxWorkSeconds ||
+                      accuracies_[w] < kMinAccuracy;
     if (flag) {
       quarantined_[w] = 1;
       newly_flagged += 1;

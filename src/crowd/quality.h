@@ -1,11 +1,11 @@
-// Worker-quality modeling and answer aggregation.
+// The crowd's error model and answer aggregation.
 //
-// The paper aggregates with plain 3-worker majority voting and notes
-// that real marketplaces support recruiting workers above an accuracy
-// bar. This module provides the quality toolkit such a deployment
-// needs: accuracy-weighted voting, an unsupervised consensus
-// (Dawid-Skene-style EM) estimator, and the joint quality model the
-// marketplace's spam defense runs on.
+// The paper's crowd answers triple-choice tasks; each worker is right
+// with probability p and otherwise picks one of the two wrong answers
+// at random, and three votes are decided by majority. Every simulated
+// platform draws its votes through NoisyVote and reads the truth
+// through TrueRelation. The marketplace adds accuracy-weighted voting
+// and the joint Dawid-Skene quality model its spam defense runs on.
 
 #ifndef BAYESCROWD_CROWD_QUALITY_H_
 #define BAYESCROWD_CROWD_QUALITY_H_
@@ -14,37 +14,40 @@
 #include <vector>
 
 #include "common/binio.h"
+#include "common/random.h"
 #include "common/result.h"
 #include "crowd/task.h"
+#include "ctable/expression.h"
 #include "ctable/knowledge.h"
+#include "data/table.h"
 
 namespace bayescrowd {
+
+/// The relation of `expression`'s left operand to its right operand in
+/// the complete table `truth`. FailedPrecondition when an asked cell is
+/// missing.
+Result<Ordering> TrueRelation(const Table& truth,
+                              const Expression& expression);
+
+/// One worker's vote under the symmetric 3-choice error model: `truth`
+/// with probability `accuracy`, else one of the two wrong answers
+/// uniformly. Draws NextBool(accuracy), then NextBelow(2) only when
+/// the worker errs.
+Ordering NoisyVote(Ordering truth, double accuracy, Rng& rng);
 
 /// Plain majority over triple-choice votes; ties broken toward the
 /// first-listed tied option (deterministic).
 Ordering MajorityVote(const std::vector<Ordering>& votes);
 
-/// Accuracy-weighted vote: each worker contributes the log-odds of their
-/// accuracy under the symmetric 3-choice error model (wrong answers
-/// uniform over the other two options). Accuracies are clamped to
-/// [0.34, 0.999]; weights and votes must align.
+/// Log-odds weight of one worker under the same error model: correct
+/// with probability p, each wrong option with (1-p)/2. Accuracies are
+/// clamped to [0.34, 0.999].
+double LogOddsWeight(double accuracy);
+
+/// Accuracy-weighted vote: each worker contributes LogOddsWeight of
+/// their accuracy; weights and votes must align.
 Result<Ordering> WeightedVote(const std::vector<Ordering>& votes,
                               const std::vector<double>& accuracies);
-
-/// One worker's vote on one task.
-struct Vote {
-  std::size_t worker = 0;
-  Ordering answer = Ordering::kEqual;
-};
-
-/// Unsupervised accuracy estimation from redundant votes (simplified
-/// Dawid-Skene): iterate between (i) consensus answers via
-/// accuracy-weighted voting and (ii) per-worker accuracy as smoothed
-/// agreement with the consensus. `task_votes[t]` holds the votes on task
-/// t. Returns per-worker accuracies (workers indexed 0..num_workers-1).
-Result<std::vector<double>> EstimateAccuraciesByConsensus(
-    const std::vector<std::vector<Vote>>& task_votes,
-    std::size_t num_workers, int iterations = 10);
 
 /// Fleiss' kappa over one round's vote sets (generalized to unequal
 /// vote counts per task; tasks with fewer than two votes are skipped).
@@ -55,31 +58,19 @@ Result<std::vector<double>> EstimateAccuraciesByConsensus(
 /// drags agreement toward chance even when each task still "resolves".
 double FleissKappa(const std::vector<std::vector<Ordering>>& task_votes);
 
-/// Gates and thresholds for the marketplace spam defense. The
-/// approval-rate and work-time filters mirror the qualification
-/// predicates real marketplaces attach to HITs (lifetime approval rate,
-/// implausibly fast submit times); the accuracy floor comes from the
-/// joint Dawid-Skene estimate.
-struct WorkerDefenseOptions {
-  /// Minimum smoothed agreement-with-consensus before a worker with
-  /// enough observations is flagged.
-  double min_approval_rate = 0.5;
-
-  /// Mean per-task work time outside [min, max] seconds flags the
-  /// worker (too fast = click-through spam, too slow = abandoned HITs).
-  double min_work_seconds = 5.0;
-  double max_work_seconds = 3600.0;
-
-  /// Estimated accuracy below this flags the worker.
-  double min_accuracy = 0.45;
-
-  /// Votes a worker must have contributed before any gate may flag
-  /// them — new arrivals are never quarantined on a first impression.
-  std::size_t min_observations = 8;
-
-  /// EM iterations per Refresh().
-  int inference_iterations = 10;
-};
+/// Gates of the marketplace spam defense. The approval-rate and
+/// work-time filters mirror the qualification predicates real
+/// marketplaces attach to HITs (lifetime approval rate, implausibly
+/// fast submit times); the accuracy floor comes from the joint
+/// Dawid-Skene estimate. A worker needs kMinObservations votes before
+/// any gate may flag them, so new arrivals are never quarantined on a
+/// first impression; mean work time outside [kMinWorkSeconds,
+/// kMaxWorkSeconds] flags click-through spam and abandoned HITs.
+inline constexpr double kMinApprovalRate = 0.5;
+inline constexpr double kMinWorkSeconds = 5.0;
+inline constexpr double kMaxWorkSeconds = 3600.0;
+inline constexpr double kMinAccuracy = 0.45;
+inline constexpr std::size_t kMinObservations = 8;
 
 /// Joint worker-quality inference over *all* accumulated votes (not
 /// just gold tasks): each Refresh() re-runs the Dawid-Skene consensus
@@ -91,11 +82,6 @@ struct WorkerDefenseOptions {
 /// keep their learned reputations.
 class JointQualityModel {
  public:
-  explicit JointQualityModel(WorkerDefenseOptions options = {})
-      : options_(options) {}
-
-  const WorkerDefenseOptions& options() const { return options_; }
-
   /// Grows the worker table to cover ids [0, n). Shrinking is a no-op.
   void EnsureWorkers(std::size_t n);
   std::size_t num_workers() const { return accuracies_.size(); }
@@ -143,7 +129,16 @@ class JointQualityModel {
   Status Load(BinReader* reader);
 
  private:
-  WorkerDefenseOptions options_;
+  struct Vote {
+    std::size_t worker = 0;
+    Ordering answer = Ordering::kEqual;
+  };
+
+  /// Per worker, (agree + 1) / (total + 2) over the votes on tasks whose
+  /// `reference` answer is set (>= 0); `unseen` for a worker with none.
+  std::vector<double> SmoothedAgreement(
+      const std::vector<std::int8_t>& reference, double unseen) const;
+
   std::vector<std::vector<Vote>> task_votes_;
   // Parallel to task_votes_: -1 = unlabeled, else the known true
   // Ordering that pins the task's consensus during EM.

@@ -1,6 +1,6 @@
 // Checkpoint format and store tests: envelope integrity, payload
 // round-trips, generation management, corruption fallback, the memo
-// blob, and the committed v7 golden fixture (format-drift contract).
+// blob, and the committed v8 golden fixture (format-drift contract).
 
 #include "core/checkpoint.h"
 
@@ -88,7 +88,7 @@ std::string GoldenMemoBlob() {
 /// A deterministic, richly-populated state: every field class exercised
 /// (decided + CNF conditions, round logs with recovery data, metrics of
 /// all three kinds, binary blobs, session-layer stamps). Also the
-/// generator of the committed golden fixture — see GoldenV7FixtureTest.
+/// generator of the committed golden fixture — see GoldenV8FixtureTest.
 SessionState MakeGoldenState() {
   SessionState state;
   state.budget_left = 12.5;
@@ -558,13 +558,13 @@ TEST(CheckpointStoreTest, TornTmpWritePromotedByRenameFallsBack) {
 }
 
 // ------------------------------------------------------------------- //
-// Golden fixture. golden_v7.ckpt matches today's writer byte-for-byte,
+// Golden fixture. golden_v8.ckpt matches today's writer byte-for-byte,
 // envelope and memo blob included; regenerate with:
 //   BC_REGEN_GOLDEN=1 ./checkpoint_test
 // ------------------------------------------------------------------- //
 
-TEST(GoldenV7FixtureTest, CommittedFixtureMatchesHeadBytes) {
-  const std::string path = std::string(BC_TESTDATA_DIR) + "/golden_v7.ckpt";
+TEST(GoldenV8FixtureTest, CommittedFixtureMatchesHeadBytes) {
+  const std::string path = std::string(BC_TESTDATA_DIR) + "/golden_v8.ckpt";
   const SessionState expected = MakeGoldenState();
   if (std::getenv("BC_REGEN_GOLDEN") != nullptr) {
     WriteFileBytes(path, WrapCheckpoint(SerializeState(expected)));
@@ -749,8 +749,8 @@ TEST(CheckpointEnvelopeTest, RefusesEveryOtherVersion) {
   // The CRC covers only the payload, so the version byte may be edited
   // in place: only kCheckpointVersion itself unwraps.
   std::string wrapped = WrapCheckpoint("payload");
-  ASSERT_EQ(kCheckpointVersion, 7u);
-  for (const std::uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 8u}) {
+  ASSERT_EQ(kCheckpointVersion, 8u);
+  for (const std::uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 9u}) {
     wrapped[4] = static_cast<char>(version);
     const auto refused = UnwrapCheckpoint(wrapped);
     ASSERT_FALSE(refused.ok()) << "version " << version;

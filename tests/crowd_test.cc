@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "crowd/platform.h"
+#include "crowd/quality.h"
 #include "crowd/task.h"
 #include "data/generators.h"
 
@@ -39,21 +40,18 @@ TEST(TaskTest, ConflictsOnSharedVariable) {
 
 TEST(PlatformTest, TrueRelations) {
   const Table gt = MakeSampleMovieGroundTruth();
-  SimulatedCrowdPlatform platform(gt, {});
   // Var(o5,a3) = 3 in the ground truth.
-  EXPECT_EQ(platform
-                .TrueRelation(Expression::VarConst(V(4, 2), CmpOp::kLess, 4))
-                .value(),
-            Ordering::kLess);
-  EXPECT_EQ(platform
-                .TrueRelation(
-                    Expression::VarConst(V(4, 2), CmpOp::kGreater, 3))
-                .value(),
-            Ordering::kEqual);
+  EXPECT_EQ(
+      TrueRelation(gt, Expression::VarConst(V(4, 2), CmpOp::kLess, 4))
+          .value(),
+      Ordering::kLess);
+  EXPECT_EQ(
+      TrueRelation(gt, Expression::VarConst(V(4, 2), CmpOp::kGreater, 3))
+          .value(),
+      Ordering::kEqual);
   // Var(o5,a2)=3 vs Var(o2,a2)=4.
-  EXPECT_EQ(platform
-                .TrueRelation(
-                    Expression::VarVar(V(4, 1), CmpOp::kGreater, V(1, 1)))
+  EXPECT_EQ(TrueRelation(gt, Expression::VarVar(V(4, 1), CmpOp::kGreater,
+                                                V(1, 1)))
                 .value(),
             Ordering::kLess);
 }

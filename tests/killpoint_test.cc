@@ -43,11 +43,7 @@ Table KillDataset() {
 
 Table KillTruth() { return MakeNbaLike(120, kWorkerSeed); }
 
-FaultOptions KillFaults() {
-  FaultOptions faults = FaultOptions::Profile(0.15, 77);
-  faults.answer_noise = 0.1;  // Noisy virtual workers too.
-  return faults;
-}
+FaultOptions KillFaults() { return FaultOptions::Profile(0.15, 77); }
 
 BayesCrowdOptions KillOptions(std::size_t threads,
                               obs::MetricsRegistry* metrics) {

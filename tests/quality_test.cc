@@ -52,10 +52,9 @@ TEST(VotingTest, WeightedVoteValidatesInput) {
 }
 
 TEST(VotingTest, MajorityTieBreakIsPinned) {
-  // Contract regression: both MajorityVote and the simulated platform's
-  // in-house tally break ties toward the lowest Ordering value
-  // (kLess < kEqual < kGreater), NOT toward the last vote seen. The two
-  // implementations drifted apart once; this pins them together.
+  // Contract regression: MajorityVote (which every simulated platform
+  // aggregates with) breaks ties toward the lowest Ordering value
+  // (kLess < kEqual < kGreater), NOT toward the last vote seen.
   EXPECT_EQ(MajorityVote({Ordering::kGreater, Ordering::kEqual}),
             Ordering::kEqual);
   EXPECT_EQ(MajorityVote({Ordering::kGreater, Ordering::kLess}),
@@ -66,6 +65,33 @@ TEST(VotingTest, MajorityTieBreakIsPinned) {
   // Vote order must not matter.
   EXPECT_EQ(MajorityVote({Ordering::kLess, Ordering::kGreater}),
             MajorityVote({Ordering::kGreater, Ordering::kLess}));
+}
+
+TEST(VotingTest, NoisyVoteDrawsAccuracyCoinThenWrongAnswer) {
+  // Pins the draws every simulated crowd's stream depends on:
+  // NextBool(accuracy), then, only for a wrong vote, NextBelow(2) over
+  // the two wrong answers in kLess < kEqual < kGreater order.
+  constexpr Ordering kAll[] = {Ordering::kLess, Ordering::kEqual,
+                               Ordering::kGreater};
+  for (const Ordering truth : kAll) {
+    Rng rng(9);
+    Rng mirror(9);
+    int wrong_votes = 0;
+    for (int i = 0; i < 200; ++i) {
+      Ordering expected = truth;
+      if (!mirror.NextBool(0.6)) {
+        std::vector<Ordering> wrong;
+        for (const Ordering o : kAll) {
+          if (o != truth) wrong.push_back(o);
+        }
+        expected = wrong[mirror.NextBelow(2)];
+        wrong_votes += 1;
+      }
+      EXPECT_EQ(NoisyVote(truth, 0.6, rng), expected);
+    }
+    EXPECT_GT(wrong_votes, 0);
+    EXPECT_EQ(rng.NextUint64(), mirror.NextUint64());  // Same position.
+  }
 }
 
 TEST(VotingTest, WeightedVoteClampEdges) {
@@ -99,34 +125,28 @@ TEST(VotingTest, WeightedVoteClampEdges) {
 
 TEST(ConsensusTest, SeparatesGoodFromBadWorkers) {
   // 3 workers: two accurate (0.95), one adversarially noisy (0.4), over
-  // 200 simulated tasks.
+  // 200 simulated tasks, with no gold task to anchor the EM.
   Rng rng(515);
   const double true_acc[3] = {0.95, 0.95, 0.4};
-  std::vector<std::vector<Vote>> tasks(200);
-  for (auto& votes : tasks) {
+  JointQualityModel model;
+  for (int t = 0; t < 200; ++t) {
     const auto truth = static_cast<Ordering>(rng.NextBelow(3));
-    for (std::size_t w = 0; w < 3; ++w) {
+    std::vector<VoteRecord> votes;
+    for (std::uint32_t w = 0; w < 3; ++w) {
       Ordering answer = truth;
       if (!rng.NextBool(true_acc[w])) {
         answer = static_cast<Ordering>(
             (static_cast<int>(truth) + 1 + rng.NextBelow(2)) % 3);
       }
-      votes.push_back({w, answer});
+      votes.push_back({w, answer, 30.0});
     }
+    model.AddTask(votes);
   }
-  const auto est = EstimateAccuraciesByConsensus(tasks, 3);
-  ASSERT_TRUE(est.ok());
-  EXPECT_GT(est.value()[0], 0.85);
-  EXPECT_GT(est.value()[1], 0.85);
-  EXPECT_LT(est.value()[2], 0.6);
-}
-
-TEST(ConsensusTest, ValidatesInput) {
-  EXPECT_FALSE(EstimateAccuraciesByConsensus({}, 0).ok());
-  EXPECT_FALSE(EstimateAccuraciesByConsensus({{{5, Ordering::kLess}}}, 2)
-                   .ok());
-  EXPECT_FALSE(
-      EstimateAccuraciesByConsensus({{{0, Ordering::kLess}}}, 1, 0).ok());
+  model.Refresh();
+  EXPECT_EQ(model.gold_tasks(), 0u);
+  EXPECT_GT(model.Accuracy(0), 0.85);
+  EXPECT_GT(model.Accuracy(1), 0.85);
+  EXPECT_LT(model.Accuracy(2), 0.6);
 }
 
 // ------------------------------------------------------------------ //
@@ -201,8 +221,7 @@ TEST(JointQualityTest, WorkTimeGateQuarantinesAndLatches) {
   EXPECT_EQ(model.Refresh(), 1u);  // The click-through spammer.
   EXPECT_TRUE(model.Quarantined(4));
   EXPECT_FALSE(model.Quarantined(0));
-  EXPECT_LT(model.MeanWorkSeconds(4),
-            model.options().min_work_seconds);
+  EXPECT_LT(model.MeanWorkSeconds(4), kMinWorkSeconds);
 
   // Quarantine latches: even if the worker reforms (slow, correct
   // votes from now on), the flag stays for the session.
@@ -216,11 +235,10 @@ TEST(JointQualityTest, WorkTimeGateQuarantinesAndLatches) {
 }
 
 TEST(JointQualityTest, NewArrivalsNeverFlaggedOnFirstImpression) {
-  // Fewer than min_observations votes: no gate may fire, however bad
+  // Fewer than kMinObservations votes: no gate may fire, however bad
   // the early signal looks.
   JointQualityModel model;
-  for (std::size_t t = 0; t + 1 < model.options().min_observations;
-       ++t) {
+  for (std::size_t t = 0; t + 1 < kMinObservations; ++t) {
     model.AddTask({{0, Ordering::kLess, 30.0},
                    {1, Ordering::kLess, 30.0},
                    {2, Ordering::kGreater, 0.1}});

@@ -126,7 +126,6 @@ constexpr KeyDef kRunKeys[] = {
     // Fault injection and the recovery policy that absorbs it.
     {"fault_rate", KeyKind::kNumber, 0, 1},
     {"fault_seed", KeyKind::kInt, 0, kUnbounded},
-    {"answer_noise", KeyKind::kNumber, 0, 1},
     {"max_retries", KeyKind::kInt, 0, 1000},
     {"round_deadline", KeyKind::kNumber, 0, kUnbounded},
     // Pause/resume and crash safety.
@@ -434,15 +433,11 @@ int CmdRun(const Flags& flags) {
   std::unique_ptr<FaultInjectingPlatform> faulter;
   CrowdPlatform* effective = platform.get();
   const double fault_rate = flags.Value("fault_rate", 0.0);
-  const double answer_noise = flags.Value("answer_noise", 0.0);
   const auto fault_seed =
       flags.Value<std::uint64_t>("fault_seed", 13);
-  if (fault_rate > 0.0 || answer_noise > 0.0) {
-    FaultOptions fault_options =
-        FaultOptions::Profile(fault_rate, fault_seed);
-    fault_options.answer_noise = answer_noise;
-    faulter = std::make_unique<FaultInjectingPlatform>(*effective,
-                                                       fault_options);
+  if (fault_rate > 0.0) {
+    faulter = std::make_unique<FaultInjectingPlatform>(
+        *effective, FaultOptions::Profile(fault_rate, fault_seed));
     faulter->BindMetrics(&run_metrics);
     effective = faulter.get();
   }
@@ -488,7 +483,6 @@ int CmdRun(const Flags& flags) {
     platform_config["interactive"] = interactive;
     platform_config["fault_rate"] = fault_rate;
     platform_config["fault_seed"] = fault_seed;
-    platform_config["answer_noise"] = answer_noise;
     const std::uint64_t fingerprint =
         ConfigFingerprint(options, dataset_bytes, platform_config.Dump());
 
@@ -644,19 +638,6 @@ int CmdRun(const Flags& flags) {
         static_cast<unsigned long long>(faults.timeouts),
         static_cast<unsigned long long>(faults.abstained_tasks),
         static_cast<unsigned long long>(faults.partial_batches));
-    if (answer_noise > 0.0) {
-      std::printf(
-          "answer noise: %llu vote(s) flipped, %llu aggregate "
-          "answer(s) changed\n",
-          static_cast<unsigned long long>(faults.flipped_votes),
-          static_cast<unsigned long long>(faults.noisy_answers_changed));
-      auto accuracies = faulter->EstimateVirtualWorkerAccuracies();
-      if (accuracies.ok()) {
-        std::printf("estimated virtual-worker accuracies:");
-        for (const double a : accuracies.value()) std::printf(" %.3f", a);
-        std::printf("\n");
-      }
-    }
   }
   if (market != nullptr) {
     const MarketplaceStats& ms = market->stats();

@@ -66,7 +66,7 @@ echo "== tier-1: crash-safety smoke run (kill, corrupt, resume) =="
 # report itself in the telemetry ("resumed": true, recovery.* metrics).
 "$CLI" run --data "$SMOKE/holes.csv" --truth "$SMOKE/complete.csv" \
   --strategy hhs --budget 20 --latency 4 --threads 4 --alpha -1 \
-  --fault-rate 0.2 --answer-noise 0.1 --log-level warning \
+  --fault-rate 0.2 --accuracy 0.9 --log-level warning \
   --checkpoint-dir "$SMOKE/ckpt" > /dev/null
 ls "$SMOKE"/ckpt/ckpt-*.bin > /dev/null   # Snapshots exist.
 test -s "$SMOKE/ckpt/answers.log"         # Durable answer log exists.
@@ -74,7 +74,7 @@ NEWEST="$(ls "$SMOKE"/ckpt/ckpt-*.bin | tail -1)"
 truncate -s 20 "$NEWEST"                  # Corrupt the newest snapshot.
 "$CLI" run --data "$SMOKE/holes.csv" --truth "$SMOKE/complete.csv" \
   --strategy hhs --budget 20 --latency 4 --threads 4 --alpha -1 \
-  --fault-rate 0.2 --answer-noise 0.1 --log-level warning \
+  --fault-rate 0.2 --accuracy 0.9 --log-level warning \
   --checkpoint-dir "$SMOKE/ckpt" --resume \
   --telemetry-out "$SMOKE/telemetry_resume.json" > "$SMOKE/report_resume.txt"
 grep -q 'resuming from round' "$SMOKE/report_resume.txt"
