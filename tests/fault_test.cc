@@ -9,9 +9,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bayesnet/imputation.h"
+#include "common/binio.h"
 #include "common/random.h"
 #include "core/framework.h"
 #include "core/telemetry.h"
@@ -150,6 +152,90 @@ TEST(FaultInjectionTest, FaultedRunBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(one.stats.transient_failures, eight.stats.transient_failures);
   EXPECT_EQ(one.stats.abstained_tasks, eight.stats.abstained_tasks);
   EXPECT_EQ(one.stats.dropped_tail_tasks, eight.stats.dropped_tail_tasks);
+}
+
+// ------------------------------------------------------------------ //
+// The 'F' state chunk
+// ------------------------------------------------------------------ //
+
+std::vector<Task> CellBatch(std::size_t objects) {
+  std::vector<Task> batch(objects);
+  for (std::size_t i = 0; i < objects; ++i) {
+    batch[i].expression = Expression::VarConst({i, 0}, CmpOp::kLess, 5);
+  }
+  return batch;
+}
+
+TEST(FaultInjectionTest, StateChunkRoundTripResumesIdentically) {
+  // Noisy inner workers, so the inner platform's stream shows in the
+  // answers too.
+  const Table truth = MakeNbaLike(120, /*seed=*/5);
+  SimulatedPlatformOptions crowd;
+  crowd.worker_accuracy = 0.7;
+  crowd.seed = 3;
+  const FaultOptions faults = FaultOptions::Profile(0.3, 17);
+  const std::vector<Task> batch = CellBatch(12);
+
+  SimulatedCrowdPlatform sim(truth, crowd);
+  FaultInjectingPlatform original(sim, faults);
+  // Post until the schedule has bitten, so the chunk carries fault
+  // totals and a moved RNG rather than a fresh decorator's zeros.
+  std::size_t faulted = 0;
+  for (int attempt = 0; attempt < 20 && faulted < 3; ++attempt) {
+    const auto answers = original.PostBatch(batch);
+    bool bitten = !answers.ok();
+    if (answers.ok()) {
+      for (const TaskAnswer& answer : *answers) bitten |= !answer.answered;
+    }
+    faulted += bitten ? 1 : 0;
+  }
+  ASSERT_EQ(faulted, 3u);
+
+  std::string state;
+  original.SaveState(&state);
+  ASSERT_EQ(state.front(), 'F');  // The chunk tag LoadState re-reads.
+
+  // A fresh decorator over a fresh inner platform, restored from the
+  // chunk, carries the same totals and continues on both streams.
+  SimulatedCrowdPlatform fresh_sim(truth, crowd);
+  FaultInjectingPlatform restored(fresh_sim, faults);
+  BinReader reader(state);
+  ASSERT_TRUE(restored.LoadState(&reader).ok());
+  EXPECT_TRUE(reader.AtEnd());
+  EXPECT_EQ(restored.stats().batches_attempted,
+            original.stats().batches_attempted);
+  EXPECT_EQ(restored.stats().batches_delivered,
+            original.stats().batches_delivered);
+  EXPECT_EQ(restored.total_tasks(), original.total_tasks());
+  EXPECT_EQ(restored.total_rounds(), original.total_rounds());
+
+  std::string resaved;
+  restored.SaveState(&resaved);
+  EXPECT_EQ(resaved, state);
+
+  for (int attempt = 0; attempt < 8; ++attempt) {
+    const auto next_original = original.PostBatch(batch);
+    const auto next_restored = restored.PostBatch(batch);
+    ASSERT_EQ(next_original.ok(), next_restored.ok()) << attempt;
+    if (!next_original.ok()) continue;
+    ASSERT_EQ(next_original->size(), next_restored->size());
+    for (std::size_t t = 0; t < next_original->size(); ++t) {
+      EXPECT_EQ(next_original->at(t).answered,
+                next_restored->at(t).answered);
+      EXPECT_EQ(next_original->at(t).relation,
+                next_restored->at(t).relation);
+    }
+  }
+
+  // Truncated chunks fail cleanly, whether the cut lands in this
+  // layer's chunk or in the inner platform's.
+  for (const std::size_t cut : {std::size_t{1}, state.size() / 2,
+                                state.size() - 1}) {
+    SimulatedCrowdPlatform corrupt_sim(truth, crowd);
+    FaultInjectingPlatform corrupt(corrupt_sim, faults);
+    BinReader bad(std::string_view(state).substr(0, cut));
+    EXPECT_FALSE(corrupt.LoadState(&bad).ok()) << "cut at " << cut;
+  }
 }
 
 // ------------------------------------------------------------------ //
