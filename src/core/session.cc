@@ -113,7 +113,7 @@ Result<RecoveredSession> RecoverSession(const std::string& checkpoint_dir,
       out.state.config_fingerprint != expected_fingerprint) {
     return Status::FailedPrecondition(
         "resume: checkpoint was written under a different configuration "
-        "(options, dataset, or platform seeds changed)");
+        "(options, dataset, posterior model or platform setup changed)");
   }
 
   out.replay_tail.entries.assign(

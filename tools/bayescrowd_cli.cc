@@ -468,23 +468,31 @@ int CmdRun(const Flags& flags) {
   std::unique_ptr<RecoveredSession> recovered;
   if (!checkpoint_dir.empty()) {
     // The fingerprint binds a checkpoint to the query it belongs to:
-    // behavior-relevant options, dataset bytes, and the platform setup
-    // (the spec's crowd keys plus the fault profile). Resuming under
-    // any other configuration is refused rather than silently
+    // behavior-relevant options, dataset bytes, the posterior model (its
+    // structure, or the loaded model file's bytes) and the platform
+    // setup (the spec's crowd keys plus the fault profile). Resuming
+    // under any other configuration is refused rather than silently
     // diverging.
-    std::string dataset_bytes;
-    {
-      std::ifstream in(flags.Get("data"), std::ios::binary);
+    const auto file_bytes = [](const std::string& path) {
+      std::ifstream in(path, std::ios::binary);
       std::ostringstream buffer;
       buffer << in.rdbuf();
-      dataset_bytes = buffer.str();
-    }
+      return buffer.str();
+    };
     JsonValue platform_config = CrowdToJson(spec);
     platform_config["interactive"] = interactive;
     platform_config["fault_rate"] = fault_rate;
     platform_config["fault_seed"] = fault_seed;
-    const std::uint64_t fingerprint =
-        ConfigFingerprint(options, dataset_bytes, platform_config.Dump());
+    if (flags.Has("load_model")) {
+      platform_config["model"] = StrFormat(
+          "%016llx", static_cast<unsigned long long>(
+                         HashBytes(file_bytes(flags.Get("load_model")))));
+    } else {
+      platform_config["structure"] =
+          PosteriorStructureToString(spec.structure);
+    }
+    const std::uint64_t fingerprint = ConfigFingerprint(
+        options, file_bytes(flags.Get("data")), platform_config.Dump());
 
     CheckpointStore::Options store_options;
     store_options.dir = checkpoint_dir;

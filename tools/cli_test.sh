@@ -6,8 +6,9 @@
 # 7), and the seed flag actually steers the output. Also checks the
 # fault-flag validation the run command grew with the retry layer, the
 # solver-governor flag validation, the marketplace flag validation
-# (--marketplace / --spam-rate / --adaptive-votes / --no-defense), and
-# that the retired knowledge-compilation flags are unknown flags.
+# (--marketplace / --spam-rate / --adaptive-votes / --no-defense), that
+# the retired knowledge-compilation flags are unknown flags, and that a
+# resume under another posterior model is refused.
 #
 # Every command reads its flags through a key table, so a flag the
 # command does not take (a typo included) exits 2 with one line.
@@ -268,6 +269,23 @@ for flag in flight-out metrics-prom metrics-stream; do
   [ "${lines}" -eq 1 ] \
     || fail "--${flag} rejection must print exactly one line, got ${lines}"
 done
+
+# ------------------------------------------------------------------ #
+# run: a checkpoint is bound to its posterior model. Resuming under
+# another --structure is refused; the same flags still resume.
+# ------------------------------------------------------------------ #
+run_ckpt() {
+  run_base --alpha -1 --budget 12 --latency 3 \
+    --checkpoint-dir "${WORK}/model-ckpt" "$@" >/dev/null
+}
+run_ckpt --structure none
+rc=0; run_ckpt --resume 2>"${WORK}/resume_model.err" || rc=$?
+[ "${rc}" -eq 1 ] \
+  || fail "resuming a --structure none checkpoint under hillclimb must exit 1, got ${rc}"
+grep -q "different configuration" "${WORK}/resume_model.err" \
+  || fail "a resume under another --structure must name the configuration change"
+run_ckpt --structure none --resume \
+  || fail "resuming with the same --structure must still work"
 
 # ------------------------------------------------------------------ #
 # inspect: exit 0 when runs agree, 1 on a flagged regression, 2 on
