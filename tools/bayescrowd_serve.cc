@@ -452,7 +452,6 @@ int ServeMain(int argc, char** argv) {
   options.retry_after_ms =
       KeyValue(flags, "retry_after_ms", options.retry_after_ms);
   options.state_dir = KeyValue<std::string>(flags, "state_dir", "");
-  const auto metrics_prom = KeyValue<std::string>(flags, "metrics_prom", "");
   const auto flight_out = KeyValue<std::string>(flags, "flight_out", "");
   const bool recover = KeyValue(flags, "recover", false);
   if (flags.Find("qos") != nullptr &&
@@ -463,6 +462,17 @@ int ServeMain(int argc, char** argv) {
   if (recover && options.state_dir.empty()) {
     std::fprintf(stderr, "--recover requires --state-dir\n");
     return 2;
+  }
+  std::unique_ptr<obs::PrometheusFileExporter> prom_exporter;
+  if (flags.Find("metrics_prom") != nullptr) {
+    auto opened = obs::PrometheusFileExporter::Open(
+        KeyValue<std::string>(flags, "metrics_prom", ""));
+    if (!opened.ok()) {
+      std::fprintf(stderr, "--metrics-prom: %s\n",
+                   opened.status().message().c_str());
+      return 2;
+    }
+    prom_exporter = std::move(opened).value();
   }
 
   FaultPlan chaos_plan;
@@ -509,6 +519,7 @@ int ServeMain(int argc, char** argv) {
 
   std::string line;
   bool shutdown = false;
+  std::uint64_t requests = 0;
   while (!shutdown && std::getline(std::cin, line)) {
     if (line.empty()) continue;
     JsonValue response;
@@ -524,13 +535,12 @@ int ServeMain(int argc, char** argv) {
       shutdown = op != nullptr && op->AsString() == "shutdown";
     }
     std::cout << response.Dump() << "\n" << std::flush;
-    if (!metrics_prom.empty()) {
-      const std::string text =
-          obs::ToPrometheusText(manager.MetricsSnapshot());
-      std::FILE* file = std::fopen(metrics_prom.c_str(), "w");
-      if (file != nullptr) {
-        std::fwrite(text.data(), 1, text.size(), file);
-        std::fclose(file);
+    if (prom_exporter != nullptr) {
+      const Status written =
+          prom_exporter->OnRound(++requests, manager.MetricsSnapshot());
+      if (!written.ok()) {
+        std::fprintf(stderr, "metrics-prom: %s\n",
+                     written.ToString().c_str());
       }
     }
   }

@@ -17,7 +17,8 @@
 # fixtures (tests/testdata/serve_golden_*.jsonl) and its bad-input
 # behavior: a malformed request line, an unknown key or an out-of-range
 # value gets a one-line diagnostic naming the key and the connection
-# survives; bad flags exit 2 without starting the loop. `run` and serve
+# survives; bad flags (an unwritable --metrics-prom included) exit 2
+# without starting the loop. `run` and serve
 # `create` read one query spec: the same query through either gives the
 # same answer, and a create that leaves the budget out gets the CLI's
 # default of 50. The
@@ -455,6 +456,21 @@ rc=0; "${SERVE}" --threads abc </dev/null >/dev/null 2>&1 || rc=$?
 [ "${rc}" -eq 2 ] || fail "serve must exit 2 on a non-numeric --threads, got ${rc}"
 rc=0; "${SERVE}" --qos "heavy=bogus" </dev/null >/dev/null 2>&1 || rc=$?
 [ "${rc}" -eq 2 ] || fail "serve must exit 2 on a bad --qos spec, got ${rc}"
+
+# serve: --metrics-prom is opened at startup like run's, so an
+# unwritable path exits 2 before the loop; a writable one is rewritten
+# with the serve.* series after every request.
+rc=0
+"${SERVE}" --metrics-prom /nonexistent-dir/serve.prom </dev/null >/dev/null 2>&1 \
+  || rc=$?
+[ "${rc}" -eq 2 ] \
+  || fail "serve --metrics-prom to an unwritable path must exit 2, got ${rc}"
+printf '%s\n' \
+  '{"op":"create","id":"p1","tenant":"acme","dataset":{"kind":"indep","n":40,"d":3,"levels":4,"seed":7,"missing_rate":0.2,"missing_seed":5},"budget":6,"latency":3,"m":3,"structure":"none"}' \
+  '{"op":"advance","id":"p1","rounds":1}' \
+  | "${SERVE}" --metrics-prom "${WORK}/serve.prom" >/dev/null
+grep -q '^serve_rounds{' "${WORK}/serve.prom" \
+  || fail "serve --metrics-prom must write the serve.* series"
 
 # serve: --recover without a journal to recover from is a usage error.
 rc=0; "${SERVE}" --recover </dev/null >/dev/null 2>&1 || rc=$?
