@@ -7,7 +7,7 @@
 // churn). The flat arm is the paper's baseline: 3 votes per task, plain
 // majority, no worker model. The defended arm runs the full
 // marketplace defense — gold-anchored Dawid-Skene joint inference,
-// approval/work-time/accuracy gates with latched quarantine, Fleiss-
+// accuracy/work-time gates with latched quarantine, Fleiss-
 // kappa collapse detection with the wide-fanout/abstain ladder, and
 // confidence-driven extra votes (charged at 1/3 task cost each).
 //

@@ -5,8 +5,9 @@
 // through a ReplayingPlatform reconstructs the interrupted session
 // exactly, and the live platform is only charged for the remaining
 // tasks. This example simulates the three steps a real deployment would
-// take across process restarts (the CLI exposes the same flow as
-// `run --record F` / `run --replay-from F`).
+// take across process restarts (the CLI runs the same flow durably as
+// `run --checkpoint-dir D`, then `run --checkpoint-dir D --resume` after
+// a pause or a crash).
 //
 //   ./build/examples/resumable_session
 
@@ -59,18 +60,21 @@ int main() {
                 saved_log.entries.size());
   }
 
-  // In a real deployment the transcript would go to disk here:
-  //   SaveAnswerLog(saved_log, "answers.log");
-  const std::string serialized = SerializeAnswerLog(saved_log);
-  const auto restored = ParseAnswerLog(serialized);
-  BAYESCROWD_CHECK_OK(restored.status());
+  // On disk each entry is one record of the answer-log journal, which
+  // `run --checkpoint-dir` appends as answers are bought. Round-trip the
+  // transcript through that encoding.
+  AnswerLog restored;
+  for (const AnswerLogEntry& entry : saved_log.entries) {
+    BAYESCROWD_CHECK_OK(DecodeAnswerLogEntry(
+        EncodeAnswerLogEntry(entry), &restored.entries.emplace_back()));
+  }
 
   // --- Session 2: resume with the full budget. ----------------------- //
   std::size_t resumed_tasks = 0;
   std::vector<std::size_t> resumed_answer;
   {
     SimulatedCrowdPlatform live(complete, {});
-    ReplayingPlatform replay(restored.value(), &live);
+    ReplayingPlatform replay(restored, &live);
     BayesCrowd framework(options_for(90));
     const auto result = framework.Run(incomplete, posteriors, replay);
     BAYESCROWD_CHECK_OK(result.status());

@@ -3,58 +3,20 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/crc32.h"
+#include "common/journal.h"
 #include "common/string_util.h"
 
 namespace bayescrowd {
 namespace {
+
+constexpr JournalFormat kCheckpointFormat = {"BCKP", kCheckpointVersion,
+                                             "checkpoint"};
 
 // ------------------------------------------------------------------ //
 // Component serializers. Each Read* validates enum domains and element
 // counts; BinReader bounds-checks every access, so corrupt payloads
 // fail with a Status instead of undefined behavior.
 // ------------------------------------------------------------------ //
-
-void WriteExpression(BinWriter* w, const Expression& e) {
-  w->WriteU64(e.lhs.object);
-  w->WriteU64(e.lhs.attribute);
-  w->WriteU8(static_cast<std::uint8_t>(e.op));
-  w->WriteBool(e.rhs_is_var);
-  if (e.rhs_is_var) {
-    w->WriteU64(e.rhs_var.object);
-    w->WriteU64(e.rhs_var.attribute);
-  } else {
-    w->WriteI32(e.rhs_const);
-  }
-}
-
-Status ReadExpression(BinReader* r, Expression* e) {
-  std::uint64_t object = 0;
-  std::uint64_t attribute = 0;
-  BAYESCROWD_RETURN_NOT_OK(r->ReadU64(&object));
-  BAYESCROWD_RETURN_NOT_OK(r->ReadU64(&attribute));
-  e->lhs.object = static_cast<std::size_t>(object);
-  e->lhs.attribute = static_cast<std::size_t>(attribute);
-  std::uint8_t op = 0;
-  BAYESCROWD_RETURN_NOT_OK(r->ReadU8(&op));
-  if (op > static_cast<std::uint8_t>(CmpOp::kLess)) {
-    return Status::OutOfRange("checkpoint: bad comparison operator");
-  }
-  e->op = static_cast<CmpOp>(op);
-  BAYESCROWD_RETURN_NOT_OK(r->ReadBool(&e->rhs_is_var));
-  if (e->rhs_is_var) {
-    BAYESCROWD_RETURN_NOT_OK(r->ReadU64(&object));
-    BAYESCROWD_RETURN_NOT_OK(r->ReadU64(&attribute));
-    e->rhs_var.object = static_cast<std::size_t>(object);
-    e->rhs_var.attribute = static_cast<std::size_t>(attribute);
-  } else {
-    BAYESCROWD_RETURN_NOT_OK(r->ReadI32(&e->rhs_const));
-  }
-  return Status::OK();
-}
-
-// Minimum serialized expression: 2 u64 + op + flag + i32 = 22 bytes.
-constexpr std::size_t kMinExpressionBytes = 22;
 
 void WriteCondition(BinWriter* w, const Condition& c) {
   Truth state = Truth::kUnknown;
@@ -385,51 +347,20 @@ Status DeserializeSessionState(BinReader* reader, SessionState* out) {
   return Status::OK();
 }
 
-std::string WrapCheckpoint(const std::string& payload) {
-  std::string out;
-  out.reserve(payload.size() + 20);
-  out.append("BCKP", 4);
-  BinWriter w(&out);
-  w.WriteU32(kCheckpointVersion);
-  w.WriteU64(payload.size());
-  out.append(payload);
-  w.WriteU32(Crc32(payload));
-  return out;
+Result<std::string> WrapCheckpoint(const std::string& payload) {
+  std::string file = JournalHeader(kCheckpointFormat);
+  BAYESCROWD_RETURN_NOT_OK(EncodeJournalRecord(payload, &file));
+  return file;
 }
 
 Result<std::string> UnwrapCheckpoint(const std::string& file_bytes) {
-  constexpr std::size_t kHeaderBytes = 4 + 4 + 8;  // magic+version+size.
-  if (file_bytes.size() < kHeaderBytes + 4) {
-    return Status::IOError("checkpoint corrupt: file too short");
+  BAYESCROWD_ASSIGN_OR_RETURN(JournalLoad load,
+                              ParseJournal(file_bytes, kCheckpointFormat));
+  // Any damage falls back a generation: exactly one intact record.
+  if (load.torn || load.records.size() != 1) {
+    return Status::IOError("checkpoint corrupt: torn or truncated");
   }
-  if (file_bytes.compare(0, 4, "BCKP") != 0) {
-    return Status::IOError("checkpoint corrupt: bad magic");
-  }
-  BinReader r(std::string_view(file_bytes).substr(4));
-  std::uint32_t version = 0;
-  std::uint64_t payload_size = 0;
-  BAYESCROWD_RETURN_NOT_OK(r.ReadU32(&version));
-  BAYESCROWD_RETURN_NOT_OK(r.ReadU64(&payload_size));
-  if (version != kCheckpointVersion) {
-    return Status::InvalidArgument(StrFormat(
-        "checkpoint version %u is %s than this build supports (%u)",
-        static_cast<unsigned>(version),
-        version > kCheckpointVersion ? "newer" : "older",
-        static_cast<unsigned>(kCheckpointVersion)));
-  }
-  if (file_bytes.size() != kHeaderBytes + payload_size + 4) {
-    return Status::IOError("checkpoint corrupt: truncated payload");
-  }
-  const std::string payload =
-      file_bytes.substr(kHeaderBytes, static_cast<std::size_t>(payload_size));
-  std::uint32_t stored_crc = 0;
-  BinReader tail(
-      std::string_view(file_bytes).substr(kHeaderBytes + payload_size));
-  BAYESCROWD_RETURN_NOT_OK(tail.ReadU32(&stored_crc));
-  if (Crc32(payload) != stored_crc) {
-    return Status::IOError("checkpoint corrupt: CRC mismatch");
-  }
-  return payload;
+  return std::move(load.records.front());
 }
 
 CheckpointStore::CheckpointStore(Options options)
@@ -453,37 +384,18 @@ std::vector<std::string> CheckpointStore::ListGenerations() const {
 }
 
 Status CheckpointStore::Write(const SessionState& state) {
-  BAYESCROWD_RETURN_NOT_OK(options_.io->CreateDirs(options_.dir));
   std::string payload;
   SerializeSessionState(state, &payload);
-  const std::string file = WrapCheckpoint(payload);
-
+  BAYESCROWD_ASSIGN_OR_RETURN(const std::string file,
+                              WrapCheckpoint(payload));
   const std::string name =
       options_.session_id.empty()
           ? StrFormat("ckpt-%08zu.bin", state.rounds)
           : StrFormat("ckpt-%s-%08zu.bin", options_.session_id.c_str(),
                       state.rounds);
-  const std::string final_path = options_.dir + "/" + name;
-  const std::string tmp_path = final_path + ".tmp";
-
-  const Status wrote = options_.io->WriteFileDurable(tmp_path, file);
-  if (!wrote.ok()) {
-    // An ENOSPC/short write may have left a torn tmp file; drop it so
-    // the directory holds only trusted generations (the loader skips
-    // tmp names anyway). The write error — with its path context — is
-    // what the caller sees.
-    (void)options_.io->RemoveFile(tmp_path);
-    return wrote;
-  }
-  if (options_.pre_rename_hook) {
-    BAYESCROWD_RETURN_NOT_OK(options_.pre_rename_hook(tmp_path));
-  }
-  const Status renamed = options_.io->Rename(tmp_path, final_path);
-  if (!renamed.ok()) {
-    (void)options_.io->RemoveFile(tmp_path);
-    return renamed;
-  }
-  BAYESCROWD_RETURN_NOT_OK(options_.io->SyncDir(options_.dir));
+  BAYESCROWD_RETURN_NOT_OK(WriteFileAtomic(options_.io,
+                                           options_.dir + "/" + name, file,
+                                           options_.pre_rename_hook));
 
   // Prune beyond `keep`, oldest first. A failed unlink is not fatal —
   // extra generations only cost disk.

@@ -14,20 +14,16 @@
 //
 // File format (one generation per file, `ckpt-NNNNNNNN.bin` — or
 // `ckpt-<session_id>-NNNNNNNN.bin` for a namespaced store hosting one
-// of several resident sessions — numbered by round count):
-//
-//   "BCKP"  magic, 4 bytes
-//   u32     format version (little-endian); currently 8 (kCheckpointVersion)
-//   u64     payload size in bytes
-//   payload SerializeSessionState bytes
-//   u32     CRC-32 (IEEE 802.3) of the payload
+// of several resident sessions — numbered by round count): a one-record
+// journal (common/journal.h) with magic "BCKP" and version
+// kCheckpointVersion, whose record is the SerializeSessionState payload.
 //
 // Writes are atomic: tmp file + fsync + rename + directory fsync. A
 // kill mid-write leaves either the previous generation set intact or a
 // tmp file the loader never looks at. Recovery walks generations newest
-// first and falls back past any snapshot that is truncated, fails the
-// CRC, carries an unknown version, or references more answer-log
-// entries than survived on disk.
+// first and falls back past any snapshot that is torn, fails the CRC,
+// holds other than exactly one record, carries another version, or
+// references more answer-log entries than survived on disk.
 
 #ifndef BAYESCROWD_CORE_CHECKPOINT_H_
 #define BAYESCROWD_CORE_CHECKPOINT_H_
@@ -48,10 +44,10 @@ namespace bayescrowd {
 
 /// Checkpoint format version written by this build, and the only one
 /// it reads: any other version fails with a clear "older"/"newer"
-/// error instead of a misparse. Versions 1–7 were earlier layouts;
-/// change the payload, the memo blob or a platform chunk only by
-/// bumping this.
-inline constexpr std::uint32_t kCheckpointVersion = 8;
+/// error instead of a misparse. Versions 1–8 were earlier layouts;
+/// change the envelope, the payload, the memo blob or a platform chunk
+/// only by bumping this.
+inline constexpr std::uint32_t kCheckpointVersion = 9;
 
 /// Everything Run() snapshots at a round boundary. Field order here is
 /// the serialization order; extend only by bumping kCheckpointVersion.
@@ -109,10 +105,11 @@ struct SessionState {
 void SerializeSessionState(const SessionState& state, std::string* out);
 Status DeserializeSessionState(BinReader* reader, SessionState* out);
 
-/// Wraps a payload in the checksummed envelope / validates and strips
-/// it. Unwrap fails with IOError on magic/CRC/truncation damage and
+/// Wraps a payload in the one-record journal / validates and strips
+/// it. Wrap refuses a payload too long for the record's u32 length.
+/// Unwrap fails with IOError on magic/CRC/truncation damage and
 /// InvalidArgument on any version other than kCheckpointVersion.
-std::string WrapCheckpoint(const std::string& payload);
+Result<std::string> WrapCheckpoint(const std::string& payload);
 Result<std::string> UnwrapCheckpoint(const std::string& file_bytes);
 
 /// Where Run() hands finished round boundaries. Implementations

@@ -5,6 +5,18 @@
 #include "common/string_util.h"
 
 namespace bayescrowd {
+namespace {
+
+CheckpointStore::Options StoreOptions(const std::string& dir,
+                                      std::size_t keep, FileIo* io) {
+  CheckpointStore::Options options;
+  options.dir = dir;
+  options.keep = keep;
+  options.io = io;
+  return options;
+}
+
+}  // namespace
 
 std::uint64_t HashBytes(std::string_view bytes, std::uint64_t seed) {
   std::uint64_t hash = seed;
@@ -60,38 +72,32 @@ std::uint64_t ConfigFingerprint(const BayesCrowdOptions& options,
   return hash == 0 ? 1 : hash;
 }
 
-Status SessionCheckpointSink::Write(const SessionState& state) {
-  SessionState stamped = state;
-  stamped.answer_log_offset =
-      base_log_offset_ +
-      (recorder_ != nullptr ? recorder_->log().entries.size() : 0);
-  stamped.config_fingerprint = config_fingerprint_;
-  return store_->Write(stamped);
-}
-
 Result<RecoveredSession> RecoverSession(const std::string& checkpoint_dir,
                                         const std::string& answer_log_path,
                                         std::uint64_t expected_fingerprint,
-                                        const std::string& session_id) {
+                                        FileIo* io) {
   RecoveredSession out;
 
-  // The durable log bounds which snapshots are usable. A missing file
-  // reads as an empty log; a torn final line (killed mid-append) is
-  // dropped and the file rewritten so later appends start clean.
-  AnswerLog log;
-  Result<AnswerLog> loaded =
-      LoadAnswerLogTolerant(answer_log_path, &out.dropped_torn_tail);
-  if (loaded.ok()) {
-    log = std::move(loaded).value();
-  } else if (!loaded.status().IsIOError()) {
-    return loaded.status();  // Malformed beyond the torn tail: corrupt.
-  }
+  // The durable log bounds which snapshots are usable. A torn tail
+  // (killed mid-append) is dropped, and the file atomically rewritten
+  // without it so later appends start clean.
+  BAYESCROWD_ASSIGN_OR_RETURN(
+      AnswerLog log,
+      LoadAnswerLog(answer_log_path, &out.dropped_torn_tail, io));
   if (out.dropped_torn_tail) {
-    BAYESCROWD_RETURN_NOT_OK(SaveAnswerLog(log, answer_log_path));
+    std::vector<std::string> payloads;
+    payloads.reserve(log.entries.size());
+    for (const AnswerLogEntry& entry : log.entries) {
+      payloads.push_back(EncodeAnswerLogEntry(entry));
+    }
+    BAYESCROWD_RETURN_NOT_OK(
+        JournalWriter(io, answer_log_path, kAnswerLogFormat)
+            .Rewrite(payloads));
   }
   out.durable_entries = log.entries.size();
 
-  CheckpointStore store({.dir = checkpoint_dir, .session_id = session_id});
+  const CheckpointStore store(
+      StoreOptions(checkpoint_dir, /*keep=*/1, io));  // Loads never prune.
   Result<SessionState> latest =
       store.LoadLatest(out.durable_entries, &out.fallbacks);
   if (!latest.ok()) {
@@ -121,6 +127,81 @@ Result<RecoveredSession> RecoverSession(const std::string& checkpoint_dir,
           static_cast<std::ptrdiff_t>(out.state.answer_log_offset),
       log.entries.end());
   return out;
+}
+
+DurableSession::DurableSession(const Options& options)
+    : options_(options),
+      store_(StoreOptions(options.dir, options.keep, nullptr)),
+      journal_(nullptr, options.dir + "/answers.log", kAnswerLogFormat) {}
+
+Result<std::unique_ptr<DurableSession>> DurableSession::Open(
+    const Options& options, CrowdPlatform& live, BayesCrowdOptions* run) {
+  BAYESCROWD_RETURN_NOT_OK(RealFileIo()->CreateDirs(options.dir));
+  std::unique_ptr<DurableSession> session(new DurableSession(options));
+  const std::string& log_path = session->journal_.path();
+  CrowdPlatform* below_recorder = &live;
+  std::size_t already_durable = 0;
+  if (options.resume) {
+    BAYESCROWD_ASSIGN_OR_RETURN(
+        RecoveredSession recovered,
+        RecoverSession(options.dir, log_path, options.fingerprint));
+    session->recovered_ =
+        std::make_unique<RecoveredSession>(std::move(recovered));
+    const RecoveredSession& r = *session->recovered_;
+    session->base_log_offset_ = r.state.answer_log_offset;
+    // The recorder re-records the replayed tail, which the log holds.
+    already_durable = r.durable_entries - r.state.answer_log_offset;
+    session->replayer_ =
+        std::make_unique<ReplayingPlatform>(r.replay_tail, &live);
+    session->replayer_->SetBaseTotals(r.state.platform_tasks,
+                                      r.state.platform_rounds);
+    below_recorder = session->replayer_.get();
+    // A from-scratch recovery (killed before the first checkpoint) has
+    // no state to restore; the full-log replay rebuilds it.
+    if (!r.from_scratch) run->resume = &r.state;
+    if (run->metrics != nullptr) {
+      obs::MetricsRegistry& metrics = *run->metrics;
+      metrics.GetCounter("recovery.resumed")->Increment();
+      metrics.GetCounter("recovery.fallback")->Increment(r.fallbacks);
+      metrics.GetCounter("recovery.replayed_entries")
+          ->Increment(r.replay_tail.entries.size());
+      if (r.dropped_torn_tail) {
+        metrics.GetCounter("recovery.dropped_torn_tail")->Increment();
+      }
+    }
+  } else {
+    // A fresh run owns an empty directory: truncating another session's
+    // log would orphan its generations, and pruning could then delete
+    // this run's own snapshots in their favour.
+    bool torn = false;
+    BAYESCROWD_ASSIGN_OR_RETURN(const AnswerLog existing,
+                                LoadAnswerLog(log_path, &torn));
+    if (!existing.entries.empty() ||
+        !session->store_.ListGenerations().empty()) {
+      return Status::FailedPrecondition(StrFormat(
+          "checkpoint dir %s already holds a session: continue it with "
+          "--resume or start in an empty directory",
+          options.dir.c_str()));
+    }
+    BAYESCROWD_RETURN_NOT_OK(session->journal_.Rewrite({}));
+  }
+  session->recorder_ = std::make_unique<RecordingPlatform>(
+      *below_recorder, &session->journal_, already_durable);
+  run->checkpoint_sink = session.get();
+  run->checkpoint_every = options.checkpoint_every;
+  return session;
+}
+
+Status DurableSession::Write(const SessionState& state) {
+  // Every entry the recorder holds is durable by the time a round
+  // boundary is reached (it appends per batch).
+  SessionState stamped = state;
+  stamped.answer_log_offset =
+      base_log_offset_ + recorder_->log().entries.size();
+  stamped.config_fingerprint = options_.fingerprint;
+  CheckpointSink* sink =
+      options_.sink != nullptr ? options_.sink : &store_;
+  return sink->Write(stamped);
 }
 
 }  // namespace bayescrowd

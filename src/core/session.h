@@ -6,14 +6,17 @@
 // reload a SessionState; this layer knows *which* state is safe to
 // resume from. A snapshot is only usable when the durable answer log
 // still holds every entry the snapshot references — recovery loads the
-// log tolerantly (a torn final line is dropped and the log rewritten),
-// walks checkpoint generations newest first, and replays the log tail
-// past the chosen snapshot to rebuild the rounds that ran after it.
+// log (a torn tail is dropped and the log atomically rewritten without
+// it), walks checkpoint generations newest first, and replays the log
+// tail past the chosen snapshot to rebuild the rounds that ran after
+// it. DurableSession is the one entry point that wires a checkpointed
+// run; the CLI and the kill-point tests both go through it.
 
 #ifndef BAYESCROWD_CORE_SESSION_H_
 #define BAYESCROWD_CORE_SESSION_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -36,33 +39,6 @@ std::uint64_t ConfigFingerprint(const BayesCrowdOptions& options,
                                 std::string_view dataset_bytes,
                                 std::string_view platform_config);
 
-/// The CheckpointSink Run() writes to: stamps each snapshot with the
-/// session-layer fields (answer-log offset, config fingerprint) before
-/// handing it to the store. The recorder is where the durable-entry
-/// count comes from: every entry it has recorded this process is
-/// durable by the time a round boundary is reached (the file sink
-/// flushes per batch), and `base_log_offset` adds the entries a
-/// previous process already persisted (0 for a fresh session).
-class SessionCheckpointSink : public CheckpointSink {
- public:
-  SessionCheckpointSink(CheckpointSink* store,
-                        const RecordingPlatform* recorder,
-                        std::size_t base_log_offset,
-                        std::uint64_t config_fingerprint)
-      : store_(store),
-        recorder_(recorder),
-        base_log_offset_(base_log_offset),
-        config_fingerprint_(config_fingerprint) {}
-
-  Status Write(const SessionState& state) override;
-
- private:
-  CheckpointSink* store_;               // Non-owning.
-  const RecordingPlatform* recorder_;   // Non-owning; may be null.
-  std::size_t base_log_offset_;
-  std::uint64_t config_fingerprint_;
-};
-
 /// What RecoverSession hands back: the snapshot to resume from plus the
 /// answer-log tail to replay on top of it.
 struct RecoveredSession {
@@ -80,8 +56,8 @@ struct RecoveredSession {
   /// log before one loaded ("recovery.fallback").
   std::size_t fallbacks = 0;
 
-  /// True when the log ended in a torn line (killed mid-append); the
-  /// line was dropped and the log rewritten without it.
+  /// True when the log ended in a torn record (killed mid-append); the
+  /// tail was dropped and the log atomically rewritten without it.
   bool dropped_torn_tail = false;
 
   /// True when no usable snapshot existed but the answer log did (a
@@ -94,18 +70,75 @@ struct RecoveredSession {
 
 /// Recovers the newest usable session from `checkpoint_dir` +
 /// `answer_log_path`. A missing answer log reads as empty (only
-/// offset-0 snapshots are then usable). When no snapshot is usable but
-/// durable answers exist, degrades to a from-scratch recovery (see
+/// offset-0 snapshots are then usable); a foreign or other-version log
+/// is refused and left as it is. When no snapshot is usable but durable
+/// answers exist, degrades to a from-scratch recovery (see
 /// RecoveredSession::from_scratch). NotFound when nothing durable
 /// exists at all; FailedPrecondition when the best snapshot was written
 /// under a different configuration than `expected_fingerprint` (pass 0
-/// to skip the check). `session_id` selects a namespaced generation
-/// set within the directory (see CheckpointStore::Options::session_id);
-/// empty reads the legacy single-session layout.
+/// to skip the check). All IO flows through `io` (null = the real
+/// filesystem); a failed repair leaves the log as it was.
 Result<RecoveredSession> RecoverSession(const std::string& checkpoint_dir,
                                         const std::string& answer_log_path,
                                         std::uint64_t expected_fingerprint,
-                                        const std::string& session_id = "");
+                                        FileIo* io = nullptr);
+
+/// A checkpointed run's durable state in one directory: the checkpoint
+/// generations plus `answers.log`, the answer-log journal. Open() is the
+/// one way to start or resume such a run. It recovers the newest usable
+/// session (resume) or checks that the directory holds none (fresh),
+/// stacks the replay of the durable log tail and a recorder that
+/// appends every bought answer on top of the caller's live platform, and
+/// points the run's options at a sink that stamps each snapshot with its
+/// answer-log offset and config fingerprint.
+class DurableSession : private CheckpointSink {
+ public:
+  struct Options {
+    std::string dir;
+    bool resume = false;
+    /// ConfigFingerprint of the run; a resume refuses a checkpoint
+    /// written under another one.
+    std::uint64_t fingerprint = 0;
+    std::size_t keep = 3;  // Generations retained (CheckpointStore).
+    std::size_t checkpoint_every = 1;
+    /// Where stamped snapshots go; null = this session's own
+    /// CheckpointStore on `dir`. Tests pass a store wrapper that kills
+    /// the run at a chosen boundary.
+    CheckpointSink* sink = nullptr;
+  };
+
+  /// Opens the session over `live` and sets `run`'s resume state,
+  /// checkpoint sink and cadence; recovery.* counters go to
+  /// `run->metrics`. A fresh open refuses a directory that already
+  /// holds a generation or an answer and changes nothing in it. `live`,
+  /// `run` and the session must outlive the run.
+  static Result<std::unique_ptr<DurableSession>> Open(
+      const Options& options, CrowdPlatform& live, BayesCrowdOptions* run);
+
+  // The run and the recorder hold pointers into the session.
+  DurableSession(const DurableSession&) = delete;
+  DurableSession& operator=(const DurableSession&) = delete;
+
+  /// The top of the platform stack: pass it to BayesCrowd::Run.
+  CrowdPlatform& platform() { return *recorder_; }
+
+  /// What recovery found; null for a fresh session.
+  const RecoveredSession* recovered() const { return recovered_.get(); }
+
+ private:
+  explicit DurableSession(const Options& options);
+
+  /// Stamps and forwards one snapshot.
+  Status Write(const SessionState& state) override;
+
+  Options options_;
+  CheckpointStore store_;
+  JournalWriter journal_;
+  std::unique_ptr<RecoveredSession> recovered_;
+  std::unique_ptr<ReplayingPlatform> replayer_;
+  std::unique_ptr<RecordingPlatform> recorder_;
+  std::size_t base_log_offset_ = 0;
+};
 
 }  // namespace bayescrowd
 

@@ -26,6 +26,29 @@ bool ParseAnswer(std::string_view text, Ordering* out) {
 
 }  // namespace
 
+void InteractiveCrowdPlatform::SaveState(std::string* out) const {
+  BinWriter w(out);
+  w.WriteU8('I');
+  w.WriteU64(total_tasks_);
+  w.WriteU64(total_rounds_);
+}
+
+Status InteractiveCrowdPlatform::LoadState(BinReader* reader) {
+  std::uint8_t tag = 0;
+  BAYESCROWD_RETURN_NOT_OK(reader->ReadU8(&tag));
+  if (tag != 'I') {
+    return Status::InvalidArgument(
+        "platform state: expected interactive-platform chunk");
+  }
+  std::uint64_t tasks = 0;
+  std::uint64_t rounds = 0;
+  BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&tasks));
+  BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&rounds));
+  total_tasks_ = static_cast<std::size_t>(tasks);
+  total_rounds_ = static_cast<std::size_t>(rounds);
+  return Status::OK();
+}
+
 Result<std::vector<TaskAnswer>> InteractiveCrowdPlatform::PostBatch(
     const std::vector<Task>& tasks) {
   if (tasks.empty()) return Status::InvalidArgument("empty batch");

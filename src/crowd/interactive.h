@@ -31,6 +31,18 @@ class InteractiveCrowdPlatform : public CrowdPlatform {
   std::size_t total_tasks() const override { return total_tasks_; }
   std::size_t total_rounds() const override { return total_rounds_; }
 
+  /// The totals ride the checkpoint ('I' chunk) and count replayed
+  /// batches, so a resumed session keeps its round numbers. A replayed
+  /// batch is never re-prompted.
+  void SaveState(std::string* out) const override;
+  Status LoadState(BinReader* reader) override;
+  void SyncReplayed(const std::vector<Task>& tasks,
+                    bool delivered) override {
+    if (!delivered || tasks.empty()) return;
+    total_tasks_ += tasks.size();
+    ++total_rounds_;
+  }
+
  private:
   const Table& table_;
   std::istream& in_;

@@ -13,7 +13,7 @@
 // Defense (on by default) closes the loop with crowd/quality.h:
 //  - every vote feeds the JointQualityModel, which re-runs Dawid-Skene
 //    joint inference each round and latches quarantine for workers
-//    failing the approval-rate / work-time / accuracy gates (quarantined
+//    failing the accuracy / work-time gates (quarantined
 //    workers are never assigned again — mirroring the serve layer's
 //    poison-session registry);
 //  - aggregation is accuracy-weighted by the learned estimates instead

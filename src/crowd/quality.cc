@@ -110,7 +110,6 @@ void JointQualityModel::EnsureWorkers(std::size_t n) {
   if (n <= accuracies_.size()) return;
   work_sum_.resize(n, 0.0);
   vote_counts_.resize(n, 0.0);
-  approval_.resize(n, 0.5);
   accuracies_.resize(n, 0.7);
   quarantined_.resize(n, 0);
 }
@@ -198,10 +197,6 @@ std::size_t JointQualityModel::Refresh() {
     // a worker with no vote at all).
     accuracies = SmoothedAgreement(consensus, 0.5);
   }
-  // Approval rate is smoothed agreement with the final consensus, which
-  // is exactly what the last M-step computed: a worker voting against
-  // every settled answer drifts toward zero.
-  approval_ = accuracies;
   accuracies_ = std::move(accuracies);
 
   // Defense gates, latched: once quarantined, always quarantined.
@@ -210,10 +205,9 @@ std::size_t JointQualityModel::Refresh() {
     if (quarantined_[w] != 0) continue;
     if (vote_counts_[w] < static_cast<double>(kMinObservations)) continue;
     const double mean_work = work_sum_[w] / vote_counts_[w];
-    const bool flag = approval_[w] < kMinApprovalRate ||
+    const bool flag = accuracies_[w] < kMinAccuracy ||
                       mean_work < kMinWorkSeconds ||
-                      mean_work > kMaxWorkSeconds ||
-                      accuracies_[w] < kMinAccuracy;
+                      mean_work > kMaxWorkSeconds;
     if (flag) {
       quarantined_[w] = 1;
       newly_flagged += 1;
@@ -224,10 +218,6 @@ std::size_t JointQualityModel::Refresh() {
 
 double JointQualityModel::Accuracy(std::size_t worker) const {
   return worker < accuracies_.size() ? accuracies_[worker] : 0.7;
-}
-
-double JointQualityModel::ApprovalRate(std::size_t worker) const {
-  return worker < approval_.size() ? approval_[worker] : 0.5;
 }
 
 double JointQualityModel::MeanWorkSeconds(std::size_t worker) const {
@@ -258,7 +248,6 @@ void JointQualityModel::Save(BinWriter* writer) const {
   for (std::size_t w = 0; w < accuracies_.size(); ++w) {
     writer->WriteDouble(work_sum_[w]);
     writer->WriteDouble(vote_counts_[w]);
-    writer->WriteDouble(approval_[w]);
     writer->WriteDouble(accuracies_[w]);
     writer->WriteU8(quarantined_[w]);
   }
@@ -277,17 +266,15 @@ void JointQualityModel::Save(BinWriter* writer) const {
 Status JointQualityModel::Load(BinReader* reader) {
   std::uint64_t workers = 0;
   BAYESCROWD_RETURN_NOT_OK(
-      reader->ReadCount(&workers, /*min_elem_size=*/33));
+      reader->ReadCount(&workers, /*min_elem_size=*/25));
   const auto n = static_cast<std::size_t>(workers);
   work_sum_.assign(n, 0.0);
   vote_counts_.assign(n, 0.0);
-  approval_.assign(n, 0.5);
   accuracies_.assign(n, 0.7);
   quarantined_.assign(n, 0);
   for (std::size_t w = 0; w < n; ++w) {
     BAYESCROWD_RETURN_NOT_OK(reader->ReadDouble(&work_sum_[w]));
     BAYESCROWD_RETURN_NOT_OK(reader->ReadDouble(&vote_counts_[w]));
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadDouble(&approval_[w]));
     BAYESCROWD_RETURN_NOT_OK(reader->ReadDouble(&accuracies_[w]));
     std::uint8_t q = 0;
     BAYESCROWD_RETURN_NOT_OK(reader->ReadU8(&q));

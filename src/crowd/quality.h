@@ -58,23 +58,23 @@ Result<Ordering> WeightedVote(const std::vector<Ordering>& votes,
 /// drags agreement toward chance even when each task still "resolves".
 double FleissKappa(const std::vector<std::vector<Ordering>>& task_votes);
 
-/// Gates of the marketplace spam defense. The approval-rate and
-/// work-time filters mirror the qualification predicates real
-/// marketplaces attach to HITs (lifetime approval rate, implausibly
-/// fast submit times); the accuracy floor comes from the joint
-/// Dawid-Skene estimate. A worker needs kMinObservations votes before
-/// any gate may flag them, so new arrivals are never quarantined on a
-/// first impression; mean work time outside [kMinWorkSeconds,
-/// kMaxWorkSeconds] flags click-through spam and abandoned HITs.
-inline constexpr double kMinApprovalRate = 0.5;
+/// Gates of the marketplace spam defense. The work-time filter mirrors
+/// the qualification predicates real marketplaces attach to HITs
+/// (implausibly fast submit times); the accuracy floor is the joint
+/// Dawid-Skene estimate, a worker's smoothed agreement with the final
+/// consensus (the marketplace analogue of a lifetime approval rate). A
+/// worker needs kMinObservations votes before any gate may flag them,
+/// so new arrivals are never quarantined on a first impression; mean
+/// work time outside [kMinWorkSeconds, kMaxWorkSeconds] flags
+/// click-through spam and abandoned HITs.
+inline constexpr double kMinAccuracy = 0.5;
 inline constexpr double kMinWorkSeconds = 5.0;
 inline constexpr double kMaxWorkSeconds = 3600.0;
-inline constexpr double kMinAccuracy = 0.45;
 inline constexpr std::size_t kMinObservations = 8;
 
 /// Joint worker-quality inference over *all* accumulated votes (not
 /// just gold tasks): each Refresh() re-runs the Dawid-Skene consensus
-/// estimator, recomputes per-worker approval rates and mean work times,
+/// estimator, recomputes per-worker accuracies and mean work times,
 /// and latches quarantine flags for workers failing the defense gates.
 /// Quarantine is sticky — once flagged, a worker stays flagged for the
 /// session (mirroring the serve layer's poison-session registry) — and
@@ -110,9 +110,6 @@ class JointQualityModel {
   /// worker). Out-of-range ids return the prior.
   double Accuracy(std::size_t worker) const;
 
-  /// Latest smoothed agreement-with-consensus (prior 0.5 when unseen).
-  double ApprovalRate(std::size_t worker) const;
-
   /// Mean work time in seconds (0 when unseen).
   double MeanWorkSeconds(std::size_t worker) const;
 
@@ -145,7 +142,6 @@ class JointQualityModel {
   std::vector<std::int8_t> gold_;
   std::vector<double> work_sum_;
   std::vector<double> vote_counts_;
-  std::vector<double> approval_;
   std::vector<double> accuracies_;
   std::vector<std::uint8_t> quarantined_;
 };

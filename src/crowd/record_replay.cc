@@ -1,262 +1,107 @@
 #include "crowd/record_replay.h"
 
-#include <unistd.h>
-
-#include <cmath>
-#include <cstdio>
-#include <fstream>
-#include <memory>
-#include <sstream>
-#include <string_view>
-
+#include "common/binio.h"
 #include "common/string_util.h"
 
 namespace bayescrowd {
 namespace {
 
-char RelationChar(Ordering o) {
-  switch (o) {
-    case Ordering::kLess:
-      return 'l';
-    case Ordering::kEqual:
-      return 'e';
-    case Ordering::kGreater:
-      return 'g';
-  }
-  return '?';
-}
+// One encoded vote: u32 worker + u8 answer + f64 work seconds.
+constexpr std::size_t kVoteBytes = 13;
 
-bool ParseRelation(const std::string& text, Ordering* out) {
-  if (text == "l") {
-    *out = Ordering::kLess;
-  } else if (text == "e") {
-    *out = Ordering::kEqual;
-  } else if (text == "g") {
-    *out = Ordering::kGreater;
-  } else {
-    return false;
+Status ReadOrdering(BinReader* r, Ordering* out) {
+  std::uint8_t value = 0;
+  BAYESCROWD_RETURN_NOT_OK(r->ReadU8(&value));
+  if (value > static_cast<std::uint8_t>(Ordering::kGreater)) {
+    return Status::OutOfRange("answer log: bad relation");
   }
-  return true;
-}
-
-// One v3 vote token: `<worker>:<relation char>:<work_ms>`. Work times
-// are written as integer milliseconds so a parse → serialize round trip
-// is byte-identical (the marketplace quantizes to 1ms).
-bool ParseVoteToken(const std::string& token, VoteRecord* out) {
-  const std::size_t c1 = token.find(':');
-  if (c1 == std::string::npos) return false;
-  const std::size_t c2 = token.find(':', c1 + 1);
-  if (c2 == std::string::npos || c2 == token.size() - 1) return false;
-  Ordering relation = Ordering::kEqual;
-  if (!ParseRelation(token.substr(c1 + 1, c2 - c1 - 1), &relation)) {
-    return false;
-  }
-  const auto parse_digits = [](std::string_view text,
-                               std::uint64_t* value) {
-    if (text.empty() || text.size() > 18) return false;
-    *value = 0;
-    for (char c : text) {
-      if (c < '0' || c > '9') return false;
-      *value = *value * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    return true;
-  };
-  std::uint64_t worker = 0;
-  std::uint64_t ms = 0;
-  const std::string_view view(token);
-  if (!parse_digits(view.substr(0, c1), &worker) ||
-      worker > 0xFFFFFFFFull ||
-      !parse_digits(view.substr(c2 + 1), &ms)) {
-    return false;
-  }
-  out->worker = static_cast<std::uint32_t>(worker);
-  out->answer = relation;
-  out->work_seconds = static_cast<double>(ms) / 1000.0;
-  return true;
+  *out = static_cast<Ordering>(value);
+  return Status::OK();
 }
 
 }  // namespace
 
-std::string SerializeAnswerLogEntry(const AnswerLogEntry& entry) {
-  std::ostringstream out;
-  if (entry.kind == AnswerLogEntry::Kind::kFailure) {
-    out << "fail " << entry.round << "\n";
-    return out.str();
-  }
-  const Expression& e = entry.expression;
-  const char op = e.op == CmpOp::kGreater ? '>' : '<';
-  if (e.rhs_is_var) {
-    out << "vv " << e.lhs.object << " " << e.lhs.attribute << " " << op
-        << " " << e.rhs_var.object << " " << e.rhs_var.attribute;
-  } else {
-    out << "vc " << e.lhs.object << " " << e.lhs.attribute << " " << op
-        << " " << e.rhs_const;
-  }
-  const char relation = entry.kind == AnswerLogEntry::Kind::kAbstain
-                            ? 'a'
-                            : RelationChar(entry.relation);
-  out << " " << relation << " " << entry.round;
+std::string EncodeAnswerLogEntry(const AnswerLogEntry& entry) {
+  std::string out;
+  BinWriter w(&out);
+  w.WriteU8(static_cast<std::uint8_t>(entry.kind));
+  w.WriteU64(entry.round);
+  if (entry.kind == AnswerLogEntry::Kind::kFailure) return out;
+  WriteExpression(&w, entry.expression);
+  w.WriteU8(static_cast<std::uint8_t>(entry.relation));
+  w.WriteU32(static_cast<std::uint32_t>(entry.votes.size()));
   for (const VoteRecord& vote : entry.votes) {
-    out << " " << vote.worker << ":" << RelationChar(vote.answer) << ":"
-        << static_cast<std::uint64_t>(
-               std::llround(vote.work_seconds * 1000.0));
-  }
-  out << "\n";
-  return out.str();
-}
-
-std::string SerializeAnswerLog(const AnswerLog& log) {
-  std::string out = "# bayescrowd answer log v3\n";
-  for (const AnswerLogEntry& entry : log.entries) {
-    out += SerializeAnswerLogEntry(entry);
+    w.WriteU32(vote.worker);
+    w.WriteU8(static_cast<std::uint8_t>(vote.answer));
+    w.WriteDouble(vote.work_seconds);
   }
   return out;
 }
 
-Result<AnswerLog> ParseAnswerLog(const std::string& text) {
+Status DecodeAnswerLogEntry(std::string_view payload,
+                            AnswerLogEntry* entry) {
+  BinReader r(payload);
+  *entry = AnswerLogEntry();
+  std::uint8_t kind = 0;
+  std::uint64_t round = 0;
+  BAYESCROWD_RETURN_NOT_OK(r.ReadU8(&kind));
+  BAYESCROWD_RETURN_NOT_OK(r.ReadU64(&round));
+  if (kind > static_cast<std::uint8_t>(AnswerLogEntry::Kind::kFailure)) {
+    return Status::OutOfRange("answer log: bad entry kind");
+  }
+  entry->kind = static_cast<AnswerLogEntry::Kind>(kind);
+  entry->round = static_cast<std::size_t>(round);
+  if (entry->kind != AnswerLogEntry::Kind::kFailure) {
+    BAYESCROWD_RETURN_NOT_OK(ReadExpression(&r, &entry->expression));
+    BAYESCROWD_RETURN_NOT_OK(ReadOrdering(&r, &entry->relation));
+    std::uint32_t votes = 0;
+    BAYESCROWD_RETURN_NOT_OK(r.ReadU32(&votes));
+    if (votes > r.remaining() / kVoteBytes) {
+      return Status::OutOfRange("answer log: vote count exceeds payload");
+    }
+    entry->votes.resize(votes);
+    for (VoteRecord& vote : entry->votes) {
+      BAYESCROWD_RETURN_NOT_OK(r.ReadU32(&vote.worker));
+      BAYESCROWD_RETURN_NOT_OK(ReadOrdering(&r, &vote.answer));
+      BAYESCROWD_RETURN_NOT_OK(r.ReadDouble(&vote.work_seconds));
+    }
+  }
+  if (!r.AtEnd()) {
+    return Status::OutOfRange("answer log: trailing bytes in entry");
+  }
+  return Status::OK();
+}
+
+Result<AnswerLog> LoadAnswerLog(const std::string& path, bool* torn,
+                                FileIo* io) {
+  BAYESCROWD_ASSIGN_OR_RETURN(const JournalLoad journal,
+                              LoadJournal(io, path, kAnswerLogFormat));
+  *torn = journal.torn;
   AnswerLog log;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto trimmed = Trim(line);
-    if (trimmed.empty() || trimmed[0] == '#') continue;
-    std::istringstream fields{std::string(trimmed)};
-    std::string kind;
-    fields >> kind;
-    AnswerLogEntry entry;
-    std::string op;
-    std::string relation;
-    bool parsed = false;
-    if (kind == "fail") {
-      if (!(fields >> entry.round)) {
-        return Status::InvalidArgument("answer log: malformed line '" +
-                                       std::string(trimmed) + "'");
-      }
-      entry.kind = AnswerLogEntry::Kind::kFailure;
-      log.entries.push_back(entry);
-      continue;
+  log.entries.resize(journal.records.size());
+  for (std::size_t i = 0; i < journal.records.size(); ++i) {
+    const Status decoded =
+        DecodeAnswerLogEntry(journal.records[i], &log.entries[i]);
+    if (!decoded.ok()) {
+      return Status(decoded.code(),
+                    StrFormat("%s: entry %zu: %s", path.c_str(), i,
+                              decoded.message().c_str()));
     }
-    if (kind == "vc") {
-      Level constant = 0;
-      parsed = static_cast<bool>(
-          fields >> entry.expression.lhs.object >>
-          entry.expression.lhs.attribute >> op >> constant >> relation >>
-          entry.round);
-      entry.expression.rhs_is_var = false;
-      entry.expression.rhs_const = constant;
-    } else if (kind == "vv") {
-      parsed = static_cast<bool>(
-          fields >> entry.expression.lhs.object >>
-          entry.expression.lhs.attribute >> op >>
-          entry.expression.rhs_var.object >>
-          entry.expression.rhs_var.attribute >> relation >> entry.round);
-      entry.expression.rhs_is_var = true;
-    } else {
-      return Status::InvalidArgument("answer log: unknown entry '" +
-                                     std::string(trimmed) + "'");
-    }
-    if (!parsed || (op != "<" && op != ">")) {
-      return Status::InvalidArgument("answer log: malformed line '" +
-                                     std::string(trimmed) + "'");
-    }
-    if (relation == "a") {
-      entry.kind = AnswerLogEntry::Kind::kAbstain;
-    } else if (!ParseRelation(relation, &entry.relation)) {
-      return Status::InvalidArgument("answer log: malformed line '" +
-                                     std::string(trimmed) + "'");
-    }
-    entry.expression.op = op == ">" ? CmpOp::kGreater : CmpOp::kLess;
-    // v3 vote tokens, if any, trail the round.
-    std::string token;
-    while (fields >> token) {
-      VoteRecord vote;
-      if (!ParseVoteToken(token, &vote)) {
-        return Status::InvalidArgument("answer log: malformed vote '" +
-                                       token + "' in line '" +
-                                       std::string(trimmed) + "'");
-      }
-      entry.votes.push_back(vote);
-    }
-    log.entries.push_back(entry);
   }
   return log;
 }
 
-Status SaveAnswerLog(const AnswerLog& log, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  out << SerializeAnswerLog(log);
-  if (!out) return Status::IOError("write to " + path + " failed");
-  return Status::OK();
-}
-
-Result<AnswerLog> LoadAnswerLog(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseAnswerLog(buffer.str());
-}
-
-Result<AnswerLog> LoadAnswerLogTolerant(const std::string& path,
-                                        bool* dropped_torn_tail) {
-  *dropped_torn_tail = false;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  std::string text = buffer.str();
-
-  // A crash mid-append leaves a final line without its newline (or with
-  // garbage after the last complete line). Everything up to the last
-  // newline was durably flushed in whole-batch units.
-  if (!text.empty() && text.back() != '\n') {
-    const std::size_t last_newline = text.rfind('\n');
-    text.resize(last_newline == std::string::npos ? 0 : last_newline + 1);
-    *dropped_torn_tail = true;
-  }
-  Result<AnswerLog> parsed = ParseAnswerLog(text);
-  if (parsed.ok()) return parsed;
-
-  // A torn write can also leave a complete-looking but truncated final
-  // line. Retry once without it; corruption anywhere else stays fatal.
-  const std::size_t cut = text.find_last_of('\n', text.size() - 2);
-  std::string trimmed =
-      text.substr(0, cut == std::string::npos ? 0 : cut + 1);
-  Result<AnswerLog> retried = ParseAnswerLog(trimmed);
-  if (!retried.ok()) return parsed.status();
-  *dropped_torn_tail = true;
-  return retried;
-}
-
-Result<std::unique_ptr<FileAnswerLogSink>> FileAnswerLogSink::Open(
-    const std::string& path, std::size_t already_durable, bool truncate,
-    FileIo* io) {
-  if (io == nullptr) io = RealFileIo();
-  BAYESCROWD_ASSIGN_OR_RETURN(std::unique_ptr<AppendFile> file,
-                              io->OpenAppend(path, truncate));
-  BAYESCROWD_ASSIGN_OR_RETURN(const std::uint64_t size, file->Size());
-  if (size == 0) {
-    BAYESCROWD_RETURN_NOT_OK(file->Append("# bayescrowd answer log v3\n"));
-    BAYESCROWD_RETURN_NOT_OK(file->Sync());
-  }
-  return std::unique_ptr<FileAnswerLogSink>(
-      new FileAnswerLogSink(std::move(file), already_durable));
-}
-
-Status FileAnswerLogSink::Append(
-    const std::vector<AnswerLogEntry>& entries) {
-  std::string block;
-  for (const AnswerLogEntry& entry : entries) {
-    if (skip_remaining_ > 0) {
-      --skip_remaining_;
+Status RecordingPlatform::Persist(std::size_t first) {
+  if (journal_ == nullptr) return Status::OK();
+  std::vector<std::string> payloads;
+  for (std::size_t i = first; i < log_.entries.size(); ++i) {
+    if (skip_ > 0) {
+      --skip_;
       continue;
     }
-    block += SerializeAnswerLogEntry(entry);
+    payloads.push_back(EncodeAnswerLogEntry(log_.entries[i]));
   }
-  if (block.empty()) return Status::OK();
-  BAYESCROWD_RETURN_NOT_OK(file_->Append(block));
-  return file_->Sync();
+  return journal_->Append(payloads);
 }
 
 Result<std::vector<TaskAnswer>> RecordingPlatform::PostBatch(
@@ -271,15 +116,12 @@ Result<std::vector<TaskAnswer>> RecordingPlatform::PostBatch(
       entry.kind = AnswerLogEntry::Kind::kFailure;
       entry.round = inner_.total_rounds() + 1;  // The round being retried.
       log_.entries.push_back(entry);
-      if (sink_ != nullptr) {
-        BAYESCROWD_RETURN_NOT_OK(sink_->Append({entry}));
-      }
+      BAYESCROWD_RETURN_NOT_OK(Persist(log_.entries.size() - 1));
     }
     return posted.status();
   }
   const std::vector<TaskAnswer>& answers = posted.value();
-  std::vector<AnswerLogEntry> batch;
-  batch.reserve(tasks.size());
+  const std::size_t first = log_.entries.size();
   for (std::size_t t = 0; t < tasks.size(); ++t) {
     AnswerLogEntry entry;
     entry.kind = answers[t].answered ? AnswerLogEntry::Kind::kAnswer
@@ -288,12 +130,9 @@ Result<std::vector<TaskAnswer>> RecordingPlatform::PostBatch(
     entry.relation = answers[t].relation;
     entry.round = inner_.total_rounds();
     entry.votes = answers[t].votes;
-    log_.entries.push_back(entry);
-    batch.push_back(entry);
+    log_.entries.push_back(std::move(entry));
   }
-  if (sink_ != nullptr) {
-    BAYESCROWD_RETURN_NOT_OK(sink_->Append(batch));
-  }
+  BAYESCROWD_RETURN_NOT_OK(Persist(first));
   return posted;
 }
 

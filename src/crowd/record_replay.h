@@ -1,30 +1,35 @@
-// Recording and replaying crowd answers: pause/resume for crowd
-// queries.
+// Recording and replaying crowd answers: the answer log that makes a
+// crowd query resumable.
 //
 // BayesCrowd is deterministic given its options, so re-running a query
 // over a replay of the already-bought answers reconstructs the session
-// state exactly, after which a live platform takes over. This gives
-// resumable (even across-process) crowdsourcing without any framework
-// state serialization — particularly useful with the interactive
-// platform, where a human may walk away mid-query.
+// state exactly, after which a live platform takes over. The session
+// layer (core/session.h) builds checkpointed runs on these two
+// decorators; they also work on their own, in memory:
 //
-//   RecordingPlatform rec(live);            // First session.
+//   RecordingPlatform rec(live);                  // First session.
 //   framework.Run(data, posteriors, rec);
-//   SaveAnswerLog(rec.log(), "answers.log");
 //
-//   auto log = LoadAnswerLog("answers.log");  // Later session.
-//   ReplayingPlatform replay(log.value(), &live);
-//   framework.Run(data, posteriors, replay);  // Replays, then continues.
+//   ReplayingPlatform replay(rec.log(), &live);   // Later session.
+//   framework.Run(data, posteriors, replay);      // Replays, then live.
+//
+// On disk the answer log is a journal (common/journal.h) with magic
+// "BCAL" and one record per entry:
+//
+//   u8 kind | u64 round
+//   answers and abstains add: expression (ctable/expression.h) |
+//     u8 relation | u32 vote count | votes (u32 worker | u8 answer |
+//     f64 work seconds)
 
 #ifndef BAYESCROWD_CROWD_RECORD_REPLAY_H_
 #define BAYESCROWD_CROWD_RECORD_REPLAY_H_
 
-#include <cstdio>
-#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/fileio.h"
+#include "common/journal.h"
 #include "common/result.h"
 #include "crowd/platform.h"
 
@@ -50,85 +55,48 @@ struct AnswerLogEntry {
   /// every vote bought on the task. Empty for platforms that only
   /// report aggregates.
   std::vector<VoteRecord> votes;
+
+  friend bool operator==(const AnswerLogEntry&,
+                         const AnswerLogEntry&) = default;
 };
 
 /// The transcript of a crowdsourcing phase.
 struct AnswerLog {
   std::vector<AnswerLogEntry> entries;
+
+  friend bool operator==(const AnswerLog&, const AnswerLog&) = default;
 };
 
-/// Text (de)serialization. Format, one entry per line:
-///   vc <obj> <attr> <op: < or >> <const> <relation: l|e|g|a> <round> [vote...]
-///   vv <obj> <attr> <op> <obj2> <attr2> <relation> <round> [vote...]
-///   fail <round>
-/// Relation `a` marks an abstained (unanswered) task; a `fail` line
-/// marks a transient whole-batch failure. Each optional vote token is
-/// `<worker>:<relation: l|e|g>:<work_ms>` — the raw per-worker vote and
-/// its integer-millisecond work time, in the order the votes were
-/// bought. The file starts with a `# bayescrowd answer log v3` comment
-/// line; `#` lines are skipped on read.
-std::string SerializeAnswerLogEntry(const AnswerLogEntry& entry);
-std::string SerializeAnswerLog(const AnswerLog& log);
-Result<AnswerLog> ParseAnswerLog(const std::string& text);
-Status SaveAnswerLog(const AnswerLog& log, const std::string& path);
-Result<AnswerLog> LoadAnswerLog(const std::string& path);
+/// The answer log's journal identity.
+inline constexpr JournalFormat kAnswerLogFormat = {"BCAL", 1, "answer log"};
 
-/// Like LoadAnswerLog, but tolerates the one corruption an interrupted
-/// append can produce: a torn final line. The torn line is dropped and
-/// reported through `dropped_torn_tail` (never null); malformed lines
-/// anywhere else remain hard errors.
-Result<AnswerLog> LoadAnswerLogTolerant(const std::string& path,
-                                        bool* dropped_torn_tail);
+/// One entry's journal payload. Work times round-trip exactly.
+std::string EncodeAnswerLogEntry(const AnswerLogEntry& entry);
 
-/// Receives every recorded entry for durable storage as it is bought,
-/// so the answer log on disk is always current up to the last delivered
-/// batch — the checkpoint subsystem's replay source.
-class AnswerLogSink {
- public:
-  virtual ~AnswerLogSink() = default;
+/// Decodes one payload. Refuses an out-of-domain kind, operator,
+/// relation or vote answer byte, a vote count larger than the payload,
+/// and trailing bytes.
+Status DecodeAnswerLogEntry(std::string_view payload, AnswerLogEntry* entry);
 
-  /// Appends one batch's entries durably (flushed before returning).
-  virtual Status Append(const std::vector<AnswerLogEntry>& entries) = 0;
-};
-
-/// Appends entries to an answer-log file, fflush+fsync per batch. The
-/// first `already_durable` entries offered are skipped — on resume the
-/// recorder re-records the replayed transcript, which is already in the
-/// file.
-class FileAnswerLogSink : public AnswerLogSink {
- public:
-  /// Opens `path` for appending (`truncate` starts a fresh log). The
-  /// header line is written if the file is new or truncated. All writes
-  /// flow through `io` (null = the real filesystem), so an injected
-  /// ENOSPC/fsync failure surfaces as an IOError carrying the log path
-  /// instead of a silent truncation.
-  static Result<std::unique_ptr<FileAnswerLogSink>> Open(
-      const std::string& path, std::size_t already_durable, bool truncate,
-      FileIo* io = nullptr);
-
-  ~FileAnswerLogSink() override = default;
-  FileAnswerLogSink(const FileAnswerLogSink&) = delete;
-  FileAnswerLogSink& operator=(const FileAnswerLogSink&) = delete;
-
-  Status Append(const std::vector<AnswerLogEntry>& entries) override;
-
- private:
-  FileAnswerLogSink(std::unique_ptr<AppendFile> file,
-                    std::size_t skip_remaining)
-      : file_(std::move(file)), skip_remaining_(skip_remaining) {}
-
-  std::unique_ptr<AppendFile> file_;
-  std::size_t skip_remaining_;
-};
+/// Loads the answer log at `path` under the journal load rule: a
+/// missing file loads empty; a torn tail (a kill mid-append) is dropped
+/// and reported through `torn` (never null); a foreign or other-version
+/// file is refused. An intact record that does not decode is an error.
+Result<AnswerLog> LoadAnswerLog(const std::string& path, bool* torn,
+                                FileIo* io = nullptr);
 
 /// Wraps a live platform and transcribes everything it answers.
 class RecordingPlatform : public CrowdPlatform {
  public:
-  /// `sink` (optional, non-owning) durably persists every entry as it
-  /// is recorded; a sink failure fails the PostBatch.
+  /// `journal` (optional, non-owning) durably appends every entry as
+  /// it is recorded, one write + sync per batch; a failed append fails
+  /// the PostBatch. The first `already_durable` entries are not
+  /// appended: on resume the recorder re-records the replayed tail,
+  /// which the journal already holds.
   explicit RecordingPlatform(CrowdPlatform& inner,
-                             AnswerLogSink* sink = nullptr)
-      : inner_(inner), sink_(sink) {}
+                             JournalWriter* journal = nullptr,
+                             std::size_t already_durable = 0)
+      : inner_(inner), journal_(journal), skip_(already_durable) {}
 
   Result<std::vector<TaskAnswer>> PostBatch(
       const std::vector<Task>& tasks) override;
@@ -152,8 +120,12 @@ class RecordingPlatform : public CrowdPlatform {
   const AnswerLog& log() const { return log_; }
 
  private:
+  /// Appends log entries [first, end) to the journal, if any.
+  Status Persist(std::size_t first);
+
   CrowdPlatform& inner_;
-  AnswerLogSink* sink_;
+  JournalWriter* journal_;
+  std::size_t skip_;
   AnswerLog log_;
 };
 

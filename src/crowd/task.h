@@ -38,6 +38,8 @@ struct VoteRecord {
   std::uint32_t worker = 0;
   Ordering answer = Ordering::kEqual;
   double work_seconds = 0.0;
+
+  friend bool operator==(const VoteRecord&, const VoteRecord&) = default;
 };
 
 /// The aggregated (majority-vote) answer to one task.

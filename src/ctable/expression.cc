@@ -99,4 +99,47 @@ Expression Canonicalize(const Expression& e) {
   return Expression::VarVar(e.rhs_var, Mirror(e.op), e.lhs);
 }
 
+void WriteExpression(BinWriter* w, const Expression& e) {
+  w->WriteU64(e.lhs.object);
+  w->WriteU64(e.lhs.attribute);
+  w->WriteU8(static_cast<std::uint8_t>(e.op));
+  w->WriteBool(e.rhs_is_var);
+  if (e.rhs_is_var) {
+    w->WriteU64(e.rhs_var.object);
+    w->WriteU64(e.rhs_var.attribute);
+  } else {
+    w->WriteI32(e.rhs_const);
+  }
+}
+
+Status ReadExpression(BinReader* r, Expression* e) {
+  std::uint64_t object = 0;
+  std::uint64_t attribute = 0;
+  BAYESCROWD_RETURN_NOT_OK(r->ReadU64(&object));
+  BAYESCROWD_RETURN_NOT_OK(r->ReadU64(&attribute));
+  e->lhs = {static_cast<std::size_t>(object),
+            static_cast<std::size_t>(attribute)};
+  std::uint8_t op = 0;
+  std::uint8_t rhs_is_var = 0;
+  BAYESCROWD_RETURN_NOT_OK(r->ReadU8(&op));
+  BAYESCROWD_RETURN_NOT_OK(r->ReadU8(&rhs_is_var));
+  if (op > static_cast<std::uint8_t>(CmpOp::kLess)) {
+    return Status::OutOfRange("expression: bad comparison operator");
+  }
+  if (rhs_is_var > 1) {
+    return Status::OutOfRange("expression: bad operand flag");
+  }
+  e->op = static_cast<CmpOp>(op);
+  e->rhs_is_var = rhs_is_var != 0;
+  if (e->rhs_is_var) {
+    BAYESCROWD_RETURN_NOT_OK(r->ReadU64(&object));
+    BAYESCROWD_RETURN_NOT_OK(r->ReadU64(&attribute));
+    e->rhs_var = {static_cast<std::size_t>(object),
+                  static_cast<std::size_t>(attribute)};
+  } else {
+    BAYESCROWD_RETURN_NOT_OK(r->ReadI32(&e->rhs_const));
+  }
+  return Status::OK();
+}
+
 }  // namespace bayescrowd

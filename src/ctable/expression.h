@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/binio.h"
 #include "data/schema.h"
 #include "data/table.h"
 #include "data/value.h"
@@ -119,6 +120,16 @@ struct Expression {
 /// on the left), mirroring the operator if needed. Var-const expressions
 /// are returned unchanged.
 Expression Canonicalize(const Expression& e);
+
+/// Binary codec shared by checkpoints and the answer log: u64 object,
+/// u64 attribute, u8 operator, u8 rhs flag, then u64 object + u64
+/// attribute or an i32 constant. Read refuses an out-of-domain operator
+/// or flag byte with OutOfRange.
+void WriteExpression(BinWriter* w, const Expression& e);
+Status ReadExpression(BinReader* r, Expression* e);
+
+/// Smallest encoded expression: 2 u64 + op + flag + i32.
+inline constexpr std::size_t kMinExpressionBytes = 22;
 
 }  // namespace bayescrowd
 

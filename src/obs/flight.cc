@@ -147,6 +147,17 @@ Status FlightRecorder::WriteJsonl(const std::string& path) const {
   return Status::OK();
 }
 
+Status CheckFlightLogPath(const std::string& path) {
+  if (path.empty()) return Status::InvalidArgument("needs a file path");
+  std::FILE* probe = std::fopen(path.c_str(), "ab");
+  if (probe == nullptr) {
+    return Status::IOError(
+        StrFormat("cannot open '%s' for writing", path.c_str()));
+  }
+  std::fclose(probe);
+  return Status::OK();
+}
+
 Result<FlightLoad> LoadFlightJsonl(const std::string& path) {
   std::ifstream in(path);
   if (!in) {

@@ -93,6 +93,11 @@ struct FlightLoad {
   std::size_t corrupt_lines = 0;     // Unparseable lines skipped.
 };
 
+/// Startup check for a flight-log destination, so an unwritable path
+/// fails before any work instead of at exit: an empty path is
+/// InvalidArgument, one that cannot be opened for append IOError.
+Status CheckFlightLogPath(const std::string& path);
+
 /// Tolerant JSONL load: unparseable lines (a torn tail after a crash,
 /// stray garbage) are counted and skipped, never fatal. Only a missing
 /// file is an error.

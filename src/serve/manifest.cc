@@ -1,19 +1,13 @@
 #include "serve/manifest.h"
 
-#include <filesystem>
 #include <utility>
 
 #include "common/binio.h"
-#include "common/crc32.h"
 
 namespace bayescrowd::serve {
 namespace {
 
-constexpr char kMagic[4] = {'B', 'S', 'M', 'N'};
-constexpr std::uint32_t kVersion = 1;
-
-// Framing overhead around each payload: u32 length + u32 CRC.
-constexpr std::size_t kFrameBytes = 8;
+constexpr JournalFormat kManifestFormat = {"BSMN", 1, "serve manifest"};
 
 std::string EncodePayload(const ManifestEvent& event) {
   std::string payload;
@@ -47,6 +41,39 @@ Status DecodePayload(std::string_view payload, ManifestEvent* event,
   return Status::OK();
 }
 
+ManifestLoad DecodeEvents(const JournalLoad& journal) {
+  ManifestLoad load;
+  load.torn_tail_records = journal.torn ? 1 : 0;
+  for (const std::string& payload : journal.records) {
+    ManifestEvent event;
+    std::uint8_t raw_kind = 0;
+    if (!DecodePayload(payload, &event, &raw_kind).ok()) {
+      // Framing and CRC were intact, so this is a mis-encoded payload
+      // rather than a torn tail; stop scanning all the same.
+      load.torn_tail_records = 1;
+      break;
+    }
+    if (raw_kind > static_cast<std::uint8_t>(ManifestEventKind::kQuarantine)) {
+      // A newer writer's event kind: skip it, keep scanning.
+      ++load.unknown_kind_records;
+      continue;
+    }
+    event.kind = static_cast<ManifestEventKind>(raw_kind);
+    load.events.push_back(std::move(event));
+  }
+  return load;
+}
+
+std::vector<std::string> EncodePayloads(
+    const std::vector<ManifestEvent>& events) {
+  std::vector<std::string> payloads;
+  payloads.reserve(events.size());
+  for (const ManifestEvent& event : events) {
+    payloads.push_back(EncodePayload(event));
+  }
+  return payloads;
+}
+
 }  // namespace
 
 const char* ManifestEventKindToString(ManifestEventKind kind) {
@@ -61,130 +88,39 @@ const char* ManifestEventKindToString(ManifestEventKind kind) {
   return "unknown";
 }
 
-std::string EncodeManifestRecord(const ManifestEvent& event) {
-  const std::string payload = EncodePayload(event);
+Result<std::string> EncodeManifestRecord(const ManifestEvent& event) {
   std::string record;
-  BinWriter writer(&record);
-  writer.WriteU32(static_cast<std::uint32_t>(payload.size()));
-  record.append(payload);
-  writer.WriteU32(Crc32(payload));
+  BAYESCROWD_RETURN_NOT_OK(EncodeJournalRecord(EncodePayload(event), &record));
   return record;
 }
 
-std::string ManifestHeader() {
-  std::string header(kMagic, sizeof(kMagic));
-  BinWriter writer(&header);
-  writer.WriteU32(kVersion);
-  return header;
-}
+std::string ManifestHeader() { return JournalHeader(kManifestFormat); }
 
-ManifestLoad ParseManifest(std::string_view bytes) {
-  ManifestLoad load;
-  const std::string header = ManifestHeader();
-  if (bytes.size() < header.size() ||
-      bytes.substr(0, header.size()) != header) {
-    if (!bytes.empty()) load.torn_tail_records = 1;
-    return load;
-  }
-  std::size_t pos = header.size();
-  while (pos < bytes.size()) {
-    BinReader framing(bytes.substr(pos));
-    std::uint32_t len = 0;
-    if (!framing.ReadU32(&len).ok() ||
-        framing.remaining() < static_cast<std::size_t>(len) + 4) {
-      // Truncated frame: a crash mid-append. Trust everything before it.
-      ++load.torn_tail_records;
-      return load;
-    }
-    const std::string_view payload = bytes.substr(pos + 4, len);
-    BinReader crc_reader(bytes.substr(pos + 4 + len, 4));
-    std::uint32_t stored_crc = 0;
-    (void)crc_reader.ReadU32(&stored_crc);
-    if (Crc32(payload) != stored_crc) {
-      ++load.torn_tail_records;
-      return load;
-    }
-    ManifestEvent event;
-    std::uint8_t raw_kind = 0;
-    if (!DecodePayload(payload, &event, &raw_kind).ok()) {
-      // Framing and CRC were intact, so this is a mis-encoded payload
-      // rather than a torn tail; stop scanning all the same.
-      ++load.torn_tail_records;
-      return load;
-    }
-    pos += kFrameBytes + len;
-    if (raw_kind > static_cast<std::uint8_t>(ManifestEventKind::kQuarantine)) {
-      // A newer writer's event kind: skip it, keep scanning.
-      ++load.unknown_kind_records;
-      continue;
-    }
-    event.kind = static_cast<ManifestEventKind>(raw_kind);
-    load.events.push_back(std::move(event));
-  }
-  return load;
+Result<ManifestLoad> ParseManifest(std::string_view bytes) {
+  BAYESCROWD_ASSIGN_OR_RETURN(const JournalLoad journal,
+                              ParseJournal(bytes, kManifestFormat));
+  return DecodeEvents(journal);
 }
 
 Result<ManifestLoad> LoadManifest(FileIo* io, const std::string& path) {
-  if (io == nullptr) io = RealFileIo();
-  std::error_code ec;
-  if (!std::filesystem::exists(path, ec) || ec) return ManifestLoad{};
-  BAYESCROWD_ASSIGN_OR_RETURN(std::string bytes, io->ReadFile(path));
-  return ParseManifest(bytes);
+  BAYESCROWD_ASSIGN_OR_RETURN(const JournalLoad journal,
+                              LoadJournal(io, path, kManifestFormat));
+  return DecodeEvents(journal);
 }
 
-ServeManifest::ServeManifest(Options options) : options_(std::move(options)) {
-  if (options_.io == nullptr) options_.io = RealFileIo();
-}
-
-Status ServeManifest::EnsureOpen() {
-  if (file_ != nullptr) return Status::OK();
-  const std::filesystem::path dir =
-      std::filesystem::path(options_.path).parent_path();
-  if (!dir.empty()) {
-    BAYESCROWD_RETURN_NOT_OK(options_.io->CreateDirs(dir.string()));
-  }
-  BAYESCROWD_ASSIGN_OR_RETURN(file_,
-                              options_.io->OpenAppend(options_.path, false));
-  BAYESCROWD_ASSIGN_OR_RETURN(const std::uint64_t size, file_->Size());
-  if (size == 0) {
-    BAYESCROWD_RETURN_NOT_OK(file_->Append(ManifestHeader()));
-  }
-  return Status::OK();
-}
+ServeManifest::ServeManifest(const Options& options)
+    : journal_(options.io, options.path, kManifestFormat) {}
 
 Status ServeManifest::Append(const ManifestEvent& event) {
   return Append(std::vector<ManifestEvent>{event});
 }
 
 Status ServeManifest::Append(const std::vector<ManifestEvent>& events) {
-  if (events.empty()) return Status::OK();
-  BAYESCROWD_RETURN_NOT_OK(EnsureOpen());
-  std::string batch;
-  for (const ManifestEvent& event : events) {
-    batch.append(EncodeManifestRecord(event));
-  }
-  BAYESCROWD_RETURN_NOT_OK(file_->Append(batch));
-  return file_->Sync();
+  return journal_.Append(EncodePayloads(events));
 }
 
 Status ServeManifest::Rewrite(const std::vector<ManifestEvent>& events) {
-  file_.reset();  // The handle would hold the replaced inode open.
-  const std::filesystem::path path(options_.path);
-  const std::filesystem::path dir = path.parent_path();
-  if (!dir.empty()) {
-    BAYESCROWD_RETURN_NOT_OK(options_.io->CreateDirs(dir.string()));
-  }
-  std::string bytes = ManifestHeader();
-  for (const ManifestEvent& event : events) {
-    bytes.append(EncodeManifestRecord(event));
-  }
-  const std::string tmp = options_.path + ".tmp";
-  BAYESCROWD_RETURN_NOT_OK(options_.io->WriteFileDurable(tmp, bytes));
-  BAYESCROWD_RETURN_NOT_OK(options_.io->Rename(tmp, options_.path));
-  if (!dir.empty()) {
-    BAYESCROWD_RETURN_NOT_OK(options_.io->SyncDir(dir.string()));
-  }
-  return Status::OK();
+  return journal_.Rewrite(EncodePayloads(events));
 }
 
 }  // namespace bayescrowd::serve

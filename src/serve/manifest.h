@@ -10,31 +10,24 @@
 // valid checkpoint without any per-session bookkeeping surviving the
 // crash.
 //
-// File layout (little-endian, mirroring the BCKP envelope idioms):
-//
-//   "BSMN" | u32 version
-//   repeated records:  u32 payload_len | payload | u32 crc32(payload)
-//
-// Each payload is a fixed field tuple (kind, id, tenant, rounds,
-// qos_level, spec fingerprint, checkpoint namespace, spec blob, detail)
-// regardless of kind — uniform framing keeps the tolerant reader
-// trivial. The reader is torn-tail-tolerant: a truncated or
-// CRC-mismatching record ends the scan (everything before it is
-// trusted), and a record with an unknown kind byte is skipped with a
-// counter so newer writers don't brick older readers.
-//
-// All IO flows through the injectable FileIo seam; rotation (compaction
-// after recovery) is atomic tmp + fsync + rename + dir-fsync.
+// The file is a journal (common/journal.h) with magic "BSMN", version
+// 1, and one record per event. Each payload is a fixed field tuple
+// (kind, id, tenant, rounds, qos_level, spec fingerprint, checkpoint
+// namespace, spec blob, detail) regardless of kind. The journal's load
+// rule drops a torn tail and refuses a foreign or other-version file;
+// on top of it, a record that does not decode ends the scan like a torn
+// one, and a record with an unknown kind byte is skipped with a counter
+// so newer writers don't brick older readers.
 
 #ifndef BAYESCROWD_SERVE_MANIFEST_H_
 #define BAYESCROWD_SERVE_MANIFEST_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/fileio.h"
+#include "common/journal.h"
 #include "common/result.h"
 #include "common/status.h"
 
@@ -67,29 +60,29 @@ struct ManifestEvent {
   std::string detail;             // Free-form context (reason strings).
 };
 
-/// Outcome of a tolerant manifest load.
+/// Outcome of a manifest load.
 struct ManifestLoad {
   std::vector<ManifestEvent> events;
-  std::uint64_t torn_tail_records = 0;    // Truncated/CRC-failed tail.
+  std::uint64_t torn_tail_records = 0;    // Torn or undecodable tail.
   std::uint64_t unknown_kind_records = 0; // Skipped, framing intact.
 };
 
-/// Encodes one record (len | payload | crc) ready to append. Exposed for
-/// the fuzz tests, which splice hand-built records into journals.
-std::string EncodeManifestRecord(const ManifestEvent& event);
+/// Encodes one framed record (len | payload | crc) ready to append.
+/// Exposed for the fuzz tests, which splice hand-built records into
+/// journals.
+Result<std::string> EncodeManifestRecord(const ManifestEvent& event);
 
 /// The 8-byte file header ("BSMN" + version).
 std::string ManifestHeader();
 
-/// Tolerantly parses manifest bytes. Never fails on damaged input — a
-/// bad header yields zero events with one torn record counted.
-ManifestLoad ParseManifest(std::string_view bytes);
+/// Parses manifest bytes under the journal load rule: a damaged tail
+/// is counted, a foreign or other-version file refused.
+Result<ManifestLoad> ParseManifest(std::string_view bytes);
 
-/// Reads and tolerantly parses `path`; a missing file loads empty.
+/// Reads and parses `path`; a missing file loads empty.
 Result<ManifestLoad> LoadManifest(FileIo* io, const std::string& path);
 
-/// Append-side handle. Lazily opens the journal (writing the header when
-/// the file is empty) and makes each batch durable with one sync.
+/// Append-side handle over the manifest's journal.
 class ServeManifest {
  public:
   struct Options {
@@ -97,7 +90,7 @@ class ServeManifest {
     FileIo* io = nullptr;  // null = RealFileIo().
   };
 
-  explicit ServeManifest(Options options);
+  explicit ServeManifest(const Options& options);
 
   /// Appends one record durably (framed write + sync).
   Status Append(const ManifestEvent& event);
@@ -111,13 +104,10 @@ class ServeManifest {
   /// append handle reopens on the next Append.
   Status Rewrite(const std::vector<ManifestEvent>& events);
 
-  const std::string& path() const { return options_.path; }
+  const std::string& path() const { return journal_.path(); }
 
  private:
-  Status EnsureOpen();
-
-  Options options_;
-  std::unique_ptr<AppendFile> file_;
+  JournalWriter journal_;
 };
 
 }  // namespace bayescrowd::serve

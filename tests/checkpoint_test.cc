@@ -16,6 +16,7 @@
 
 #include "common/binio.h"
 #include "common/fileio.h"
+#include "common/journal.h"
 #include "common/random.h"
 #include "core/session.h"
 #include "crowd/record_replay.h"
@@ -88,7 +89,7 @@ std::string GoldenMemoBlob() {
 /// A deterministic, richly-populated state: every field class exercised
 /// (decided + CNF conditions, round logs with recovery data, metrics of
 /// all three kinds, binary blobs, session-layer stamps). Also the
-/// generator of the committed golden fixture — see GoldenV8FixtureTest.
+/// generator of the committed golden fixture — see GoldenV9FixtureTest.
 SessionState MakeGoldenState() {
   SessionState state;
   state.budget_left = 12.5;
@@ -170,14 +171,14 @@ std::string SerializeState(const SessionState& state) {
 
 TEST(CheckpointEnvelopeTest, RoundTrips) {
   const std::string payload = "some payload bytes";
-  const std::string wrapped = WrapCheckpoint(payload);
+  const std::string wrapped = WrapCheckpoint(payload).value();
   const auto unwrapped = UnwrapCheckpoint(wrapped);
   ASSERT_TRUE(unwrapped.ok()) << unwrapped.status().ToString();
   EXPECT_EQ(unwrapped.value(), payload);
 }
 
 TEST(CheckpointEnvelopeTest, DetectsPayloadCorruption) {
-  std::string wrapped = WrapCheckpoint("the payload under test");
+  std::string wrapped = WrapCheckpoint("the payload under test").value();
   // Flip one payload byte; the CRC must catch it.
   wrapped[20] = static_cast<char>(wrapped[20] ^ 0x40);
   const auto unwrapped = UnwrapCheckpoint(wrapped);
@@ -187,13 +188,13 @@ TEST(CheckpointEnvelopeTest, DetectsPayloadCorruption) {
 }
 
 TEST(CheckpointEnvelopeTest, DetectsCrcCorruption) {
-  std::string wrapped = WrapCheckpoint("another payload");
+  std::string wrapped = WrapCheckpoint("another payload").value();
   wrapped.back() = static_cast<char>(wrapped.back() ^ 0x01);
   EXPECT_TRUE(UnwrapCheckpoint(wrapped).status().IsIOError());
 }
 
 TEST(CheckpointEnvelopeTest, DetectsTruncationAtEveryLength) {
-  const std::string wrapped = WrapCheckpoint("payload that gets cut");
+  const std::string wrapped = WrapCheckpoint("payload that gets cut").value();
   for (std::size_t len = 0; len < wrapped.size(); ++len) {
     const auto unwrapped = UnwrapCheckpoint(wrapped.substr(0, len));
     ASSERT_FALSE(unwrapped.ok()) << "length " << len;
@@ -202,13 +203,13 @@ TEST(CheckpointEnvelopeTest, DetectsTruncationAtEveryLength) {
 }
 
 TEST(CheckpointEnvelopeTest, RejectsBadMagic) {
-  std::string wrapped = WrapCheckpoint("payload");
+  std::string wrapped = WrapCheckpoint("payload").value();
   wrapped[0] = 'X';
   EXPECT_TRUE(UnwrapCheckpoint(wrapped).status().IsIOError());
 }
 
 TEST(CheckpointEnvelopeTest, RejectsFutureVersionWithClearError) {
-  std::string wrapped = WrapCheckpoint("payload");
+  std::string wrapped = WrapCheckpoint("payload").value();
   // Version is the little-endian u32 after the 4-byte magic.
   wrapped[4] = static_cast<char>(kCheckpointVersion + 1);
   const auto unwrapped = UnwrapCheckpoint(wrapped);
@@ -558,16 +559,16 @@ TEST(CheckpointStoreTest, TornTmpWritePromotedByRenameFallsBack) {
 }
 
 // ------------------------------------------------------------------- //
-// Golden fixture. golden_v8.ckpt matches today's writer byte-for-byte,
+// Golden fixture. golden_v9.ckpt matches today's writer byte-for-byte,
 // envelope and memo blob included; regenerate with:
 //   BC_REGEN_GOLDEN=1 ./checkpoint_test
 // ------------------------------------------------------------------- //
 
-TEST(GoldenV8FixtureTest, CommittedFixtureMatchesHeadBytes) {
-  const std::string path = std::string(BC_TESTDATA_DIR) + "/golden_v8.ckpt";
+TEST(GoldenV9FixtureTest, CommittedFixtureMatchesHeadBytes) {
+  const std::string path = std::string(BC_TESTDATA_DIR) + "/golden_v9.ckpt";
   const SessionState expected = MakeGoldenState();
   if (std::getenv("BC_REGEN_GOLDEN") != nullptr) {
-    WriteFileBytes(path, WrapCheckpoint(SerializeState(expected)));
+    WriteFileBytes(path, WrapCheckpoint(SerializeState(expected)).value());
   }
   const std::string bytes = ReadFileBytes(path);
   ASSERT_FALSE(bytes.empty()) << "missing fixture " << path;
@@ -575,7 +576,7 @@ TEST(GoldenV8FixtureTest, CommittedFixtureMatchesHeadBytes) {
   // Any drift in the envelope, the payload or the memo blob fails here:
   // a writer change needs a kCheckpointVersion bump and a regenerated
   // fixture.
-  EXPECT_EQ(bytes, WrapCheckpoint(SerializeState(expected)));
+  EXPECT_EQ(bytes, WrapCheckpoint(SerializeState(expected)).value());
   const auto payload = UnwrapCheckpoint(bytes);
   ASSERT_TRUE(payload.ok()) << payload.status().ToString();
   BinReader reader(payload.value());
@@ -748,9 +749,10 @@ TEST(MemoBlobTest, CheckpointKeepsOnlyLiveIndexEntries) {
 TEST(CheckpointEnvelopeTest, RefusesEveryOtherVersion) {
   // The CRC covers only the payload, so the version byte may be edited
   // in place: only kCheckpointVersion itself unwraps.
-  std::string wrapped = WrapCheckpoint("payload");
-  ASSERT_EQ(kCheckpointVersion, 8u);
-  for (const std::uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 9u}) {
+  std::string wrapped = WrapCheckpoint("payload").value();
+  ASSERT_EQ(kCheckpointVersion, 9u);
+  for (const std::uint32_t version :
+       {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 10u}) {
     wrapped[4] = static_cast<char>(version);
     const auto refused = UnwrapCheckpoint(wrapped);
     ASSERT_FALSE(refused.ok()) << "version " << version;
@@ -785,27 +787,49 @@ TEST(SessionTest, FingerprintSensitivity) {
   EXPECT_EQ(base, ConfigFingerprint(threaded, "data", "platform"));
 }
 
-TEST(SessionTest, RecoverReplaysTailAndDropsTornLine) {
-  const std::string dir = FreshDir("bc_session_recover");
-  std::filesystem::create_directories(dir);
-  const std::string log_path = dir + "/answers.log";
+AnswerLogEntry LogEntry(std::size_t object, std::size_t round) {
+  AnswerLogEntry entry;
+  entry.expression =
+      Expression::VarConst({object, 1}, CmpOp::kGreater, 3);
+  entry.relation = Ordering::kGreater;
+  entry.round = round;
+  return entry;
+}
 
-  // Three durable entries plus a torn final line (killed mid-append).
-  WriteFileBytes(log_path,
-                 "# bayescrowd answer log v2\n"
-                 "vc 0 1 > 3 g 1\n"
-                 "vc 1 0 < 5 l 1\n"
-                 "vv 2 1 > 0 1 g 2\n"
-                 "vc 2 0 > 4");  // Torn: no relation/round/newline.
+std::string LogRecord(std::size_t object, std::size_t round) {
+  std::string record;
+  BAYESCROWD_CHECK_OK(EncodeJournalRecord(
+      EncodeAnswerLogEntry(LogEntry(object, round)), &record));
+  return record;
+}
 
+/// Three durable entries (rounds 1, 1, 2) and the front half of a
+/// fourth record: what a kill mid-append leaves.
+std::string TornAnswerLog() {
+  const std::string torn = LogRecord(3, 2);
+  return JournalHeader(kAnswerLogFormat) + LogRecord(0, 1) +
+         LogRecord(1, 1) + LogRecord(2, 2) + torn.substr(0, torn.size() / 2);
+}
+
+/// One generation at round 1 referencing one answer-log entry.
+void WriteRoundOneSnapshot(const std::string& dir,
+                           std::uint64_t fingerprint) {
   CheckpointStore::Options options;
   options.dir = dir;
   CheckpointStore store(options);
   SessionState state = MakeGoldenState();
   state.rounds = 1;
   state.answer_log_offset = 1;
-  state.config_fingerprint = 42;
+  state.config_fingerprint = fingerprint;
   ASSERT_TRUE(store.Write(state).ok());
+}
+
+TEST(SessionTest, RecoverReplaysTailAndDropsTornRecord) {
+  const std::string dir = FreshDir("bc_session_recover");
+  std::filesystem::create_directories(dir);
+  const std::string log_path = dir + "/answers.log";
+  WriteFileBytes(log_path, TornAnswerLog());
+  WriteRoundOneSnapshot(dir, 42);
 
   const auto recovered = RecoverSession(dir, log_path, 42);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
@@ -813,13 +837,96 @@ TEST(SessionTest, RecoverReplaysTailAndDropsTornLine) {
   EXPECT_EQ(recovered->durable_entries, 3u);
   EXPECT_EQ(recovered->state.rounds, 1u);
   ASSERT_EQ(recovered->replay_tail.entries.size(), 2u);
-  EXPECT_EQ(recovered->replay_tail.entries[1].round, 2u);
+  EXPECT_EQ(recovered->replay_tail.entries[1], LogEntry(2, 2));
 
-  // The torn line was scrubbed from disk: a plain strict load succeeds
-  // and sees exactly the three durable entries.
-  const auto reloaded = LoadAnswerLog(log_path);
+  // The torn record was scrubbed from disk: the log reloads clean with
+  // exactly the three durable entries.
+  bool torn = true;
+  const auto reloaded = LoadAnswerLog(log_path, &torn);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_FALSE(torn);
   EXPECT_EQ(reloaded->entries.size(), 3u);
+}
+
+TEST(SessionTest, FailedRepairLeavesTheLogByteIdentical) {
+  const std::string dir = FreshDir("bc_session_repair");
+  std::filesystem::create_directories(dir);
+  const std::string log_path = dir + "/answers.log";
+  WriteFileBytes(log_path, TornAnswerLog());
+  WriteRoundOneSnapshot(dir, 42);
+
+  // The repair's tmp write tears: the old log must stay in place, so a
+  // later resume still sees all three durable entries.
+  FaultPlan plan;
+  plan.write_fail_rate = 1.0;
+  FaultInjectingFileIo io(plan);
+  const auto recovered = RecoverSession(dir, log_path, 42, &io);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_TRUE(recovered.status().IsIOError())
+      << recovered.status().ToString();
+  EXPECT_EQ(ReadFileBytes(log_path), TornAnswerLog());
+  EXPECT_FALSE(std::filesystem::exists(log_path + ".tmp"));
+  EXPECT_TRUE(RecoverSession(dir, log_path, 42).ok());
+}
+
+TEST(SessionTest, TextAnswerLogIsRefusedAndLeftIntact) {
+  const std::string dir = FreshDir("bc_session_text_log");
+  std::filesystem::create_directories(dir);
+  const std::string log_path = dir + "/answers.log";
+  const std::string text =
+      "# bayescrowd answer log v3\nvc 0 1 > 3 g 1 7:g:30\n";
+  WriteFileBytes(log_path, text);
+  WriteRoundOneSnapshot(dir, 42);
+
+  const auto recovered = RecoverSession(dir, log_path, 42);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_TRUE(recovered.status().IsIOError())
+      << recovered.status().ToString();
+  EXPECT_EQ(ReadFileBytes(log_path), text);
+}
+
+/// A platform that is never asked anything: DurableSession::Open only
+/// stacks decorators on it.
+class IdlePlatform : public CrowdPlatform {
+ public:
+  Result<std::vector<TaskAnswer>> PostBatch(
+      const std::vector<Task>&) override {
+    return Status::Internal("not posted in this test");
+  }
+  std::size_t total_tasks() const override { return 0; }
+  std::size_t total_rounds() const override { return 0; }
+};
+
+TEST(SessionTest, FreshOpenRefusesADirectoryHoldingASession) {
+  const std::string dir = FreshDir("bc_session_fresh");
+  std::filesystem::create_directories(dir);
+  const std::string log_path = dir + "/answers.log";
+  const std::string log = JournalHeader(kAnswerLogFormat) + LogRecord(0, 1);
+  WriteFileBytes(log_path, log);
+
+  IdlePlatform live;
+  BayesCrowdOptions run;
+  DurableSession::Options options;
+  options.dir = dir;
+  const auto refused = DurableSession::Open(options, live, &run);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_TRUE(refused.status().IsFailedPrecondition());
+  EXPECT_NE(refused.status().message().find(dir), std::string::npos);
+  EXPECT_EQ(ReadFileBytes(log_path), log);  // Nothing truncated.
+
+  // A generation alone is enough to refuse, too.
+  WriteFileBytes(log_path, "");
+  WriteRoundOneSnapshot(dir, 42);
+  EXPECT_TRUE(DurableSession::Open(options, live, &run)
+                  .status()
+                  .IsFailedPrecondition());
+
+  // The same directory resumes.
+  WriteFileBytes(log_path, log);
+  options.resume = true;
+  const auto resumed = DurableSession::Open(options, live, &run);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(run.resume, &(*resumed)->recovered()->state);
 }
 
 TEST(SessionTest, RecoverRefusesFingerprintMismatch) {

@@ -3,14 +3,21 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <filesystem>
 #include <string>
+#include <vector>
 
 #include "common/bitset.h"
 #include "common/crc32.h"
 #include "common/csv.h"
+#include "common/fileio.h"
+#include "common/journal.h"
 #include "common/random.h"
 #include "common/result.h"
 #include "common/status.h"
@@ -382,6 +389,126 @@ TEST(Crc32Test, MatchesBytewiseLoopAtEveryLengthOffsetAndSplit) {
     EXPECT_EQ(Crc32Update(head, start + split, size - split),
               ReferenceCrc32(head, start + split, size - split));
   }
+}
+
+// ------------------------------------------------------------------ //
+// Journal: the one framing and load rule of every durable file.
+// ------------------------------------------------------------------ //
+
+constexpr JournalFormat kTestJournal = {"TJNL", 3, "test journal"};
+
+std::string Record(std::string_view payload) {
+  std::string record;
+  BAYESCROWD_CHECK_OK(EncodeJournalRecord(payload, &record));
+  return record;
+}
+
+TEST(JournalTest, EveryTruncationLoadsTheWholeRecordPrefix) {
+  const std::vector<std::string> payloads = {"first", "", "third record"};
+  std::string bytes = JournalHeader(kTestJournal);
+  std::vector<std::size_t> ends;  // File size after each record.
+  for (const std::string& payload : payloads) {
+    bytes += Record(payload);
+    ends.push_back(bytes.size());
+  }
+  for (std::size_t len = 0; len <= bytes.size(); ++len) {
+    SCOPED_TRACE("length " + std::to_string(len));
+    const auto load = ParseJournal(bytes.substr(0, len), kTestJournal);
+    ASSERT_TRUE(load.ok()) << load.status().ToString();
+    std::size_t whole = 0;
+    while (whole < ends.size() && ends[whole] <= len) ++whole;
+    ASSERT_EQ(load->records.size(), whole);
+    for (std::size_t i = 0; i < whole; ++i) {
+      EXPECT_EQ(load->records[i], payloads[i]);
+    }
+    // Torn exactly when the cut falls inside the header or a record.
+    const bool on_boundary =
+        len == 0 || len == 8 ||
+        std::find(ends.begin(), ends.end(), len) != ends.end();
+    EXPECT_EQ(load->torn, !on_boundary);
+  }
+}
+
+TEST(JournalTest, CrcFlipInTheMiddleRecordKeepsRecordOne) {
+  std::string bytes = JournalHeader(kTestJournal) + Record("one");
+  const std::size_t middle = bytes.size() + 5;  // Inside "two"'s payload.
+  bytes += Record("two") + Record("three");
+  bytes[middle] = static_cast<char>(bytes[middle] ^ 0x01);
+  const auto load = ParseJournal(bytes, kTestJournal);
+  ASSERT_TRUE(load.ok());
+  EXPECT_EQ(load->records, std::vector<std::string>{"one"});
+  EXPECT_TRUE(load->torn);
+}
+
+TEST(JournalTest, ForeignMagicAndOtherVersionsAreRefused) {
+  std::string bytes = JournalHeader(kTestJournal) + Record("x");
+  std::string foreign = bytes;
+  foreign[0] = 'X';
+  EXPECT_TRUE(ParseJournal(foreign, kTestJournal).status().IsIOError());
+  EXPECT_TRUE(ParseJournal("TJ?", kTestJournal).status().IsIOError());
+  for (const std::uint32_t version : {2u, 4u}) {
+    std::string other = bytes;
+    other[4] = static_cast<char>(version);
+    const Status refused = ParseJournal(other, kTestJournal).status();
+    EXPECT_TRUE(refused.IsInvalidArgument()) << refused.ToString();
+    EXPECT_NE(refused.message().find(version < 3 ? "older" : "newer"),
+              std::string::npos)
+        << refused.message();
+  }
+}
+
+TEST(JournalTest, PayloadTooLongForItsLengthFieldIsRefused) {
+  // 4 GiB + 1 of untouched, unreserved address space: a valid range that
+  // costs no memory as long as nothing reads it.
+  const std::size_t size = (std::size_t{1} << 32) + 1;
+  void* region = mmap(nullptr, size, PROT_READ,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  ASSERT_NE(region, MAP_FAILED);
+  std::string out;
+  const Status encoded = EncodeJournalRecord(
+      std::string_view(static_cast<const char*>(region), size), &out);
+  munmap(region, size);
+  EXPECT_TRUE(encoded.IsInvalidArgument()) << encoded.ToString();
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(JournalTest, AppendThenLoadAndMissingFileLoadsEmpty) {
+  const std::string path = ::testing::TempDir() + "/bc_journal_append.bin";
+  std::filesystem::remove(path);
+  const auto missing = LoadJournal(nullptr, path, kTestJournal);
+  ASSERT_TRUE(missing.ok());
+  EXPECT_TRUE(missing->records.empty());
+  EXPECT_FALSE(missing->torn);
+  {
+    JournalWriter journal(nullptr, path, kTestJournal);
+    ASSERT_TRUE(journal.Append({"a", "b"}).ok());
+    ASSERT_TRUE(journal.Append({"c"}).ok());
+  }
+  const auto load = LoadJournal(nullptr, path, kTestJournal);
+  ASSERT_TRUE(load.ok());
+  EXPECT_EQ(load->records, (std::vector<std::string>{"a", "b", "c"}));
+}
+
+TEST(JournalTest, FailedRewriteLeavesTheOldBytes) {
+  const std::string path = ::testing::TempDir() + "/bc_journal_rewrite.bin";
+  std::filesystem::remove(path);
+  ASSERT_TRUE(
+      JournalWriter(nullptr, path, kTestJournal).Rewrite({"old"}).ok());
+  const std::string before = RealFileIo()->ReadFile(path).value();
+  for (const bool sync_fails : {false, true}) {
+    FaultPlan plan;
+    (sync_fails ? plan.sync_fail_rate : plan.write_fail_rate) = 1.0;
+    FaultInjectingFileIo io(plan);
+    const Status rewritten =
+        JournalWriter(&io, path, kTestJournal).Rewrite({"new", "bytes"});
+    EXPECT_TRUE(rewritten.IsIOError()) << rewritten.ToString();
+    EXPECT_EQ(RealFileIo()->ReadFile(path).value(), before);
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  }
+  ASSERT_TRUE(
+      JournalWriter(nullptr, path, kTestJournal).Rewrite({"new"}).ok());
+  EXPECT_EQ(LoadJournal(nullptr, path, kTestJournal)->records,
+            std::vector<std::string>{"new"});
 }
 
 }  // namespace

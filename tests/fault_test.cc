@@ -107,8 +107,7 @@ TEST(FaultInjectionTest, ZeroRateIsTransparentPassThrough) {
 
   const FaultRun faulted = RunFaulted(2, FaultOptions::Profile(0.0, 99));
   ExpectBitIdentical(baseline.value(), faulted.result);
-  EXPECT_EQ(SerializeAnswerLog(recorder.log()),
-            SerializeAnswerLog(faulted.log));
+  EXPECT_EQ(recorder.log(), faulted.log);
 
   // Nothing injected, everything delivered.
   EXPECT_EQ(faulted.stats.transient_failures, 0u);
@@ -133,7 +132,7 @@ TEST(FaultInjectionTest, SameSeedReproducesScheduleAndResult) {
   EXPECT_EQ(a.stats.partial_batches, b.stats.partial_batches);
   EXPECT_EQ(a.stats.dropped_tail_tasks, b.stats.dropped_tail_tasks);
   EXPECT_EQ(a.stats.batches_attempted, b.stats.batches_attempted);
-  EXPECT_EQ(SerializeAnswerLog(a.log), SerializeAnswerLog(b.log));
+  EXPECT_EQ(a.log, b.log);
   // The profile must actually bite, or the test proves nothing.
   EXPECT_GT(a.stats.transient_failures + a.stats.abstained_tasks +
                 a.stats.partial_batches,
@@ -148,7 +147,7 @@ TEST(FaultInjectionTest, FaultedRunBitIdenticalAcrossThreadCounts) {
   const FaultRun one = RunFaulted(1, faults);
   const FaultRun eight = RunFaulted(8, faults);
   ExpectBitIdentical(one.result, eight.result);
-  EXPECT_EQ(SerializeAnswerLog(one.log), SerializeAnswerLog(eight.log));
+  EXPECT_EQ(one.log, eight.log);
   EXPECT_EQ(one.stats.transient_failures, eight.stats.transient_failures);
   EXPECT_EQ(one.stats.abstained_tasks, eight.stats.abstained_tasks);
   EXPECT_EQ(one.stats.dropped_tail_tasks, eight.stats.dropped_tail_tasks);
@@ -364,12 +363,15 @@ TEST(FaultRecoveryTest, GoldenReplayReproducesRecoveryPathAndTelemetry) {
   // The transcript must contain actual recovery events to be golden.
   ASSERT_GT(recorded->transient_failures + recorded->tasks_unanswered, 0u);
 
-  // Round-trip the log through its text form, then replay with no live
-  // platform at all: the transcript alone must drive the identical
-  // recovery path.
-  auto parsed = ParseAnswerLog(SerializeAnswerLog(recorder.log()));
-  BAYESCROWD_CHECK_OK(parsed.status());
-  ReplayingPlatform replayer(std::move(parsed).value(), nullptr);
+  // Round-trip the log through its on-disk encoding, then replay with
+  // no live platform at all: the transcript alone must drive the
+  // identical recovery path.
+  AnswerLog parsed;
+  for (const AnswerLogEntry& entry : recorder.log().entries) {
+    BAYESCROWD_CHECK_OK(DecodeAnswerLogEntry(
+        EncodeAnswerLogEntry(entry), &parsed.entries.emplace_back()));
+  }
+  ReplayingPlatform replayer(std::move(parsed), nullptr);
   RecordingPlatform rerecorder(replayer);
   BayesCrowd replay_framework(options);
   auto replayed = replay_framework.Run(incomplete, posteriors, rerecorder);
@@ -377,8 +379,7 @@ TEST(FaultRecoveryTest, GoldenReplayReproducesRecoveryPathAndTelemetry) {
 
   ExpectBitIdentical(recorded.value(), replayed.value());
   // Replaying re-records the same transcript, failures and all.
-  EXPECT_EQ(SerializeAnswerLog(recorder.log()),
-            SerializeAnswerLog(rerecorder.log()));
+  EXPECT_EQ(recorder.log(), rerecorder.log());
 
   // Full telemetry envelopes agree modulo wall-clock timings.
   const obs::JsonValue golden = obs::NormalizeTelemetry(

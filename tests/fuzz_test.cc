@@ -11,8 +11,10 @@
 
 #include "bayesnet/serialization.h"
 #include "common/csv.h"
+#include "common/journal.h"
 #include "common/random.h"
 #include "core/query_spec.h"
+#include "crowd/record_replay.h"
 #include "data/dataset_io.h"
 #include "data/generators.h"
 #include "data/missing.h"
@@ -185,6 +187,48 @@ TEST(FuzzTest, NetworkDeserializerSurvivesMutatedValidInput) {
     }
     (void)DeserializeNetwork(mutated);  // Must not crash or hang.
   }
+}
+
+TEST(FuzzTest, AnswerLogDecoderDecodesOrRefusesRandomPayloads) {
+  // Random payloads inside valid journal frames pass the CRC, so only
+  // the entry decoder stands between them and the replay. Each must
+  // decode to an entry that re-encodes to the same bytes, or be
+  // refused; none may crash the decoder.
+  AnswerLogEntry entry;
+  entry.expression = Expression::VarVar({4, 1}, CmpOp::kGreater, {1, 1});
+  entry.relation = Ordering::kGreater;
+  entry.round = 2;
+  entry.votes = {{7, Ordering::kLess, 31.25}, {2, Ordering::kEqual, 4.0}};
+  const std::string valid = EncodeAnswerLogEntry(entry);
+  Rng rng(0xA110);
+  std::size_t decoded = 0;
+  for (int round = 0; round < 2000; ++round) {
+    std::string payload;
+    if (round % 2 == 0) {
+      // Small bytes, so kind/operator/relation fields often land in
+      // their domains and the decoder gets past its first checks.
+      payload = RandomBytes(rng, rng.NextBelow(80),
+                            std::string("\x00\x01\x02\x03\x10\xff", 6));
+    } else {
+      payload = valid;
+      const std::size_t flips = 1 + rng.NextBelow(3);
+      for (std::size_t f = 0; f < flips; ++f) {
+        payload[rng.NextBelow(payload.size())] =
+            static_cast<char>(rng.NextBelow(256));
+      }
+    }
+    std::string file = JournalHeader(kAnswerLogFormat);
+    BAYESCROWD_CHECK_OK(EncodeJournalRecord(payload, &file));
+    const auto journal = ParseJournal(file, kAnswerLogFormat);
+    ASSERT_TRUE(journal.ok());
+    ASSERT_EQ(journal->records.size(), 1u);
+    AnswerLogEntry out;
+    if (DecodeAnswerLogEntry(journal->records[0], &out).ok()) {
+      ++decoded;
+      EXPECT_EQ(EncodeAnswerLogEntry(out), payload);
+    }
+  }
+  EXPECT_GT(decoded, 0u);  // The mutations must not all be refused.
 }
 
 TEST(FuzzTest, InjectorsTolerateExtremeRates) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
+#include "common/binio.h"
 #include "crowd/interactive.h"
 #include "data/generators.h"
 
@@ -87,6 +89,39 @@ TEST(InteractiveTest, EmptyBatchRejected) {
   std::ostringstream out;
   InteractiveCrowdPlatform platform(table, in, out);
   EXPECT_FALSE(platform.PostBatch({}).ok());
+}
+
+TEST(InteractiveTest, TotalsSurviveACheckpointAndCountReplays) {
+  // A paused session's resumed prompts continue its round numbering:
+  // the totals ride the platform state, and replayed batches count
+  // without prompting.
+  const Table table = MakeSampleMovieDataset();
+  std::istringstream in("s\nl\n");
+  std::ostringstream out;
+  InteractiveCrowdPlatform first(table, in, out);
+  ASSERT_TRUE(first.PostBatch(TwoTasks()).ok());
+  std::string state;
+  first.SaveState(&state);
+
+  std::istringstream rest("e\ne\n");
+  std::ostringstream resumed_out;
+  InteractiveCrowdPlatform resumed(table, rest, resumed_out);
+  BinReader reader(state);
+  ASSERT_TRUE(resumed.LoadState(&reader).ok());
+  EXPECT_TRUE(reader.AtEnd());
+  resumed.SyncReplayed(TwoTasks(), /*delivered=*/true);
+  resumed.SyncReplayed(TwoTasks(), /*delivered=*/false);
+  EXPECT_TRUE(resumed_out.str().empty());  // Nothing re-prompted.
+  EXPECT_EQ(resumed.total_rounds(), 2u);
+  EXPECT_EQ(resumed.total_tasks(), 4u);
+  ASSERT_TRUE(resumed.PostBatch(TwoTasks()).ok());
+  EXPECT_NE(resumed_out.str().find("--- round 3:"), std::string::npos)
+      << resumed_out.str();
+
+  std::string wrong_chunk = state;
+  wrong_chunk[0] = 'S';
+  BinReader wrong(wrong_chunk);
+  EXPECT_FALSE(resumed.LoadState(&wrong).ok());
 }
 
 }  // namespace

@@ -23,7 +23,6 @@
 #include "core/telemetry.h"
 #include "crowd/fault_injection.h"
 #include "crowd/platform.h"
-#include "crowd/record_replay.h"
 #include "data/generators.h"
 #include "data/missing.h"
 #include "obs/json.h"
@@ -138,8 +137,8 @@ Reference RunReference(std::size_t threads) {
 }
 
 /// One checkpointed session (fresh or resumed) against the durable
-/// state in `dir`. Returns Run()'s status; on success fills `result`
-/// and `envelope`.
+/// state in `dir`, through the same entry point the CLI runs. Returns
+/// Run()'s status; on success fills `result` and `envelope`.
 Status RunSession(std::size_t threads, const std::string& dir,
                   bool resume, CheckpointSink* sink_override,
                   CheckpointStore* store, BayesCrowdResult* result,
@@ -149,56 +148,25 @@ Status RunSession(std::size_t threads, const std::string& dir,
   UniformPosteriorProvider posteriors(incomplete.schema());
   obs::MetricsRegistry metrics;
   BayesCrowdOptions options = KillOptions(threads, &metrics);
-  options.checkpoint_every = 1;
 
   SimulatedCrowdPlatform sim(truth, {.worker_accuracy = 0.95,
                                      .seed = kWorkerSeed});
   FaultInjectingPlatform faulter(sim, KillFaults());
   faulter.BindMetrics(&metrics);
-  CrowdPlatform* effective = &faulter;
 
-  const std::string log_path = dir + "/answers.log";
-  std::filesystem::create_directories(dir);
-
-  std::unique_ptr<RecoveredSession> recovered;
-  std::unique_ptr<ReplayingPlatform> replayer;
-  std::size_t base_log_offset = 0;
-  std::size_t already_durable = 0;
-  bool truncate_log = true;
-  if (resume) {
-    auto session = RecoverSession(dir, log_path, Fingerprint(options));
-    if (!session.ok()) return session.status();
-    recovered =
-        std::make_unique<RecoveredSession>(std::move(session).value());
-    if (fallbacks != nullptr) *fallbacks = recovered->fallbacks;
-    base_log_offset = recovered->state.answer_log_offset;
-    already_durable = recovered->durable_entries - base_log_offset;
-    truncate_log = false;
-    replayer = std::make_unique<ReplayingPlatform>(recovered->replay_tail,
-                                                   effective);
-    replayer->SetBaseTotals(recovered->state.platform_tasks,
-                            recovered->state.platform_rounds);
-    effective = replayer.get();
-    // A from-scratch recovery (killed before the first checkpoint) has
-    // no state to restore — the full-log replay rebuilds everything.
-    if (!recovered->from_scratch) options.resume = &recovered->state;
-    metrics.GetCounter("recovery.resumed")->Increment();
-    metrics.GetCounter("recovery.fallback")
-        ->Increment(recovered->fallbacks);
+  DurableSession::Options durable;
+  durable.dir = dir;
+  durable.resume = resume;
+  durable.fingerprint = Fingerprint(options);
+  durable.sink = sink_override != nullptr ? sink_override : store;
+  auto session = DurableSession::Open(durable, faulter, &options);
+  if (!session.ok()) return session.status();
+  if (fallbacks != nullptr && (*session)->recovered() != nullptr) {
+    *fallbacks = (*session)->recovered()->fallbacks;
   }
 
-  auto log_sink =
-      FileAnswerLogSink::Open(log_path, already_durable, truncate_log);
-  if (!log_sink.ok()) return log_sink.status();
-  RecordingPlatform recorder(*effective, log_sink->get());
-
-  SessionCheckpointSink session_sink(
-      sink_override != nullptr ? sink_override : store, &recorder,
-      base_log_offset, Fingerprint(options));
-  options.checkpoint_sink = &session_sink;
-
   BayesCrowd framework(options);
-  auto run = framework.Run(incomplete, posteriors, recorder);
+  auto run = framework.Run(incomplete, posteriors, (*session)->platform());
   if (!run.ok()) return run.status();
   if (envelope != nullptr) *envelope = NormalizedEnvelope(options, *run);
   if (result != nullptr) *result = std::move(run).value();

@@ -325,7 +325,6 @@ TEST(JointQualityTest, SaveLoadRoundTrip) {
   EXPECT_EQ(loaded.tasks_accumulated(), model.tasks_accumulated());
   for (std::size_t w = 0; w < model.num_workers(); ++w) {
     EXPECT_DOUBLE_EQ(loaded.Accuracy(w), model.Accuracy(w));
-    EXPECT_DOUBLE_EQ(loaded.ApprovalRate(w), model.ApprovalRate(w));
     EXPECT_DOUBLE_EQ(loaded.MeanWorkSeconds(w), model.MeanWorkSeconds(w));
     EXPECT_EQ(loaded.Quarantined(w), model.Quarantined(w));
   }

@@ -1,12 +1,14 @@
 // Tests for crowd answer recording/replay — pause/resume of a
-// deterministic crowd query.
+// deterministic crowd query — and the answer log's journal codec.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 
 #include "bayesnet/imputation.h"
 #include "common/fileio.h"
+#include "common/journal.h"
 #include "common/random.h"
 #include "core/framework.h"
 #include "crowd/platform.h"
@@ -33,29 +35,41 @@ AnswerLog SampleLog() {
   return log;
 }
 
+AnswerLog RoundTrip(const AnswerLog& log) {
+  AnswerLog out;
+  out.entries.resize(log.entries.size());
+  for (std::size_t i = 0; i < log.entries.size(); ++i) {
+    const Status decoded = DecodeAnswerLogEntry(
+        EncodeAnswerLogEntry(log.entries[i]), &out.entries[i]);
+    EXPECT_TRUE(decoded.ok()) << decoded.ToString();
+  }
+  return out;
+}
+
 TEST(AnswerLogTest, SerializationRoundTrip) {
   const AnswerLog log = SampleLog();
-  const auto parsed = ParseAnswerLog(SerializeAnswerLog(log));
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  ASSERT_EQ(parsed->entries.size(), log.entries.size());
-  for (std::size_t i = 0; i < log.entries.size(); ++i) {
-    EXPECT_TRUE(parsed->entries[i].expression == log.entries[i].expression);
-    EXPECT_EQ(parsed->entries[i].relation, log.entries[i].relation);
-    EXPECT_EQ(parsed->entries[i].round, log.entries[i].round);
-  }
+  EXPECT_EQ(RoundTrip(log), log);
 }
 
 TEST(AnswerLogTest, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/bc_answers.log";
-  ASSERT_TRUE(SaveAnswerLog(SampleLog(), path).ok());
-  const auto loaded = LoadAnswerLog(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->entries.size(), 2u);
+  std::filesystem::remove(path);
+  JournalWriter journal(nullptr, path, kAnswerLogFormat);
+  std::vector<std::string> payloads;
+  for (const AnswerLogEntry& entry : SampleLog().entries) {
+    payloads.push_back(EncodeAnswerLogEntry(entry));
+  }
+  ASSERT_TRUE(journal.Append(payloads).ok());
+  bool torn = true;
+  const auto loaded = LoadAnswerLog(path, &torn);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_FALSE(torn);
+  EXPECT_EQ(loaded.value(), SampleLog());
 }
 
-TEST(AnswerLogTest, V2EventsSurviveSerialization) {
-  // Abstains and whole-batch failure markers (log format v2) must
-  // round-trip: replaying a faulted session depends on them.
+TEST(AnswerLogTest, AbstainsAndFailuresRoundTrip) {
+  // Abstains and whole-batch failure markers must round-trip: replaying
+  // a faulted session depends on them.
   AnswerLog log = SampleLog();
   AnswerLogEntry abstain;
   abstain.kind = AnswerLogEntry::Kind::kAbstain;
@@ -66,85 +80,68 @@ TEST(AnswerLogTest, V2EventsSurviveSerialization) {
   failure.round = 3;
   log.entries.push_back(abstain);
   log.entries.push_back(failure);
-
-  const std::string text = SerializeAnswerLog(log);
-  EXPECT_NE(text.find(" a 2\n"), std::string::npos);
-  EXPECT_NE(text.find("fail 3\n"), std::string::npos);
-
-  const auto parsed = ParseAnswerLog(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  ASSERT_EQ(parsed->entries.size(), 4u);
-  EXPECT_EQ(parsed->entries[0].kind, AnswerLogEntry::Kind::kAnswer);
-  EXPECT_EQ(parsed->entries[2].kind, AnswerLogEntry::Kind::kAbstain);
-  EXPECT_TRUE(parsed->entries[2].expression == abstain.expression);
-  EXPECT_EQ(parsed->entries[2].round, 2u);
-  EXPECT_EQ(parsed->entries[3].kind, AnswerLogEntry::Kind::kFailure);
-  EXPECT_EQ(parsed->entries[3].round, 3u);
+  // A failure marker carries its kind and round only.
+  EXPECT_EQ(EncodeAnswerLogEntry(failure).size(), 9u);
+  EXPECT_EQ(RoundTrip(log), log);
 }
 
-TEST(AnswerLogTest, RejectsMalformedLines) {
-  EXPECT_FALSE(ParseAnswerLog("vc 1 2\n").ok());           // Truncated.
-  EXPECT_FALSE(ParseAnswerLog("vx 1 2 < 3 l 1\n").ok());   // Bad kind.
-  EXPECT_FALSE(ParseAnswerLog("vc 1 2 = 3 l 1\n").ok());   // Bad op.
-  EXPECT_FALSE(ParseAnswerLog("vc 1 2 < 3 q 1\n").ok());   // Bad relation.
-  EXPECT_TRUE(ParseAnswerLog("# comment\n\n").ok());       // Empty ok.
-}
-
-TEST(AnswerLogTest, V3VoteTokensRoundTrip) {
-  // Per-vote provenance (format v3): worker id, raw answer, and
-  // ms-quantized work time trail the aggregate. The marketplace's
-  // replay determinism — adaptive charging included — rides on these
-  // surviving a serialize/parse cycle byte-exactly.
+TEST(AnswerLogTest, VotesRoundTripExactly) {
+  // Per-vote provenance: worker id, raw answer and work time trail the
+  // aggregate. The marketplace's replay determinism, adaptive charging
+  // included, rides on these surviving a round trip; work times are
+  // stored as doubles, so none is quantized.
   AnswerLog log = SampleLog();
   log.entries[0].votes = {{7, Ordering::kLess, 31.25},
-                          {2, Ordering::kEqual, 0.004},
+                          {2, Ordering::kEqual, 0.0041234},
                           {19, Ordering::kGreater, 3600.0}};
-
-  const std::string text = SerializeAnswerLog(log);
-  EXPECT_NE(text.find(" 7:l:31250"), std::string::npos);
-  EXPECT_NE(text.find(" 2:e:4"), std::string::npos);
-  EXPECT_NE(text.find(" 19:g:3600000"), std::string::npos);
-
-  const auto parsed = ParseAnswerLog(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  ASSERT_EQ(parsed->entries[0].votes.size(), 3u);
-  EXPECT_EQ(parsed->entries[0].votes[0].worker, 7u);
-  EXPECT_EQ(parsed->entries[0].votes[0].answer, Ordering::kLess);
-  EXPECT_DOUBLE_EQ(parsed->entries[0].votes[0].work_seconds, 31.25);
-  EXPECT_EQ(parsed->entries[0].votes[2].worker, 19u);
-  EXPECT_TRUE(parsed->entries[1].votes.empty());
-
-  // The quantization is stable: a reparse of the reserialized text is
-  // byte-identical (the property the thread-invariance contract uses).
-  EXPECT_EQ(SerializeAnswerLog(parsed.value()), text);
+  const AnswerLog parsed = RoundTrip(log);
+  EXPECT_EQ(parsed, log);
+  EXPECT_EQ(parsed.entries[0].votes[1].work_seconds, 0.0041234);
 }
 
-TEST(AnswerLogTest, V2LogsWithoutVoteTokensStillLoad) {
-  // Logs recorded before vote provenance existed (v1/v2 headers, no
-  // trailing tokens) must keep loading: replaying an old session is a
-  // compatibility promise.
-  const std::string v2 =
-      "# bayescrowd answer log v2\n"
-      "vc 4 3 < 4 l 1\n"
-      "vv 4 1 > 1 1 g 1\n"
-      "vc 2 0 > 1 a 2\n"
-      "fail 3\n";
-  const auto parsed = ParseAnswerLog(v2);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  ASSERT_EQ(parsed->entries.size(), 4u);
-  for (const AnswerLogEntry& entry : parsed->entries) {
-    EXPECT_TRUE(entry.votes.empty());
+TEST(AnswerLogTest, RejectsOutOfDomainBytes) {
+  AnswerLogEntry entry = SampleLog().entries[0];  // A var-const answer.
+  entry.votes = {{7, Ordering::kLess, 30.0}};
+  const std::string valid = EncodeAnswerLogEntry(entry);
+  AnswerLogEntry out;
+  ASSERT_TRUE(DecodeAnswerLogEntry(valid, &out).ok());
+  // Layout: kind 0 | round 1-8 | object 9-16 | attribute 17-24 | op 25 |
+  // rhs flag 26 | constant 27-30 | relation 31 | vote count 32-35 |
+  // worker 36-39 | vote answer 40 | work seconds 41-48.
+  ASSERT_EQ(valid.size(), 49u);
+  const auto refused = [&](std::size_t offset, char byte) {
+    std::string bad = valid;
+    bad[offset] = byte;
+    return !DecodeAnswerLogEntry(bad, &out).ok();
+  };
+  EXPECT_TRUE(refused(0, 3));   // Kind.
+  EXPECT_TRUE(refused(25, 2));  // Operator.
+  EXPECT_TRUE(refused(26, 2));  // Operand flag.
+  EXPECT_TRUE(refused(31, 3));  // Relation.
+  EXPECT_TRUE(refused(40, 3));  // Vote answer.
+  EXPECT_TRUE(refused(32, 2));  // Vote count past the payload.
+  EXPECT_TRUE(refused(35, 0x7F));
+  EXPECT_FALSE(DecodeAnswerLogEntry(valid + '\0', &out).ok());  // Trailing.
+  for (std::size_t len = 0; len < valid.size(); ++len) {
+    EXPECT_FALSE(DecodeAnswerLogEntry(valid.substr(0, len), &out).ok())
+        << "length " << len;
   }
-  EXPECT_EQ(parsed->entries[0].relation, Ordering::kLess);
-  EXPECT_EQ(parsed->entries[2].kind, AnswerLogEntry::Kind::kAbstain);
-  EXPECT_EQ(parsed->entries[3].kind, AnswerLogEntry::Kind::kFailure);
 }
 
-TEST(AnswerLogTest, RejectsMalformedVoteTokens) {
-  EXPECT_FALSE(ParseAnswerLog("vc 1 2 < 3 l 1 7:q:30\n").ok());  // Answer.
-  EXPECT_FALSE(ParseAnswerLog("vc 1 2 < 3 l 1 7:l\n").ok());     // Field.
-  EXPECT_FALSE(ParseAnswerLog("vc 1 2 < 3 l 1 x:l:30\n").ok());  // Worker.
-  EXPECT_TRUE(ParseAnswerLog("vc 1 2 < 3 l 1 7:l:30\n").ok());
+TEST(AnswerLogTest, RefusesForeignAndOtherVersionFiles) {
+  const std::string path = ::testing::TempDir() + "/bc_answers_foreign.log";
+  const auto write = [&](const std::string& bytes) {
+    std::ofstream(path, std::ios::binary) << bytes;
+  };
+  bool torn = false;
+  write("# bayescrowd answer log v3\nvc 4 3 < 4 l 1\n");
+  EXPECT_TRUE(LoadAnswerLog(path, &torn).status().IsIOError());
+  std::string newer = JournalHeader(kAnswerLogFormat);
+  newer[4] = static_cast<char>(kAnswerLogFormat.version + 1);
+  write(newer);
+  const Status refused = LoadAnswerLog(path, &torn).status();
+  EXPECT_TRUE(refused.IsInvalidArgument()) << refused.ToString();
+  EXPECT_NE(refused.message().find("newer"), std::string::npos);
 }
 
 TEST(RecordReplayTest, RecordingCapturesTranscript) {
@@ -246,59 +243,59 @@ TEST(RecordReplayTest, ResumedQueryMatchesUninterruptedRun) {
   }
 }
 
-TEST(FileAnswerLogSinkTest, InjectedAppendFailureIsCleanIOErrorWithPath) {
-  const std::string path =
-      ::testing::TempDir() + "/bc_sink_enospc.log";
-  std::filesystem::remove(path);
-
-  // Opening succeeds (the header write passes: the first Bernoulli draw
-  // with this seed passes at rate 0.0 — use a plan that only fails
-  // *appends* by flipping the rate after Open).
-  FaultPlan plan;
-  FaultInjectingFileIo io(plan);
-  auto opened = FileAnswerLogSink::Open(path, 0, /*truncate=*/true, &io);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-
-  // Now a broken-disk sink on the same file: every append tears.
-  FaultPlan broken;
-  broken.write_fail_rate = 1.0;
-  FaultInjectingFileIo broken_io(broken);
-  auto sink = FileAnswerLogSink::Open(path, 0, /*truncate=*/false,
-                                      &broken_io);
-  ASSERT_TRUE(sink.ok()) << sink.status().ToString();
-
-  AnswerLogEntry entry;
-  entry.kind = AnswerLogEntry::Kind::kFailure;
-  entry.round = 1;
-  const Status appended = sink.value()->Append({entry});
-  EXPECT_TRUE(appended.IsIOError()) << appended.ToString();
-  EXPECT_NE(appended.message().find(path), std::string::npos)
-      << appended.ToString();
-  EXPECT_GE(broken_io.stats().writes_failed, 1u);
-
-  // An injected short write leaves a torn tail, exactly what the
-  // tolerant loader is built for: the prefix survives, the tail drops.
-  // (Close the sink first so the torn bytes leave the stdio buffer.)
-  sink.value().reset();
-  bool dropped = false;
-  const auto loaded = LoadAnswerLogTolerant(path, &dropped);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(dropped);
-  EXPECT_TRUE(loaded->entries.empty());  // Only the header was durable.
+std::vector<Task> OneTaskBatch() {
+  std::vector<Task> batch(1);
+  batch[0].expression = Expression::VarConst(V(4, 3), CmpOp::kLess, 4);
+  return batch;
 }
 
-TEST(FileAnswerLogSinkTest, InjectedSyncFailureFailsTheBatch) {
-  const std::string path = ::testing::TempDir() + "/bc_sink_esync.log";
+TEST(RecordingJournalTest, InjectedAppendFailureIsCleanIOErrorWithPath) {
+  const std::string path =
+      ::testing::TempDir() + "/bc_journal_enospc.log";
+  std::filesystem::remove(path);
+  ASSERT_TRUE(JournalWriter(nullptr, path, kAnswerLogFormat)
+                  .Rewrite({})
+                  .ok());
+
+  // A broken-disk journal on the same file: every append tears. (Its
+  // scope closes the file, so the torn bytes leave the stdio buffer.)
+  {
+    FaultPlan broken;
+    broken.write_fail_rate = 1.0;
+    FaultInjectingFileIo broken_io(broken);
+    JournalWriter journal(&broken_io, path, kAnswerLogFormat);
+    const Table gt = MakeSampleMovieGroundTruth();
+    SimulatedCrowdPlatform live(gt, {});
+    RecordingPlatform recorder(live, &journal);
+    const Status appended = recorder.PostBatch(OneTaskBatch()).status();
+    EXPECT_TRUE(appended.IsIOError()) << appended.ToString();
+    EXPECT_NE(appended.message().find(path), std::string::npos)
+        << appended.ToString();
+    EXPECT_GE(broken_io.stats().writes_failed, 1u);
+  }
+
+  // The short write left a torn tail, exactly what the load rule is
+  // built for: the header survives, the torn record drops.
+  bool torn = false;
+  const auto loaded = LoadAnswerLog(path, &torn);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(torn);
+  EXPECT_TRUE(loaded->entries.empty());
+}
+
+TEST(RecordingJournalTest, InjectedSyncFailureFailsTheBatch) {
+  const std::string path = ::testing::TempDir() + "/bc_journal_esync.log";
   std::filesystem::remove(path);
 
   FaultPlan plan;
   plan.sync_fail_rate = 1.0;
   FaultInjectingFileIo io(plan);
-  // Open itself syncs the fresh header, so with sync failing at rate 1
-  // the failure surfaces immediately — with the path in the message.
-  auto sink = FileAnswerLogSink::Open(path, 0, /*truncate=*/true, &io);
-  ASSERT_FALSE(sink.ok());
-  EXPECT_TRUE(sink.status().IsIOError()) << sink.status().ToString();
+  JournalWriter journal(&io, path, kAnswerLogFormat);
+  const Table gt = MakeSampleMovieGroundTruth();
+  SimulatedCrowdPlatform live(gt, {});
+  RecordingPlatform recorder(live, &journal);
+  const Status appended = recorder.PostBatch(OneTaskBatch()).status();
+  EXPECT_TRUE(appended.IsIOError()) << appended.ToString();
   EXPECT_GE(io.stats().syncs_failed, 1u);
 }
 

@@ -213,7 +213,7 @@ void TearManifestTail(const std::string& state_dir) {
   torn.kind = ManifestEventKind::kAdvance;
   torn.session_id = "k0";
   torn.tenant = "acme";
-  const std::string record = serve::EncodeManifestRecord(torn);
+  const std::string record = serve::EncodeManifestRecord(torn).value();
   Result<std::string> existing = RealFileIo()->ReadFile(path);
   std::string bytes =
       existing.ok() ? std::move(existing).value() : serve::ManifestHeader();
@@ -346,11 +346,11 @@ ManifestEvent FuzzEvent(const std::string& id, ManifestEventKind kind) {
 TEST(ManifestFuzzTest, TornTailStopsScanAndKeepsPrefix) {
   std::string bytes = serve::ManifestHeader();
   bytes += serve::EncodeManifestRecord(
-      FuzzEvent("a", ManifestEventKind::kCreate));
+      FuzzEvent("a", ManifestEventKind::kCreate)).value();
   const std::string second = serve::EncodeManifestRecord(
-      FuzzEvent("b", ManifestEventKind::kCreate));
+      FuzzEvent("b", ManifestEventKind::kCreate)).value();
   bytes += second.substr(0, second.size() - 3);  // Torn mid-CRC.
-  const ManifestLoad load = serve::ParseManifest(bytes);
+  const ManifestLoad load = serve::ParseManifest(bytes).value();
   ASSERT_EQ(load.events.size(), 1u);
   EXPECT_EQ(load.events[0].session_id, "a");
   EXPECT_EQ(load.torn_tail_records, 1u);
@@ -360,14 +360,14 @@ TEST(ManifestFuzzTest, TornTailStopsScanAndKeepsPrefix) {
 TEST(ManifestFuzzTest, CorruptPayloadMidFileDropsTheTail) {
   std::string bytes = serve::ManifestHeader();
   bytes += serve::EncodeManifestRecord(
-      FuzzEvent("a", ManifestEventKind::kCreate));
+      FuzzEvent("a", ManifestEventKind::kCreate)).value();
   const std::size_t corrupt_at = bytes.size() + 10;
   bytes += serve::EncodeManifestRecord(
-      FuzzEvent("b", ManifestEventKind::kAdvance));
+      FuzzEvent("b", ManifestEventKind::kAdvance)).value();
   bytes += serve::EncodeManifestRecord(
-      FuzzEvent("c", ManifestEventKind::kCreate));
+      FuzzEvent("c", ManifestEventKind::kCreate)).value();
   bytes[corrupt_at] = static_cast<char>(bytes[corrupt_at] ^ 0x5A);
-  const ManifestLoad load = serve::ParseManifest(bytes);
+  const ManifestLoad load = serve::ParseManifest(bytes).value();
   // Everything before the CRC failure is trusted; nothing after it is.
   ASSERT_EQ(load.events.size(), 1u);
   EXPECT_EQ(load.events[0].session_id, "a");
@@ -377,12 +377,12 @@ TEST(ManifestFuzzTest, CorruptPayloadMidFileDropsTheTail) {
 TEST(ManifestFuzzTest, UnknownKindIsSkippedWithCounterFramingIntact) {
   std::string bytes = serve::ManifestHeader();
   bytes += serve::EncodeManifestRecord(
-      FuzzEvent("a", ManifestEventKind::kCreate));
+      FuzzEvent("a", ManifestEventKind::kCreate)).value();
   bytes += serve::EncodeManifestRecord(
-      FuzzEvent("x", static_cast<ManifestEventKind>(99)));
+      FuzzEvent("x", static_cast<ManifestEventKind>(99))).value();
   bytes += serve::EncodeManifestRecord(
-      FuzzEvent("b", ManifestEventKind::kCreate));
-  const ManifestLoad load = serve::ParseManifest(bytes);
+      FuzzEvent("b", ManifestEventKind::kCreate)).value();
+  const ManifestLoad load = serve::ParseManifest(bytes).value();
   ASSERT_EQ(load.events.size(), 2u);
   EXPECT_EQ(load.events[0].session_id, "a");
   EXPECT_EQ(load.events[1].session_id, "b");
@@ -413,10 +413,43 @@ TEST(ManifestFuzzTest, DuplicateCreateIsCountedNewestWins) {
   EXPECT_EQ(manager.resident(), 1u);
 }
 
-TEST(ManifestFuzzTest, BadHeaderLoadsEmptyWithTornRecord) {
-  const ManifestLoad load = serve::ParseManifest("garbage header bytes");
-  EXPECT_TRUE(load.events.empty());
-  EXPECT_GE(load.torn_tail_records, 1u);
+TEST(ManifestFuzzTest, BadHeaderIsRefused) {
+  // A foreign file is refused, never read as an empty journal: recovery
+  // would otherwise compact it, overwriting whatever it was.
+  const auto refused = serve::ParseManifest("garbage header bytes");
+  ASSERT_FALSE(refused.ok());
+  EXPECT_TRUE(refused.status().IsIOError()) << refused.status().ToString();
+  std::string newer = serve::ManifestHeader();
+  newer[4] = 2;
+  const auto other = serve::ParseManifest(newer);
+  EXPECT_TRUE(other.status().IsInvalidArgument())
+      << other.status().ToString();
+
+  const std::string state_dir = FreshDir("bc_serve_foreign_manifest");
+  fs::create_directories(state_dir);
+  const std::string path = state_dir + "/serve-manifest.bin";
+  ASSERT_TRUE(
+      RealFileIo()->WriteFileDurable(path, "garbage header bytes").ok());
+  SessionManager manager(ServerOptions(state_dir, 2));
+  EXPECT_TRUE(manager.Recover(FixtureResolver()).status().IsIOError());
+  EXPECT_EQ(RealFileIo()->ReadFile(path).value(), "garbage header bytes");
+}
+
+TEST(ManifestFormatTest, BytesArePinned) {
+  // The manifest's bytes predate the shared journal module and must not
+  // move: "BSMN" v1, then u32 len | payload | u32 crc.
+  const std::string bytes =
+      serve::ManifestHeader() +
+      serve::EncodeManifestRecord(
+          FuzzEvent("p", ManifestEventKind::kCheckpoint))
+          .value();
+  std::string hex;
+  for (const unsigned char c : bytes) hex += StrFormat("%02x", c);
+  EXPECT_EQ(hex,
+            "42534d4e0100000065000000020100000000000000700400000000000000"
+            "61636d65020000000000000000000000000000000700000000000000070000"
+            "00000000002f746d702f636b03000000000000000f000000000000007b226f"
+            "70223a22637265617465227d010000000000000064aac33753");
 }
 
 }  // namespace

@@ -22,7 +22,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -36,7 +35,6 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/string_util.h"
-#include "core/checkpoint.h"
 #include "core/framework.h"
 #include "core/inspect.h"
 #include "core/query_spec.h"
@@ -53,7 +51,6 @@
 #include "crowd/fault_injection.h"
 #include "crowd/interactive.h"
 #include "crowd/marketplace.h"
-#include "crowd/record_replay.h"
 #include "ctable/builder.h"
 #include "data/dataset_io.h"
 #include "data/generators.h"
@@ -129,8 +126,6 @@ constexpr KeyDef kRunKeys[] = {
     {"max_retries", KeyKind::kInt, 0, 1000},
     {"round_deadline", KeyKind::kNumber, 0, kUnbounded},
     // Pause/resume and crash safety.
-    {"record", KeyKind::kString},
-    {"replay_from", KeyKind::kString},
     {"checkpoint_dir", KeyKind::kString},
     {"checkpoint_every", KeyKind::kInt, 1, kUnbounded},
     {"keep_checkpoints", KeyKind::kInt, 1, 1000},
@@ -309,12 +304,6 @@ int CmdRun(const Flags& flags) {
                       "--no-cache cannot be combined with --resume "
                       "(snapshots carry memoized solver state)");
   }
-  if (!checkpoint_dir.empty() &&
-      (flags.Has("record") || flags.Has("replay_from"))) {
-    return UsageError("run",
-                      "--checkpoint-dir cannot be combined with --record / "
-                      "--replay-from; it manages its own answer log");
-  }
   // Cost-attribution session label. It lands verbatim inside canonical
   // series keys and Prometheus label values, so keep it to a safe
   // charset instead of escaping it everywhere downstream.
@@ -333,15 +322,10 @@ int CmdRun(const Flags& flags) {
   obs::FlightRecorder flight_recorder;
   const std::string flight_out = flags.Get("flight_out");
   if (flags.Has("flight_out")) {
-    if (flight_out.empty()) {
-      return UsageError("run", "--flight-out needs a file path");
+    const Status writable = obs::CheckFlightLogPath(flight_out);
+    if (!writable.ok()) {
+      return UsageError("run", "--flight-out: " + writable.message());
     }
-    std::FILE* probe = std::fopen(flight_out.c_str(), "ab");
-    if (probe == nullptr) {
-      return UsageError("run", "--flight-out: cannot open '" + flight_out +
-                                   "' for writing");
-    }
-    std::fclose(probe);
   }
   obs::SnapshotFanout round_fanout;
   std::unique_ptr<obs::PrometheusFileExporter> prom_exporter;
@@ -428,8 +412,8 @@ int CmdRun(const Flags& flags) {
   auto* market = dynamic_cast<MarketplaceCrowdPlatform*>(platform.get());
 
   // Optional deterministic fault injection between the live platform
-  // and everything above it, so a recorded faulted session transcribes
-  // (and replays) the exact recovery path.
+  // and everything above it, so a checkpointed faulted session
+  // transcribes (and replays) the exact recovery path.
   std::unique_ptr<FaultInjectingPlatform> faulter;
   CrowdPlatform* effective = platform.get();
   const double fault_rate = flags.Value("fault_rate", 0.0);
@@ -442,30 +426,10 @@ int CmdRun(const Flags& flags) {
     effective = faulter.get();
   }
 
-  // Optional pause/resume: --replay-from serves previously bought
-  // answers before going live; --record transcribes this session.
-  std::unique_ptr<ReplayingPlatform> replayer;
-  if (flags.Has("replay_from")) {
-    auto log = LoadAnswerLog(flags.Get("replay_from"));
-    if (!log.ok()) return Fail(log.status());
-    replayer = std::make_unique<ReplayingPlatform>(
-        std::move(log).value(), effective);  // Live tail stays faulted.
-    effective = replayer.get();
-  }
-  std::unique_ptr<RecordingPlatform> recorder;
-  if (flags.Has("record")) {
-    recorder = std::make_unique<RecordingPlatform>(*effective);
-    effective = recorder.get();
-  }
-
-  // Crash-safe sessions: checksummed snapshots plus a durable answer
-  // log in --checkpoint-dir; --resume continues from the newest intact
-  // pair. Mutually exclusive with the manual --record / --replay-from
-  // mechanism above (both would want to own the recorder).
-  std::unique_ptr<CheckpointStore> ckpt_store;
-  std::unique_ptr<FileAnswerLogSink> log_sink;
-  std::unique_ptr<SessionCheckpointSink> session_sink;
-  std::unique_ptr<RecoveredSession> recovered;
+  // Crash-safe, pausable sessions: checksummed snapshots plus a durable
+  // answer log in --checkpoint-dir; --resume continues from the newest
+  // intact pair.
+  std::unique_ptr<DurableSession> durable;
   if (!checkpoint_dir.empty()) {
     // The fingerprint binds a checkpoint to the query it belongs to:
     // behavior-relevant options, dataset bytes, the posterior model (its
@@ -491,52 +455,19 @@ int CmdRun(const Flags& flags) {
       platform_config["structure"] =
           PosteriorStructureToString(spec.structure);
     }
-    const std::uint64_t fingerprint = ConfigFingerprint(
+    DurableSession::Options durable_options;
+    durable_options.dir = checkpoint_dir;
+    durable_options.resume = resume;
+    durable_options.fingerprint = ConfigFingerprint(
         options, file_bytes(flags.Get("data")), platform_config.Dump());
-
-    CheckpointStore::Options store_options;
-    store_options.dir = checkpoint_dir;
-    store_options.keep =
-        flags.Value<std::size_t>("keep_checkpoints", 3);
-    ckpt_store = std::make_unique<CheckpointStore>(store_options);
-    const std::string log_path = checkpoint_dir + "/answers.log";
-    std::error_code ec;
-    std::filesystem::create_directories(checkpoint_dir, ec);
-    if (ec) {
-      return Fail(Status::IOError("cannot create checkpoint dir " +
-                                  checkpoint_dir + ": " + ec.message()));
-    }
-
-    std::size_t base_log_offset = 0;
-    std::size_t already_durable = 0;
-    bool truncate_log = true;
-    if (resume) {
-      auto session_state =
-          RecoverSession(checkpoint_dir, log_path, fingerprint);
-      if (!session_state.ok()) return Fail(session_state.status());
-      recovered = std::make_unique<RecoveredSession>(
-          std::move(session_state).value());
-      base_log_offset = recovered->state.answer_log_offset;
-      // The replayed tail is re-recorded by the recorder below but is
-      // already in the file; the sink skips that many entries.
-      already_durable = recovered->durable_entries - base_log_offset;
-      truncate_log = false;
-      replayer = std::make_unique<ReplayingPlatform>(
-          recovered->replay_tail, effective);
-      replayer->SetBaseTotals(recovered->state.platform_tasks,
-                              recovered->state.platform_rounds);
-      effective = replayer.get();
-      // A from-scratch recovery (killed before the first checkpoint)
-      // has no state to restore; the full-log replay rebuilds it.
-      if (!recovered->from_scratch) options.resume = &recovered->state;
-      run_metrics.GetCounter("recovery.resumed")->Increment();
-      run_metrics.GetCounter("recovery.fallback")
-          ->Increment(recovered->fallbacks);
-      run_metrics.GetCounter("recovery.replayed_entries")
-          ->Increment(recovered->replay_tail.entries.size());
-      if (recovered->dropped_torn_tail) {
-        run_metrics.GetCounter("recovery.dropped_torn_tail")->Increment();
-      }
+    durable_options.keep = flags.Value<std::size_t>("keep_checkpoints", 3);
+    durable_options.checkpoint_every =
+        flags.Value<std::size_t>("checkpoint_every", 1);
+    auto opened = DurableSession::Open(durable_options, *effective, &options);
+    if (!opened.ok()) return Fail(opened.status());
+    durable = std::move(opened).value();
+    effective = &durable->platform();
+    if (const RecoveredSession* recovered = durable->recovered()) {
       std::printf(
           "resuming from round %zu: %zu answer(s) to replay, %zu "
           "checkpoint generation(s) skipped%s\n",
@@ -544,19 +475,6 @@ int CmdRun(const Flags& flags) {
           recovered->fallbacks,
           recovered->dropped_torn_tail ? ", torn log tail dropped" : "");
     }
-    auto sink = FileAnswerLogSink::Open(log_path, already_durable,
-                                        truncate_log);
-    if (!sink.ok()) return Fail(sink.status());
-    log_sink = std::move(sink).value();
-    recorder = std::make_unique<RecordingPlatform>(*effective,
-                                                   log_sink.get());
-    effective = recorder.get();
-
-    session_sink = std::make_unique<SessionCheckpointSink>(
-        ckpt_store.get(), recorder.get(), base_log_offset, fingerprint);
-    options.checkpoint_sink = session_sink.get();
-    options.checkpoint_every =
-        flags.Value<std::size_t>("checkpoint_every", 1);
   }
 
   BayesCrowd framework(options);
@@ -571,23 +489,6 @@ int CmdRun(const Flags& flags) {
                    st.ToString().c_str());
     } else {
       std::printf("wrote flight log to %s\n", flight_out.c_str());
-    }
-  }
-  if (recorder != nullptr && flags.Has("record")) {
-    // Save even when the run failed (e.g. the human walked away from an
-    // interactive session): the bought answers are what makes resuming
-    // with --replay-from possible.
-    const Status saved =
-        SaveAnswerLog(recorder->log(), flags.Get("record"));
-    if (!saved.ok()) return Fail(saved);
-    if (!result.ok()) {
-      std::fprintf(stderr,
-                   "run interrupted (%s); %zu answers saved, resume with "
-                   "--replay-from %s\n",
-                   result.status().ToString().c_str(),
-                   recorder->log().entries.size(),
-                   flags.Get("record").c_str());
-      return 1;
     }
   }
   if (!result.ok()) {

@@ -70,6 +70,7 @@
 #include "data/generators.h"
 #include "data/missing.h"
 #include "obs/export.h"
+#include "obs/flight.h"
 #include "obs/json.h"
 #include "serve/manager.h"
 #include "serve/manifest.h"
@@ -462,6 +463,14 @@ int ServeMain(int argc, char** argv) {
   if (recover && options.state_dir.empty()) {
     std::fprintf(stderr, "--recover requires --state-dir\n");
     return 2;
+  }
+  if (flags.Find("flight_out") != nullptr) {
+    const Status writable = obs::CheckFlightLogPath(flight_out);
+    if (!writable.ok()) {
+      std::fprintf(stderr, "--flight-out: %s\n",
+                   writable.message().c_str());
+      return 2;
+    }
   }
   std::unique_ptr<obs::PrometheusFileExporter> prom_exporter;
   if (flags.Find("metrics_prom") != nullptr) {

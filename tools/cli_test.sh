@@ -7,8 +7,10 @@
 # fault-flag validation the run command grew with the retry layer, the
 # solver-governor flag validation, the marketplace flag validation
 # (--marketplace / --spam-rate / --adaptive-votes / --no-defense), that
-# the retired knowledge-compilation flags are unknown flags, and that a
-# resume under another posterior model is refused.
+# the retired knowledge-compilation and manual pause flags are unknown
+# flags, that a resume under another posterior model is refused, and
+# that an interactive session pauses and resumes through
+# --checkpoint-dir (a fresh run refuses the paused directory).
 #
 # Every command reads its flags through a key table, so a flag the
 # command does not take (a typo included) exits 2 with one line.
@@ -17,8 +19,8 @@
 # fixtures (tests/testdata/serve_golden_*.jsonl) and its bad-input
 # behavior: a malformed request line, an unknown key or an out-of-range
 # value gets a one-line diagnostic naming the key and the connection
-# survives; bad flags (an unwritable --metrics-prom included) exit 2
-# without starting the loop. `run` and serve
+# survives; bad flags (an unwritable --metrics-prom or --flight-out
+# included) exit 2 without starting the loop. `run` and serve
 # `create` read one query spec: the same query through either gives the
 # same answer, and a create that leaves the budget out gets the CLI's
 # default of 50. The
@@ -289,6 +291,53 @@ run_ckpt --structure none --resume \
   || fail "resuming with the same --structure must still work"
 
 # ------------------------------------------------------------------ #
+# run: --checkpoint-dir is the one way to pause. An interactive session
+# cut off by EOF resumes from its durable answers: the resumed run asks
+# only the tasks an uninterrupted session had left, under the session's
+# own round numbers. A fresh run refuses the paused directory and
+# leaves it as it was.
+# ------------------------------------------------------------------ #
+answers() { printf 'l\n%.0s' $(seq 1 "$1"); }
+run_interactive() {
+  "${CLI}" run --data "${WORK}/inj_42.csv" --interactive --budget 8 \
+    --latency 4 --alpha -1 "$@"
+}
+prompts() { grep -c 'answer (l)arger' "$1" || true; }
+answers 20 | run_interactive > "${WORK}/whole.txt"
+rc=0
+answers 4 | run_interactive --checkpoint-dir "${WORK}/pause" \
+  > "${WORK}/paused.txt" 2>/dev/null || rc=$?
+[ "${rc}" -eq 1 ] || fail "an interactive run cut off by EOF must exit 1, got ${rc}"
+answers 20 | run_interactive --checkpoint-dir "${WORK}/pause" --resume \
+  > "${WORK}/resumed.txt"
+[ "$(prompts "${WORK}/resumed.txt")" -eq "$(( $(prompts "${WORK}/whole.txt") - 4 ))" ] \
+  || fail "a resumed interactive session must ask only its remaining tasks"
+grep -q -- '--- round 3:' "${WORK}/resumed.txt" \
+  || fail "a resumed interactive session must keep its round numbers"
+! grep -q -- '--- round 1:' "${WORK}/resumed.txt" \
+  || fail "a resumed interactive session restarted its round count"
+ls "${WORK}/pause" > "${WORK}/pause_before.txt"
+cksum "${WORK}/pause/answers.log" > "${WORK}/pause_log_before.txt"
+rc=0
+run_base --budget 8 --latency 4 --checkpoint-dir "${WORK}/pause" \
+  >/dev/null 2>"${WORK}/fresh.err" || rc=$?
+[ "${rc}" -eq 1 ] || fail "a fresh run into a paused session's dir must exit 1, got ${rc}"
+[ "$(wc -l < "${WORK}/fresh.err")" -eq 1 ] \
+  || fail "the fresh-run refusal must print exactly one line"
+grep -q -- "${WORK}/pause.*--resume" "${WORK}/fresh.err" \
+  || fail "the fresh-run refusal must name the directory and --resume"
+ls "${WORK}/pause" | cmp -s - "${WORK}/pause_before.txt" \
+  || fail "a refused fresh run must leave the directory's files alone"
+cksum "${WORK}/pause/answers.log" | cmp -s - "${WORK}/pause_log_before.txt" \
+  || fail "a refused fresh run must not truncate the answer log"
+
+# The retired manual pause flags are unknown flags.
+expect_usage_error run --data "${WORK}/inj_42.csv" --truth "${WORK}/gen_42.csv" \
+  --record "${WORK}/answers.txt"
+expect_usage_error run --data "${WORK}/inj_42.csv" --truth "${WORK}/gen_42.csv" \
+  --replay-from "${WORK}/answers.txt"
+
+# ------------------------------------------------------------------ #
 # inspect: exit 0 when runs agree, 1 on a flagged regression, 2 on
 # usage errors — the contract CI gating scripts rely on.
 # ------------------------------------------------------------------ #
@@ -489,6 +538,17 @@ sed -n 2p "${WORK}/serve_deadline.jsonl" | grep -q '"deadline_ms":5000' \
   || fail "advance with deadline_ms must echo the deadline"
 sed -n 2p "${WORK}/serve_deadline.jsonl" | grep -q '"ok":true' \
   || fail "deadlined advance must still succeed"
+
+# serve: an unwritable --flight-out exits 2 with one line before it
+# reads a single request.
+rc=0
+echo '{"op":"list"}' | "${SERVE}" --flight-out /nonexistent-dir/f.jsonl \
+  > "${WORK}/serve_flight.out" 2> "${WORK}/serve_flight.err" || rc=$?
+[ "${rc}" -eq 2 ] || fail "serve --flight-out to an unwritable path must exit 2, got ${rc}"
+[ "$(wc -l < "${WORK}/serve_flight.err")" -eq 1 ] \
+  || fail "serve --flight-out rejection must print exactly one line"
+[ ! -s "${WORK}/serve_flight.out" ] \
+  || fail "serve must not answer requests after a --flight-out rejection"
 
 # serve: the deterministic shed trip (--chaos shed_every=N) answers
 # Unavailable with the machine-readable retry hint, and the very next

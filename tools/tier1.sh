@@ -60,26 +60,35 @@ grep -q 'fault.transient_failures' "$SMOKE/metrics_fault.json"
 grep -q '"recovery"' "$SMOKE/telemetry_fault.json"
 grep -q '"retries"' "$SMOKE/telemetry_fault.json"
 
-echo "== tier-1: crash-safety smoke run (kill, corrupt, resume) =="
-# Checkpointed run, then a deliberately corrupted newest snapshot: the
-# resume must fall back one generation, replay the answer-log tail, and
-# report itself in the telemetry ("resumed": true, recovery.* metrics).
-"$CLI" run --data "$SMOKE/holes.csv" --truth "$SMOKE/complete.csv" \
-  --strategy hhs --budget 20 --latency 4 --threads 4 --alpha -1 \
-  --fault-rate 0.2 --accuracy 0.9 --log-level warning \
-  --checkpoint-dir "$SMOKE/ckpt" > /dev/null
+echo "== tier-1: crash-safety smoke run (kill, corrupt, tear, resume) =="
+# Checkpointed run, then a deliberately corrupted newest snapshot and a
+# torn answer-log tail (a partial record, as a kill mid-append leaves):
+# the resume must fall back one generation, drop the torn record,
+# replay the answer-log tail, and report itself in the telemetry
+# ("resumed": true, recovery.* metrics). The repair is durable: a second
+# resume finds a clean log.
+run_crash() {
+  "$CLI" run --data "$SMOKE/holes.csv" --truth "$SMOKE/complete.csv" \
+    --strategy hhs --budget 20 --latency 4 --threads 4 --alpha -1 \
+    --fault-rate 0.2 --accuracy 0.9 --log-level warning \
+    --checkpoint-dir "$SMOKE/ckpt" "$@"
+}
+run_crash > /dev/null
 ls "$SMOKE"/ckpt/ckpt-*.bin > /dev/null   # Snapshots exist.
 test -s "$SMOKE/ckpt/answers.log"         # Durable answer log exists.
 NEWEST="$(ls "$SMOKE"/ckpt/ckpt-*.bin | tail -1)"
 truncate -s 20 "$NEWEST"                  # Corrupt the newest snapshot.
-"$CLI" run --data "$SMOKE/holes.csv" --truth "$SMOKE/complete.csv" \
-  --strategy hhs --budget 20 --latency 4 --threads 4 --alpha -1 \
-  --fault-rate 0.2 --accuracy 0.9 --log-level warning \
-  --checkpoint-dir "$SMOKE/ckpt" --resume \
-  --telemetry-out "$SMOKE/telemetry_resume.json" > "$SMOKE/report_resume.txt"
+# A frame announcing 32 payload bytes of which 2 landed.
+printf '\040\000\000\000\001\002' >> "$SMOKE/ckpt/answers.log"
+run_crash --resume --telemetry-out "$SMOKE/telemetry_resume.json" \
+  > "$SMOKE/report_resume.txt"
 grep -q 'resuming from round' "$SMOKE/report_resume.txt"
+grep -q 'torn log tail dropped' "$SMOKE/report_resume.txt"
 grep -q '"resumed": true' "$SMOKE/telemetry_resume.json"
 grep -q 'recovery.fallback' "$SMOKE/telemetry_resume.json"
+run_crash --resume > "$SMOKE/report_resume2.txt"
+grep -q 'resuming from round' "$SMOKE/report_resume2.txt"
+! grep -q 'torn log tail dropped' "$SMOKE/report_resume2.txt"
 
 echo "== tier-1: marketplace spam-storm smoke run (defend, kill, resume) =="
 # An adversarial marketplace at 30% spam/collusion: the defended run
