@@ -129,10 +129,23 @@ Status JournalWriter::EnsureOpen() {
   if (file_ != nullptr) return Status::OK();
   const std::string dir = ParentDir(path_);
   if (!dir.empty()) BAYESCROWD_RETURN_NOT_OK(io_->CreateDirs(dir));
+  if (repair_) {
+    // A failed append may have left a partial header or frame; records
+    // appended after torn bytes would never load. Put the trusted
+    // records back atomically first (a foreign file is refused as is).
+    BAYESCROWD_ASSIGN_OR_RETURN(const JournalLoad load,
+                                LoadJournal(io_, path_, format_));
+    if (load.torn) BAYESCROWD_RETURN_NOT_OK(Rewrite(load.records));
+    repair_ = false;
+  }
   BAYESCROWD_ASSIGN_OR_RETURN(file_, io_->OpenAppend(path_, false));
   BAYESCROWD_ASSIGN_OR_RETURN(const std::uint64_t size, file_->Size());
-  if (size == 0) {
-    BAYESCROWD_RETURN_NOT_OK(file_->Append(JournalHeader(format_)));
+  if (size == 0) return file_->Append(JournalHeader(format_));
+  if (size < kHeaderBytes) {
+    // Cut inside its header: a kill during the first write.
+    file_.reset();
+    repair_ = true;
+    return EnsureOpen();
   }
   return Status::OK();
 }
@@ -143,9 +156,15 @@ Status JournalWriter::Append(const std::vector<std::string>& payloads) {
   for (const std::string& payload : payloads) {
     BAYESCROWD_RETURN_NOT_OK(EncodeJournalRecord(payload, &batch));
   }
-  BAYESCROWD_RETURN_NOT_OK(EnsureOpen());
-  BAYESCROWD_RETURN_NOT_OK(file_->Append(batch));
-  return file_->Sync();
+  Status status = EnsureOpen();
+  if (status.ok()) status = file_->Append(batch);
+  if (status.ok()) status = file_->Sync();
+  if (!status.ok()) {
+    // The handle is kept only while everything on disk is whole.
+    file_.reset();
+    repair_ = true;
+  }
+  return status;
 }
 
 Status JournalWriter::Rewrite(const std::vector<std::string>& payloads) {

@@ -78,7 +78,9 @@ Status WriteFileAtomic(
         nullptr);
 
 /// Append-side handle on one journal file. Opens lazily, writing the
-/// header when the file is empty.
+/// header when the file is empty. After a failed append, or over a file
+/// cut inside its header, the next Append first rewrites the trusted
+/// records atomically, so later records never follow torn bytes.
 class JournalWriter {
  public:
   /// `io` null = RealFileIo().
@@ -101,6 +103,7 @@ class JournalWriter {
   std::string path_;
   JournalFormat format_;
   std::unique_ptr<AppendFile> file_;
+  bool repair_ = false;  // The file may end in torn bytes.
 };
 
 }  // namespace bayescrowd

@@ -188,7 +188,6 @@ Result<std::unique_ptr<DurableSession>> DurableSession::Open(
   session->recorder_ = std::make_unique<RecordingPlatform>(
       *below_recorder, &session->journal_, already_durable);
   run->checkpoint_sink = session.get();
-  run->checkpoint_every = options.checkpoint_every;
   return session;
 }
 

@@ -100,16 +100,16 @@ class DurableSession : private CheckpointSink {
     /// written under another one.
     std::uint64_t fingerprint = 0;
     std::size_t keep = 3;  // Generations retained (CheckpointStore).
-    std::size_t checkpoint_every = 1;
     /// Where stamped snapshots go; null = this session's own
     /// CheckpointStore on `dir`. Tests pass a store wrapper that kills
     /// the run at a chosen boundary.
     CheckpointSink* sink = nullptr;
   };
 
-  /// Opens the session over `live` and sets `run`'s resume state,
-  /// checkpoint sink and cadence; recovery.* counters go to
-  /// `run->metrics`. A fresh open refuses a directory that already
+  /// Opens the session over `live` and sets `run`'s resume state and
+  /// checkpoint sink; the cadence stays `run->checkpoint_every` (0 = no
+  /// snapshots, so a resume replays the whole log). recovery.* counters
+  /// go to `run->metrics`. A fresh open refuses a directory that already
   /// holds a generation or an answer and changes nothing in it. `live`,
   /// `run` and the session must outlive the run.
   static Result<std::unique_ptr<DurableSession>> Open(

@@ -511,5 +511,84 @@ TEST(JournalTest, FailedRewriteLeavesTheOldBytes) {
             std::vector<std::string>{"new"});
 }
 
+/// Forwards every call to `target`, which a test switches between a
+/// faulty and a healthy IO under one JournalWriter.
+class SwitchableFileIo : public FileIo {
+ public:
+  FileIo* target = RealFileIo();
+
+  Result<std::string> ReadFile(const std::string& path) override {
+    return target->ReadFile(path);
+  }
+  Status WriteFileDurable(const std::string& path,
+                          std::string_view bytes) override {
+    return target->WriteFileDurable(path, bytes);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return target->Rename(from, to);
+  }
+  Status RemoveFile(const std::string& path) override {
+    return target->RemoveFile(path);
+  }
+  Status SyncDir(const std::string& dir) override {
+    return target->SyncDir(dir);
+  }
+  Status CreateDirs(const std::string& dir) override {
+    return target->CreateDirs(dir);
+  }
+  Result<std::vector<std::string>> ListDir(const std::string& dir) override {
+    return target->ListDir(dir);
+  }
+  Result<std::unique_ptr<AppendFile>> OpenAppend(const std::string& path,
+                                                 bool truncate) override {
+    return target->OpenAppend(path, truncate);
+  }
+};
+
+TEST(JournalTest, AppendAfterAFailedWriteKeepsTheLaterRecords) {
+  const std::string path = ::testing::TempDir() + "/bc_journal_torn.bin";
+  std::filesystem::remove(path);
+  FaultPlan plan;
+  plan.write_fail_rate = 1.0;  // Every write lands half its bytes.
+  FaultInjectingFileIo faulty(plan);
+  SwitchableFileIo io;
+  JournalWriter journal(&io, path, kTestJournal);
+
+  // The first write is the header: half of it lands.
+  io.target = &faulty;
+  EXPECT_TRUE(journal.Append({"lost"}).IsIOError());
+  EXPECT_EQ(RealFileIo()->ReadFile(path).value(),
+            JournalHeader(kTestJournal).substr(0, 4));
+  io.target = RealFileIo();
+  ASSERT_TRUE(journal.Append({"kept"}).ok());
+
+  // A record's frame is torn behind a whole header (a second writer,
+  // since the first keeps its healthy handle open).
+  JournalWriter second(&io, path, kTestJournal);
+  io.target = &faulty;
+  EXPECT_TRUE(second.Append({"torn record"}).IsIOError());
+  io.target = RealFileIo();
+  ASSERT_TRUE(second.Append({"after"}).ok());
+  auto load = LoadJournal(nullptr, path, kTestJournal);
+  ASSERT_TRUE(load.ok()) << load.status().ToString();
+  EXPECT_EQ(load->records, (std::vector<std::string>{"kept", "after"}));
+  EXPECT_FALSE(load->torn);
+
+  // A new writer over a file cut inside its header (a kill during the
+  // first write) repairs it the same way...
+  const std::string header = JournalHeader(kTestJournal);
+  ASSERT_TRUE(RealFileIo()->WriteFileDurable(path, header.substr(0, 3)).ok());
+  ASSERT_TRUE(JournalWriter(nullptr, path, kTestJournal).Append({"x"}).ok());
+  load = LoadJournal(nullptr, path, kTestJournal);
+  ASSERT_TRUE(load.ok());
+  EXPECT_EQ(load->records, std::vector<std::string>{"x"});
+
+  // ...and refuses a short foreign file without rewriting it.
+  ASSERT_TRUE(RealFileIo()->WriteFileDurable(path, "XY").ok());
+  EXPECT_TRUE(
+      JournalWriter(nullptr, path, kTestJournal).Append({"y"}).IsIOError());
+  EXPECT_EQ(RealFileIo()->ReadFile(path).value(), "XY");
+}
+
 }  // namespace
 }  // namespace bayescrowd

@@ -148,6 +148,7 @@ Status RunSession(std::size_t threads, const std::string& dir,
   UniformPosteriorProvider posteriors(incomplete.schema());
   obs::MetricsRegistry metrics;
   BayesCrowdOptions options = KillOptions(threads, &metrics);
+  options.checkpoint_every = 1;
 
   SimulatedCrowdPlatform sim(truth, {.worker_accuracy = 0.95,
                                      .seed = kWorkerSeed});

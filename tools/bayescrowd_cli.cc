@@ -461,7 +461,7 @@ int CmdRun(const Flags& flags) {
     durable_options.fingerprint = ConfigFingerprint(
         options, file_bytes(flags.Get("data")), platform_config.Dump());
     durable_options.keep = flags.Value<std::size_t>("keep_checkpoints", 3);
-    durable_options.checkpoint_every =
+    options.checkpoint_every =
         flags.Value<std::size_t>("checkpoint_every", 1);
     auto opened = DurableSession::Open(durable_options, *effective, &options);
     if (!opened.ok()) return Fail(opened.status());

@@ -88,7 +88,10 @@ grep -q '"resumed": true' "$SMOKE/telemetry_resume.json"
 grep -q 'recovery.fallback' "$SMOKE/telemetry_resume.json"
 run_crash --resume > "$SMOKE/report_resume2.txt"
 grep -q 'resuming from round' "$SMOKE/report_resume2.txt"
-! grep -q 'torn log tail dropped' "$SMOKE/report_resume2.txt"
+if grep -q 'torn log tail dropped' "$SMOKE/report_resume2.txt"; then
+  echo "torn-tail repair was not durable: a second resume dropped it again" >&2
+  exit 1
+fi
 
 echo "== tier-1: marketplace spam-storm smoke run (defend, kill, resume) =="
 # An adversarial marketplace at 30% spam/collusion: the defended run
@@ -272,7 +275,10 @@ printf '%s\n' \
   | "$SERVE" --threads 4 --qos 'heavy=1:1:8,1' \
       --metrics-prom "$SMOKE/serve.prom" \
       --flight-out "$SMOKE/serve_flight.jsonl" > "$SMOKE/serve_out.jsonl"
-! grep -q '"ok":false' "$SMOKE/serve_out.jsonl"   # Every op succeeded.
+if grep -q '"ok":false' "$SMOKE/serve_out.jsonl"; then
+  echo "serve smoke: an op failed" >&2
+  exit 1
+fi
 grep -q '"id":"a1".*"exact":true' "$SMOKE/serve_out.jsonl"
 grep -q '"id":"b1".*"exact":true' "$SMOKE/serve_out.jsonl"
 grep -q '"id":"h1".*"exact":false' "$SMOKE/serve_out.jsonl"
@@ -353,7 +359,10 @@ printf '%s\n' \
       --metrics-prom "$SMOKE/recover.prom" > "$SMOKE/recover_out.jsonl"
 head -1 "$SMOKE/recover_out.jsonl" | grep -q '"op":"recover"'
 head -1 "$SMOKE/recover_out.jsonl" | grep -q '"sessions_resumed":3'
-! grep -q '"ok":false' "$SMOKE/recover_out.jsonl"
+if grep -q '"ok":false' "$SMOKE/recover_out.jsonl"; then
+  echo "serve recovery smoke: an op failed" >&2
+  exit 1
+fi
 grep -q '"id":"r1".*"exact":true' "$SMOKE/recover_out.jsonl"
 grep -q 'serve_recovery_sessions_resumed 3' "$SMOKE/recover.prom"
 
