@@ -261,19 +261,7 @@ void SerializeSessionState(const SessionState& state, std::string* out) {
   w.WriteDouble(state.budget_left);
   w.WriteU64(state.consecutive_barren);
   w.WriteU64(state.rounds);
-  w.WriteU64(state.tasks_posted);
   w.WriteDouble(state.cost_spent);
-  w.WriteDouble(state.cost_refunded);
-  w.WriteU64(state.tasks_unanswered);
-  w.WriteU64(state.retries);
-  w.WriteU64(state.transient_failures);
-  w.WriteU64(state.rounds_abandoned);
-  w.WriteU64(state.order_conflicts);
-  w.WriteDouble(state.backoff_seconds);
-  w.WriteDouble(state.simulated_seconds);
-  w.WriteU64(state.initial_true);
-  w.WriteU64(state.initial_false);
-  w.WriteU64(state.initial_undecided);
   w.WriteU64(state.round_logs.size());
   for (const RoundLog& log : state.round_logs) WriteRoundLog(&w, log);
   w.WriteU64(state.conditions.size());
@@ -296,19 +284,7 @@ Status DeserializeSessionState(BinReader* reader, SessionState* out) {
   BAYESCROWD_RETURN_NOT_OK(reader->ReadDouble(&out->budget_left));
   BAYESCROWD_RETURN_NOT_OK(ReadSize(reader, &out->consecutive_barren));
   BAYESCROWD_RETURN_NOT_OK(ReadSize(reader, &out->rounds));
-  BAYESCROWD_RETURN_NOT_OK(ReadSize(reader, &out->tasks_posted));
   BAYESCROWD_RETURN_NOT_OK(reader->ReadDouble(&out->cost_spent));
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadDouble(&out->cost_refunded));
-  BAYESCROWD_RETURN_NOT_OK(ReadSize(reader, &out->tasks_unanswered));
-  BAYESCROWD_RETURN_NOT_OK(ReadSize(reader, &out->retries));
-  BAYESCROWD_RETURN_NOT_OK(ReadSize(reader, &out->transient_failures));
-  BAYESCROWD_RETURN_NOT_OK(ReadSize(reader, &out->rounds_abandoned));
-  BAYESCROWD_RETURN_NOT_OK(ReadSize(reader, &out->order_conflicts));
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadDouble(&out->backoff_seconds));
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadDouble(&out->simulated_seconds));
-  BAYESCROWD_RETURN_NOT_OK(ReadSize(reader, &out->initial_true));
-  BAYESCROWD_RETURN_NOT_OK(ReadSize(reader, &out->initial_false));
-  BAYESCROWD_RETURN_NOT_OK(ReadSize(reader, &out->initial_undecided));
   std::uint64_t count = 0;
   BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&count, kMinRoundLogBytes));
   out->round_logs.resize(count);

@@ -5,12 +5,15 @@
 // A checkpoint captures everything Run() needs to continue a session
 // bit-identically: per-object conditions, the knowledge base's facts,
 // the evaluator's memo state (entries, live variable index, epochs),
-// budget/refund and retry accumulators, per-round logs, the metrics
+// the budget and barren-round state, per-round logs, the metrics
 // snapshot, and the crowd platform's own serialized state (simulator
-// RNG, fault injector, marketplace reputations). The answer-log offset
-// ties each snapshot to the durable answer log: recovery replays the
-// log tail past the snapshot to rebuild any rounds that ran after the
-// last checkpoint.
+// RNG, fault injector, marketplace reputations). Each fact is stored
+// once: the task, refund and simulated-clock totals are sums over the
+// round logs, the retry/failure counts live in the metrics snapshot,
+// and the modeling-phase counts are rebuilt by the resumed run's own
+// modeling phase. The answer-log offset ties each snapshot to the
+// durable answer log: recovery replays the log tail past the snapshot
+// to rebuild any rounds that ran after the last checkpoint.
 //
 // File format (one generation per file, `ckpt-NNNNNNNN.bin` — or
 // `ckpt-<session_id>-NNNNNNNN.bin` for a namespaced store hosting one
@@ -44,33 +47,24 @@ namespace bayescrowd {
 
 /// Checkpoint format version written by this build, and the only one
 /// it reads: any other version fails with a clear "older"/"newer"
-/// error instead of a misparse. Versions 1–8 were earlier layouts;
-/// change the envelope, the payload, the memo blob or a platform chunk
-/// only by bumping this.
-inline constexpr std::uint32_t kCheckpointVersion = 9;
+/// error instead of a misparse. Versions 1–9 were earlier layouts
+/// (9 also stored twelve totals that 10 derives); change the envelope,
+/// the payload, the memo blob or a platform chunk only by bumping this.
+inline constexpr std::uint32_t kCheckpointVersion = 10;
 
-/// Everything Run() snapshots at a round boundary. Field order here is
-/// the serialization order; extend only by bumping kCheckpointVersion.
+/// Everything Run() snapshots at a round boundary, taken after the
+/// round's barren accounting. Field order here is the serialization
+/// order; extend only by bumping kCheckpointVersion.
 struct SessionState {
   // -- Round-loop state --------------------------------------------- //
   double budget_left = 0.0;
+  /// At or above RetryPolicy::max_barren_rounds, the resumed run is
+  /// already degraded and done.
   std::size_t consecutive_barren = 0;
-
-  // -- Result accumulators (BayesCrowdResult mirror) ---------------- //
-  std::size_t rounds = 0;
-  std::size_t tasks_posted = 0;
+  std::size_t rounds = 0;  // Rounds finished; names the generation.
   double cost_spent = 0.0;
-  double cost_refunded = 0.0;
-  std::size_t tasks_unanswered = 0;
-  std::size_t retries = 0;
-  std::size_t transient_failures = 0;
-  std::size_t rounds_abandoned = 0;
-  std::size_t order_conflicts = 0;
-  double backoff_seconds = 0.0;
-  double simulated_seconds = 0.0;
-  std::size_t initial_true = 0;
-  std::size_t initial_false = 0;
-  std::size_t initial_undecided = 0;
+  /// One per finished round. The task, refund, backoff and simulated
+  /// clock totals are their sums.
   std::vector<RoundLog> round_logs;
 
   // -- Knowledge state ---------------------------------------------- //

@@ -256,7 +256,10 @@ struct BayesCrowdResult {
   std::size_t rounds = 0;   // All rounds attempted, abandoned included.
   double cost_spent = 0.0;  // Answered tasks only; refunds excluded.
 
-  /// Fault-recovery totals (all zero on a healthy platform).
+  /// Fault-recovery totals (all zero on a healthy platform). Finish()
+  /// reads the counts (these five and `order_conflicts`) back from
+  /// the run's `metrics` counters ("framework.*", "cost.extra_votes"),
+  /// their one tally; the last three are sums over `round_logs`.
   std::size_t tasks_unanswered = 0;   // Abstained/dropped, refunded.
   /// Extra votes charged under the adaptive policy (0 when disabled).
   std::size_t extra_votes = 0;

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/string_util.h"
+#include "obs/normalize.h"
 
 namespace bayescrowd {
 namespace {
@@ -85,22 +86,6 @@ void AppendGroupTable(const std::string& title,
 // Diff
 // ----------------------------------------------------------------- //
 
-bool SkipKey(const std::string& key) {
-  // Wall-clock fields and the one wall-clock-dependent solver count are
-  // machine-dependent; simulated clocks (deterministic) stay in. Lane
-  // usage is scheduling-dependent even on identical seeds, so it is
-  // skipped the same way `normalize` drops it (and the pool size the way
-  // `normalize --strip-lanes` does).
-  const bool is_seconds =
-      key.size() >= 7 && key.compare(key.size() - 7, 7, "seconds") == 0;
-  if (is_seconds && key.find("sim") == std::string::npos) return true;
-  if (key == "lanes" || key == "threads" ||
-      key.rfind("pool.lane", 0) == 0) {
-    return true;
-  }
-  return key == "deadline_hits" || key == "wall_ms";
-}
-
 void CollectNumericLeaves(const obs::JsonValue& value,
                           const std::string& path,
                           std::map<std::string, double>* out) {
@@ -110,7 +95,6 @@ void CollectNumericLeaves(const obs::JsonValue& value,
   }
   if (value.kind() == obs::JsonValue::Kind::kObject) {
     for (const auto& [key, member] : value.members()) {
-      if (SkipKey(key)) continue;
       CollectNumericLeaves(member, path.empty() ? key : path + "." + key,
                            out);
     }
@@ -312,10 +296,17 @@ Result<TelemetryDiff> DiffRunTelemetry(const obs::JsonValue& baseline,
                               RunPayload(baseline));
   BAYESCROWD_ASSIGN_OR_RETURN(const obs::JsonValue* cand_payload,
                               RunPayload(candidate));
+  // Both sides go through the normalize rule (wall clock zeroed, lane
+  // tallies and the pool size dropped), so identical-seed runs diff
+  // clean at any speed and width.
+  obs::NormalizeOptions normalize;
+  normalize.strip_lane_usage = true;
   std::map<std::string, double> base_leaves;
   std::map<std::string, double> cand_leaves;
-  CollectNumericLeaves(*base_payload, "", &base_leaves);
-  CollectNumericLeaves(*cand_payload, "", &cand_leaves);
+  CollectNumericLeaves(obs::NormalizeTelemetry(*base_payload, normalize), "",
+                       &base_leaves);
+  CollectNumericLeaves(obs::NormalizeTelemetry(*cand_payload, normalize), "",
+                       &cand_leaves);
 
   TelemetryDiff diff;
   std::set<std::string> paths;

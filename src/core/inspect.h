@@ -48,9 +48,10 @@ struct TelemetryRegression {
 };
 
 /// Diff result: every numeric leaf whose relative drift exceeded the
-/// threshold. Wall-clock fields (keys ending in "seconds" that are not
-/// simulated clocks) and deadline hits are skipped, mirroring the
-/// normalize tool, so identical-seed runs diff clean.
+/// threshold. Both payloads are compared after NormalizeTelemetry with
+/// lane usage stripped (obs/normalize.h: wall-clock fields and deadline
+/// hits zeroed, lane tallies and the pool size dropped), so
+/// identical-seed runs diff clean.
 struct TelemetryDiff {
   std::string text;
   std::vector<TelemetryRegression> regressions;

@@ -143,13 +143,14 @@ Status QueryRunner::Init(const Table& incomplete,
 
   // ---------------------------------------------------------------- //
   // Resume from a checkpoint snapshot. The modeling phase above rebuilt
-  // the pristine c-table and raw posteriors (deterministic from the
-  // inputs); everything the crowd rounds changed is overwritten from
-  // the snapshot, in dependency order: conditions and knowledge first,
-  // then the re-conditioned distributions (whose cache evictions land
-  // on an empty cache), then the memo cache keyed by those conditions,
-  // then the platform stack, and the metrics snapshot last so setup-
-  // time increments are reset to the checkpointed counts.
+  // the pristine c-table, raw posteriors and initial counts
+  // (deterministic from the inputs); everything the crowd rounds
+  // changed is overwritten from the snapshot, in dependency order:
+  // conditions and knowledge first, then the distributions of the
+  // variables the rounds answered (whose cache evictions land on an
+  // empty cache), then the memo cache keyed by those conditions, then
+  // the platform stack, and the metrics snapshot last so setup-time
+  // increments are reset to the checkpointed counts.
   // ---------------------------------------------------------------- //
   if (options_.resume != nullptr) {
     const SessionState& st = *options_.resume;
@@ -166,10 +167,10 @@ Status QueryRunner::Init(const Table& incomplete,
     }
     BinReader knowledge_reader(st.knowledge_blob);
     BAYESCROWD_RETURN_NOT_OK(knowledge.RestoreFacts(&knowledge_reader));
-    for (const auto& [var, raw] : raw_posteriors_) {
-      BAYESCROWD_RETURN_NOT_OK(evaluator.SetDistribution(
-          var, knowledge.ConditionDistribution(var, raw)));
-    }
+    // Every applied answer left a fact on each of its variables, so
+    // these are exactly the variables the rounds re-conditioned; the
+    // rest keep their raw posterior, as in the uninterrupted run.
+    BAYESCROWD_RETURN_NOT_OK(Recondition(knowledge.Variables()));
     BinReader memo_reader(st.evaluator_blob);
     BAYESCROWD_RETURN_NOT_OK(evaluator.RestoreMemoState(&memo_reader));
     for (const SolverBreakerRecord& b : st.solver_breakers) {
@@ -181,32 +182,22 @@ Status QueryRunner::Init(const Table& incomplete,
     }
     metrics->Restore(st.metrics);
     solver_before_ = evaluator.solver_stats();
-    obs::RecordFlight(flight_, obs::FlightEventKind::kResume, st.rounds, -1,
-                      st.simulated_seconds,
-                      static_cast<double>(st.rounds),
-                      "session restored from checkpoint snapshot");
     budget_left_ = st.budget_left;
     consecutive_barren_ = st.consecutive_barren;
     out_.rounds = st.rounds;
-    out_.tasks_posted = st.tasks_posted;
     out_.cost_spent = st.cost_spent;
-    out_.cost_refunded = st.cost_refunded;
-    out_.tasks_unanswered = st.tasks_unanswered;
-    // Not a SessionState field: the restored metrics snapshot carries
-    // the labeled cost.extra_votes counter, which is the same total.
-    out_.extra_votes =
-        static_cast<std::size_t>(cost_extra_votes_->value());
-    out_.retries = st.retries;
-    out_.transient_failures = st.transient_failures;
-    out_.rounds_abandoned = st.rounds_abandoned;
-    out_.order_conflicts = st.order_conflicts;
-    out_.backoff_seconds = st.backoff_seconds;
-    out_.simulated_seconds = st.simulated_seconds;
-    out_.initial_true = st.initial_true;
-    out_.initial_false = st.initial_false;
-    out_.initial_undecided = st.initial_undecided;
-    out_.round_logs = st.round_logs;
+    for (const RoundLog& log : st.round_logs) AddRound(log);
     out_.resumed = true;
+    // The snapshot follows its round's barren accounting: a session
+    // that stopped there stays stopped.
+    if (consecutive_barren_ >= options_.retry.max_barren_rounds) {
+      out_.degraded = true;
+      done_ = true;
+    }
+    obs::RecordFlight(flight_, obs::FlightEventKind::kResume, out_.rounds,
+                      -1, out_.simulated_seconds,
+                      static_cast<double>(out_.rounds),
+                      "session restored from checkpoint snapshot");
   }
 
   checkpoint_sink_ = options_.checkpoint_sink;
@@ -225,19 +216,7 @@ Status QueryRunner::WriteCheckpoint() {
   state.budget_left = budget_left_;
   state.consecutive_barren = consecutive_barren_;
   state.rounds = out_.rounds;
-  state.tasks_posted = out_.tasks_posted;
   state.cost_spent = out_.cost_spent;
-  state.cost_refunded = out_.cost_refunded;
-  state.tasks_unanswered = out_.tasks_unanswered;
-  state.retries = out_.retries;
-  state.transient_failures = out_.transient_failures;
-  state.rounds_abandoned = out_.rounds_abandoned;
-  state.order_conflicts = out_.order_conflicts;
-  state.backoff_seconds = out_.backoff_seconds;
-  state.simulated_seconds = out_.simulated_seconds;
-  state.initial_true = out_.initial_true;
-  state.initial_false = out_.initial_false;
-  state.initial_undecided = out_.initial_undecided;
   state.round_logs = out_.round_logs;
   state.conditions.reserve(ctable_.num_objects());
   for (std::size_t i = 0; i < ctable_.num_objects(); ++i) {
@@ -358,7 +337,6 @@ Status QueryRunner::Step() {
 
 Status QueryRunner::StepImpl() {
   ProbabilityEvaluator& evaluator = *evaluator_;
-  KnowledgeBase& knowledge = *knowledge_;
   const RetryPolicy& retry = options_.retry;
 
   obs::TraceSpan select_span("round.select");
@@ -502,7 +480,9 @@ Status QueryRunner::StepImpl() {
     done_ = true;
     return Status::OK();
   }
-  const double select_seconds = select_watch.ElapsedSeconds();
+  RoundLog log;
+  log.round = out_.rounds + 1;
+  log.select_seconds = select_watch.ElapsedSeconds();
   select_span.End();
 
   // Worker latency (simulated or real) is deliberately outside both
@@ -533,7 +513,6 @@ Status QueryRunner::StepImpl() {
     if (!posted.status().IsUnavailable()) {
       return posted.status();  // Fatal: not a transient platform error.
     }
-    ++out_.transient_failures;
     transient_counter_->Increment();
     if (attempts >= retry.max_attempts) break;
     const double backoff =
@@ -546,7 +525,6 @@ Status QueryRunner::StepImpl() {
     }
     round_clock += backoff;
     round_backoff += backoff;
-    ++out_.retries;
     retries_counter_->Increment();
     obs::RecordFlight(flight_, obs::FlightEventKind::kRetry,
                       out_.rounds + 1, -1,
@@ -554,55 +532,71 @@ Status QueryRunner::StepImpl() {
                       "transient platform failure; backing off");
   }
   out_.platform_wall_seconds += platform_watch.ElapsedSeconds();
-  out_.backoff_seconds += round_backoff;
-  out_.simulated_seconds += round_clock;
+  log.attempts = attempts;
+  log.backoff_seconds = round_backoff;
+  log.simulated_seconds = round_clock;
 
-  if (!delivered) {
+  if (delivered) {
+    BAYESCROWD_RETURN_NOT_OK(
+        FoldAnswers(batch, answers, cache_before, &log));
+  } else {
     // Round abandoned: nothing was bought, nothing is charged, and
     // the batch's tasks stay in the candidate pool for later rounds.
-    RoundLog log;
-    log.round = out_.rounds + 1;
-    log.select_seconds = select_seconds;
-    log.seconds = select_seconds;
-    log.attempts = attempts;
-    log.backoff_seconds = round_backoff;
-    log.simulated_seconds = round_clock;
     log.abandoned = true;
-    out_.select_seconds += select_seconds;
-    out_.round_logs.push_back(log);
-    ++out_.rounds;
-    ++out_.rounds_abandoned;
-    rounds_counter_->Increment();
+  }
+
+  // The one end of every round, abandoned or delivered: log, totals,
+  // barren accounting, then exports, so every snapshot (the cadence's
+  // or an explicit WriteCheckpointNow) sees the finished round.
+  log.seconds = log.select_seconds + log.update_seconds;
+  out_.select_seconds += log.select_seconds;
+  out_.update_seconds += log.update_seconds;
+  AddRound(log);
+  ++out_.rounds;
+  rounds_counter_->Increment();
+  tasks_counter_->Increment(log.tasks);
+  if (log.abandoned) {
     abandoned_counter_->Increment();
     obs::RecordFlight(flight_, obs::FlightEventKind::kRoundAbandoned,
                       out_.rounds, -1, out_.simulated_seconds,
                       static_cast<double>(attempts),
                       "no answer batch delivered before the round "
                       "deadline");
-    BAYESCROWD_RETURN_NOT_OK(RoundExports());
-    if (++consecutive_barren_ >= retry.max_barren_rounds) {
-      out_.degraded = true;  // Platform presumed down; degrade.
-      done_ = true;
-    }
-    return Status::OK();
   }
+  // A round that applied nothing is barren, delivered or not: with
+  // every worker abstaining, more rounds buy no information.
+  if (log.answered > 0) {
+    consecutive_barren_ = 0;
+  } else if (++consecutive_barren_ >= retry.max_barren_rounds) {
+    out_.degraded = true;  // Platform presumed down; degrade.
+    done_ = true;
+  }
+  return RoundExports();
+}
+
+Status QueryRunner::FoldAnswers(const std::vector<Task>& batch,
+                                const std::vector<TaskAnswer>& answers,
+                                const EvaluatorCacheStats& cache_before,
+                                RoundLog* log) {
   if (answers.size() != batch.size()) {
     return Status::Internal("platform returned misaligned answers");
   }
+  KnowledgeBase& knowledge = *knowledge_;
 
   // Everything from budget accounting through re-simplification is
   // update-phase work; the watch starts here so the phase timers
   // explain the round's wall-clock (inspect grades the coverage).
   obs::TraceSpan update_span("round.update");
   Stopwatch update_watch;
-  evaluator.SetCostContext(options_.session, "update");
+  evaluator_->SetCostContext(options_.session, "update");
 
   // Budget accounting: only answered tasks are charged; abstained or
   // dropped tasks are refunded and fall back into the pool.
+  const AdaptiveVotePolicy& adaptive = options_.adaptive;
   double charged = 0.0;
   double refunded = 0.0;
   std::size_t answered = 0;
-  std::size_t round_extra_votes = 0;
+  std::size_t extra_votes = 0;
   for (std::size_t t = 0; t < batch.size(); ++t) {
     const double cost = cost_model_->Cost(batch[t]);
     if (answers[t].answered) {
@@ -618,7 +612,7 @@ Status QueryRunner::StepImpl() {
             answers[t].votes.size() - adaptive.base_votes;
         charged += static_cast<double>(extra) *
                    adaptive.extra_vote_cost * cost;
-        round_extra_votes += extra;
+        extra_votes += extra;
       }
     } else {
       refunded += cost;
@@ -626,13 +620,10 @@ Status QueryRunner::StepImpl() {
   }
   budget_left_ -= charged;
   out_.cost_spent += charged;
-  out_.cost_refunded += refunded;
-  out_.tasks_unanswered += batch.size() - answered;
-  out_.extra_votes += round_extra_votes;
   unanswered_counter_->Increment(batch.size() - answered);
   cost_crowd_tasks_->Increment(answered);
   cost_retry_refunds_->Increment(batch.size() - answered);
-  cost_extra_votes_->Increment(round_extra_votes);
+  cost_extra_votes_->Increment(extra_votes);
 
   // Fold the answers that arrived into the knowledge base.
   std::set<CellRef> touched;
@@ -646,7 +637,6 @@ Status QueryRunner::StepImpl() {
       // and keep the session alive. Anything else is fatal.
       if (applied.IsInvalidArgument() &&
           StartsWith(applied.message(), "contradictory var-var fact")) {
-        ++out_.order_conflicts;
         conflicts_counter_->Increment();
         BAYESCROWD_LOG(Warning)
             << "dropping conflicting crowd answer: " << applied.message();
@@ -659,15 +649,10 @@ Status QueryRunner::StepImpl() {
     }
   }
 
-  // Re-condition the distributions of touched variables. Each
-  // SetDistribution evicts exactly the cached conditions mentioning
-  // that variable; everything else keeps serving hits next round.
-  for (const CellRef& var : touched) {
-    const auto raw = raw_posteriors_.find(var);
-    if (raw == raw_posteriors_.end()) continue;
-    BAYESCROWD_RETURN_NOT_OK(evaluator.SetDistribution(
-        var, knowledge.ConditionDistribution(var, raw->second)));
-  }
+  // Each SetDistribution evicts exactly the cached conditions
+  // mentioning that variable; everything else keeps serving hits next
+  // round.
+  BAYESCROWD_RETURN_NOT_OK(Recondition(touched));
 
   // Re-simplify every undecided condition against the knowledge base.
   // Changed conditions get new fingerprints; their old cache entries
@@ -682,45 +667,35 @@ Status QueryRunner::StepImpl() {
     }
   }
 
-  RoundLog log;
-  log.round = out_.rounds + 1;
-  log.tasks = batch.size();
-  log.select_seconds = select_seconds;
-  log.attempts = attempts;
-  log.answered = answered;
-  log.unanswered = batch.size() - answered;
-  log.cost_refunded = refunded;
-  log.backoff_seconds = round_backoff;
-  log.simulated_seconds = round_clock;
-  const EvaluatorCacheStats cache_after = evaluator.cache_stats();
-  log.cache_hits = cache_after.hits - cache_before.hits;
-  log.cache_misses = cache_after.misses - cache_before.misses;
-  out_.select_seconds += log.select_seconds;
-  out_.tasks_posted += batch.size();
-  ++out_.rounds;
-  rounds_counter_->Increment();
-  tasks_counter_->Increment(batch.size());
-  // The update window closes after the round's bookkeeping so the
-  // phase timers explain the loop's wall-clock; checkpoint I/O and
-  // the export sinks get their own bucket below.
-  log.update_seconds = update_watch.ElapsedSeconds();
-  update_span.End();
-  log.seconds = log.select_seconds + log.update_seconds;
-  out_.update_seconds += log.update_seconds;
-  out_.round_logs.push_back(log);
-  BAYESCROWD_RETURN_NOT_OK(RoundExports());
+  log->tasks = batch.size();
+  log->answered = answered;
+  log->unanswered = batch.size() - answered;
+  log->cost_refunded = refunded;
+  const EvaluatorCacheStats cache_after = evaluator_->cache_stats();
+  log->cache_hits = cache_after.hits - cache_before.hits;
+  log->cache_misses = cache_after.misses - cache_before.misses;
+  log->update_seconds = update_watch.ElapsedSeconds();
+  return Status::OK();
+}
 
-  // A delivered round that applied nothing still counts as barren:
-  // with every worker abstaining, more rounds buy no information.
-  if (answered == 0) {
-    if (++consecutive_barren_ >= retry.max_barren_rounds) {
-      out_.degraded = true;
-      done_ = true;
-    }
-  } else {
-    consecutive_barren_ = 0;
+Status QueryRunner::Recondition(const std::set<CellRef>& vars) {
+  for (const CellRef& var : vars) {
+    const auto raw = raw_posteriors_.find(var);
+    if (raw == raw_posteriors_.end()) continue;
+    BAYESCROWD_RETURN_NOT_OK(evaluator_->SetDistribution(
+        var, knowledge_->ConditionDistribution(var, raw->second)));
   }
   return Status::OK();
+}
+
+void QueryRunner::AddRound(const RoundLog& log) {
+  // Summed in round order, so a resumed run's totals are bit-identical
+  // to the uninterrupted run's.
+  out_.tasks_posted += log.tasks;
+  out_.cost_refunded += log.cost_refunded;
+  out_.backoff_seconds += log.backoff_seconds;
+  out_.simulated_seconds += log.simulated_seconds;
+  out_.round_logs.push_back(log);
 }
 
 Status QueryRunner::Finish() {
@@ -774,6 +749,12 @@ Status QueryRunner::Finish() {
     }
   }
   out_.solver = evaluator.solver_stats();
+  out_.retries = retries_counter_->value();
+  out_.transient_failures = transient_counter_->value();
+  out_.rounds_abandoned = abandoned_counter_->value();
+  out_.tasks_unanswered = unanswered_counter_->value();
+  out_.order_conflicts = conflicts_counter_->value();
+  out_.extra_votes = cost_extra_votes_->value();
   out_.breaker_trips = breaker_trips_counter_->value();
   out_.breaker_skips = breaker_skips_counter_->value();
   const EvaluatorCacheStats cache_stats = evaluator.cache_stats();

@@ -6,7 +6,8 @@
 // hand the worker threads to another session. QueryRunner is that
 // seam: Init() runs validation, the modeling phase and the optional
 // checkpoint resume; each Step() executes exactly one crowdsourcing
-// round (select → post/retry → fold → re-simplify → export); Finish()
+// round (select → post/retry → fold → re-simplify → one round end:
+// log, totals, barren accounting, export); Finish()
 // runs answer inference and seals the result. BayesCrowd::Run() is now
 // the trivial driver `Init; while (!Done) Step; Finish`, so the
 // one-shot path executes the same statements in the same order it
@@ -108,6 +109,20 @@ class QueryRunner {
 
  private:
   Status StepImpl();
+
+  /// The update phase of a delivered round: charges and refunds the
+  /// batch, folds its answers into the knowledge base, re-conditions
+  /// and re-simplifies. Fills the delivery fields of `log`.
+  Status FoldAnswers(const std::vector<Task>& batch,
+                     const std::vector<TaskAnswer>& answers,
+                     const EvaluatorCacheStats& cache_before, RoundLog* log);
+
+  /// Re-conditions the distributions of `vars` on the knowledge base.
+  Status Recondition(const std::set<CellRef>& vars);
+
+  /// Adds a finished round to the result: its log and the totals summed
+  /// over the logs. A resume adds the restored logs through it.
+  void AddRound(const RoundLog& log);
 
   /// Cadence-gated checkpoint, then flight round summary, then the
   /// round sink — the round-tail export bucket, timed as export I/O.

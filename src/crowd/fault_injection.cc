@@ -3,6 +3,13 @@
 #include <utility>
 
 namespace bayescrowd {
+namespace {
+
+void Bump(obs::Counter* counter, std::uint64_t delta = 1) {
+  if (counter != nullptr) counter->Increment(delta);
+}
+
+}  // namespace
 
 FaultOptions FaultOptions::Profile(double rate, std::uint64_t seed) {
   FaultOptions out;
@@ -71,58 +78,65 @@ Status FaultInjectingPlatform::LoadState(BinReader* reader) {
 
 Result<std::vector<TaskAnswer>> FaultInjectingPlatform::PostBatch(
     const std::vector<Task>& tasks) {
+  BAYESCROWD_RETURN_NOT_OK(DrawAttempt());
+  BAYESCROWD_ASSIGN_OR_RETURN(std::vector<TaskAnswer> answers,
+                              inner_.PostBatch(tasks));
+  DropAnswers(&answers);
+  return answers;
+}
+
+void FaultInjectingPlatform::SyncReplayed(const std::vector<Task>& tasks,
+                                          bool delivered) {
+  // The draws follow the schedule, not `delivered`: a replay that
+  // matches the recorded run draws a failure exactly where it recorded
+  // one.
+  (void)delivered;
+  if (tasks.empty() || !DrawAttempt().ok()) return;
+  inner_.SyncReplayed(tasks, /*delivered=*/true);
+  std::vector<TaskAnswer> answers(tasks.size());
+  DropAnswers(&answers);
+}
+
+// The draw order is fixed (failure, timeout split, partial, then one
+// abstain draw per task) so the schedule depends only on the seed and
+// the sequence of batch sizes, never on answer content.
+Status FaultInjectingPlatform::DrawAttempt() {
   ++stats_.batches_attempted;
   // Share of injected failures reported as batch timeouts (a distinct
   // counter, the same retry handling downstream).
   constexpr double kTimeoutFraction = 0.25;
-
-  // The draw order is fixed (failure, timeout split, partial, then one
-  // abstain draw per task) so the schedule depends only on the seed and
-  // the sequence of batch sizes, never on answer content.
-  if (rng_.NextBool(options_.transient_failure_rate)) {
-    if (rng_.NextBool(kTimeoutFraction)) {
-      ++stats_.timeouts;
-      if (ins_.timeouts != nullptr) ins_.timeouts->Increment();
-      return Status::Unavailable("injected batch timeout");
-    }
-    ++stats_.transient_failures;
-    if (ins_.transient_failures != nullptr) {
-      ins_.transient_failures->Increment();
-    }
-    return Status::Unavailable("injected transient platform failure");
+  if (!rng_.NextBool(options_.transient_failure_rate)) return Status::OK();
+  if (rng_.NextBool(kTimeoutFraction)) {
+    ++stats_.timeouts;
+    Bump(ins_.timeouts);
+    return Status::Unavailable("injected batch timeout");
   }
+  ++stats_.transient_failures;
+  Bump(ins_.transient_failures);
+  return Status::Unavailable("injected transient platform failure");
+}
 
-  BAYESCROWD_ASSIGN_OR_RETURN(std::vector<TaskAnswer> answers,
-                              inner_.PostBatch(tasks));
+void FaultInjectingPlatform::DropAnswers(std::vector<TaskAnswer>* answers) {
   ++stats_.batches_delivered;
-
-  if (rng_.NextBool(options_.partial_batch_rate) && answers.size() > 1) {
+  const std::size_t n = answers->size();
+  std::size_t kept = n;
+  if (rng_.NextBool(options_.partial_batch_rate) && n > 1) {
     // Drop a non-empty proper tail: the platform returned the round
     // half-finished.
-    const std::size_t tail_start =
-        1 + static_cast<std::size_t>(rng_.NextBelow(answers.size() - 1));
+    kept = 1 + static_cast<std::size_t>(rng_.NextBelow(n - 1));
     ++stats_.partial_batches;
-    if (ins_.partial_batches != nullptr) ins_.partial_batches->Increment();
-    for (std::size_t i = tail_start; i < answers.size(); ++i) {
-      answers[i].answered = false;
-      ++stats_.dropped_tail_tasks;
-      if (ins_.dropped_tail_tasks != nullptr) {
-        ins_.dropped_tail_tasks->Increment();
-      }
-    }
+    stats_.dropped_tail_tasks += n - kept;
+    Bump(ins_.partial_batches);
+    Bump(ins_.dropped_tail_tasks, n - kept);
   }
-
-  for (TaskAnswer& answer : answers) {
-    const bool abstain = rng_.NextBool(options_.abstain_rate);
-    if (abstain && answer.answered) {
-      answer.answered = false;
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool abstain = rng_.NextBool(options_.abstain_rate) && i < kept;
+    if (abstain) {
       ++stats_.abstained_tasks;
-      if (ins_.abstained_tasks != nullptr) {
-        ins_.abstained_tasks->Increment();
-      }
+      Bump(ins_.abstained_tasks);
     }
+    if (abstain || i >= kept) (*answers)[i].answered = false;
   }
-  return answers;
 }
 
 }  // namespace bayescrowd

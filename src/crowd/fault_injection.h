@@ -63,7 +63,9 @@ struct FaultOptions {
 struct FaultStats {
   std::uint64_t transient_failures = 0;  // Unavailable, platform down.
   std::uint64_t timeouts = 0;            // Unavailable, batch timed out.
-  std::uint64_t abstained_tasks = 0;     // Individual unanswered tasks.
+  /// Tasks an abstain draw hit outside the dropped tail, whatever the
+  /// inner platform answered: every stat follows from the draws alone.
+  std::uint64_t abstained_tasks = 0;
   std::uint64_t partial_batches = 0;     // Batches with a dropped tail.
   std::uint64_t dropped_tail_tasks = 0;  // Tasks lost to partial batches.
   std::uint64_t batches_attempted = 0;   // Every PostBatch call seen.
@@ -95,17 +97,20 @@ class FaultInjectingPlatform : public CrowdPlatform {
   void SaveState(std::string* out) const override;
   Status LoadState(BinReader* reader) override;
 
-  /// Replay sync = post and discard: reproduces this layer's entire
-  /// draw schedule (failure/partial/abstain) plus the inner
-  /// platform's, keeping both streams aligned with the recorded run.
-  void SyncReplayed(const std::vector<Task>& tasks,
-                    bool delivered) override {
-    (void)delivered;
-    if (tasks.empty()) return;
-    (void)PostBatch(tasks);
-  }
+  /// Replay sync: makes this layer's draws for the batch (failure,
+  /// partial tail, abstentions) and forwards a delivered batch to the
+  /// inner platform's SyncReplayed, never to its PostBatch — so an
+  /// interactive platform below is never re-asked. Both streams stay
+  /// aligned with the recorded run.
+  void SyncReplayed(const std::vector<Task>& tasks, bool delivered) override;
 
  private:
+  /// One attempt's failure draws; Unavailable when the batch fails.
+  Status DrawAttempt();
+  /// A delivered batch's partial-tail and abstain draws, applied to
+  /// its answers.
+  void DropAnswers(std::vector<TaskAnswer>* answers);
+
   CrowdPlatform& inner_;
   FaultOptions options_;
   Rng rng_;

@@ -100,6 +100,16 @@ Status KnowledgeBase::RecordVarOrder(const CellRef& a, const CellRef& b,
   return Status::OK();
 }
 
+std::set<CellRef> KnowledgeBase::Variables() const {
+  std::set<CellRef> out;
+  for (const auto& [var, bounds] : intervals_) out.insert(var);
+  for (const auto& [key, ordering] : orders_) {
+    out.insert(key.first);
+    out.insert(key.second);
+  }
+  return out;
+}
+
 void KnowledgeBase::SerializeFacts(std::string* out) const {
   BinWriter w(out);
   w.WriteU64(intervals_.size());

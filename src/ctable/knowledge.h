@@ -12,6 +12,7 @@
 #define BAYESCROWD_CTABLE_KNOWLEDGE_H_
 
 #include <map>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -68,6 +69,9 @@ class KnowledgeBase {
 
   std::size_t num_interval_facts() const { return intervals_.size(); }
   std::size_t num_order_facts() const { return orders_.size(); }
+
+  /// Every variable an interval or order fact mentions.
+  std::set<CellRef> Variables() const;
 
   /// Appends every interval and order fact to `out` in canonical
   /// (std::map) order, for checkpointing.

@@ -51,7 +51,7 @@ JsonValue Normalize(const JsonValue& v, const std::string& key,
       return out;
     }
     default:
-      if (options.zero_wall_clock && v.is_number() && IsWallClockKey(key)) {
+      if (v.is_number() && IsWallClockKey(key)) {
         return JsonValue(0.0);
       }
       return v;

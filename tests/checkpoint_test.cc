@@ -1,6 +1,6 @@
 // Checkpoint format and store tests: envelope integrity, payload
 // round-trips, generation management, corruption fallback, the memo
-// blob, and the committed v8 golden fixture (format-drift contract).
+// blob, and the committed v10 golden fixture (format-drift contract).
 
 #include "core/checkpoint.h"
 
@@ -89,25 +89,13 @@ std::string GoldenMemoBlob() {
 /// A deterministic, richly-populated state: every field class exercised
 /// (decided + CNF conditions, round logs with recovery data, metrics of
 /// all three kinds, binary blobs, session-layer stamps). Also the
-/// generator of the committed golden fixture — see GoldenV9FixtureTest.
+/// generator of the committed golden fixture — see GoldenV10FixtureTest.
 SessionState MakeGoldenState() {
   SessionState state;
   state.budget_left = 12.5;
   state.consecutive_barren = 1;
   state.rounds = 3;
-  state.tasks_posted = 9;
   state.cost_spent = 11.5;
-  state.cost_refunded = 2.0;
-  state.tasks_unanswered = 2;
-  state.retries = 4;
-  state.transient_failures = 3;
-  state.rounds_abandoned = 1;
-  state.order_conflicts = 1;
-  state.backoff_seconds = 1.75;
-  state.simulated_seconds = 21.25;
-  state.initial_true = 2;
-  state.initial_false = 5;
-  state.initial_undecided = 3;
 
   RoundLog log;
   log.round = 3;
@@ -559,13 +547,13 @@ TEST(CheckpointStoreTest, TornTmpWritePromotedByRenameFallsBack) {
 }
 
 // ------------------------------------------------------------------- //
-// Golden fixture. golden_v9.ckpt matches today's writer byte-for-byte,
+// Golden fixture. golden_v10.ckpt matches today's writer byte-for-byte,
 // envelope and memo blob included; regenerate with:
 //   BC_REGEN_GOLDEN=1 ./checkpoint_test
 // ------------------------------------------------------------------- //
 
-TEST(GoldenV9FixtureTest, CommittedFixtureMatchesHeadBytes) {
-  const std::string path = std::string(BC_TESTDATA_DIR) + "/golden_v9.ckpt";
+TEST(GoldenV10FixtureTest, CommittedFixtureMatchesHeadBytes) {
+  const std::string path = std::string(BC_TESTDATA_DIR) + "/golden_v10.ckpt";
   const SessionState expected = MakeGoldenState();
   if (std::getenv("BC_REGEN_GOLDEN") != nullptr) {
     WriteFileBytes(path, WrapCheckpoint(SerializeState(expected)).value());
@@ -750,9 +738,9 @@ TEST(CheckpointEnvelopeTest, RefusesEveryOtherVersion) {
   // The CRC covers only the payload, so the version byte may be edited
   // in place: only kCheckpointVersion itself unwraps.
   std::string wrapped = WrapCheckpoint("payload").value();
-  ASSERT_EQ(kCheckpointVersion, 9u);
+  ASSERT_EQ(kCheckpointVersion, 10u);
   for (const std::uint32_t version :
-       {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 10u}) {
+       {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 11u}) {
     wrapped[4] = static_cast<char>(version);
     const auto refused = UnwrapCheckpoint(wrapped);
     ASSERT_FALSE(refused.ok()) << "version " << version;

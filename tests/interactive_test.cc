@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/binio.h"
+#include "crowd/fault_injection.h"
 #include "crowd/interactive.h"
 #include "data/generators.h"
 
@@ -122,6 +123,47 @@ TEST(InteractiveTest, TotalsSurviveACheckpointAndCountReplays) {
   wrong_chunk[0] = 'S';
   BinReader wrong(wrong_chunk);
   EXPECT_FALSE(resumed.LoadState(&wrong).ok());
+}
+
+TEST(InteractiveTest, FaultInjectorReplaysWithoutPrompting) {
+  // A fault injector over a human replays a recorded batch with its own
+  // draws and hands it to the human's SyncReplayed: nobody is asked
+  // again, and the injector and the platform below it end where the
+  // live session left them.
+  const Table table = MakeSampleMovieDataset();
+  const FaultOptions faults = FaultOptions::Profile(0.5, 7);
+  std::string lines;
+  for (int i = 0; i < 40; ++i) lines += "l\n";
+  std::istringstream live_in(lines);
+  std::ostringstream live_out;
+  InteractiveCrowdPlatform live_human(table, live_in, live_out);
+  FaultInjectingPlatform live(live_human, faults);
+
+  std::istringstream replay_in;
+  std::ostringstream replay_out;
+  InteractiveCrowdPlatform replay_human(table, replay_in, replay_out);
+  FaultInjectingPlatform replay(replay_human, faults);
+
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    const bool delivered = live.PostBatch(TwoTasks()).ok();
+    replay.SyncReplayed(TwoTasks(), delivered);
+  }
+  // The schedule exercised every kind of draw.
+  EXPECT_GT(live.stats().transient_failures + live.stats().timeouts, 0u);
+  EXPECT_GT(live.stats().partial_batches, 0u);
+  EXPECT_GT(live.stats().abstained_tasks, 0u);
+
+  EXPECT_TRUE(replay_out.str().empty()) << replay_out.str();
+  EXPECT_TRUE(replay_in.good());  // Nothing was read.
+  EXPECT_GT(replay_human.total_rounds(), 0u);
+  EXPECT_EQ(replay_human.total_rounds(), live_human.total_rounds());
+  EXPECT_EQ(replay_human.total_tasks(), live_human.total_tasks());
+  std::string live_state;
+  std::string replay_state;
+  live.SaveState(&live_state);
+  replay.SaveState(&replay_state);
+  EXPECT_EQ(replay_state[0], 'F');
+  EXPECT_EQ(replay_state, live_state);
 }
 
 }  // namespace

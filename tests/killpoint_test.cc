@@ -4,7 +4,9 @@
 // platform stack. The resumed run's telemetry envelope must diff clean
 // against the uninterrupted reference modulo wall-clock fields, lane
 // usage, and resume markers — the headline guarantee of the
-// crash-safety subsystem.
+// crash-safety subsystem. A second profile (learned posteriors, faults
+// heavy enough to abandon rounds) resumes from every generation of a
+// run that ends in the barren stop.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 #include "common/random.h"
 #include "core/checkpoint.h"
 #include "core/framework.h"
+#include "core/query_spec.h"
 #include "core/session.h"
 #include "core/telemetry.h"
 #include "crowd/fault_injection.h"
@@ -42,7 +45,32 @@ Table KillDataset() {
 
 Table KillTruth() { return MakeNbaLike(120, kWorkerSeed); }
 
-FaultOptions KillFaults() { return FaultOptions::Profile(0.15, 77); }
+/// What a kill-point run faces: the crowd's fault schedule and the
+/// posterior model.
+struct Profile {
+  double fault_rate = 0.15;
+  std::uint64_t fault_seed = 77;
+  /// Learned posteriors (a hill-climbed network, the CLI's default)
+  /// instead of uniform ones.
+  bool learned = false;
+};
+
+/// Faults that cost retries and refunds but leave the run its budget.
+constexpr Profile kFixture;
+
+/// Faults that abandon rounds until the barren stop ends the run.
+constexpr Profile kBarren{.fault_rate = 0.8, .fault_seed = 3, .learned = true};
+
+std::unique_ptr<PosteriorProvider> KillPosteriors(const Profile& profile,
+                                                  const Table& incomplete) {
+  if (!profile.learned) {
+    return std::make_unique<UniformPosteriorProvider>(incomplete.schema());
+  }
+  auto model = PosteriorModel::Learn(PosteriorStructure::kHillClimb,
+                                     incomplete);
+  BAYESCROWD_CHECK_OK(model.status());
+  return std::move(model).value();
+}
 
 BayesCrowdOptions KillOptions(std::size_t threads,
                               obs::MetricsRegistry* metrics) {
@@ -117,18 +145,20 @@ struct Reference {
   std::string envelope;
 };
 
-Reference RunReference(std::size_t threads) {
+Reference RunReference(std::size_t threads,
+                       const Profile& profile = kFixture) {
   const Table incomplete = KillDataset();
   const Table truth = KillTruth();
-  UniformPosteriorProvider posteriors(incomplete.schema());
+  const auto posteriors = KillPosteriors(profile, incomplete);
   obs::MetricsRegistry metrics;
   const BayesCrowdOptions options = KillOptions(threads, &metrics);
   SimulatedCrowdPlatform sim(truth, {.worker_accuracy = 0.95,
                                      .seed = kWorkerSeed});
-  FaultInjectingPlatform faulter(sim, KillFaults());
+  FaultInjectingPlatform faulter(
+      sim, FaultOptions::Profile(profile.fault_rate, profile.fault_seed));
   faulter.BindMetrics(&metrics);
   BayesCrowd framework(options);
-  auto result = framework.Run(incomplete, posteriors, faulter);
+  auto result = framework.Run(incomplete, *posteriors, faulter);
   BAYESCROWD_CHECK_OK(result.status());
   Reference out;
   out.envelope = NormalizedEnvelope(options, result.value());
@@ -142,17 +172,19 @@ Reference RunReference(std::size_t threads) {
 Status RunSession(std::size_t threads, const std::string& dir,
                   bool resume, CheckpointSink* sink_override,
                   CheckpointStore* store, BayesCrowdResult* result,
-                  std::string* envelope, std::size_t* fallbacks) {
+                  std::string* envelope, std::size_t* fallbacks,
+                  const Profile& profile = kFixture) {
   const Table incomplete = KillDataset();
   const Table truth = KillTruth();
-  UniformPosteriorProvider posteriors(incomplete.schema());
+  const auto posteriors = KillPosteriors(profile, incomplete);
   obs::MetricsRegistry metrics;
   BayesCrowdOptions options = KillOptions(threads, &metrics);
   options.checkpoint_every = 1;
 
   SimulatedCrowdPlatform sim(truth, {.worker_accuracy = 0.95,
                                      .seed = kWorkerSeed});
-  FaultInjectingPlatform faulter(sim, KillFaults());
+  FaultInjectingPlatform faulter(
+      sim, FaultOptions::Profile(profile.fault_rate, profile.fault_seed));
   faulter.BindMetrics(&metrics);
 
   DurableSession::Options durable;
@@ -167,7 +199,7 @@ Status RunSession(std::size_t threads, const std::string& dir,
   }
 
   BayesCrowd framework(options);
-  auto run = framework.Run(incomplete, posteriors, (*session)->platform());
+  auto run = framework.Run(incomplete, *posteriors, (*session)->platform());
   if (!run.ok()) return run.status();
   if (envelope != nullptr) *envelope = NormalizedEnvelope(options, *run);
   if (result != nullptr) *result = std::move(run).value();
@@ -332,6 +364,58 @@ TEST(KillPointTest, CorruptNewestSnapshotFallsBackAndReplays) {
   ASSERT_TRUE(ok.ok()) << ok.ToString();
   EXPECT_GE(fallbacks, 1u);
   EXPECT_TRUE(resumed.resumed);
+  EXPECT_EQ(envelope, reference.envelope);
+}
+
+// ------------------------------------------------------------------ //
+// Barren stop: learned posteriors and faults heavy enough to abandon
+// rounds. A resume from every generation (the newer ones removed) and
+// from the finished run's own directory must end where the
+// uninterrupted run ended: the same rounds, tasks, degraded flag and
+// probabilities, bit for bit.
+// ------------------------------------------------------------------ //
+
+TEST(KillPointTest, ResumeFromEveryGenerationKeepsTheBarrenStop) {
+  const Reference reference = RunReference(1, kBarren);
+  ASSERT_TRUE(reference.result.degraded)
+      << "profile must end in the barren stop";
+  ASSERT_GT(reference.result.rounds_abandoned, 0u);
+
+  const std::string dir = FreshDir("bc_kp_barren");
+  CheckpointStore store({.dir = dir, .keep = 100});
+  std::string envelope;
+  BAYESCROWD_CHECK_OK(RunSession(1, dir, /*resume=*/false,
+                                 /*sink_override=*/nullptr, &store, nullptr,
+                                 &envelope, nullptr, kBarren));
+  EXPECT_EQ(envelope, reference.envelope);
+  const std::vector<std::string> generations = store.ListGenerations();
+  ASSERT_EQ(generations.size(), reference.result.rounds);
+  ASSERT_GE(generations.size(), 3u);
+
+  for (std::size_t g = 0; g < generations.size(); ++g) {
+    SCOPED_TRACE("resumed from " + generations[g]);
+    const std::string copy = FreshDir("bc_kp_barren_copy");
+    std::filesystem::copy(dir, copy);
+    for (std::size_t newer = g + 1; newer < generations.size(); ++newer) {
+      std::filesystem::remove(copy + "/" + generations[newer]);
+    }
+    CheckpointStore copy_store({.dir = copy, .keep = 100});
+    BayesCrowdResult resumed;
+    const Status ok = RunSession(1, copy, /*resume=*/true,
+                                 /*sink_override=*/nullptr, &copy_store,
+                                 &resumed, &envelope, nullptr, kBarren);
+    ASSERT_TRUE(ok.ok()) << ok.ToString();
+    EXPECT_TRUE(resumed.resumed);
+    EXPECT_EQ(envelope, reference.envelope);
+  }
+
+  // The finished run's own directory: a resume has nothing left to buy.
+  BayesCrowdResult resumed;
+  const Status ok = RunSession(1, dir, /*resume=*/true,
+                               /*sink_override=*/nullptr, &store, &resumed,
+                               &envelope, nullptr, kBarren);
+  ASSERT_TRUE(ok.ok()) << ok.ToString();
+  EXPECT_EQ(resumed.tasks_posted, reference.result.tasks_posted);
   EXPECT_EQ(envelope, reference.envelope);
 }
 

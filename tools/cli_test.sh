@@ -331,6 +331,54 @@ ls "${WORK}/pause" | cmp -s - "${WORK}/pause_before.txt" \
 cksum "${WORK}/pause/answers.log" | cmp -s - "${WORK}/pause_log_before.txt" \
   || fail "a refused fresh run must not truncate the answer log"
 
+# A faulted interactive session resumed from an older snapshot replays
+# the newer rounds from its answer log without asking them again: the
+# fault injector forwards replayed batches to the human's replay hook,
+# never to its prompt. Ten answers buy two five-task rounds; the run
+# dies at the third round's first prompt.
+run_faulted_interactive() {
+  run_interactive --budget 20 --fault-rate 0.3 --fault-seed 2 "$@"
+}
+answers 40 | run_faulted_interactive > "${WORK}/fwhole.txt"
+rc=0
+answers 10 | run_faulted_interactive --checkpoint-dir "${WORK}/fpause" \
+  > /dev/null 2>&1 || rc=$?
+[ "${rc}" -eq 1 ] || fail "a faulted interactive run cut off by EOF must exit 1, got ${rc}"
+rm "${WORK}/fpause/$(ls "${WORK}/fpause" | grep '^ckpt-' | tail -1)"
+answers 40 | run_faulted_interactive --checkpoint-dir "${WORK}/fpause" --resume \
+  > "${WORK}/fresumed.txt"
+[ "$(prompts "${WORK}/fresumed.txt")" -eq "$(( $(prompts "${WORK}/fwhole.txt") - 10 ))" ] \
+  || fail "a resumed faulted interactive session re-asked replayed tasks"
+grep -- '--- round' "${WORK}/fresumed.txt" | head -1 | grep -q -- '--- round 3:' \
+  || fail "a resumed faulted interactive session must first ask round 3"
+
+# ------------------------------------------------------------------ #
+# run: the barren stop survives a resume. This faulted run stops after
+# three barren rounds; resuming its finished directory buys nothing
+# and reports exactly what the run reported.
+# ------------------------------------------------------------------ #
+"${CLI}" generate --dataset nba --n 300 --seed 7 --out "${WORK}/nba.csv" >/dev/null
+"${CLI}" inject --in "${WORK}/nba.csv" --rate 0.15 --seed 9 \
+  --out "${WORK}/nba_miss.csv" >/dev/null
+run_barren() {
+  "${CLI}" run --data "${WORK}/nba_miss.csv" --truth "${WORK}/nba.csv" \
+    --budget 40 --latency 10 --fault-rate 0.8 --fault-seed 3 \
+    --checkpoint-dir "${WORK}/barren" "$@"
+}
+run_barren --telemetry-out "${WORK}/barren_ref.json" > "${WORK}/barren_ref.txt"
+run_barren --resume --telemetry-out "${WORK}/barren_res.json" \
+  > "${WORK}/barren_res.txt"
+for out in barren_ref barren_res; do
+  grep -q '4 tasks over 3 rounds, cost 0.00' "${WORK}/${out}.txt" \
+    || fail "${out}: expected 4 tasks over 3 rounds at cost 0.00"
+done
+for out in barren_ref barren_res; do
+  "${CLI}" normalize --in "${WORK}/${out}.json" --strip-resume \
+    --out "${WORK}/${out}.norm.json"
+done
+cmp -s "${WORK}/barren_ref.norm.json" "${WORK}/barren_res.norm.json" \
+  || fail "resuming a run that stopped barren must reproduce its telemetry"
+
 # The retired manual pause flags are unknown flags.
 expect_usage_error run --data "${WORK}/inj_42.csv" --truth "${WORK}/gen_42.csv" \
   --record "${WORK}/answers.txt"
