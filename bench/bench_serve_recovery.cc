@@ -1,15 +1,13 @@
-// Crash-only serving costs: (i) mass recovery — how long a restarted
-// server takes to replay the manifest and resume 1/4/8/16 resident
-// sessions from their newest checkpoints, and how quickly the first
-// recovered session advances again (restart-to-first-progress, the
-// operator-facing MTTR number); (ii) steady-state journaling — the
-// rounds/sec drain throughput with the serve manifest on vs off, whose
-// ratio is the durability overhead (budgeted at <= 2% in DESIGN.md
-// §13).
+// Crash-only serving costs: mass recovery — how long a restarted server
+// takes to replay the manifest and resume 1/4/8/16 resident sessions
+// from their newest checkpoints, and how quickly the first recovered
+// session advances again (restart-to-first-progress, the
+// operator-facing MTTR number). Stepping verbs journal nothing (the
+// manifest records only create/finish/evict/quarantine), so there is no
+// per-round journaling tax to price.
 //
 // Writes BENCH_serve_recovery.json via the shared artifact schema: one
-// row per session count for the recovery sweep plus one row per
-// journaling mode.
+// row per session count.
 
 #include <benchmark/benchmark.h>
 
@@ -17,7 +15,6 @@
 #include <cstddef>
 #include <filesystem>
 #include <string>
-#include <vector>
 
 #include "bench_util.h"
 #include "common/random.h"
@@ -134,80 +131,6 @@ BENCHMARK(BM_ServeRecovery)
     ->Arg(4)
     ->Arg(8)
     ->Arg(16)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-/// Steady-state drain throughput with the manifest journal on (range=1)
-/// vs off (range=0): the durability tax on every Advance. Four sessions
-/// drained round-robin, rounds/sec reported; compare the two rows.
-void BM_ServeJournalOverhead(benchmark::State& state) {
-  const bool journaled = state.range(0) != 0;
-  constexpr std::size_t kSessions = 4;
-
-  std::size_t total_rounds = 0;
-  double advance_seconds = 0.0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    const std::string state_dir = FreshStateDir(
-        StrFormat("bc_bench_journal_%d", journaled ? 1 : 0));
-    serve::SessionManager::Options options;
-    options.threads = 4;
-    options.max_resident_sessions = 16;
-    if (journaled) options.state_dir = state_dir;
-    serve::SessionManager manager(options);
-    std::vector<std::string> ids;
-    for (std::size_t i = 0; i < kSessions; ++i) {
-      serve::SessionSpec spec = MakeSpec(i);
-      ids.push_back(spec.id);
-      BAYESCROWD_CHECK_OK(manager.Create(std::move(spec)));
-    }
-    total_rounds = 0;
-    advance_seconds = 0.0;
-    state.ResumeTiming();
-
-    std::vector<bool> done(kSessions, false);
-    bool active = true;
-    while (active) {
-      active = false;
-      for (std::size_t i = 0; i < kSessions; ++i) {
-        if (done[i]) continue;
-        const auto start = std::chrono::steady_clock::now();
-        auto advanced = manager.Advance(ids[i], 1);
-        const std::chrono::duration<double> elapsed =
-            std::chrono::steady_clock::now() - start;
-        BAYESCROWD_CHECK_OK(advanced.status());
-        advance_seconds += elapsed.count();
-        total_rounds += advanced.value().rounds_run;
-        done[i] = advanced.value().done;
-        active = active || !done[i];
-      }
-    }
-    for (const std::string& id : ids) {
-      BAYESCROWD_CHECK_OK(manager.Finish(id).status());
-    }
-  }
-
-  state.counters["journaled"] = journaled ? 1.0 : 0.0;
-  state.counters["total_rounds"] = static_cast<double>(total_rounds);
-  state.counters["advance_seconds"] = advance_seconds;
-  state.counters["rounds_per_sec"] =
-      advance_seconds == 0.0
-          ? 0.0
-          : static_cast<double>(total_rounds) / advance_seconds;
-  // The absolute per-round cost is the honest overhead number: these
-  // memo-warmed micro-rounds are sub-millisecond, so the rounds/sec
-  // *ratio* overstates the journaling tax relative to realistic
-  // multi-millisecond solver rounds. Subtract the journaled=0 row's
-  // ms_per_round from the journaled=1 row's to get the per-event cost.
-  state.counters["ms_per_round"] =
-      total_rounds == 0
-          ? 0.0
-          : 1e3 * advance_seconds / static_cast<double>(total_rounds);
-}
-
-BENCHMARK(BM_ServeJournalOverhead)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 

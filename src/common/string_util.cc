@@ -51,6 +51,13 @@ bool StartsWith(std::string_view text, std::string_view prefix) {
          text.substr(0, prefix.size()) == prefix;
 }
 
+bool IsSafeName(std::string_view text) {
+  return !text.empty() &&
+         text.find_first_not_of("abcdefghijklmnopqrstuvwxyz"
+                                "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                                "0123456789._-") == std::string_view::npos;
+}
+
 bool ParseInt(std::string_view text, int* out) {
   text = Trim(text);
   if (text.empty()) return false;

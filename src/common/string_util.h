@@ -23,6 +23,10 @@ std::string_view Trim(std::string_view text);
 /// True if `text` begins with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
 
+/// True if `text` is non-empty and only [A-Za-z0-9._-]: safe as part
+/// of a file name and as a metric label value without escaping.
+bool IsSafeName(std::string_view text);
+
 /// Parses a decimal integer; returns false on malformed input.
 bool ParseInt(std::string_view text, int* out);
 

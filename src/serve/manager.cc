@@ -11,6 +11,13 @@ namespace bayescrowd::serve {
 
 namespace {
 
+/// Consecutive step failures after which a session is quarantined.
+constexpr std::size_t kQuarantineAfterFailures = 3;
+
+Status NotResident(const std::string& id) {
+  return Status::NotFound(StrFormat("serve: no session '%s'", id.c_str()));
+}
+
 std::vector<obs::Label> TenantLabels(const std::string& tenant) {
   return {{"tenant", tenant}};
 }
@@ -35,16 +42,8 @@ std::string EventDetail(const std::string& tenant, const std::string& id,
 
 SessionManager::SessionManager(Options options)
     : options_(std::move(options)),
-      cache_(options_.cache),
-      local_flight_(256) {
-  if (options_.pool != nullptr) {
-    pool_ = options_.pool;
-  } else {
-    owned_pool_ = std::make_unique<ThreadPool>(options_.threads);
-    pool_ = owned_pool_.get();
-  }
-  metrics_ = options_.metrics != nullptr ? options_.metrics : &local_metrics_;
-  flight_ = options_.flight != nullptr ? options_.flight : &local_flight_;
+      pool_(options_.threads),
+      cache_(SharedQueryCache::Options{}) {
   if (options_.max_resident_sessions == 0) options_.max_resident_sessions = 1;
   if (options_.max_sessions_per_tenant == 0) {
     options_.max_sessions_per_tenant = 1;
@@ -87,17 +86,17 @@ ManifestEvent SessionManager::EventOf(const Session& session,
   return event;
 }
 
-void SessionManager::Journal(const std::vector<ManifestEvent>& events) {
-  if (manifest_ == nullptr || events.empty()) return;
-  const Status appended = manifest_->Append(events);
+void SessionManager::Journal(const ManifestEvent& event) {
+  if (manifest_ == nullptr) return;
+  const Status appended = manifest_->Append(event);
   if (appended.ok()) return;
   // The manifest is a recovery aid: losing a record degrades recovery
   // fidelity for this session, it must not fail the verb that already
   // succeeded. Count it and leave a flight trace.
-  metrics_->GetCounter("serve.manifest.append_failures")->Increment();
-  flight_->Record(obs::FlightEventKind::kNote, 0, -1, 0.0, 0.0,
-                  StrFormat("manifest append failed: %s",
-                            appended.ToString().c_str()));
+  metrics_.GetCounter("serve.manifest.append_failures")->Increment();
+  flight_.Record(obs::FlightEventKind::kNote, 0, -1, 0.0, 0.0,
+                 StrFormat("manifest append failed: %s",
+                           appended.ToString().c_str()));
 }
 
 std::uint64_t SessionManager::CacheScope(const std::string& tenant,
@@ -119,14 +118,66 @@ SessionManager::Session* SessionManager::FindLocked(const std::string& id) {
   return it == sessions_.end() ? nullptr : it->second.get();
 }
 
+Result<SessionManager::Session*> SessionManager::SteppableLocked(
+    const std::string& id) {
+  std::lock_guard<std::mutex> registry(registry_mu_);
+  if (quarantined_.count(id) != 0) {
+    return Status::FailedPrecondition(
+        StrFormat("serve: session '%s' is quarantined", id.c_str()));
+  }
+  Session* session = FindLocked(id);
+  if (session == nullptr) return NotResident(id);
+  if (session->finished) {
+    return Status::FailedPrecondition(
+        StrFormat("serve: session '%s' already finished", id.c_str()));
+  }
+  return session;
+}
+
+void SessionManager::UnlinkLocked(const std::string& id,
+                                  const std::string& tenant) {
+  sessions_.erase(id);
+  for (auto it = creation_order_.begin(); it != creation_order_.end();
+       ++it) {
+    if (*it == id) {
+      creation_order_.erase(it);
+      break;
+    }
+  }
+  auto tenant_it = tenant_resident_.find(tenant);
+  if (tenant_it != tenant_resident_.end() && tenant_it->second > 0) {
+    --tenant_it->second;
+  }
+  metrics_.GetGauge("serve.sessions.resident")
+      ->Set(static_cast<double>(sessions_.size()));
+}
+
+std::string SessionManager::SnapshotBeforeUnlink(Session* session) {
+  if (session->finished || session->store == nullptr ||
+      !session->runner->initialized()) {
+    return "";
+  }
+  const Status snapshot = session->runner->WriteCheckpointNow();
+  return snapshot.ok()
+             ? StrFormat("checkpointed@%zu", session->runner->rounds())
+             : StrFormat("checkpoint failed: %s",
+                         snapshot.ToString().c_str());
+}
+
 Status SessionManager::Create(SessionSpec spec) {
   std::lock_guard<std::mutex> work(work_mu_);
   return CreateImpl(std::move(spec), /*journal=*/true);
 }
 
 Status SessionManager::CreateImpl(SessionSpec spec, bool journal) {
-  if (spec.id.empty() || spec.tenant.empty()) {
-    return Status::InvalidArgument("serve: session id and tenant required");
+  const char* unsafe = !IsSafeName(spec.id)       ? "id"
+                       : !IsSafeName(spec.tenant) ? "tenant"
+                                                  : nullptr;
+  if (unsafe != nullptr) {
+    return Status::InvalidArgument(
+        StrFormat("serve: %s must be non-empty [A-Za-z0-9._-] (ids name "
+                  "checkpoint files; ids and tenants label metrics)",
+                  unsafe));
   }
   if (spec.resume && spec.checkpoint_dir.empty()) {
     return Status::InvalidArgument(
@@ -148,25 +199,20 @@ Status SessionManager::CreateImpl(SessionSpec spec, bool journal) {
       reject = StrFormat("server at capacity (%zu resident)",
                          sessions_.size());
     } else {
-      const TenantQos* qos = QosFor(spec.tenant);
-      std::size_t tenant_cap = options_.max_sessions_per_tenant;
-      if (qos != nullptr && qos->max_resident != 0) {
-        tenant_cap = qos->max_resident;
-      }
       const auto it = tenant_resident_.find(spec.tenant);
       const std::size_t tenant_now =
           it == tenant_resident_.end() ? 0 : it->second;
-      if (tenant_now >= tenant_cap) {
+      if (tenant_now >= options_.max_sessions_per_tenant) {
         reject = StrFormat("tenant at capacity (%zu resident)", tenant_now);
       }
     }
     if (!reject.empty()) {
-      metrics_->GetCounter("serve.admission.rejected",
-                           TenantLabels(spec.tenant))
+      metrics_.GetCounter("serve.admission.rejected",
+                          TenantLabels(spec.tenant))
           ->Increment();
-      flight_->Record(obs::FlightEventKind::kAdmission, 0, -1, 0.0,
-                      /*value=*/0.0,
-                      EventDetail(spec.tenant, spec.id, reject));
+      flight_.Record(obs::FlightEventKind::kAdmission, 0, -1, 0.0,
+                     /*value=*/0.0,
+                     EventDetail(spec.tenant, spec.id, reject));
       return Status::ResourceExhausted(
           StrFormat("serve: admission rejected for '%s': %s",
                     spec.id.c_str(), reject.c_str()));
@@ -177,7 +223,7 @@ Status SessionManager::CreateImpl(SessionSpec spec, bool journal) {
   session->scope = CacheScope(spec.tenant, spec.cache_key);
   session->platform = MakeSimulatedCrowd(
       spec.ground_truth, spec.use_marketplace, spec.platform,
-      spec.marketplace, &session->metrics, flight_);
+      spec.marketplace, &session->metrics, &flight_);
   session->posteriors =
       spec.posteriors != nullptr
           ? spec.posteriors
@@ -185,7 +231,7 @@ Status SessionManager::CreateImpl(SessionSpec spec, bool journal) {
                 spec.incomplete.schema());
 
   BayesCrowdOptions options = spec.options;
-  options.pool = pool_;
+  options.pool = &pool_;
   options.threads = 0;
   options.metrics = &session->metrics;
   options.session = spec.id;  // cost.* series carry the session id.
@@ -223,12 +269,12 @@ Status SessionManager::CreateImpl(SessionSpec spec, bool journal) {
     if (cache_.Get(ref.scope, &blob)) {
       Result<std::size_t> imported = ref.runner->ImportMemoState(blob);
       BAYESCROWD_RETURN_NOT_OK(imported.status());
-      metrics_->GetCounter("serve.cache.imported_entries",
-                           TenantLabels(ref.spec.tenant))
+      metrics_.GetCounter("serve.cache.imported_entries",
+                          TenantLabels(ref.spec.tenant))
           ->Increment(static_cast<std::uint64_t>(imported.value()));
       outcome = "hit";
     }
-    metrics_->GetCounter(
+    metrics_.GetCounter(
         StrFormat("serve.cache.warm_start.%s", outcome),
         TenantLabels(ref.spec.tenant))
         ->Increment();
@@ -248,19 +294,19 @@ Status SessionManager::CreateImpl(SessionSpec spec, bool journal) {
     quarantined_.erase(id);
     creation_order_.push_back(id);
     ++tenant_resident_[tenant];
-    metrics_->GetCounter("serve.admission.admitted", TenantLabels(tenant))
+    metrics_.GetCounter("serve.admission.admitted", TenantLabels(tenant))
         ->Increment();
-    metrics_->GetCounter("serve.sessions.created", TenantLabels(tenant))
+    metrics_.GetCounter("serve.sessions.created", TenantLabels(tenant))
         ->Increment();
-    flight_->Record(obs::FlightEventKind::kAdmission, ref.runner->rounds(),
-                    -1, 0.0, /*value=*/1.0, EventDetail(tenant, id, ""));
+    flight_.Record(obs::FlightEventKind::kAdmission, ref.runner->rounds(),
+                   -1, 0.0, /*value=*/1.0, EventDetail(tenant, id, ""));
     sessions_.emplace(id, std::move(session));
-    metrics_->GetGauge("serve.sessions.resident")
+    metrics_.GetGauge("serve.sessions.resident")
         ->Set(static_cast<double>(sessions_.size()));
   }
   if (journal) {
-    Journal({EventOf(ref, ManifestEventKind::kCreate,
-                     ref.resumed ? "resumed" : "")});
+    Journal(EventOf(ref, ManifestEventKind::kCreate,
+                    ref.resumed ? "resumed" : ""));
   }
   return Status::OK();
 }
@@ -284,17 +330,17 @@ Status SessionManager::MaybeDegrade(Session* session) {
   session->current_governor = governor;
   BAYESCROWD_RETURN_NOT_OK(ApplyGovernorNow(session));
   session->qos_level = desired;
-  metrics_->GetCounter(
+  metrics_.GetCounter(
       "serve.qos.degrades",
       SessionLabels(session->spec.tenant, session->spec.id))
       ->Increment();
-  flight_->Record(
+  flight_.Record(
       obs::FlightEventKind::kQosDegrade, rounds, -1, 0.0,
       static_cast<double>(desired),
       EventDetail(session->spec.tenant, session->spec.id,
-                  StrFormat("level=%zu max_nodes=%llu", desired,
-                            static_cast<unsigned long long>(
-                                governor.max_nodes))));
+                 StrFormat("level=%zu max_nodes=%llu", desired,
+                           static_cast<unsigned long long>(
+                               governor.max_nodes))));
   return Status::OK();
 }
 
@@ -324,11 +370,11 @@ class SessionManager::InflightGuard {
 
 Status SessionManager::AdmitStep(const char* verb) {
   const auto shed = [&](const std::string& why) {
-    metrics_->GetCounter("serve.shed.requests", {{"verb", verb}})
+    metrics_.GetCounter("serve.shed.requests", {{"verb", verb}})
         ->Increment();
-    flight_->Record(obs::FlightEventKind::kOverload, 0, -1, 0.0,
-                    static_cast<double>(options_.retry_after_ms),
-                    StrFormat("verb=%s %s", verb, why.c_str()));
+    flight_.Record(obs::FlightEventKind::kOverload, 0, -1, 0.0,
+                   static_cast<double>(options_.retry_after_ms),
+                   StrFormat("verb=%s %s", verb, why.c_str()));
     return Status::Unavailable(StrFormat(
         "serve: overloaded (%s): %s; retry_after_ms=%lld", verb,
         why.c_str(),
@@ -354,12 +400,11 @@ Status SessionManager::AdmitStep(const char* verb) {
 
 void SessionManager::NoteStepFailure(Session* session, const Status& error) {
   ++session->consecutive_failures;
-  metrics_->GetCounter(
+  metrics_.GetCounter(
       "serve.step.failures",
       SessionLabels(session->spec.tenant, session->spec.id))
       ->Increment();
-  if (options_.quarantine_after_failures > 0 &&
-      session->consecutive_failures >= options_.quarantine_after_failures) {
+  if (session->consecutive_failures >= kQuarantineAfterFailures) {
     QuarantineLocked(session, error.ToString());
   }
 }
@@ -368,50 +413,30 @@ void SessionManager::QuarantineLocked(Session* session,
                                       const std::string& reason) {
   const std::string id = session->spec.id;
   const std::string tenant = session->spec.tenant;
-  // Best-effort snapshot: if the disk recovered, the quarantined
-  // session's progress survives for a later re-admission; if not, the
-  // failure is already the reason we're here.
-  std::string extra;
-  if (!session->finished && session->store != nullptr &&
-      session->runner->initialized()) {
-    const Status snapshot = session->runner->WriteCheckpointNow();
-    extra = snapshot.ok()
-                ? StrFormat("checkpointed@%zu", session->runner->rounds())
-                : "checkpoint failed";
-  }
+  // If the disk recovered, the quarantined session's progress survives
+  // for a later re-admission; if not, the failure is already the reason
+  // we're here.
+  const std::string extra = SnapshotBeforeUnlink(session);
   QuarantineRecord record;
   record.tenant = tenant;
   record.rounds = session->runner->rounds();
   record.qos_level = session->qos_level;
   record.reason = reason;
-  Journal({EventOf(*session, ManifestEventKind::kQuarantine, reason)});
-  metrics_->GetCounter("serve.quarantine.sessions",
-                       SessionLabels(tenant, id))
+  Journal(EventOf(*session, ManifestEventKind::kQuarantine, reason));
+  metrics_.GetCounter("serve.quarantine.sessions",
+                      SessionLabels(tenant, id))
       ->Increment();
-  flight_->Record(
+  flight_.Record(
       obs::FlightEventKind::kQuarantine, session->runner->rounds(), -1,
       0.0, static_cast<double>(session->consecutive_failures),
       EventDetail(tenant, id,
-                  StrFormat("%s%s%s", reason.c_str(),
-                            extra.empty() ? "" : " ", extra.c_str())));
+                 StrFormat("%s%s%s", reason.c_str(),
+                           extra.empty() ? "" : " ", extra.c_str())));
   {
     std::lock_guard<std::mutex> registry(registry_mu_);
     quarantined_.emplace(id, std::move(record));
-    sessions_.erase(id);
-    for (auto it = creation_order_.begin(); it != creation_order_.end();
-         ++it) {
-      if (*it == id) {
-        creation_order_.erase(it);
-        break;
-      }
-    }
-    auto tenant_it = tenant_resident_.find(tenant);
-    if (tenant_it != tenant_resident_.end() && tenant_it->second > 0) {
-      --tenant_it->second;
-    }
-    metrics_->GetGauge("serve.sessions.resident")
-        ->Set(static_cast<double>(sessions_.size()));
-    metrics_->GetGauge("serve.sessions.quarantined")
+    UnlinkLocked(id, tenant);
+    metrics_.GetGauge("serve.sessions.quarantined")
         ->Set(static_cast<double>(quarantined_.size()));
   }
 }
@@ -419,14 +444,8 @@ void SessionManager::QuarantineLocked(Session* session,
 Status SessionManager::AdvanceLockedImpl(Session* session,
                                          std::size_t max_rounds,
                                          std::int64_t deadline_ms,
-                                         AdvanceOutcome* out,
-                                         std::vector<ManifestEvent>* journal) {
-  if (session->finished) {
-    return Status::FailedPrecondition(
-        StrFormat("serve: session '%s' already finished",
-                  session->spec.id.c_str()));
-  }
-  obs::Counter* rounds_counter = metrics_->GetCounter(
+                                         AdvanceOutcome* out) {
+  obs::Counter* rounds_counter = metrics_.GetCounter(
       "serve.rounds", SessionLabels(session->spec.tenant,
                                     session->spec.id));
   // A request deadline rides on whatever governor is current (and on
@@ -449,11 +468,6 @@ Status SessionManager::AdvanceLockedImpl(Session* session,
     const Status restored = ApplyGovernorNow(session);
     if (status.ok()) status = restored;
   }
-  // Capture the journal record now: NoteStepFailure below may
-  // quarantine the session, which frees it.
-  if (journal != nullptr && out->rounds_run > 0) {
-    journal->push_back(EventOf(*session, ManifestEventKind::kAdvance, ""));
-  }
   if (status.ok()) {
     session->consecutive_failures = 0;
     out->qos_level = session->qos_level;
@@ -470,25 +484,10 @@ Result<AdvanceOutcome> SessionManager::Advance(const std::string& id,
   BAYESCROWD_RETURN_NOT_OK(AdmitStep("advance"));
   InflightGuard admitted(&inflight_);
   std::lock_guard<std::mutex> work(work_mu_);
-  Session* session;
-  {
-    std::lock_guard<std::mutex> registry(registry_mu_);
-    if (quarantined_.count(id) != 0) {
-      return Status::FailedPrecondition(
-          StrFormat("serve: session '%s' is quarantined", id.c_str()));
-    }
-    session = FindLocked(id);
-  }
-  if (session == nullptr) {
-    return Status::NotFound(
-        StrFormat("serve: no session '%s'", id.c_str()));
-  }
+  BAYESCROWD_ASSIGN_OR_RETURN(Session* session, SteppableLocked(id));
   AdvanceOutcome out;
-  std::vector<ManifestEvent> journal;
-  const Status advanced =
-      AdvanceLockedImpl(session, max_rounds, deadline_ms, &out, &journal);
-  Journal(journal);
-  BAYESCROWD_RETURN_NOT_OK(advanced);
+  BAYESCROWD_RETURN_NOT_OK(
+      AdvanceLockedImpl(session, max_rounds, deadline_ms, &out));
   return out;
 }
 
@@ -505,7 +504,6 @@ Result<std::size_t> SessionManager::AdvanceAll(std::size_t quantum) {
     }
   }
   std::size_t active = 0;
-  std::vector<ManifestEvent> journal;
   for (Session* session : order) {
     if (session->finished || session->runner->Done()) continue;
     AdvanceOutcome out;
@@ -513,12 +511,10 @@ Result<std::size_t> SessionManager::AdvanceAll(std::size_t quantum) {
     // quarantine threshold isolates a repeat offender) and keep the
     // sweep going for everyone else — the shared pool never latches.
     const Status advanced =
-        AdvanceLockedImpl(session, quantum, /*deadline_ms=*/0, &out,
-                          &journal);
+        AdvanceLockedImpl(session, quantum, /*deadline_ms=*/0, &out);
     if (!advanced.ok()) continue;
     if (!out.done) ++active;
   }
-  Journal(journal);
   return active;
 }
 
@@ -526,49 +522,15 @@ Status SessionManager::Checkpoint(const std::string& id) {
   BAYESCROWD_RETURN_NOT_OK(AdmitStep("checkpoint"));
   InflightGuard admitted(&inflight_);
   std::lock_guard<std::mutex> work(work_mu_);
-  Session* session;
-  {
-    std::lock_guard<std::mutex> registry(registry_mu_);
-    if (quarantined_.count(id) != 0) {
-      return Status::FailedPrecondition(
-          StrFormat("serve: session '%s' is quarantined", id.c_str()));
-    }
-    session = FindLocked(id);
-  }
-  if (session == nullptr) {
-    return Status::NotFound(
-        StrFormat("serve: no session '%s'", id.c_str()));
-  }
-  if (session->finished) {
-    return Status::FailedPrecondition(
-        StrFormat("serve: session '%s' already finished", id.c_str()));
-  }
-  BAYESCROWD_RETURN_NOT_OK(session->runner->WriteCheckpointNow());
-  Journal({EventOf(*session, ManifestEventKind::kCheckpoint, "")});
-  return Status::OK();
+  BAYESCROWD_ASSIGN_OR_RETURN(Session* session, SteppableLocked(id));
+  return session->runner->WriteCheckpointNow();
 }
 
 Result<BayesCrowdResult> SessionManager::Finish(const std::string& id) {
   BAYESCROWD_RETURN_NOT_OK(AdmitStep("finish"));
   InflightGuard admitted(&inflight_);
   std::lock_guard<std::mutex> work(work_mu_);
-  Session* session;
-  {
-    std::lock_guard<std::mutex> registry(registry_mu_);
-    if (quarantined_.count(id) != 0) {
-      return Status::FailedPrecondition(
-          StrFormat("serve: session '%s' is quarantined", id.c_str()));
-    }
-    session = FindLocked(id);
-  }
-  if (session == nullptr) {
-    return Status::NotFound(
-        StrFormat("serve: no session '%s'", id.c_str()));
-  }
-  if (session->finished) {
-    return Status::FailedPrecondition(
-        StrFormat("serve: session '%s' already finished", id.c_str()));
-  }
+  BAYESCROWD_ASSIGN_OR_RETURN(Session* session, SteppableLocked(id));
   BAYESCROWD_RETURN_NOT_OK(session->runner->Finish());
   // Donate the memo state so the next session of this scope can warm
   // start. Donation is outside the determinism contract on purpose —
@@ -576,15 +538,15 @@ Result<BayesCrowdResult> SessionManager::Finish(const std::string& id) {
   Result<std::string> blob = session->runner->ExportMemoState();
   if (blob.ok()) {
     cache_.Put(session->scope, std::move(blob).value());
-    metrics_->GetCounter("serve.cache.donations",
-                         TenantLabels(session->spec.tenant))
+    metrics_.GetCounter("serve.cache.donations",
+                        TenantLabels(session->spec.tenant))
         ->Increment();
   }
   session->finished = true;
-  metrics_->GetCounter("serve.sessions.finished",
-                       TenantLabels(session->spec.tenant))
+  metrics_.GetCounter("serve.sessions.finished",
+                      TenantLabels(session->spec.tenant))
       ->Increment();
-  Journal({EventOf(*session, ManifestEventKind::kFinish, "")});
+  Journal(EventOf(*session, ManifestEventKind::kFinish, ""));
   return session->runner->TakeResult();
 }
 
@@ -604,50 +566,27 @@ Status SessionManager::Evict(const std::string& id) {
       event.tenant = quarantine_it->second.tenant;
       event.rounds = quarantine_it->second.rounds;
       quarantined_.erase(quarantine_it);
-      metrics_->GetGauge("serve.sessions.quarantined")
+      metrics_.GetGauge("serve.sessions.quarantined")
           ->Set(static_cast<double>(quarantined_.size()));
-      Journal({event});
+      Journal(event);
       return Status::OK();
     }
     session = FindLocked(id);
   }
-  if (session == nullptr) {
-    return Status::NotFound(
-        StrFormat("serve: no session '%s'", id.c_str()));
-  }
-  std::string extra;
-  if (!session->finished && session->store != nullptr &&
-      session->runner->initialized()) {
-    const Status snapshot = session->runner->WriteCheckpointNow();
-    extra = snapshot.ok()
-                ? StrFormat("checkpointed@%zu", session->runner->rounds())
-                : StrFormat("checkpoint failed: %s",
-                            snapshot.ToString().c_str());
-  }
+  if (session == nullptr) return NotResident(id);
+  // An unfinished session's progress survives eviction.
+  const std::string extra = SnapshotBeforeUnlink(session);
   const std::string tenant = session->spec.tenant;
-  flight_->Record(obs::FlightEventKind::kEviction,
-                  session->runner->rounds(), -1, 0.0,
-                  session->finished ? 1.0 : 0.0,
-                  EventDetail(tenant, id, extra));
-  Journal({EventOf(*session, ManifestEventKind::kEvict, extra)});
+  flight_.Record(obs::FlightEventKind::kEviction,
+                 session->runner->rounds(), -1, 0.0,
+                 session->finished ? 1.0 : 0.0,
+                 EventDetail(tenant, id, extra));
+  Journal(EventOf(*session, ManifestEventKind::kEvict, extra));
   {
     std::lock_guard<std::mutex> registry(registry_mu_);
-    sessions_.erase(id);
-    for (auto it = creation_order_.begin(); it != creation_order_.end();
-         ++it) {
-      if (*it == id) {
-        creation_order_.erase(it);
-        break;
-      }
-    }
-    auto tenant_it = tenant_resident_.find(tenant);
-    if (tenant_it != tenant_resident_.end() && tenant_it->second > 0) {
-      --tenant_it->second;
-    }
-    metrics_->GetCounter("serve.sessions.evicted", TenantLabels(tenant))
+    UnlinkLocked(id, tenant);
+    metrics_.GetCounter("serve.sessions.evicted", TenantLabels(tenant))
         ->Increment();
-    metrics_->GetGauge("serve.sessions.resident")
-        ->Set(static_cast<double>(sessions_.size()));
   }
   return Status::OK();
 }
@@ -673,9 +612,9 @@ Result<RecoveryReport> SessionManager::Recover(
   report.torn_tail_records = load.torn_tail_records;
   report.unknown_event_records = load.unknown_kind_records;
 
-  // Pass 1: fold the journal into the live set — newest event per id
-  // wins; finish/evict retire an id; quarantine converts it to a
-  // record recovery carries over but does not resume.
+  // Pass 1: fold the journal into the live set — create makes an id
+  // live; finish/evict retire it; quarantine converts it to a record
+  // recovery carries over but does not resume.
   std::map<std::string, ManifestEvent> live;
   std::vector<std::string> live_order;
   std::map<std::string, ManifestEvent> quarantine_events;
@@ -702,12 +641,6 @@ Result<RecoveryReport> SessionManager::Recover(
         live[event.session_id] = event;
         quarantine_events.erase(event.session_id);
         break;
-      case ManifestEventKind::kAdvance:
-      case ManifestEventKind::kCheckpoint:
-        if (live.count(event.session_id) != 0) {
-          live[event.session_id] = event;
-        }
-        break;
       case ManifestEventKind::kFinish:
       case ManifestEventKind::kEvict:
         retire(event.session_id);
@@ -728,12 +661,12 @@ Result<RecoveryReport> SessionManager::Recover(
     Result<SessionSpec> resolved = resolver(event);
     if (!resolved.ok()) {
       ++report.sessions_failed;
-      flight_->Record(obs::FlightEventKind::kRecovery, event.rounds, -1,
-                      0.0, /*value=*/0.0,
-                      EventDetail(event.tenant, id,
-                                  StrFormat("resolver failed: %s",
-                                            resolved.status().ToString()
-                                                .c_str())));
+      flight_.Record(obs::FlightEventKind::kRecovery, event.rounds, -1,
+                     0.0, /*value=*/0.0,
+                     EventDetail(event.tenant, id,
+                                 StrFormat("resolver failed: %s",
+                                           resolved.status().ToString()
+                                               .c_str())));
       continue;
     }
     SessionSpec spec = std::move(resolved).value();
@@ -749,10 +682,10 @@ Result<RecoveryReport> SessionManager::Recover(
     if (SpecFingerprint(spec) != event.spec_fingerprint) {
       ++report.fingerprint_mismatches;
       ++report.sessions_failed;
-      flight_->Record(obs::FlightEventKind::kRecovery, event.rounds, -1,
-                      0.0, /*value=*/0.0,
-                      EventDetail(event.tenant, id,
-                                  "spec fingerprint mismatch"));
+      flight_.Record(obs::FlightEventKind::kRecovery, event.rounds, -1,
+                     0.0, /*value=*/0.0,
+                     EventDetail(event.tenant, id,
+                                 "spec fingerprint mismatch"));
       continue;
     }
     bool try_resume = false;
@@ -780,29 +713,29 @@ Result<RecoveryReport> SessionManager::Recover(
     }
     if (!created.ok()) {
       ++report.sessions_failed;
-      flight_->Record(obs::FlightEventKind::kRecovery, event.rounds, -1,
-                      0.0, /*value=*/0.0,
-                      EventDetail(event.tenant, id,
-                                  StrFormat("re-admission failed: %s",
-                                            created.ToString().c_str())));
+      flight_.Record(obs::FlightEventKind::kRecovery, event.rounds, -1,
+                     0.0, /*value=*/0.0,
+                     EventDetail(event.tenant, id,
+                                 StrFormat("re-admission failed: %s",
+                                           created.ToString().c_str())));
       continue;
     }
-    std::size_t fallbacks = 0;
+    std::size_t rounds = 0;
     {
       std::lock_guard<std::mutex> registry(registry_mu_);
-      Session* session = FindLocked(id);
-      if (session != nullptr) fallbacks = session->resume_fallbacks;
+      const Session* session = FindLocked(id);
+      report.checkpoint_fallbacks += session->resume_fallbacks;
+      rounds = session->runner->rounds();
     }
-    report.checkpoint_fallbacks += fallbacks;
     if (resumed) {
       ++report.sessions_resumed;
     } else {
       ++report.sessions_fresh;
     }
-    flight_->Record(obs::FlightEventKind::kRecovery, event.rounds, -1,
-                    0.0, /*value=*/1.0,
-                    EventDetail(event.tenant, id,
-                                resumed ? "resumed" : "fresh"));
+    flight_.Record(obs::FlightEventKind::kRecovery, rounds, -1,
+                   0.0, /*value=*/1.0,
+                   EventDetail(event.tenant, id,
+                               resumed ? "resumed" : "fresh"));
   }
 
   // Carry quarantine records over so list/info keep reporting them.
@@ -817,7 +750,7 @@ Result<RecoveryReport> SessionManager::Recover(
       quarantined_.emplace(id, std::move(record));
       report.quarantined.push_back(id);
     }
-    metrics_->GetGauge("serve.sessions.quarantined")
+    metrics_.GetGauge("serve.sessions.quarantined")
         ->Set(static_cast<double>(quarantined_.size()));
   }
 
@@ -840,26 +773,26 @@ Result<RecoveryReport> SessionManager::Recover(
     }
     const Status rotated = manifest_->Rewrite(compacted);
     if (!rotated.ok()) {
-      metrics_->GetCounter("serve.manifest.append_failures")->Increment();
-      flight_->Record(obs::FlightEventKind::kNote, 0, -1, 0.0, 0.0,
-                      StrFormat("manifest rotation failed: %s",
-                                rotated.ToString().c_str()));
+      metrics_.GetCounter("serve.manifest.append_failures")->Increment();
+      flight_.Record(obs::FlightEventKind::kNote, 0, -1, 0.0, 0.0,
+                     StrFormat("manifest rotation failed: %s",
+                               rotated.ToString().c_str()));
     }
   }
 
-  metrics_->GetCounter("serve.recovery.events_replayed")
+  metrics_.GetCounter("serve.recovery.events_replayed")
       ->Increment(static_cast<std::uint64_t>(report.events_replayed));
-  metrics_->GetCounter("serve.recovery.sessions_resumed")
+  metrics_.GetCounter("serve.recovery.sessions_resumed")
       ->Increment(static_cast<std::uint64_t>(report.sessions_resumed));
-  metrics_->GetCounter("serve.recovery.sessions_fresh")
+  metrics_.GetCounter("serve.recovery.sessions_fresh")
       ->Increment(static_cast<std::uint64_t>(report.sessions_fresh));
-  metrics_->GetCounter("serve.recovery.sessions_failed")
+  metrics_.GetCounter("serve.recovery.sessions_failed")
       ->Increment(static_cast<std::uint64_t>(report.sessions_failed));
-  metrics_->GetCounter("serve.recovery.checkpoint_fallbacks")
+  metrics_.GetCounter("serve.recovery.checkpoint_fallbacks")
       ->Increment(static_cast<std::uint64_t>(report.checkpoint_fallbacks));
-  metrics_->GetCounter("serve.recovery.torn_tail_records")
+  metrics_.GetCounter("serve.recovery.torn_tail_records")
       ->Increment(static_cast<std::uint64_t>(report.torn_tail_records));
-  metrics_->GetCounter("serve.recovery.unknown_event_records")
+  metrics_.GetCounter("serve.recovery.unknown_event_records")
       ->Increment(static_cast<std::uint64_t>(report.unknown_event_records));
   return report;
 }
@@ -897,10 +830,7 @@ Result<SessionInfo> SessionManager::Info(const std::string& id) {
     return InfoOfQuarantined(id, quarantine_it->second);
   }
   const Session* session = FindLocked(id);
-  if (session == nullptr) {
-    return Status::NotFound(
-        StrFormat("serve: no session '%s'", id.c_str()));
-  }
+  if (session == nullptr) return NotResident(id);
   return InfoOf(*session);
 }
 
@@ -927,7 +857,7 @@ std::size_t SessionManager::resident() const {
 }
 
 obs::MetricsSnapshot SessionManager::MetricsSnapshot() const {
-  return metrics_->Snapshot();
+  return metrics_.Snapshot();
 }
 
 }  // namespace bayescrowd::serve

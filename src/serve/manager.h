@@ -40,10 +40,11 @@
 // with Unavailable + a retry hint instead of queueing without bound.
 //
 // Crash-only serving (DESIGN.md §13): with a state_dir configured,
-// every lifecycle verb journals a CRC-framed record to the serve
-// manifest, and Recover() mass-resumes the resident set after a process
-// death. Sessions that fail repeatedly are quarantined out of the pool
-// instead of wedging it.
+// create, finish, evict and quarantine journal a CRC-framed record to
+// the serve manifest, and Recover() mass-resumes the resident set after
+// a process death, each session from its own checkpoints. Sessions that
+// fail repeatedly are quarantined out of the pool instead of wedging
+// it.
 
 #ifndef BAYESCROWD_SERVE_MANAGER_H_
 #define BAYESCROWD_SERVE_MANAGER_H_
@@ -76,9 +77,6 @@ namespace bayescrowd::serve {
 /// deterministic round counter cannot depend on how sessions happen to
 /// interleave, which is what keeps serving deterministic.
 struct TenantQos {
-  /// Resident-session cap for this tenant (0 = the manager default).
-  std::size_t max_resident = 0;
-
   /// After this many rounds of a single session, the session's solver
   /// governor steps down `ladder`. 0 = never degrade.
   std::size_t degrade_after_rounds = 0;
@@ -97,8 +95,10 @@ struct TenantQos {
 /// the manager owns the session's whole world so the client connection
 /// can go away between verbs.
 struct SessionSpec {
+  // Both non-empty [A-Za-z0-9._-] (IsSafeName): they name checkpoint
+  // files and label metrics.
   std::string id;      // Unique among resident sessions.
-  std::string tenant;  // Non-empty; selects the QoS policy + caps.
+  std::string tenant;  // Selects the QoS policy + caps.
 
   Table incomplete;    // The queried table (with missing cells).
   Table ground_truth;  // Simulated crowd's answer source.
@@ -197,36 +197,22 @@ struct RecoveryReport {
 class SessionManager {
  public:
   struct Options {
-    /// Lanes of the owned worker pool (0 = hardware concurrency);
-    /// ignored when `pool` is injected.
+    /// Lanes of the worker pool (0 = hardware concurrency).
     std::size_t threads = 0;
-    ThreadPool* pool = nullptr;  // Non-owning override.
 
     /// Global residency cap; Create past it is ResourceExhausted.
     std::size_t max_resident_sessions = 8;
 
-    /// Default per-tenant residency cap (TenantQos::max_resident
-    /// overrides per tenant).
+    /// Per-tenant residency cap.
     std::size_t max_sessions_per_tenant = 4;
 
     std::map<std::string, TenantQos> qos;  // Keyed by tenant.
 
-    SharedQueryCache::Options cache;
-
-    /// Serve-level instruments (admissions, evictions, QoS steps,
-    /// cache traffic), labeled tenant=/session=. Null = owned registry.
-    /// Distinct from the per-session registries the manager creates.
-    obs::MetricsRegistry* metrics = nullptr;
-
-    /// Serve-level incident ring (admission/eviction/qos_degrade
-    /// events). Null = owned recorder.
-    obs::FlightRecorder* flight = nullptr;
-
     /// Durable server state directory. Non-empty enables the serve
-    /// manifest (<state_dir>/serve-manifest.bin): every lifecycle verb
-    /// journals a CRC-framed record, and Recover() can mass-resume the
-    /// whole resident set after a crash. "" = no manifest (PR 8
-    /// behavior).
+    /// manifest (<state_dir>/serve-manifest.bin): create, finish, evict
+    /// and quarantine journal a CRC-framed record, and Recover() can
+    /// mass-resume the whole resident set after a crash. "" = no
+    /// manifest.
     std::string state_dir;
 
     /// IO seam for the manifest and session checkpoint stores (null =
@@ -242,11 +228,6 @@ class SessionManager {
 
     /// Retry hint carried in shed responses.
     std::int64_t retry_after_ms = 50;
-
-    /// A session whose Step fails this many times consecutively is
-    /// quarantined: checkpointed if possible, removed from the resident
-    /// pool, reported as `quarantined` by list/info. 0 disables.
-    std::size_t quarantine_after_failures = 3;
 
     /// Test/chaos hook: shed every Nth stepping request through the
     /// real shed path regardless of load, so single-threaded drivers
@@ -268,7 +249,8 @@ class SessionManager {
   /// Admission + QueryRunner::Init (+ resume / warm start). On
   /// rejection the spec is not consumed destructively and nothing
   /// stays resident: AlreadyExists (duplicate id), InvalidArgument
-  /// (empty id/tenant, resume without a checkpoint dir),
+  /// (an id or tenant that is not IsSafeName, resume without a
+  /// checkpoint dir),
   /// ResourceExhausted (a residency cap).
   Status Create(SessionSpec spec);
 
@@ -287,7 +269,10 @@ class SessionManager {
 
   /// Runs up to `max_rounds` crowd rounds, applying the tenant's QoS
   /// policy at each round boundary. NotFound for unknown ids;
-  /// FailedPrecondition after Finish or quarantine. `deadline_ms` > 0
+  /// FailedPrecondition after Finish or quarantine. A session whose
+  /// step fails three times in a row is quarantined: checkpointed if
+  /// possible, removed from the resident pool, reported as
+  /// `quarantined` by list/info. `deadline_ms` > 0
   /// tightens the session's solver-governor deadline for this request
   /// only (degrade-only: results stay correct, sub-evaluations may
   /// grade; the base governor is restored afterwards).
@@ -321,7 +306,7 @@ class SessionManager {
 
   obs::MetricsSnapshot MetricsSnapshot() const;
   SharedQueryCache::Stats cache_stats() const { return cache_.stats(); }
-  obs::FlightRecorder* flight() { return flight_; }
+  obs::FlightRecorder* flight() { return &flight_; }
 
   /// The scope key Create derives for (tenant, cache_key) — exposed so
   /// tests can pin the isolation property.
@@ -370,6 +355,17 @@ class SessionManager {
   class InflightGuard;
 
   Session* FindLocked(const std::string& id);
+  /// The session a stepping verb may work on; takes registry_mu_.
+  /// FailedPrecondition for a quarantined or finished session, NotFound
+  /// for an unknown id. Call with work_mu_ held.
+  Result<Session*> SteppableLocked(const std::string& id);
+  /// Drops `id` from the resident set, its creation order slot and its
+  /// tenant's count. Call with registry_mu_ held.
+  void UnlinkLocked(const std::string& id, const std::string& tenant);
+  /// Best-effort snapshot of an unfinished session with a store, before
+  /// it leaves the resident set; returns a note for the flight event
+  /// ("" when nothing was attempted).
+  static std::string SnapshotBeforeUnlink(Session* session);
   SessionInfo InfoOf(const Session& session) const;
   static SessionInfo InfoOfQuarantined(const std::string& id,
                                        const QuarantineRecord& record);
@@ -380,12 +376,8 @@ class SessionManager {
   /// Re-applies current_governor, tightened by the in-flight request
   /// deadline when one is set.
   Status ApplyGovernorNow(Session* session);
-  /// `journal` (may be null) collects the kAdvance record when rounds
-  /// ran — captured here because a step failure may quarantine (and
-  /// free) the session before the caller could build it.
   Status AdvanceLockedImpl(Session* session, std::size_t max_rounds,
-                           std::int64_t deadline_ms, AdvanceOutcome* out,
-                           std::vector<ManifestEvent>* journal);
+                           std::int64_t deadline_ms, AdvanceOutcome* out);
   /// Create minus the work-mutex acquisition and journaling policy;
   /// shared by Create and Recover.
   Status CreateImpl(SessionSpec spec, bool journal);
@@ -401,22 +393,21 @@ class SessionManager {
   /// Builds the manifest event for a session's current state.
   ManifestEvent EventOf(const Session& session, ManifestEventKind kind,
                         const std::string& detail) const;
-  /// Journals events when the manifest is enabled. Append failures
+  /// Journals the event when the manifest is enabled. Append failures
   /// degrade (counter + flight note), never fail the verb — the journal
   /// is a recovery aid, not a commit log.
-  void Journal(const std::vector<ManifestEvent>& events);
+  void Journal(const ManifestEvent& event);
   std::string ManifestPath() const;
   FileIo* io() const;
 
   Options options_;
-  std::unique_ptr<ThreadPool> owned_pool_;
-  ThreadPool* pool_ = nullptr;
-
+  ThreadPool pool_;
   SharedQueryCache cache_;
-  obs::MetricsRegistry local_metrics_;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::FlightRecorder local_flight_;
-  obs::FlightRecorder* flight_ = nullptr;
+  /// Serve-level instruments and incident ring (admissions, evictions,
+  /// QoS steps, cache traffic), labeled tenant=/session=; distinct from
+  /// the per-session registries.
+  obs::MetricsRegistry metrics_;
+  obs::FlightRecorder flight_;
   std::unique_ptr<ServeManifest> manifest_;  // Null without state_dir.
 
   /// Stepping requests currently admitted (holding or queued on

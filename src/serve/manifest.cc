@@ -25,6 +25,17 @@ std::string EncodePayload(const ManifestEvent& event) {
   return payload;
 }
 
+bool IsKnownKind(std::uint8_t raw_kind) {
+  switch (static_cast<ManifestEventKind>(raw_kind)) {
+    case ManifestEventKind::kCreate:
+    case ManifestEventKind::kFinish:
+    case ManifestEventKind::kEvict:
+    case ManifestEventKind::kQuarantine:
+      return true;
+  }
+  return false;
+}
+
 Status DecodePayload(std::string_view payload, ManifestEvent* event,
                      std::uint8_t* raw_kind) {
   BinReader reader(payload);
@@ -53,8 +64,8 @@ ManifestLoad DecodeEvents(const JournalLoad& journal) {
       load.torn_tail_records = 1;
       break;
     }
-    if (raw_kind > static_cast<std::uint8_t>(ManifestEventKind::kQuarantine)) {
-      // A newer writer's event kind: skip it, keep scanning.
+    if (!IsKnownKind(raw_kind)) {
+      // A retired kind or a newer writer's: skip it, keep scanning.
       ++load.unknown_kind_records;
       continue;
     }
@@ -64,29 +75,7 @@ ManifestLoad DecodeEvents(const JournalLoad& journal) {
   return load;
 }
 
-std::vector<std::string> EncodePayloads(
-    const std::vector<ManifestEvent>& events) {
-  std::vector<std::string> payloads;
-  payloads.reserve(events.size());
-  for (const ManifestEvent& event : events) {
-    payloads.push_back(EncodePayload(event));
-  }
-  return payloads;
-}
-
 }  // namespace
-
-const char* ManifestEventKindToString(ManifestEventKind kind) {
-  switch (kind) {
-    case ManifestEventKind::kCreate: return "create";
-    case ManifestEventKind::kAdvance: return "advance";
-    case ManifestEventKind::kCheckpoint: return "checkpoint";
-    case ManifestEventKind::kFinish: return "finish";
-    case ManifestEventKind::kEvict: return "evict";
-    case ManifestEventKind::kQuarantine: return "quarantine";
-  }
-  return "unknown";
-}
 
 Result<std::string> EncodeManifestRecord(const ManifestEvent& event) {
   std::string record;
@@ -112,15 +101,16 @@ ServeManifest::ServeManifest(const Options& options)
     : journal_(options.io, options.path, kManifestFormat) {}
 
 Status ServeManifest::Append(const ManifestEvent& event) {
-  return Append(std::vector<ManifestEvent>{event});
-}
-
-Status ServeManifest::Append(const std::vector<ManifestEvent>& events) {
-  return journal_.Append(EncodePayloads(events));
+  return journal_.Append({EncodePayload(event)});
 }
 
 Status ServeManifest::Rewrite(const std::vector<ManifestEvent>& events) {
-  return journal_.Rewrite(EncodePayloads(events));
+  std::vector<std::string> payloads;
+  payloads.reserve(events.size());
+  for (const ManifestEvent& event : events) {
+    payloads.push_back(EncodePayload(event));
+  }
+  return journal_.Rewrite(payloads);
 }
 
 }  // namespace bayescrowd::serve

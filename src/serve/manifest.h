@@ -3,12 +3,12 @@
 // crash-only.
 //
 // The manager appends one record per session lifecycle event (create /
-// advance / checkpoint / finish / evict / quarantine). On restart,
-// replaying the journal reconstructs exactly which sessions were live,
-// under which tenant, with which spec fingerprint and checkpoint
-// namespace — enough to mass-resume every one of them from its newest
-// valid checkpoint without any per-session bookkeeping surviving the
-// crash.
+// finish / evict / quarantine). On restart, replaying the journal
+// reconstructs exactly which sessions were live, under which tenant,
+// with which spec fingerprint and checkpoint namespace — enough to
+// mass-resume every one of them from its newest valid checkpoint
+// without any per-session bookkeeping surviving the crash. How far a
+// session got is its checkpoints' business, not the manifest's.
 //
 // The file is a journal (common/journal.h) with magic "BSMN", version
 // 1, and one record per event. Each payload is a fixed field tuple
@@ -17,7 +17,8 @@
 // rule drops a torn tail and refuses a foreign or other-version file;
 // on top of it, a record that does not decode ends the scan like a torn
 // one, and a record with an unknown kind byte is skipped with a counter
-// so newer writers don't brick older readers.
+// so newer writers don't brick older readers, and journals that still
+// hold the retired progress kinds load as before.
 
 #ifndef BAYESCROWD_SERVE_MANIFEST_H_
 #define BAYESCROWD_SERVE_MANIFEST_H_
@@ -35,14 +36,12 @@ namespace bayescrowd::serve {
 
 enum class ManifestEventKind : std::uint8_t {
   kCreate = 0,
-  kAdvance = 1,
-  kCheckpoint = 2,
+  // 1 and 2 (advance, checkpoint) are retired and stay unassigned: a
+  // journal that still holds them loads with them skipped as unknown.
   kFinish = 3,
   kEvict = 4,
   kQuarantine = 5,
 };
-
-const char* ManifestEventKindToString(ManifestEventKind kind);
 
 /// One session lifecycle record. Every kind carries the full tuple so a
 /// single surviving record is enough to rebuild the session's identity.
@@ -94,10 +93,6 @@ class ServeManifest {
 
   /// Appends one record durably (framed write + sync).
   Status Append(const ManifestEvent& event);
-
-  /// Appends a batch as one buffered write + one sync — AdvanceAll
-  /// journals a whole sweep this way.
-  Status Append(const std::vector<ManifestEvent>& events);
 
   /// Atomically replaces the journal with exactly `events` (compaction
   /// after recovery): tmp + durable write + rename + dir sync. The

@@ -1,6 +1,6 @@
 // Serve-level kill-point harness: a scripted multi-session serving
-// workload is killed at every manifest-event boundary (the manager is
-// dropped with no teardown, exactly what SIGKILL leaves behind), then a
+// workload is killed at every verb boundary (the manager is dropped
+// with no teardown, exactly what SIGKILL leaves behind), then a
 // fresh manager runs Recover() in the same state directory and drives
 // every surviving session to completion. The recovered sessions'
 // normalized telemetry must byte-match uninterrupted solo references —
@@ -119,10 +119,11 @@ struct ScriptStep {
   std::size_t rounds = 0;
 };
 
-/// One lifecycle verb per manifest record: killing after step k is a
-/// kill at manifest-event boundary k. The script exercises every event
-/// kind the journal can hold (quarantine is pinned separately in
-/// serve_test — it needs a poisoned store, not a script).
+/// Killing after step k is a kill at verb boundary k. Create, finish
+/// and evict journal a manifest record; advance and checkpoint only
+/// write checkpoint generations, so recovery must find their progress
+/// there. The script exercises every verb (quarantine is pinned
+/// separately in serve_test — it needs a poisoned store, not a script).
 std::vector<ScriptStep> Script() {
   return {
       {Verb::kCreate, "k0"},          {Verb::kCreate, "k1"},
@@ -210,7 +211,7 @@ enum class Scenario { kClean, kTornTail, kCorruptNewestCheckpoint };
 void TearManifestTail(const std::string& state_dir) {
   const std::string path = state_dir + "/serve-manifest.bin";
   ManifestEvent torn;
-  torn.kind = ManifestEventKind::kAdvance;
+  torn.kind = ManifestEventKind::kFinish;
   torn.session_id = "k0";
   torn.tenant = "acme";
   const std::string record = serve::EncodeManifestRecord(torn).value();
@@ -363,7 +364,7 @@ TEST(ManifestFuzzTest, CorruptPayloadMidFileDropsTheTail) {
       FuzzEvent("a", ManifestEventKind::kCreate)).value();
   const std::size_t corrupt_at = bytes.size() + 10;
   bytes += serve::EncodeManifestRecord(
-      FuzzEvent("b", ManifestEventKind::kAdvance)).value();
+      FuzzEvent("b", ManifestEventKind::kFinish)).value();
   bytes += serve::EncodeManifestRecord(
       FuzzEvent("c", ManifestEventKind::kCreate)).value();
   bytes[corrupt_at] = static_cast<char>(bytes[corrupt_at] ^ 0x5A);
@@ -437,11 +438,12 @@ TEST(ManifestFuzzTest, BadHeaderIsRefused) {
 
 TEST(ManifestFormatTest, BytesArePinned) {
   // The manifest's bytes predate the shared journal module and must not
-  // move: "BSMN" v1, then u32 len | payload | u32 crc.
+  // move: "BSMN" v1, then u32 len | payload | u32 crc. The record is an
+  // older writer's checkpoint event (kind 2, since retired).
   const std::string bytes =
       serve::ManifestHeader() +
       serve::EncodeManifestRecord(
-          FuzzEvent("p", ManifestEventKind::kCheckpoint))
+          FuzzEvent("p", static_cast<ManifestEventKind>(2)))
           .value();
   std::string hex;
   for (const unsigned char c : bytes) hex += StrFormat("%02x", c);
@@ -450,6 +452,73 @@ TEST(ManifestFormatTest, BytesArePinned) {
             "61636d65020000000000000000000000000000000700000000000000070000"
             "00000000002f746d702f636b03000000000000000f000000000000007b226f"
             "70223a22637265617465227d010000000000000064aac33753");
+  // Those bytes still load: one record, skipped as an unknown kind.
+  const ManifestLoad load = serve::ParseManifest(bytes).value();
+  EXPECT_TRUE(load.events.empty());
+  EXPECT_EQ(load.unknown_kind_records, 1u);
+  EXPECT_EQ(load.torn_tail_records, 0u);
+}
+
+TEST(ManifestFormatTest, OlderJournalWithProgressRecordsRecoversTheLiveSet) {
+  // Older writers also journaled every advance (kind 1) and checkpoint
+  // (kind 2). A journal that holds them recovers the same live set, and
+  // the recovered sessions still finish as their solo runs do.
+  const std::string state_dir = FreshDir("bc_serve_older_journal");
+  {
+    SessionManager manager(ServerOptions(state_dir, 2));
+    for (const char* id : {"k0", "k1", "k2"}) {
+      ASSERT_TRUE(manager.Create(SpecFor(id, state_dir)).ok());
+    }
+    ASSERT_TRUE(manager.Advance("k0", 1).ok());
+    ASSERT_TRUE(manager.Advance("k1", 2).ok());
+    ASSERT_TRUE(manager.Checkpoint("k0").ok());
+    ASSERT_TRUE(manager.Evict("k2").ok());
+  }  // Killed cold.
+
+  // Splice the progress records in where an older writer appended them.
+  const std::string path = state_dir + "/serve-manifest.bin";
+  const ManifestLoad written = serve::LoadManifest(RealFileIo(), path).value();
+  ASSERT_EQ(written.events.size(), 4u);  // Three creates, one evict.
+  const auto encode = [](const ManifestEvent& event) {
+    return serve::EncodeManifestRecord(event).value();
+  };
+  const auto progress = [&](int kind, std::size_t create,
+                            std::uint64_t rounds) {
+    ManifestEvent event = written.events[create];
+    event.kind = static_cast<ManifestEventKind>(kind);
+    event.rounds = rounds;
+    return encode(event);
+  };
+  const std::string bytes =
+      serve::ManifestHeader() + encode(written.events[0]) +
+      encode(written.events[1]) + encode(written.events[2]) +
+      progress(1, 0, 1) + progress(1, 1, 2) + progress(2, 0, 1) +
+      encode(written.events[3]);
+  ASSERT_TRUE(RealFileIo()->WriteFileDurable(path, bytes).ok());
+
+  SessionManager recovered(ServerOptions(state_dir, 2));
+  Result<RecoveryReport> report = recovered.Recover(FixtureResolver());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->events_replayed, 4u);
+  EXPECT_EQ(report->unknown_event_records, 3u);
+  EXPECT_EQ(report->sessions_resumed, 2u);
+  EXPECT_EQ(report->sessions_failed, 0u);
+  std::set<std::string> live;
+  for (const SessionInfo& info : recovered.List()) live.insert(info.id);
+  EXPECT_EQ(live, (std::set<std::string>{"k0", "k1"}));
+
+  const std::map<std::string, std::string> refs = SoloReferences(2);
+  while (true) {
+    Result<std::size_t> active = recovered.AdvanceAll(1);
+    ASSERT_TRUE(active.ok()) << active.status().ToString();
+    if (active.value() == 0) break;
+  }
+  for (const std::string& id : live) {
+    Result<BayesCrowdResult> result = recovered.Finish(id);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(Normalized(SpecFor(id, state_dir).options, result.value()),
+              refs.at(id));
+  }
 }
 
 }  // namespace

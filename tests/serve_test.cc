@@ -155,6 +155,37 @@ TEST(SessionManagerTest, LifecycleCreateAdvanceFinishEvict) {
   EXPECT_TRUE(manager.Advance("s1", 1).status().IsNotFound());
 }
 
+TEST(SessionManagerTest, CreateRefusesUnsafeIdAndTenant) {
+  // The id names checkpoint files and both label metrics, so neither
+  // may carry a path separator or a quote.
+  const std::string root = FreshDir("bc_serve_unsafe_names");
+  SessionManager::Options options;
+  options.threads = 1;
+  options.state_dir = root + "/state";
+  SessionManager manager(options);
+  const auto create = [&](const std::string& id, const std::string& tenant) {
+    SessionSpec spec = MakeSpec(id, tenant, 9);
+    spec.checkpoint_dir = root + "/state/checkpoints";
+    spec.options.checkpoint_every = 1;
+    return manager.Create(std::move(spec));
+  };
+  const Status escaped = create("../../escaped", "acme");
+  EXPECT_TRUE(escaped.IsInvalidArgument()) << escaped.ToString();
+  EXPECT_NE(escaped.message().find("id must be"), std::string::npos);
+  const Status quoted = create("s1", "t\"x");
+  EXPECT_TRUE(quoted.IsInvalidArgument()) << quoted.ToString();
+  EXPECT_NE(quoted.message().find("tenant must be"), std::string::npos);
+  EXPECT_TRUE(create("", "acme").IsInvalidArgument());
+  EXPECT_TRUE(create("s1", "").IsInvalidArgument());
+  EXPECT_TRUE(create("s 1", "acme").IsInvalidArgument());
+
+  EXPECT_EQ(manager.resident(), 0u);
+  EXPECT_TRUE(manager.List().empty());
+  EXPECT_TRUE(manager.Advance("../../escaped", 2).status().IsNotFound());
+  // Nothing reached the disk: no manifest, no checkpoint, no directory.
+  EXPECT_TRUE(std::filesystem::is_empty(root));
+}
+
 TEST(SessionManagerTest, AdmissionRejectsAtCapsWithLabeledTelemetry) {
   SessionManager::Options options;
   options.threads = 1;
@@ -577,6 +608,39 @@ TEST(SessionManagerTest, ResumeWithoutDirOrSnapshotsFailsCleanly) {
   EXPECT_EQ(manager.resident(), 0u);
 }
 
+TEST(SessionManagerTest, ManifestJournalsLifecycleNotProgress) {
+  // How far a session got lives in its checkpoint generations; the
+  // manifest records only who is live.
+  const std::string state_dir = FreshDir("bc_serve_lifecycle_only");
+  SessionManager::Options options;
+  options.threads = 2;
+  options.state_dir = state_dir;
+  SessionManager manager(options);
+  SessionSpec spec = MakeSpec("s1", "acme", 9);
+  spec.checkpoint_dir = state_dir + "/ckpt";
+  ASSERT_TRUE(manager.Create(std::move(spec)).ok());
+  for (int step = 0; step < 3; ++step) {
+    Result<AdvanceOutcome> advanced = manager.Advance("s1", 1);
+    ASSERT_TRUE(advanced.ok()) << advanced.status().ToString();
+    ASSERT_EQ(advanced->rounds_run, 1u);
+    ASSERT_TRUE(manager.Checkpoint("s1").ok());
+  }
+  ASSERT_TRUE(manager.Finish("s1").ok());
+
+  Result<serve::ManifestLoad> load = serve::LoadManifest(
+      RealFileIo(), state_dir + "/serve-manifest.bin");
+  ASSERT_TRUE(load.ok()) << load.status().ToString();
+  ASSERT_EQ(load->events.size(), 2u);
+  EXPECT_EQ(load->events[0].kind, serve::ManifestEventKind::kCreate);
+  EXPECT_EQ(load->events[1].kind, serve::ManifestEventKind::kFinish);
+  EXPECT_EQ(load->events[1].rounds, 3u);
+  EXPECT_EQ(load->unknown_kind_records, 0u);
+  EXPECT_EQ(CheckpointStore({.dir = state_dir + "/ckpt", .session_id = "s1"})
+                .ListGenerations()
+                .size(),
+            3u);
+}
+
 // ------------------------------------------------------------------ //
 // Poison-session quarantine
 // ------------------------------------------------------------------ //
@@ -599,10 +663,7 @@ TEST(SessionManagerTest, PoisonedSessionQuarantinesHealthyTenantExact) {
     reference = Normalized(options, result.value());
   }
 
-  SessionManager::Options options;
-  options.threads = 2;
-  options.quarantine_after_failures = 2;
-  SessionManager manager(options);
+  SessionManager manager({.threads = 2});
 
   FaultPlan plan;
   plan.write_fail_rate = 1.0;  // Every checkpoint write fails.
@@ -621,11 +682,12 @@ TEST(SessionManagerTest, PoisonedSessionQuarantinesHealthyTenantExact) {
     ASSERT_TRUE(manager.Create(std::move(healthy)).ok());
   }
 
-  // Each poisoned advance fails its round-boundary checkpoint; at the
-  // threshold the session moves to quarantine instead of failing a
-  // third time.
-  EXPECT_TRUE(manager.Advance("poisoned", 1).status().IsIOError());
-  EXPECT_TRUE(manager.Advance("poisoned", 1).status().IsIOError());
+  // Each poisoned advance fails its round-boundary checkpoint; the third
+  // failure in a row moves the session to quarantine, so a fourth
+  // advance is refused instead of failing again.
+  for (int failure = 0; failure < 3; ++failure) {
+    EXPECT_TRUE(manager.Advance("poisoned", 1).status().IsIOError());
+  }
   Result<SessionInfo> info = manager.Info("poisoned");
   ASSERT_TRUE(info.ok());
   EXPECT_TRUE(info->quarantined);

@@ -308,10 +308,7 @@ int CmdRun(const Flags& flags) {
   // series keys and Prometheus label values, so keep it to a safe
   // charset instead of escaping it everywhere downstream.
   const std::string session = flags.Get("session", "s0");
-  if (session.empty() ||
-      session.find_first_not_of("abcdefghijklmnopqrstuvwxyz"
-                                "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-                                "0123456789._-") != std::string::npos) {
+  if (!IsSafeName(session)) {
     return UsageError("run",
                       "--session must be non-empty [A-Za-z0-9._-] (it "
                       "becomes a metric label value)");

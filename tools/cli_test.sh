@@ -635,8 +635,40 @@ printf '%s\n' \
 head -n 1 "${WORK}/serve_recover.jsonl" \
   | grep -q '"ok":true.*"op":"recover".*"sessions_resumed":1' \
   || fail "--recover must lead with the recovery report line"
+# The manifest records who is live, not how far they got: one create,
+# no advance record (the rounds are in the checkpoints).
+head -n 1 "${WORK}/serve_recover.jsonl" | grep -q '"events_replayed":1' \
+  || fail "--recover must replay the create record only"
 ! grep -q '"ok":false' "${WORK}/serve_recover.jsonl" \
   || fail "post-recovery requests must all succeed"
+
+# serve: create refuses an id or tenant outside [A-Za-z0-9._-]. The id
+# names checkpoint files ("../" would write outside the session's
+# namespace) and both label metrics (a quote would cut the label), so
+# nothing may become resident and no file may be written.
+UNSAFE="${WORK}/serve-unsafe"
+mkdir -p "${UNSAFE}/state"
+UNSAFE_QUERY='"dataset":{"kind":"nba","n":120,"seed":9,"missing_rate":0.15,"missing_seed":5},"alpha":0.01,"budget":24,"latency":4,"m":5,"structure":"none","checkpoint_every":1'
+printf '%s\n' \
+  '{"op":"create","id":"../../escaped","tenant":"acme",'"${UNSAFE_QUERY}"'}' \
+  '{"op":"create","id":"u1","tenant":"t\"x",'"${UNSAFE_QUERY}"'}' \
+  '{"op":"advance","id":"../../escaped","rounds":2}' \
+  '{"op":"advance","id":"u1","rounds":2}' \
+  '{"op":"list"}' '{"op":"shutdown"}' \
+  | "${SERVE}" --state-dir "${UNSAFE}/state" \
+      --metrics-prom "${UNSAFE}/serve.prom" > "${WORK}/serve_unsafe.jsonl"
+sed -n 1p "${WORK}/serve_unsafe.jsonl" | grep -q '"ok":false.*id must be' \
+  || fail "create must refuse an id outside [A-Za-z0-9._-]"
+sed -n 2p "${WORK}/serve_unsafe.jsonl" | grep -q '"ok":false.*tenant must be' \
+  || fail "create must refuse a tenant outside [A-Za-z0-9._-]"
+sed -n 5p "${WORK}/serve_unsafe.jsonl" | grep -q '"sessions":\[\]' \
+  || fail "no session may be admitted with an unsafe id or tenant"
+[ -z "$(ls -A "${UNSAFE}/state")" ] \
+  || fail "a refused create must write nothing under --state-dir"
+[ "$(find "${UNSAFE}" -type f)" = "${UNSAFE}/serve.prom" ] \
+  || fail "a refused create must write no file"
+grep -q 'tenant="t"' "${UNSAFE}/serve.prom" \
+  && fail "a refused tenant must not reach the scrape file"
 
 # serve: a create journaled with a key this build retired (a manifest
 # written before the knowledge-compilation keys were deleted) fails

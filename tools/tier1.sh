@@ -359,6 +359,9 @@ printf '%s\n' \
       --metrics-prom "$SMOKE/recover.prom" > "$SMOKE/recover_out.jsonl"
 head -1 "$SMOKE/recover_out.jsonl" | grep -q '"op":"recover"'
 head -1 "$SMOKE/recover_out.jsonl" | grep -q '"sessions_resumed":3'
+# Three creates and nothing else: the manifest records who is live;
+# how far each session got is in its checkpoints.
+head -1 "$SMOKE/recover_out.jsonl" | grep -q '"events_replayed":3'
 if grep -q '"ok":false' "$SMOKE/recover_out.jsonl"; then
   echo "serve recovery smoke: an op failed" >&2
   exit 1
