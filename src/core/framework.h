@@ -95,7 +95,7 @@ struct AdaptiveVotePolicy {
 };
 
 struct BayesCrowdOptions {
-  /// Modeling-phase options (α pruning, dominator algorithm).
+  /// Modeling-phase options (α pruning).
   CTableOptions ctable;
 
   /// Probability computation (ADPLL by default).
@@ -147,10 +147,11 @@ struct BayesCrowdOptions {
   /// Adaptive vote-allocation charging (inert by default).
   AdaptiveVotePolicy adaptive;
 
-  /// Worker lanes for probability evaluation (entropy ranking and
-  /// UBS/HHS counterfactual scoring). 0 = hardware concurrency; 1 runs
-  /// everything on the calling thread. Results are bit-identical for
-  /// any value (see DESIGN.md, "Concurrency & caching model").
+  /// Worker lanes for the c-table build and probability evaluation
+  /// (entropy ranking and UBS/HHS counterfactual scoring). 0 = hardware
+  /// concurrency; 1 runs everything on the calling thread. Results are
+  /// bit-identical for any value (see DESIGN.md, "Concurrency & caching
+  /// model").
   /// Ignored when `pool` is set.
   std::size_t threads = 0;
 

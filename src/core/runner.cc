@@ -54,13 +54,27 @@ Status QueryRunner::Init(const Table& incomplete,
   metrics_ = options_.metrics != nullptr ? options_.metrics : &local_metrics_;
   obs::MetricsRegistry* const metrics = metrics_;
 
+  // One pool for the whole query: the c-table build fans out over it
+  // below, and so does every probability batch of the crowdsourcing
+  // phase (entropy ranking, counterfactual scoring inside SelectTasks)
+  // through the evaluator. Spawned before the first Step's watch
+  // starts: thread startup is setup cost, not round work. A serving
+  // process passes its shared pool instead (options_.pool) and no
+  // thread is spawned here at all.
+  if (options_.pool != nullptr) {
+    pool_ = options_.pool;
+  } else {
+    owned_pool_ = std::make_unique<ThreadPool>(options_.threads);
+    pool_ = owned_pool_.get();
+  }
+
   // ---------------------------------------------------------------- //
   // Modeling phase (Algorithm 1, line 1).
   // ---------------------------------------------------------------- //
   obs::TraceSpan modeling_span("modeling");
   Stopwatch modeling_watch;
-  BAYESCROWD_ASSIGN_OR_RETURN(ctable_,
-                              BuildCTable(incomplete, options_.ctable));
+  BAYESCROWD_ASSIGN_OR_RETURN(
+      ctable_, BuildCTable(incomplete, options_.ctable, pool_));
 
   // Attach distributions for every variable the c-table mentions.
   evaluator_.emplace(options_.probability);
@@ -112,18 +126,6 @@ Status QueryRunner::Init(const Table& incomplete,
   // ---------------------------------------------------------------- //
   // Crowdsourcing-phase setup (Algorithm 4).
   // ---------------------------------------------------------------- //
-  // One pool for the whole phase; every probability batch (entropy
-  // ranking here, counterfactual scoring inside SelectTasks) fans out
-  // over it through the evaluator. Spawned before the first Step's
-  // watch starts: thread startup is setup cost, not round work. A
-  // serving process passes its shared pool instead (options_.pool) and
-  // no thread is spawned here at all.
-  if (options_.pool != nullptr) {
-    pool_ = options_.pool;
-  } else {
-    owned_pool_ = std::make_unique<ThreadPool>(options_.threads);
-    pool_ = owned_pool_.get();
-  }
   evaluator.set_thread_pool(pool_);
   knowledge_.emplace(incomplete.schema());
   KnowledgeBase& knowledge = *knowledge_;

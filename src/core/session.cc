@@ -32,16 +32,18 @@ std::uint64_t ConfigFingerprint(const BayesCrowdOptions& options,
                                 std::string_view platform_config) {
   // Canonical text of every option that changes query behavior.
   // `threads` and `metrics` are excluded on purpose; extend the string
-  // (never reorder it) when options grow.
+  // (never reorder it) when options grow. `fastdom=1` is the value of a
+  // retired option, kept so existing checkpoints keep their
+  // fingerprints.
   std::string canon = StrFormat(
       "v1|budget=%zu|latency=%zu|threshold=%.17g|confidence=%.17g|"
-      "strategy=%d|m=%zu|alpha=%.17g|fastdom=%d|"
+      "strategy=%d|m=%zu|alpha=%.17g|fastdom=1|"
       "method=%d|memoize=%d|sseed=%llu|"
       "retry=%zu,%.17g,%.17g,%.17g,%.17g,%zu",
       options.budget, options.latency, options.answer_threshold,
       options.confidence_stop_entropy,
       static_cast<int>(options.strategy.kind), options.strategy.m,
-      options.ctable.alpha, options.ctable.use_fast_dominators ? 1 : 0,
+      options.ctable.alpha,
       static_cast<int>(options.probability.method),
       options.probability.memoize ? 1 : 0,
       static_cast<unsigned long long>(options.probability.sampling_seed),

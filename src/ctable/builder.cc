@@ -1,10 +1,55 @@
 #include "ctable/builder.h"
 
+#include <algorithm>
+
 namespace bayescrowd {
+namespace {
+
+/// Objects per work item of BuildConditions.
+constexpr std::size_t kObjectsPerItem = 64;
+
+/// True when `dominator` dominates `object` in every world, i.e. its
+/// conjunct "dominator ⊀ object" would have no disjunct left: every
+/// attribute is either observed on both sides with dominator >= object,
+/// or has one side missing where the comparison is unsatisfiable
+/// (object at level 0, or dominator at the domain maximum). A strictly
+/// better observed object attribute makes the conjunct a tautology, and
+/// a fully-observed exact duplicate can never *strictly* dominate
+/// (Definition 1 requires a strictly better attribute): the paper's CNF
+/// sketch elides that corner case, but real data has ties.
+bool CertainlyDominates(const Table& table, std::size_t object,
+                        std::size_t dominator) {
+  bool all_equal_observed = true;
+  for (std::size_t j = 0; j < table.num_attributes(); ++j) {
+    const Level ov = table.At(object, j);
+    const Level pv = table.At(dominator, j);
+    const bool o_missing = IsMissingLevel(ov);
+    const bool p_missing = IsMissingLevel(pv);
+    if (!o_missing && !p_missing) {
+      if (ov > pv) return false;
+      if (ov != pv) all_equal_observed = false;
+      continue;
+    }
+    all_equal_observed = false;
+    if (o_missing && p_missing) return false;
+    if (!o_missing && ov != 0) return false;
+    if (o_missing && pv < table.schema().domain_size(j) - 1) return false;
+  }
+  return !all_equal_observed;
+}
+
+}  // namespace
 
 Condition BuildCondition(const Table& table, std::size_t object,
                          const std::vector<std::uint32_t>& dominators) {
   if (dominators.empty()) return Condition::True();
+  // One certain dominator decides the object before any conjunct is
+  // built.
+  for (std::uint32_t dominator : dominators) {
+    if (CertainlyDominates(table, object, dominator)) {
+      return Condition::False();
+    }
+  }
   const std::size_t d = table.num_attributes();
   std::vector<Conjunct> conjuncts;
   conjuncts.reserve(dominators.size());
@@ -45,56 +90,39 @@ Condition BuildCondition(const Table& table, std::size_t object,
       conjunct.push_back(Expression::VarVar({object, j}, CmpOp::kGreater,
                                             {dominator, j}));
     }
-    if (conjunct.empty()) {
-      // Either a tautology break (skip the conjunct) or no disjunct
-      // survived (the dominator certainly dominates: condition false).
-      // Distinguish via re-check: a tautology happens only when object
-      // strictly beats the dominator on some fully-observed attribute.
-      bool tautology = false;
-      bool all_equal_observed = true;
-      for (std::size_t j = 0; j < d; ++j) {
-        const Level ov = table.At(object, j);
-        const Level pv = table.At(dominator, j);
-        if (IsMissingLevel(ov) || IsMissingLevel(pv)) {
-          all_equal_observed = false;
-          continue;
-        }
-        if (ov > pv) {
-          tautology = true;
-          break;
-        }
-        if (ov != pv) all_equal_observed = false;
-      }
-      if (tautology) continue;
-      // A fully-observed exact duplicate can never *strictly* dominate
-      // (Definition 1 requires a strictly better attribute), so it
-      // cannot falsify the condition either. The paper's CNF sketch
-      // elides this corner case; real data has ties.
-      if (all_equal_observed) continue;
-      return Condition::False();
-    }
+    // No certain dominator is left, so an empty conjunct is a tautology
+    // or an exact duplicate: certainly true either way.
+    if (conjunct.empty()) continue;
     conjuncts.push_back(std::move(conjunct));
   }
   return Condition::Cnf(std::move(conjuncts));
 }
 
-Result<CTable> BuildCTable(const Table& table, const CTableOptions& options) {
-  BAYESCROWD_ASSIGN_OR_RETURN(
-      DominatorSets sets,
-      options.use_fast_dominators
-          ? ComputeDominatorSets(table, options.alpha)
-          : ComputeDominatorSetsBaseline(table, options.alpha));
-
+Result<CTable> BuildConditions(const Table& table, const DominatorSets& sets,
+                               ThreadPool* pool) {
   const std::size_t n = table.num_objects();
+  ThreadPool one_lane(1);  // Spawns no thread: a plain loop.
+  ThreadPool& lanes = pool != nullptr ? *pool : one_lane;
   CTable ctable(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (sets.pruned[i]) {
-      ctable.SetCondition(i, Condition::False());  // Algorithm 2, line 7.
-      continue;
-    }
-    ctable.SetCondition(i, BuildCondition(table, i, sets.dominators[i]));
-  }
+  const std::size_t items = (n + kObjectsPerItem - 1) / kObjectsPerItem;
+  BAYESCROWD_RETURN_NOT_OK(lanes.ParallelFor(
+      items, [&](std::size_t /*lane*/, std::size_t item) {
+        const std::size_t end = std::min(n, (item + 1) * kObjectsPerItem);
+        for (std::size_t i = item * kObjectsPerItem; i < end; ++i) {
+          ctable.SetCondition(
+              i, sets.pruned[i]
+                     ? Condition::False()  // Algorithm 2, line 7.
+                     : BuildCondition(table, i, sets.dominators[i]));
+        }
+      }));
   return ctable;
+}
+
+Result<CTable> BuildCTable(const Table& table, const CTableOptions& options,
+                           ThreadPool* pool) {
+  BAYESCROWD_ASSIGN_OR_RETURN(DominatorSets sets,
+                              ComputeDominatorSets(table, options.alpha, pool));
+  return BuildConditions(table, sets, pool);
 }
 
 }  // namespace bayescrowd

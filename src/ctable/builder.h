@@ -2,15 +2,18 @@
 // an incomplete table.
 //
 // For every object o:
-//   |D(o)| == 0            -> φ(o) = true   (certain skyline object)
-//   |D(o)| > α|O|          -> φ(o) = false  (pruned: too likely dominated)
-//   ∃ complete o' ≺ o      -> φ(o) = false
-//   otherwise              -> φ(o) = CNF over D(o) (Section 4.1)
+//   |D(o)| == 0               -> φ(o) = true   (certain skyline object)
+//   |D(o)| > α|O|             -> φ(o) = false  (pruned: too likely
+//                                               dominated)
+//   ∃ o' ∈ D(o) dominating o  -> φ(o) = false
+//     in every world
+//   otherwise                 -> φ(o) = CNF over D(o) (Section 4.1)
 
 #ifndef BAYESCROWD_CTABLE_BUILDER_H_
 #define BAYESCROWD_CTABLE_BUILDER_H_
 
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "ctable/ctable.h"
 #include "ctable/dominator.h"
 #include "data/table.h"
@@ -20,10 +23,6 @@ namespace bayescrowd {
 struct CTableOptions {
   /// Pruning threshold α of Algorithm 2. Negative disables pruning.
   double alpha = 0.01;
-
-  /// Use the bitset-based dominator derivation (true) or the pairwise
-  /// Baseline (false). Output is identical; speed is not (Figure 2).
-  bool use_fast_dominators = true;
 };
 
 /// Builds the condition of one object given its dominator set (exposed
@@ -31,9 +30,17 @@ struct CTableOptions {
 Condition BuildCondition(const Table& table, std::size_t object,
                          const std::vector<std::uint32_t>& dominators);
 
-/// Algorithm 2 over the whole table.
+/// The c-table of given dominator sets: false for a pruned object,
+/// BuildCondition over its set otherwise. With a `pool`, objects fan
+/// out over its lanes; the c-table is the same at any lane count.
+Result<CTable> BuildConditions(const Table& table, const DominatorSets& sets,
+                               ThreadPool* pool = nullptr);
+
+/// Algorithm 2 over the whole table: ComputeDominatorSets, then
+/// BuildConditions, both on `pool` when one is given.
 Result<CTable> BuildCTable(const Table& table,
-                           const CTableOptions& options = {});
+                           const CTableOptions& options = {},
+                           ThreadPool* pool = nullptr);
 
 }  // namespace bayescrowd
 

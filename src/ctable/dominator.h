@@ -6,7 +6,9 @@
 // the paper's Figure 2 comparison:
 //
 //  * ComputeDominatorSets      — "Get-CTable style": per-dimension
-//    precomputed >=-level bitsets intersected with word-wide ANDs.
+//    precomputed >=-level bitsets, ANDed one 64-bit word at a time and
+//    counted as they go, so an object the α rule prunes stops early and
+//    only survivors get a list.
 //  * ComputeDominatorSetsBaseline — simple pairwise comparisons.
 
 #ifndef BAYESCROWD_CTABLE_DOMINATOR_H_
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "data/table.h"
 
 namespace bayescrowd {
@@ -34,8 +37,10 @@ struct DominatorSets {
 
 /// Fast derivation via per-dimension level bitsets. `alpha` < 0 disables
 /// pruning; otherwise objects with more than alpha*n candidate
-/// dominators are flagged pruned.
-Result<DominatorSets> ComputeDominatorSets(const Table& table, double alpha);
+/// dominators are flagged pruned. With a `pool`, objects fan out over
+/// its lanes; the output is the same at any lane count.
+Result<DominatorSets> ComputeDominatorSets(const Table& table, double alpha,
+                                           ThreadPool* pool = nullptr);
 
 /// Reference pairwise derivation (the Baseline of Figure 2). Produces
 /// identical output.

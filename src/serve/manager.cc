@@ -169,54 +169,51 @@ Status SessionManager::Create(SessionSpec spec) {
   return CreateImpl(std::move(spec), /*journal=*/true);
 }
 
-Status SessionManager::CreateImpl(SessionSpec spec, bool journal) {
-  const char* unsafe = !IsSafeName(spec.id)       ? "id"
-                       : !IsSafeName(spec.tenant) ? "tenant"
-                                                  : nullptr;
+Status SessionManager::Admit(const std::string& id,
+                             const std::string& tenant) {
+  const char* unsafe = !IsSafeName(id)       ? "id"
+                       : !IsSafeName(tenant) ? "tenant"
+                                             : nullptr;
   if (unsafe != nullptr) {
     return Status::InvalidArgument(
         StrFormat("serve: %s must be non-empty [A-Za-z0-9._-] (ids name "
                   "checkpoint files; ids and tenants label metrics)",
                   unsafe));
   }
+  // Capacity rejections are first-class telemetry: a labeled counter
+  // plus a flight event, so capacity pressure is attributable per
+  // tenant after the fact.
+  std::lock_guard<std::mutex> registry(registry_mu_);
+  if (sessions_.count(id) != 0) {
+    return Status::AlreadyExists(
+        StrFormat("serve: session '%s' already resident", id.c_str()));
+  }
+  std::string reject;
+  if (sessions_.size() >= options_.max_resident_sessions) {
+    reject = StrFormat("server at capacity (%zu resident)", sessions_.size());
+  } else {
+    const auto it = tenant_resident_.find(tenant);
+    const std::size_t tenant_now =
+        it == tenant_resident_.end() ? 0 : it->second;
+    if (tenant_now >= options_.max_sessions_per_tenant) {
+      reject = StrFormat("tenant at capacity (%zu resident)", tenant_now);
+    }
+  }
+  if (reject.empty()) return Status::OK();
+  metrics_.GetCounter("serve.admission.rejected", TenantLabels(tenant))
+      ->Increment();
+  flight_.Record(obs::FlightEventKind::kAdmission, 0, -1, 0.0,
+                 /*value=*/0.0, EventDetail(tenant, id, reject));
+  return Status::ResourceExhausted(
+      StrFormat("serve: admission rejected for '%s': %s", id.c_str(),
+                reject.c_str()));
+}
+
+Status SessionManager::CreateImpl(SessionSpec spec, bool journal) {
+  BAYESCROWD_RETURN_NOT_OK(Admit(spec.id, spec.tenant));
   if (spec.resume && spec.checkpoint_dir.empty()) {
     return Status::InvalidArgument(
         "serve: resume requires a checkpoint_dir");
-  }
-
-  // Admission control. Rejections are first-class telemetry: a labeled
-  // counter plus a flight event, so capacity pressure is attributable
-  // per tenant after the fact.
-  {
-    std::lock_guard<std::mutex> registry(registry_mu_);
-    std::string reject;
-    if (sessions_.count(spec.id) != 0) {
-      return Status::AlreadyExists(
-          StrFormat("serve: session '%s' already resident",
-                    spec.id.c_str()));
-    }
-    if (sessions_.size() >= options_.max_resident_sessions) {
-      reject = StrFormat("server at capacity (%zu resident)",
-                         sessions_.size());
-    } else {
-      const auto it = tenant_resident_.find(spec.tenant);
-      const std::size_t tenant_now =
-          it == tenant_resident_.end() ? 0 : it->second;
-      if (tenant_now >= options_.max_sessions_per_tenant) {
-        reject = StrFormat("tenant at capacity (%zu resident)", tenant_now);
-      }
-    }
-    if (!reject.empty()) {
-      metrics_.GetCounter("serve.admission.rejected",
-                          TenantLabels(spec.tenant))
-          ->Increment();
-      flight_.Record(obs::FlightEventKind::kAdmission, 0, -1, 0.0,
-                     /*value=*/0.0,
-                     EventDetail(spec.tenant, spec.id, reject));
-      return Status::ResourceExhausted(
-          StrFormat("serve: admission rejected for '%s': %s",
-                    spec.id.c_str(), reject.c_str()));
-    }
   }
 
   auto session = std::make_unique<Session>();
@@ -458,8 +455,12 @@ Status SessionManager::AdvanceLockedImpl(Session* session,
   for (std::size_t i = 0;
        status.ok() && i < max_rounds && !session->runner->Done(); ++i) {
     status = MaybeDegrade(session);
+    const std::size_t rounds_before = session->runner->rounds();
     if (status.ok()) status = session->runner->Step();
     if (!status.ok()) break;
+    // A step that finds nothing left to ask ends the session without
+    // running a round.
+    if (session->runner->rounds() == rounds_before) continue;
     rounds_counter->Increment();
     ++out->rounds_run;
   }

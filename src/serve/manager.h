@@ -248,11 +248,17 @@ class SessionManager {
 
   /// Admission + QueryRunner::Init (+ resume / warm start). On
   /// rejection the spec is not consumed destructively and nothing
-  /// stays resident: AlreadyExists (duplicate id), InvalidArgument
-  /// (an id or tenant that is not IsSafeName, resume without a
-  /// checkpoint dir),
-  /// ResourceExhausted (a residency cap).
+  /// stays resident: Admit's refusals, or InvalidArgument for resume
+  /// without a checkpoint dir.
   Status Create(SessionSpec spec);
+
+  /// Whether a session `id` of `tenant` would be admitted now:
+  /// InvalidArgument (an id or tenant that is not IsSafeName),
+  /// AlreadyExists (a resident id), ResourceExhausted (a residency
+  /// cap, counted and flight-recorded per tenant). Create runs it
+  /// first; a frontend runs it before building a spec, so a refused
+  /// create costs no modeling.
+  Status Admit(const std::string& id, const std::string& tenant);
 
   /// Replays the serve manifest in `state_dir` and mass-resumes every
   /// session that was live at the crash: each is re-admitted via

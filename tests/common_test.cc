@@ -1,5 +1,5 @@
 // Tests for the common substrate: Status/Result, string utilities, RNG,
-// dynamic bitset, CSV and CRC-32.
+// CSV and CRC-32.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/bitset.h"
 #include "common/crc32.h"
 #include "common/csv.h"
 #include "common/fileio.h"
@@ -215,73 +214,6 @@ TEST(RngTest, ShufflePermutes) {
   auto shuffled_sorted = v;
   std::sort(shuffled_sorted.begin(), shuffled_sorted.end());
   EXPECT_EQ(shuffled_sorted, sorted);
-}
-
-// ------------------------------------------------------------------ //
-// DynamicBitset
-// ------------------------------------------------------------------ //
-
-TEST(BitsetTest, SetTestResetCount) {
-  DynamicBitset bits(130);
-  EXPECT_EQ(bits.Count(), 0u);
-  bits.Set(0);
-  bits.Set(64);
-  bits.Set(129);
-  EXPECT_TRUE(bits.Test(0));
-  EXPECT_TRUE(bits.Test(64));
-  EXPECT_TRUE(bits.Test(129));
-  EXPECT_FALSE(bits.Test(1));
-  EXPECT_EQ(bits.Count(), 3u);
-  bits.Reset(64);
-  EXPECT_EQ(bits.Count(), 2u);
-}
-
-TEST(BitsetTest, FillTrueClearsPadding) {
-  DynamicBitset bits(70, true);
-  EXPECT_EQ(bits.Count(), 70u);
-  bits.Fill(false);
-  EXPECT_TRUE(bits.None());
-  bits.Fill(true);
-  EXPECT_EQ(bits.Count(), 70u);
-}
-
-TEST(BitsetTest, AndOrOperate) {
-  DynamicBitset a(100);
-  DynamicBitset b(100);
-  a.Set(3);
-  a.Set(70);
-  b.Set(70);
-  b.Set(99);
-  DynamicBitset c = a;
-  c &= b;
-  EXPECT_EQ(c.Count(), 1u);
-  EXPECT_TRUE(c.Test(70));
-  DynamicBitset d = a;
-  d |= b;
-  EXPECT_EQ(d.Count(), 3u);
-}
-
-TEST(BitsetTest, SetRangeWordBoundaries) {
-  DynamicBitset bits(200);
-  bits.SetRange(60, 70);
-  EXPECT_EQ(bits.Count(), 10u);
-  EXPECT_TRUE(bits.Test(60));
-  EXPECT_TRUE(bits.Test(69));
-  EXPECT_FALSE(bits.Test(59));
-  EXPECT_FALSE(bits.Test(70));
-  bits.SetRange(0, 0);
-  EXPECT_EQ(bits.Count(), 10u);
-  bits.SetRange(128, 200);
-  EXPECT_EQ(bits.Count(), 82u);
-}
-
-TEST(BitsetTest, ForEachSetBitAscending) {
-  DynamicBitset bits(150);
-  bits.Set(5);
-  bits.Set(64);
-  bits.Set(149);
-  EXPECT_EQ(bits.ToIndices(),
-            (std::vector<std::size_t>{5, 64, 149}));
 }
 
 // ------------------------------------------------------------------ //

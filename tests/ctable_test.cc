@@ -367,6 +367,37 @@ TEST(BuilderTest, CompleteDominatedObjectGetsFalse) {
   EXPECT_TRUE(result->condition(1).IsTrue());
 }
 
+TEST(BuilderTest, OnlyADominatorInEveryWorldFalsifies) {
+  Schema schema;
+  schema.AddAttribute("a", 10);
+  schema.AddAttribute("b", 10);
+  Table table(schema);
+  ASSERT_TRUE(table.AppendRow("o0", {5, 5}).ok());
+  ASSERT_TRUE(table.AppendRow("dup", {5, 5}).ok());
+  ASSERT_TRUE(table.AppendRow("loses_a", {4, 9}).ok());
+  ASSERT_TRUE(table.AppendRow("maybe", {5, kMissingLevel}).ok());
+  ASSERT_TRUE(table.AppendRow("beats", {7, 7}).ok());
+  ASSERT_TRUE(table.AppendRow("top_b", {kMissingLevel, 9}).ok());
+  ASSERT_TRUE(table.AppendRow("zero_a", {0, kMissingLevel}).ok());
+  // An exact duplicate never strictly dominates, and a list member that
+  // o0 beats on an observed attribute is no dominator: φ stays true.
+  EXPECT_TRUE(BuildCondition(table, 0, {1}).IsTrue());
+  EXPECT_TRUE(BuildCondition(table, 0, {2}).IsTrue());
+  EXPECT_TRUE(BuildCondition(table, 0, {1, 2}).IsTrue());
+  // "maybe" dominates o0 only in worlds where its b is at least 5.
+  const Condition uncertain = BuildCondition(table, 0, {1, 2, 3});
+  ASSERT_EQ(uncertain.conjuncts().size(), 1u);
+  EXPECT_TRUE(uncertain.conjuncts()[0][0] ==
+              Expression::VarConst(V(3, 1), CmpOp::kLess, 5));
+  // One dominator in every world decides the object, wherever it sits
+  // in the list.
+  EXPECT_TRUE(BuildCondition(table, 0, {1, 2, 3, 4}).IsFalse());
+  EXPECT_TRUE(BuildCondition(table, 0, {4, 3}).IsFalse());
+  // So does one whose comparisons with missing cells are unsatisfiable:
+  // nothing is below level 0 on a, and nothing above the top of b.
+  EXPECT_TRUE(BuildCondition(table, 6, {5}).IsFalse());
+}
+
 TEST(BuilderTest, AlphaPruningProducesFalse) {
   const Table table = MakeSampleMovieDataset();
   const auto result = BuildCTable(table, {.alpha = 0.0});
@@ -380,10 +411,11 @@ TEST(BuilderTest, FastAndBaselinePathsAgree) {
   Rng rng(7);
   const Table complete = MakeCorrelated(80, 5, 8, 99);
   const Table table = InjectMissingUniform(complete, 0.15, rng);
-  const auto fast = BuildCTable(table, {.alpha = 0.2, .use_fast_dominators = true});
-  const auto base =
-      BuildCTable(table, {.alpha = 0.2, .use_fast_dominators = false});
+  const auto fast = BuildCTable(table, {.alpha = 0.2});
+  const auto sets = ComputeDominatorSetsBaseline(table, 0.2);
   ASSERT_TRUE(fast.ok());
+  ASSERT_TRUE(sets.ok());
+  const auto base = BuildConditions(table, *sets);
   ASSERT_TRUE(base.ok());
   for (std::size_t i = 0; i < table.num_objects(); ++i) {
     EXPECT_TRUE(fast->condition(i) == base->condition(i)) << "object " << i;

@@ -159,6 +159,38 @@ TEST(ThreadPoolTest, ZeroResolvesToHardwareConcurrency) {
 }
 
 // ------------------------------------------------------------------ //
+// C-table build on a pool
+// ------------------------------------------------------------------ //
+
+TEST(PooledCTableTest, EveryPoolSizeBuildsTheBaselineCTable) {
+  // 1,000 objects are 16 work items of the build, so every pool below
+  // spreads them over all its lanes.
+  Rng rng(0xC7AB1E);
+  const Table table =
+      InjectMissingUniform(MakeNbaLike(1000, /*seed=*/11), 0.15, rng);
+  for (const double alpha : {-1.0, 0.01}) {
+    const auto pool_less = BuildCTable(table, {.alpha = alpha});
+    const auto sets = ComputeDominatorSetsBaseline(table, alpha);
+    ASSERT_TRUE(pool_less.ok());
+    ASSERT_TRUE(sets.ok());
+    const auto baseline = BuildConditions(table, *sets);
+    ASSERT_TRUE(baseline.ok());
+    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+      ThreadPool pool(threads);
+      const auto pooled = BuildCTable(table, {.alpha = alpha}, &pool);
+      ASSERT_TRUE(pooled.ok());
+      ASSERT_EQ(pooled->num_objects(), table.num_objects());
+      for (std::size_t i = 0; i < table.num_objects(); ++i) {
+        EXPECT_TRUE(pooled->condition(i) == pool_less->condition(i))
+            << "α=" << alpha << " threads=" << threads << " object " << i;
+        EXPECT_TRUE(pooled->condition(i) == baseline->condition(i))
+            << "α=" << alpha << " threads=" << threads << " object " << i;
+      }
+    }
+  }
+}
+
+// ------------------------------------------------------------------ //
 // Batch evaluation determinism
 // ------------------------------------------------------------------ //
 

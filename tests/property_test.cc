@@ -95,6 +95,51 @@ TEST_P(WorkloadPropertyTest, DominatorMembersSatisfyDefinition5) {
 }
 
 // ------------------------------------------------------------------ //
+// The count-first kernel against the pairwise Baseline where its word
+// arithmetic has edges: n around multiples of 64 (the self bit and the
+// tail word's padding), and every α regime from "never prune" through
+// exits before the last block of words to "prune every non-empty set".
+// ------------------------------------------------------------------ //
+
+/// NBA-like rows at 6 levels with 20% missing cells, then an
+/// all-missing last attribute, an all-missing middle row and every
+/// seventh row an exact copy of the one before.
+Table KernelEdgeTable(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Table table = InjectMissingUniform(MakeNbaLike(n, seed, 6), 0.2, rng);
+  const std::size_t d = table.num_attributes();
+  for (std::size_t i = 0; i < n; ++i) table.SetCell(i, d - 1, kMissingLevel);
+  for (std::size_t j = 0; j < d; ++j) table.SetCell(n / 2, j, kMissingLevel);
+  for (std::size_t i = 7; i < n; i += 7) {
+    for (std::size_t j = 0; j < d; ++j) {
+      table.SetCell(i, j, table.At(i - 1, j));
+    }
+  }
+  return table;
+}
+
+TEST(DominatorKernelTest, EqualsBaselineAtWordEdgesForEveryAlpha) {
+  std::size_t pruned = 0;
+  std::size_t kept = 0;
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 127u, 128u, 129u, 1000u}) {
+    const Table table = KernelEdgeTable(n, 40 + n);
+    for (const double alpha : {-1.0, 0.0, 0.003, 0.01, 0.2}) {
+      const auto fast = ComputeDominatorSets(table, alpha);
+      const auto base = ComputeDominatorSetsBaseline(table, alpha);
+      ASSERT_TRUE(fast.ok());
+      ASSERT_TRUE(base.ok());
+      EXPECT_EQ(fast->pruned, base->pruned) << "n=" << n << " α=" << alpha;
+      EXPECT_EQ(fast->dominators, base->dominators)
+          << "n=" << n << " α=" << alpha;
+      for (const bool p : fast->pruned) (p ? pruned : kept) += 1;
+    }
+  }
+  // Both outcomes occur, so neither branch of the kernel went untested.
+  EXPECT_GT(pruned, 0u);
+  EXPECT_GT(kept, 0u);
+}
+
+// ------------------------------------------------------------------ //
 // C-table semantics: for the *true* completion of the data, φ(o) must
 // evaluate to the actual skyline membership — except for the documented
 // all-equal corner (a dominator whose possible worlds are all-equal) and

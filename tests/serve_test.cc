@@ -232,6 +232,55 @@ TEST(SessionManagerTest, AdmissionRejectsAtCapsWithLabeledTelemetry) {
   EXPECT_TRUE(manager.Create(MakeSpec("a2", "acme", 9)).ok());
 }
 
+TEST(SessionManagerTest, AdvanceCountsOnlyRoundsThatRan) {
+  // α·|O| = 0.6 prunes every object with a possible dominator, so the
+  // modeling phase decides the whole table and the first step finds
+  // nothing left to ask: it ends the session without running a round.
+  SessionManager::Options options;
+  options.threads = 1;
+  SessionManager manager(options);
+  SessionSpec spec;
+  spec.id = "z1";
+  spec.tenant = "acme";
+  spec.ground_truth = MakeNbaLike(60, 9);
+  Rng rng(5);
+  spec.incomplete = InjectMissingUniform(spec.ground_truth, 0.2, rng);
+  spec.options.ctable.alpha = 0.01;
+  spec.options.budget = 8;
+  spec.options.latency = 4;
+  ASSERT_TRUE(manager.Create(std::move(spec)).ok());
+
+  Result<AdvanceOutcome> advanced = manager.Advance("z1", 2);
+  ASSERT_TRUE(advanced.ok()) << advanced.status().ToString();
+  EXPECT_EQ(advanced->rounds_run, 0u);
+  EXPECT_TRUE(advanced->done);
+  Result<SessionInfo> info = manager.Info("z1");
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info->rounds, 0u);
+  const obs::MetricsSnapshot snapshot = manager.MetricsSnapshot();
+  const auto rounds = snapshot.counters.find(
+      "serve.rounds{session=\"z1\",tenant=\"acme\"}");
+  ASSERT_NE(rounds, snapshot.counters.end());
+  EXPECT_EQ(rounds->second, 0u);
+}
+
+TEST(SessionManagerTest, AdmitRefusesWhatCreateRefuses) {
+  SessionManager::Options options;
+  options.threads = 1;
+  options.max_sessions_per_tenant = 1;
+  SessionManager manager(options);
+  EXPECT_TRUE(manager.Admit("a1", "acme").ok());
+  EXPECT_TRUE(manager.Admit("a/b", "acme").IsInvalidArgument());
+  EXPECT_TRUE(manager.Admit("a1", "").IsInvalidArgument());
+  ASSERT_TRUE(manager.Create(MakeSpec("a1", "acme", 9)).ok());
+  EXPECT_EQ(manager.Admit("a1", "bravo").code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(manager.Admit("a2", "acme").code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_TRUE(manager.Admit("b1", "bravo").ok());
+  // Admit reserves nothing: only Create makes a session resident.
+  EXPECT_EQ(manager.resident(), 1u);
+}
+
 // ------------------------------------------------------------------ //
 // Multiplexing determinism
 // ------------------------------------------------------------------ //

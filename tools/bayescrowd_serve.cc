@@ -171,16 +171,23 @@ JsonValue InfoJson(const SessionInfo& info) {
 /// create verb and --recover's resolver (which re-parses the request
 /// journaled in the manifest's spec_blob), so a recovered session is
 /// admitted through the identical code path. The canonical re-dump of
-/// the request is stored as the spec's manifest_blob.
+/// the request is stored as the spec's manifest_blob. With `admit`, the
+/// id and tenant pass its admission check once the keys are checked,
+/// before the dataset is generated or a network learned.
 Status BuildSessionSpec(const JsonValue& doc,
                         const std::string& default_checkpoint_dir,
-                        SessionSpec* spec) {
+                        SessionManager* admit, SessionSpec* spec) {
   BAYESCROWD_ASSIGN_OR_RETURN(const QuerySpec query,
                               ParseQuerySpec(doc, {kCreateKeys}));
   const JsonValue* block = doc.Find("dataset");
   const JsonValue dataset = block != nullptr ? *block : JsonValue::Object();
   BAYESCROWD_RETURN_NOT_OK(
       CheckKeys(dataset, {kDatasetKeys}, KeyStyle::kJson, "dataset."));
+  spec->id = KeyValue<std::string>(doc, "id", "");
+  spec->tenant = KeyValue<std::string>(doc, "tenant", "");
+  if (admit != nullptr) {
+    BAYESCROWD_RETURN_NOT_OK(admit->Admit(spec->id, spec->tenant));
+  }
   const auto kind = KeyValue<std::string>(dataset, "kind", "indep");
   const auto n = KeyValue<std::size_t>(dataset, "n", 40);
   const auto d = KeyValue<std::size_t>(dataset, "d", 3);
@@ -202,8 +209,6 @@ Status BuildSessionSpec(const JsonValue& doc,
   spec->platform = query.flat;
   spec->use_marketplace = query.use_marketplace;
   spec->marketplace = query.market;
-  spec->id = KeyValue<std::string>(doc, "id", "");
-  spec->tenant = KeyValue<std::string>(doc, "tenant", "");
   // The default shared-cache key names the data and the posterior model,
   // so warm starts are shared only by sessions over the same generated
   // table and the same network.
@@ -228,8 +233,9 @@ Status BuildSessionSpec(const JsonValue& doc,
 JsonValue HandleCreate(SessionManager* manager, const JsonValue& doc,
                        const std::string& default_checkpoint_dir) {
   SessionSpec spec;
-  const Status built = BuildSessionSpec(doc, default_checkpoint_dir, &spec);
-  if (!built.ok()) return ErrorLine(built.ToString());
+  const Status built =
+      BuildSessionSpec(doc, default_checkpoint_dir, manager, &spec);
+  if (!built.ok()) return StatusLine(built);
   const std::string id = spec.id;
   const Status created = manager->Create(std::move(spec));
   if (!created.ok()) return StatusLine(created);
@@ -512,8 +518,8 @@ int ServeMain(int argc, char** argv) {
       BAYESCROWD_ASSIGN_OR_RETURN(const JsonValue doc,
                                   JsonValue::Parse(event.spec_blob));
       SessionSpec spec;
-      BAYESCROWD_RETURN_NOT_OK(
-          BuildSessionSpec(doc, default_checkpoint_dir, &spec));
+      BAYESCROWD_RETURN_NOT_OK(BuildSessionSpec(
+          doc, default_checkpoint_dir, /*admit=*/nullptr, &spec));
       return spec;
     };
     Result<RecoveryReport> recovered = manager.Recover(resolver);

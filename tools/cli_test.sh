@@ -490,6 +490,22 @@ for entry in "${bad_creates[@]}"; do
     || fail "serve must keep serving after ${request}"
 done
 
+# serve: admission (id, tenant, duplicate id, residency caps) runs
+# before the dataset is generated or a network learned, so a create the
+# server would refuse is refused for that reason, at no modeling cost.
+printf '%s\n' \
+  '{"op":"create","id":"a/b","dataset":{"kind":"plasma"}}' \
+  '{"op":"create","id":"u1","tenant":"t","structure":"none"}' \
+  '{"op":"create","id":"u1","tenant":"t","dataset":{"kind":"plasma"}}' \
+  '{"op":"shutdown"}' \
+  | "${SERVE}" > "${WORK}/serve_admit.jsonl"
+head -n 1 "${WORK}/serve_admit.jsonl" | grep -q 'id must be non-empty' \
+  || fail "a create with an unsafe id must be refused for the id first"
+sed -n 2p "${WORK}/serve_admit.jsonl" | grep -q '"ok":true' \
+  || fail "serve must admit u1"
+sed -n 3p "${WORK}/serve_admit.jsonl" | grep -q "already resident" \
+  || fail "re-creating a resident id must be refused as already resident"
+
 # serve: the query defaults are the CLI's (B=50, L=5, m=15), not a
 # second set of serve-only defaults.
 printf '%s\n' '{"op":"create","id":"u1","tenant":"t"}' '{"op":"shutdown"}' \
