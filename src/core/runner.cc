@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <utility>
 
 #include "common/logging.h"
@@ -656,18 +657,19 @@ Status QueryRunner::FoldAnswers(const std::vector<Task>& batch,
   // round.
   BAYESCROWD_RETURN_NOT_OK(Recondition(touched));
 
-  // Re-simplify every undecided condition against the knowledge base.
-  // Changed conditions get new fingerprints; their old cache entries
-  // were just evicted through the answered variables.
-  for (std::size_t i : ctable_.UndecidedObjects()) {
-    Condition simplified = ctable_.condition(i).SimplifyWith(
-        [&knowledge](const Expression& e) {
-          return knowledge.Evaluate(e);
-        });
-    if (!(simplified == ctable_.condition(i))) {
-      ctable_.SetCondition(i, std::move(simplified));
-    }
-  }
+  // Re-simplify every undecided condition against the knowledge base,
+  // in place on the pool: each lane edits only its own objects'
+  // conditions and reads the knowledge base. Changed conditions get new
+  // fingerprints; their old cache entries were just evicted through the
+  // answered variables.
+  const std::vector<std::size_t> undecided = ctable_.UndecidedObjects();
+  const std::function<Truth(const Expression&)> evaluate =
+      [&knowledge](const Expression& e) { return knowledge.Evaluate(e); };
+  BAYESCROWD_RETURN_NOT_OK(pool_->ParallelFor(
+      undecided.size(), [this, &undecided, &evaluate](std::size_t,
+                                                      std::size_t u) {
+        ctable_.condition(undecided[u]).Simplify(evaluate);
+      }));
 
   log->tasks = batch.size();
   log->answered = answered;

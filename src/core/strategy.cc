@@ -51,17 +51,33 @@ FrequencyMap ExpressionFrequencies(const CTable& ctable,
   return freq;
 }
 
+// The variables of the tasks batched so far. A candidate conflicts with
+// the batch (TasksConflict with some member, Section 6.1) exactly when
+// it mentions one of them, so eligibility is one or two lookups.
+class BatchVariables {
+ public:
+  bool Conflicts(const Expression& e) const {
+    return vars_.count(PackVar(e.lhs)) != 0 ||
+           (e.rhs_is_var && vars_.count(PackVar(e.rhs_var)) != 0);
+  }
+  void Add(const Expression& e) {
+    vars_.insert(PackVar(e.lhs));
+    if (e.rhs_is_var) vars_.insert(PackVar(e.rhs_var));
+  }
+
+ private:
+  std::unordered_set<PackedVar> vars_;
+};
+
 // Positions of the candidates that would not share a variable with the
 // batch selected so far, in their original (frequency) order.
 std::vector<std::size_t> ConflictFreeCandidates(
     const std::vector<Expression>& candidates,
-    const std::vector<Task>& batch) {
+    const BatchVariables& batched) {
   std::vector<std::size_t> eligible;
   eligible.reserve(candidates.size());
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    Task probe;
-    probe.expression = candidates[i];
-    if (!ConflictsWithBatch(probe, batch)) eligible.push_back(i);
+    if (!batched.Conflicts(candidates[i])) eligible.push_back(i);
   }
   return eligible;
 }
@@ -200,6 +216,7 @@ Result<std::vector<Task>> SelectTasks(const CTable& ctable,
   // Walk the entropy ranking; objects beyond the top-k fill in (scored
   // on arrival) when a higher-ranked object cannot contribute a
   // conflict-free task.
+  BatchVariables batched;
   std::size_t next_top = 0;
   for (const ObjectEntropy& entry : ranked) {
     if (batch.size() >= k) break;
@@ -223,8 +240,8 @@ Result<std::vector<Task>> SelectTasks(const CTable& ctable,
 
     if (!utility) {
       for (const Expression& e : candidates) {
-        task.expression = e;
-        if (!ConflictsWithBatch(task, batch)) {
+        if (!batched.Conflicts(e)) {
+          task.expression = e;
           selected = true;
           break;
         }
@@ -236,7 +253,7 @@ Result<std::vector<Task>> SelectTasks(const CTable& ctable,
       // precomputed gains, so the selection is the same at any thread
       // count.
       const std::vector<std::size_t> eligible =
-          ConflictFreeCandidates(candidates, batch);
+          ConflictFreeCandidates(candidates, batched);
       GainScan scan = options.kind == StrategyKind::kHhs
                           ? GainScan(options.m)
                           : GainScan();
@@ -256,7 +273,10 @@ Result<std::vector<Task>> SelectTasks(const CTable& ctable,
       }
     }
 
-    if (selected) batch.push_back(task);
+    if (selected) {
+      batched.Add(task.expression);
+      batch.push_back(task);
+    }
   }
   return batch;
 }

@@ -28,11 +28,4 @@ bool TasksConflict(const Task& a, const Task& b) {
   return false;
 }
 
-bool ConflictsWithBatch(const Task& task, const std::vector<Task>& batch) {
-  for (const Task& other : batch) {
-    if (TasksConflict(task, other)) return true;
-  }
-  return false;
-}
-
 }  // namespace bayescrowd

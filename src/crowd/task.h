@@ -64,9 +64,6 @@ struct TaskAnswer {
 /// must not be posted in the same round (Section 6.1).
 bool TasksConflict(const Task& a, const Task& b);
 
-/// True when `task` shares a variable with any task in `batch`.
-bool ConflictsWithBatch(const Task& task, const std::vector<Task>& batch);
-
 }  // namespace bayescrowd
 
 #endif  // BAYESCROWD_CROWD_TASK_H_

@@ -170,32 +170,56 @@ Condition Condition::SubstituteVariable(const CellRef& var,
   return Condition::Cnf(std::move(next));
 }
 
-Condition Condition::SimplifyWith(
-    const std::function<Truth(const Expression&)>& evaluate) const {
-  if (IsDecided()) return *this;
-  std::vector<Conjunct> next;
-  next.reserve(conjuncts_.size());
-  for (const auto& conj : conjuncts_) {
-    Conjunct reduced;
+bool Condition::Simplify(
+    const std::function<Truth(const Expression&)>& evaluate) {
+  if (IsDecided()) return false;
+  bool changed = false;
+  std::size_t kept = 0;  // Conjuncts [0, kept) survive, compacted.
+  for (std::size_t c = 0; c < conjuncts_.size(); ++c) {
+    Conjunct& conj = conjuncts_[c];
+    std::size_t unknown = 0;  // Expressions [0, unknown) survive.
     bool satisfied = false;
-    for (const auto& expr : conj) {
-      switch (evaluate(expr)) {
+    for (std::size_t e = 0; e < conj.size() && !satisfied; ++e) {
+      switch (evaluate(conj[e])) {
         case Truth::kTrue:
           satisfied = true;
           break;
         case Truth::kFalse:
           break;  // Drop.
         case Truth::kUnknown:
-          reduced.push_back(expr);
+          if (unknown != e) conj[unknown] = conj[e];
+          ++unknown;
           break;
       }
-      if (satisfied) break;
     }
-    if (satisfied) continue;
-    if (reduced.empty()) return Condition::False();
-    next.push_back(std::move(reduced));
+    if (satisfied) {  // The conjunct holds; drop it.
+      changed = true;
+      continue;
+    }
+    if (unknown == 0) {  // Every disjunct failed.
+      *this = Condition::False();
+      return true;
+    }
+    if (unknown != conj.size()) {
+      conj.resize(unknown);
+      changed = true;
+    }
+    if (kept != c) conjuncts_[kept] = std::move(conj);
+    ++kept;
   }
-  return Condition::Cnf(std::move(next));
+  if (kept == 0) {
+    *this = Condition::True();
+    return true;
+  }
+  conjuncts_.resize(kept);
+  return changed;
+}
+
+Condition Condition::SimplifyWith(
+    const std::function<Truth(const Expression&)>& evaluate) const {
+  Condition out = *this;
+  out.Simplify(evaluate);
+  return out;
 }
 
 std::string Condition::ToString(const Table& table) const {

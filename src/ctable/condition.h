@@ -83,10 +83,15 @@ class Condition {
   /// and the CNF is re-simplified. This is ADPLL's branching step.
   Condition SubstituteVariable(const CellRef& var, Level value) const;
 
-  /// Re-simplifies using a three-valued oracle for individual
+  /// Re-simplifies in place using a three-valued oracle for individual
   /// expressions (e.g. KnowledgeBase::Evaluate after crowd answers).
   /// Expressions evaluating kTrue satisfy their conjunct; kFalse ones are
-  /// removed; kUnknown ones stay.
+  /// removed; kUnknown ones stay. Surviving expressions are compacted
+  /// inside the existing storage, so nothing is allocated. Returns true
+  /// when the condition changed; a decided condition is left alone.
+  bool Simplify(const std::function<Truth(const Expression&)>& evaluate);
+
+  /// A simplified copy: Simplify applied to a copy of this condition.
   Condition SimplifyWith(
       const std::function<Truth(const Expression&)>& evaluate) const;
 

@@ -200,11 +200,11 @@ Rng ProbabilityEvaluator::ConditionRng(
 }
 
 void ProbabilityEvaluator::Insert(const ConditionFingerprint& fingerprint,
-                                  const Condition& condition,
+                                  std::uint64_t stamp,
+                                  const std::vector<CellRef>& variables,
                                   const ProbInterval& interval) {
-  cache_[fingerprint] =
-      CacheEntry{interval, DistStamp(condition) ^ BudgetTag() ^ ScopeTag()};
-  for (const CellRef& var : condition.Variables()) {
+  cache_[fingerprint] = CacheEntry{interval, stamp};
+  for (const CellRef& var : variables) {
     var_index_[PackVar(var)].push_back(fingerprint);
   }
 }
@@ -429,6 +429,14 @@ void ProbabilityEvaluator::ReserveScratch(std::size_t lanes) {
   if (adpll_scratch_.size() < lanes) adpll_scratch_.resize(lanes);
 }
 
+Status ProbabilityEvaluator::FanOut(
+    std::size_t count,
+    const std::function<void(std::size_t lane, std::size_t index)>& fn) {
+  if (pool_ != nullptr && count > 1) return pool_->ParallelFor(count, fn);
+  for (std::size_t i = 0; i < count; ++i) fn(0, i);
+  return Status::OK();
+}
+
 Result<double> ProbabilityEvaluator::Probability(const Condition& condition) {
   BAYESCROWD_ASSIGN_OR_RETURN(const ProbInterval interval,
                               ProbabilityInterval(condition));
@@ -450,37 +458,58 @@ ProbabilityEvaluator::EvaluateBatchIntervals(
   std::vector<ProbInterval> intervals(n, ProbInterval::Exact(0.0));
   ins_.batch_size->Observe(static_cast<double>(n));
 
-  // Sequential pass: constants and memo hits; collect the rest. The
-  // cache maps are touched on this thread only.
+  // Lookup pass: constants, fingerprints, stamps and memo probes, one
+  // slot per condition. Lanes only read cache_ and var_epoch_; a miss's
+  // slot later also takes its variable list, so the insert after the
+  // barrier recomputes nothing.
+  struct Slot {
+    ConditionFingerprint fingerprint;
+    std::uint64_t stamp = 0;
+    bool hit = false;
+    std::vector<CellRef> variables;
+  };
   const bool memoizable = Memoizable();
   const std::uint64_t tag = BudgetTag() ^ ScopeTag();
-  std::vector<std::size_t> misses;
-  std::vector<ConditionFingerprint> fingerprints(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  std::vector<Slot> slots(n);
+  const auto look_up = [this, &conditions, &intervals, &slots, memoizable,
+                        tag](std::size_t, std::size_t i) {
     const Condition& cond = *conditions[i];
-    if (cond.IsTrue()) {
-      intervals[i] = ProbInterval::Exact(1.0);
+    Slot& slot = slots[i];
+    if (cond.IsDecided()) {
+      if (cond.IsTrue()) intervals[i] = ProbInterval::Exact(1.0);
+      return;
+    }
+    slot.fingerprint = cond.Fingerprint();
+    if (!memoizable) return;
+    slot.stamp = DistStamp(cond) ^ tag;
+    const auto it = cache_.find(slot.fingerprint);
+    if (it != cache_.end() && it->second.stamp == slot.stamp) {
+      slot.hit = true;
+      intervals[i] = it->second.interval;
+    }
+  };
+  BAYESCROWD_RETURN_NOT_OK(FanOut(n, look_up));
+
+  // Hits and misses are charged in index order after the barrier, so
+  // counters and labeled cost units are the same at any lane count.
+  std::vector<std::size_t> misses;
+  std::uint64_t hits = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (conditions[i]->IsDecided()) continue;
+    if (!slots[i].hit) {
+      misses.push_back(i);
       continue;
     }
-    if (cond.IsFalse()) continue;
-    fingerprints[i] = cond.Fingerprint();
-    if (memoizable) {
-      const auto it = cache_.find(fingerprints[i]);
-      if (it != cache_.end() &&
-          it->second.stamp == (DistStamp(cond) ^ tag)) {
-        ins_.cache_hits->Increment();
-        cost_.cache_hits[TierIndex(it->second.interval.quality)]
-            ->Increment();
-        intervals[i] = it->second.interval;
-        continue;
-      }
-      ins_.cache_misses->Increment();
-    }
-    misses.push_back(i);
+    ++hits;
+    cost_.cache_hits[TierIndex(intervals[i].quality)]->Increment();
+  }
+  if (memoizable) {
+    ins_.cache_hits->Increment(hits);
+    ins_.cache_misses->Increment(misses.size());
   }
   ins_.batch_misses->Observe(static_cast<double>(misses.size()));
 
-  // Parallel pass: each miss is an independent model-counting call that
+  // Miss pass: each miss is an independent model-counting call that
   // only reads dists_. Results land in per-index slots, ADPLL and
   // governor counters in per-lane accumulators, and sampling draws come
   // from per-condition generators — so any lane count computes the same
@@ -494,12 +523,12 @@ ProbabilityEvaluator::EvaluateBatchIntervals(
   // after the barrier: the delta each miss adds to its lane's tally is
   // schedule-independent, so the per-tier totals are too.
   std::vector<std::uint64_t> miss_nodes(misses.size(), 0);
-  const auto evaluate_one = [this, &conditions, &fingerprints, &misses,
-                             &intervals, &errors, &lane_stats,
-                             &lane_tallies, &miss_nodes](std::size_t lane,
-                                                         std::size_t m) {
+  const auto evaluate_one = [this, &conditions, &slots, &misses, &intervals,
+                             &errors, &lane_stats, &lane_tallies,
+                             &miss_nodes, memoizable](std::size_t lane,
+                                                      std::size_t m) {
     const std::size_t i = misses[m];
-    Rng rng = ConditionRng(fingerprints[i]);
+    Rng rng = ConditionRng(slots[i].fingerprint);
     const std::uint64_t calls_before = lane_stats[lane].calls;
     Result<ProbInterval> p = ComputeInterval(
         *conditions[i], rng, &lane_stats[lane], &lane_tallies[lane],
@@ -510,13 +539,9 @@ ProbabilityEvaluator::EvaluateBatchIntervals(
       return;
     }
     intervals[i] = p.value();
+    if (memoizable) slots[i].variables = conditions[i]->Variables();
   };
-  Status pool_status = Status::OK();
-  if (pool_ != nullptr && misses.size() > 1) {
-    pool_status = pool_->ParallelFor(misses.size(), evaluate_one);
-  } else {
-    for (std::size_t m = 0; m < misses.size(); ++m) evaluate_one(0, m);
-  }
+  const Status pool_status = FanOut(misses.size(), evaluate_one);
 
   // Merge per-lane tallies after the barrier: deterministic totals, and
   // one counter increment per lane instead of one per condition.
@@ -541,7 +566,8 @@ ProbabilityEvaluator::EvaluateBatchIntervals(
 
   if (memoizable) {
     for (const std::size_t i : misses) {
-      Insert(fingerprints[i], *conditions[i], intervals[i]);
+      Insert(slots[i].fingerprint, slots[i].stamp, slots[i].variables,
+             intervals[i]);
     }
   }
   return intervals;
@@ -579,11 +605,7 @@ ProbabilityEvaluator::EvaluateCounterfactuals(
       out[i].if_false.clear();
     }
   };
-  if (pool_ != nullptr && requests.size() > 1) {
-    BAYESCROWD_RETURN_NOT_OK(pool_->ParallelFor(requests.size(), pass_one));
-  } else {
-    for (std::size_t i = 0; i < requests.size(); ++i) pass_one(0, i);
-  }
+  BAYESCROWD_RETURN_NOT_OK(FanOut(requests.size(), pass_one));
   return out;
 }
 

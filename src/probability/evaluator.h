@@ -10,13 +10,14 @@
 //    distribution, so SetDistribution() evicts exactly the cached
 //    conditions that mention it (variable-indexed invalidation) and
 //    every other entry keeps serving hits across rounds;
-//  * one evaluation path, EvaluateBatchIntervals, that fans the
-//    independent model-counting calls of one round across an optional
-//    ThreadPool, with per-lane AdpllStats merged after the barrier.
-//    Results are written into per-index slots and sampling draws use
-//    per-condition seeds, so outputs are bit-identical for any thread
-//    count. Every other Pr(φ) entry point (Probability,
-//    ProbabilityInterval, EvaluateAllIntervals) delegates to it;
+//  * one evaluation path, EvaluateBatchIntervals, that fans both the
+//    memo lookups and the independent model-counting calls of one
+//    round across an optional ThreadPool, with per-lane AdpllStats
+//    merged after the barrier. Results are written into per-index
+//    slots and sampling draws use per-condition seeds, so outputs are
+//    bit-identical for any thread count. Every other Pr(φ) entry point
+//    (Probability, ProbabilityInterval, EvaluateAllIntervals)
+//    delegates to it;
 //  * the counterfactual star pass, EvaluateCounterfactuals: task
 //    scoring's Pr(φ[e:=true]) and Pr(φ[e:=false]) for every atom e of
 //    many conditions, one hub enumeration per condition, fanned over
@@ -32,6 +33,7 @@
 #define BAYESCROWD_PROBABILITY_EVALUATOR_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -156,8 +158,14 @@ class ProbabilityEvaluator {
   /// Pr(φ) for a batch of conditions, fanned across the thread pool:
   /// the one Pr(φ) path every other API delegates to. results[i]
   /// corresponds to conditions[i]; decided conditions cost nothing.
-  /// Deterministic for any pool size: per-index result slots, per-lane
-  /// stat tallies, per-condition sampling streams.
+  /// Two passes run on the pool: a lookup pass (fingerprint, stamp and
+  /// memo probe per condition; lanes only read the memo and the
+  /// epochs), then the misses' solves, each of which also takes its
+  /// condition's variable list. Only this thread writes the memo:
+  /// after each barrier it charges hits and misses in index order and
+  /// inserts the misses under their lookup stamps. Deterministic for
+  /// any pool size: per-index result slots, per-lane stat tallies,
+  /// per-condition sampling streams.
   Result<std::vector<ProbInterval>> EvaluateBatchIntervals(
       const std::vector<const Condition*>& conditions);
 
@@ -221,10 +229,10 @@ class ProbabilityEvaluator {
   /// boundary ("select", "update", "answer"). Handles re-resolve only when the context
   /// actually changes — a few mutexed map lookups per phase switch, and
   /// the per-evaluation charges stay lock-free relaxed adds. Charging
-  /// happens at the deterministic fold points (sequential cache pass,
-  /// post-barrier merge), so labeled totals are byte-identical at any
-  /// thread count. Call after BindMetrics; not thread-safe against
-  /// concurrent evaluation.
+  /// happens at the deterministic fold points (the index-order folds
+  /// after the lookup and solve barriers), so labeled totals are
+  /// byte-identical at any thread count. Call after BindMetrics; not
+  /// thread-safe against concurrent evaluation.
   void SetCostContext(const std::string& session, const std::string& phase);
   const std::string& cost_session() const { return cost_session_; }
   const std::string& cost_phase() const { return cost_phase_; }
@@ -327,11 +335,20 @@ class ProbabilityEvaluator {
   /// Ensures the per-lane solver scratch covers `lanes` lanes.
   void ReserveScratch(std::size_t lanes);
 
+  /// fn(lane, index) for every index in [0, count): on the pool when
+  /// there is one and more than one index, else inline as lane 0.
+  Status FanOut(std::size_t count,
+                const std::function<void(std::size_t lane,
+                                         std::size_t index)>& fn);
+
   /// Deterministic per-condition sampling stream.
   Rng ConditionRng(const ConditionFingerprint& fingerprint) const;
 
-  void Insert(const ConditionFingerprint& fingerprint,
-              const Condition& condition, const ProbInterval& interval);
+  /// Caches `interval` under the stamp and variables the batch's lanes
+  /// computed for the condition, and lists it under each variable.
+  void Insert(const ConditionFingerprint& fingerprint, std::uint64_t stamp,
+              const std::vector<CellRef>& variables,
+              const ProbInterval& interval);
 
   /// Folds one (per-call or per-lane) ADPLL tally into the counters.
   void AddAdpllStats(const AdpllStats& stats);

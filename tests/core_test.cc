@@ -279,22 +279,47 @@ TEST(StrategyTest, UbsPicksHighestUtilityExpression) {
 }
 
 TEST(StrategyTest, BatchIsConflictFree) {
-  CTable ctable = SampleCTable();
-  ProbabilityEvaluator evaluator = SampleEvaluator();
-  const auto ranked = RankAll(ctable, evaluator);
-  for (const StrategyKind kind :
-       {StrategyKind::kFbs, StrategyKind::kUbs, StrategyKind::kHhs}) {
-    StrategyOptions options;
-    options.kind = kind;
-    const auto tasks = SelectTasks(ctable, ranked, 3, evaluator, options);
-    ASSERT_TRUE(tasks.ok()) << StrategyKindToString(kind);
-    for (std::size_t a = 0; a < tasks->size(); ++a) {
-      for (std::size_t b = a + 1; b < tasks->size(); ++b) {
-        EXPECT_FALSE(TasksConflict(tasks.value()[a], tasks.value()[b]))
-            << StrategyKindToString(kind);
+  // Returns the batch sizes, one per strategy.
+  const auto check = [](const CTable& ctable,
+                        ProbabilityEvaluator& evaluator, std::size_t k) {
+    const auto ranked = RankAll(ctable, evaluator);
+    std::vector<std::size_t> sizes;
+    for (const StrategyKind kind :
+         {StrategyKind::kFbs, StrategyKind::kUbs, StrategyKind::kHhs}) {
+      StrategyOptions options;
+      options.kind = kind;
+      const auto tasks = SelectTasks(ctable, ranked, k, evaluator, options);
+      EXPECT_TRUE(tasks.ok()) << StrategyKindToString(kind);
+      if (!tasks.ok()) continue;
+      for (std::size_t a = 0; a < tasks->size(); ++a) {
+        for (std::size_t b = a + 1; b < tasks->size(); ++b) {
+          EXPECT_FALSE(TasksConflict(tasks.value()[a], tasks.value()[b]))
+              << StrategyKindToString(kind);
+        }
       }
+      sizes.push_back(tasks->size());
     }
+    return sizes;
+  };
+
+  CTable sample = SampleCTable();
+  ProbabilityEvaluator sample_evaluator = SampleEvaluator();
+  check(sample, sample_evaluator, 3);
+
+  // A ring of var-var tasks: φ(o_i) = [o_i.a0 < o_{i+1 mod 6}.a0]. The
+  // entropies tie, so the ranking keeps object order and each batched
+  // task's right-hand variable is the next object's left-hand one: a
+  // batch holds every other object.
+  CTable ring(6);
+  ProbabilityEvaluator ring_evaluator;
+  for (std::size_t i = 0; i < 6; ++i) {
+    ring.SetCondition(i, Condition::Cnf({{Expression::VarVar(
+                             V(i, 0), CmpOp::kLess, V((i + 1) % 6, 0))}}));
+    BAYESCROWD_CHECK_OK(ring_evaluator.distributions().Set(
+        V(i, 0), std::vector<double>{0.2, 0.3, 0.5}));
   }
+  EXPECT_EQ(check(ring, ring_evaluator, 6),
+            (std::vector<std::size_t>{3, 3, 3}));
 }
 
 TEST(StrategyTest, RespectsBatchSizeK) {

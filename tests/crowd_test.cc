@@ -34,8 +34,6 @@ TEST(TaskTest, ConflictsOnSharedVariable) {
   c.expression = Expression::VarConst(V(4, 2), CmpOp::kLess, 3);
   EXPECT_TRUE(TasksConflict(a, b));
   EXPECT_FALSE(TasksConflict(a, c));
-  EXPECT_TRUE(ConflictsWithBatch(b, {c, a}));
-  EXPECT_FALSE(ConflictsWithBatch(c, {}));
 }
 
 TEST(PlatformTest, TrueRelations) {

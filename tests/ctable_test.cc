@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <unordered_map>
 
 #include "common/random.h"
 #include "ctable/builder.h"
@@ -210,6 +212,127 @@ TEST(ConditionTest, SimplifyDropsFalseExpressions) {
   EXPECT_EQ(after.NumExpressions(), 2u);  // B<3 and C>1 remain.
 }
 
+
+// The copy-and-rebuild re-simplification: every conjunct reduced into a
+// fresh vector, then the CNF rebuilt. The reference for Simplify.
+Condition RebuiltSimplification(
+    const Condition& condition,
+    const std::function<Truth(const Expression&)>& evaluate) {
+  if (condition.IsDecided()) return condition;
+  std::vector<Conjunct> next;
+  for (const Conjunct& conjunct : condition.conjuncts()) {
+    Conjunct reduced;
+    bool satisfied = false;
+    for (const Expression& e : conjunct) {
+      const Truth truth = evaluate(e);
+      if (truth == Truth::kTrue) {
+        satisfied = true;
+        break;
+      }
+      if (truth == Truth::kUnknown) reduced.push_back(e);
+    }
+    if (satisfied) continue;
+    if (reduced.empty()) return Condition::False();
+    next.push_back(std::move(reduced));
+  }
+  return Condition::Cnf(std::move(next));
+}
+
+TEST(ConditionTest, SimplifyInPlaceMatchesSimplifyWith) {
+  Rng rng(0x51A9F1);
+  // Four objects × two attributes and constants 0..3: expressions repeat
+  // inside conjuncts and across them.
+  const auto random_var = [&rng] {
+    return V(rng.NextBelow(4), rng.NextBelow(2));
+  };
+  const auto random_expression = [&rng, &random_var] {
+    const CmpOp op = rng.NextBool(0.5) ? CmpOp::kLess : CmpOp::kGreater;
+    if (rng.NextBool(0.5)) {
+      return Expression::VarConst(random_var(), op, rng.NextInt(0, 3));
+    }
+    return Expression::VarVar(random_var(), op, random_var());
+  };
+  using Oracle =
+      std::unordered_map<PackedExpr, Truth, PackedExprHash>;
+  const auto check = [](const Condition& before, const Oracle& truths) {
+    const std::function<Truth(const Expression&)> evaluate =
+        [&truths](const Expression& e) {
+          const auto it = truths.find(e.PackedKey());
+          return it == truths.end() ? Truth::kUnknown : it->second;
+        };
+    const Condition reference = RebuiltSimplification(before, evaluate);
+    Condition in_place = before;
+    const bool changed = in_place.Simplify(evaluate);
+    EXPECT_TRUE(in_place == reference);
+    EXPECT_TRUE(in_place == before.SimplifyWith(evaluate));
+    EXPECT_EQ(in_place.Fingerprint(), reference.Fingerprint());
+    EXPECT_EQ(in_place.IsDecided(), in_place.conjuncts().empty());
+    EXPECT_EQ(changed, !(before == in_place));
+    return in_place;
+  };
+
+  std::size_t to_false = 0, to_true = 0, changed = 0, unchanged = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::vector<Conjunct> conjuncts(1 + rng.NextBelow(8));
+    for (Conjunct& conjunct : conjuncts) {
+      conjunct.resize(1 + rng.NextBelow(4));
+      for (Expression& e : conjunct) e = random_expression();
+    }
+    const Condition before = Condition::Cnf(conjuncts);
+    ASSERT_FALSE(before.IsDecided());
+
+    // A random three-valued oracle: one answer per distinct expression,
+    // so repeats agree.
+    Oracle random;
+    for (const Conjunct& conjunct : conjuncts) {
+      for (const Expression& e : conjunct) {
+        const double u = rng.NextDouble();
+        random.emplace(e.PackedKey(), u < 0.15   ? Truth::kTrue
+                                      : u < 0.45 ? Truth::kFalse
+                                                 : Truth::kUnknown);
+      }
+    }
+    const Condition after = check(before, random);
+    if (after.IsFalse()) ++to_false;
+    if (after.IsTrue()) ++to_true;
+    if (after == before) {
+      ++unchanged;
+    } else {
+      ++changed;
+    }
+
+    // Every expression of one conjunct false: the condition is False.
+    Oracle empties;
+    for (const Expression& e : conjuncts[rng.NextBelow(conjuncts.size())]) {
+      empties[e.PackedKey()] = Truth::kFalse;
+    }
+    EXPECT_TRUE(check(before, empties).IsFalse());
+
+    // The first expression of every conjunct true: the condition is True.
+    Oracle satisfies;
+    for (const Conjunct& conjunct : conjuncts) {
+      satisfies[conjunct.front().PackedKey()] = Truth::kTrue;
+    }
+    EXPECT_TRUE(check(before, satisfies).IsTrue());
+
+    // The all-unknown oracle changes nothing.
+    EXPECT_TRUE(check(before, {}) == before);
+  }
+  // The random oracles reach every outcome.
+  EXPECT_GT(to_false, 0u);
+  EXPECT_GT(to_true, 0u);
+  EXPECT_GT(changed, to_false + to_true);
+  EXPECT_GT(unchanged, 0u);
+
+  // A decided condition is left alone and reports no change.
+  for (Condition decided : {Condition::True(), Condition::False()}) {
+    const Condition copy = decided;
+    EXPECT_FALSE(decided.Simplify([](const Expression&) {
+      return Truth::kUnknown;
+    }));
+    EXPECT_TRUE(decided == copy);
+  }
+}
 
 TEST(ConditionTest, SubstituteOnDecidedConditionIsIdentity) {
   EXPECT_TRUE(Condition::True().SubstituteVariable(V(0, 0), 1).IsTrue());

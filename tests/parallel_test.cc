@@ -296,6 +296,15 @@ TEST(ParallelDeterminismTest, OneVsEightThreadsBitIdentical) {
       EXPECT_EQ(r1.rounds, rn.rounds);
       EXPECT_EQ(r1.tasks_posted, rn.tasks_posted);
 
+      // Same final c-table, condition by condition: every round
+      // re-simplifies the undecided conditions in place on the pool.
+      ASSERT_EQ(r1.final_ctable.num_objects(), rn.final_ctable.num_objects());
+      for (std::size_t i = 0; i < r1.final_ctable.num_objects(); ++i) {
+        EXPECT_TRUE(r1.final_ctable.condition(i) ==
+                    rn.final_ctable.condition(i))
+            << "threads " << threads << " object " << i;
+      }
+
       // Same normalized telemetry, byte for byte.
       EXPECT_EQ(telemetry1, NormalizedTelemetry(threads, query, rn))
           << "threads " << threads;
@@ -422,6 +431,117 @@ TEST(EvaluatorCacheTest, BatchServesHitsWithoutRecomputing) {
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first.value(), second.value());
   EXPECT_EQ(evaluator.cache_stats().hits, 3u);
+}
+
+TEST(EvaluatorCacheTest, PooledLookupLeavesTheSameMemoState) {
+  // Forty-eight random conditions over eight three-level variables.
+  Rng rng(0x100C0F);
+  std::vector<Condition> random;
+  for (int c = 0; c < 48; ++c) {
+    std::vector<Conjunct> conjuncts(1 + rng.NextBelow(3));
+    for (Conjunct& conjunct : conjuncts) {
+      conjunct.resize(1 + rng.NextBelow(3));
+      for (Expression& e : conjunct) {
+        const std::size_t lhs = rng.NextBelow(8);
+        const CmpOp op = rng.NextBool(0.5) ? CmpOp::kLess : CmpOp::kGreater;
+        e = rng.NextBool(0.5)
+                ? Expression::VarConst(V(lhs, 0), op, rng.NextInt(0, 2))
+                : Expression::VarVar(V(lhs, 0), op,
+                                     V((lhs + 1 + rng.NextBelow(7)) % 8, 0));
+      }
+    }
+    random.push_back(Condition::Cnf(std::move(conjuncts)));
+  }
+  const auto set_all = [](ProbabilityEvaluator& evaluator) {
+    for (std::size_t object = 0; object < 8; ++object) {
+      BAYESCROWD_CHECK_OK(evaluator.SetDistribution(
+          V(object, 0), std::vector<double>{0.2, 0.3, 0.5}));
+    }
+  };
+
+  // A donated memo blob. The donor re-conditioned variable 0 once more
+  // than any fresh evaluator, so its entry for a condition on variable
+  // 0 carries a stamp that does not validate here; its entry for a
+  // condition on variable 7 alone does.
+  const Condition on_var0 = Condition::Cnf(
+      {{Expression::VarConst(V(0, 0), CmpOp::kGreater, 0)},
+       {Expression::VarVar(V(0, 0), CmpOp::kLess, V(1, 0))}});
+  const Condition on_var7 =
+      Condition::Cnf({{Expression::VarConst(V(7, 0), CmpOp::kLess, 2)}});
+  std::string donated;
+  {
+    ProbabilityEvaluator donor;
+    set_all(donor);
+    BAYESCROWD_CHECK_OK(donor.SetDistribution(
+        V(0, 0), std::vector<double>{0.5, 0.25, 0.25}));
+    BAYESCROWD_CHECK_OK(
+        donor.EvaluateBatchIntervals({&on_var0, &on_var7}).status());
+    donor.SerializeMemoState(&donated);
+  }
+
+  struct Outcome {
+    std::vector<std::vector<ProbInterval>> intervals;
+    EvaluatorCacheStats stats;
+    std::string counters;
+    std::string memo;
+  };
+  const Condition always = Condition::True();
+  const Condition never = Condition::False();
+  const auto run = [&](ThreadPool* pool) {
+    ProbabilityEvaluator evaluator;
+    set_all(evaluator);
+    evaluator.set_thread_pool(pool);
+    evaluator.SetCostContext("s", "select");
+    BinReader reader(donated);
+    const auto imported = evaluator.MergeMemoState(&reader);
+    EXPECT_TRUE(imported.ok() && *imported == 2u);
+    EXPECT_FALSE(evaluator.IsCached(on_var0));
+    EXPECT_TRUE(evaluator.IsCached(on_var7));
+
+    // Decided conditions, both imported entries, every random
+    // condition, and one of them a second time.
+    std::vector<const Condition*> batch{&on_var0, &always, &on_var7, &never};
+    for (const Condition& c : random) batch.push_back(&c);
+    batch.push_back(&random[3]);
+    Outcome out;
+    const auto evaluate = [&evaluator, &batch, &out] {
+      auto intervals = evaluator.EvaluateBatchIntervals(batch);
+      BAYESCROWD_CHECK_OK(intervals.status());
+      out.intervals.push_back(*std::move(intervals));
+    };
+    evaluate();  // Misses, the imported hit, the duplicate.
+    evaluate();  // Hits only.
+    BAYESCROWD_CHECK_OK(evaluator.SetDistribution(
+        V(2, 0), std::vector<double>{0.6, 0.3, 0.1}));
+    evaluator.SetCostContext("s", "update");
+    evaluate();  // The conditions on variable 2 miss again.
+    BAYESCROWD_CHECK_OK(evaluator.SetDistribution(
+        V(0, 0), std::vector<double>{0.1, 0.1, 0.8}));
+    BAYESCROWD_CHECK_OK(evaluator.SetDistribution(
+        V(5, 0), std::vector<double>{0.3, 0.4, 0.3}));
+    evaluate();
+    out.stats = evaluator.cache_stats();
+    out.counters = evaluator.metrics()->Snapshot().ToText();
+    evaluator.SerializeMemoState(&out.memo);
+    return out;
+  };
+
+  const Outcome reference = run(nullptr);
+  EXPECT_GT(reference.stats.hits, 0u);
+  EXPECT_GT(reference.stats.misses, 0u);
+  EXPECT_GT(reference.stats.evictions, 0u);
+  EXPECT_NE(reference.counters.find("cost.cache_hits{"), std::string::npos);
+  EXPECT_NE(reference.counters.find("cost.cache_misses{"), std::string::npos);
+  EXPECT_EQ(reference.intervals[0][1], ProbInterval::Exact(1.0));
+  EXPECT_EQ(reference.intervals[0][3], ProbInterval::Exact(0.0));
+  EXPECT_EQ(reference.intervals[0][7], reference.intervals[0].back());
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    ThreadPool pool(threads);
+    const Outcome pooled = run(&pool);
+    EXPECT_EQ(pooled.intervals, reference.intervals) << "threads " << threads;
+    EXPECT_EQ(pooled.counters, reference.counters) << "threads " << threads;
+    EXPECT_EQ(pooled.memo, reference.memo) << "threads " << threads;
+  }
 }
 
 TEST(EvaluatorCacheTest, MutableDistributionsHandleDropsWholeCache) {

@@ -385,7 +385,9 @@ echo "== tier-1: crash-safety and factor-kernel tests under ASan+UBSan =="
 # bitsets. So do the suites whose single-condition evaluator calls all
 # run through the batch path's per-miss slot vectors (probability, core,
 # failure), and the readers of outside input (fuzz: CSV, network and
-# query-spec fuzzing; the query spec's own tests).
+# query-spec fuzzing; the query spec's own tests). So does the pooled
+# evaluator and round update (parallel): lanes fill per-index lookup
+# slots and edit conditions in place.
 cmake -B "$ROOT/build-asan" -S "$ROOT" \
   -DBC_SANITIZE=address,undefined \
   -DBAYESCROWD_BUILD_BENCHMARKS=OFF \
@@ -398,9 +400,10 @@ cmake --build "$ROOT/build-asan" -j "$JOBS" --target checkpoint_test \
   --target marketplace_test --target bayesnet_test \
   --target inference_property_test --target probability_test \
   --target core_test --target failure_test --target fuzz_test \
-  --target query_spec_test --target ctable_test --target property_test
+  --target query_spec_test --target ctable_test --target property_test \
+  --target parallel_test
 ctest --test-dir "$ROOT/build-asan" --output-on-failure \
-  -R '(checkpoint_test|killpoint_test|fault_test|differential_test|governor_test|obs_test|attribution_test|serve_test|serve_killpoint_test|quality_test|marketplace_test|bayesnet_test|inference_property_test|probability_test|core_test|failure_test|fuzz_test|query_spec_test|ctable_test|property_test)'
+  -R '(checkpoint_test|killpoint_test|fault_test|differential_test|governor_test|obs_test|attribution_test|serve_test|serve_killpoint_test|quality_test|marketplace_test|bayesnet_test|inference_property_test|probability_test|core_test|failure_test|fuzz_test|query_spec_test|ctable_test|property_test|parallel_test)'
 
 echo "== tier-1: concurrency tests under ThreadSanitizer =="
 cmake -B "$ROOT/build-tsan" -S "$ROOT" \
