@@ -110,8 +110,9 @@ void BM_GovernorLadder(benchmark::State& state) {
       result.result_objects, GroundTruthSkyline(complete));
   state.counters["f1"] = quality.f1;
   state.counters["tasks"] = static_cast<double>(result.tasks_posted);
+  const obs::MetricsSnapshot& m = result.metrics;
   state.counters["budget_exhausted"] =
-      static_cast<double>(result.solver.budget_exhausted);
+      static_cast<double>(m.CounterValue("solver.budget_exhausted"));
   state.counters["degraded_objects"] =
       static_cast<double>(result.degraded_objects.size());
   state.SetLabel(ConfigName(config));
@@ -125,11 +126,11 @@ void BM_GovernorLadder(benchmark::State& state) {
   row["tasks"] = result.tasks_posted;
   row["rounds"] = result.rounds;
   obs::JsonValue solver = obs::JsonValue::Object();
-  solver["budget_exhausted"] = result.solver.budget_exhausted;
-  solver["tier_exact"] = result.solver.tier_exact;
-  solver["tier_partial"] = result.solver.tier_partial;
-  solver["tier_sampled"] = result.solver.tier_sampled;
-  solver["tier_unknown"] = result.solver.tier_unknown;
+  solver["budget_exhausted"] = m.CounterValue("solver.budget_exhausted");
+  solver["tier_exact"] = m.CounterValue("solver.ladder_tier.exact");
+  solver["tier_partial"] = m.CounterValue("solver.ladder_tier.partial");
+  solver["tier_sampled"] = m.CounterValue("solver.ladder_tier.sampled");
+  solver["tier_unknown"] = m.CounterValue("solver.ladder_tier.unknown");
   solver["breaker_trips"] = result.breaker_trips;
   solver["degraded_objects"] = result.degraded_objects.size();
   row["solver"] = std::move(solver);

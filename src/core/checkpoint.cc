@@ -18,55 +18,14 @@ constexpr JournalFormat kCheckpointFormat = {"BCKP", kCheckpointVersion,
 // fail with a Status instead of undefined behavior.
 // ------------------------------------------------------------------ //
 
-void WriteCondition(BinWriter* w, const Condition& c) {
-  Truth state = Truth::kUnknown;
-  if (c.IsTrue()) state = Truth::kTrue;
-  if (c.IsFalse()) state = Truth::kFalse;
-  w->WriteU8(static_cast<std::uint8_t>(state));
-  w->WriteU64(c.conjuncts().size());
-  for (const Conjunct& conj : c.conjuncts()) {
-    w->WriteU64(conj.size());
-    for (const Expression& e : conj) WriteExpression(w, e);
-  }
+void WriteAnswer(BinWriter* w, const FoldedAnswer& answer) {
+  WriteExpression(w, answer.expression);
+  w->WriteU8(static_cast<std::uint8_t>(answer.relation));
 }
 
-Status ReadCondition(BinReader* r, Condition* out) {
-  std::uint8_t state = 0;
-  BAYESCROWD_RETURN_NOT_OK(r->ReadU8(&state));
-  if (state > static_cast<std::uint8_t>(Truth::kUnknown)) {
-    return Status::OutOfRange("checkpoint: bad condition state");
-  }
-  std::uint64_t num_conjuncts = 0;
-  BAYESCROWD_RETURN_NOT_OK(r->ReadCount(&num_conjuncts, 8));
-  std::vector<Conjunct> conjuncts;
-  conjuncts.reserve(num_conjuncts);
-  for (std::uint64_t c = 0; c < num_conjuncts; ++c) {
-    std::uint64_t num_exprs = 0;
-    BAYESCROWD_RETURN_NOT_OK(r->ReadCount(&num_exprs, kMinExpressionBytes));
-    Conjunct conj(num_exprs);
-    for (Expression& e : conj) {
-      BAYESCROWD_RETURN_NOT_OK(ReadExpression(r, &e));
-    }
-    conjuncts.push_back(std::move(conj));
-  }
-  // Decided conditions always serialize with zero conjuncts (the
-  // simplifier clears them), so the three cases rebuild exactly.
-  switch (static_cast<Truth>(state)) {
-    case Truth::kTrue:
-      *out = Condition::True();
-      break;
-    case Truth::kFalse:
-      *out = Condition::False();
-      break;
-    case Truth::kUnknown:
-      if (conjuncts.empty()) {
-        return Status::OutOfRange(
-            "checkpoint: undecided condition without conjuncts");
-      }
-      *out = Condition::Cnf(std::move(conjuncts));
-      break;
-  }
-  return Status::OK();
+Status ReadAnswer(BinReader* r, FoldedAnswer* answer) {
+  BAYESCROWD_RETURN_NOT_OK(ReadExpression(r, &answer->expression));
+  return ReadOrdering(r, &answer->relation);
 }
 
 void WriteRoundLog(BinWriter* w, const RoundLog& log) {
@@ -256,17 +215,23 @@ bool ParseGenerationName(const std::string& name,
 
 }  // namespace
 
+std::size_t SessionState::consecutive_barren() const {
+  std::size_t barren = 0;
+  for (auto it = round_logs.rbegin();
+       it != round_logs.rend() && it->answered == 0; ++it) {
+    ++barren;
+  }
+  return barren;
+}
+
 void SerializeSessionState(const SessionState& state, std::string* out) {
   BinWriter w(out);
   w.WriteDouble(state.budget_left);
-  w.WriteU64(state.consecutive_barren);
-  w.WriteU64(state.rounds);
   w.WriteDouble(state.cost_spent);
   w.WriteU64(state.round_logs.size());
   for (const RoundLog& log : state.round_logs) WriteRoundLog(&w, log);
-  w.WriteU64(state.conditions.size());
-  for (const Condition& c : state.conditions) WriteCondition(&w, c);
-  w.WriteString(state.knowledge_blob);
+  w.WriteU64(state.answers.size());
+  for (const FoldedAnswer& answer : state.answers) WriteAnswer(&w, answer);
   w.WriteString(state.evaluator_blob);
   WriteMetricsSnapshot(&w, state.metrics);
   w.WriteString(state.platform_state);
@@ -282,8 +247,6 @@ void SerializeSessionState(const SessionState& state, std::string* out) {
 
 Status DeserializeSessionState(BinReader* reader, SessionState* out) {
   BAYESCROWD_RETURN_NOT_OK(reader->ReadDouble(&out->budget_left));
-  BAYESCROWD_RETURN_NOT_OK(ReadSize(reader, &out->consecutive_barren));
-  BAYESCROWD_RETURN_NOT_OK(ReadSize(reader, &out->rounds));
   BAYESCROWD_RETURN_NOT_OK(reader->ReadDouble(&out->cost_spent));
   std::uint64_t count = 0;
   BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&count, kMinRoundLogBytes));
@@ -291,12 +254,12 @@ Status DeserializeSessionState(BinReader* reader, SessionState* out) {
   for (RoundLog& log : out->round_logs) {
     BAYESCROWD_RETURN_NOT_OK(ReadRoundLog(reader, &log));
   }
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&count, 9));
-  out->conditions.resize(count);
-  for (Condition& c : out->conditions) {
-    BAYESCROWD_RETURN_NOT_OK(ReadCondition(reader, &c));
+  BAYESCROWD_RETURN_NOT_OK(
+      reader->ReadCount(&count, kMinExpressionBytes + 1));
+  out->answers.resize(count);
+  for (FoldedAnswer& answer : out->answers) {
+    BAYESCROWD_RETURN_NOT_OK(ReadAnswer(reader, &answer));
   }
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadString(&out->knowledge_blob));
   BAYESCROWD_RETURN_NOT_OK(reader->ReadString(&out->evaluator_blob));
   BAYESCROWD_RETURN_NOT_OK(ReadMetricsSnapshot(reader, &out->metrics));
   BAYESCROWD_RETURN_NOT_OK(reader->ReadString(&out->platform_state));
@@ -366,9 +329,9 @@ Status CheckpointStore::Write(const SessionState& state) {
                               WrapCheckpoint(payload));
   const std::string name =
       options_.session_id.empty()
-          ? StrFormat("ckpt-%08zu.bin", state.rounds)
+          ? StrFormat("ckpt-%08zu.bin", state.rounds())
           : StrFormat("ckpt-%s-%08zu.bin", options_.session_id.c_str(),
-                      state.rounds);
+                      state.rounds());
   BAYESCROWD_RETURN_NOT_OK(WriteFileAtomic(options_.io,
                                            options_.dir + "/" + name, file,
                                            options_.pre_rename_hook));

@@ -1,19 +1,22 @@
 // Crash-safe query sessions: checksummed checkpoints of the round
-// loop's full state, written atomically at round boundaries and
-// recovered after a kill.
+// loop's state, written atomically at round boundaries and recovered
+// after a kill.
 //
-// A checkpoint captures everything Run() needs to continue a session
-// bit-identically: per-object conditions, the knowledge base's facts,
-// the evaluator's memo state (entries, live variable index, epochs),
-// the budget and barren-round state, per-round logs, the metrics
-// snapshot, and the crowd platform's own serialized state (simulator
-// RNG, fault injector, marketplace reputations). Each fact is stored
-// once: the task, refund and simulated-clock totals are sums over the
-// round logs, the retry/failure counts live in the metrics snapshot,
-// and the modeling-phase counts are rebuilt by the resumed run's own
-// modeling phase. The answer-log offset ties each snapshot to the
-// durable answer log: recovery replays the log tail past the snapshot
-// to rebuild any rounds that ran after the last checkpoint.
+// A checkpoint stores what a session's inputs do not determine: every
+// crowd answer it folded, in fold order, the budget, the per-round
+// logs, the evaluator's memo state (entries, live variable index,
+// epochs), the circuit breakers, the metrics snapshot, and the crowd
+// platform's own serialized state (simulator RNG, fault injector,
+// marketplace reputations). Each fact is stored once. The conditions
+// and the knowledge base's facts follow from the pristine c-table,
+// which a resume's modeling phase rebuilds, and the answers, which
+// QueryRunner::Init folds again round by round. The rounds finished
+// and the barren streak are read off the round logs, and so are the
+// task, refund and simulated-clock totals (their sums). The
+// retry/failure counts live in the metrics snapshot. The answer-log
+// offset ties each snapshot to the durable answer log: recovery
+// replays the log tail past the snapshot to rebuild any rounds that
+// ran after the last checkpoint.
 //
 // File format (one generation per file, `ckpt-NNNNNNNN.bin` — or
 // `ckpt-<session_id>-NNNNNNNN.bin` for a namespaced store hosting one
@@ -40,17 +43,18 @@
 #include "common/fileio.h"
 #include "common/result.h"
 #include "core/framework.h"
-#include "ctable/condition.h"
+#include "core/update.h"
 #include "obs/metrics.h"
 
 namespace bayescrowd {
 
 /// Checkpoint format version written by this build, and the only one
 /// it reads: any other version fails with a clear "older"/"newer"
-/// error instead of a misparse. Versions 1–9 were earlier layouts
-/// (9 also stored twelve totals that 10 derives); change the envelope,
+/// error instead of a misparse. Versions 1–10 were earlier layouts (10
+/// also stored every condition, the knowledge base's facts, the round
+/// count and the barren streak, which 11 derives); change the envelope,
 /// the payload, the memo blob or a platform chunk only by bumping this.
-inline constexpr std::uint32_t kCheckpointVersion = 10;
+inline constexpr std::uint32_t kCheckpointVersion = 11;
 
 /// Everything Run() snapshots at a round boundary, taken after the
 /// round's barren accounting. Field order here is the serialization
@@ -58,20 +62,24 @@ inline constexpr std::uint32_t kCheckpointVersion = 10;
 struct SessionState {
   // -- Round-loop state --------------------------------------------- //
   double budget_left = 0.0;
-  /// At or above RetryPolicy::max_barren_rounds, the resumed run is
-  /// already degraded and done.
-  std::size_t consecutive_barren = 0;
-  std::size_t rounds = 0;  // Rounds finished; names the generation.
   double cost_spent = 0.0;
   /// One per finished round. The task, refund, backoff and simulated
   /// clock totals are their sums.
   std::vector<RoundLog> round_logs;
 
+  /// Rounds finished (every round leaves one log); names the generation.
+  std::size_t rounds() const { return round_logs.size(); }
+  /// Trailing rounds that applied no answer. At or above
+  /// RetryPolicy::max_barren_rounds, the resumed run is already degraded
+  /// and done.
+  std::size_t consecutive_barren() const;
+
   // -- Knowledge state ---------------------------------------------- //
-  /// Per-object conditions, index = object id. Simplification is
-  /// order-dependent, so conditions are snapshotted, not recomputed.
-  std::vector<Condition> conditions;
-  std::string knowledge_blob;  // KnowledgeBase::SerializeFacts.
+  /// Every answered task, in fold order: the delivered rounds' answers,
+  /// each round's `answered` of them, contradictory var-var answers the
+  /// fold dropped included. A resume folds them again onto the rebuilt
+  /// c-table to restore the conditions and the knowledge base.
+  std::vector<FoldedAnswer> answers;
   std::string evaluator_blob;  // ProbabilityEvaluator::SerializeMemoState.
   obs::MetricsSnapshot metrics;
 
@@ -150,7 +158,7 @@ class CheckpointStore : public CheckpointSink {
 
   explicit CheckpointStore(Options options);
 
-  /// Writes `state` as generation `state.rounds` (tmp + fsync + rename
+  /// Writes `state` as generation `state.rounds()` (tmp + fsync + rename
   /// + dir fsync), then prunes to `keep` generations.
   Status Write(const SessionState& state) override;
 

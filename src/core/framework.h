@@ -193,12 +193,13 @@ struct BayesCrowdOptions {
   std::size_t checkpoint_every = 0;
   CheckpointSink* checkpoint_sink = nullptr;  // Non-owning.
 
-  /// Resume a checkpointed session: after the modeling phase the round
-  /// loop's state is overwritten from this snapshot and the loop
-  /// continues from the checkpointed round. The caller is responsible
-  /// for platform alignment (replaying the answer-log tail past the
-  /// snapshot, LoadState on the platform stack). Non-owning; must
-  /// outlive Run().
+  /// Resume a checkpointed session: after the modeling phase the
+  /// snapshot's answers are folded again onto the rebuilt c-table, the
+  /// rest of the round loop's state is restored from the snapshot, and
+  /// the loop continues from the checkpointed round. The caller is
+  /// responsible for platform alignment (replaying the answer-log tail
+  /// past the snapshot, LoadState on the platform stack). Non-owning;
+  /// must outlive Run().
   const SessionState* resume = nullptr;
 };
 
@@ -299,12 +300,12 @@ struct BayesCrowdResult {
   /// wall-clock; `inspect` reports the coverage ratio.
   double answer_seconds = 0.0;
 
-  /// Evaluator memo-cache totals for the whole run.
+  /// Evaluator memo-cache and ADPLL search totals for the whole run:
+  /// copies of `metrics` counters that the end-to-end benchmark still
+  /// reads. Every other counter (evictions, "solver.*") is read from
+  /// `metrics` alone; these go once the benchmark does the same.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
-
-  /// ADPLL search totals for the whole run.
   AdpllStats adpll;
 
   /// Per-lane thread-pool utilization (lane 0 is the calling thread).
@@ -325,9 +326,6 @@ struct BayesCrowdResult {
   /// Objects whose final probability carries a degraded (non-exact)
   /// ProbQuality grade — the solver budget did not suffice for them.
   std::vector<std::size_t> degraded_objects;
-
-  /// Governor counters for the whole run (all zero when inert).
-  GovernorTally solver;
 
   /// Always zero: knowledge compilation is gone, but the end-to-end
   /// benchmark still reads these three fields. Removed with ROADMAP

@@ -38,7 +38,8 @@ std::string FormatRunReport(const BayesCrowdResult& result,
       result.select_seconds * 1e3, result.update_seconds * 1e3,
       static_cast<unsigned long long>(result.cache_hits),
       static_cast<unsigned long long>(result.cache_misses),
-      static_cast<unsigned long long>(result.cache_evictions));
+      static_cast<unsigned long long>(
+          result.metrics.CounterValue("evaluator.cache.evictions")));
   out += StrFormat(
       "    adpll: %llu calls, %llu branches, %llu direct evals, "
       "%llu component splits, %llu star evals\n",
@@ -47,20 +48,20 @@ std::string FormatRunReport(const BayesCrowdResult& result,
       static_cast<unsigned long long>(result.adpll.direct_evals),
       static_cast<unsigned long long>(result.adpll.component_splits),
       static_cast<unsigned long long>(result.adpll.star_evals));
-  const GovernorTally& solver = result.solver;
-  if (solver.budget_exhausted > 0 || solver.deadline_hits > 0 ||
-      solver.tier_partial > 0 || solver.tier_sampled > 0 ||
-      solver.tier_unknown > 0 || !result.degraded_objects.empty()) {
+  const auto solver = [&result](const char* name) {
+    return static_cast<unsigned long long>(
+        result.metrics.CounterValue(std::string("solver.") + name));
+  };
+  if (solver("budget_exhausted") > 0 || solver("deadline_hits") > 0 ||
+      solver("ladder_tier.partial") > 0 || solver("ladder_tier.sampled") > 0 ||
+      solver("ladder_tier.unknown") > 0 || !result.degraded_objects.empty()) {
     out += StrFormat(
         "    solver: %llu budget exhaustion(s), %llu deadline hit(s); "
         "tiers exact/partial/sampled/unknown = %llu/%llu/%llu/%llu; "
         "%zu object(s) degraded\n",
-        static_cast<unsigned long long>(solver.budget_exhausted),
-        static_cast<unsigned long long>(solver.deadline_hits),
-        static_cast<unsigned long long>(solver.tier_exact),
-        static_cast<unsigned long long>(solver.tier_partial),
-        static_cast<unsigned long long>(solver.tier_sampled),
-        static_cast<unsigned long long>(solver.tier_unknown),
+        solver("budget_exhausted"), solver("deadline_hits"),
+        solver("ladder_tier.exact"), solver("ladder_tier.partial"),
+        solver("ladder_tier.sampled"), solver("ladder_tier.unknown"),
         result.degraded_objects.size());
   }
   if (result.breaker_trips > 0 || result.breaker_skips > 0) {

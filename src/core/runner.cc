@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <set>
 #include <utility>
 
 #include "common/logging.h"
@@ -129,7 +130,6 @@ Status QueryRunner::Init(const Table& incomplete,
   // ---------------------------------------------------------------- //
   evaluator.set_thread_pool(pool_);
   knowledge_.emplace(incomplete.schema());
-  KnowledgeBase& knowledge = *knowledge_;
 
   mu_ = (options_.budget + options_.latency - 1) /
         options_.latency;  // ceil(B / L)
@@ -147,33 +147,54 @@ Status QueryRunner::Init(const Table& incomplete,
   // ---------------------------------------------------------------- //
   // Resume from a checkpoint snapshot. The modeling phase above rebuilt
   // the pristine c-table, raw posteriors and initial counts
-  // (deterministic from the inputs); everything the crowd rounds
-  // changed is overwritten from the snapshot, in dependency order:
-  // conditions and knowledge first, then the distributions of the
-  // variables the rounds answered (whose cache evictions land on an
-  // empty cache), then the memo cache keyed by those conditions, then
-  // the platform stack, and the metrics snapshot last so setup-time
-  // increments are reset to the checkpointed counts.
+  // (deterministic from the inputs). The conditions and the knowledge
+  // base follow from those and the answers folded, so each delivered
+  // round's answers are folded again, in the live order: newest-wins
+  // interval facts and dropped contradictions depend on it. Then the
+  // memo cache replaces what the fold's re-conditioning left (it landed
+  // on an empty cache), then the breakers and the platform stack, and
+  // the metrics snapshot last so setup-time and replay increments are
+  // reset to the checkpointed counts.
   // ---------------------------------------------------------------- //
   if (options_.resume != nullptr) {
     const SessionState& st = *options_.resume;
-    if (st.conditions.size() != ctable_.num_objects()) {
-      return Status::InvalidArgument(StrFormat(
-          "resume: checkpoint holds %zu conditions but the dataset has "
-          "%zu objects",
-          st.conditions.size(), ctable_.num_objects()));
-    }
-    for (std::size_t i = 0; i < st.conditions.size(); ++i) {
-      if (!(st.conditions[i] == ctable_.condition(i))) {
-        ctable_.SetCondition(i, st.conditions[i]);
+    // Validated before any answer reaches the knowledge base, which
+    // indexes the schema by attribute unchecked.
+    for (const FoldedAnswer& answer : st.answers) {
+      for (const CellRef& var : answer.expression.Variables()) {
+        if (var.object >= incomplete.num_objects() ||
+            var.attribute >= incomplete.num_attributes()) {
+          return Status::InvalidArgument(StrFormat(
+              "resume: checkpoint answer names Var(%zu,%zu) outside the "
+              "%zu x %zu dataset",
+              var.object, var.attribute, incomplete.num_objects(),
+              incomplete.num_attributes()));
+        }
       }
     }
-    BinReader knowledge_reader(st.knowledge_blob);
-    BAYESCROWD_RETURN_NOT_OK(knowledge.RestoreFacts(&knowledge_reader));
-    // Every applied answer left a fact on each of its variables, so
-    // these are exactly the variables the rounds re-conditioned; the
-    // rest keep their raw posterior, as in the uninterrupted run.
-    BAYESCROWD_RETURN_NOT_OK(Recondition(knowledge.Variables()));
+    std::size_t unclaimed = st.answers.size();
+    for (const RoundLog& log : st.round_logs) {
+      if (log.answered > unclaimed || (log.abandoned && log.answered > 0)) {
+        return Status::InvalidArgument(StrFormat(
+            "resume: round %zu claims %zu answer(s) the checkpoint does "
+            "not hold",
+            log.round, log.answered));
+      }
+      unclaimed -= log.answered;
+    }
+    if (unclaimed != 0) {
+      return Status::InvalidArgument(StrFormat(
+          "resume: checkpoint holds %zu answer(s) no round log claims",
+          unclaimed));
+    }
+    const std::span<const FoldedAnswer> folded(st.answers);
+    std::size_t next = 0;
+    for (const RoundLog& log : st.round_logs) {
+      if (log.abandoned) continue;  // A live abandoned round folds nothing.
+      BAYESCROWD_RETURN_NOT_OK(Fold(folded.subspan(next, log.answered)));
+      next += log.answered;
+    }
+    answers_ = st.answers;
     BinReader memo_reader(st.evaluator_blob);
     BAYESCROWD_RETURN_NOT_OK(evaluator.RestoreMemoState(&memo_reader));
     for (const SolverBreakerRecord& b : st.solver_breakers) {
@@ -186,8 +207,8 @@ Status QueryRunner::Init(const Table& incomplete,
     metrics->Restore(st.metrics);
     solver_before_ = evaluator.solver_stats();
     budget_left_ = st.budget_left;
-    consecutive_barren_ = st.consecutive_barren;
-    out_.rounds = st.rounds;
+    consecutive_barren_ = st.consecutive_barren();
+    out_.rounds = st.rounds();
     out_.cost_spent = st.cost_spent;
     for (const RoundLog& log : st.round_logs) AddRound(log);
     out_.resumed = true;
@@ -212,20 +233,14 @@ Status QueryRunner::Init(const Table& incomplete,
   return Status::OK();
 }
 
-// Snapshots the full session at a round boundary and hands it to the
-// checkpoint sink. `out_.rounds` names the generation.
+// Snapshots the session at a round boundary and hands it to the
+// checkpoint sink. Its round logs name the generation.
 Status QueryRunner::WriteCheckpoint() {
   SessionState state;
   state.budget_left = budget_left_;
-  state.consecutive_barren = consecutive_barren_;
-  state.rounds = out_.rounds;
   state.cost_spent = out_.cost_spent;
   state.round_logs = out_.round_logs;
-  state.conditions.reserve(ctable_.num_objects());
-  for (std::size_t i = 0; i < ctable_.num_objects(); ++i) {
-    state.conditions.push_back(ctable_.condition(i));
-  }
-  knowledge_->SerializeFacts(&state.knowledge_blob);
+  state.answers = answers_;
   evaluator_->SerializeMemoState(&state.evaluator_blob);
   state.solver_breakers.reserve(breakers_.size());
   for (const auto& [id, b] : breakers_) state.solver_breakers.push_back(b);
@@ -584,7 +599,6 @@ Status QueryRunner::FoldAnswers(const std::vector<Task>& batch,
   if (answers.size() != batch.size()) {
     return Status::Internal("platform returned misaligned answers");
   }
-  KnowledgeBase& knowledge = *knowledge_;
 
   // Everything from budget accounting through re-simplification is
   // update-phase work; the watch starts here so the phase timers
@@ -596,15 +610,15 @@ Status QueryRunner::FoldAnswers(const std::vector<Task>& batch,
   // Budget accounting: only answered tasks are charged; abstained or
   // dropped tasks are refunded and fall back into the pool.
   const AdaptiveVotePolicy& adaptive = options_.adaptive;
+  const std::size_t first = answers_.size();
   double charged = 0.0;
   double refunded = 0.0;
-  std::size_t answered = 0;
   std::size_t extra_votes = 0;
   for (std::size_t t = 0; t < batch.size(); ++t) {
     const double cost = cost_model_->Cost(batch[t]);
     if (answers[t].answered) {
       charged += cost;
-      ++answered;
+      answers_.push_back({batch[t].expression, answers[t].relation});
       // Adaptive allocation: each vote the platform bought beyond the
       // base fan-out on an *answered* task is charged at a fraction of
       // that task's price (abstained tasks refund in full, extras
@@ -621,6 +635,7 @@ Status QueryRunner::FoldAnswers(const std::vector<Task>& batch,
       refunded += cost;
     }
   }
+  const std::size_t answered = answers_.size() - first;
   budget_left_ -= charged;
   out_.cost_spent += charged;
   unanswered_counter_->Increment(batch.size() - answered);
@@ -628,48 +643,8 @@ Status QueryRunner::FoldAnswers(const std::vector<Task>& batch,
   cost_retry_refunds_->Increment(batch.size() - answered);
   cost_extra_votes_->Increment(extra_votes);
 
-  // Fold the answers that arrived into the knowledge base.
-  std::set<CellRef> touched;
-  for (std::size_t t = 0; t < batch.size(); ++t) {
-    if (!answers[t].answered) continue;
-    const Status applied = ApplyAnswer(batch[t], answers[t], &knowledge);
-    if (!applied.ok()) {
-      // A noisy crowd can answer the same ordering both ways. Keep
-      // the first recorded fact, drop the contradiction (its cost
-      // stays spent — the marketplace doesn't refund wrong answers),
-      // and keep the session alive. Anything else is fatal.
-      if (applied.IsInvalidArgument() &&
-          StartsWith(applied.message(), "contradictory var-var fact")) {
-        conflicts_counter_->Increment();
-        BAYESCROWD_LOG(Warning)
-            << "dropping conflicting crowd answer: " << applied.message();
-        continue;
-      }
-      return applied;
-    }
-    for (const CellRef& var : batch[t].expression.Variables()) {
-      touched.insert(var);
-    }
-  }
-
-  // Each SetDistribution evicts exactly the cached conditions
-  // mentioning that variable; everything else keeps serving hits next
-  // round.
-  BAYESCROWD_RETURN_NOT_OK(Recondition(touched));
-
-  // Re-simplify every undecided condition against the knowledge base,
-  // in place on the pool: each lane edits only its own objects'
-  // conditions and reads the knowledge base. Changed conditions get new
-  // fingerprints; their old cache entries were just evicted through the
-  // answered variables.
-  const std::vector<std::size_t> undecided = ctable_.UndecidedObjects();
-  const std::function<Truth(const Expression&)> evaluate =
-      [&knowledge](const Expression& e) { return knowledge.Evaluate(e); };
-  BAYESCROWD_RETURN_NOT_OK(pool_->ParallelFor(
-      undecided.size(), [this, &undecided, &evaluate](std::size_t,
-                                                      std::size_t u) {
-        ctable_.condition(undecided[u]).Simplify(evaluate);
-      }));
+  BAYESCROWD_RETURN_NOT_OK(
+      Fold(std::span<const FoldedAnswer>(answers_).subspan(first)));
 
   log->tasks = batch.size();
   log->answered = answered;
@@ -682,14 +657,53 @@ Status QueryRunner::FoldAnswers(const std::vector<Task>& batch,
   return Status::OK();
 }
 
-Status QueryRunner::Recondition(const std::set<CellRef>& vars) {
-  for (const CellRef& var : vars) {
+Status QueryRunner::Fold(std::span<const FoldedAnswer> answers) {
+  KnowledgeBase& knowledge = *knowledge_;
+  std::set<CellRef> touched;
+  for (const FoldedAnswer& answer : answers) {
+    const Status applied = ApplyAnswer(answer, &knowledge);
+    if (!applied.ok()) {
+      // A var-var answer that contradicts a recorded order: keep the
+      // first recorded fact, drop the contradiction (its cost stays
+      // spent — the marketplace doesn't refund wrong answers), and
+      // keep the session alive. Anything else is fatal.
+      if (applied.IsInvalidArgument() &&
+          StartsWith(applied.message(), "contradictory var-var fact")) {
+        conflicts_counter_->Increment();
+        BAYESCROWD_LOG(Warning)
+            << "dropping conflicting crowd answer: " << applied.message();
+        continue;
+      }
+      return applied;
+    }
+    for (const CellRef& var : answer.expression.Variables()) {
+      touched.insert(var);
+    }
+  }
+
+  // Re-condition the touched distributions. Each SetDistribution evicts
+  // exactly the cached conditions mentioning that variable; everything
+  // else keeps serving hits next round.
+  for (const CellRef& var : touched) {
     const auto raw = raw_posteriors_.find(var);
     if (raw == raw_posteriors_.end()) continue;
     BAYESCROWD_RETURN_NOT_OK(evaluator_->SetDistribution(
-        var, knowledge_->ConditionDistribution(var, raw->second)));
+        var, knowledge.ConditionDistribution(var, raw->second)));
   }
-  return Status::OK();
+
+  // Re-simplify every undecided condition against the knowledge base,
+  // in place on the pool: each lane edits only its own objects'
+  // conditions and reads the knowledge base. Changed conditions get new
+  // fingerprints; their old cache entries were just evicted through the
+  // answered variables.
+  const std::vector<std::size_t> undecided = ctable_.UndecidedObjects();
+  const std::function<Truth(const Expression&)> evaluate =
+      [&knowledge](const Expression& e) { return knowledge.Evaluate(e); };
+  return pool_->ParallelFor(
+      undecided.size(), [this, &undecided, &evaluate](std::size_t,
+                                                      std::size_t u) {
+        ctable_.condition(undecided[u]).Simplify(evaluate);
+      });
 }
 
 void QueryRunner::AddRound(const RoundLog& log) {
@@ -752,7 +766,6 @@ Status QueryRunner::Finish() {
       out_.result_objects.push_back(i);
     }
   }
-  out_.solver = evaluator.solver_stats();
   out_.retries = retries_counter_->value();
   out_.transient_failures = transient_counter_->value();
   out_.rounds_abandoned = abandoned_counter_->value();
@@ -764,7 +777,6 @@ Status QueryRunner::Finish() {
   const EvaluatorCacheStats cache_stats = evaluator.cache_stats();
   out_.cache_hits = cache_stats.hits;
   out_.cache_misses = cache_stats.misses;
-  out_.cache_evictions = cache_stats.evictions;
   out_.adpll = evaluator.adpll_stats();
   out_.final_ctable = std::move(ctable_);
 

@@ -30,11 +30,12 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
+#include <span>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "core/framework.h"
+#include "core/update.h"
 #include "ctable/knowledge.h"
 #include "obs/trace.h"
 
@@ -111,14 +112,18 @@ class QueryRunner {
   Status StepImpl();
 
   /// The update phase of a delivered round: charges and refunds the
-  /// batch, folds its answers into the knowledge base, re-conditions
-  /// and re-simplifies. Fills the delivery fields of `log`.
+  /// batch, then folds its answered tasks (Fold). Fills the delivery
+  /// fields of `log`.
   Status FoldAnswers(const std::vector<Task>& batch,
                      const std::vector<TaskAnswer>& answers,
                      const EvaluatorCacheStats& cache_before, RoundLog* log);
 
-  /// Re-conditions the distributions of `vars` on the knowledge base.
-  Status Recondition(const std::set<CellRef>& vars);
+  /// The update half of a delivered round, run by a live round and by a
+  /// resume's replay alike: applies `answers` in order to the knowledge
+  /// base (dropping a var-var answer that contradicts a recorded
+  /// order), re-conditions the variables of the applied ones, and
+  /// re-simplifies every undecided condition on the pool.
+  Status Fold(std::span<const FoldedAnswer> answers);
 
   /// Adds a finished round to the result: its log and the totals summed
   /// over the logs. A resume adds the restored logs through it.
@@ -149,6 +154,8 @@ class QueryRunner {
   std::optional<ProbabilityEvaluator> evaluator_;
   std::map<CellRef, std::vector<double>> raw_posteriors_;
   std::optional<KnowledgeBase> knowledge_;
+  /// Every answered task so far, in fold order (what checkpoints store).
+  std::vector<FoldedAnswer> answers_;
   CrowdPlatform* platform_ = nullptr;
 
   std::unique_ptr<ThreadPool> owned_pool_;

@@ -141,10 +141,11 @@ obs::JsonValue RunTelemetryJson(const std::string& name,
   payload["attribution"] =
       AttributionJson(result.metrics, result.answer_seconds);
 
+  const obs::MetricsSnapshot& m = result.metrics;
   obs::JsonValue cache = obs::JsonValue::Object();
   cache["hits"] = result.cache_hits;
   cache["misses"] = result.cache_misses;
-  cache["evictions"] = result.cache_evictions;
+  cache["evictions"] = m.CounterValue("evaluator.cache.evictions");
   payload["cache"] = std::move(cache);
 
   payload["adpll"] = AdpllJson(result.adpll);
@@ -154,12 +155,12 @@ obs::JsonValue RunTelemetryJson(const std::string& name,
   // one wall-clock-dependent count (always 0 without a deadline) and is
   // normalized away with the other timing fields.
   obs::JsonValue solver = obs::JsonValue::Object();
-  solver["budget_exhausted"] = result.solver.budget_exhausted;
-  solver["deadline_hits"] = result.solver.deadline_hits;
-  solver["tier_exact"] = result.solver.tier_exact;
-  solver["tier_partial"] = result.solver.tier_partial;
-  solver["tier_sampled"] = result.solver.tier_sampled;
-  solver["tier_unknown"] = result.solver.tier_unknown;
+  solver["budget_exhausted"] = m.CounterValue("solver.budget_exhausted");
+  solver["deadline_hits"] = m.CounterValue("solver.deadline_hits");
+  solver["tier_exact"] = m.CounterValue("solver.ladder_tier.exact");
+  solver["tier_partial"] = m.CounterValue("solver.ladder_tier.partial");
+  solver["tier_sampled"] = m.CounterValue("solver.ladder_tier.sampled");
+  solver["tier_unknown"] = m.CounterValue("solver.ladder_tier.unknown");
   solver["breaker_trips"] = result.breaker_trips;
   solver["breaker_skips"] = result.breaker_skips;
   obs::JsonValue degraded = obs::JsonValue::Array();

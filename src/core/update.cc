@@ -2,9 +2,8 @@
 
 namespace bayescrowd {
 
-Status ApplyAnswer(const Task& task, const TaskAnswer& answer,
-                   KnowledgeBase* knowledge) {
-  const Expression& e = task.expression;
+Status ApplyAnswer(const FoldedAnswer& answer, KnowledgeBase* knowledge) {
+  const Expression& e = answer.expression;
   if (e.rhs_is_var) {
     return knowledge->RecordVarOrder(e.lhs, e.rhs_var, answer.relation);
   }

@@ -9,16 +9,6 @@ namespace {
 // One encoded vote: u32 worker + u8 answer + f64 work seconds.
 constexpr std::size_t kVoteBytes = 13;
 
-Status ReadOrdering(BinReader* r, Ordering* out) {
-  std::uint8_t value = 0;
-  BAYESCROWD_RETURN_NOT_OK(r->ReadU8(&value));
-  if (value > static_cast<std::uint8_t>(Ordering::kGreater)) {
-    return Status::OutOfRange("answer log: bad relation");
-  }
-  *out = static_cast<Ordering>(value);
-  return Status::OK();
-}
-
 }  // namespace
 
 std::string EncodeAnswerLogEntry(const AnswerLogEntry& entry) {

@@ -19,6 +19,16 @@ const char* OrderingToString(Ordering ordering) {
   return "?";
 }
 
+Status ReadOrdering(BinReader* reader, Ordering* out) {
+  std::uint8_t value = 0;
+  BAYESCROWD_RETURN_NOT_OK(reader->ReadU8(&value));
+  if (value > static_cast<std::uint8_t>(Ordering::kGreater)) {
+    return Status::OutOfRange("bad relation byte");
+  }
+  *out = static_cast<Ordering>(value);
+  return Status::OK();
+}
+
 std::pair<Level, Level> KnowledgeBase::Bounds(const CellRef& var) const {
   const auto it = intervals_.find(var);
   if (it != intervals_.end()) return it->second;
@@ -97,76 +107,6 @@ Status KnowledgeBase::RecordVarOrder(const CellRef& a, const CellRef& b,
         b.attribute, OrderingToString(it->second)));
   }
   orders_[key] = stored;
-  return Status::OK();
-}
-
-std::set<CellRef> KnowledgeBase::Variables() const {
-  std::set<CellRef> out;
-  for (const auto& [var, bounds] : intervals_) out.insert(var);
-  for (const auto& [key, ordering] : orders_) {
-    out.insert(key.first);
-    out.insert(key.second);
-  }
-  return out;
-}
-
-void KnowledgeBase::SerializeFacts(std::string* out) const {
-  BinWriter w(out);
-  w.WriteU64(intervals_.size());
-  for (const auto& [var, bounds] : intervals_) {
-    w.WriteU64(var.object);
-    w.WriteU64(var.attribute);
-    w.WriteI32(bounds.first);
-    w.WriteI32(bounds.second);
-  }
-  w.WriteU64(orders_.size());
-  for (const auto& [key, ordering] : orders_) {
-    w.WriteU64(key.first.object);
-    w.WriteU64(key.first.attribute);
-    w.WriteU64(key.second.object);
-    w.WriteU64(key.second.attribute);
-    w.WriteU8(static_cast<std::uint8_t>(ordering));
-  }
-}
-
-Status KnowledgeBase::RestoreFacts(BinReader* reader) {
-  intervals_.clear();
-  orders_.clear();
-  std::uint64_t n = 0;
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&n, 24));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    CellRef var;
-    std::uint64_t object = 0;
-    std::uint64_t attribute = 0;
-    std::pair<Level, Level> bounds;
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&object));
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&attribute));
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadI32(&bounds.first));
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadI32(&bounds.second));
-    var.object = static_cast<std::size_t>(object);
-    var.attribute = static_cast<std::size_t>(attribute);
-    intervals_[var] = bounds;
-  }
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadCount(&n, 33));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    CellRef a;
-    CellRef b;
-    std::uint64_t word = 0;
-    std::uint8_t ordering = 0;
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&word));
-    a.object = static_cast<std::size_t>(word);
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&word));
-    a.attribute = static_cast<std::size_t>(word);
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&word));
-    b.object = static_cast<std::size_t>(word);
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU64(&word));
-    b.attribute = static_cast<std::size_t>(word);
-    BAYESCROWD_RETURN_NOT_OK(reader->ReadU8(&ordering));
-    if (ordering > static_cast<std::uint8_t>(Ordering::kGreater)) {
-      return Status::OutOfRange("knowledge: bad ordering byte");
-    }
-    orders_[{a, b}] = static_cast<Ordering>(ordering);
-  }
   return Status::OK();
 }
 

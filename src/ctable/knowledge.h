@@ -12,7 +12,6 @@
 #define BAYESCROWD_CTABLE_KNOWLEDGE_H_
 
 #include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -28,6 +27,10 @@ namespace bayescrowd {
 enum class Ordering : std::uint8_t { kLess, kEqual, kGreater };
 
 const char* OrderingToString(Ordering ordering);
+
+/// Reads one relation byte, as the answer log and checkpoints write it,
+/// refusing a value above kGreater with OutOfRange.
+Status ReadOrdering(BinReader* reader, Ordering* out);
 
 /// Accumulated crowd knowledge: per-variable value intervals plus
 /// var-var order facts.
@@ -69,18 +72,6 @@ class KnowledgeBase {
 
   std::size_t num_interval_facts() const { return intervals_.size(); }
   std::size_t num_order_facts() const { return orders_.size(); }
-
-  /// Every variable an interval or order fact mentions.
-  std::set<CellRef> Variables() const;
-
-  /// Appends every interval and order fact to `out` in canonical
-  /// (std::map) order, for checkpointing.
-  void SerializeFacts(std::string* out) const;
-
-  /// Replaces all facts with the ones written by SerializeFacts. The
-  /// schema is not serialized; the caller must construct the knowledge
-  /// base against the same schema.
-  Status RestoreFacts(BinReader* reader);
 
  private:
   // Applies [lo, hi] as a new constraint with newest-wins conflict

@@ -118,6 +118,11 @@ void Histogram::Restore(const HistogramSnapshot& snapshot) {
   sum_bits_.store(Gauge::Pack(snapshot.sum), std::memory_order_relaxed);
 }
 
+std::uint64_t MetricsSnapshot::CounterValue(const std::string& name) const {
+  const auto it = counters.find(name);
+  return it == counters.end() ? 0 : it->second;
+}
+
 std::string MetricsSnapshot::ToText() const {
   std::string out;
   for (const auto& [name, value] : counters) {

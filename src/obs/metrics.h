@@ -132,6 +132,9 @@ struct MetricsSnapshot {
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
 
+  /// The value of counter `name`, 0 when the run never created it.
+  std::uint64_t CounterValue(const std::string& name) const;
+
   /// "name value" lines, histograms as count/sum/buckets.
   std::string ToText() const;
   /// {"counters": {...}, "gauges": {...}, "histograms": {...}}.

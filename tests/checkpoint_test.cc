@@ -1,6 +1,6 @@
 // Checkpoint format and store tests: envelope integrity, payload
 // round-trips, generation management, corruption fallback, the memo
-// blob, and the committed v10 golden fixture (format-drift contract).
+// blob, and the committed v11 golden fixture (format-drift contract).
 
 #include "core/checkpoint.h"
 
@@ -87,39 +87,51 @@ std::string GoldenMemoBlob() {
 }
 
 /// A deterministic, richly-populated state: every field class exercised
-/// (decided + CNF conditions, round logs with recovery data, metrics of
-/// all three kinds, binary blobs, session-layer stamps). Also the
-/// generator of the committed golden fixture — see GoldenV10FixtureTest.
+/// (round logs with recovery data and an abandoned round, var-const and
+/// var-var answers, metrics of all three kinds, binary blobs,
+/// session-layer stamps). Also the generator of the committed golden
+/// fixture — see GoldenV11FixtureTest.
 SessionState MakeGoldenState() {
   SessionState state;
   state.budget_left = 12.5;
-  state.consecutive_barren = 1;
-  state.rounds = 3;
   state.cost_spent = 11.5;
 
+  // Two delivered rounds (two answers, then one), then an abandoned
+  // round: three rounds, the last one barren.
   RoundLog log;
-  log.round = 3;
-  log.tasks = 4;
+  log.round = 1;
+  log.tasks = 3;
   log.seconds = 0.0;  // Wall clock is not part of determinism.
   log.attempts = 2;
-  log.answered = 3;
+  log.answered = 2;
   log.unanswered = 1;
   log.cost_refunded = 1.0;
   log.backoff_seconds = 0.5;
   log.simulated_seconds = 7.5;
-  log.abandoned = false;
   log.cache_hits = 17;
   log.cache_misses = 5;
-  state.round_logs = {log};
+  state.round_logs.push_back(log);
+  log.round = 2;
+  log.tasks = 1;
+  log.attempts = 1;
+  log.answered = 1;
+  log.unanswered = 0;
+  log.cost_refunded = 0.0;
+  log.backoff_seconds = 0.0;
+  log.simulated_seconds = 1.0;
+  state.round_logs.push_back(log);
+  RoundLog abandoned;
+  abandoned.round = 3;
+  abandoned.attempts = 3;
+  abandoned.backoff_seconds = 3.0;
+  abandoned.simulated_seconds = 6.0;
+  abandoned.abandoned = true;
+  state.round_logs.push_back(abandoned);
 
-  state.conditions.push_back(Condition::True());
-  state.conditions.push_back(Condition::False());
-  state.conditions.push_back(Condition::Cnf(
-      {{Expression::VarConst(V(2, 1), CmpOp::kGreater, 3)},
-       {Expression::VarVar(V(2, 0), CmpOp::kLess, V(0, 0)),
-        Expression::VarConst(V(2, 1), CmpOp::kLess, 7)}}));
-
-  state.knowledge_blob = std::string("kb\x00\x01\x7f", 5);
+  state.answers = {
+      {Expression::VarConst(V(2, 1), CmpOp::kGreater, 3), Ordering::kGreater},
+      {Expression::VarVar(V(2, 0), CmpOp::kLess, V(0, 0)), Ordering::kLess},
+      {Expression::VarConst(V(2, 1), CmpOp::kLess, 7), Ordering::kEqual}};
   state.evaluator_blob = GoldenMemoBlob();
 
   obs::MetricsRegistry registry;
@@ -219,14 +231,22 @@ TEST(SessionStateTest, RoundTripsByteExact) {
   // Byte-exact re-serialization covers every field, including the
   // metrics snapshot, without a field-by-field comparison.
   EXPECT_EQ(SerializeState(restored), payload);
-  EXPECT_EQ(restored.rounds, original.rounds);
   EXPECT_EQ(restored.budget_left, original.budget_left);
-  ASSERT_EQ(restored.conditions.size(), 3u);
-  EXPECT_TRUE(restored.conditions[0].IsTrue());
-  EXPECT_TRUE(restored.conditions[1].IsFalse());
-  EXPECT_FALSE(restored.conditions[2].IsDecided());
-  EXPECT_EQ(restored.knowledge_blob, original.knowledge_blob);
+  EXPECT_EQ(restored.answers, original.answers);
+  EXPECT_EQ(restored.answers[1].expression.rhs_var, V(0, 0));
   EXPECT_EQ(restored.config_fingerprint, original.config_fingerprint);
+  // Neither is stored: both are read off the round logs.
+  EXPECT_EQ(restored.rounds(), 3u);
+  EXPECT_EQ(restored.consecutive_barren(), 1u);
+}
+
+TEST(SessionStateTest, RejectsAnOutOfDomainRelation) {
+  SessionState state = MakeGoldenState();
+  state.answers[1].relation = static_cast<Ordering>(3);
+  const std::string payload = SerializeState(state);
+  BinReader reader(payload);
+  SessionState restored;
+  EXPECT_TRUE(DeserializeSessionState(&reader, &restored).IsOutOfRange());
 }
 
 TEST(SessionStateTest, RejectsTrailingBytes) {
@@ -259,7 +279,7 @@ TEST(CheckpointStoreTest, WritesPrunesAndLoadsNewest) {
 
   SessionState state = MakeGoldenState();
   for (std::size_t round = 1; round <= 4; ++round) {
-    state.rounds = round;
+    state.round_logs.resize(round);
     state.answer_log_offset = round;
     ASSERT_TRUE(store.Write(state).ok()) << "round " << round;
   }
@@ -271,7 +291,7 @@ TEST(CheckpointStoreTest, WritesPrunesAndLoadsNewest) {
   std::size_t fallbacks = 99;
   const auto loaded = store.LoadLatest(100, &fallbacks);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->rounds, 4u);
+  EXPECT_EQ(loaded->rounds(), 4u);
   EXPECT_EQ(fallbacks, 0u);
 }
 
@@ -283,7 +303,7 @@ TEST(CheckpointStoreTest, FallsBackPastCorruptNewestGeneration) {
   SessionState state = MakeGoldenState();
   state.answer_log_offset = 0;
   for (std::size_t round = 1; round <= 3; ++round) {
-    state.rounds = round;
+    state.round_logs.resize(round);
     ASSERT_TRUE(store.Write(state).ok());
   }
   // Corrupt the newest generation in the middle of the payload.
@@ -295,7 +315,7 @@ TEST(CheckpointStoreTest, FallsBackPastCorruptNewestGeneration) {
   std::size_t fallbacks = 0;
   const auto loaded = store.LoadLatest(100, &fallbacks);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->rounds, 2u);
+  EXPECT_EQ(loaded->rounds(), 2u);
   EXPECT_EQ(fallbacks, 1u);
 }
 
@@ -305,10 +325,10 @@ TEST(CheckpointStoreTest, SkipsSnapshotAheadOfAnswerLog) {
   CheckpointStore store(options);
 
   SessionState state = MakeGoldenState();
-  state.rounds = 1;
+  state.round_logs.resize(1);
   state.answer_log_offset = 2;
   ASSERT_TRUE(store.Write(state).ok());
-  state.rounds = 2;
+  state.round_logs.resize(2);
   state.answer_log_offset = 10;  // More than the log will hold.
   ASSERT_TRUE(store.Write(state).ok());
 
@@ -316,7 +336,7 @@ TEST(CheckpointStoreTest, SkipsSnapshotAheadOfAnswerLog) {
   const auto loaded = store.LoadLatest(/*max_valid_log_entries=*/5,
                                        &fallbacks);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->rounds, 1u);
+  EXPECT_EQ(loaded->rounds(), 1u);
   EXPECT_EQ(fallbacks, 1u);
 }
 
@@ -339,7 +359,7 @@ TEST(CheckpointStoreTest, InjectedWriteFailureIsCleanIOErrorWithPath) {
   CheckpointStore store(options);
 
   SessionState state = MakeGoldenState();
-  state.rounds = 1;
+  state.round_logs.resize(1);
   const Status wrote = store.Write(state);
   EXPECT_TRUE(wrote.IsIOError()) << wrote.ToString();
   // The error carries the path so an operator can find the full disk,
@@ -366,7 +386,7 @@ TEST(CheckpointStoreTest, InjectedSyncFailureFailsTheWrite) {
   CheckpointStore store(options);
 
   SessionState state = MakeGoldenState();
-  state.rounds = 1;
+  state.round_logs.resize(1);
   const Status wrote = store.Write(state);
   EXPECT_TRUE(wrote.IsIOError()) << wrote.ToString();
   EXPECT_GE(io.stats().syncs_failed, 1u);
@@ -389,7 +409,7 @@ TEST(CheckpointStoreTest, InjectedReadCorruptionFallsBackToOlder) {
   SessionState state = MakeGoldenState();
   state.answer_log_offset = 0;
   for (std::size_t round = 1; round <= 3; ++round) {
-    state.rounds = round;
+    state.round_logs.resize(round);
     ASSERT_TRUE(store.Write(state).ok());
   }
 
@@ -407,8 +427,8 @@ TEST(CheckpointStoreTest, InjectedReadCorruptionFallsBackToOlder) {
   std::size_t fallbacks = 0;
   const auto loaded = corrupted.LoadLatest(100, &fallbacks);
   if (loaded.ok()) {
-    EXPECT_GE(loaded->rounds, 1u);
-    EXPECT_LE(loaded->rounds, 3u);
+    EXPECT_GE(loaded->rounds(), 1u);
+    EXPECT_LE(loaded->rounds(), 3u);
   } else {
     EXPECT_TRUE(loaded.status().IsNotFound()) << loaded.status().ToString();
   }
@@ -422,11 +442,11 @@ TEST(CheckpointStoreTest, SessionNamespacesNeitherPruneNorLoadEachOther) {
   SessionState state = MakeGoldenState();
   state.answer_log_offset = 0;
   for (std::size_t round = 1; round <= 3; ++round) {
-    state.rounds = round;
+    state.round_logs.resize(round);
     state.budget_left = 100.0 + static_cast<double>(round);
     ASSERT_TRUE(alpha.Write(state).ok());
   }
-  state.rounds = 1;
+  state.round_logs.resize(1);
   state.budget_left = 7.0;
   ASSERT_TRUE(beta.Write(state).ok());
 
@@ -445,18 +465,18 @@ TEST(CheckpointStoreTest, SessionNamespacesNeitherPruneNorLoadEachOther) {
   std::size_t fallbacks = 0;
   const auto from_alpha = alpha.LoadLatest(100, &fallbacks);
   ASSERT_TRUE(from_alpha.ok()) << from_alpha.status().ToString();
-  EXPECT_EQ(from_alpha->rounds, 3u);
+  EXPECT_EQ(from_alpha->rounds(), 3u);
   EXPECT_EQ(from_alpha->budget_left, 103.0);
   const auto from_beta = beta.LoadLatest(100, &fallbacks);
   ASSERT_TRUE(from_beta.ok()) << from_beta.status().ToString();
-  EXPECT_EQ(from_beta->rounds, 1u);
+  EXPECT_EQ(from_beta->rounds(), 1u);
   EXPECT_EQ(from_beta->budget_left, 7.0);
 
   // A legacy (un-namespaced) store sharing the directory sees neither
   // session's files, and its own writes are invisible to both.
   CheckpointStore legacy({.dir = dir});
   EXPECT_TRUE(legacy.ListGenerations().empty());
-  state.rounds = 9;
+  state.round_logs.resize(9);
   ASSERT_TRUE(legacy.Write(state).ok());
   EXPECT_EQ(legacy.ListGenerations().size(), 1u);
   EXPECT_EQ(alpha.ListGenerations().size(), 2u);
@@ -473,14 +493,14 @@ TEST(CheckpointStoreTest, SessionIdPrefixCannotClaimLongerIdsFiles) {
 
   SessionState state = MakeGoldenState();
   state.answer_log_offset = 0;
-  state.rounds = 1;
+  state.round_logs.resize(1);
   ASSERT_TRUE(longer.Write(state).ok());
 
   EXPECT_TRUE(shorter.ListGenerations().empty());
   std::size_t fallbacks = 0;
   EXPECT_TRUE(shorter.LoadLatest(100, &fallbacks).status().IsNotFound());
 
-  state.rounds = 2;
+  state.round_logs.resize(2);
   ASSERT_TRUE(shorter.Write(state).ok());
   const auto longer_gens = longer.ListGenerations();
   ASSERT_EQ(longer_gens.size(), 1u);
@@ -495,7 +515,7 @@ TEST(CheckpointStoreTest, AbortedWriteLeavesPreviousGenerationsIntact) {
   options.dir = FreshDir("bc_ckpt_abort");
   CheckpointStore store(options);
   SessionState state = MakeGoldenState();
-  state.rounds = 1;
+  state.round_logs.resize(1);
   state.answer_log_offset = 0;
   ASSERT_TRUE(store.Write(state).ok());
 
@@ -505,7 +525,7 @@ TEST(CheckpointStoreTest, AbortedWriteLeavesPreviousGenerationsIntact) {
     return Status::IOError("simulated kill before rename");
   };
   CheckpointStore failing_store(failing);
-  state.rounds = 2;
+  state.round_logs.resize(2);
   EXPECT_FALSE(failing_store.Write(state).ok());
 
   EXPECT_EQ(store.ListGenerations(),
@@ -513,7 +533,7 @@ TEST(CheckpointStoreTest, AbortedWriteLeavesPreviousGenerationsIntact) {
   std::size_t fallbacks = 0;
   const auto loaded = store.LoadLatest(100, &fallbacks);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->rounds, 1u);
+  EXPECT_EQ(loaded->rounds(), 1u);
   EXPECT_EQ(fallbacks, 0u);
 }
 
@@ -524,7 +544,7 @@ TEST(CheckpointStoreTest, TornTmpWritePromotedByRenameFallsBack) {
   options.dir = FreshDir("bc_ckpt_torn");
   CheckpointStore store(options);
   SessionState state = MakeGoldenState();
-  state.rounds = 1;
+  state.round_logs.resize(1);
   state.answer_log_offset = 0;
   ASSERT_TRUE(store.Write(state).ok());
 
@@ -536,24 +556,24 @@ TEST(CheckpointStoreTest, TornTmpWritePromotedByRenameFallsBack) {
     return ec ? Status::IOError(ec.message()) : Status::OK();
   };
   CheckpointStore tearing_store(tearing);
-  state.rounds = 2;
+  state.round_logs.resize(2);
   ASSERT_TRUE(tearing_store.Write(state).ok());
 
   std::size_t fallbacks = 0;
   const auto loaded = store.LoadLatest(100, &fallbacks);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->rounds, 1u);
+  EXPECT_EQ(loaded->rounds(), 1u);
   EXPECT_EQ(fallbacks, 1u);
 }
 
 // ------------------------------------------------------------------- //
-// Golden fixture. golden_v10.ckpt matches today's writer byte-for-byte,
+// Golden fixture. golden_v11.ckpt matches today's writer byte-for-byte,
 // envelope and memo blob included; regenerate with:
 //   BC_REGEN_GOLDEN=1 ./checkpoint_test
 // ------------------------------------------------------------------- //
 
-TEST(GoldenV10FixtureTest, CommittedFixtureMatchesHeadBytes) {
-  const std::string path = std::string(BC_TESTDATA_DIR) + "/golden_v10.ckpt";
+TEST(GoldenV11FixtureTest, CommittedFixtureMatchesHeadBytes) {
+  const std::string path = std::string(BC_TESTDATA_DIR) + "/golden_v11.ckpt";
   const SessionState expected = MakeGoldenState();
   if (std::getenv("BC_REGEN_GOLDEN") != nullptr) {
     WriteFileBytes(path, WrapCheckpoint(SerializeState(expected)).value());
@@ -570,6 +590,7 @@ TEST(GoldenV10FixtureTest, CommittedFixtureMatchesHeadBytes) {
   BinReader reader(payload.value());
   SessionState restored;
   ASSERT_TRUE(DeserializeSessionState(&reader, &restored).ok());
+  EXPECT_EQ(restored.answers, expected.answers);
   ASSERT_EQ(restored.solver_breakers.size(), 2u);
   EXPECT_EQ(restored.solver_breakers[0].object, 2u);
   EXPECT_TRUE(restored.solver_breakers[0].open);
@@ -738,9 +759,9 @@ TEST(CheckpointEnvelopeTest, RefusesEveryOtherVersion) {
   // The CRC covers only the payload, so the version byte may be edited
   // in place: only kCheckpointVersion itself unwraps.
   std::string wrapped = WrapCheckpoint("payload").value();
-  ASSERT_EQ(kCheckpointVersion, 10u);
+  ASSERT_EQ(kCheckpointVersion, 11u);
   for (const std::uint32_t version :
-       {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 11u}) {
+       {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 12u}) {
     wrapped[4] = static_cast<char>(version);
     const auto refused = UnwrapCheckpoint(wrapped);
     ASSERT_FALSE(refused.ok()) << "version " << version;
@@ -806,7 +827,7 @@ void WriteRoundOneSnapshot(const std::string& dir,
   options.dir = dir;
   CheckpointStore store(options);
   SessionState state = MakeGoldenState();
-  state.rounds = 1;
+  state.round_logs.resize(1);
   state.answer_log_offset = 1;
   state.config_fingerprint = fingerprint;
   ASSERT_TRUE(store.Write(state).ok());
@@ -823,7 +844,7 @@ TEST(SessionTest, RecoverReplaysTailAndDropsTornRecord) {
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_TRUE(recovered->dropped_torn_tail);
   EXPECT_EQ(recovered->durable_entries, 3u);
-  EXPECT_EQ(recovered->state.rounds, 1u);
+  EXPECT_EQ(recovered->state.rounds(), 1u);
   ASSERT_EQ(recovered->replay_tail.entries.size(), 2u);
   EXPECT_EQ(recovered->replay_tail.entries[1], LogEntry(2, 2));
 
@@ -923,7 +944,7 @@ TEST(SessionTest, RecoverRefusesFingerprintMismatch) {
   options.dir = dir;
   CheckpointStore store(options);
   SessionState state = MakeGoldenState();
-  state.rounds = 1;
+  state.round_logs.resize(1);
   state.answer_log_offset = 0;
   state.config_fingerprint = 7;
   ASSERT_TRUE(store.Write(state).ok());

@@ -195,15 +195,15 @@ TEST(ApplyAnswerTest, VarConstAnswersNarrow) {
   KnowledgeBase kb(table.schema());
   Task task;
   task.expression = Expression::VarConst(V(4, 3), CmpOp::kLess, 4);
-  ASSERT_TRUE(ApplyAnswer(task, {Ordering::kLess}, &kb).ok());
+  ASSERT_TRUE(ApplyAnswer({task.expression, Ordering::kLess}, &kb).ok());
   EXPECT_EQ(kb.Bounds(V(4, 3)).second, 3);
 
   task.expression = Expression::VarConst(V(4, 1), CmpOp::kGreater, 2);
-  ASSERT_TRUE(ApplyAnswer(task, {Ordering::kGreater}, &kb).ok());
+  ASSERT_TRUE(ApplyAnswer({task.expression, Ordering::kGreater}, &kb).ok());
   EXPECT_EQ(kb.Bounds(V(4, 1)).first, 3);
 
   task.expression = Expression::VarConst(V(4, 2), CmpOp::kLess, 3);
-  ASSERT_TRUE(ApplyAnswer(task, {Ordering::kEqual}, &kb).ok());
+  ASSERT_TRUE(ApplyAnswer({task.expression, Ordering::kEqual}, &kb).ok());
   Level pinned = -1;
   EXPECT_TRUE(kb.IsPinned(V(4, 2), &pinned));
   EXPECT_EQ(pinned, 3);
@@ -214,7 +214,7 @@ TEST(ApplyAnswerTest, VarVarAnswerRecordsOrder) {
   KnowledgeBase kb(table.schema());
   Task task;
   task.expression = Expression::VarVar(V(4, 1), CmpOp::kGreater, V(1, 1));
-  ASSERT_TRUE(ApplyAnswer(task, {Ordering::kGreater}, &kb).ok());
+  ASSERT_TRUE(ApplyAnswer({task.expression, Ordering::kGreater}, &kb).ok());
   EXPECT_EQ(kb.Evaluate(task.expression), Truth::kTrue);
 }
 
@@ -225,7 +225,7 @@ TEST(ApplyAnswerTest, ImpossibleAnswerDegradesToPin) {
   // "Var(o5,a4) < 4" answered "greater" is possible (5 exists: domain 6).
   // But an erroneous "less" on a bound of 0 pins the variable to 0.
   task.expression = Expression::VarConst(V(4, 3), CmpOp::kGreater, 0);
-  ASSERT_TRUE(ApplyAnswer(task, {Ordering::kLess}, &kb).ok());
+  ASSERT_TRUE(ApplyAnswer({task.expression, Ordering::kLess}, &kb).ok());
   Level pinned = -1;
   EXPECT_TRUE(kb.IsPinned(V(4, 3), &pinned));
   EXPECT_EQ(pinned, 0);

@@ -157,7 +157,7 @@ TEST(FailureTest, GovernedLadderRescuesExhaustedAdpll) {
   BayesCrowd framework(options);
   const auto result = framework.Run(incomplete, posteriors2, platform2);
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_GT(result->solver.budget_exhausted, 0u);
+  EXPECT_GT(result->metrics.CounterValue("solver.budget_exhausted"), 0u);
 }
 
 TEST(FailureTest, PosteriorProviderErrorPropagates) {

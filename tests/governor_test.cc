@@ -493,8 +493,11 @@ TEST(GovernedFrameworkTest, TinyBudgetRunCompletesWithGrades) {
     ASSERT_LT(id, result.probability_intervals.size());
     EXPECT_FALSE(result.probability_intervals[id].exact());
   }
-  EXPECT_GT(result.solver.tier_exact + result.solver.tier_partial +
-                result.solver.tier_sampled + result.solver.tier_unknown,
+  const obs::MetricsSnapshot& m = result.metrics;
+  EXPECT_GT(m.CounterValue("solver.ladder_tier.exact") +
+                m.CounterValue("solver.ladder_tier.partial") +
+                m.CounterValue("solver.ladder_tier.sampled") +
+                m.CounterValue("solver.ladder_tier.unknown"),
             0u);
 }
 
@@ -513,10 +516,11 @@ TEST(GovernedFrameworkTest, GovernedRunDeterministicAcrossThreadCounts) {
               r8.probability_intervals[i].quality);
   }
   EXPECT_EQ(r1.degraded_objects, r8.degraded_objects);
-  EXPECT_EQ(r1.solver.tier_exact, r8.solver.tier_exact);
-  EXPECT_EQ(r1.solver.tier_partial, r8.solver.tier_partial);
-  EXPECT_EQ(r1.solver.tier_sampled, r8.solver.tier_sampled);
-  EXPECT_EQ(r1.solver.tier_unknown, r8.solver.tier_unknown);
+  for (const char* tier : {"exact", "partial", "sampled", "unknown"}) {
+    const std::string name = std::string("solver.ladder_tier.") + tier;
+    EXPECT_EQ(r1.metrics.CounterValue(name), r8.metrics.CounterValue(name))
+        << name;
+  }
 }
 
 TEST(GovernedFrameworkTest, UnlimitedGovernorMatchesUngovernedRun) {
@@ -541,7 +545,7 @@ TEST(GovernedFrameworkTest, UnlimitedGovernorMatchesUngovernedRun) {
         << "object " << i;
   }
   EXPECT_TRUE(governed.degraded_objects.empty());
-  EXPECT_EQ(governed.solver.budget_exhausted, 0u);
+  EXPECT_EQ(governed.metrics.CounterValue("solver.budget_exhausted"), 0u);
 }
 
 }  // namespace

@@ -6,10 +6,14 @@
 // usage, and resume markers — the headline guarantee of the
 // crash-safety subsystem. A second profile (learned posteriors, faults
 // heavy enough to abandon rounds) resumes from every generation of a
-// run that ends in the barren stop.
+// run that ends in the barren stop. A noisy crowd then checks a
+// resume's replay of the checkpoint's answers against the live run,
+// and that a resume refuses answers that do not fit the table or the
+// round logs.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
@@ -22,10 +26,13 @@
 #include "core/checkpoint.h"
 #include "core/framework.h"
 #include "core/query_spec.h"
+#include "core/runner.h"
 #include "core/session.h"
 #include "core/telemetry.h"
+#include "core/update.h"
 #include "crowd/fault_injection.h"
 #include "crowd/platform.h"
+#include "ctable/knowledge.h"
 #include "data/generators.h"
 #include "data/missing.h"
 #include "obs/json.h"
@@ -417,6 +424,184 @@ TEST(KillPointTest, ResumeFromEveryGenerationKeepsTheBarrenStop) {
   ASSERT_TRUE(ok.ok()) << ok.ToString();
   EXPECT_EQ(resumed.tasks_posted, reference.result.tasks_posted);
   EXPECT_EQ(envelope, reference.envelope);
+}
+
+// ------------------------------------------------------------------ //
+// Replay: a resume folds the checkpoint's answers again onto the
+// rebuilt c-table. A noisy crowd contradicts its own interval answers
+// (newest wins), so only a replay in the live order matches.
+// ------------------------------------------------------------------ //
+
+Table NoisyTruth() { return MakeNbaLike(200, kWorkerSeed); }
+
+Table NoisyDataset() {
+  Rng rng(0xD15EA5E);
+  return InjectMissingUniform(NoisyTruth(), 0.2, rng);
+}
+
+/// Keeps a copy of every snapshot the run writes.
+class CapturingSink : public CheckpointSink {
+ public:
+  Status Write(const SessionState& state) override {
+    states.push_back(state);
+    return Status::OK();
+  }
+  std::vector<SessionState> states;
+};
+
+/// The noisy query (three workers of accuracy 0.6 per task), resumed
+/// from `resume` (null: fresh), stepped at most `steps` rounds, then
+/// finished. Snapshots every round into `sink` when one is given.
+Result<BayesCrowdResult> RunNoisy(const SessionState* resume,
+                                  std::size_t steps, CheckpointSink* sink) {
+  const Table incomplete = NoisyDataset();
+  UniformPosteriorProvider posteriors(incomplete.schema());
+  obs::MetricsRegistry metrics;
+  BayesCrowdOptions options = KillOptions(/*threads=*/2, &metrics);
+  options.budget = 40;
+  options.latency = 8;
+  options.resume = resume;
+  options.checkpoint_sink = sink;
+  options.checkpoint_every = 1;
+  SimulatedPlatformOptions crowd;
+  crowd.worker_accuracy = 0.6;
+  crowd.seed = kWorkerSeed;
+  SimulatedCrowdPlatform sim(NoisyTruth(), crowd);
+  QueryRunner runner(options);
+  BAYESCROWD_RETURN_NOT_OK(runner.Init(incomplete, posteriors, sim));
+  for (std::size_t s = 0; s < steps && !runner.Done(); ++s) {
+    BAYESCROWD_RETURN_NOT_OK(runner.Step());
+  }
+  BAYESCROWD_RETURN_NOT_OK(runner.Finish());
+  return runner.TakeResult();
+}
+
+/// What folding `answers` in order meets: var-const answers that
+/// contradict the variable's interval (newest wins, so the interval
+/// leaves the old one) and var-var answers that contradict a recorded
+/// order (dropped).
+struct FoldNoise {
+  std::size_t interval_resets = 0;
+  std::size_t order_conflicts = 0;
+};
+
+FoldNoise CountNoise(const Schema& schema,
+                     const std::vector<FoldedAnswer>& answers) {
+  KnowledgeBase knowledge(schema);
+  FoldNoise noise;
+  for (const FoldedAnswer& answer : answers) {
+    const auto before = knowledge.Bounds(answer.expression.lhs);
+    if (!ApplyAnswer(answer, &knowledge).ok()) {
+      ++noise.order_conflicts;
+      continue;
+    }
+    const auto after = knowledge.Bounds(answer.expression.lhs);
+    if (after.first < before.first || after.second > before.second) {
+      ++noise.interval_resets;
+    }
+  }
+  return noise;
+}
+
+TEST(ResumeReplayTest, EveryGenerationMatchesTheLiveRunStoppedThere) {
+  CapturingSink sink;
+  const auto full = RunNoisy(nullptr, SIZE_MAX, &sink);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_GE(sink.states.size(), 2u);
+  std::vector<SessionState> states = sink.states;
+
+  // A live session never meets an order conflict: a recorded order
+  // decides every expression on its pair, so the pair is not asked
+  // again. One more generation is the last one with the contradiction
+  // of its first var-var answer added to its last round, which the
+  // replay must drop as the live fold would.
+  SessionState contradicted = states.back();
+  const auto var_var =
+      std::find_if(contradicted.answers.begin(), contradicted.answers.end(),
+                   [](const FoldedAnswer& a) {
+                     return a.expression.rhs_is_var;
+                   });
+  ASSERT_NE(var_var, contradicted.answers.end());
+  FoldedAnswer contradiction = *var_var;
+  contradiction.relation = var_var->relation == Ordering::kLess
+                               ? Ordering::kGreater
+                               : Ordering::kLess;
+  contradicted.answers.push_back(contradiction);
+  ++contradicted.round_logs.back().answered;
+  states.push_back(contradicted);
+
+  EXPECT_EQ(full->order_conflicts, 0u);
+  const FoldNoise noise =
+      CountNoise(NoisyDataset().schema(), contradicted.answers);
+  EXPECT_GT(noise.interval_resets, 0u);
+  EXPECT_EQ(noise.order_conflicts, 1u);
+
+  for (std::size_t g = 0; g < states.size(); ++g) {
+    const SessionState& state = states[g];
+    SCOPED_TRACE("generation " + std::to_string(state.rounds()) +
+                 (g + 1 == states.size() ? " with a contradiction" : ""));
+    const auto live = RunNoisy(nullptr, state.rounds(), nullptr);
+    const auto resumed = RunNoisy(&state, 0, nullptr);
+    ASSERT_TRUE(live.ok()) << live.status().ToString();
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    ASSERT_EQ(live->rounds, state.rounds());
+    ASSERT_EQ(resumed->rounds, state.rounds());
+    const CTable& want = live->final_ctable;
+    const CTable& got = resumed->final_ctable;
+    ASSERT_EQ(got.num_objects(), want.num_objects());
+    for (std::size_t i = 0; i < want.num_objects(); ++i) {
+      EXPECT_TRUE(got.condition(i) == want.condition(i)) << "object " << i;
+      EXPECT_EQ(got.condition(i).Fingerprint(),
+                want.condition(i).Fingerprint())
+          << "object " << i;
+    }
+    ASSERT_EQ(resumed->probability_intervals.size(),
+              live->probability_intervals.size());
+    for (std::size_t i = 0; i < live->probability_intervals.size(); ++i) {
+      const ProbInterval& a = live->probability_intervals[i];
+      const ProbInterval& b = resumed->probability_intervals[i];
+      EXPECT_EQ(b.lo, a.lo) << "object " << i;
+      EXPECT_EQ(b.hi, a.hi) << "object " << i;
+      EXPECT_EQ(b.quality, a.quality) << "object " << i;
+    }
+  }
+}
+
+TEST(ResumeReplayTest, RefusesAnswersOutsideTheTableOrTheRoundLogs) {
+  CapturingSink sink;
+  ASSERT_TRUE(RunNoisy(nullptr, 2, &sink).ok());
+  ASSERT_EQ(sink.states.size(), 2u);
+  const SessionState& good = sink.states.back();
+  ASSERT_FALSE(good.answers.empty());
+  const Table incomplete = NoisyDataset();
+
+  SessionState attribute = good;
+  attribute.answers.back().expression.lhs.attribute =
+      incomplete.num_attributes();
+  SessionState object = good;
+  object.answers.front().expression.lhs.object = incomplete.num_objects();
+  SessionState overrun = good;
+  ++overrun.round_logs.back().answered;
+  SessionState unclaimed = good;
+  --unclaimed.round_logs.front().answered;
+
+  for (const SessionState* bad : {&attribute, &object, &overrun,
+                                  &unclaimed}) {
+    // Through the checkpoint envelope, so the CRC holds: the refusal is
+    // resume's, not the loader's.
+    std::string payload;
+    SerializeSessionState(*bad, &payload);
+    const auto unwrapped = UnwrapCheckpoint(WrapCheckpoint(payload).value());
+    ASSERT_TRUE(unwrapped.ok()) << unwrapped.status().ToString();
+    BinReader reader(unwrapped.value());
+    SessionState loaded;
+    ASSERT_TRUE(DeserializeSessionState(&reader, &loaded).ok());
+    const auto refused = RunNoisy(&loaded, 0, nullptr);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_TRUE(refused.status().IsInvalidArgument())
+        << refused.status().ToString();
+  }
+  EXPECT_TRUE(RunNoisy(&good, 0, nullptr).ok());
 }
 
 }  // namespace

@@ -501,9 +501,11 @@ TEST(SessionManagerTest, HeavyTenantDegradesDownLadderLightStaysExact) {
   // final probabilities carry degraded ProbQuality grades. The light
   // tenant shared the server and still got exact answers.
   EXPECT_FALSE(heavy_result->degraded_objects.empty());
-  EXPECT_GT(heavy_result->solver.budget_exhausted, 0u);
+  EXPECT_GT(heavy_result->metrics.CounterValue("solver.budget_exhausted"),
+            0u);
   EXPECT_TRUE(light_result->degraded_objects.empty());
-  EXPECT_EQ(light_result->solver.budget_exhausted, 0u);
+  EXPECT_EQ(light_result->metrics.CounterValue("solver.budget_exhausted"),
+            0u);
 
   // The steps are visible in tenant=/session=-labeled serve metrics
   // and the flight ring.

@@ -468,7 +468,7 @@ int CmdRun(const Flags& flags) {
       std::printf(
           "resuming from round %zu: %zu answer(s) to replay, %zu "
           "checkpoint generation(s) skipped%s\n",
-          recovered->state.rounds, recovered->replay_tail.entries.size(),
+          recovered->state.rounds(), recovered->replay_tail.entries.size(),
           recovered->fallbacks,
           recovered->dropped_torn_tail ? ", torn log tail dropped" : "");
     }

@@ -379,6 +379,8 @@ echo "== tier-1: perfbench smoke (all workloads) =="
 python3 "$ROOT/perfbench/run.py" --workload all --smoke --seconds 1 --trace 0
 
 echo "== tier-1: crash-safety and factor-kernel tests under ASan+UBSan =="
+# Each sanitizer stage names its tests once: the array feeds both the
+# build targets and the anchored ctest filter.
 # The Bayes-net factor kernels step flat indices by raw strides, so their
 # tests ride along with the recovery-path tests, and so do the dominator
 # kernel's (ctable, property), which index raw 64-bit words of level
@@ -387,35 +389,33 @@ echo "== tier-1: crash-safety and factor-kernel tests under ASan+UBSan =="
 # failure), and the readers of outside input (fuzz: CSV, network and
 # query-spec fuzzing; the query spec's own tests). So does the pooled
 # evaluator and round update (parallel): lanes fill per-index lookup
-# slots and edit conditions in place.
+# slots and edit conditions in place. The expression decoder reads every
+# answer-log entry and every checkpoint's answers (record_replay), and a
+# resumed interactive session folds those answers again (interactive).
+ASAN_TESTS=(checkpoint_test killpoint_test fault_test differential_test
+  governor_test obs_test attribution_test serve_test serve_killpoint_test
+  quality_test marketplace_test bayesnet_test inference_property_test
+  probability_test core_test failure_test fuzz_test query_spec_test
+  ctable_test property_test parallel_test record_replay_test
+  interactive_test)
 cmake -B "$ROOT/build-asan" -S "$ROOT" \
   -DBC_SANITIZE=address,undefined \
   -DBAYESCROWD_BUILD_BENCHMARKS=OFF \
   -DBAYESCROWD_BUILD_EXAMPLES=OFF
-cmake --build "$ROOT/build-asan" -j "$JOBS" --target checkpoint_test \
-  --target killpoint_test --target fault_test --target differential_test \
-  --target governor_test --target obs_test \
-  --target attribution_test --target serve_test \
-  --target serve_killpoint_test --target quality_test \
-  --target marketplace_test --target bayesnet_test \
-  --target inference_property_test --target probability_test \
-  --target core_test --target failure_test --target fuzz_test \
-  --target query_spec_test --target ctable_test --target property_test \
-  --target parallel_test
+cmake --build "$ROOT/build-asan" -j "$JOBS" --target "${ASAN_TESTS[@]}"
 ctest --test-dir "$ROOT/build-asan" --output-on-failure \
-  -R '(checkpoint_test|killpoint_test|fault_test|differential_test|governor_test|obs_test|attribution_test|serve_test|serve_killpoint_test|quality_test|marketplace_test|bayesnet_test|inference_property_test|probability_test|core_test|failure_test|fuzz_test|query_spec_test|ctable_test|property_test|parallel_test)'
+  -R "^($(IFS='|'; echo "${ASAN_TESTS[*]}"))\$"
 
 echo "== tier-1: concurrency tests under ThreadSanitizer =="
+TSAN_TESTS=(parallel_test obs_test attribution_test differential_test
+  fault_test record_replay_test governor_test serve_test
+  serve_killpoint_test marketplace_test)
 cmake -B "$ROOT/build-tsan" -S "$ROOT" \
   -DBC_SANITIZE=thread \
   -DBAYESCROWD_BUILD_BENCHMARKS=OFF \
   -DBAYESCROWD_BUILD_EXAMPLES=OFF
-cmake --build "$ROOT/build-tsan" -j "$JOBS" --target parallel_test \
-  --target obs_test --target attribution_test --target differential_test \
-  --target fault_test --target record_replay_test --target governor_test \
-  --target serve_test \
-  --target serve_killpoint_test --target marketplace_test
+cmake --build "$ROOT/build-tsan" -j "$JOBS" --target "${TSAN_TESTS[@]}"
 ctest --test-dir "$ROOT/build-tsan" --output-on-failure \
-  -R '(parallel_test|obs_test|attribution_test|differential_test|fault_test|record_replay_test|governor_test|serve_test|serve_killpoint_test|marketplace_test)'
+  -R "^($(IFS='|'; echo "${TSAN_TESTS[*]}"))\$"
 
 echo "tier-1 OK"
