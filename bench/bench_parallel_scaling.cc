@@ -1,14 +1,11 @@
-// Parallel + memoized evaluation: crowdsourcing-phase wall clock on one
-// fixed synthetic workload, swept over 1/2/4/8 evaluation threads with
-// the Pr(φ) memo cache on and off.
+// Parallel evaluation: crowdsourcing-phase wall clock on one fixed
+// synthetic workload, swept over 1/2/4/8 evaluation threads.
 //
-// Series: (threads, cache). The (1, off) point is the pre-optimization
-// baseline — strictly sequential, every probability recomputed. The
-// headline comparison for the perf trajectory is (8, on) vs (1, off) on
-// crowd_seconds; select/update splits and the cache hit rate explain
-// where the win comes from. Probabilities and selected tasks are
-// bit-identical across every configuration (asserted by
-// parallel_test.cc), so the series differ in time only.
+// Series: threads. The 1-thread point is the sequential baseline; the
+// headline comparison is 8 vs 1 thread on crowd_seconds, and the
+// select/update splits explain where the time goes. Probabilities and
+// selected tasks are bit-identical across every configuration
+// (asserted by parallel_test.cc), so the series differ in time only.
 
 // In addition to the console/JSON output of the benchmark library, this
 // binary writes BENCH_parallel_scaling.json (telemetry envelope, one row
@@ -36,7 +33,6 @@ BenchArtifact& Artifact() {
 
 void BM_ParallelScaling(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
-  const bool cache = state.range(1) != 0;
 
   // The shared NBA-like workload at 15% missing puts the c-table in the
   // ADPLL-heavy regime (tens of microseconds per condition), so the
@@ -45,8 +41,8 @@ void BM_ParallelScaling(benchmark::State& state) {
   const Table incomplete = WithMissingRate(complete, 0.15);
   const auto& network = LearnedNetwork(incomplete, "scaling@0.15");
 
-  // Many small rounds (ceil(B/L) = 1 task each): the regime the memo
-  // cache targets, where each round re-ranks mostly-unchanged conditions.
+  // Many small rounds (ceil(B/L) = 1 task each): each round re-ranks
+  // every undecided object, so ranking solves dominate the phase.
   BayesCrowdOptions options;
   options.ctable.alpha = 0.003;
   options.strategy.kind = StrategyKind::kHhs;
@@ -54,7 +50,6 @@ void BM_ParallelScaling(benchmark::State& state) {
   options.budget = 60;
   options.latency = 60;
   options.threads = threads;
-  options.probability.memoize = cache;
 
   BayesCrowdResult result;
   for (auto _ : state) {
@@ -67,18 +62,9 @@ void BM_ParallelScaling(benchmark::State& state) {
   }
 
   state.counters["threads"] = static_cast<double>(threads);
-  state.counters["cache"] = cache ? 1.0 : 0.0;
   state.counters["crowd_seconds"] = result.crowdsourcing_seconds;
   state.counters["select_seconds"] = result.select_seconds;
   state.counters["update_seconds"] = result.update_seconds;
-  state.counters["cache_hits"] = static_cast<double>(result.cache_hits);
-  state.counters["cache_misses"] =
-      static_cast<double>(result.cache_misses);
-  const double lookups =
-      static_cast<double>(result.cache_hits + result.cache_misses);
-  state.counters["cache_hit_rate"] =
-      lookups == 0.0 ? 0.0
-                     : static_cast<double>(result.cache_hits) / lookups;
   state.counters["tasks"] = static_cast<double>(result.tasks_posted);
   state.counters["rounds"] = static_cast<double>(result.rounds);
   const double f1 = EvaluateResultSet(result.result_objects,
@@ -88,13 +74,10 @@ void BM_ParallelScaling(benchmark::State& state) {
 
   obs::JsonValue config = obs::JsonValue::Object();
   config["threads"] = threads;
-  config["cache"] = cache;
   obs::JsonValue row = obs::JsonValue::Object();
   row["crowd_seconds"] = result.crowdsourcing_seconds;
   row["select_seconds"] = result.select_seconds;
   row["update_seconds"] = result.update_seconds;
-  row["cache_hits"] = result.cache_hits;
-  row["cache_misses"] = result.cache_misses;
   row["tasks"] = result.tasks_posted;
   row["rounds"] = result.rounds;
   row["adpll_calls"] = result.adpll.calls;
@@ -108,18 +91,13 @@ void BM_ParallelScaling(benchmark::State& state) {
     lanes.Append(std::move(entry));
   }
   row["lanes"] = std::move(lanes);
-  Artifact().AddRun(
-      StrFormat("parallel_scaling/threads=%zu/cache=%d", threads,
-                cache ? 1 : 0),
-      1e3 * result.total_seconds, std::move(row), std::move(config));
+  Artifact().AddRun(StrFormat("parallel_scaling/threads=%zu", threads),
+                    1e3 * result.total_seconds, std::move(row),
+                    std::move(config));
 }
 
 void ScalingArgs(benchmark::internal::Benchmark* bench) {
-  for (std::int64_t cache : {0, 1}) {
-    for (std::int64_t threads : {1, 2, 4, 8}) {
-      bench->Args({threads, cache});
-    }
-  }
+  for (std::int64_t threads : {1, 2, 4, 8}) bench->Args({threads});
   bench->Unit(benchmark::kMillisecond)->Iterations(1);
 }
 

@@ -35,7 +35,6 @@ serve::SessionSpec MakeSpec(std::size_t index) {
   spec.ground_truth = MakeNbaLike(120, 9 + index);
   Rng rng(5);
   spec.incomplete = InjectMissingUniform(spec.ground_truth, 0.15, rng);
-  spec.cache_key = StrFormat("nba-%zu", 9 + index);
   spec.options.ctable.alpha = 0.01;
   spec.options.budget = 24;
   spec.options.latency = 4;

@@ -57,10 +57,10 @@ Table WithMissingRate(const Table& complete, double missing_rate,
 }
 
 const BayesianNetwork& LearnedNetwork(const Table& incomplete,
-                                      const std::string& cache_key) {
+                                      const std::string& key) {
   static auto* cache =
       new std::map<std::string, std::unique_ptr<BayesianNetwork>>();
-  const auto it = cache->find(cache_key);
+  const auto it = cache->find(key);
   if (it != cache->end()) return *it->second;
 
   StructureLearningOptions options;
@@ -72,7 +72,7 @@ const BayesianNetwork& LearnedNetwork(const Table& incomplete,
   BAYESCROWD_CHECK_OK(net->FitParameters(incomplete));
   auto owned = std::make_unique<BayesianNetwork>(std::move(net).value());
   const BayesianNetwork& ref = *owned;
-  cache->emplace(cache_key, std::move(owned));
+  cache->emplace(key, std::move(owned));
   return ref;
 }
 

@@ -46,7 +46,7 @@ Table WithMissingRate(const Table& complete, double missing_rate,
 /// `incomplete`, cached per (dataset pointer, missing-rate) — the
 /// preprocessing step of BayesCrowd.
 const BayesianNetwork& LearnedNetwork(const Table& incomplete,
-                                      const std::string& cache_key);
+                                      const std::string& key);
 
 /// One full BayesCrowd run against a simulated crowd plus its F1 versus
 /// the complete-data skyline.

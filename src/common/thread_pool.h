@@ -2,7 +2,7 @@
 // parallel-for API, shared by the batch probability evaluator and the
 // benchmark harness.
 //
-// Design constraints (see DESIGN.md, "Concurrency & caching model"):
+// Design constraints (see DESIGN.md, "Concurrency model"):
 //  * The calling thread participates as lane 0, so a pool of size 1
 //    never spawns a thread and ParallelFor degenerates to a plain loop —
 //    the single-threaded path stays bit-identical to the pre-pool code.

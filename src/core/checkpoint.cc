@@ -41,8 +41,6 @@ void WriteRoundLog(BinWriter* w, const RoundLog& log) {
   w->WriteDouble(log.backoff_seconds);
   w->WriteDouble(log.simulated_seconds);
   w->WriteBool(log.abandoned);
-  w->WriteU64(log.cache_hits);
-  w->WriteU64(log.cache_misses);
 }
 
 Status ReadRoundLog(BinReader* r, RoundLog* log) {
@@ -63,14 +61,11 @@ Status ReadRoundLog(BinReader* r, RoundLog* log) {
   BAYESCROWD_RETURN_NOT_OK(r->ReadDouble(&log->cost_refunded));
   BAYESCROWD_RETURN_NOT_OK(r->ReadDouble(&log->backoff_seconds));
   BAYESCROWD_RETURN_NOT_OK(r->ReadDouble(&log->simulated_seconds));
-  BAYESCROWD_RETURN_NOT_OK(r->ReadBool(&log->abandoned));
-  BAYESCROWD_RETURN_NOT_OK(r->ReadU64(&log->cache_hits));
-  BAYESCROWD_RETURN_NOT_OK(r->ReadU64(&log->cache_misses));
-  return Status::OK();
+  return r->ReadBool(&log->abandoned);
 }
 
-// Minimum serialized round log: 7 u64 + 6 double + bool = 105 bytes.
-constexpr std::size_t kMinRoundLogBytes = 105;
+// Minimum serialized round log: 5 u64 + 6 double + bool = 89 bytes.
+constexpr std::size_t kMinRoundLogBytes = 89;
 
 void WriteMetricsSnapshot(BinWriter* w, const obs::MetricsSnapshot& m) {
   w->WriteU64(m.counters.size());
@@ -232,7 +227,6 @@ void SerializeSessionState(const SessionState& state, std::string* out) {
   for (const RoundLog& log : state.round_logs) WriteRoundLog(&w, log);
   w.WriteU64(state.answers.size());
   for (const FoldedAnswer& answer : state.answers) WriteAnswer(&w, answer);
-  w.WriteString(state.evaluator_blob);
   WriteMetricsSnapshot(&w, state.metrics);
   w.WriteString(state.platform_state);
   w.WriteU64(state.platform_tasks);
@@ -260,7 +254,6 @@ Status DeserializeSessionState(BinReader* reader, SessionState* out) {
   for (FoldedAnswer& answer : out->answers) {
     BAYESCROWD_RETURN_NOT_OK(ReadAnswer(reader, &answer));
   }
-  BAYESCROWD_RETURN_NOT_OK(reader->ReadString(&out->evaluator_blob));
   BAYESCROWD_RETURN_NOT_OK(ReadMetricsSnapshot(reader, &out->metrics));
   BAYESCROWD_RETURN_NOT_OK(reader->ReadString(&out->platform_state));
   BAYESCROWD_RETURN_NOT_OK(ReadSize(reader, &out->platform_tasks));

@@ -4,8 +4,7 @@
 //
 // A checkpoint stores what a session's inputs do not determine: every
 // crowd answer it folded, in fold order, the budget, the per-round
-// logs, the evaluator's memo state (entries, live variable index,
-// epochs), the circuit breakers, the metrics snapshot, and the crowd
+// logs, the circuit breakers, the metrics snapshot, and the crowd
 // platform's own serialized state (simulator RNG, fault injector,
 // marketplace reputations). Each fact is stored once. The conditions
 // and the knowledge base's facts follow from the pristine c-table,
@@ -50,11 +49,13 @@ namespace bayescrowd {
 
 /// Checkpoint format version written by this build, and the only one
 /// it reads: any other version fails with a clear "older"/"newer"
-/// error instead of a misparse. Versions 1–10 were earlier layouts (10
+/// error instead of a misparse. Versions 1–11 were earlier layouts (10
 /// also stored every condition, the knowledge base's facts, the round
-/// count and the barren streak, which 11 derives); change the envelope,
-/// the payload, the memo blob or a platform chunk only by bumping this.
-inline constexpr std::uint32_t kCheckpointVersion = 11;
+/// count and the barren streak, which 11 derives; 11 also stored the
+/// evaluator's memo blob and per-round cache counts, which 12 drops
+/// with the memo); change the envelope, the payload or a platform chunk
+/// only by bumping this.
+inline constexpr std::uint32_t kCheckpointVersion = 12;
 
 /// Everything Run() snapshots at a round boundary, taken after the
 /// round's barren accounting. Field order here is the serialization
@@ -76,11 +77,10 @@ struct SessionState {
 
   // -- Knowledge state ---------------------------------------------- //
   /// Every answered task, in fold order: the delivered rounds' answers,
-  /// each round's `answered` of them, contradictory var-var answers the
-  /// fold dropped included. A resume folds them again onto the rebuilt
-  /// c-table to restore the conditions and the knowledge base.
+  /// each round's `answered` of them. A resume folds them again onto the
+  /// rebuilt c-table to restore the conditions and the knowledge base,
+  /// and refuses an answer the fold fails on.
   std::vector<FoldedAnswer> answers;
-  std::string evaluator_blob;  // ProbabilityEvaluator::SerializeMemoState.
   obs::MetricsSnapshot metrics;
 
   // -- Crowd platform ----------------------------------------------- //

@@ -150,8 +150,7 @@ struct BayesCrowdOptions {
   /// Worker lanes for the c-table build and probability evaluation
   /// (entropy ranking and UBS/HHS counterfactual scoring). 0 = hardware
   /// concurrency; 1 runs everything on the calling thread. Results are
-  /// bit-identical for any value (see DESIGN.md, "Concurrency & caching
-  /// model").
+  /// bit-identical for any value (see DESIGN.md, "Concurrency model").
   /// Ignored when `pool` is set.
   std::size_t threads = 0;
 
@@ -164,7 +163,7 @@ struct BayesCrowdOptions {
   /// otherwise deterministic result.
   ThreadPool* pool = nullptr;
 
-  /// Metrics sink for the run ("evaluator.cache.*", "adpll.*",
+  /// Metrics sink for the run ("adpll.*", "solver.*",
   /// "framework.*"). Non-owning; must outlive Run(). nullptr means Run
   /// uses a private registry (its final state still lands in
   /// BayesCrowdResult::metrics), so repeated runs never see each
@@ -219,16 +218,6 @@ struct RoundLog {
   double backoff_seconds = 0.0;   // Simulated backoff spent this round.
   double simulated_seconds = 0.0; // Attempts + backoff, simulated clock.
   bool abandoned = false;         // Every attempt failed; nothing posted.
-
-  /// Evaluator memo-cache traffic attributable to this round.
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  double CacheHitRate() const {
-    const std::uint64_t total = cache_hits + cache_misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(cache_hits) /
-                            static_cast<double>(total);
-  }
 };
 
 /// One object's solver circuit-breaker state at a round boundary (see
@@ -259,8 +248,8 @@ struct BayesCrowdResult {
   double cost_spent = 0.0;  // Answered tasks only; refunds excluded.
 
   /// Fault-recovery totals (all zero on a healthy platform). Finish()
-  /// reads the counts (these five and `order_conflicts`) back from
-  /// the run's `metrics` counters ("framework.*", "cost.extra_votes"),
+  /// reads the counts (these five) back from the run's `metrics`
+  /// counters ("framework.*", "cost.extra_votes"),
   /// their one tally; the last three are sums over `round_logs`.
   std::size_t tasks_unanswered = 0;   // Abstained/dropped, refunded.
   /// Extra votes charged under the adaptive policy (0 when disabled).
@@ -300,13 +289,17 @@ struct BayesCrowdResult {
   /// wall-clock; `inspect` reports the coverage ratio.
   double answer_seconds = 0.0;
 
-  /// Evaluator memo-cache and ADPLL search totals for the whole run:
-  /// copies of `metrics` counters that the end-to-end benchmark still
-  /// reads. Every other counter (evictions, "solver.*") is read from
-  /// `metrics` alone; these go once the benchmark does the same.
+  /// ADPLL search totals for the whole run: a copy of the `metrics`
+  /// "adpll.*" counters that the end-to-end benchmark still reads.
+  /// Every other counter ("solver.*") is read from `metrics` alone; this
+  /// goes once the benchmark does the same (ROADMAP item 1).
+  AdpllStats adpll;
+
+  /// Always zero: the evaluator keeps no Pr(φ) memo, but the end-to-end
+  /// benchmark still reads these two fields. Removed with ROADMAP item
+  /// 1, together with `compile` below.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  AdpllStats adpll;
 
   /// Per-lane thread-pool utilization (lane 0 is the calling thread).
   std::vector<ThreadPool::LaneStats> lane_usage;
@@ -351,11 +344,6 @@ struct BayesCrowdResult {
 
   /// True when this run continued from a checkpoint snapshot.
   bool resumed = false;
-
-  /// Crowd answers skipped because they contradicted an earlier
-  /// recorded ordering (the knowledge base keeps the first answer; the
-  /// conflicting one is dropped, its cost stays spent).
-  std::size_t order_conflicts = 0;
 
   /// Modeling-phase statistics.
   std::size_t initial_true = 0;

@@ -217,23 +217,17 @@ Result<InspectionReport> RenderRunInspection(
   const obs::JsonValue* rounds = payload->Find("rounds");
   if (rounds != nullptr && rounds->size() > 0) {
     out.append("per-round\n");
-    out.append(
-        "  round  tasks  answered  select_s   update_s   cache_hit%  "
-        "flags\n");
+    out.append("  round  tasks  answered  select_s   update_s   flags\n");
     for (std::size_t i = 0; i < rounds->size(); ++i) {
       const obs::JsonValue& r = rounds->at(i);
-      const double hits = NumberOr(r.Find("cache_hits"), 0.0);
-      const double misses = NumberOr(r.Find("cache_misses"), 0.0);
-      const double rate =
-          hits + misses > 0 ? 100.0 * hits / (hits + misses) : 0.0;
       const bool abandoned = r.Find("abandoned") != nullptr &&
                              r.Find("abandoned")->AsBool();
       out.append(StrFormat(
-          "  %5.0f  %5.0f  %8.0f  %9.6f  %9.6f  %9.1f  %s\n",
+          "  %5.0f  %5.0f  %8.0f  %9.6f  %9.6f  %s\n",
           NumberOr(r.Find("round"), 0), NumberOr(r.Find("tasks"), 0),
           NumberOr(r.Find("answered"), 0),
           NumberOr(r.Find("select_seconds"), 0),
-          NumberOr(r.Find("update_seconds"), 0), rate,
+          NumberOr(r.Find("update_seconds"), 0),
           abandoned ? "abandoned" : "-"));
     }
     out.append("\n");

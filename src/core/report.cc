@@ -32,14 +32,8 @@ std::string FormatRunReport(const BayesCrowdResult& result,
         result.tasks_unanswered, result.cost_refunded,
         result.backoff_seconds);
   }
-  out += StrFormat(
-      "    select %.1f ms, update %.1f ms; evaluator cache %llu hits / "
-      "%llu misses / %llu evictions\n",
-      result.select_seconds * 1e3, result.update_seconds * 1e3,
-      static_cast<unsigned long long>(result.cache_hits),
-      static_cast<unsigned long long>(result.cache_misses),
-      static_cast<unsigned long long>(
-          result.metrics.CounterValue("evaluator.cache.evictions")));
+  out += StrFormat("    select %.1f ms, update %.1f ms\n",
+                   result.select_seconds * 1e3, result.update_seconds * 1e3);
   out += StrFormat(
       "    adpll: %llu calls, %llu branches, %llu direct evals, "
       "%llu component splits, %llu star evals\n",
@@ -100,10 +94,9 @@ std::string FormatRunReport(const BayesCrowdResult& result,
   if (options.show_rounds) {
     for (const RoundLog& log : result.round_logs) {
       out += StrFormat(
-          "    round %zu: %zu task(s), select %.1f ms + update %.1f ms, "
-          "cache hit rate %.0f%%\n",
+          "    round %zu: %zu task(s), select %.1f ms + update %.1f ms\n",
           log.round, log.tasks, log.select_seconds * 1e3,
-          log.update_seconds * 1e3, log.CacheHitRate() * 100.0);
+          log.update_seconds * 1e3);
     }
   }
 

@@ -6,7 +6,6 @@
 #include <set>
 #include <utility>
 
-#include "common/logging.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/checkpoint.h"
@@ -107,7 +106,6 @@ Status QueryRunner::Init(const Table& incomplete,
   transient_counter_ = metrics->GetCounter("framework.transient_failures");
   abandoned_counter_ = metrics->GetCounter("framework.rounds_abandoned");
   unanswered_counter_ = metrics->GetCounter("framework.tasks_unanswered");
-  conflicts_counter_ = metrics->GetCounter("framework.order_conflicts");
   breaker_trips_counter_ = metrics->GetCounter("framework.breaker.trips");
   breaker_skips_counter_ = metrics->GetCounter("framework.breaker.skips");
 
@@ -150,11 +148,11 @@ Status QueryRunner::Init(const Table& incomplete,
   // (deterministic from the inputs). The conditions and the knowledge
   // base follow from those and the answers folded, so each delivered
   // round's answers are folded again, in the live order: newest-wins
-  // interval facts and dropped contradictions depend on it. Then the
-  // memo cache replaces what the fold's re-conditioning left (it landed
-  // on an empty cache), then the breakers and the platform stack, and
-  // the metrics snapshot last so setup-time and replay increments are
-  // reset to the checkpointed counts.
+  // interval facts depend on it. A fold error (an answer that
+  // contradicts a recorded order, which no live round records) refuses
+  // the checkpoint. Then the breakers and the platform stack are
+  // restored, and the metrics snapshot last so setup-time and replay
+  // increments are reset to the checkpointed counts.
   // ---------------------------------------------------------------- //
   if (options_.resume != nullptr) {
     const SessionState& st = *options_.resume;
@@ -195,8 +193,6 @@ Status QueryRunner::Init(const Table& incomplete,
       next += log.answered;
     }
     answers_ = st.answers;
-    BinReader memo_reader(st.evaluator_blob);
-    BAYESCROWD_RETURN_NOT_OK(evaluator.RestoreMemoState(&memo_reader));
     for (const SolverBreakerRecord& b : st.solver_breakers) {
       breakers_[b.object] = b;
     }
@@ -241,7 +237,6 @@ Status QueryRunner::WriteCheckpoint() {
   state.cost_spent = out_.cost_spent;
   state.round_logs = out_.round_logs;
   state.answers = answers_;
-  evaluator_->SerializeMemoState(&state.evaluator_blob);
   state.solver_breakers.reserve(breakers_.size());
   for (const auto& [id, b] : breakers_) state.solver_breakers.push_back(b);
   state.metrics = metrics_->Snapshot();
@@ -279,30 +274,6 @@ Status QueryRunner::ApplyGovernor(const GovernorOptions& governor) {
   options_.probability.governor = governor;
   evaluator_->SetGovernor(governor);
   return Status::OK();
-}
-
-Result<std::string> QueryRunner::ExportMemoState() const {
-  if (!initialized_) {
-    return Status::FailedPrecondition(
-        "ExportMemoState: runner not initialized");
-  }
-  std::string blob;
-  evaluator_->SerializeMemoState(&blob);
-  return blob;
-}
-
-Result<std::size_t> QueryRunner::ImportMemoState(const std::string& blob) {
-  if (!initialized_) {
-    return Status::FailedPrecondition(
-        "ImportMemoState: runner not initialized");
-  }
-  if (out_.rounds != 0) {
-    return Status::FailedPrecondition(
-        "ImportMemoState: session already stepped; a mid-session merge "
-        "would change the hit/miss sequence checkpoints replay");
-  }
-  BinReader reader(blob);
-  return evaluator_->MergeMemoState(&reader);
 }
 
 // Per-round deltas of the governor counters drive the degradation
@@ -360,19 +331,16 @@ Status QueryRunner::StepImpl() {
   obs::TraceSpan select_span("round.select");
   Stopwatch select_watch;
   evaluator.SetCostContext(options_.session, "select");
-  const EvaluatorCacheStats cache_before = evaluator.cache_stats();
 
-  // Rank undecided objects by entropy (Eq. 3). Unchanged conditions
-  // hit the evaluator's memo cache; the rest evaluate in parallel.
+  // Rank undecided objects by entropy (Eq. 3), every condition solved
+  // in parallel.
   std::vector<std::size_t> undecided;
   for (std::size_t i : ctable_.UndecidedObjects()) {
     if (ctable_.condition(i).NumExpressions() > 0) undecided.push_back(i);
   }
   // Objects whose breaker is open on an unchanged condition reuse
   // their last interval (re-solving would burn budget on another
-  // non-answer — the memo cache cannot help once a crowd answer
-  // re-conditioned a mentioned distribution); the rest solve as one
-  // governed batch.
+  // non-answer); the rest solve as one governed batch.
   std::vector<ProbInterval> intervals(undecided.size());
   std::vector<std::size_t> to_solve;
   std::vector<std::size_t> solve_slot;
@@ -555,8 +523,7 @@ Status QueryRunner::StepImpl() {
   log.simulated_seconds = round_clock;
 
   if (delivered) {
-    BAYESCROWD_RETURN_NOT_OK(
-        FoldAnswers(batch, answers, cache_before, &log));
+    BAYESCROWD_RETURN_NOT_OK(FoldAnswers(batch, answers, &log));
   } else {
     // Round abandoned: nothing was bought, nothing is charged, and
     // the batch's tasks stay in the candidate pool for later rounds.
@@ -594,7 +561,6 @@ Status QueryRunner::StepImpl() {
 
 Status QueryRunner::FoldAnswers(const std::vector<Task>& batch,
                                 const std::vector<TaskAnswer>& answers,
-                                const EvaluatorCacheStats& cache_before,
                                 RoundLog* log) {
   if (answers.size() != batch.size()) {
     return Status::Internal("platform returned misaligned answers");
@@ -650,9 +616,6 @@ Status QueryRunner::FoldAnswers(const std::vector<Task>& batch,
   log->answered = answered;
   log->unanswered = batch.size() - answered;
   log->cost_refunded = refunded;
-  const EvaluatorCacheStats cache_after = evaluator_->cache_stats();
-  log->cache_hits = cache_after.hits - cache_before.hits;
-  log->cache_misses = cache_after.misses - cache_before.misses;
   log->update_seconds = update_watch.ElapsedSeconds();
   return Status::OK();
 }
@@ -661,29 +624,13 @@ Status QueryRunner::Fold(std::span<const FoldedAnswer> answers) {
   KnowledgeBase& knowledge = *knowledge_;
   std::set<CellRef> touched;
   for (const FoldedAnswer& answer : answers) {
-    const Status applied = ApplyAnswer(answer, &knowledge);
-    if (!applied.ok()) {
-      // A var-var answer that contradicts a recorded order: keep the
-      // first recorded fact, drop the contradiction (its cost stays
-      // spent — the marketplace doesn't refund wrong answers), and
-      // keep the session alive. Anything else is fatal.
-      if (applied.IsInvalidArgument() &&
-          StartsWith(applied.message(), "contradictory var-var fact")) {
-        conflicts_counter_->Increment();
-        BAYESCROWD_LOG(Warning)
-            << "dropping conflicting crowd answer: " << applied.message();
-        continue;
-      }
-      return applied;
-    }
+    BAYESCROWD_RETURN_NOT_OK(ApplyAnswer(answer, &knowledge));
     for (const CellRef& var : answer.expression.Variables()) {
       touched.insert(var);
     }
   }
 
-  // Re-condition the touched distributions. Each SetDistribution evicts
-  // exactly the cached conditions mentioning that variable; everything
-  // else keeps serving hits next round.
+  // Re-condition the touched distributions.
   for (const CellRef& var : touched) {
     const auto raw = raw_posteriors_.find(var);
     if (raw == raw_posteriors_.end()) continue;
@@ -693,9 +640,7 @@ Status QueryRunner::Fold(std::span<const FoldedAnswer> answers) {
 
   // Re-simplify every undecided condition against the knowledge base,
   // in place on the pool: each lane edits only its own objects'
-  // conditions and reads the knowledge base. Changed conditions get new
-  // fingerprints; their old cache entries were just evicted through the
-  // answered variables.
+  // conditions and reads the knowledge base.
   const std::vector<std::size_t> undecided = ctable_.UndecidedObjects();
   const std::function<Truth(const Expression&)> evaluate =
       [&knowledge](const Expression& e) { return knowledge.Evaluate(e); };
@@ -770,13 +715,9 @@ Status QueryRunner::Finish() {
   out_.transient_failures = transient_counter_->value();
   out_.rounds_abandoned = abandoned_counter_->value();
   out_.tasks_unanswered = unanswered_counter_->value();
-  out_.order_conflicts = conflicts_counter_->value();
   out_.extra_votes = cost_extra_votes_->value();
   out_.breaker_trips = breaker_trips_counter_->value();
   out_.breaker_skips = breaker_skips_counter_->value();
-  const EvaluatorCacheStats cache_stats = evaluator.cache_stats();
-  out_.cache_hits = cache_stats.hits;
-  out_.cache_misses = cache_stats.misses;
   out_.adpll = evaluator.adpll_stats();
   out_.final_ctable = std::move(ctable_);
 

@@ -89,24 +89,10 @@ class QueryRunner {
   Status WriteCheckpointNow();
 
   /// Replaces the solver governor for all subsequent rounds — the
-  /// serving layer's QoS degradation hook. Sound at any round boundary
-  /// (memo stamps follow the budget fingerprint); deterministic as long
-  /// as the caller tightens at deterministic points. FailedPrecondition
-  /// before Init / after Finish.
+  /// serving layer's QoS degradation hook. Sound at any round boundary;
+  /// deterministic as long as the caller tightens at deterministic
+  /// points. FailedPrecondition before Init / after Finish.
   Status ApplyGovernor(const GovernorOptions& governor);
-
-  /// Serializes the evaluator's memo state (cache entries, variable
-  /// index, epochs) for donation to a cross-session cache.
-  /// FailedPrecondition before Init.
-  Result<std::string> ExportMemoState() const;
-
-  /// Warm-starts the evaluator from a donated SerializeMemoState blob
-  /// (ProbabilityEvaluator::MergeMemoState semantics: local epochs and
-  /// existing entries untouched; mismatched stamps are dead weight,
-  /// never wrong answers). Returns entries imported. FailedPrecondition
-  /// before Init / after stepping began (a mid-session merge would
-  /// change the hit/miss sequence checkpoints promise to replay).
-  Result<std::size_t> ImportMemoState(const std::string& blob);
 
  private:
   Status StepImpl();
@@ -115,14 +101,16 @@ class QueryRunner {
   /// batch, then folds its answered tasks (Fold). Fills the delivery
   /// fields of `log`.
   Status FoldAnswers(const std::vector<Task>& batch,
-                     const std::vector<TaskAnswer>& answers,
-                     const EvaluatorCacheStats& cache_before, RoundLog* log);
+                     const std::vector<TaskAnswer>& answers, RoundLog* log);
 
   /// The update half of a delivered round, run by a live round and by a
   /// resume's replay alike: applies `answers` in order to the knowledge
-  /// base (dropping a var-var answer that contradicts a recorded
-  /// order), re-conditions the variables of the applied ones, and
-  /// re-simplifies every undecided condition on the pool.
+  /// base, re-conditions their variables, and re-simplifies every
+  /// undecided condition on the pool. Any ApplyAnswer error fails the
+  /// fold: a live round cannot meet a contradictory var-var answer (a
+  /// recorded order decides every expression on its pair, and
+  /// SelectTasks never batches two tasks that share a variable), so
+  /// only an edited checkpoint carries one.
   Status Fold(std::span<const FoldedAnswer> answers);
 
   /// Adds a finished round to the result: its log and the totals summed
@@ -167,7 +155,6 @@ class QueryRunner {
   obs::Counter* transient_counter_ = nullptr;
   obs::Counter* abandoned_counter_ = nullptr;
   obs::Counter* unanswered_counter_ = nullptr;
-  obs::Counter* conflicts_counter_ = nullptr;
   obs::Counter* breaker_trips_counter_ = nullptr;
   obs::Counter* breaker_skips_counter_ = nullptr;
   obs::Counter* cost_crowd_tasks_ = nullptr;

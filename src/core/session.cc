@@ -31,21 +31,19 @@ std::uint64_t ConfigFingerprint(const BayesCrowdOptions& options,
                                 std::string_view dataset_bytes,
                                 std::string_view platform_config) {
   // Canonical text of every option that changes query behavior.
-  // `threads` and `metrics` are excluded on purpose; extend the string
-  // (never reorder it) when options grow. `fastdom=1` is the value of a
-  // retired option, kept so existing checkpoints keep their
-  // fingerprints.
+  // `threads` and `metrics` are excluded on purpose. No term is kept for
+  // a retired option: the checkpoint version refuses every older
+  // checkpoint before any fingerprint is compared, so a change to this
+  // string only has to come with a kCheckpointVersion bump.
   std::string canon = StrFormat(
       "v1|budget=%zu|latency=%zu|threshold=%.17g|confidence=%.17g|"
-      "strategy=%d|m=%zu|alpha=%.17g|fastdom=1|"
-      "method=%d|memoize=%d|sseed=%llu|"
+      "strategy=%d|m=%zu|alpha=%.17g|method=%d|sseed=%llu|"
       "retry=%zu,%.17g,%.17g,%.17g,%.17g,%zu",
       options.budget, options.latency, options.answer_threshold,
       options.confidence_stop_entropy,
       static_cast<int>(options.strategy.kind), options.strategy.m,
       options.ctable.alpha,
       static_cast<int>(options.probability.method),
-      options.probability.memoize ? 1 : 0,
       static_cast<unsigned long long>(options.probability.sampling_seed),
       options.retry.max_attempts, options.retry.attempt_seconds,
       options.retry.backoff_initial_seconds,
@@ -55,8 +53,7 @@ std::uint64_t ConfigFingerprint(const BayesCrowdOptions& options,
   // Governed runs append the budget configuration: a resume under a
   // different budget would replay a different ladder. The wall-clock
   // deadline is excluded by design — it only degrades, never changes
-  // values — and inert governors append nothing, so pre-governor
-  // checkpoints keep their fingerprints.
+  // values — and inert governors append nothing.
   const GovernorOptions& governor = options.probability.governor;
   if (governor.enabled()) {
     canon += StrFormat(

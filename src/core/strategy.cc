@@ -19,8 +19,8 @@ using FrequencyMap =
 // On the per-candidate path HHS scores candidates in waves of this many
 // (two counterfactuals each). A constant, not the pool width: the wave
 // decides how far past the m-window stop point scoring runs, so sizing
-// it to the pool would make cache traffic, ADPLL calls and cost units
-// depend on the thread count.
+// it to the pool would make ADPLL calls and cost units depend on the
+// thread count.
 constexpr std::size_t kHhsWave = 4;
 
 // Distinct expressions of a condition, first-appearance order.

@@ -89,9 +89,6 @@ obs::JsonValue RoundJson(const RoundLog& log) {
   out["seconds"] = log.seconds;
   out["select_seconds"] = log.select_seconds;
   out["update_seconds"] = log.update_seconds;
-  out["cache_hits"] = log.cache_hits;
-  out["cache_misses"] = log.cache_misses;
-  out["cache_hit_rate"] = log.CacheHitRate();
   out["attempts"] = log.attempts;
   out["answered"] = log.answered;
   out["unanswered"] = log.unanswered;
@@ -124,7 +121,6 @@ obs::JsonValue RunTelemetryJson(const std::string& name,
   res["stopped_confident"] = result.stopped_confident;
   res["degraded"] = result.degraded;
   res["resumed"] = result.resumed;
-  res["order_conflicts"] = result.order_conflicts;
   res["initial_true"] = result.initial_true;
   res["initial_false"] = result.initial_false;
   res["initial_undecided"] = result.initial_undecided;
@@ -142,12 +138,6 @@ obs::JsonValue RunTelemetryJson(const std::string& name,
       AttributionJson(result.metrics, result.answer_seconds);
 
   const obs::MetricsSnapshot& m = result.metrics;
-  obs::JsonValue cache = obs::JsonValue::Object();
-  cache["hits"] = result.cache_hits;
-  cache["misses"] = result.cache_misses;
-  cache["evictions"] = m.CounterValue("evaluator.cache.evictions");
-  payload["cache"] = std::move(cache);
-
   payload["adpll"] = AdpllJson(result.adpll);
 
   // Governed-solver outcome. Tier counts and intervals are

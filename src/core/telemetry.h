@@ -1,6 +1,6 @@
 // Run telemetry: serializes everything a BayesCrowd::Run produced —
-// result counts, per-round logs, ADPLL search totals, memo-cache
-// traffic, per-lane pool utilization, and the full metrics snapshot —
+// result counts, per-round logs, ADPLL search and solver-tier totals,
+// per-lane pool utilization, and the full metrics snapshot —
 // into one machine-readable JSON document (obs telemetry envelope,
 // kind "run"). EXPERIMENTS.md shows how to mine the output.
 

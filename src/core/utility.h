@@ -53,9 +53,8 @@ Result<double> MarginalUtility(const Condition& condition, double p_o,
 
 /// G(o, e) for every candidate expression at once, per candidate: the
 /// 2·n counterfactual conditions (e fixed true / fixed false) go through
-/// the evaluator's batch API, so they are memoized across rounds and
-/// fanned over its thread pool. gains[i] aligns with candidates[i], for
-/// any thread count.
+/// the evaluator's batch API, fanned over its thread pool. gains[i]
+/// aligns with candidates[i], for any thread count.
 Result<std::vector<double>> MarginalUtilities(
     const Condition& condition, double p_o,
     const std::vector<Expression>& candidates,

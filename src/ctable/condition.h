@@ -22,12 +22,10 @@ namespace bayescrowd {
 using Conjunct = std::vector<Expression>;
 
 /// 128-bit structural fingerprint of a condition. Conditions that
-/// compare equal share a fingerprint; the probability evaluator uses it
-/// as its memo-cache key (two words keep accidental collisions
-/// negligible at cache scale).
+/// compare equal share a fingerprint; the probability evaluator seeds
+/// per-condition sampling streams from it, and the solver breakers key
+/// on it (two words keep accidental collisions negligible).
 using ConditionFingerprint = std::pair<std::uint64_t, std::uint64_t>;
-
-using ConditionFingerprintHash = PackedExprHash;
 
 /// CNF condition with three-valued overall state.
 class Condition {

@@ -1,5 +1,5 @@
 // MetricsRegistry: named counters, gauges, and fixed-bucket histograms
-// shared by every subsystem (evaluator cache, ADPLL, thread pool,
+// shared by every subsystem (evaluator, ADPLL, thread pool,
 // Bayes-net inference, the framework round loop).
 //
 // Hot-path contract: instrument handles are resolved once (registry

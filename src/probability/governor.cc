@@ -2,19 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 
 #include "obs/trace.h"
 
 namespace bayescrowd {
 namespace {
-
-std::uint64_t SplitMix64(std::uint64_t z) {
-  z += 0x9E3779B97F4A7C15ULL;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
 
 // A budget where 0 means unlimited, capped at `cap`.
 std::uint64_t CapBudget(std::uint64_t budget, std::uint64_t cap) {
@@ -138,25 +130,6 @@ bool ParseLadderMode(const std::string& name, LadderMode* mode) {
     return false;
   }
   return true;
-}
-
-std::uint64_t GovernorOptions::Fingerprint() const {
-  // 0 is reserved for the inert governor so pre-governor cache blobs
-  // keep their stamps. The deadline *value* is excluded (wall-clock
-  // degrades, never changes results), but deadline-enabled runs still
-  // get their own tag: they may cache degraded intervals that must not
-  // be served to an ungoverned run.
-  if (!enabled()) return 0;
-  std::uint64_t h = SplitMix64(0xB0D6E7ULL);
-  h = SplitMix64(h ^ max_nodes);
-  h = SplitMix64(h ^ max_components);
-  h = SplitMix64(h ^ static_cast<std::uint64_t>(ladder));
-  h = SplitMix64(h ^ static_cast<std::uint64_t>(interval_samples));
-  std::uint64_t z_bits = 0;
-  static_assert(sizeof(z_bits) == sizeof(confidence_z));
-  std::memcpy(&z_bits, &confidence_z, sizeof(z_bits));
-  h = SplitMix64(h ^ z_bits);
-  return h == 0 ? 1 : h;
 }
 
 Result<ProbInterval> SolverGovernor::Evaluate(

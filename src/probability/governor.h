@@ -68,7 +68,7 @@ struct GovernorOptions {
   /// Optional wall-clock cap per evaluation, in milliseconds. Only ever
   /// triggers degradation to a lower tier — never changes the value an
   /// uninterrupted tier would produce — so it is excluded from the
-  /// budget fingerprint and from the session config fingerprint.
+  /// session config fingerprint.
   /// 0 = no deadline.
   std::int64_t deadline_ms = 0;
 
@@ -87,13 +87,6 @@ struct GovernorOptions {
   bool enabled() const {
     return max_nodes > 0 || max_components > 0 || deadline_ms > 0;
   }
-
-  /// Digest of the budget configuration that changes *values* (the
-  /// deadline does not). Folded into evaluator cache stamps so results
-  /// computed under one budget tier are never served under another;
-  /// exactly 0 when the governor is inert, which keeps pre-governor
-  /// cache blobs valid.
-  std::uint64_t Fingerprint() const;
 };
 
 /// Counters for one governed evaluation, merged deterministically by

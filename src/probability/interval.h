@@ -18,8 +18,8 @@
 namespace bayescrowd {
 
 /// How a probability (interval) was obtained, ordered best-first. The
-/// grade travels with the value through the evaluator cache, the
-/// strategy layer, checkpoints, and telemetry.
+/// grade travels with the value through the evaluator, the strategy
+/// layer, the solver breakers' checkpoint records, and telemetry.
 enum class ProbQuality : std::uint8_t {
   kExact = 0,        // Full solve; lo == hi.
   kPartialBound = 1, // Truncated exact search; sound [lo, hi].

@@ -41,9 +41,7 @@ std::string EventDetail(const std::string& tenant, const std::string& id,
 }  // namespace
 
 SessionManager::SessionManager(Options options)
-    : options_(std::move(options)),
-      pool_(options_.threads),
-      cache_(SharedQueryCache::Options{}) {
+    : options_(std::move(options)), pool_(options_.threads) {
   if (options_.max_resident_sessions == 0) options_.max_resident_sessions = 1;
   if (options_.max_sessions_per_tenant == 0) {
     options_.max_sessions_per_tenant = 1;
@@ -63,10 +61,7 @@ std::string SessionManager::ManifestPath() const {
 }
 
 std::uint64_t SessionManager::SpecFingerprint(const SessionSpec& spec) {
-  std::uint64_t fp = HashBytes(spec.tenant);
-  fp = HashBytes(spec.cache_key, fp);
-  fp = HashBytes(spec.manifest_blob, fp);
-  return fp;
+  return HashBytes(spec.manifest_blob, HashBytes(spec.tenant));
 }
 
 ManifestEvent SessionManager::EventOf(const Session& session,
@@ -97,15 +92,6 @@ void SessionManager::Journal(const ManifestEvent& event) {
   flight_.Record(obs::FlightEventKind::kNote, 0, -1, 0.0, 0.0,
                  StrFormat("manifest append failed: %s",
                            appended.ToString().c_str()));
-}
-
-std::uint64_t SessionManager::CacheScope(const std::string& tenant,
-                                         const std::string& cache_key) {
-  // Chained, not XORed: hash(tenantA)^hash(keyB) must not equal
-  // hash(tenantB)^hash(keyA).
-  std::uint64_t scope = HashBytes(tenant);
-  scope = HashBytes(cache_key, scope);
-  return scope == 0 ? 1 : scope;  // 0 means "unscoped" to the evaluator.
 }
 
 const TenantQos* SessionManager::QosFor(const std::string& tenant) const {
@@ -217,7 +203,6 @@ Status SessionManager::CreateImpl(SessionSpec spec, bool journal) {
   }
 
   auto session = std::make_unique<Session>();
-  session->scope = CacheScope(spec.tenant, spec.cache_key);
   session->platform = MakeSimulatedCrowd(
       spec.ground_truth, spec.use_marketplace, spec.platform,
       spec.marketplace, &session->metrics, &flight_);
@@ -232,7 +217,6 @@ Status SessionManager::CreateImpl(SessionSpec spec, bool journal) {
   options.threads = 0;
   options.metrics = &session->metrics;
   options.session = spec.id;  // cost.* series carry the session id.
-  options.probability.cache_scope = session->scope;
   if (!spec.checkpoint_dir.empty()) {
     CheckpointStore::Options store_options;
     store_options.dir = spec.checkpoint_dir;
@@ -259,23 +243,6 @@ Status SessionManager::CreateImpl(SessionSpec spec, bool journal) {
   Session& ref = *session;
   BAYESCROWD_RETURN_NOT_OK(ref.runner->Init(
       ref.spec.incomplete, *ref.posteriors, *ref.platform));
-
-  if (ref.spec.warm_start) {
-    std::string blob;
-    const char* outcome = "miss";
-    if (cache_.Get(ref.scope, &blob)) {
-      Result<std::size_t> imported = ref.runner->ImportMemoState(blob);
-      BAYESCROWD_RETURN_NOT_OK(imported.status());
-      metrics_.GetCounter("serve.cache.imported_entries",
-                          TenantLabels(ref.spec.tenant))
-          ->Increment(static_cast<std::uint64_t>(imported.value()));
-      outcome = "hit";
-    }
-    metrics_.GetCounter(
-        StrFormat("serve.cache.warm_start.%s", outcome),
-        TenantLabels(ref.spec.tenant))
-        ->Increment();
-  }
 
   // A resumed session may already be past a QoS threshold: re-apply the
   // step its round count calls for before it advances, so resume lands
@@ -533,16 +500,6 @@ Result<BayesCrowdResult> SessionManager::Finish(const std::string& id) {
   std::lock_guard<std::mutex> work(work_mu_);
   BAYESCROWD_ASSIGN_OR_RETURN(Session* session, SteppableLocked(id));
   BAYESCROWD_RETURN_NOT_OK(session->runner->Finish());
-  // Donate the memo state so the next session of this scope can warm
-  // start. Donation is outside the determinism contract on purpose —
-  // it only ever feeds opt-in warm starts.
-  Result<std::string> blob = session->runner->ExportMemoState();
-  if (blob.ok()) {
-    cache_.Put(session->scope, std::move(blob).value());
-    metrics_.GetCounter("serve.cache.donations",
-                        TenantLabels(session->spec.tenant))
-        ->Increment();
-  }
   session->finished = true;
   metrics_.GetCounter("serve.sessions.finished",
                       TenantLabels(session->spec.tenant))

@@ -8,27 +8,25 @@
 //
 //   Create    admission control (global + per-tenant residency caps),
 //             then QueryRunner::Init on the shared pool — modeling
-//             phase, optional checkpoint resume, optional warm start
-//             from the shared cross-session cache
+//             phase and optional checkpoint resume
 //   Advance   up to K crowd rounds of one session; per-tenant QoS is
 //             applied at round boundaries (a heavy tenant's governor
 //             budgets tighten down the existing degradation ladder)
 //   Checkpoint  explicit snapshot via the session's namespaced store
-//   Finish    answer inference; the session's memo state is donated to
-//             the shared cache for future warm starts of its scope
+//   Finish    answer inference
 //   Evict     drop a resident session (checkpointing first when a
 //             store is configured and the session is unfinished)
 //
 // Determinism contract: each session's observable behavior (results,
 // metrics, round logs) is a pure function of its spec — never of the
-// interleaving. Everything cross-session is either partitioned
-// (per-session metrics registries, per-session platform RNGs,
-// namespaced checkpoint generations, scope-stamped cache entries) or
-// order-insensitive by construction (QoS decisions read only the
-// session's own round counter; the shared pool runs one session's
-// ParallelFor at a time behind the work mutex, and lane-order effects
-// are already excluded by the evaluator's deterministic folds). The
-// serve_test harness pins this: N interleaved sessions byte-match N
+// interleaving. Sessions share no query state: everything
+// cross-session is either partitioned (per-session metrics registries,
+// per-session platform RNGs and evaluators, namespaced checkpoint
+// generations) or order-insensitive by construction (QoS decisions read
+// only the session's own round counter; the shared pool runs one
+// session's ParallelFor at a time behind the work mutex, and lane-order
+// effects are already excluded by the evaluator's deterministic folds).
+// The serve_test harness pins this: N interleaved sessions byte-match N
 // sequential runs of the same specs.
 //
 // Thread safety: every verb may be called from any client thread.
@@ -67,7 +65,6 @@
 #include "crowd/platform.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
-#include "serve/cache.h"
 #include "serve/manifest.h"
 
 namespace bayescrowd::serve {
@@ -89,6 +86,16 @@ struct TenantQos {
   /// the per-evaluation SolverGovernor then walks its own degradation
   /// ladder, so heavy tenants get graded intervals instead of stalls.
   std::vector<GovernorOptions> ladder;
+};
+
+/// Always-zero counters of the retired shared cross-session cache: the
+/// end-to-end benchmark still reads SessionManager::cache_stats().
+/// Removed with ROADMAP item 1.
+struct SharedQueryCache {
+  struct Stats {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+  };
 };
 
 /// Everything needed to admit one session. Tables are held by value:
@@ -123,16 +130,10 @@ struct SessionSpec {
   /// incomplete table's schema (the zero-knowledge baseline).
   std::shared_ptr<PosteriorProvider> posteriors;
 
-  /// Shared-cache identity of the session's dataset. The cache scope is
-  /// hash(tenant) chained with hash(cache_key), so tenants never share
-  /// entries, and one tenant's datasets are kept apart as long as their
-  /// keys differ. Leave "" only when the tenant always queries one
-  /// dataset.
+  /// Read by nothing: there is no shared cross-session cache, but the
+  /// end-to-end benchmark still sets these two fields. Removed with
+  /// ROADMAP item 1.
   std::string cache_key;
-
-  /// Import the shared cache's blob for this scope after Init (off by
-  /// default: a warm start changes the hit/miss sequence, so it is
-  /// opt-in and excluded from the interleaving bit-identity contract).
   bool warm_start = false;
 
   /// Enables the checkpoint verb: generations are written to this
@@ -246,7 +247,7 @@ class SessionManager {
   SessionManager(const SessionManager&) = delete;
   SessionManager& operator=(const SessionManager&) = delete;
 
-  /// Admission + QueryRunner::Init (+ resume / warm start). On
+  /// Admission + QueryRunner::Init (+ resume). On
   /// rejection the spec is not consumed destructively and nothing
   /// stays resident: Admit's refusals, or InvalidArgument for resume
   /// without a checkpoint dir.
@@ -297,9 +298,8 @@ class SessionManager {
   /// Explicit snapshot (QueryRunner::WriteCheckpointNow).
   Status Checkpoint(const std::string& id);
 
-  /// Answer inference; donates the session's memo state to the shared
-  /// cache and returns the sealed result. The session stays resident
-  /// (info/evict still work) but cannot advance again.
+  /// Answer inference; returns the sealed result. The session stays
+  /// resident (info/evict still work) but cannot advance again.
   Result<BayesCrowdResult> Finish(const std::string& id);
 
   /// Drops a resident session. An unfinished session with a checkpoint
@@ -311,23 +311,18 @@ class SessionManager {
   std::size_t resident() const;
 
   obs::MetricsSnapshot MetricsSnapshot() const;
-  SharedQueryCache::Stats cache_stats() const { return cache_.stats(); }
+  /// Always zero (see SharedQueryCache); removed with ROADMAP item 1.
+  SharedQueryCache::Stats cache_stats() const { return {}; }
   obs::FlightRecorder* flight() { return &flight_; }
 
-  /// The scope key Create derives for (tenant, cache_key) — exposed so
-  /// tests can pin the isolation property.
-  static std::uint64_t CacheScope(const std::string& tenant,
-                                  const std::string& cache_key);
-
   /// The spec fingerprint journaled with every manifest event: chained
-  /// hash of tenant, cache_key and manifest_blob. Recover refuses to
-  /// re-admit a resolved spec whose fingerprint mismatches the journal.
+  /// hash of tenant and manifest_blob. Recover refuses to re-admit a
+  /// resolved spec whose fingerprint mismatches the journal.
   static std::uint64_t SpecFingerprint(const SessionSpec& spec);
 
  private:
   struct Session {
     SessionSpec spec;
-    std::uint64_t scope = 0;
     std::size_t qos_level = 0;
     bool finished = false;
     bool resumed = false;
@@ -408,9 +403,8 @@ class SessionManager {
 
   Options options_;
   ThreadPool pool_;
-  SharedQueryCache cache_;
   /// Serve-level instruments and incident ring (admissions, evictions,
-  /// QoS steps, cache traffic), labeled tenant=/session=; distinct from
+  /// QoS steps), labeled tenant=/session=; distinct from
   /// the per-session registries.
   obs::MetricsRegistry metrics_;
   obs::FlightRecorder flight_;

@@ -58,8 +58,8 @@ TEST(LabelTest, CanonicalSeriesNameSortsLabelsAndRoundTrips) {
   EXPECT_EQ(labels[1].value, "s0");
 
   // Unlabeled keys parse to themselves with no labels.
-  obs::ParseSeriesName("evaluator.cache.hits", &base, &labels);
-  EXPECT_EQ(base, "evaluator.cache.hits");
+  obs::ParseSeriesName("adpll.calls", &base, &labels);
+  EXPECT_EQ(base, "adpll.calls");
   EXPECT_TRUE(labels.empty());
   // A name with no labels keeps its bare form.
   EXPECT_EQ(obs::LabeledSeriesName("plain", {}), "plain");
@@ -177,7 +177,7 @@ TEST(PrometheusTest, ExpositionRendersValidLines) {
   registry.GetCounter("cost.adpll_nodes",
                       {{"session", "s0"}, {"phase", "select"}})
       ->Increment(17);
-  registry.GetCounter("evaluator.cache.hits")->Increment(4);
+  registry.GetCounter("adpll.calls")->Increment(4);
   registry.GetGauge("pool.size")->Set(8.0);
   registry
       .GetHistogram("round.seconds", {{"session", "s0"}},

@@ -1,12 +1,11 @@
 // Checkpoint format and store tests: envelope integrity, payload
-// round-trips, generation management, corruption fallback, the memo
-// blob, and the committed v11 golden fixture (format-drift contract).
+// round-trips, generation management, corruption fallback, and the
+// committed v12 golden fixture (format-drift contract).
 
 #include "core/checkpoint.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -17,11 +16,9 @@
 #include "common/binio.h"
 #include "common/fileio.h"
 #include "common/journal.h"
-#include "common/random.h"
 #include "core/session.h"
 #include "crowd/record_replay.h"
 #include "obs/metrics.h"
-#include "probability/evaluator.h"
 
 namespace bayescrowd {
 namespace {
@@ -48,49 +45,11 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-/// The condition whose memo entry GoldenMemoBlob keeps.
-Condition GoldenLiveCondition() {
-  return Condition::Cnf(
-      {{Expression::VarConst(V(2, 0), CmpOp::kGreater, 0),
-        Expression::VarConst(V(2, 1), CmpOp::kLess, 1)}});
-}
-
-/// The condition whose memo entry GoldenMemoBlob evicts.
-Condition GoldenEvictedCondition() {
-  return Condition::Cnf({{Expression::VarConst(V(3, 0), CmpOp::kGreater, 1)}});
-}
-
-/// A real SerializeMemoState blob: the live condition's entry (solved
-/// twice, across an epoch bump), its variable index and the epochs,
-/// including the variable of the evicted condition, which is absent
-/// from the live-only index.
-std::string GoldenMemoBlob() {
-  ProbabilityEvaluator evaluator;
-  BAYESCROWD_CHECK_OK(evaluator.SetDistribution(
-      V(2, 0), std::vector<double>{0.25, 0.25, 0.5}));
-  BAYESCROWD_CHECK_OK(evaluator.SetDistribution(
-      V(2, 1), std::vector<double>{0.5, 0.125, 0.375}));
-  BAYESCROWD_CHECK_OK(evaluator.SetDistribution(
-      V(3, 0), std::vector<double>{0.25, 0.5, 0.25}));
-  const Condition condition = GoldenLiveCondition();
-  BAYESCROWD_CHECK_OK(evaluator.Probability(condition).status());
-  BAYESCROWD_CHECK_OK(evaluator.SetDistribution(
-      V(2, 0), std::vector<double>{0.5, 0.25, 0.25}));
-  BAYESCROWD_CHECK_OK(evaluator.Probability(condition).status());
-  BAYESCROWD_CHECK_OK(
-      evaluator.Probability(GoldenEvictedCondition()).status());
-  BAYESCROWD_CHECK_OK(evaluator.SetDistribution(
-      V(3, 0), std::vector<double>{0.125, 0.5, 0.375}));
-  std::string blob;
-  evaluator.SerializeMemoState(&blob);
-  return blob;
-}
-
 /// A deterministic, richly-populated state: every field class exercised
 /// (round logs with recovery data and an abandoned round, var-const and
-/// var-var answers, metrics of all three kinds, binary blobs,
+/// var-var answers, metrics of all three kinds, a platform blob,
 /// session-layer stamps). Also the generator of the committed golden
-/// fixture — see GoldenV11FixtureTest.
+/// fixture — see GoldenV12FixtureTest.
 SessionState MakeGoldenState() {
   SessionState state;
   state.budget_left = 12.5;
@@ -108,8 +67,6 @@ SessionState MakeGoldenState() {
   log.cost_refunded = 1.0;
   log.backoff_seconds = 0.5;
   log.simulated_seconds = 7.5;
-  log.cache_hits = 17;
-  log.cache_misses = 5;
   state.round_logs.push_back(log);
   log.round = 2;
   log.tasks = 1;
@@ -132,7 +89,6 @@ SessionState MakeGoldenState() {
       {Expression::VarConst(V(2, 1), CmpOp::kGreater, 3), Ordering::kGreater},
       {Expression::VarVar(V(2, 0), CmpOp::kLess, V(0, 0)), Ordering::kLess},
       {Expression::VarConst(V(2, 1), CmpOp::kLess, 7), Ordering::kEqual}};
-  state.evaluator_blob = GoldenMemoBlob();
 
   obs::MetricsRegistry registry;
   registry.GetCounter("framework.tasks_posted")->Increment(9);
@@ -567,13 +523,13 @@ TEST(CheckpointStoreTest, TornTmpWritePromotedByRenameFallsBack) {
 }
 
 // ------------------------------------------------------------------- //
-// Golden fixture. golden_v11.ckpt matches today's writer byte-for-byte,
-// envelope and memo blob included; regenerate with:
+// Golden fixture. golden_v12.ckpt matches today's writer byte-for-byte,
+// envelope included; regenerate with:
 //   BC_REGEN_GOLDEN=1 ./checkpoint_test
 // ------------------------------------------------------------------- //
 
-TEST(GoldenV11FixtureTest, CommittedFixtureMatchesHeadBytes) {
-  const std::string path = std::string(BC_TESTDATA_DIR) + "/golden_v11.ckpt";
+TEST(GoldenV12FixtureTest, CommittedFixtureMatchesHeadBytes) {
+  const std::string path = std::string(BC_TESTDATA_DIR) + "/golden_v12.ckpt";
   const SessionState expected = MakeGoldenState();
   if (std::getenv("BC_REGEN_GOLDEN") != nullptr) {
     WriteFileBytes(path, WrapCheckpoint(SerializeState(expected)).value());
@@ -581,7 +537,7 @@ TEST(GoldenV11FixtureTest, CommittedFixtureMatchesHeadBytes) {
   const std::string bytes = ReadFileBytes(path);
   ASSERT_FALSE(bytes.empty()) << "missing fixture " << path;
 
-  // Any drift in the envelope, the payload or the memo blob fails here:
+  // Any drift in the envelope or the payload fails here:
   // a writer change needs a kCheckpointVersion bump and a regenerated
   // fixture.
   EXPECT_EQ(bytes, WrapCheckpoint(SerializeState(expected)).value());
@@ -598,170 +554,15 @@ TEST(GoldenV11FixtureTest, CommittedFixtureMatchesHeadBytes) {
             ProbQuality::kPartialBound);
   EXPECT_EQ(restored.solver_breakers[1].object, 5u);
   EXPECT_FALSE(restored.solver_breakers[1].open);
-
-  // The pinned memo blob decodes to its one live entry, which the
-  // restored epochs validate; the evicted condition stays a miss.
-  ProbabilityEvaluator evaluator;
-  BinReader memo(restored.evaluator_blob);
-  ASSERT_TRUE(evaluator.RestoreMemoState(&memo).ok());
-  EXPECT_TRUE(memo.AtEnd());
-  EXPECT_EQ(evaluator.CacheSize(), 1u);
-  EXPECT_TRUE(evaluator.IsCached(GoldenLiveCondition()));
-  EXPECT_FALSE(evaluator.IsCached(GoldenEvictedCondition()));
-}
-
-TEST(MemoBlobTest, TruncatedBlobIsRefusedAndLeavesEvaluatorUntouched) {
-  // Restore and merge share one decoder that validates the whole blob
-  // before applying any of it.
-  const std::string blob = GoldenMemoBlob();
-  ProbabilityEvaluator evaluator;
-  BinReader whole(blob);
-  ASSERT_TRUE(evaluator.RestoreMemoState(&whole).ok());
-  for (std::size_t len = 0; len < blob.size(); ++len) {
-    const std::string cut = blob.substr(0, len);
-    BinReader restore(cut);
-    EXPECT_FALSE(evaluator.RestoreMemoState(&restore).ok()) << len;
-    BinReader merge(cut);
-    EXPECT_FALSE(evaluator.MergeMemoState(&merge).ok()) << len;
-    ASSERT_EQ(evaluator.CacheSize(), 1u) << len;
-  }
-}
-
-std::vector<double> RandomDist(std::size_t levels, Rng& rng) {
-  std::vector<double> weights(levels);
-  double total = 0.0;
-  for (double& w : weights) {
-    w = 0.05 + rng.NextDouble();
-    total += w;
-  }
-  for (double& w : weights) w /= total;
-  return weights;
-}
-
-// Reads the variable-index section of a SerializeMemoState blob: the
-// live fingerprints first, then per variable its listed fingerprints.
-void ReadMemoIndex(
-    const std::string& blob, std::vector<ConditionFingerprint>* live,
-    std::vector<std::vector<ConditionFingerprint>>* listed) {
-  BinReader reader(blob);
-  std::uint64_t n = 0;
-  BAYESCROWD_CHECK_OK(reader.ReadU64(&n));
-  for (std::uint64_t e = 0; e < n; ++e) {
-    ConditionFingerprint fingerprint;
-    double bound = 0.0;
-    std::uint8_t grade = 0;
-    std::uint64_t stamp = 0;
-    BAYESCROWD_CHECK_OK(reader.ReadU64(&fingerprint.first));
-    BAYESCROWD_CHECK_OK(reader.ReadU64(&fingerprint.second));
-    BAYESCROWD_CHECK_OK(reader.ReadDouble(&bound));
-    BAYESCROWD_CHECK_OK(reader.ReadDouble(&bound));
-    BAYESCROWD_CHECK_OK(reader.ReadU8(&grade));
-    BAYESCROWD_CHECK_OK(reader.ReadU64(&stamp));
-    live->push_back(fingerprint);
-  }
-  BAYESCROWD_CHECK_OK(reader.ReadU64(&n));
-  for (std::uint64_t v = 0; v < n; ++v) {
-    std::uint64_t var = 0;
-    std::uint64_t count = 0;
-    BAYESCROWD_CHECK_OK(reader.ReadU64(&var));
-    BAYESCROWD_CHECK_OK(reader.ReadU64(&count));
-    listed->emplace_back(count);
-    for (ConditionFingerprint& fingerprint : listed->back()) {
-      BAYESCROWD_CHECK_OK(reader.ReadU64(&fingerprint.first));
-      BAYESCROWD_CHECK_OK(reader.ReadU64(&fingerprint.second));
-    }
-  }
-}
-
-// The in-memory variable index keeps stale and repeated fingerprints;
-// a checkpoint keeps only the live ones, once each. Eviction counts
-// only what it erases, so a restored evaluator counts the same
-// evictions as the one that wrote the blob.
-TEST(MemoBlobTest, CheckpointKeepsOnlyLiveIndexEntries) {
-  const CellRef x{0, 0}, y{1, 0}, z{2, 0}, w{3, 0};
-  const Condition a =
-      Condition::Cnf({{Expression::VarConst(x, CmpOp::kGreater, 0)},
-                      {Expression::VarConst(y, CmpOp::kLess, 2)}});
-  const Condition b =
-      Condition::Cnf({{Expression::VarConst(y, CmpOp::kGreater, 0)},
-                      {Expression::VarConst(z, CmpOp::kLess, 2)}});
-  const Condition d =
-      Condition::Cnf({{Expression::VarConst(w, CmpOp::kGreater, 1)}});
-  Rng rng(0x11DE);
-  std::vector<std::pair<CellRef, std::vector<double>>> dists;
-  for (const CellRef& var : {x, y, z, w}) {
-    dists.emplace_back(var, RandomDist(3, rng));
-  }
-
-  ProbabilityEvaluator writer;
-  for (const auto& [var, dist] : dists) {
-    BAYESCROWD_CHECK_OK(writer.SetDistribution(var, dist));
-  }
-  BAYESCROWD_CHECK_OK(writer.EvaluateBatchIntervals({&a, &b, &d}).status());
-  // Evicting a leaves it listed (stale) under y; re-solving it lists it
-  // under y a second time. Evicting b leaves it stale under y too.
-  dists[0].second = RandomDist(3, rng);
-  BAYESCROWD_CHECK_OK(writer.SetDistribution(x, dists[0].second));
-  BAYESCROWD_CHECK_OK(writer.Probability(a).status());
-  dists[2].second = RandomDist(3, rng);
-  BAYESCROWD_CHECK_OK(writer.SetDistribution(z, dists[2].second));
-  ASSERT_EQ(writer.cache_stats().evictions, 2u);
-  ASSERT_EQ(writer.CacheSize(), 2u);  // a and d.
-
-  std::string blob;
-  writer.SerializeMemoState(&blob);
-  std::vector<ConditionFingerprint> live;
-  std::vector<std::vector<ConditionFingerprint>> listed;
-  ReadMemoIndex(blob, &live, &listed);
-  ASSERT_EQ(live.size(), 2u);
-  std::size_t total = 0;
-  for (const std::vector<ConditionFingerprint>& fingerprints : listed) {
-    EXPECT_FALSE(fingerprints.empty());
-    for (std::size_t f = 0; f < fingerprints.size(); ++f) {
-      EXPECT_NE(std::find(live.begin(), live.end(), fingerprints[f]),
-                live.end());
-      if (f > 0) {
-        EXPECT_LT(fingerprints[f - 1], fingerprints[f]);
-      }
-    }
-    total += fingerprints.size();
-  }
-  EXPECT_EQ(listed.size(), 3u);  // x: {a}, y: {a}, w: {d}.
-  EXPECT_EQ(total, 3u);
-
-  ProbabilityEvaluator reader;
-  for (const auto& [var, dist] : dists) {
-    BAYESCROWD_CHECK_OK(reader.SetDistribution(var, dist));
-  }
-  BinReader in(blob);
-  ASSERT_TRUE(reader.RestoreMemoState(&in).ok());
-  std::string again;
-  reader.SerializeMemoState(&again);
-  EXPECT_EQ(again, blob);
-
-  // Re-condition every variable, y (one live, one stale and one
-  // repeated fingerprint) first.
-  const std::uint64_t writer_base = writer.cache_stats().evictions;
-  const std::uint64_t reader_base = reader.cache_stats().evictions;
-  for (const CellRef& var : {y, x, z, w}) {
-    const std::vector<double> dist = RandomDist(3, rng);
-    BAYESCROWD_CHECK_OK(writer.SetDistribution(var, dist));
-    BAYESCROWD_CHECK_OK(reader.SetDistribution(var, dist));
-    EXPECT_EQ(writer.cache_stats().evictions - writer_base,
-              reader.cache_stats().evictions - reader_base)
-        << "after " << var.object;
-    EXPECT_EQ(writer.CacheSize(), reader.CacheSize());
-  }
-  EXPECT_EQ(writer.cache_stats().evictions - writer_base, 2u);
 }
 
 TEST(CheckpointEnvelopeTest, RefusesEveryOtherVersion) {
   // The CRC covers only the payload, so the version byte may be edited
   // in place: only kCheckpointVersion itself unwraps.
   std::string wrapped = WrapCheckpoint("payload").value();
-  ASSERT_EQ(kCheckpointVersion, 11u);
+  ASSERT_EQ(kCheckpointVersion, 12u);
   for (const std::uint32_t version :
-       {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 12u}) {
+       {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 11u, 13u}) {
     wrapped[4] = static_cast<char>(version);
     const auto refused = UnwrapCheckpoint(wrapped);
     ASSERT_FALSE(refused.ok()) << "version " << version;

@@ -263,7 +263,6 @@ TEST(FuzzTest, QuerySpecReaderRejectsOrRoundTripsMutatedRequests) {
   constexpr KeyDef kCreateKeys[] = {
       {"op", KeyKind::kString},      {"id", KeyKind::kString},
       {"tenant", KeyKind::kString},  {"dataset", KeyKind::kObject},
-      {"warm_start", KeyKind::kBool},
   };
   const std::vector<Members> seeds = {
       {{"op", "\"create\""},

@@ -476,31 +476,22 @@ Result<BayesCrowdResult> RunNoisy(const SessionState* resume,
   return runner.TakeResult();
 }
 
-/// What folding `answers` in order meets: var-const answers that
-/// contradict the variable's interval (newest wins, so the interval
-/// leaves the old one) and var-var answers that contradict a recorded
-/// order (dropped).
-struct FoldNoise {
-  std::size_t interval_resets = 0;
-  std::size_t order_conflicts = 0;
-};
-
-FoldNoise CountNoise(const Schema& schema,
-                     const std::vector<FoldedAnswer>& answers) {
+/// The var-const answers that contradict the variable's interval when
+/// `answers` are folded in order (newest wins, so the interval leaves
+/// the old one). Every answer must fold.
+std::size_t CountIntervalResets(const Schema& schema,
+                                const std::vector<FoldedAnswer>& answers) {
   KnowledgeBase knowledge(schema);
-  FoldNoise noise;
+  std::size_t resets = 0;
   for (const FoldedAnswer& answer : answers) {
     const auto before = knowledge.Bounds(answer.expression.lhs);
-    if (!ApplyAnswer(answer, &knowledge).ok()) {
-      ++noise.order_conflicts;
-      continue;
-    }
+    EXPECT_TRUE(ApplyAnswer(answer, &knowledge).ok());
     const auto after = knowledge.Bounds(answer.expression.lhs);
     if (after.first < before.first || after.second > before.second) {
-      ++noise.interval_resets;
+      ++resets;
     }
   }
-  return noise;
+  return resets;
 }
 
 TEST(ResumeReplayTest, EveryGenerationMatchesTheLiveRunStoppedThere) {
@@ -508,38 +499,12 @@ TEST(ResumeReplayTest, EveryGenerationMatchesTheLiveRunStoppedThere) {
   const auto full = RunNoisy(nullptr, SIZE_MAX, &sink);
   ASSERT_TRUE(full.ok()) << full.status().ToString();
   ASSERT_GE(sink.states.size(), 2u);
-  std::vector<SessionState> states = sink.states;
+  EXPECT_GT(CountIntervalResets(NoisyDataset().schema(),
+                                sink.states.back().answers),
+            0u);
 
-  // A live session never meets an order conflict: a recorded order
-  // decides every expression on its pair, so the pair is not asked
-  // again. One more generation is the last one with the contradiction
-  // of its first var-var answer added to its last round, which the
-  // replay must drop as the live fold would.
-  SessionState contradicted = states.back();
-  const auto var_var =
-      std::find_if(contradicted.answers.begin(), contradicted.answers.end(),
-                   [](const FoldedAnswer& a) {
-                     return a.expression.rhs_is_var;
-                   });
-  ASSERT_NE(var_var, contradicted.answers.end());
-  FoldedAnswer contradiction = *var_var;
-  contradiction.relation = var_var->relation == Ordering::kLess
-                               ? Ordering::kGreater
-                               : Ordering::kLess;
-  contradicted.answers.push_back(contradiction);
-  ++contradicted.round_logs.back().answered;
-  states.push_back(contradicted);
-
-  EXPECT_EQ(full->order_conflicts, 0u);
-  const FoldNoise noise =
-      CountNoise(NoisyDataset().schema(), contradicted.answers);
-  EXPECT_GT(noise.interval_resets, 0u);
-  EXPECT_EQ(noise.order_conflicts, 1u);
-
-  for (std::size_t g = 0; g < states.size(); ++g) {
-    const SessionState& state = states[g];
-    SCOPED_TRACE("generation " + std::to_string(state.rounds()) +
-                 (g + 1 == states.size() ? " with a contradiction" : ""));
+  for (const SessionState& state : sink.states) {
+    SCOPED_TRACE("generation " + std::to_string(state.rounds()));
     const auto live = RunNoisy(nullptr, state.rounds(), nullptr);
     const auto resumed = RunNoisy(&state, 0, nullptr);
     ASSERT_TRUE(live.ok()) << live.status().ToString();
@@ -569,9 +534,9 @@ TEST(ResumeReplayTest, EveryGenerationMatchesTheLiveRunStoppedThere) {
 
 TEST(ResumeReplayTest, RefusesAnswersOutsideTheTableOrTheRoundLogs) {
   CapturingSink sink;
-  ASSERT_TRUE(RunNoisy(nullptr, 2, &sink).ok());
-  ASSERT_EQ(sink.states.size(), 2u);
-  const SessionState& good = sink.states.back();
+  ASSERT_TRUE(RunNoisy(nullptr, SIZE_MAX, &sink).ok());
+  ASSERT_GE(sink.states.size(), 2u);
+  const SessionState& good = sink.states[1];
   ASSERT_FALSE(good.answers.empty());
   const Table incomplete = NoisyDataset();
 
@@ -584,9 +549,27 @@ TEST(ResumeReplayTest, RefusesAnswersOutsideTheTableOrTheRoundLogs) {
   ++overrun.round_logs.back().answered;
   SessionState unclaimed = good;
   --unclaimed.round_logs.front().answered;
+  // No live round records a contradictory var-var answer: a recorded
+  // order decides every expression on its pair, so the pair is not
+  // asked again. The last generation with the contradiction of its
+  // first var-var answer added to its last round is refused.
+  SessionState contradicted = sink.states.back();
+  const auto var_var =
+      std::find_if(contradicted.answers.begin(), contradicted.answers.end(),
+                   [](const FoldedAnswer& a) {
+                     return a.expression.rhs_is_var;
+                   });
+  ASSERT_NE(var_var, contradicted.answers.end());
+  FoldedAnswer contradiction = *var_var;
+  contradiction.relation = var_var->relation == Ordering::kLess
+                               ? Ordering::kGreater
+                               : Ordering::kLess;
+  contradicted.answers.push_back(contradiction);
+  ASSERT_FALSE(contradicted.round_logs.back().abandoned);
+  ++contradicted.round_logs.back().answered;
 
   for (const SessionState* bad : {&attribute, &object, &overrun,
-                                  &unclaimed}) {
+                                  &unclaimed, &contradicted}) {
     // Through the checkpoint envelope, so the CRC holds: the refusal is
     // resume's, not the loader's.
     std::string payload;
@@ -600,8 +583,14 @@ TEST(ResumeReplayTest, RefusesAnswersOutsideTheTableOrTheRoundLogs) {
     ASSERT_FALSE(refused.ok());
     EXPECT_TRUE(refused.status().IsInvalidArgument())
         << refused.status().ToString();
+    if (bad == &contradicted) {
+      EXPECT_NE(refused.status().message().find("contradictory"),
+                std::string::npos)
+          << refused.status().ToString();
+    }
   }
   EXPECT_TRUE(RunNoisy(&good, 0, nullptr).ok());
+  EXPECT_TRUE(RunNoisy(&sink.states.back(), 0, nullptr).ok());
 }
 
 }  // namespace

@@ -369,9 +369,6 @@ TEST(TelemetryTest, RunTelemetryJsonRoundTripsResultFields) {
     EXPECT_DOUBLE_EQ(res->Find("probabilities")->at(i).AsDouble(),
                      result.probabilities[i]);
   }
-  EXPECT_EQ(
-      static_cast<std::uint64_t>(payload->Find("cache")->Find("hits")->AsInt()),
-      result.cache_hits);
   EXPECT_EQ(static_cast<std::uint64_t>(
                 payload->Find("adpll")->Find("calls")->AsInt()),
             result.adpll.calls);
@@ -386,8 +383,8 @@ TEST(TelemetryTest, RunTelemetryJsonRoundTripsResultFields) {
   const JsonValue* counters = payload->Find("metrics")->Find("counters");
   ASSERT_NE(counters, nullptr);
   EXPECT_EQ(static_cast<std::uint64_t>(
-                counters->Find("evaluator.cache.hits")->AsInt()),
-            result.cache_hits);
+                counters->Find("adpll.calls")->AsInt()),
+            result.adpll.calls);
 }
 
 TEST(TelemetryTest, NormalizeAlwaysDropsLaneTallies) {
@@ -460,12 +457,10 @@ TEST(ObsDeterminismTest, ObsOnVsOffBitIdenticalAt1And8Threads) {
     }
     EXPECT_EQ(on.rounds, off.rounds);
     EXPECT_EQ(on.tasks_posted, off.tasks_posted);
-    EXPECT_EQ(on.cache_hits, off.cache_hits);
     EXPECT_EQ(on.adpll.calls, off.adpll.calls);
 
     // The injected registry saw the same counts the result reports.
     const obs::MetricsSnapshot snap = registry.Snapshot();
-    EXPECT_EQ(snap.counters.at("evaluator.cache.hits"), on.cache_hits);
     EXPECT_EQ(snap.counters.at("adpll.calls"), on.adpll.calls);
     EXPECT_EQ(snap.counters.at("framework.rounds"), on.rounds);
   }

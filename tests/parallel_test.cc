@@ -1,6 +1,6 @@
-// Tests for the parallel + incremental evaluation layer: the ThreadPool
-// itself, determinism of Run() across thread counts, and the evaluator's
-// variable-indexed memo-cache invalidation.
+// Tests for the parallel evaluation layer: the ThreadPool itself,
+// determinism of Run() and of the evaluator's batch path across thread
+// counts.
 
 #include <gtest/gtest.h>
 
@@ -211,7 +211,7 @@ struct DeterminismQuery {
   double alpha = 0.01;
 };
 
-BayesCrowdOptions DeterminismOptions(std::size_t threads, bool memoize,
+BayesCrowdOptions DeterminismOptions(std::size_t threads,
                                      const DeterminismQuery& query) {
   BayesCrowdOptions options;
   options.ctable.alpha = query.alpha;
@@ -220,16 +220,13 @@ BayesCrowdOptions DeterminismOptions(std::size_t threads, bool memoize,
   options.strategy.kind = query.kind;
   options.strategy.m = 5;
   options.threads = threads;
-  options.probability.memoize = memoize;
   return options;
 }
 
 BayesCrowdResult RunWithThreads(std::size_t threads, AnswerLog* log,
-                                bool memoize = true,
                                 const DeterminismQuery& query = {}) {
   const Table incomplete = DeterminismDataset();
-  const BayesCrowdOptions options =
-      DeterminismOptions(threads, memoize, query);
+  const BayesCrowdOptions options = DeterminismOptions(threads, query);
   BayesCrowd framework(options);
   UniformPosteriorProvider posteriors(incomplete.schema());
   const Table truth = MakeNbaLike(120, /*seed=*/5);
@@ -242,8 +239,8 @@ BayesCrowdResult RunWithThreads(std::size_t threads, AnswerLog* log,
 }
 
 // The whole run document minus wall clock and the pool width: every
-// count in it (cost units, cache traffic, labeled metrics) must be the
-// same at any thread count.
+// count in it (cost units, labeled metrics) must be the same at any
+// thread count.
 std::string NormalizedTelemetry(std::size_t threads,
                                 const DeterminismQuery& query,
                                 const BayesCrowdResult& result) {
@@ -251,7 +248,7 @@ std::string NormalizedTelemetry(std::size_t threads,
   normalize.strip_lane_usage = true;
   return obs::NormalizeTelemetry(
              RunTelemetryJson("determinism",
-                              DeterminismOptions(threads, true, query),
+                              DeterminismOptions(threads, query),
                               result),
              normalize)
       .Dump(2);
@@ -259,8 +256,8 @@ std::string NormalizedTelemetry(std::size_t threads,
 
 TEST(ParallelDeterminismTest, OneVsEightThreadsBitIdentical) {
   // The suite's HHS query, plus UBS and HHS queries without pruning
-  // whose longer runs send more conditions through the memo and the
-  // counterfactual pass around the fan-out.
+  // whose longer runs send more conditions through the batch solves and
+  // the counterfactual pass around the fan-out.
   const DeterminismQuery queries[] = {
       {StrategyKind::kHhs, 24, 4},
       {StrategyKind::kUbs, 24, 12, -1.0},
@@ -268,13 +265,12 @@ TEST(ParallelDeterminismTest, OneVsEightThreadsBitIdentical) {
   };
   for (const DeterminismQuery& query : queries) {
     AnswerLog log1;
-    const BayesCrowdResult r1 = RunWithThreads(1, &log1, true, query);
+    const BayesCrowdResult r1 = RunWithThreads(1, &log1, query);
     const std::string telemetry1 = NormalizedTelemetry(1, query, r1);
     ASSERT_GT(log1.entries.size(), 0u);
     for (const std::size_t threads : {2u, 4u, 8u}) {
       AnswerLog logn;
-      const BayesCrowdResult rn =
-          RunWithThreads(threads, &logn, true, query);
+      const BayesCrowdResult rn = RunWithThreads(threads, &logn, query);
 
       // Same crowdsourcing transcript: every selected task, in order.
       ASSERT_EQ(log1.entries.size(), logn.entries.size())
@@ -312,24 +308,7 @@ TEST(ParallelDeterminismTest, OneVsEightThreadsBitIdentical) {
   }
 }
 
-TEST(ParallelDeterminismTest, CacheOnOffBitIdentical) {
-  // Memoization must never change an exact method's numbers, only skip
-  // recomputation.
-  AnswerLog log_on, log_off;
-  const BayesCrowdResult on = RunWithThreads(4, &log_on, /*memoize=*/true);
-  const BayesCrowdResult off =
-      RunWithThreads(4, &log_off, /*memoize=*/false);
-  EXPECT_GT(on.cache_hits, 0u);
-  EXPECT_EQ(off.cache_hits, 0u);
-  EXPECT_EQ(log_on.entries.size(), log_off.entries.size());
-  EXPECT_EQ(on.result_objects, off.result_objects);
-  ASSERT_EQ(on.probabilities.size(), off.probabilities.size());
-  for (std::size_t i = 0; i < on.probabilities.size(); ++i) {
-    EXPECT_EQ(on.probabilities[i], off.probabilities[i]) << "object " << i;
-  }
-}
-
-TEST(ParallelDeterminismTest, RoundLogsSplitPhasesAndCountCacheTraffic) {
+TEST(ParallelDeterminismTest, RoundLogsSplitPhases) {
   const BayesCrowdResult result = RunWithThreads(2, nullptr);
   ASSERT_GT(result.round_logs.size(), 0u);
   double select = 0.0, update = 0.0;
@@ -337,8 +316,6 @@ TEST(ParallelDeterminismTest, RoundLogsSplitPhasesAndCountCacheTraffic) {
     EXPECT_GE(log.select_seconds, 0.0);
     EXPECT_GE(log.update_seconds, 0.0);
     EXPECT_DOUBLE_EQ(log.seconds, log.select_seconds + log.update_seconds);
-    EXPECT_GE(log.CacheHitRate(), 0.0);
-    EXPECT_LE(log.CacheHitRate(), 1.0);
     select += log.select_seconds;
     update += log.update_seconds;
   }
@@ -347,93 +324,13 @@ TEST(ParallelDeterminismTest, RoundLogsSplitPhasesAndCountCacheTraffic) {
   // gets a round log, so the total dominates the per-round sum.
   EXPECT_GE(result.select_seconds, select);
   EXPECT_DOUBLE_EQ(result.update_seconds, update);
-  std::uint64_t round_hits = 0, round_misses = 0;
-  for (const RoundLog& log : result.round_logs) {
-    round_hits += log.cache_hits;
-    round_misses += log.cache_misses;
-  }
-  // Run totals also cover the final inference pass, so they dominate
-  // the per-round sums.
-  EXPECT_GE(result.cache_hits, round_hits);
-  EXPECT_GE(result.cache_misses, round_misses);
-  EXPECT_GT(result.cache_misses, 0u);
 }
 
 // ------------------------------------------------------------------ //
-// Memo-cache invalidation
+// The batch path across pool sizes
 // ------------------------------------------------------------------ //
 
-// Two-level distributions keep the arithmetic easy to follow.
-ProbabilityEvaluator TwoLevelEvaluator() {
-  ProbabilityEvaluator evaluator;
-  for (std::size_t object : {0u, 1u, 2u}) {
-    BAYESCROWD_CHECK_OK(evaluator.SetDistribution(
-        V(object, 0), std::vector<double>{0.5, 0.5}));
-  }
-  return evaluator;
-}
-
-Condition SingleVarCondition(const CellRef& var) {
-  return Condition::Cnf(
-      {{Expression::VarConst(var, CmpOp::kGreater, 0)}});
-}
-
-TEST(EvaluatorCacheTest, AnsweringAVariableEvictsExactlyItsConditions) {
-  ProbabilityEvaluator evaluator = TwoLevelEvaluator();
-  // c01 mentions vars 0 and 1; c2 mentions var 2 only.
-  const Condition c01 =
-      Condition::Cnf({{Expression::VarVar(V(0, 0), CmpOp::kGreater,
-                                          V(1, 0))}});
-  const Condition c2 = SingleVarCondition(V(2, 0));
-
-  ASSERT_TRUE(evaluator.Probability(c01).ok());
-  ASSERT_TRUE(evaluator.Probability(c2).ok());
-  EXPECT_TRUE(evaluator.IsCached(c01));
-  EXPECT_TRUE(evaluator.IsCached(c2));
-  EXPECT_EQ(evaluator.CacheSize(), 2u);
-
-  // Fold a crowd answer about Var(1,0): its distribution collapses.
-  BAYESCROWD_CHECK_OK(
-      evaluator.SetDistribution(V(1, 0), std::vector<double>{1.0, 0.0}));
-
-  EXPECT_FALSE(evaluator.IsCached(c01));  // Mentions the answered var.
-  EXPECT_TRUE(evaluator.IsCached(c2));    // Untouched: still cached.
-  EXPECT_EQ(evaluator.cache_stats().evictions, 1u);
-
-  // Re-evaluation reflects the new distribution: Var(0,0) > Var(1,0)
-  // with Var(1,0) pinned to level 0 is P(Var(0,0) = 1) = 0.5.
-  const auto p = evaluator.Probability(c01);
-  ASSERT_TRUE(p.ok());
-  EXPECT_DOUBLE_EQ(p.value(), 0.5);
-}
-
-TEST(EvaluatorCacheTest, HitsAndMissesAreCounted) {
-  ProbabilityEvaluator evaluator = TwoLevelEvaluator();
-  const Condition c = SingleVarCondition(V(0, 0));
-  ASSERT_TRUE(evaluator.Probability(c).ok());
-  ASSERT_TRUE(evaluator.Probability(c).ok());
-  ASSERT_TRUE(evaluator.Probability(c).ok());
-  EXPECT_EQ(evaluator.cache_stats().misses, 1u);
-  EXPECT_EQ(evaluator.cache_stats().hits, 2u);
-}
-
-TEST(EvaluatorCacheTest, BatchServesHitsWithoutRecomputing) {
-  ProbabilityEvaluator evaluator = TwoLevelEvaluator();
-  const Condition a = SingleVarCondition(V(0, 0));
-  const Condition b = SingleVarCondition(V(1, 0));
-  const std::vector<const Condition*> batch{&a, &b, &a};
-  const auto first = evaluator.EvaluateBatchIntervals(batch);
-  ASSERT_TRUE(first.ok());
-  // Duplicate within the batch misses twice (parallel lanes do not
-  // share in-flight work) but both land on one cache entry.
-  EXPECT_EQ(evaluator.CacheSize(), 2u);
-  const auto second = evaluator.EvaluateBatchIntervals(batch);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(first.value(), second.value());
-  EXPECT_EQ(evaluator.cache_stats().hits, 3u);
-}
-
-TEST(EvaluatorCacheTest, PooledLookupLeavesTheSameMemoState) {
+TEST(PooledBatchTest, EveryPoolSizeMatchesTheSequentialPass) {
   // Forty-eight random conditions over eight three-level variables.
   Rng rng(0x100C0F);
   std::vector<Condition> random;
@@ -459,31 +356,15 @@ TEST(EvaluatorCacheTest, PooledLookupLeavesTheSameMemoState) {
     }
   };
 
-  // A donated memo blob. The donor re-conditioned variable 0 once more
-  // than any fresh evaluator, so its entry for a condition on variable
-  // 0 carries a stamp that does not validate here; its entry for a
-  // condition on variable 7 alone does.
   const Condition on_var0 = Condition::Cnf(
       {{Expression::VarConst(V(0, 0), CmpOp::kGreater, 0)},
        {Expression::VarVar(V(0, 0), CmpOp::kLess, V(1, 0))}});
   const Condition on_var7 =
       Condition::Cnf({{Expression::VarConst(V(7, 0), CmpOp::kLess, 2)}});
-  std::string donated;
-  {
-    ProbabilityEvaluator donor;
-    set_all(donor);
-    BAYESCROWD_CHECK_OK(donor.SetDistribution(
-        V(0, 0), std::vector<double>{0.5, 0.25, 0.25}));
-    BAYESCROWD_CHECK_OK(
-        donor.EvaluateBatchIntervals({&on_var0, &on_var7}).status());
-    donor.SerializeMemoState(&donated);
-  }
 
   struct Outcome {
     std::vector<std::vector<ProbInterval>> intervals;
-    EvaluatorCacheStats stats;
     std::string counters;
-    std::string memo;
   };
   const Condition always = Condition::True();
   const Condition never = Condition::False();
@@ -492,13 +373,8 @@ TEST(EvaluatorCacheTest, PooledLookupLeavesTheSameMemoState) {
     set_all(evaluator);
     evaluator.set_thread_pool(pool);
     evaluator.SetCostContext("s", "select");
-    BinReader reader(donated);
-    const auto imported = evaluator.MergeMemoState(&reader);
-    EXPECT_TRUE(imported.ok() && *imported == 2u);
-    EXPECT_FALSE(evaluator.IsCached(on_var0));
-    EXPECT_TRUE(evaluator.IsCached(on_var7));
 
-    // Decided conditions, both imported entries, every random
+    // Two hand-written conditions, two decided ones, every random
     // condition, and one of them a second time.
     std::vector<const Condition*> batch{&on_var0, &always, &on_var7, &never};
     for (const Condition& c : random) batch.push_back(&c);
@@ -509,29 +385,25 @@ TEST(EvaluatorCacheTest, PooledLookupLeavesTheSameMemoState) {
       BAYESCROWD_CHECK_OK(intervals.status());
       out.intervals.push_back(*std::move(intervals));
     };
-    evaluate();  // Misses, the imported hit, the duplicate.
-    evaluate();  // Hits only.
+    evaluate();
+    evaluate();
     BAYESCROWD_CHECK_OK(evaluator.SetDistribution(
         V(2, 0), std::vector<double>{0.6, 0.3, 0.1}));
     evaluator.SetCostContext("s", "update");
-    evaluate();  // The conditions on variable 2 miss again.
+    evaluate();
     BAYESCROWD_CHECK_OK(evaluator.SetDistribution(
         V(0, 0), std::vector<double>{0.1, 0.1, 0.8}));
     BAYESCROWD_CHECK_OK(evaluator.SetDistribution(
         V(5, 0), std::vector<double>{0.3, 0.4, 0.3}));
     evaluate();
-    out.stats = evaluator.cache_stats();
     out.counters = evaluator.metrics()->Snapshot().ToText();
-    evaluator.SerializeMemoState(&out.memo);
     return out;
   };
 
   const Outcome reference = run(nullptr);
-  EXPECT_GT(reference.stats.hits, 0u);
-  EXPECT_GT(reference.stats.misses, 0u);
-  EXPECT_GT(reference.stats.evictions, 0u);
-  EXPECT_NE(reference.counters.find("cost.cache_hits{"), std::string::npos);
-  EXPECT_NE(reference.counters.find("cost.cache_misses{"), std::string::npos);
+  EXPECT_NE(reference.counters.find("cost.adpll_nodes{"), std::string::npos);
+  // Re-conditioned distributions take effect on the next batch.
+  EXPECT_NE(reference.intervals[0], reference.intervals[3]);
   EXPECT_EQ(reference.intervals[0][1], ProbInterval::Exact(1.0));
   EXPECT_EQ(reference.intervals[0][3], ProbInterval::Exact(0.0));
   EXPECT_EQ(reference.intervals[0][7], reference.intervals[0].back());
@@ -540,41 +412,14 @@ TEST(EvaluatorCacheTest, PooledLookupLeavesTheSameMemoState) {
     const Outcome pooled = run(&pool);
     EXPECT_EQ(pooled.intervals, reference.intervals) << "threads " << threads;
     EXPECT_EQ(pooled.counters, reference.counters) << "threads " << threads;
-    EXPECT_EQ(pooled.memo, reference.memo) << "threads " << threads;
   }
 }
 
-TEST(EvaluatorCacheTest, MutableDistributionsHandleDropsWholeCache) {
-  ProbabilityEvaluator evaluator = TwoLevelEvaluator();
-  const Condition c = SingleVarCondition(V(0, 0));
-  ASSERT_TRUE(evaluator.Probability(c).ok());
-  EXPECT_EQ(evaluator.CacheSize(), 1u);
-  // Bypassing SetDistribution cannot track which vars changed, so the
-  // accessor conservatively clears everything.
-  evaluator.distributions();
-  EXPECT_EQ(evaluator.CacheSize(), 0u);
-  EXPECT_FALSE(evaluator.IsCached(c));
-}
-
-TEST(EvaluatorCacheTest, SampledMethodsBypassTheCache) {
-  ProbabilityOptions options;
-  options.method = ProbabilityMethod::kSampled;
-  options.sampling.num_samples = 500;
-  ProbabilityEvaluator evaluator(options);
-  BAYESCROWD_CHECK_OK(
-      evaluator.SetDistribution(V(0, 0), std::vector<double>{0.5, 0.5}));
-  const Condition c = SingleVarCondition(V(0, 0));
-  ASSERT_TRUE(evaluator.Probability(c).ok());
-  EXPECT_EQ(evaluator.CacheSize(), 0u);
-  EXPECT_EQ(evaluator.cache_stats().hits, 0u);
-  EXPECT_EQ(evaluator.cache_stats().misses, 0u);
-}
-
 // ------------------------------------------------------------------ //
-// Governed batch evaluation: budget tiers must not alias in the cache
+// Governed batch evaluation
 // ------------------------------------------------------------------ //
 
-TEST(GovernedBatchTest, LowBudgetEntriesNeverServeHigherBudgetBatches) {
+TEST(GovernedBatchTest, EveryBatchSolvesUnderTheGovernorInForce) {
   const AdversarialInstance inst = MakeDeepChainInstance(7, 6);
   ThreadPool pool(4);
   ProbabilityOptions options;
@@ -590,11 +435,9 @@ TEST(GovernedBatchTest, LowBudgetEntriesNeverServeHigherBudgetBatches) {
   ASSERT_TRUE(degraded.ok());
   ASSERT_EQ(degraded->size(), 2u);
   ASSERT_FALSE((*degraded)[0].exact());
-  EXPECT_TRUE(evaluator.IsCached(inst.condition));
 
-  // Disable the governor on the same evaluator: the degraded entry's
-  // budget tag no longer matches, so the batch recomputes exactly
-  // instead of serving the low-budget interval.
+  // Disable the governor on the same evaluator: the batch solves
+  // exactly instead of returning the low-budget interval.
   evaluator.options().governor = GovernorOptions{};
   const auto exact = evaluator.EvaluateBatchIntervals(batch);
   ASSERT_TRUE(exact.ok());
@@ -602,7 +445,7 @@ TEST(GovernedBatchTest, LowBudgetEntriesNeverServeHigherBudgetBatches) {
   EXPECT_NEAR((*exact)[0].lo, inst.exact_probability, 1e-9);
 
   // Both tiers stay reproducible: re-enabling the low budget returns
-  // the original degraded interval bit-for-bit, not the exact entry.
+  // the original degraded interval bit-for-bit, not the exact value.
   evaluator.options().governor.max_nodes = 8;
   evaluator.options().governor.ladder = LadderMode::kInterval;
   const auto again = evaluator.EvaluateBatchIntervals(batch);

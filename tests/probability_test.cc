@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "adversarial_ctables.h"
 #include "common/random.h"
 #include "ctable/builder.h"
 #include "data/generators.h"
@@ -387,41 +386,6 @@ TEST(EvaluatorTest, StatsAccumulate) {
   }
   ASSERT_TRUE(evaluator.Probability(PhiO5()).ok());
   EXPECT_GT(evaluator.adpll_stats().calls, 0u);
-}
-
-// ------------------------------------------------------------------ //
-// Governed scalar path: cache entries are tier-stamped
-// ------------------------------------------------------------------ //
-
-TEST(GovernedScalarCacheTest, ExactEntryNeverServedToBudgetedConfig) {
-  const AdversarialInstance inst = MakeDeepChainInstance(7, 6);
-  ProbabilityEvaluator evaluator;  // Governor inert: exact answers.
-  evaluator.distributions() = inst.dists;
-
-  const auto exact = evaluator.Probability(inst.condition);
-  ASSERT_TRUE(exact.ok());
-  EXPECT_NEAR(exact.value(), inst.exact_probability, 1e-9);
-  EXPECT_TRUE(evaluator.IsCached(inst.condition));
-
-  // Enabling a tiny budget switches the cache stamp: the exact entry
-  // must not satisfy the governed lookup (a budgeted run has to
-  // produce the same answers whether or not an exact run preceded it
-  // in the same process).
-  evaluator.options().governor.max_nodes = 8;
-  evaluator.options().governor.ladder = LadderMode::kInterval;
-  EXPECT_FALSE(evaluator.IsCached(inst.condition));
-  const auto interval = evaluator.ProbabilityInterval(inst.condition);
-  ASSERT_TRUE(interval.ok());
-  EXPECT_FALSE(interval->exact());
-  EXPECT_LE(interval->lo, inst.exact_probability + 1e-9);
-  EXPECT_GE(interval->hi, inst.exact_probability - 1e-9);
-
-  // The governed scalar Probability() is the interval midpoint, and it
-  // lands on the same (budget-tagged) cache entry.
-  const auto mid = evaluator.Probability(inst.condition);
-  ASSERT_TRUE(mid.ok());
-  EXPECT_EQ(mid.value(), interval->midpoint());
-  EXPECT_EQ(evaluator.cache_stats().hits, 1u);
 }
 
 }  // namespace

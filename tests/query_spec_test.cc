@@ -42,8 +42,14 @@ TEST(QuerySpecTest, DefaultsAreTheLibraryDefaults) {
   EXPECT_EQ(options.strategy.m, library.strategy.m);
   EXPECT_EQ(options.strategy.pessimistic, library.strategy.pessimistic);
   EXPECT_EQ(options.breaker_threshold, library.breaker_threshold);
-  EXPECT_EQ(options.probability.governor.Fingerprint(),
-            library.probability.governor.Fingerprint());
+  const GovernorOptions& governor = options.probability.governor;
+  const GovernorOptions& library_governor = library.probability.governor;
+  EXPECT_EQ(governor.max_nodes, library_governor.max_nodes);
+  EXPECT_EQ(governor.max_components, library_governor.max_components);
+  EXPECT_EQ(governor.deadline_ms, library_governor.deadline_ms);
+  EXPECT_EQ(governor.ladder, library_governor.ladder);
+  EXPECT_EQ(governor.interval_samples, library_governor.interval_samples);
+  EXPECT_EQ(governor.confidence_z, library_governor.confidence_z);
   EXPECT_FALSE(options.adaptive.enabled);
   EXPECT_EQ(spec->structure, PosteriorStructure::kHillClimb);
   EXPECT_FALSE(spec->use_marketplace);

@@ -58,8 +58,6 @@ SessionSpec KillSpec(const std::string& id, const std::string& tenant,
   spec.ground_truth = MakeNbaLike(120, data_seed);
   Rng rng(5);
   spec.incomplete = InjectMissingUniform(spec.ground_truth, 0.15, rng);
-  spec.cache_key = StrFormat("kill-%llu",
-                             static_cast<unsigned long long>(data_seed));
   spec.options.ctable.alpha = 0.01;
   spec.options.budget = 12;
   spec.options.latency = 4;

@@ -1,8 +1,7 @@
-// Serving-layer tests: shared-cache scoping and LRU bounds, session
-// lifecycle, admission control, per-tenant QoS degradation, checkpoint/
-// evict/resume through the manager, and the multiplexing determinism
-// contract — N interleaved sessions byte-match N sequential runs of the
-// same specs, at 1 and at 8 worker lanes.
+// Serving-layer tests: session lifecycle, admission control, per-tenant
+// QoS degradation, checkpoint/evict/resume through the manager, and the
+// multiplexing determinism contract — N interleaved sessions byte-match
+// N sequential runs of the same specs, at 1 and at 8 worker lanes.
 
 #include "serve/manager.h"
 
@@ -19,12 +18,10 @@
 #include "common/fileio.h"
 #include "common/random.h"
 #include "common/status.h"
-#include "common/string_util.h"
 #include "core/telemetry.h"
 #include "data/generators.h"
 #include "data/missing.h"
 #include "obs/normalize.h"
-#include "serve/cache.h"
 #include "serve/manifest.h"
 
 namespace bayescrowd {
@@ -34,7 +31,6 @@ using serve::AdvanceOutcome;
 using serve::SessionInfo;
 using serve::SessionManager;
 using serve::SessionSpec;
-using serve::SharedQueryCache;
 using serve::TenantQos;
 
 std::string FreshDir(const std::string& name) {
@@ -55,8 +51,6 @@ SessionSpec MakeSpec(const std::string& id, const std::string& tenant,
   spec.ground_truth = MakeNbaLike(120, data_seed);
   Rng rng(5);
   spec.incomplete = InjectMissingUniform(spec.ground_truth, 0.15, rng);
-  spec.cache_key = StrFormat("nba-%llu",
-                             static_cast<unsigned long long>(data_seed));
   spec.options.ctable.alpha = 0.01;
   spec.options.budget = budget;
   spec.options.latency = 4;
@@ -72,47 +66,6 @@ std::string Normalized(const BayesCrowdOptions& options,
   return obs::NormalizeTelemetry(
              RunTelemetryJson("serve", options, result), normalize)
       .Dump(2);
-}
-
-// ------------------------------------------------------------------ //
-// SharedQueryCache
-// ------------------------------------------------------------------ //
-
-TEST(SharedQueryCacheTest, LruEvictsPastEntryAndByteBudgets) {
-  SharedQueryCache cache({.max_bytes = 100, .max_entries = 2});
-  cache.Put(1, std::string(40, 'a'));
-  cache.Put(2, std::string(40, 'b'));
-  std::string blob;
-  ASSERT_TRUE(cache.Get(1, &blob));  // 1 is now MRU, 2 is LRU.
-  cache.Put(3, std::string(40, 'c'));
-  EXPECT_FALSE(cache.Get(2, &blob));  // Evicted by the entry cap.
-  EXPECT_TRUE(cache.Get(1, &blob));
-  EXPECT_TRUE(cache.Get(3, &blob));
-  const SharedQueryCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 2u);
-  EXPECT_EQ(stats.evictions, 1u);
-
-  // A blob above the byte budget is refused outright...
-  cache.Put(4, std::string(200, 'd'));
-  EXPECT_FALSE(cache.Get(4, &blob));
-  EXPECT_EQ(cache.stats().rejected, 1u);
-
-  // ...and one that fits evicts the LRU tail down to the byte budget.
-  cache.Put(5, std::string(90, 'e'));
-  EXPECT_TRUE(cache.Get(5, &blob));
-  EXPECT_EQ(cache.stats().entries, 1u);
-  EXPECT_LE(cache.stats().bytes, 100u);
-}
-
-TEST(SharedQueryCacheTest, ScopeKeysSeparateTenantsAndDatasets) {
-  const std::uint64_t a1 = SessionManager::CacheScope("acme", "ds1");
-  EXPECT_NE(a1, 0u);
-  EXPECT_EQ(a1, SessionManager::CacheScope("acme", "ds1"));
-  EXPECT_NE(a1, SessionManager::CacheScope("bravo", "ds1"));
-  EXPECT_NE(a1, SessionManager::CacheScope("acme", "ds2"));
-  // Chained, not XORed: swapping tenant and key must not collide.
-  EXPECT_NE(SessionManager::CacheScope("acme", "bravo"),
-            SessionManager::CacheScope("bravo", "acme"));
 }
 
 // ------------------------------------------------------------------ //
@@ -376,76 +329,6 @@ TEST(SessionManagerTest, ConcurrentClientsMatchSequentialBaseline) {
 }
 
 // ------------------------------------------------------------------ //
-// Shared cache warm starts
-// ------------------------------------------------------------------ //
-
-TEST(SessionManagerTest, WarmStartHitsOwnScopeOnlyAndKeepsAnswers) {
-  SessionManager manager({.threads = 2});
-  // A budget that stops with undecided objects: the donated memo then
-  // holds their final-inference conditions. (Counterfactuals never enter
-  // the memo, so a run that decides everything donates nothing.)
-  constexpr std::size_t kBudget = 8;
-
-  // Cold run; Finish donates its memo state for scope (acme, nba-9).
-  {
-    SessionSpec spec = MakeSpec("cold", "acme", 9, kBudget);
-    ASSERT_TRUE(manager.Create(std::move(spec)).ok());
-    ASSERT_TRUE(manager.Advance("cold", 100000).ok());
-    ASSERT_TRUE(manager.Finish("cold").ok());
-  }
-  EXPECT_EQ(manager.cache_stats().donations, 1u);
-  const auto cold = manager.Finish("cold");  // Already finished.
-  EXPECT_TRUE(cold.status().IsFailedPrecondition());
-  ASSERT_TRUE(manager.Evict("cold").ok());
-
-  // Re-run the identical query cold to capture the reference answers.
-  std::vector<std::size_t> reference_objects;
-  std::vector<double> reference_probabilities;
-  {
-    SessionSpec spec = MakeSpec("ref", "acme", 9, kBudget);
-    spec.warm_start = false;
-    ASSERT_TRUE(manager.Create(std::move(spec)).ok());
-    ASSERT_TRUE(manager.Advance("ref", 100000).ok());
-    Result<BayesCrowdResult> result = manager.Finish("ref");
-    ASSERT_TRUE(result.ok());
-    reference_objects = result->result_objects;
-    reference_probabilities = result->probabilities;
-    ASSERT_TRUE(manager.Evict("ref").ok());
-  }
-
-  // Same tenant + dataset warm-starts from the donated blob, and the
-  // answers are unchanged — imported entries are just early hits.
-  {
-    SessionSpec spec = MakeSpec("warm", "acme", 9, kBudget);
-    spec.warm_start = true;
-    ASSERT_TRUE(manager.Create(std::move(spec)).ok());
-    ASSERT_TRUE(manager.Advance("warm", 100000).ok());
-    Result<BayesCrowdResult> result = manager.Finish("warm");
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result->result_objects, reference_objects);
-    EXPECT_EQ(result->probabilities, reference_probabilities);
-    ASSERT_TRUE(manager.Evict("warm").ok());
-  }
-
-  // A different tenant over the same dataset must MISS: the scope key
-  // partitions the shared cache per tenant.
-  {
-    SessionSpec spec = MakeSpec("other", "bravo", 9, kBudget);
-    spec.warm_start = true;
-    ASSERT_TRUE(manager.Create(std::move(spec)).ok());
-  }
-
-  const obs::MetricsSnapshot snapshot = manager.MetricsSnapshot();
-  const auto counter = [&](const std::string& key) -> std::uint64_t {
-    const auto it = snapshot.counters.find(key);
-    return it == snapshot.counters.end() ? 0 : it->second;
-  };
-  EXPECT_EQ(counter("serve.cache.warm_start.hit{tenant=\"acme\"}"), 1u);
-  EXPECT_EQ(counter("serve.cache.warm_start.miss{tenant=\"bravo\"}"), 1u);
-  EXPECT_GT(counter("serve.cache.imported_entries{tenant=\"acme\"}"), 0u);
-}
-
-// ------------------------------------------------------------------ //
 // Per-tenant QoS
 // ------------------------------------------------------------------ //
 
@@ -595,7 +478,6 @@ TEST(SessionManagerTest, MarketplaceSessionResumesWithReputations) {
     spec.ground_truth = MakeAnticorrelated(60, 4, 6, 5);
     Rng rng(5);
     spec.incomplete = InjectMissingUniform(spec.ground_truth, 0.3, rng);
-    spec.cache_key = "market-anti";
     spec.options.ctable.alpha = -1.0;
     spec.options.budget = 300;
     spec.options.latency = 3;

@@ -119,7 +119,6 @@ constexpr KeyDef kRunKeys[] = {
     {"save_model", KeyKind::kString},
     // Execution.
     {"threads", KeyKind::kInt, 0, 1024},
-    {"no_cache", KeyKind::kBool},
     // Fault injection and the recovery policy that absorbs it.
     {"fault_rate", KeyKind::kNumber, 0, 1},
     {"fault_seed", KeyKind::kInt, 0, kUnbounded},
@@ -296,14 +295,6 @@ int CmdRun(const Flags& flags) {
   if (resume && checkpoint_dir.empty()) {
     return UsageError("run", "--resume needs --checkpoint-dir");
   }
-  if (resume && flags.Value("no_cache", false)) {
-    // A snapshot carries the evaluator's memoized solver state; with
-    // the cache disabled that state cannot be restored, so the resumed
-    // run would silently diverge from its uninterrupted reference.
-    return UsageError("run",
-                      "--no-cache cannot be combined with --resume "
-                      "(snapshots carry memoized solver state)");
-  }
   // Cost-attribution session label. It lands verbatim inside canonical
   // series keys and Prometheus label values, so keep it to a safe
   // charset instead of escaping it everywhere downstream.
@@ -385,7 +376,6 @@ int CmdRun(const Flags& flags) {
   options.metrics = &run_metrics;
   // Evaluation lanes: 0 (default) resolves to the hardware concurrency.
   options.threads = flags.Value<std::size_t>("threads", 0);
-  if (flags.Value("no_cache", false)) options.probability.memoize = false;
   options.session = session;
   // Recovery policy: --max-retries counts retries after the first
   // attempt; --round-deadline is in simulated seconds (see DESIGN.md §8).

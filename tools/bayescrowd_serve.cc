@@ -9,8 +9,8 @@
 //
 // A create request is a query (core/query_spec.h: the same keys as the
 // CLI's `run` flags, with the same defaults) plus the session's own
-// keys: id, tenant, the generated "dataset" block, cache_key,
-// warm_start, checkpoint_dir, checkpoint_every and resume.
+// keys: id, tenant, the generated "dataset" block, checkpoint_dir,
+// checkpoint_every and resume.
 //
 //   {"op":"create","id":"s1","tenant":"acme",
 //    "dataset":{"kind":"indep","n":40,"d":3,"levels":4,"seed":7,
@@ -124,8 +124,6 @@ constexpr KeyDef kCreateKeys[] = {
     {"id", KeyKind::kString},
     {"tenant", KeyKind::kString},
     {"dataset", KeyKind::kObject},
-    {"cache_key", KeyKind::kString},
-    {"warm_start", KeyKind::kBool},
     {"checkpoint_dir", KeyKind::kString},
     {"checkpoint_every", KeyKind::kInt, 0, kUnbounded},
     {"resume", KeyKind::kBool},
@@ -209,18 +207,6 @@ Status BuildSessionSpec(const JsonValue& doc,
   spec->platform = query.flat;
   spec->use_marketplace = query.use_marketplace;
   spec->marketplace = query.market;
-  // The default shared-cache key names the data and the posterior model,
-  // so warm starts are shared only by sessions over the same generated
-  // table and the same network.
-  spec->cache_key = KeyValue<std::string>(
-      doc, "cache_key",
-      StrFormat("%s:n=%zu:d=%zu:levels=%d:seed=%llu:rate=%.6f:mseed=%llu:"
-                "structure=%s",
-                kind.c_str(), n, d, static_cast<int>(levels),
-                static_cast<unsigned long long>(seed), rate,
-                static_cast<unsigned long long>(miss_seed),
-                PosteriorStructureToString(query.structure)));
-  spec->warm_start = KeyValue(doc, "warm_start", false);
   spec->checkpoint_dir = KeyValue<std::string>(doc, "checkpoint_dir", "");
   if (spec->checkpoint_dir.empty()) {
     spec->checkpoint_dir = default_checkpoint_dir;

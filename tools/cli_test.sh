@@ -7,8 +7,8 @@
 # fault-flag validation the run command grew with the retry layer, the
 # solver-governor flag validation, the marketplace flag validation
 # (--marketplace / --spam-rate / --adaptive-votes / --no-defense), that
-# the retired knowledge-compilation and manual pause flags are unknown
-# flags, that a resume under another posterior model is refused, and
+# the retired knowledge-compilation, Pr(φ) memo and manual pause flags
+# are unknown flags, that a resume under another posterior model is refused, and
 # that an interactive session pauses and resumes through
 # --checkpoint-dir (a fresh run refuses the paused directory).
 #
@@ -175,9 +175,6 @@ for bad in "--budget -3" "--latency 0" "--m x" "--threads -2"; do
   run_base ${bad} >/dev/null 2>&1 || rc=$?
   [ "${rc}" -eq 2 ] || fail "run ${bad} must exit 2, got ${rc}"
 done
-if run_base --no-cache --resume --checkpoint-dir "${WORK}/ck" >/dev/null 2>&1; then
-  fail "run must reject --no-cache combined with --resume"
-fi
 # Each rejection must be a one-line diagnostic (plus nothing else).
 # (The expected nonzero exit would trip set -e/pipefail unguarded.)
 lines="$( (run_base --solver-ladder bogus 2>&1 >/dev/null || true) | wc -l)"
@@ -185,9 +182,10 @@ lines="$( (run_base --solver-ladder bogus 2>&1 >/dev/null || true) | wc -l)"
   || fail "--solver-ladder rejection must print exactly one line, got ${lines}"
 
 # ------------------------------------------------------------------ #
-# run: the retired knowledge-compilation flags are unknown flags.
+# run: the retired knowledge-compilation and Pr(φ) memo flags are
+# unknown flags.
 # ------------------------------------------------------------------ #
-for retired in "--compile auto" "--compile-node-budget 64"; do
+for retired in "--compile auto" "--compile-node-budget 64" "--no-cache"; do
   rc=0
   # shellcheck disable=SC2086  # Split the flag from its value.
   run_base ${retired} >/dev/null 2>&1 || rc=$?
@@ -462,12 +460,15 @@ sed -n 5p "${WORK}/serve_numbers.jsonl" | grep -q '"op":"list","sessions":\[\]' 
 # serve: a create the reader does not understand is refused with one
 # ok:false line naming the key — never silently defaulted (a typo'd
 # budget, a dataset that is not a block, the retired nested marketplace
-# block), never wrapped (levels past 32 bits), never an abort (a table
-# too large to allocate) — and the server keeps serving.
+# block, the retired shared-cache keys), never wrapped (levels past 32
+# bits), never an abort (a table too large to allocate) — and the
+# server keeps serving.
 bad_creates=(
   '{"op":"create","id":"x","tenant":"t","budegt":40}|budegt'
   '{"op":"create","id":"x","tenant":"t","dataset":"nba"}|dataset'
   '{"op":"create","id":"x","tenant":"t","marketplace":{"pool_size":20,"defend":1}}|marketplace'
+  '{"op":"create","id":"x","tenant":"t","warm_start":true}|warm_start'
+  '{"op":"create","id":"x","tenant":"t","cache_key":"nba"}|cache_key'
   '{"op":"create","id":"x","tenant":"t","dataset":{"kind":"indep","levels":4294967298}}|dataset.levels'
   '{"op":"create","id":"x","tenant":"t","dataset":{"kind":"indep","n":2000000000,"d":1000}}|dataset.n'
   '{"op":"create","id":"x","tenant":"t","dataset":{"kind":"indep","n":1000000,"d":64}}|n=1000000'
@@ -540,27 +541,6 @@ assert run["result_objects"] == served["result_objects"], (run, served)
 assert run["tasks_posted"] == served["tasks_posted"], (run, served)
 EOF
 done
-
-# serve: warm starts never cross posterior models. A session with the
-# default network, warm-started after a "structure":"none" session on
-# the same tenant and dataset, must miss the shared cache and finish
-# exactly as the same request does cold.
-WARM='{"op":"create","id":"w2","tenant":"acme",'"${S1_QUERY}"',"warm_start":true}'
-printf '%s\n' \
-  '{"op":"create","id":"w1","tenant":"acme",'"${S1_QUERY}"',"structure":"none"}' \
-  '{"op":"advance","id":"w1","rounds":100}' '{"op":"finish","id":"w1"}' \
-  "${WARM}" '{"op":"advance","id":"w2","rounds":100}' \
-  '{"op":"finish","id":"w2"}' '{"op":"metrics"}' '{"op":"shutdown"}' \
-  | "${SERVE}" > "${WORK}/serve_warm.jsonl"
-printf '%s\n' "${WARM}" '{"op":"advance","id":"w2","rounds":100}' \
-  '{"op":"finish","id":"w2"}' '{"op":"shutdown"}' \
-  | "${SERVE}" > "${WORK}/serve_cold.jsonl"
-sed -n 7p "${WORK}/serve_warm.jsonl" | grep -q 'serve.cache.warm_start.miss' \
-  || fail "a warm start across posterior models must miss the cache"
-sed -n 7p "${WORK}/serve_warm.jsonl" | grep -q 'serve.cache.warm_start.hit' \
-  && fail "a warm start across posterior models must not hit the cache"
-[ "$(sed -n 6p "${WORK}/serve_warm.jsonl")" = "$(sed -n 3p "${WORK}/serve_cold.jsonl")" ] \
-  || fail "the warm-started session must finish exactly as the cold one"
 
 # serve: bad flags exit 2 before the request loop starts.
 rc=0; "${SERVE}" --no-such-flag </dev/null >/dev/null 2>&1 || rc=$?

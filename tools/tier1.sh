@@ -378,6 +378,20 @@ echo "== tier-1: perfbench smoke (all workloads) =="
 # all three workloads.
 python3 "$ROOT/perfbench/run.py" --workload all --smoke --seconds 1 --trace 0
 
+# The sanitizer trees build with Ninja when it is installed: CMake's
+# Makefile generator writes .NOTPARALLEL into the top-level Makefile,
+# so a build of several targets compiles them one at a time. The Ninja
+# trees get their own names, because CMake refuses to switch an existing
+# tree's generator.
+SAN_GENERATOR=()
+SAN_SUFFIX=""
+if command -v ninja > /dev/null 2>&1; then
+  SAN_GENERATOR=(-G Ninja)
+  SAN_SUFFIX="-ninja"
+fi
+ASAN_DIR="$ROOT/build-asan$SAN_SUFFIX"
+TSAN_DIR="$ROOT/build-tsan$SAN_SUFFIX"
+
 echo "== tier-1: crash-safety and factor-kernel tests under ASan+UBSan =="
 # Each sanitizer stage names its tests once: the array feeds both the
 # build targets and the anchored ctest filter.
@@ -398,24 +412,24 @@ ASAN_TESTS=(checkpoint_test killpoint_test fault_test differential_test
   probability_test core_test failure_test fuzz_test query_spec_test
   ctable_test property_test parallel_test record_replay_test
   interactive_test)
-cmake -B "$ROOT/build-asan" -S "$ROOT" \
+cmake -B "$ASAN_DIR" -S "$ROOT" "${SAN_GENERATOR[@]}" \
   -DBC_SANITIZE=address,undefined \
   -DBAYESCROWD_BUILD_BENCHMARKS=OFF \
   -DBAYESCROWD_BUILD_EXAMPLES=OFF
-cmake --build "$ROOT/build-asan" -j "$JOBS" --target "${ASAN_TESTS[@]}"
-ctest --test-dir "$ROOT/build-asan" --output-on-failure \
+cmake --build "$ASAN_DIR" -j "$JOBS" --target "${ASAN_TESTS[@]}"
+ctest --test-dir "$ASAN_DIR" --output-on-failure \
   -R "^($(IFS='|'; echo "${ASAN_TESTS[*]}"))\$"
 
 echo "== tier-1: concurrency tests under ThreadSanitizer =="
 TSAN_TESTS=(parallel_test obs_test attribution_test differential_test
   fault_test record_replay_test governor_test serve_test
   serve_killpoint_test marketplace_test)
-cmake -B "$ROOT/build-tsan" -S "$ROOT" \
+cmake -B "$TSAN_DIR" -S "$ROOT" "${SAN_GENERATOR[@]}" \
   -DBC_SANITIZE=thread \
   -DBAYESCROWD_BUILD_BENCHMARKS=OFF \
   -DBAYESCROWD_BUILD_EXAMPLES=OFF
-cmake --build "$ROOT/build-tsan" -j "$JOBS" --target "${TSAN_TESTS[@]}"
-ctest --test-dir "$ROOT/build-tsan" --output-on-failure \
+cmake --build "$TSAN_DIR" -j "$JOBS" --target "${TSAN_TESTS[@]}"
+ctest --test-dir "$TSAN_DIR" --output-on-failure \
   -R "^($(IFS='|'; echo "${TSAN_TESTS[*]}"))\$"
 
 echo "tier-1 OK"
